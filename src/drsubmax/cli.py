@@ -320,7 +320,10 @@ def cmd_run(cfg: dict) -> int:
                 records.append(_run_one(payload))
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(_run_one, payloads))
+                # results arrive in run_id order; keep each one as it comes so
+                # an abort still writes the trials before the failing one
+                for record in pool.map(_run_one, payloads):
+                    records.append(record)
     except Exception as exc:  # abort the battery, leave a partial marker
         optimizers.records_to_csv(records, battery_path)
         with open(marker, "w") as fh:

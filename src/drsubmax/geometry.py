@@ -2,14 +2,15 @@
 
 The feasible region is ``{x : A x <= b, 0 <= x <= upper}`` with a strictly
 feasible origin (all entries of ``b`` and ``upper`` positive).  Two oracles
-are provided: Euclidean projection (Dykstra's alternating projections over
-the individual halfspaces and the box) and linear maximization (a dense
-primal simplex with Bland's anti-cycling rule).  Both are deterministic
-functions of their inputs.
+are provided: Euclidean projection (the finite dual active-set method of
+Goldfarb and Idnani with an identity Hessian, certified by its KKT
+conditions) and linear maximization (a dense primal simplex with Bland's
+anti-cycling rule).  Both are deterministic functions of their inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +32,22 @@ TOL_LP = 1e-9
 
 _PIVOT_EPS = 1e-10
 
+#: a constraint is added to the projection's active set once it is violated
+#: by more than this distance, relative to max(1, ||y||)
+_ADD_RTOL = 1e-13
+#: a normal whose part orthogonal to the active normals is shorter than this,
+#: relative to its length, counts as a combination of them
+_DEPENDENT_RTOL = 1e-10
+#: the projection's KKT certificate tolerance, relative to max(1, ||y||)
+_KKT_RTOL = 1e-9
+#: step budget of the dual active-set method per constraint (finite in exact
+#: arithmetic; the budget only stops a cycle caused by rounding)
+_STEPS_PER_CONSTRAINT = 20
+
 
 class ProjectionError(RuntimeError):
-    """Dykstra did not converge; carries the last iterate and its residual."""
+    """The projection failed its KKT certificate; carries the iterate and its
+    residual."""
 
     def __init__(self, message: str, iterate: np.ndarray, residual: float):
         super().__init__(message)
@@ -110,68 +124,181 @@ def contains(p: Polytope, x, tol: float = 1e-9) -> bool:
     """True iff every box and halfspace constraint holds within ``tol``."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    x = _check_dim(p, x, "x")
-    if np.any(x < -tol) or np.any(x > p.upper + tol):
-        return False
-    if p.n_halfspaces and np.any(p.a_matrix @ x > p.b_vector + tol):
-        return False
-    return True
+    return violation(p, x) <= tol
 
 
 def violation(p: Polytope, x) -> float:
-    """Largest constraint violation of ``x`` (0 when feasible)."""
+    """Largest constraint violation of ``x`` (0 when feasible, inf when ``x``
+    has a non-finite entry)."""
     x = _check_dim(p, x, "x")
+    if not np.all(np.isfinite(x)):
+        return math.inf
     v = max(float(np.max(-x, initial=0.0)), float(np.max(x - p.upper, initial=0.0)))
     if p.n_halfspaces:
         v = max(v, float(np.max(p.a_matrix @ x - p.b_vector)))
     return max(v, 0.0)
 
 
-def project(p: Polytope, y, tol: float = 1e-8, max_sweeps: int = 10000) -> np.ndarray:
+def project(p: Polytope, y) -> np.ndarray:
     """Euclidean projection of ``y`` onto the polytope.
 
-    Already-feasible points are returned unchanged.  A pure box is clamped in
-    closed form.  Otherwise Dykstra's alternating projections cycle over the
-    halfspaces and the box until the iterate moves less than ``tol`` in one
-    sweep; each sweep ends with the box so the result is box-exact.
+    Already-feasible points are returned as a copy.  When the point clamped to
+    the box is feasible (always for a pure box) it is the answer.  Otherwise
+    the dual active-set method of Goldfarb and Idnani (Math. Prog. 27, 1983)
+    with an identity Hessian runs from ``x = y`` and an empty active set.  It
+    repeatedly adds the most violated constraint (by distance; lowest index
+    on ties, halfspaces before box faces) and takes partial dual steps,
+    dropping the active constraint whose multiplier reaches 0 first, until a
+    full step makes the added constraint tight.  The method ends after
+    finitely many steps.  Active box faces fix their coordinate, so each step
+    solves a least-squares problem in the active halfspaces restricted to the
+    free coordinates only.
 
-    Raises ``ProjectionError`` after ``max_sweeps`` sweeps without convergence.
+    The answer is recomputed from the final active set and certified by its
+    KKT conditions: feasibility and nonnegative multipliers, both within
+    ``1e-9 * max(1, ||y||)``.  Raises ``ProjectionError`` carrying the
+    iterate and its residual when the certificate fails, and ``ValueError``
+    when ``y`` has a non-finite entry.
     """
     y = _check_dim(p, y, "y")
-    if contains(p, y, 0.0):
-        return y.copy()
-    if p.n_halfspaces == 0:
-        return np.clip(y, 0.0, p.upper)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite")
+    # the region lies in the box, so the clamped point is the answer when it
+    # meets every halfspace: always for a pure box, and a copy of y when y is
+    # already feasible
+    x = np.clip(y, 0.0, p.upper)
+    if np.all(p.a_matrix @ x <= p.b_vector):
+        return x
 
-    a, b, rn = p.a_matrix, p.b_vector, p._row_norms_sq
-    m = p.n_halfspaces
+    scale = max(1.0, float(np.linalg.norm(y)))
+    active, side = _dual_active_set(p, y, scale)
+    x, residual = _kkt_point(p, y, active, side)
+    if not residual <= _KKT_RTOL * scale:
+        raise ProjectionError(
+            f"projection failed its KKT certificate: residual {residual:.3g}",
+            iterate=x,
+            residual=residual,
+        )
+    return x
+
+
+def _dual_active_set(p: Polytope, y: np.ndarray, scale: float):
+    """Active halfspaces (boolean mask) and fixed coordinates (``side`` is -1
+    at the lower face, +1 at the upper face, 0 when free) at the projection."""
+    a, b, u = p.a_matrix, p.b_vector, p.upper
+    m, n = a.shape
+    row_norms = np.sqrt(p._row_norms_sq)
+    row_norms[row_norms == 0.0] = 1.0  # a zero row is never violated (b > 0)
+    add_tol = _ADD_RTOL * scale
     x = y.copy()
-    # one correction vector per set: m halfspaces followed by the box
-    corr = np.zeros((m + 1, p.dim))
-    corr_prev = np.empty_like(corr)
-    for _ in range(max_sweeps):
-        corr_prev[:] = corr
-        for i in range(m):
-            z = x + corr[i]
-            slack = a[i] @ z - b[i]
-            if slack > 0.0 and rn[i] > 0.0:
-                x = z - (slack / rn[i]) * a[i]
+    active = np.zeros(m, dtype=bool)
+    lam = np.zeros(m)  # halfspace multipliers
+    side = np.zeros(n)
+    mu = np.zeros(n)  # box-face multipliers
+    normal = np.zeros(n)
+    steps = _STEPS_PER_CONSTRAINT * (m + 2 * n)
+    while steps > 0:
+        dist = np.concatenate(((a @ x - b) / row_norms, np.maximum(-x, x - u)))
+        dist[:m][active] = -math.inf  # tight up to rounding; fixed faces are exact
+        k = int(np.argmax(dist))
+        if not dist[k] > add_tol:
+            break
+        # constraint k as  normal . x <= rhs
+        if k < m:
+            normal[:] = a[k]
+            rhs = b[k]
+        else:
+            j = k - m
+            sign = 1.0 if x[j] > u[j] else -1.0
+            normal[:] = 0.0
+            normal[j] = sign
+            rhs = u[j] if sign > 0 else 0.0
+        added = 0.0  # dual step taken so far on constraint k
+        while steps > 0:
+            steps -= 1
+            rows = np.flatnonzero(active)
+            fixed = np.flatnonzero(side)
+            free = side == 0.0
+            a_rows = a[rows]
+            # split the normal into r, its coefficients on the active normals,
+            # and z, the part orthogonal to them (zero on fixed coordinates)
+            z = np.zeros(n)
+            z[free] = normal[free]
+            r_rows = np.zeros(0)
+            if rows.size:
+                q, r_tri = np.linalg.qr(a_rows[:, free].T)
+                coef = q.T @ z[free]
+                r_rows = np.linalg.solve(r_tri, coef)
+                z[free] -= q @ coef
+            r_fixed = side[fixed] * (normal[fixed] - r_rows @ a_rows[:, fixed])
+            zz = float(z @ z)
+            full = math.inf  # unless z = 0: the normal is a combination of active normals
+            if zz > _DEPENDENT_RTOL**2 * float(normal @ normal):
+                full = (float(normal @ x) - rhs) / zz
+            # the active multiplier that reaches 0 first (lowest index on ties)
+            rates = np.concatenate((r_rows, r_fixed))
+            falling = np.flatnonzero(rates > 0.0)
+            partial = math.inf
+            if falling.size:
+                ratios = np.concatenate((lam[rows], mu[fixed]))[falling] / rates[falling]
+                i = int(np.argmin(ratios))
+                partial = max(float(ratios[i]), 0.0)
+                drop = int(falling[i])
+            t = min(full, partial)
+            if math.isinf(t):
+                # no step satisfies constraint k, which only rounding can cause
+                # (the origin is feasible); the certificate then fails
+                return active, side
+            x -= t * z
+            lam[rows] -= t * r_rows
+            mu[fixed] -= t * r_fixed
+            added += t
+            if full <= partial:
+                if k < m:
+                    active[k] = True
+                    lam[k] = added
+                else:
+                    side[j] = sign
+                    mu[j] = added
+                    x[j] = rhs
+                break
+            if drop < rows.size:
+                active[rows[drop]] = False
+                lam[rows[drop]] = 0.0
             else:
-                x = z
-            corr[i] = z - x
-        z = x + corr[m]
-        x = np.clip(z, 0.0, p.upper)
-        corr[m] = z - x
-        # the iterate can park at a (possibly feasible) corner for many sweeps
-        # while corrections still accumulate, so iterate movement is not a
-        # sound test; stop only once the corrections themselves stabilize
-        if float(np.max(np.abs(corr - corr_prev))) < tol and violation(p, x) <= tol:
-            return x
-    raise ProjectionError(
-        f"projection did not converge within {max_sweeps} sweeps",
-        iterate=x,
-        residual=violation(p, x),
-    )
+                c = fixed[drop - rows.size]
+                side[c] = 0.0
+                mu[c] = 0.0
+    return active, side
+
+
+def _kkt_point(p: Polytope, y: np.ndarray, active: np.ndarray, side: np.ndarray):
+    """The projection of ``y`` onto the face where the ``active`` halfspaces
+    are tight and the coordinates with nonzero ``side`` sit at their box face,
+    with its KKT residual: the larger of the point's constraint violation and
+    its most negative multiplier (times its normal's length)."""
+    a, b, u = p.a_matrix, p.b_vector, p.upper
+    free = side == 0.0
+    x = np.where(side > 0.0, u, 0.0)
+    x[free] = y[free]
+    rows = np.flatnonzero(active)
+    a_rows = a[rows]
+    lam = np.zeros(0)
+    if rows.size:
+        # x_free = y_free - M^T lam  with  M x_free = b - A[rows, fixed] x_fixed
+        q, r_tri = np.linalg.qr(a_rows[:, free].T)
+        rhs = b[rows] - a_rows[:, ~free] @ x[~free]
+        try:
+            w = np.linalg.solve(r_tri.T, rhs)
+            lam = np.linalg.solve(r_tri, q.T @ y[free] - w)
+        except np.linalg.LinAlgError:
+            return x, math.inf
+        x[free] = y[free] - a_rows[:, free].T @ lam
+    # box-face multipliers: y - x = A_rows^T lam + side * mu on fixed coordinates
+    mu = side[~free] * (y[~free] - x[~free] - a_rows[:, ~free].T @ lam)
+    worst = max(float(np.max(-lam * np.sqrt(p._row_norms_sq[rows]), initial=0.0)),
+                float(np.max(-mu, initial=0.0)))
+    return x, max(violation(p, x), worst)
 
 
 def lmo(p: Polytope, g) -> np.ndarray:

@@ -105,6 +105,28 @@ class TestRun:
         assert marker.exists()
         assert "synthetic trial failure" in marker.read_text()
 
+    def test_parallel_abort_keeps_finished_trials(self, tmp_path, one_dim_instance,
+                                                  monkeypatch, capsys):
+        """Workers inherit the patched module (fork); the trials before the
+        failing run_id are written to the partial battery."""
+        import drsubmax.optimizers as opt_module
+
+        real = opt_module.run_trial
+
+        def explode(objective, noise, cfg):
+            if cfg.run_id == 2:
+                raise RuntimeError("synthetic trial failure")
+            return real(objective, noise, cfg)
+
+        monkeypatch.setattr(opt_module, "run_trial", explode)
+        cfg = write_config(tmp_path, runs=4, workers=2)
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        assert "synthetic trial failure" in \
+            (tmp_path / "out" / "battery.csv.partial").read_text()
+        lines = (tmp_path / "out" / "battery.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2 * 4
+        assert {ln.split(",")[0] for ln in lines[1:]} == {"0", "1"}
+
     def test_generated_problem_large_battery(self, tmp_path, capsys):
         """Paper-protocol scale through the CLI: 100 noisy ascent runs of 100
         iterations on a generated instance give 10^4 trajectory rows and an

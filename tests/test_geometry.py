@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from drsubmax import geometry
 from drsubmax.geometry import (
     Polytope,
     ProjectionError,
@@ -10,6 +11,7 @@ from drsubmax.geometry import (
     load_polytope,
     project,
     save_polytope,
+    violation,
 )
 
 from _util import enumerate_vertices, grid_projection, random_small_polytope, sample_feasible
@@ -51,6 +53,27 @@ class TestContains:
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
             contains(UNIT_BOX2, [0.5, 0.5], -1.0)
+
+    def test_non_finite_point_not_contained(self):
+        assert not contains(TRIANGLE, [np.nan, 0.2])
+        assert not contains(TRIANGLE, [np.inf, 0.2], 1e6)
+        assert violation(TRIANGLE, [np.nan, 0.2]) == np.inf
+
+
+def kkt_residual(poly, y, x):
+    """Relative distance of ``y - x`` from the cone of nonnegative combinations
+    of the constraint normals active at ``x`` (NNLS)."""
+    nnls = pytest.importorskip("scipy.optimize").nnls
+    tol = 1e-11 * max(1.0, np.linalg.norm(y))
+    rows = np.abs(poly.a_matrix @ x - poly.b_vector) <= tol
+    eye = np.eye(poly.dim)
+    normals = np.hstack([poly.a_matrix[rows].T, -eye[:, x <= tol],
+                         eye[:, x >= poly.upper - tol]])
+    d = y - x
+    if normals.shape[1] == 0:  # nnls cannot take a matrix without columns
+        return float(np.linalg.norm(d))
+    _, res = nnls(normals, d)
+    return res / max(1.0, float(np.linalg.norm(d)))
 
 
 class TestProject:
@@ -112,11 +135,31 @@ class TestProject:
         assert np.linalg.norm(x - y) <= 3.7205541 + 1e-6
         assert x[0] == pytest.approx(0.0721, abs=1e-3)
 
-    def test_nonconvergence_carries_iterate_and_residual(self):
+    def test_kkt_certificate_on_random_polytopes(self):
+        """y - x is a nonnegative combination of the normals active at x, for
+        targets from near the region out to 10^6 times its size."""
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            poly = random_small_polytope(rng)
+            for scale in (1.0, 10.0, 1e3, 1e6):
+                y = rng.standard_normal(poly.dim) * scale
+                x = project(poly, y)
+                assert violation(poly, x) <= 1e-12 * max(1.0, np.linalg.norm(y))
+                assert kkt_residual(poly, y, x) <= 1e-10
+
+    def test_non_finite_input_rejected(self):
+        for y in ([np.nan, 0.2], [np.inf, 0.2], [-np.inf, 5.0]):
+            with pytest.raises(ValueError):
+                project(TRIANGLE, y)
+
+    def test_failed_certificate_carries_iterate_and_residual(self, monkeypatch):
+        # with no step allowed the active set stays empty, so the candidate
+        # is y itself and its KKT check fails on feasibility
+        monkeypatch.setattr(geometry, "_STEPS_PER_CONSTRAINT", 0)
         with pytest.raises(ProjectionError) as err:
-            project(TRIANGLE, [1.0, 1.0], max_sweeps=1)
-        assert err.value.iterate.shape == (2,)
-        assert err.value.residual >= 0.0
+            project(TRIANGLE, [1.0, 1.0])
+        np.testing.assert_array_equal(err.value.iterate, [1.0, 1.0])
+        assert err.value.residual == pytest.approx(1.0)
 
 
 class TestLmo:
@@ -209,6 +252,26 @@ class TestPaperScaleOracles:
                               bounds=[(0.0, u) for u in poly.upper], method="highs")
                 assert res.status == 0
                 assert float(v @ g) >= -res.fun - 1e-7 * max(1.0, abs(res.fun))
+
+    def test_projection_kkt_certificate(self, big):
+        rng = np.random.default_rng(74)
+        for _ in range(5):
+            y = rng.uniform(-1.0, 2.0, size=big.dim)
+            x = project(big, y)
+            assert violation(big, x) <= 1e-12
+            assert kkt_residual(big, y, x) <= 1e-10
+
+    def test_projection_of_far_point(self):
+        """PGA's first step at the default step value, 2 * grad f(0), lands
+        about 10^5 away from the region."""
+        from drsubmax.objectives import generate_nqp
+
+        obj = generate_nqp(123, 100, 50, -100.0, 0.0)
+        y = 2.0 * obj.grad(np.zeros(obj.dim))
+        assert np.linalg.norm(y) > 1e5
+        x = project(obj.polytope, y)
+        assert violation(obj.polytope, x) <= 1e-9
+        assert kkt_residual(obj.polytope, y, x) <= 1e-10
 
     def test_projection_feasible_and_witness_optimal(self, big):
         rng = np.random.default_rng(72)

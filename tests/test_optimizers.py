@@ -243,6 +243,19 @@ class TestTrajectoryInvariants:
         for x in rec.iterates:
             assert contains(obj.polytope, x, 1e-6)
 
+    @pytest.mark.parametrize("algorithm", ["pga", "boosted_pga"])
+    def test_paper_scale_projected_ascent_stays_feasible(self, algorithm):
+        """At 100 x 50 the default step 2/sqrt(t) times a gradient of about
+        5e3 per coordinate sends every update about 10^5 outside the region,
+        starting from a projected standard-normal point."""
+        obj = generate_nqp(123, 100, 50, -100.0, 0.0)
+        cfg = RunConfig(algorithm, 20, master_seed=3)
+        assert cfg.step_rule == StepRule() and cfg.init_rule == "gaussian_project"
+        rec = run_trial(obj, NoiseModel.clipped_gaussian(1000.0), cfg)
+        assert rec.iterates.shape == (20, 100)
+        for x in rec.iterates:
+            assert contains(obj.polytope, x, 1e-9)
+
     def test_running_average_matches_prefix_means(self):
         obj = generate_nqp(14, 3, 1, -1.0, 0.0)
         rec = run_trial(obj, NoiseModel.gaussian_fixed(0.3), RunConfig("pga", 200))
