@@ -45,13 +45,9 @@ from .optimizers import (
     RunRecord,
     StepRule,
     boost_s_from_uniform,
-    boosted_pga_run,
-    pga_run,
     records_to_csv,
     run_battery,
     run_trial,
-    scg_run,
-    scgpp_run,
 )
 from .oracles import NoiseModel, OracleStream, noise_constants
 

@@ -11,7 +11,7 @@ import numpy as np
 from .bounds import BoundCurve
 from .objectives import Objective
 from .oracles import NoiseModel
-from .optimizers import MomentumRule, RunConfig, run_trial
+from .optimizers import RunConfig, run_trial
 
 __all__ = [
     "TrialBattery",
@@ -189,8 +189,7 @@ def shared_c1_refit(curves, p: float = 0.5, t_min: int = 1) -> list[FittedCurve]
 
 
 def approx_opt(objective: Objective, master_seed: int = 0, n_runs: int = 100,
-               iterations: int = 5000, noise: NoiseModel | None = None,
-               momentum_rule: MomentumRule = MomentumRule()) -> float:
+               iterations: int = 5000, noise: NoiseModel | None = None) -> float:
     """Optimum approximation: the best final value across repeated greedy runs.
 
     With a noise model the runs differ through their streams and the maximum
@@ -202,8 +201,7 @@ def approx_opt(objective: Objective, master_seed: int = 0, n_runs: int = 100,
         n_runs = 1
     best = -math.inf
     for run_id in range(n_runs):
-        cfg = RunConfig(algorithm="scg", T=iterations, master_seed=master_seed,
-                        run_id=run_id, momentum_rule=momentum_rule)
+        cfg = RunConfig(algorithm="scg", T=iterations, master_seed=master_seed, run_id=run_id)
         rec = run_trial(objective, noise, cfg)
         best = max(best, rec.returned_value)
     return best

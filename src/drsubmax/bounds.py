@@ -3,9 +3,10 @@
 Each ``theoremN_bound`` evaluates one guarantee as a function of the
 iteration budget ``T`` and a confidence parameter, given the problem
 constants (smoothness, diameter, noise bounds, optimum).  Bounds may be
-negative: vacuous values are meaningful outputs for plotting.  Helper
-numerics live here too: a Lanczos gamma function, the momentum series
-constant, and a power-iteration spectral norm.
+negative: vacuous values are meaningful outputs for plotting.  ``THEOREMS``
+holds the per-theorem facts, and ``bound_curve`` evaluates a theorem by
+name.  Helper numerics live here too: the momentum series constant and a
+power-iteration spectral norm.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ __all__ = [
     "theorem3_bound",
     "theorem4_bound",
     "theorem5_bound",
+    "TheoremSpec",
+    "THEOREMS",
+    "bound_curve",
     "momentum_series_check",
     "constants_for",
     "save_bound_curve",
@@ -37,21 +41,6 @@ __all__ = [
 ]
 
 ONE_MINUS_INV_E = 1.0 - math.exp(-1.0)
-
-# Lanczos approximation, g = 7 with 9 coefficients (double precision set)
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def spectral_norm(h_matrix, max_iter: int = 100000, tol: float = 1e-12) -> float:
     """Largest singular value of a square matrix.
@@ -95,24 +84,11 @@ def spectral_norm(h_matrix, max_iter: int = 100000, tol: float = 1e-12) -> float
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma function for ``x > 0`` (Lanczos approximation, ~1e-14 relative).
-
-    Integer arguments use the factorial identity so values such as
-    ``gamma_fn(2.0) == 1.0`` hold exactly.
-    """
+    """Gamma function for ``x > 0`` (``math.gamma``, exact at integers)."""
     x = float(x)
     if x <= 0.0:
         raise ValueError("gamma_fn is defined for x > 0 only")
-    if x == math.floor(x) and x <= 170.0:
-        return float(math.factorial(int(x) - 1))
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def k_constant(alpha: float) -> float:
@@ -307,6 +283,50 @@ class BoundCurve:
         if idx.size == 0:
             raise ValueError(f"bound curve has no entry for t={t_query}")
         return float(self.bound[idx[0]])
+
+
+@dataclass(frozen=True)
+class TheoremSpec:
+    """Per-theorem facts: the keyword parameters of ``<name>_bound`` with
+    their defaults, whether it is a Chebyshev-type bound returning
+    ``(bound, prob)``, and the battery statistic it is checked on."""
+
+    params: dict
+    chebyshev: bool
+    statistic: str
+
+    def delta(self, p: float, T: int) -> float:
+        """The ``delta`` at which the bound holds with probability ``p``."""
+        if not (0.0 < p < 1.0):
+            raise ValueError("confidence p must lie in (0, 1)")
+        return math.sqrt(T / (1.0 - p)) if self.chebyshev else 1.0 - p
+
+
+THEOREMS = {
+    "theorem1": TheoremSpec({}, False, "average_iterate"),
+    "theorem2": TheoremSpec({"gamma": 1.0, "main_text_smoothness": False},
+                            False, "average_iterate"),
+    "theorem3": TheoremSpec({}, True, "final_iterate"),
+    "theorem4": TheoremSpec({"alpha": 0.5}, False, "final_iterate"),
+    "theorem5": TheoremSpec({"main_text_exponent": False}, True, "final_iterate"),
+}
+
+
+def bound_curve(name: str, c: BoundConstants, T: int, delta: float, params=None) -> BoundCurve:
+    """Theorem ``name`` over ``t = 1..T``, its parameters read from the
+    ``params`` mapping; the meta echoes the float parameters and ``K``."""
+    spec, params = THEOREMS[name], params or {}
+    args = {key: type(default)(params.get(key, default)) for key, default in spec.params.items()}
+    t = np.arange(1, T + 1)
+    # looked up at call time, so a wrapper installed on the module applies
+    out = globals()[f"{name}_bound"](c, t, delta, **args)
+    bound, prob = out if spec.chebyshev else (out, None)
+    meta = [("delta", float(delta)), ("L", c.lipschitz), ("D", c.diameter),
+            ("M", c.noise_bound), ("sigma", c.noise_sigma), ("opt", c.opt)]
+    meta += [(key, value) for key, value in args.items() if isinstance(value, float)]
+    if "alpha" in args:
+        meta.append(("K", k_constant(args["alpha"])))
+    return BoundCurve(name, t, bound, prob, tuple(meta))
 
 
 def save_bound_curve(path, curve: BoundCurve) -> None:

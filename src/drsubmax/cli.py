@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -52,11 +52,11 @@ def _fail_io(message: str):
 # config handling
 # ----------------------------------------------------------------------
 
-_TOP_KEYS = {
-    "problem", "algorithm", "T", "runs", "master_seed", "step_rule", "gamma",
-    "momentum_rule", "batch_size", "init_rule", "returned_convention", "noise",
-    "bounds", "opt", "normalized", "t_min", "fit_exponent", "workers",
-    "output_dir",
+# the trial keys are the fields of RunConfig but the per-trial run_id
+_TRIAL_KEYS = {f.name for f in fields(RunConfig)} - {"run_id"}
+_TOP_KEYS = _TRIAL_KEYS | {
+    "problem", "runs", "noise", "bounds", "opt", "normalized", "t_min", "fit_exponent",
+    "workers", "output_dir",
 }
 
 _PROBLEM_KEYS = {
@@ -67,20 +67,13 @@ _PROBLEM_KEYS = {
                          "p_high", "seed", "k", "upper", "alphas"},
 }
 
-_BOUND_KEYS = {"theorem", "delta", "p", "alpha", "gamma", "main_text_smoothness",
-               "main_text_exponent"}
+_BOUND_KEYS = {"theorem", "delta", "p"}.union(
+    *(spec.params for spec in bounds.THEOREMS.values()))
 
-_THEOREMS = ("theorem1", "theorem2", "theorem3", "theorem4", "theorem5")
-
+# the trial keys default in RunConfig, StepRule and MomentumRule
 _DEFAULTS = {
     "runs": 1,
     "master_seed": 0,
-    "step_rule": {"kind": "inv_sqrt", "value": 2.0},
-    "gamma": 1.0,
-    "momentum_rule": {"kind": "poly48", "value": 0.0},
-    "batch_size": None,
-    "init_rule": "gaussian_project",
-    "returned_convention": None,
     "noise": {"kind": "none"},
     "bounds": [],
     "opt": None,
@@ -97,9 +90,16 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
         _fail_validation(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def validate_config(raw: dict) -> dict:
-    if not isinstance(raw, dict):
-        _fail_validation("config root must be an object")
     _reject_unknown(raw, _TOP_KEYS, "config")
     cfg = dict(_DEFAULTS)
     cfg.update(raw)
@@ -137,16 +137,27 @@ def validate_config(raw: dict) -> dict:
         if not isinstance(entry, dict):
             _fail_validation("each bounds entry must be an object")
         _reject_unknown(entry, _BOUND_KEYS, "bounds entry")
-        if entry.get("theorem") not in _THEOREMS:
-            _fail_validation(f"unknown theorem {entry.get('theorem')!r}")
+        theorem = entry.get("theorem")
+        if not isinstance(theorem, str) or theorem not in bounds.THEOREMS:
+            _fail_validation(f"unknown theorem {theorem!r}")
         if ("delta" in entry) == ("p" in entry):
             _fail_validation("each bounds entry needs exactly one of delta or p")
+        # delta and p are numbers, like the float-valued theorem parameters
+        for key, default in {"delta": 0.0, "p": 0.0, **bounds.THEOREMS[theorem].params}.items():
+            value = entry.get(key, default)
+            if isinstance(default, bool) and not isinstance(value, bool):
+                _fail_validation(f"{theorem}: {key} must be true or false")
+            if isinstance(default, float) and not _is_number(value):
+                _fail_validation(f"{theorem}: {key} must be a finite number")
 
     opt = cfg["opt"]
-    if opt is not None and not isinstance(opt, (int, float, dict)):
-        _fail_validation("opt must be a number, null, or an approximation spec")
     if isinstance(opt, dict):
         _reject_unknown(opt, {"runs", "iterations"}, "opt")
+        for key, value in opt.items():
+            if not _is_positive_int(value):
+                _fail_validation(f"opt.{key} must be a positive integer")
+    elif opt is not None and not (_is_number(opt) and opt > 0):
+        _fail_validation("opt must be a positive number, null, or an approximation spec")
     return cfg
 
 
@@ -160,6 +171,8 @@ def load_config(path, overrides) -> dict:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         _fail_validation(f"config {path} is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        _fail_validation("config root must be an object")
     for item in overrides or []:
         key, sep, value = item.partition("=")
         if not sep:
@@ -223,22 +236,17 @@ def build_noise(cfg: dict) -> NoiseModel:
 
 
 def build_run_config(cfg: dict) -> RunConfig:
-    step = cfg["step_rule"]
-    momentum = cfg["momentum_rule"]
+    """The trial config from the keys the config sets; the dataclass
+    defaults fill in the rest."""
+    kwargs = {key: cfg[key] for key in _TRIAL_KEYS if key in cfg}
     try:
-        return RunConfig(
-            algorithm=cfg["algorithm"],
-            T=cfg["T"],
-            master_seed=cfg["master_seed"],
-            step_rule=StepRule(step.get("kind", "inv_sqrt"), step.get("value", 2.0)),
-            gamma=cfg["gamma"],
-            momentum_rule=MomentumRule(momentum.get("kind", "poly48"),
-                                       momentum.get("value", 0.0)),
-            batch_size=cfg["batch_size"],
-            init_rule=cfg["init_rule"],
-            returned_convention=cfg["returned_convention"],
-        )
-    except (ValueError, AttributeError) as exc:
+        for key, rule in (("step_rule", StepRule), ("momentum_rule", MomentumRule)):
+            spec = kwargs.get(key, {})
+            if not isinstance(spec, dict):
+                _fail_validation(f"{key} must be an object")
+            kwargs[key] = rule(**{f.name: spec[f.name] for f in fields(rule) if f.name in spec})
+        return RunConfig(**kwargs)
+    except (ValueError, TypeError) as exc:
         _fail_validation(str(exc))
 
 
@@ -267,15 +275,10 @@ def _g17(x: float) -> str:
 
 
 def cmd_generate(args) -> int:
-    if args.family != "nqp":
-        _fail_validation(f"unknown instance family {args.family!r}")
-    if args.high > 0:
-        _fail_validation("entry_high must be <= 0")
-    if args.low > args.high:
-        _fail_validation("entry_low must be <= entry_high")
-    if args.n < 1 or args.m < 0:
-        _fail_validation("need n >= 1 and m >= 0")
-    obj = objectives.generate_nqp(args.seed, args.n, args.m, args.low, args.high)
+    try:
+        obj = objectives.generate_nqp(args.seed, args.n, args.m, args.low, args.high)
+    except ValueError as exc:
+        _fail_validation(str(exc))
     try:
         objectives.save_nqp(args.out, obj)
     except OSError as exc:
@@ -345,49 +348,10 @@ def cmd_run(cfg: dict) -> int:
 def _bound_delta(entry: dict, T: int) -> float:
     if "delta" in entry:
         return float(entry["delta"])
-    p = float(entry["p"])
-    if not (0.0 < p < 1.0):
-        _fail_validation("confidence p must lie in (0, 1)")
-    if entry["theorem"] in ("theorem3", "theorem5"):
-        return math.sqrt(T / (1.0 - p))
-    return 1.0 - p
-
-
-def evaluate_bound(entry: dict, consts: bounds.BoundConstants, T: int) -> bounds.BoundCurve:
-    theorem = entry["theorem"]
-    delta = _bound_delta(entry, T)
-    t = np.arange(1, T + 1)
-    meta = [
-        ("delta", float(delta)),
-        ("L", consts.lipschitz),
-        ("D", consts.diameter),
-        ("M", consts.noise_bound),
-        ("sigma", consts.noise_sigma),
-        ("opt", consts.opt),
-    ]
     try:
-        if theorem == "theorem1":
-            return bounds.BoundCurve(theorem, t, bounds.theorem1_bound(consts, t, delta),
-                                     None, tuple(meta))
-        if theorem == "theorem2":
-            gamma = float(entry.get("gamma", 1.0))
-            curve = bounds.theorem2_bound(consts, t, delta, gamma,
-                                          entry.get("main_text_smoothness", False))
-            return bounds.BoundCurve(theorem, t, curve, None,
-                                     tuple(meta + [("gamma", gamma)]))
-        if theorem == "theorem3":
-            curve, prob = bounds.theorem3_bound(consts, t, delta)
-            return bounds.BoundCurve(theorem, t, curve, prob, tuple(meta))
-        if theorem == "theorem4":
-            alpha = float(entry.get("alpha", 0.5))
-            curve = bounds.theorem4_bound(consts, t, delta, alpha)
-            meta += [("alpha", alpha), ("K", bounds.k_constant(alpha))]
-            return bounds.BoundCurve(theorem, t, curve, None, tuple(meta))
-        curve, prob = bounds.theorem5_bound(consts, t, delta,
-                                            entry.get("main_text_exponent", False))
-        return bounds.BoundCurve(theorem, t, curve, prob, tuple(meta))
+        return bounds.THEOREMS[entry["theorem"]].delta(entry["p"], T)
     except ValueError as exc:
-        _fail_validation(f"{theorem}: {exc}")
+        _fail_validation(str(exc))
 
 
 def cmd_bounds(cfg: dict) -> int:
@@ -404,20 +368,17 @@ def cmd_bounds(cfg: dict) -> int:
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     for entry in cfg["bounds"]:
-        curve = evaluate_bound(entry, consts, cfg["T"])
-        path = os.path.join(out_dir, f"bound_{entry['theorem']}.csv")
+        theorem = entry["theorem"]
+        delta = _bound_delta(entry, cfg["T"])
+        try:
+            curve = bounds.bound_curve(theorem, consts, cfg["T"], delta, entry)
+        except ValueError as exc:
+            _fail_validation(f"{theorem}: {exc}")
+        path = os.path.join(out_dir, f"bound_{theorem}.csv")
         bounds.save_bound_curve(path, curve)
         print(f"wrote {path}")
     return 0
 
-
-_VIOLATION_CONVENTION = {
-    "theorem1": "average_iterate",
-    "theorem2": "average_iterate",
-    "theorem3": "final_iterate",
-    "theorem4": "final_iterate",
-    "theorem5": "final_iterate",
-}
 
 _REPORT_STATS = (("min", "min"), ("median", "median"), ("q90", 0.9))
 
@@ -460,7 +421,7 @@ def cmd_report(cfg: dict) -> int:
         if not os.path.exists(path):
             continue
         curve = bounds.load_bound_curve(path)
-        convention = _VIOLATION_CONVENTION[entry["theorem"]]
+        convention = bounds.THEOREMS[entry["theorem"]].statistic
         try:
             rate = analysis.bound_violation_rate(battery, curve, convention)
         except ValueError as exc:

@@ -208,14 +208,6 @@ class BudgetAllocationObjective(Objective):
             out[i * n : (i + 1) * n, i * n : (i + 1) * n] = block
         return out
 
-    def hessian_entry(self, x, i: int, s: int, s2: int) -> float:
-        """Exact second partial within advertiser block ``i``."""
-        if not (0 <= i < self.k and 0 <= s < self.n_channels and 0 <= s2 < self.n_channels):
-            raise IndexError("advertiser or channel index out of range")
-        blocks = self._blocks(x)
-        w = self._coeff @ blocks[i]
-        return float(-self.alphas[i] * np.sum(self._coeff[:, s] * self._coeff[:, s2] * np.exp(-w)))
-
 
 def load_bipartite(path, mapping: FrequencyMapping | None = None, k: int = 1,
                    alphas=None, upper=None) -> BudgetAllocationObjective:

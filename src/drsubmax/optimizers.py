@@ -1,10 +1,11 @@
 """The four stochastic ascent algorithms, producing full trajectories.
 
-``pga_run`` and ``boosted_pga_run`` are projected ascent variants recorded
-iterate by iterate (their guarantees concern the running average value).
-``scg_run`` and ``scgpp_run`` are Frank-Wolfe style: starting from the
-origin they add one scaled vertex per iteration, so the final iterate is a
-convex combination of vertices and always feasible.
+All four share one trial loop, ``run_trial``, and differ in their gradient
+estimate: plain, boosted, momentum, or path-integrated.  ``pga`` and
+``boosted_pga`` take a projected ascent step (their guarantees concern the
+running average value).  ``scg`` and ``scgpp`` are Frank-Wolfe style:
+starting from the origin they add one scaled vertex per iteration, so the
+final iterate is a convex combination of vertices and always feasible.
 
 Per-trial randomness comes exclusively from the trial's ``OracleStream``
 generator, in a fixed query order (initialization draws, then one group of
@@ -29,16 +30,13 @@ __all__ = [
     "RunConfig",
     "RunRecord",
     "boost_s_from_uniform",
-    "pga_run",
-    "boosted_pga_run",
-    "scg_run",
-    "scgpp_run",
     "run_trial",
     "run_battery",
     "records_to_csv",
 ]
 
 ALGORITHMS = ("pga", "boosted_pga", "scg", "scgpp")
+GREEDY = ("scg", "scgpp")
 CONVENTIONS = ("uniform_random_iterate", "last_iterate", "best_iterate")
 
 
@@ -117,12 +115,11 @@ class RunConfig:
             raise ValueError(f"unknown init rule {self.init_rule!r}")
         conv = self.returned_convention
         if conv is None:
-            conv = "uniform_random_iterate" if self.algorithm in ("pga", "boosted_pga") \
-                else "last_iterate"
+            conv = "last_iterate" if self.algorithm in GREEDY else "uniform_random_iterate"
             object.__setattr__(self, "returned_convention", conv)
         elif conv not in CONVENTIONS:
             raise ValueError(f"unknown returned convention {conv!r}")
-        if self.algorithm in ("scg", "scgpp") and self.returned_convention != "last_iterate":
+        if self.algorithm in GREEDY and self.returned_convention != "last_iterate":
             raise ValueError("greedy variants return the final iterate")
 
     @property
@@ -140,53 +137,16 @@ class RunRecord:
     f_true: np.ndarray
     f_running_avg: np.ndarray
     returned_value: float
-    returned_convention: str
-
-
-def _finish(objective: Objective, cfg: RunConfig, rng, iterates: list[np.ndarray]) -> RunRecord:
-    xs = np.asarray(iterates)
-    f = np.array([objective.value(x) for x in xs])
-    avg = np.cumsum(f) / np.arange(1, cfg.T + 1)
-    conv = cfg.returned_convention
-    if conv == "uniform_random_iterate":
-        tau = int(rng.integers(1, cfg.T + 1))
-        returned = float(f[tau - 1])
-    elif conv == "best_iterate":
-        returned = float(np.max(f))
-    else:
-        returned = float(f[-1])
-    return RunRecord(
-        config=cfg,
-        t=np.arange(1, cfg.T + 1),
-        iterates=xs,
-        f_true=f,
-        f_running_avg=avg,
-        returned_value=returned,
-        returned_convention=conv,
-    )
 
 
 def _init_point(objective: Objective, cfg: RunConfig, rng) -> np.ndarray:
-    if cfg.init_rule == "zero":
+    # the Frank-Wolfe variants always start at the origin
+    if cfg.algorithm in GREEDY or cfg.init_rule == "zero":
         return np.zeros(objective.dim)
     if cfg.init_rule == "upper":
         return project(objective.polytope, objective.polytope.upper)
     # a standard normal draw may land outside the region, so project it back
     return project(objective.polytope, rng.standard_normal(objective.dim))
-
-
-def pga_run(objective: Objective, oracle: OracleStream, cfg: RunConfig) -> RunRecord:
-    """Projected stochastic gradient ascent; records every post-update iterate."""
-    if cfg.algorithm != "pga":
-        raise ValueError("config is not for pga")
-    poly = objective.polytope
-    x = _init_point(objective, cfg, oracle.rng)
-    iterates = []
-    for t in range(1, cfg.T + 1):
-        g = oracle.grad(x)
-        x = project(poly, x + cfg.step_rule.eta(t) * g)
-        iterates.append(x)
-    return _finish(objective, cfg, oracle.rng, iterates)
 
 
 def boost_s_from_uniform(u: float, gamma: float = 1.0) -> float:
@@ -198,106 +158,106 @@ def boost_s_from_uniform(u: float, gamma: float = 1.0) -> float:
     return 1.0 + math.log(eg + u * (1.0 - eg)) / gamma
 
 
-def boosted_pga_run(objective: Objective, oracle: OracleStream, cfg: RunConfig) -> RunRecord:
-    """Projected ascent on the reweighted auxiliary gradient.
-
-    Each iteration draws a scale ``s`` by inverse CDF, queries the noisy
-    gradient at ``s * x``, and multiplies it by ``(1 - exp(-gamma)) / gamma``;
-    the update is then the same project-ascent step as plain ascent.
-    """
-    if cfg.algorithm != "boosted_pga":
-        raise ValueError("config is not for boosted_pga")
-    poly = objective.polytope
-    gamma = cfg.gamma
-    factor = (1.0 - math.exp(-gamma)) / gamma
-    x = _init_point(objective, cfg, oracle.rng)
-    iterates = []
-    for t in range(1, cfg.T + 1):
-        s = boost_s_from_uniform(float(oracle.rng.random()), gamma)
-        g = factor * oracle.grad(s * x)
-        x = project(poly, x + cfg.step_rule.eta(t) * g)
-        iterates.append(x)
-    return _finish(objective, cfg, oracle.rng, iterates)
+def _plain(objective: Objective, oracle: OracleStream, cfg: RunConfig):
+    """Projected ascent: the noisy gradient at the current iterate."""
+    return lambda t, x: oracle.grad(x)
 
 
-def scg_run(objective: Objective, oracle: OracleStream, cfg: RunConfig) -> RunRecord:
-    """Momentum Frank-Wolfe from the origin with step 1/T.
+def _boosted(objective: Objective, oracle: OracleStream, cfg: RunConfig):
+    """Boosted ascent: draw a scale ``s`` by inverse CDF, query the noisy
+    gradient at ``s * x`` and multiply it by ``(1 - exp(-gamma)) / gamma``."""
+    factor = (1.0 - math.exp(-cfg.gamma)) / cfg.gamma
 
-    Each iteration first folds the fresh noisy gradient into the momentum
-    average, then moves toward the vertex maximizing it.
-    """
-    if cfg.algorithm != "scg":
-        raise ValueError("config is not for scg")
-    poly = objective.polytope
-    T = cfg.T
-    x = np.zeros(objective.dim)
+    def estimate(t, x):
+        s = boost_s_from_uniform(float(oracle.rng.random()), cfg.gamma)
+        return factor * oracle.grad(s * x)
+    return estimate
+
+
+def _momentum(objective: Objective, oracle: OracleStream, cfg: RunConfig):
+    """SCG: fold each fresh noisy gradient into the momentum average."""
     gbar = np.zeros(objective.dim)
-    iterates = []
-    for t in range(1, T + 1):
+
+    def estimate(t, x):
+        nonlocal gbar
         rho = cfg.momentum_rule.rho(t)
         gbar = (1.0 - rho) * gbar + rho * oracle.grad(x)
-        v = lmo(poly, gbar)
-        x = x + v / T
-        iterates.append(x)
-    return _finish(objective, cfg, oracle.rng, iterates)
+        return gbar
+    return estimate
 
 
-def scgpp_run(objective: Objective, oracle: OracleStream, cfg: RunConfig) -> RunRecord:
-    """Variance-reduced Frank-Wolfe with a path-integrated gradient estimate.
-
-    The first iteration averages ``batch`` noisy gradients at the origin.
-    Later iterations draw ``batch`` interpolation points between the two most
-    recent iterates, average noisy Hessians there, and accumulate the
-    Hessian-times-displacement correction onto the running gradient estimate.
-    """
-    if cfg.algorithm != "scgpp":
-        raise ValueError("config is not for scgpp")
-    poly = objective.polytope
-    T = cfg.T
+def _path_integrated(objective: Objective, oracle: OracleStream, cfg: RunConfig):
+    """SCG++: the first call averages ``batch`` noisy gradients at the origin.
+    Later calls draw ``batch`` interpolation points between the two most
+    recent iterates, average noisy Hessians there, and add the
+    Hessian-times-displacement correction to the running estimate."""
     batch = cfg.effective_batch
-    x = np.zeros(objective.dim)
-    x_prev = None
-    ghat = None
-    iterates = []
-    for t in range(1, T + 1):
-        if t == 1:
+    x_prev = ghat = None
+
+    def estimate(t, x):
+        nonlocal x_prev, ghat
+        if ghat is None:
             ghat = np.mean([oracle.grad(x) for _ in range(batch)], axis=0)
         else:
-            step = x - x_prev
             hbar = np.zeros((objective.dim, objective.dim))
             for _ in range(batch):
                 a = float(oracle.rng.random())
                 hbar += oracle.hessian(a * x + (1.0 - a) * x_prev)
             hbar /= batch
-            ghat = ghat + hbar @ step
-        v = lmo(poly, ghat)
+            ghat = ghat + hbar @ (x - x_prev)
         x_prev = x
-        x = x + v / T
-        iterates.append(x)
-    return _finish(objective, cfg, oracle.rng, iterates)
+        return ghat
+    return estimate
 
 
-_RUNNERS = {
-    "pga": pga_run,
-    "boosted_pga": boosted_pga_run,
-    "scg": scg_run,
-    "scgpp": scgpp_run,
+_ESTIMATES = {
+    "pga": _plain,
+    "boosted_pga": _boosted,
+    "scg": _momentum,
+    "scgpp": _path_integrated,
 }
 
 
 def run_trial(objective: Objective, noise: NoiseModel, cfg: RunConfig) -> RunRecord:
-    """Build the trial's oracle stream and dispatch on the configured algorithm."""
+    """One trial: build its oracle stream, then per iteration query the
+    algorithm's gradient estimate and apply its update; every post-update
+    iterate is recorded with its exact value."""
     oracle = OracleStream(objective, noise, cfg.master_seed, cfg.run_id)
-    return _RUNNERS[cfg.algorithm](objective, oracle, cfg)
+    estimate = _ESTIMATES[cfg.algorithm](objective, oracle, cfg)
+    poly, T = objective.polytope, cfg.T
+    x = _init_point(objective, cfg, oracle.rng)
+    iterates = []
+    for t in range(1, T + 1):
+        g = estimate(t, x)
+        if cfg.algorithm in GREEDY:
+            x = x + lmo(poly, g) / T
+        else:
+            x = project(poly, x + cfg.step_rule.eta(t) * g)
+        iterates.append(x)
+
+    xs = np.asarray(iterates)
+    f = np.array([objective.value(x) for x in xs])
+    conv = cfg.returned_convention
+    if conv == "uniform_random_iterate":
+        returned = float(f[int(oracle.rng.integers(1, T + 1)) - 1])
+    elif conv == "best_iterate":
+        returned = float(np.max(f))
+    else:
+        returned = float(f[-1])
+    return RunRecord(
+        config=cfg,
+        t=np.arange(1, T + 1),
+        iterates=xs,
+        f_true=f,
+        f_running_avg=np.cumsum(f) / np.arange(1, T + 1),
+        returned_value=returned,
+    )
 
 
-def run_battery(objective: Objective, noise: NoiseModel, cfg: RunConfig, n_runs: int,
-                first_run_id: int = 0) -> list[RunRecord]:
+def run_battery(objective: Objective, noise: NoiseModel, cfg: RunConfig,
+                n_runs: int) -> list[RunRecord]:
     """``n_runs`` independent trials differing only in ``run_id``."""
-    return [
-        run_trial(objective, noise, replace(cfg, run_id=first_run_id + i))
-        for i in range(n_runs)
-    ]
+    return [run_trial(objective, noise, replace(cfg, run_id=i)) for i in range(n_runs)]
 
 
 def records_to_csv(records, path) -> None:

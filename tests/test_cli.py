@@ -87,6 +87,13 @@ class TestRun:
         lines = (tmp_path / "out" / "battery.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 2
 
+    @pytest.mark.parametrize("root", [[1, 2], 3, "text"])
+    def test_non_object_root_with_override_exits_validation(self, tmp_path, root, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(root))
+        assert cli.main(["run", "--config", str(path), "--set", "T=2"]) == 2
+        assert "root must be an object" in capsys.readouterr().err
+
     def test_aborted_battery_leaves_partial_marker(self, tmp_path, one_dim_instance,
                                                    monkeypatch, capsys):
         import drsubmax.optimizers as opt_module
@@ -228,6 +235,29 @@ class TestBounds:
         assert cli.main(["bounds", "--config", str(cfg)]) == 2
         assert "delta or p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [
+        {"theorem": "theorem5", "delta": "x"},
+        {"theorem": "theorem3", "p": "high"},
+        {"theorem": "theorem1", "p": None},
+        {"theorem": "theorem4", "delta": True},
+        {"theorem": "theorem3", "delta": float("inf")},
+        {"theorem": "theorem2", "delta": 0.1, "gamma": "one"},
+        {"theorem": "theorem4", "delta": 0.1, "alpha": [0.5]},
+        {"theorem": "theorem5", "delta": 1.0, "main_text_exponent": "yes"},
+    ])
+    def test_non_numeric_entry_values_exit_validation(self, tmp_path, one_dim_instance,
+                                                      entry, capsys):
+        cfg = write_config(tmp_path, bounds=[entry], opt=0.5)
+        assert cli.main(["bounds", "--config", str(cfg)]) == 2
+        assert entry["theorem"] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("opt", [0, -2, 0.0, float("inf"), True, {"runs": 0},
+                                     {"iterations": -5}, {"runs": 2.5}])
+    def test_non_positive_opt_rejected(self, tmp_path, one_dim_instance, opt, capsys):
+        cfg = write_config(tmp_path, opt=opt, bounds=[{"theorem": "theorem5", "delta": 1.0}])
+        assert cli.main(["bounds", "--config", str(cfg)]) == 2
+        assert "opt" in capsys.readouterr().err
+
 
 class TestReport:
     def test_exact_curves_recovered(self, tmp_path, one_dim_instance):
@@ -278,6 +308,18 @@ class TestReport:
                     if ln.startswith("violation theorem2"))
         assert "statistic=average_iterate" in line
         assert line.rstrip().endswith("rate=0")
+
+    @pytest.mark.parametrize("override", ["opt=0", "opt=-2", 'opt={"runs":0}'])
+    def test_non_positive_opt_not_used_to_normalize(self, tmp_path, one_dim_instance,
+                                                    override, capsys):
+        """Normalizing by a zero, negative or -inf optimum gives meaningless
+        fits, so the report refuses such an optimum, as bounds does."""
+        cfg = write_config(tmp_path, normalized=True)
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert cli.main(["report", "--config", str(cfg), "--set", override]) == 2
+        assert "opt" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.txt").exists()
 
     def test_missing_battery_exits_io(self, tmp_path, one_dim_instance, capsys):
         cfg = write_config(tmp_path)

@@ -107,11 +107,9 @@ class TestBudget:
             np.testing.assert_allclose(fd_gradient(obj, x), obj.grad(x),
                                        rtol=1e-6, atol=1e-9)
 
-    def test_hessian_entry_examples(self):
+    def test_hessian_example(self):
         obj = tiny_budget(p=0.5, alphas=[1.0])
-        assert obj.hessian_entry([0.0], 0, 0, 0) == pytest.approx(-LN2**2, abs=1e-15)
-        with pytest.raises(IndexError):
-            obj.hessian_entry([0.0], 1, 0, 0)
+        assert obj.hessian([0.0])[0, 0] == pytest.approx(-LN2**2, abs=1e-15)
 
     def test_cross_advertiser_block_is_zero(self):
         obj = generate_budget(3, 3, 4, density=0.6, p_low=0.2, p_high=0.7, k=2)
@@ -138,10 +136,6 @@ class TestBudget:
         h = obj.hessian(x)
         np.testing.assert_allclose(h, h.T, atol=1e-12)
         assert np.all(h <= 1e-12)
-        i, s, s2 = 1, 3, 7
-        n = obj.n_channels
-        assert obj.hessian_entry(x, i, s, s2) == pytest.approx(
-            h[i * n + s, i * n + s2], abs=1e-12)
 
     def test_value_range_and_default_alphas(self):
         obj = generate_budget(6, 3, 5, density=0.5, p_low=0.2, p_high=0.6, k=3)

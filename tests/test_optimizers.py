@@ -11,8 +11,6 @@ from drsubmax.optimizers import (
     RunConfig,
     StepRule,
     boost_s_from_uniform,
-    boosted_pga_run,
-    pga_run,
     records_to_csv,
     run_battery,
     run_trial,
@@ -25,10 +23,6 @@ ONE_MINUS_INV_E = 1.0 - math.exp(-1.0)
 
 def one_dim_nqp():
     return NqpObjective([[-1.0]], Polytope.box([1.0]))
-
-
-def stream(obj, noise=None, master_seed=0, run_id=0):
-    return OracleStream(obj, noise or NoiseModel.none(), master_seed, run_id)
 
 
 class TestRunConfigValidation:
@@ -53,19 +47,19 @@ class TestPga:
     def test_hand_iteration_constant_step(self):
         cfg = RunConfig("pga", 3, step_rule=StepRule("constant", 0.1),
                         init_rule="zero", returned_convention="last_iterate")
-        rec = pga_run(one_dim_nqp(), stream(one_dim_nqp()), cfg)
+        rec = run_trial(one_dim_nqp(), NoiseModel.none(), cfg)
         np.testing.assert_allclose(rec.iterates.ravel(), [0.1, 0.19, 0.271], atol=1e-15)
 
     def test_diminishing_step_clamps_to_one(self):
         cfg = RunConfig("pga", 4, step_rule=StepRule("inv_sqrt", 2.0),
                         init_rule="zero", returned_convention="last_iterate")
-        rec = pga_run(one_dim_nqp(), stream(one_dim_nqp()), cfg)
+        rec = run_trial(one_dim_nqp(), NoiseModel.none(), cfg)
         np.testing.assert_array_equal(rec.iterates.ravel(), [1.0, 1.0, 1.0, 1.0])
 
     def test_stationary_at_box_bound(self):
         obj = generate_nqp(4, 3, 0, -1.0, 0.0)
         cfg = RunConfig("pga", 5, init_rule="upper", returned_convention="last_iterate")
-        rec = pga_run(obj, stream(obj), cfg)
+        rec = run_trial(obj, NoiseModel.none(), cfg)
         for x in rec.iterates:
             np.testing.assert_array_equal(x, obj.polytope.upper)
 
@@ -87,25 +81,6 @@ class TestPga:
         assert uniform.returned_value in set(uniform.f_true)
 
 
-class _ForcedUniformRng:
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
-class _ForcedStream:
-    """Oracle stand-in with exact gradients and a pinned uniform draw."""
-
-    def __init__(self, objective, u):
-        self.objective = objective
-        self.rng = _ForcedUniformRng(u)
-
-    def grad(self, x):
-        return self.objective.grad(x)
-
-
 class TestBoostedPga:
     def test_sampler_endpoints(self):
         assert boost_s_from_uniform(0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
@@ -116,11 +91,12 @@ class TestBoostedPga:
         assert boost_s_from_uniform(0.5, 1.0) == pytest.approx(0.6201145069582775, abs=1e-12)
 
     def test_forced_full_scale_update(self):
-        """With s pinned to 1 the first step is eta * (1 - 1/e) * grad(x0)."""
+        """From the origin the query point s * 0 does not depend on the drawn
+        scale s, so the first step is eta * (1 - 1/e) * grad(0)."""
         obj = one_dim_nqp()
         cfg = RunConfig("boosted_pga", 1, step_rule=StepRule("constant", 0.1),
                         init_rule="zero", returned_convention="last_iterate")
-        rec = boosted_pga_run(obj, _ForcedStream(obj, 1.0), cfg)
+        rec = run_trial(obj, NoiseModel.none(), cfg)
         assert rec.iterates[0, 0] == pytest.approx(0.1 * ONE_MINUS_INV_E, abs=1e-12)
 
     def test_estimator_unbiased_against_quadrature(self):
