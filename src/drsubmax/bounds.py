@@ -96,7 +96,13 @@ def k_constant(alpha: float) -> float:
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     inv = 1.0 / (1.0 - alpha)
-    return inv * gamma_fn(inv)
+    try:
+        k = inv * gamma_fn(inv)
+    except OverflowError:
+        k = math.inf
+    if math.isinf(k):
+        raise ValueError(f"alpha = {alpha!r} is too close to 1: the constant K overflows")
+    return k
 
 
 def momentum_series_check(alpha: float, T: int) -> float:
@@ -358,10 +364,13 @@ def load_bound_curve(path) -> BoundCurve:
             else:
                 label = body
         elif ln and not ln.startswith("t,"):
-            t, b, p = ln.split(",")
-            ts.append(int(t))
-            bs.append(float(b))
-            ps.append(float(p) if p else math.nan)
+            try:
+                t, b, p = ln.split(",")
+                ts.append(int(t))
+                bs.append(float(b))
+                ps.append(float(p) if p else math.nan)
+            except ValueError:
+                raise ValueError(f"{path}: malformed bound row {ln!r}") from None
     prob = np.array(ps)
     return BoundCurve(
         label=label,

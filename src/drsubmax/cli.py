@@ -4,14 +4,15 @@ bound curves, and produce fit/violation reports.
 Every command is driven by a JSON config file; command-line ``--set``
 options override individual (dotted) keys.  Outputs are plain CSV and text
 with 17-significant-digit floats, so identical configs reproduce identical
-bytes.  Exit codes: 0 success, 1 I/O failure, 2 validation failure.
+bytes.  Exit codes: 0 success, 1 I/O failure, 2 validation failure.  Bad
+input raises ``ValueError`` and I/O failure ``OSError``, wherever it is
+found; ``main`` alone turns them into exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import analysis, bounds, objectives, optimizers
 from .geometry import diameter_bound
+from .objectives import is_finite_real, is_int
 from .oracles import NoiseModel
 from .optimizers import MomentumRule, RunConfig, StepRule
 
@@ -32,20 +34,6 @@ _OPT_SEED_OFFSET = 1000003
 
 EXIT_IO = 1
 EXIT_VALIDATION = 2
-
-
-class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
-def _fail_validation(message: str):
-    raise CliError(EXIT_VALIDATION, message)
-
-
-def _fail_io(message: str):
-    raise CliError(EXIT_IO, message)
 
 
 # ----------------------------------------------------------------------
@@ -70,11 +58,14 @@ _PROBLEM_KEYS = {
 _BOUND_KEYS = {"theorem", "delta", "p"}.union(
     *(spec.params for spec in bounds.THEOREMS.values()))
 
-# the trial keys default in RunConfig, StepRule and MomentumRule
+# an optimum approximation spec's keys, as approx_opt's arguments
+_OPT_ARGS = {"runs": "n_runs", "iterations": "iterations"}
+
+# the trial and noise keys default in RunConfig, StepRule, MomentumRule and
+# NoiseModel
 _DEFAULTS = {
     "runs": 1,
-    "master_seed": 0,
-    "noise": {"kind": "none"},
+    "noise": {},
     "bounds": [],
     "opt": None,
     "normalized": True,
@@ -87,96 +78,101 @@ _DEFAULTS = {
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
     unknown = sorted(set(mapping) - allowed)
     if unknown:
-        _fail_validation(f"unknown {where} key(s): {', '.join(unknown)}")
-
-
-def _is_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _is_positive_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
 def validate_config(raw: dict) -> dict:
+    """The config with the CLI's defaults filled in, after checking the keys
+    that no library type sees.  The trial and noise keys are checked by
+    ``RunConfig`` and ``NoiseModel`` when ``load_config`` builds them, and the
+    problem's values by the objective's constructor."""
     _reject_unknown(raw, _TOP_KEYS, "config")
     cfg = dict(_DEFAULTS)
     cfg.update(raw)
     for key in ("problem", "algorithm", "T", "output_dir"):
-        if key not in cfg or cfg[key] is None:
-            _fail_validation(f"config key {key!r} is required")
+        if cfg.get(key) is None:
+            raise ValueError(f"config key {key!r} is required")
 
     problem = cfg["problem"]
     if not isinstance(problem, dict) or "kind" not in problem:
-        _fail_validation("problem must be an object with a 'kind'")
+        raise ValueError("problem must be an object with a 'kind'")
     kind = problem["kind"]
-    if kind not in _PROBLEM_KEYS:
-        _fail_validation(f"unknown problem kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _PROBLEM_KEYS:
+        raise ValueError(f"unknown problem kind {kind!r}")
     _reject_unknown(problem, _PROBLEM_KEYS[kind], f"problem[{kind}]")
+    for name, value in (("output_dir", cfg["output_dir"]),
+                        ("problem path", problem.get("path", ""))):
+        if not isinstance(value, str):
+            raise ValueError(f"{name} must be a string")
 
-    if cfg["algorithm"] not in optimizers.ALGORITHMS:
-        _fail_validation(f"unknown algorithm {cfg['algorithm']!r}")
-    if not isinstance(cfg["T"], int) or cfg["T"] < 1:
-        _fail_validation("T must be a positive integer")
-    if not isinstance(cfg["runs"], int) or cfg["runs"] < 1:
-        _fail_validation("runs must be a positive integer")
-    if not isinstance(cfg["master_seed"], int):
-        _fail_validation("master_seed must be an integer")
-    if not isinstance(cfg["t_min"], int) or cfg["t_min"] < 1:
-        _fail_validation("t_min must be a positive integer")
+    for key in ("runs", "t_min"):
+        if not (is_int(cfg[key]) and cfg[key] >= 1):
+            raise ValueError(f"{key} must be a positive integer")
+    if cfg["workers"] != "auto" and not (is_int(cfg["workers"]) and cfg["workers"] >= 1):
+        raise ValueError("workers must be a positive integer or 'auto'")
+    if not (is_finite_real(cfg["fit_exponent"]) and cfg["fit_exponent"] > 0):
+        raise ValueError("fit_exponent must be a positive finite number")
+    if not isinstance(cfg["normalized"], bool):
+        raise ValueError("normalized must be true or false")
 
-    noise = cfg["noise"]
-    if not isinstance(noise, dict):
-        _fail_validation("noise must be an object")
-    _reject_unknown(noise, {"kind", "sigma", "scale", "hessian_sigma"}, "noise")
+    if not isinstance(cfg["noise"], dict):
+        raise ValueError("noise must be an object")
+    _reject_unknown(cfg["noise"], {f.name for f in fields(NoiseModel)}, "noise")
 
     if not isinstance(cfg["bounds"], list):
-        _fail_validation("bounds must be a list")
+        raise ValueError("bounds must be a list")
     for entry in cfg["bounds"]:
         if not isinstance(entry, dict):
-            _fail_validation("each bounds entry must be an object")
+            raise ValueError("each bounds entry must be an object")
         _reject_unknown(entry, _BOUND_KEYS, "bounds entry")
         theorem = entry.get("theorem")
         if not isinstance(theorem, str) or theorem not in bounds.THEOREMS:
-            _fail_validation(f"unknown theorem {theorem!r}")
+            raise ValueError(f"unknown theorem {theorem!r}")
         if ("delta" in entry) == ("p" in entry):
-            _fail_validation("each bounds entry needs exactly one of delta or p")
+            raise ValueError("each bounds entry needs exactly one of delta or p")
         # delta and p are numbers, like the float-valued theorem parameters
         for key, default in {"delta": 0.0, "p": 0.0, **bounds.THEOREMS[theorem].params}.items():
             value = entry.get(key, default)
             if isinstance(default, bool) and not isinstance(value, bool):
-                _fail_validation(f"{theorem}: {key} must be true or false")
-            if isinstance(default, float) and not _is_number(value):
-                _fail_validation(f"{theorem}: {key} must be a finite number")
+                raise ValueError(f"{theorem}: {key} must be true or false")
+            if isinstance(default, float) and not is_finite_real(value):
+                raise ValueError(f"{theorem}: {key} must be a finite number")
 
     opt = cfg["opt"]
     if isinstance(opt, dict):
-        _reject_unknown(opt, {"runs", "iterations"}, "opt")
+        _reject_unknown(opt, set(_OPT_ARGS), "opt")
         for key, value in opt.items():
-            if not _is_positive_int(value):
-                _fail_validation(f"opt.{key} must be a positive integer")
-    elif opt is not None and not (_is_number(opt) and opt > 0):
-        _fail_validation("opt must be a positive number, null, or an approximation spec")
+            if not (is_int(value) and value >= 1):
+                raise ValueError(f"opt.{key} must be a positive integer")
+    elif opt is not None and not (is_finite_real(opt) and opt > 0):
+        raise ValueError("opt must be a positive number, null, or an approximation spec")
     return cfg
 
 
+def build_run_config(cfg: dict) -> RunConfig:
+    """The trial config from the keys the config sets; the dataclass
+    defaults fill in the rest."""
+    kwargs = {key: cfg[key] for key in _TRIAL_KEYS if key in cfg}
+    for key, rule in (("step_rule", StepRule), ("momentum_rule", MomentumRule)):
+        if key in kwargs:
+            if not isinstance(kwargs[key], dict):
+                raise ValueError(f"{key} must be an object")
+            _reject_unknown(kwargs[key], {f.name for f in fields(rule)}, key)
+            kwargs[key] = rule(**kwargs[key])
+    return RunConfig(**kwargs)
+
+
 def load_config(path, overrides) -> dict:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        _fail_io(f"cannot read config {path}: {exc}")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        _fail_validation(f"config {path} is not valid JSON: {exc}")
+    """The validated config, with its ``trial`` entry the built ``RunConfig``
+    and its ``noise`` entry the built ``NoiseModel``."""
+    with open(path) as fh:
+        raw = json.load(fh)
     if not isinstance(raw, dict):
-        _fail_validation("config root must be an object")
+        raise ValueError("config root must be an object")
     for item in overrides or []:
         key, sep, value = item.partition("=")
         if not sep:
-            _fail_validation(f"--set expects key=value, got {item!r}")
+            raise ValueError(f"--set expects key=value, got {item!r}")
         try:
             parsed = json.loads(value)
         except json.JSONDecodeError:
@@ -186,9 +182,12 @@ def load_config(path, overrides) -> dict:
         for part in parts[:-1]:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
-                _fail_validation(f"--set path {key!r} does not address an object")
+                raise ValueError(f"--set path {key!r} does not address an object")
         node[parts[-1]] = parsed
-    return validate_config(raw)
+    cfg = validate_config(raw)
+    cfg["trial"] = build_run_config(cfg)
+    cfg["noise"] = NoiseModel(**cfg["noise"])
+    return cfg
 
 
 def build_objective(cfg: dict):
@@ -214,40 +213,8 @@ def build_objective(cfg: dict):
             k=problem.get("k", 1), alphas=problem.get("alphas"),
             upper=problem.get("upper", 1.0),
         )
-    except FileNotFoundError as exc:
-        _fail_io(f"instance file not found: {exc.filename}")
     except KeyError as exc:
-        _fail_validation(f"problem spec is missing key {exc}")
-    except ValueError as exc:
-        _fail_validation(str(exc))
-
-
-def build_noise(cfg: dict) -> NoiseModel:
-    spec = cfg["noise"]
-    try:
-        return NoiseModel(
-            kind=spec.get("kind", "none"),
-            sigma=spec.get("sigma", 0.0),
-            scale=spec.get("scale", 0.0),
-            hessian_sigma=spec.get("hessian_sigma"),
-        )
-    except ValueError as exc:
-        _fail_validation(str(exc))
-
-
-def build_run_config(cfg: dict) -> RunConfig:
-    """The trial config from the keys the config sets; the dataclass
-    defaults fill in the rest."""
-    kwargs = {key: cfg[key] for key in _TRIAL_KEYS if key in cfg}
-    try:
-        for key, rule in (("step_rule", StepRule), ("momentum_rule", MomentumRule)):
-            spec = kwargs.get(key, {})
-            if not isinstance(spec, dict):
-                _fail_validation(f"{key} must be an object")
-            kwargs[key] = rule(**{f.name: spec[f.name] for f in fields(rule) if f.name in spec})
-        return RunConfig(**kwargs)
-    except (ValueError, TypeError) as exc:
-        _fail_validation(str(exc))
+        raise ValueError(f"problem spec is missing key {exc}") from None
 
 
 def resolve_opt(cfg: dict, objective) -> float:
@@ -256,13 +223,11 @@ def resolve_opt(cfg: dict, objective) -> float:
     opt = cfg["opt"]
     if isinstance(opt, (int, float)):
         return float(opt)
-    spec = opt or {}
     return analysis.approx_opt(
         objective,
-        master_seed=cfg["master_seed"] + _OPT_SEED_OFFSET,
-        n_runs=spec.get("runs", 100),
-        iterations=spec.get("iterations", 5000),
-        noise=build_noise(cfg),
+        master_seed=cfg["trial"].master_seed + _OPT_SEED_OFFSET,
+        noise=cfg["noise"],
+        **{_OPT_ARGS[key]: value for key, value in (opt or {}).items()},
     )
 
 
@@ -275,14 +240,8 @@ def _g17(x: float) -> str:
 
 
 def cmd_generate(args) -> int:
-    try:
-        obj = objectives.generate_nqp(args.seed, args.n, args.m, args.low, args.high)
-    except ValueError as exc:
-        _fail_validation(str(exc))
-    try:
-        objectives.save_nqp(args.out, obj)
-    except OSError as exc:
-        _fail_io(f"cannot write {args.out}: {exc}")
+    obj = objectives.generate_nqp(args.seed, args.n, args.m, args.low, args.high)
+    objectives.save_nqp(args.out, obj)
     print(f"wrote {args.out}")
     print(f"L = {_g17(bounds.spectral_norm(obj.h_matrix))}")
     print(f"D = {_g17(diameter_bound(obj.polytope))}")
@@ -294,19 +253,8 @@ def _run_one(payload):
     return optimizers.run_trial(objective, noise, cfg)
 
 
-def _resolve_workers(cfg: dict) -> int:
-    workers = cfg["workers"]
-    if workers == "auto":
-        return min(os.cpu_count() or 1, cfg["runs"])
-    if not isinstance(workers, int) or workers < 1:
-        _fail_validation("workers must be a positive integer or 'auto'")
-    return workers
-
-
 def cmd_run(cfg: dict) -> int:
     objective = build_objective(cfg)
-    noise = build_noise(cfg)
-    base = build_run_config(cfg)
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     battery_path = os.path.join(out_dir, "battery.csv")
@@ -314,8 +262,11 @@ def cmd_run(cfg: dict) -> int:
     if os.path.exists(marker):
         os.remove(marker)
 
-    workers = _resolve_workers(cfg)
-    payloads = [(objective, noise, replace(base, run_id=i)) for i in range(cfg["runs"])]
+    workers = cfg["workers"]
+    if workers == "auto":
+        workers = min(os.cpu_count() or 1, cfg["runs"])
+    payloads = [(objective, cfg["noise"], replace(cfg["trial"], run_id=i))
+                for i in range(cfg["runs"])]
     records = []
     try:
         if workers == 1:
@@ -348,32 +299,25 @@ def cmd_run(cfg: dict) -> int:
 def _bound_delta(entry: dict, T: int) -> float:
     if "delta" in entry:
         return float(entry["delta"])
-    try:
-        return bounds.THEOREMS[entry["theorem"]].delta(entry["p"], T)
-    except ValueError as exc:
-        _fail_validation(str(exc))
+    return bounds.THEOREMS[entry["theorem"]].delta(entry["p"], T)
 
 
 def cmd_bounds(cfg: dict) -> int:
     if not cfg["bounds"]:
-        _fail_validation("no bounds selected in config")
+        raise ValueError("no bounds selected in config")
     objective = build_objective(cfg)
-    noise = build_noise(cfg)
     opt = resolve_opt(cfg, objective)
     g_max = float(np.linalg.norm(objective.grad(np.zeros(objective.dim))))
-    try:
-        consts = bounds.constants_for(objective, noise, opt, g_max=g_max)
-    except ValueError as exc:
-        _fail_validation(str(exc))
+    consts = bounds.constants_for(objective, cfg["noise"], opt, g_max=g_max)
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
+    T = cfg["trial"].T
     for entry in cfg["bounds"]:
         theorem = entry["theorem"]
-        delta = _bound_delta(entry, cfg["T"])
         try:
-            curve = bounds.bound_curve(theorem, consts, cfg["T"], delta, entry)
+            curve = bounds.bound_curve(theorem, consts, T, _bound_delta(entry, T), entry)
         except ValueError as exc:
-            _fail_validation(f"{theorem}: {exc}")
+            raise ValueError(f"{theorem}: {exc}") from None
         path = os.path.join(out_dir, f"bound_{theorem}.csv")
         bounds.save_bound_curve(path, curve)
         print(f"wrote {path}")
@@ -385,15 +329,8 @@ _REPORT_STATS = (("min", "min"), ("median", "median"), ("q90", 0.9))
 
 def cmd_report(cfg: dict) -> int:
     out_dir = cfg["output_dir"]
-    battery_path = os.path.join(out_dir, "battery.csv")
-    if not os.path.exists(battery_path):
-        _fail_io(f"battery file not found: {battery_path}")
-    try:
-        battery = analysis.TrialBattery.from_csv(battery_path)
-    except ValueError as exc:
-        _fail_validation(str(exc))
-
-    series = "f_running_avg" if battery.algorithm == "pga" else "f_true"
+    battery = analysis.TrialBattery.from_csv(os.path.join(out_dir, "battery.csv"))
+    series = optimizers.guarantee_series(battery.algorithm)
     if cfg["normalized"]:
         scale = resolve_opt(cfg, build_objective(cfg))
         opt_text = _g17(scale)
@@ -403,17 +340,8 @@ def cmd_report(cfg: dict) -> int:
     curves = []
     for label, stat in _REPORT_STATS:
         t, values = analysis.trajectory_statistic(battery, stat, series)
-        values = values / scale
-        curves.append((t, values, label))
-        stat_path = os.path.join(out_dir, f"stats_{label}.csv")
-        with open(stat_path, "w") as fh:
-            fh.write("t,stat_value,stat_label\n")
-            for ti, vi in zip(t, values):
-                fh.write(f"{int(ti)},{vi:.17g},{label}\n")
-    try:
-        fits = analysis.shared_c1_refit(curves, p=cfg["fit_exponent"], t_min=cfg["t_min"])
-    except ValueError as exc:
-        _fail_validation(str(exc))
+        curves.append((t, values / scale, label))
+    fits = analysis.shared_c1_refit(curves, p=cfg["fit_exponent"], t_min=cfg["t_min"])
 
     violations = []
     for entry in cfg["bounds"]:
@@ -422,13 +350,16 @@ def cmd_report(cfg: dict) -> int:
             continue
         curve = bounds.load_bound_curve(path)
         convention = bounds.THEOREMS[entry["theorem"]].statistic
-        try:
-            rate = analysis.bound_violation_rate(battery, curve, convention)
-        except ValueError as exc:
-            _fail_validation(str(exc))
-        violations.append((entry["theorem"], _bound_delta(entry, cfg["T"]),
+        rate = analysis.bound_violation_rate(battery, curve, convention)
+        violations.append((entry["theorem"], _bound_delta(entry, cfg["trial"].T),
                            convention, curve.at(int(battery.t[-1])), rate))
 
+    # every input is read and checked before the first output is written
+    for t, values, label in curves:
+        with open(os.path.join(out_dir, f"stats_{label}.csv"), "w") as fh:
+            fh.write("t,stat_value,stat_label\n")
+            for ti, vi in zip(t, values):
+                fh.write(f"{int(ti)},{vi:.17g},{label}\n")
     report_path = os.path.join(out_dir, "report.txt")
     lines = [
         f"algorithm: {battery.algorithm}",
@@ -503,9 +434,9 @@ def main(argv=None) -> int:
         if args.command == "bounds":
             return cmd_bounds(cfg)
         return cmd_report(cfg)
-    except CliError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_VALIDATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

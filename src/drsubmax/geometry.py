@@ -85,6 +85,8 @@ class Polytope:
             raise ValueError(f"A has {a.shape[1]} columns but upper has {u.size} entries")
         if u.size == 0:
             raise ValueError("polytope must have at least one coordinate")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(u))):
+            raise ValueError("polytope entries must be finite")
         if np.any(u <= 0):
             raise ValueError("all box upper bounds must be strictly positive")
         if np.any(b <= 0):
@@ -309,9 +311,12 @@ def lmo(p: Polytope, g) -> np.ndarray:
     solved with a dense primal tableau simplex.  Bland's rule (lowest-index
     entering variable, lowest-index basic variable on ratio ties) makes the
     result deterministic and cycle-free; coordinates whose reduced objective
-    coefficient never turns positive rest at their lower bound 0.
+    coefficient never turns positive rest at their lower bound 0.  Raises
+    ``ValueError`` when ``g`` has a non-finite entry.
     """
     g = _check_dim(p, g, "g")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("g must be finite")
     n = p.dim
     if p.n_halfspaces == 0:
         return np.where(g > 0.0, p.upper, 0.0)

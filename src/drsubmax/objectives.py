@@ -9,6 +9,7 @@ uniformly.  Generators are seeded and fully deterministic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,17 @@ __all__ = [
     "save_nqp",
     "load_nqp",
 ]
+
+
+def is_int(value) -> bool:
+    """An integer that is not a bool (numpy integers included)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """A finite real number that is not a bool (numpy scalars included)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 class Objective:
@@ -62,8 +74,8 @@ class NqpObjective(Objective):
             raise ValueError("H dimension disagrees with the polytope")
         if not np.allclose(h_matrix, h_matrix.T, atol=1e-12, rtol=0.0):
             raise ValueError("H must be symmetric (within 1e-12)")
-        if np.any(h_matrix > 0):
-            raise ValueError("all entries of H must be <= 0")
+        if not np.all(np.isfinite(h_matrix) & (h_matrix <= 0)):
+            raise ValueError("all entries of H must be finite and <= 0")
         self.h_matrix = h_matrix
         self.h_vector = -h_matrix @ polytope.upper
         self.polytope = polytope
@@ -94,12 +106,14 @@ def generate_nqp(seed, n: int, m: int, entry_low: float, entry_high: float) -> N
     Uniform[0, 1] (m rows, possibly 0) inside the unit box.  Deterministic
     for a fixed seed.
     """
+    if not (is_int(seed) and seed >= 0 and is_int(n) and n >= 1 and is_int(m) and m >= 0):
+        raise ValueError("need integers seed >= 0, n >= 1 and m >= 0")
+    if not (is_finite_real(entry_low) and is_finite_real(entry_high)):
+        raise ValueError("entry_low and entry_high must be finite numbers")
     if entry_high > 0:
         raise ValueError("entry_high must be <= 0 to keep the Hessian nonpositive")
     if entry_low > entry_high:
         raise ValueError("entry_low must be <= entry_high")
-    if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
     rng = np.random.default_rng(seed)
     draw = rng.uniform(entry_low, entry_high, size=(n, n))
     h = np.triu(draw)
@@ -146,38 +160,27 @@ class BudgetAllocationObjective(Objective):
 
     def __init__(self, n_channels: int, n_customers: int, edges, k: int = 1,
                  alphas=None, per_advertiser_upper=None):
-        if n_channels < 1 or n_customers < 1:
-            raise ValueError("need at least one channel and one customer")
-        if k < 1:
-            raise ValueError("need at least one advertiser")
+        _check_sizes(n_channels, n_customers, k)
         edges = list(edges)
         if not edges:
             raise ValueError("no edges")
         coeff = np.zeros((n_customers, n_channels))
         for s, t, p in edges:
-            if not (0.0 < p < 1.0):
+            if not (is_finite_real(p) and 0.0 < p < 1.0):
                 raise ValueError(f"edge probability {p} outside (0, 1)")
             coeff[t, s] += -math.log1p(-p)
         self.n_channels = n_channels
         self.n_customers = n_customers
         self.edges = tuple((int(s), int(t), float(p)) for s, t, p in edges)
         self.k = k
-        if alphas is None:
-            alphas = np.full(k, 1.0 / k)
-        self.alphas = np.asarray(alphas, dtype=float).ravel()
-        if self.alphas.size != k or np.any(self.alphas <= 0):
-            raise ValueError("alphas must be k positive weights")
+        self.alphas = _positive_reals(np.full(k, 1.0 / k) if alphas is None else alphas,
+                                      k, "alphas")
         self._coeff = coeff
-        if per_advertiser_upper is None:
-            per_advertiser_upper = np.ones(n_channels)
-        elif np.isscalar(per_advertiser_upper):
-            per_advertiser_upper = np.full(n_channels, float(per_advertiser_upper))
-        else:
-            per_advertiser_upper = np.asarray(per_advertiser_upper, dtype=float).ravel()
-        if per_advertiser_upper.size != n_channels:
-            raise ValueError("per-advertiser budget must have one entry per channel")
-        self.per_advertiser_upper = per_advertiser_upper
-        self.polytope = Polytope.box(np.tile(per_advertiser_upper, k))
+        upper = 1.0 if per_advertiser_upper is None else per_advertiser_upper
+        if is_finite_real(upper):
+            upper = [upper] * n_channels
+        self.per_advertiser_upper = _positive_reals(upper, n_channels, "per-advertiser budget")
+        self.polytope = Polytope.box(np.tile(self.per_advertiser_upper, k))
 
     def _blocks(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float).ravel()
@@ -207,6 +210,19 @@ class BudgetAllocationObjective(Objective):
             block = -self.alphas[i] * (self._coeff.T * np.exp(-w[i])) @ self._coeff
             out[i * n : (i + 1) * n, i * n : (i + 1) * n] = block
         return out
+
+
+def _positive_reals(values, size: int, name: str) -> np.ndarray:
+    """``values``, a sequence of ``size`` finite positive numbers, as an array."""
+    values = list(values) if isinstance(values, (list, tuple, np.ndarray)) else [values]
+    if len(values) != size or not all(is_finite_real(v) and v > 0 for v in values):
+        raise ValueError(f"{name} must be {size} finite positive numbers")
+    return np.array(values, dtype=float)
+
+
+def _check_sizes(n_channels, n_customers, k) -> None:
+    if not all(is_int(v) and v >= 1 for v in (n_channels, n_customers, k)):
+        raise ValueError("channels, customers and k must be positive integers")
 
 
 def load_bipartite(path, mapping: FrequencyMapping | None = None, k: int = 1,
@@ -265,9 +281,12 @@ def generate_budget(seed, n_channels: int, n_customers: int, density: float,
     """Seeded synthetic bipartite instance with edge probabilities in
     ``[p_low, p_high]``; every channel and customer receives at least one
     edge so the indexing is dense."""
-    if not (0.0 < p_low <= p_high < 1.0):
+    if not is_int(seed) or seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+    _check_sizes(n_channels, n_customers, k)
+    if not (is_finite_real(p_low) and is_finite_real(p_high) and 0.0 < p_low <= p_high < 1.0):
         raise ValueError("need 0 < p_low <= p_high < 1")
-    if not (0.0 < density <= 1.0):
+    if not (is_finite_real(density) and 0.0 < density <= 1.0):
         raise ValueError("density must be in (0, 1]")
     rng = np.random.default_rng(seed)
     mask = rng.random((n_channels, n_customers)) < density

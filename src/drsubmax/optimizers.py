@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import lmo, project
-from .objectives import Objective
+from .objectives import Objective, is_finite_real, is_int
 from .oracles import NoiseModel, OracleStream
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "RunConfig",
     "RunRecord",
     "boost_s_from_uniform",
+    "guarantee_series",
     "run_trial",
     "run_battery",
     "records_to_csv",
@@ -50,8 +51,8 @@ class StepRule:
     def __post_init__(self):
         if self.kind not in ("constant", "inv_sqrt"):
             raise ValueError(f"unknown step rule {self.kind!r}")
-        if self.value <= 0:
-            raise ValueError("step size must be positive")
+        if not (is_finite_real(self.value) and self.value > 0):
+            raise ValueError("step size must be a positive finite number")
 
     def eta(self, t: int) -> float:
         if self.kind == "constant":
@@ -72,6 +73,8 @@ class MomentumRule:
     value: float = 0.0
 
     def __post_init__(self):
+        if not is_finite_real(self.value):
+            raise ValueError("momentum value must be a finite number")
         if self.kind == "alpha" and not (0.0 < self.value < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
         if self.kind == "constant" and not (0.0 < self.value <= 1.0):
@@ -105,12 +108,12 @@ class RunConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.T < 1:
-            raise ValueError("T must be at least 1")
-        if not (0.0 < self.gamma <= 1.0):
+        for name, low in (("T", 1), ("master_seed", 0), ("run_id", 0), ("batch_size", 1)):
+            value = getattr(self, name)
+            if not ((is_int(value) and value >= low) or (name == "batch_size" and value is None)):
+                raise ValueError(f"{name} must be an integer >= {low}")
+        if not (is_finite_real(self.gamma) and 0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must lie in (0, 1]")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
         if self.init_rule not in ("zero", "gaussian_project", "upper"):
             raise ValueError(f"unknown init rule {self.init_rule!r}")
         conv = self.returned_convention
@@ -137,6 +140,12 @@ class RunRecord:
     f_true: np.ndarray
     f_running_avg: np.ndarray
     returned_value: float
+
+
+def guarantee_series(algorithm: str) -> str:
+    """The recorded series an algorithm's guarantees concern: the running
+    average value for projected ascent, the iterate value for Frank-Wolfe."""
+    return "f_true" if algorithm in GREEDY else "f_running_avg"
 
 
 def _init_point(objective: Objective, cfg: RunConfig, rng) -> np.ndarray:

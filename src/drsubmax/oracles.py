@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import Objective
+from .objectives import Objective, is_finite_real
 
 __all__ = ["NoiseModel", "OracleStream", "noise_constants"]
 
@@ -49,12 +49,12 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.sigma < 0 or self.scale < 0:
-            raise ValueError("sigma and scale must be nonnegative")
-        if self.hessian_sigma is None:
-            object.__setattr__(self, "hessian_sigma", 0.1 * self.sigma)
-        elif self.hessian_sigma < 0:
-            raise ValueError("hessian_sigma must be nonnegative")
+        for name in ("sigma", "scale", "hessian_sigma"):
+            if name == "hessian_sigma" and self.hessian_sigma is None:
+                object.__setattr__(self, name, 0.1 * self.sigma)  # sigma is checked by now
+            value = getattr(self, name)
+            if not (is_finite_real(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite nonnegative number")
 
     @classmethod
     def none(cls) -> "NoiseModel":

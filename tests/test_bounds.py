@@ -103,6 +103,11 @@ class TestMomentumConstant:
             with pytest.raises(ValueError):
                 k_constant(bad)
 
+    def test_overflow_near_one_names_alpha(self):
+        # 1/(1 - alpha) = 200 lies beyond where Gamma overflows a float
+        with pytest.raises(ValueError, match="alpha"):
+            k_constant(0.995)
+
     def test_series_first_term_vanishes(self):
         assert momentum_series_check(0.5, 1) == 0.0
 

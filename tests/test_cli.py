@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from drsubmax import cli
+from drsubmax.analysis import TrialBattery
 from drsubmax.geometry import Polytope
 from drsubmax.objectives import NqpObjective, save_nqp
 
@@ -309,6 +311,22 @@ class TestReport:
         assert "statistic=average_iterate" in line
         assert line.rstrip().endswith("rate=0")
 
+    def test_boosted_battery_is_summarized_on_its_running_average(self, tmp_path,
+                                                                  one_dim_instance):
+        """Theorem 2 concerns the running average of boosted ascent, so the
+        report fits and writes that series, as it does for plain ascent."""
+        cfg = write_config(tmp_path, algorithm="boosted_pga", T=20, runs=3,
+                           noise={"kind": "clipped_gaussian", "sigma": 0.05})
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        assert cli.main(["report", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        assert "series: f_running_avg\n" in (out / "report.txt").read_text()
+        battery = TrialBattery.from_csv(out / "battery.csv")
+        rows = (out / "stats_min.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[1]) for row in rows] == \
+            list(battery.f_running_avg.min(axis=0))
+        assert not np.array_equal(battery.f_running_avg, battery.f_true)
+
     @pytest.mark.parametrize("override", ["opt=0", "opt=-2", 'opt={"runs":0}'])
     def test_non_positive_opt_not_used_to_normalize(self, tmp_path, one_dim_instance,
                                                     override, capsys):
@@ -327,17 +345,104 @@ class TestReport:
         assert "battery" in capsys.readouterr().err
 
 
+_GENERATED = {"kind": "nqp-generate", "n": 4, "m": 1, "entry_low": -1.0,
+              "entry_high": 0.0, "seed": 3}
+_BUDGET = {"kind": "budget-synthetic", "channels": 3, "customers": 4, "density": 0.7,
+           "p_low": 0.2, "p_high": 0.7, "seed": 5, "k": 2}
+_GAUSSIAN = {"kind": "gaussian_fixed", "sigma": 0.1}
+
+# (command, id, the one change to the valid scg config of write_config)
+_INVALID = [
+    ("run", "T-true", {"T": True}),
+    ("run", "runs-true", {"runs": True}),
+    ("run", "workers-true", {"workers": True}),
+    ("run", "t_min-true", {"t_min": True}),
+    ("run", "master_seed-negative", {"master_seed": -1}),
+    ("run", "scgpp-batch_size-fraction", {"algorithm": "scgpp", "batch_size": 2.5}),
+    ("run", "sigma-text", {"noise": {**_GAUSSIAN, "sigma": "a"}}),
+    ("run", "sigma-nan", {"noise": {**_GAUSSIAN, "sigma": float("nan")}}),
+    ("run", "hessian_sigma-text", {"noise": {**_GAUSSIAN, "hessian_sigma": "a"}}),
+    ("run", "generate-n-text", {"problem": {**_GENERATED, "n": "a"}}),
+    ("run", "generate-n-fraction", {"problem": {**_GENERATED, "n": 2.5}}),
+    ("run", "generate-seed-text", {"problem": {**_GENERATED, "seed": "x"}}),
+    ("run", "budget-k-fraction", {"problem": {**_BUDGET, "k": 2.5}}),
+    ("run", "budget-channels-text", {"problem": {**_BUDGET, "channels": "a"}}),
+    ("run", "budget-density-text", {"problem": {**_BUDGET, "density": "x"}}),
+    ("run", "budget-upper-nan", {"problem": {**_BUDGET, "upper": float("nan")}}),
+    ("run", "budget-upper-true", {"problem": {**_BUDGET, "upper": True}}),
+    ("run", "budget-alphas-object", {"problem": {**_BUDGET, "alphas": {}}}),
+    ("run", "file-path-number", {"problem": {"kind": "nqp-file", "path": 1}}),
+    ("run", "output_dir-number", {"output_dir": 5}),
+    ("report", "T-true", {"T": True}),
+    ("report", "fit_exponent-text", {"fit_exponent": "a"}),
+    ("report", "normalized-text", {"normalized": "yes"}),
+    ("bounds", "theorem4-alpha-near-one",
+     {"bounds": [{"theorem": "theorem4", "delta": 0.01, "alpha": 0.995}]}),
+]
+
+
+class TestOneValidationBoundary:
+    """An invalid config value exits 2 with one error line and no traceback,
+    and writes no output: ``run`` writes no battery."""
+
+    @staticmethod
+    def assert_rejected(command, cfg, out, capsys):
+        before = sorted(out.iterdir()) if out.exists() else []
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert (sorted(out.iterdir()) if out.exists() else []) == before
+        return err
+
+    @pytest.mark.parametrize("command,change",
+                             [pytest.param(c, ch, id=f"{c}-{i}") for c, i, ch in _INVALID])
+    def test_invalid_value_exits_validation(self, tmp_path, one_dim_instance, command,
+                                            change, capsys):
+        out = tmp_path / "out"
+        if command == "report":  # a battery to report on, from the valid config
+            assert cli.main(["run", "--config", str(write_config(tmp_path))]) == 0
+            capsys.readouterr()
+        cfg = write_config(tmp_path, name="invalid.json", **change)
+        self.assert_rejected(command, cfg, out, capsys)
+        assert command != "run" or not (out / "battery.csv").exists()
+
+    def test_malformed_bound_file_exits_validation(self, tmp_path, one_dim_instance,
+                                                   capsys):
+        cfg = write_config(tmp_path, bounds=[{"theorem": "theorem5", "delta": 1.0}])
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        (tmp_path / "out" / "bound_theorem5.csv").write_text(
+            "# theorem5\nt,bound_value,prob\n1,oops,\n")
+        err = self.assert_rejected("report", cfg, tmp_path / "out", capsys)
+        assert "bound_theorem5.csv" in err
+
+    def test_run_bounds_and_report_share_the_trial_checks(self, tmp_path, one_dim_instance,
+                                                          capsys):
+        cfg = write_config(tmp_path, T=True, opt=0.5,
+                           bounds=[{"theorem": "theorem5", "delta": 1.0}])
+        for command in ("run", "bounds", "report"):
+            assert "T must be" in self.assert_rejected(command, cfg, tmp_path / "out", capsys)
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self, tmp_path):
+        import os
         import subprocess
         import sys
 
+        import drsubmax
+
+        # the child does not inherit the test runner's import path, so give it
+        # the directory that holds the imported package
+        package_root = os.path.dirname(os.path.dirname(drsubmax.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
         out = tmp_path / "inst.txt"
         result = subprocess.run(
             [sys.executable, "-m", "drsubmax", "generate", "nqp", "--n", "3",
              "--m", "1", "--low", "-1", "--high", "0", "--seed", "1",
              "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0, result.stderr
         assert out.exists()

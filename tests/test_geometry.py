@@ -29,6 +29,16 @@ class TestPolytopeConstruction:
         with pytest.raises(ValueError):
             Polytope([[1.0, 1.0]], [0.0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("a,b,u", [
+        ([[1.0, np.nan]], [1.0], [1.0, 1.0]),
+        ([[1.0, 1.0]], [np.inf], [1.0, 1.0]),
+        ([[1.0, 1.0]], [1.0], [1.0, np.nan]),
+        (np.zeros((0, 2)), np.zeros(0), [np.inf, 1.0]),
+    ], ids=["A", "b", "upper", "box-upper"])
+    def test_rejects_non_finite_entries(self, a, b, u):
+        with pytest.raises(ValueError, match="finite"):
+            Polytope(a, b, u)
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             Polytope([[1.0, 1.0]], [1.0, 1.0], [1.0, 1.0])
@@ -195,6 +205,12 @@ class TestLmo:
         poly = random_small_polytope(rng)
         g = rng.standard_normal(poly.dim)
         np.testing.assert_array_equal(lmo(poly, g), lmo(poly, g))
+
+    @pytest.mark.parametrize("poly", [UNIT_BOX2, TRIANGLE], ids=["box", "halfspace"])
+    def test_non_finite_direction_rejected(self, poly):
+        for g in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                lmo(poly, g)
 
     def test_frank_wolfe_feasibility(self):
         """x0 = 0 plus T averaged oracle vertices stays feasible at 1e-9."""

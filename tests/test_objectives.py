@@ -56,6 +56,10 @@ class TestNqp:
         with pytest.raises(ValueError):
             NqpObjective([[-1.0, -0.5], [-0.4, -1.0]], Polytope.box([1.0, 1.0]))
 
+    def test_requires_finite_entries(self):
+        with pytest.raises(ValueError, match="finite"):
+            NqpObjective([[-np.inf, 0.0], [0.0, -1.0]], Polytope.box([1.0, 1.0]))
+
 
 class TestGenerateNqp:
     def test_paper_scale_instance(self):
