@@ -11,7 +11,8 @@ import numpy as np
 from .bounds import BoundCurve
 from .objectives import Objective
 from .oracles import NoiseModel
-from .optimizers import RunConfig, run_trial
+from .optimizers import ALGORITHMS, RunConfig, run_battery
+from .optimizers import run_trial  # noqa: F401  the benchmark's tracer wraps it here
 
 __all__ = [
     "TrialBattery",
@@ -75,16 +76,20 @@ class TrialBattery:
             header = fh.readline().strip()
             if header != "run_id,algorithm,t,f_true,f_running_avg":
                 raise ValueError(f"{path}: unexpected battery header {header!r}")
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 line = line.strip()
                 if not line:
                     continue
-                rid, alg, t, f, avg = line.split(",")
-                if algorithm is None:
+                try:
+                    rid, alg, t, f, avg = line.split(",")
+                    if alg not in ALGORITHMS:
+                        raise ValueError(f"unknown algorithm {alg!r}")
+                    if algorithm not in (None, alg):
+                        raise ValueError("mixed algorithms in one battery")
                     algorithm = alg
-                elif alg != algorithm:
-                    raise ValueError(f"{path}: mixed algorithms in one battery")
-                per_run.setdefault(int(rid), []).append((int(t), float(f), float(avg)))
+                    per_run.setdefault(int(rid), []).append((int(t), float(f), float(avg)))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: battery row {line!r}: {exc}") from None
         if not per_run:
             raise ValueError(f"{path}: empty battery")
         run_ids = sorted(per_run)
@@ -197,14 +202,10 @@ def approx_opt(objective: Objective, master_seed: int = 0, n_runs: int = 100,
     the run is deterministic, so a single run suffices.
     """
     if noise is None or noise.kind == "none":
-        noise = NoiseModel.none()
-        n_runs = 1
-    best = -math.inf
-    for run_id in range(n_runs):
-        cfg = RunConfig(algorithm="scg", T=iterations, master_seed=master_seed, run_id=run_id)
-        rec = run_trial(objective, noise, cfg)
-        best = max(best, rec.returned_value)
-    return best
+        noise, n_runs = NoiseModel.none(), 1
+    cfg = RunConfig(algorithm="scg", T=iterations, master_seed=master_seed)
+    return max((rec.returned_value for rec in run_battery(objective, noise, cfg, n_runs)),
+               default=-math.inf)
 
 
 def bound_violation_rate(battery: TrialBattery, curve: BoundCurve, convention: str) -> float:

@@ -6,7 +6,7 @@ constants (smoothness, diameter, noise bounds, optimum).  Bounds may be
 negative: vacuous values are meaningful outputs for plotting.  ``THEOREMS``
 holds the per-theorem facts, and ``bound_curve`` evaluates a theorem by
 name.  Helper numerics live here too: the momentum series constant and a
-power-iteration spectral norm.
+Perron-root spectral norm.
 """
 
 from __future__ import annotations
@@ -42,45 +42,38 @@ __all__ = [
 
 ONE_MINUS_INV_E = 1.0 - math.exp(-1.0)
 
-def spectral_norm(h_matrix, max_iter: int = 100000, tol: float = 1e-12) -> float:
-    """Largest singular value of a square matrix.
+# iteration cap of the Collatz-Wielandt bracket in ``spectral_norm``
+_PERRON_MAX_ITER = 10000
 
-    Power iteration on ``H' H`` with Rayleigh-quotient stopping (three
-    consecutive relative changes below ``tol``); restarts with a fresh
-    random vector if the iterate collapses.  Raises after ``max_iter``
-    iterations without convergence.
-    """
+
+def spectral_norm(h_matrix) -> float:
+    """Upper bound on ``||H||_2`` for a symmetric, entrywise-nonpositive ``H``:
+    the smallest upper end of the Collatz-Wielandt ratios ``(B x)_i / x_i``,
+    which bracket the Perron root of ``B = -H`` for positive ``x``, over
+    ``x <- B x / max ratio`` from the row sums of ``B`` (zero rows left out),
+    until the ends agree to 1e-13 relative or the upper end stops falling."""
     h = np.asarray(h_matrix, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("spectral_norm expects a square matrix")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("matrix entries must be finite")
-    if np.all(h == 0.0):
+    if h.size and not (-math.inf < h.min() and h.max() <= 0.0):
+        raise ValueError("matrix entries must be finite and <= 0")
+    x = -h.sum(axis=1)
+    support = x > 0.0
+    if not support.any():
         return 0.0
-    b = h.T @ h
-    rng = np.random.default_rng(0x5EC7)
-    v = rng.standard_normal(h.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    calm = 0
-    for _ in range(max_iter):
-        w = b @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w < 1e-300:
-            v = rng.standard_normal(h.shape[0])
-            v /= np.linalg.norm(v)
-            calm = 0
-            continue
-        lam_new = float(v @ w)
-        v = w / norm_w
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            calm += 1
-            if calm >= 3:
-                return math.sqrt(max(lam_new, 0.0))
-        else:
-            calm = 0
-        lam = lam_new
-    raise RuntimeError(f"power iteration did not converge in {max_iter} iterations")
+    b, x = (-h, x) if support.all() else (-h[support][:, support], x[support])
+    upper_best = math.inf
+    for _ in range(_PERRON_MAX_ITER):
+        y = b @ x
+        ratios = y / x
+        upper, lower = float(ratios.max()), float(ratios.min())
+        if not upper < upper_best:
+            break
+        upper_best = upper
+        if upper - lower <= 1e-13 * upper:
+            break
+        x = y / upper
+    return upper_best
 
 
 def gamma_fn(x: float) -> float:
@@ -143,23 +136,25 @@ class BoundConstants:
             raise ValueError("opt must be positive")
 
 
-def constants_for(objective: Objective, noise: NoiseModel, opt: float,
-                  g_max: float | None = None) -> BoundConstants:
+def constants_for(objective: Objective, noise: NoiseModel, opt: float) -> BoundConstants:
     """Assemble bound constants from an objective and a noise model.
 
     Smoothness comes from the spectral norm of the Hessian at the origin
     (where both benchmark families attain their entrywise-largest Hessian),
     the diameter from the box bound, and the start error from the exact
-    gradient at the origin.
+    gradient at the origin, whose norm is also the gradient-norm bound
+    ``G_max``: a monotone DR-submodular f has ``0 <= grad f <= grad f(0)``.
     """
-    m_bound, sigma = noise_constants(noise, objective.dim, g_max=g_max)
+    zero = np.zeros(objective.dim)
+    grad0_norm = float(np.linalg.norm(objective.grad(zero)))
+    m_bound, sigma = noise_constants(noise, objective.dim, g_max=grad0_norm)
     return BoundConstants(
-        lipschitz=spectral_norm(objective.hessian(np.zeros(objective.dim))),
+        lipschitz=spectral_norm(objective.hessian(zero)),
         diameter=diameter_bound(objective.polytope),
         noise_bound=m_bound,
         noise_sigma=sigma,
         opt=opt,
-        grad0_norm=float(np.linalg.norm(objective.grad(np.zeros(objective.dim)))),
+        grad0_norm=grad0_norm,
     )
 
 

@@ -15,15 +15,14 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
 from . import analysis, bounds, objectives, optimizers
 from .geometry import diameter_bound
 from .objectives import is_finite_real, is_int
-from .oracles import NoiseModel
+from .oracles import NoiseModel, noise_constants
 from .optimizers import MomentumRule, RunConfig, StepRule
 
 __all__ = ["main"]
@@ -162,6 +161,12 @@ def build_run_config(cfg: dict) -> RunConfig:
     return RunConfig(**kwargs)
 
 
+def _bound_delta(entry: dict, T: int) -> float:
+    if "delta" in entry:
+        return float(entry["delta"])
+    return bounds.THEOREMS[entry["theorem"]].delta(entry["p"], T)
+
+
 def load_config(path, overrides) -> dict:
     """The validated config, with its ``trial`` entry the built ``RunConfig``
     and its ``noise`` entry the built ``NoiseModel``."""
@@ -187,6 +192,14 @@ def load_config(path, overrides) -> dict:
     cfg = validate_config(raw)
     cfg["trial"] = build_run_config(cfg)
     cfg["noise"] = NoiseModel(**cfg["noise"])
+    # each bounds entry is checked by its theorem at T = 1 before any work
+    unit = bounds.BoundConstants(1.0, 1.0, *noise_constants(cfg["noise"], 1, g_max=1.0))
+    for entry in cfg["bounds"]:
+        try:
+            bounds.bound_curve(entry["theorem"], unit, 1, _bound_delta(entry, cfg["trial"].T),
+                               entry)
+        except ValueError as exc:
+            raise ValueError(f"{entry['theorem']}: {exc}") from None
     return cfg
 
 
@@ -248,58 +261,37 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _run_one(payload):
-    objective, noise, cfg = payload
-    return optimizers.run_trial(objective, noise, cfg)
-
-
 def cmd_run(cfg: dict) -> int:
     objective = build_objective(cfg)
-    out_dir = cfg["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    battery_path = os.path.join(out_dir, "battery.csv")
+    os.makedirs(cfg["output_dir"], exist_ok=True)
+    battery_path = os.path.join(cfg["output_dir"], "battery.csv")
     marker = battery_path + ".partial"
     if os.path.exists(marker):
         os.remove(marker)
 
-    workers = cfg["workers"]
-    if workers == "auto":
-        workers = min(os.cpu_count() or 1, cfg["runs"])
-    payloads = [(objective, cfg["noise"], replace(cfg["trial"], run_id=i))
-                for i in range(cfg["runs"])]
-    records = []
-    try:
-        if workers == 1:
-            for payload in payloads:
-                records.append(_run_one(payload))
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                # results arrive in run_id order; keep each one as it comes so
-                # an abort still writes the trials before the failing one
-                for record in pool.map(_run_one, payloads):
-                    records.append(record)
+    returned = []
+
+    def summarized():
+        for record in optimizers.run_battery(objective, cfg["noise"], cfg["trial"],
+                                             cfg["runs"], cfg["workers"]):
+            returned.append(record.returned_value)
+            yield record
+
+    try:  # the rows of the trials before a failing one stay in the file
+        optimizers.records_to_csv(summarized(), battery_path)
     except Exception as exc:  # abort the battery, leave a partial marker
-        optimizers.records_to_csv(records, battery_path)
         with open(marker, "w") as fh:
             fh.write(f"battery aborted: {exc}\n")
         print(f"battery aborted: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    optimizers.records_to_csv(records, battery_path)
-    returned = np.array([rec.returned_value for rec in records])
     print(
-        f"returned: min={_g17(float(returned.min()))} "
+        f"returned: min={_g17(float(np.min(returned)))} "
         f"median={_g17(float(np.median(returned)))} "
-        f"max={_g17(float(returned.max()))}"
+        f"max={_g17(float(np.max(returned)))}"
     )
     print(f"wrote {battery_path}")
     return 0
-
-
-def _bound_delta(entry: dict, T: int) -> float:
-    if "delta" in entry:
-        return float(entry["delta"])
-    return bounds.THEOREMS[entry["theorem"]].delta(entry["p"], T)
 
 
 def cmd_bounds(cfg: dict) -> int:
@@ -307,17 +299,13 @@ def cmd_bounds(cfg: dict) -> int:
         raise ValueError("no bounds selected in config")
     objective = build_objective(cfg)
     opt = resolve_opt(cfg, objective)
-    g_max = float(np.linalg.norm(objective.grad(np.zeros(objective.dim))))
-    consts = bounds.constants_for(objective, cfg["noise"], opt, g_max=g_max)
+    consts = bounds.constants_for(objective, cfg["noise"], opt)
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     T = cfg["trial"].T
     for entry in cfg["bounds"]:
         theorem = entry["theorem"]
-        try:
-            curve = bounds.bound_curve(theorem, consts, T, _bound_delta(entry, T), entry)
-        except ValueError as exc:
-            raise ValueError(f"{theorem}: {exc}") from None
+        curve = bounds.bound_curve(theorem, consts, T, _bound_delta(entry, T), entry)
         path = os.path.join(out_dir, f"bound_{theorem}.csv")
         bounds.save_bound_curve(path, curve)
         print(f"wrote {path}")

@@ -67,8 +67,8 @@ class TestTrajectoryStatistic:
 class TestBatteryConstruction:
     def test_from_records_requires_shared_config(self):
         obj = NqpObjective([[-1.0]], Polytope.box([1.0]))
-        recs = run_battery(obj, NoiseModel.none(), RunConfig("scg", 4), 2)
-        other = run_battery(obj, NoiseModel.none(), RunConfig("scg", 5), 1)
+        recs = list(run_battery(obj, NoiseModel.none(), RunConfig("scg", 4), 2))
+        other = list(run_battery(obj, NoiseModel.none(), RunConfig("scg", 5), 1))
         with pytest.raises(ValueError):
             TrialBattery.from_records(recs + other)
 
@@ -78,7 +78,7 @@ class TestBatteryConstruction:
 
     def test_csv_round_trip(self, tmp_path):
         obj = generate_nqp(63, 3, 1, -1.0, 0.0)
-        recs = run_battery(obj, NoiseModel.gaussian_fixed(0.2), RunConfig("scg", 6), 4)
+        recs = list(run_battery(obj, NoiseModel.gaussian_fixed(0.2), RunConfig("scg", 6), 4))
         path = tmp_path / "battery.csv"
         records_to_csv(recs, path)
         direct = TrialBattery.from_records(recs)

@@ -116,8 +116,9 @@ class TestRun:
 
     def test_parallel_abort_keeps_finished_trials(self, tmp_path, one_dim_instance,
                                                   monkeypatch, capsys):
-        """Workers inherit the patched module (fork); the trials before the
-        failing run_id are written to the partial battery."""
+        """Serially and in a pool (whose workers inherit the patched module
+        by fork), the trials before the failing run_id are written to the
+        partial battery."""
         import drsubmax.optimizers as opt_module
 
         real = opt_module.run_trial
@@ -128,13 +129,40 @@ class TestRun:
             return real(objective, noise, cfg)
 
         monkeypatch.setattr(opt_module, "run_trial", explode)
-        cfg = write_config(tmp_path, runs=4, workers=2)
-        assert cli.main(["run", "--config", str(cfg)]) == 1
-        assert "synthetic trial failure" in \
-            (tmp_path / "out" / "battery.csv.partial").read_text()
-        lines = (tmp_path / "out" / "battery.csv").read_text().splitlines()
-        assert len(lines) == 1 + 2 * 4
-        assert {ln.split(",")[0] for ln in lines[1:]} == {"0", "1"}
+        for workers in (1, 2):
+            out = tmp_path / f"out{workers}"
+            cfg = write_config(tmp_path, runs=4, workers=workers, output_dir=str(out))
+            assert cli.main(["run", "--config", str(cfg)]) == 1
+            assert "synthetic trial failure" in (out / "battery.csv.partial").read_text()
+            lines = (out / "battery.csv").read_text().splitlines()
+            assert len(lines) == 1 + 2 * 4
+            assert {ln.split(",")[0] for ln in lines[1:]} == {"0", "1"}
+
+    def test_run_holds_one_finished_trial_at_a_time(self, tmp_path, one_dim_instance,
+                                                    monkeypatch):
+        """With one worker, when trial k starts no record older than trial
+        k - 1 is alive: each trial's rows are written and the record let go."""
+        import gc
+        import weakref
+
+        import drsubmax.optimizers as opt_module
+
+        real = opt_module.run_trial
+        refs, stale = [], []
+
+        def tracked(objective, noise, cfg):
+            gc.collect()
+            stale.extend((cfg.run_id, i) for i, ref in enumerate(refs[:-1])
+                         if ref() is not None)
+            record = real(objective, noise, cfg)
+            refs.append(weakref.ref(record))
+            return record
+
+        monkeypatch.setattr(opt_module, "run_trial", tracked)
+        cfg = write_config(tmp_path, runs=5, noise={"kind": "gaussian_fixed", "sigma": 0.2})
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        assert len(refs) == 5
+        assert stale == []
 
     def test_generated_problem_large_battery(self, tmp_path, capsys):
         """Paper-protocol scale through the CLI: 100 noisy ascent runs of 100
@@ -376,8 +404,17 @@ _INVALID = [
     ("report", "T-true", {"T": True}),
     ("report", "fit_exponent-text", {"fit_exponent": "a"}),
     ("report", "normalized-text", {"normalized": "yes"}),
-    ("bounds", "theorem4-alpha-near-one",
-     {"bounds": [{"theorem": "theorem4", "delta": 0.01, "alpha": 0.995}]}),
+] + [
+    (command, name, change)
+    for command in ("run", "bounds", "report")
+    for name, change in (
+        ("theorem4-alpha-near-one",
+         {"bounds": [{"theorem": "theorem4", "delta": 0.01, "alpha": 0.995}]}),
+        ("theorem4-delta-negative", {"bounds": [{"theorem": "theorem4", "delta": -1}]}),
+        ("theorem1-unbounded-noise",
+         {"noise": _GAUSSIAN, "bounds": [{"theorem": "theorem1", "delta": 0.1}]}),
+        ("theorem3-p-above-one", {"bounds": [{"theorem": "theorem3", "p": 1.5}]}),
+    )
 ]
 
 
@@ -415,6 +452,31 @@ class TestOneValidationBoundary:
             "# theorem5\nt,bound_value,prob\n1,oops,\n")
         err = self.assert_rejected("report", cfg, tmp_path / "out", capsys)
         assert "bound_theorem5.csv" in err
+
+    @pytest.mark.parametrize("row", ["1,scg,5", "0,foo,5,0.5,0.5"])
+    def test_malformed_battery_row_names_file_and_line(self, tmp_path, one_dim_instance,
+                                                       row, capsys):
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        battery = tmp_path / "out" / "battery.csv"
+        line = len(battery.read_text().splitlines()) + 1
+        with open(battery, "a") as fh:
+            fh.write(row + "\n")
+        err = self.assert_rejected("report", cfg, tmp_path / "out", capsys)
+        assert f"{battery}:{line}:" in err and row in err
+        assert not (tmp_path / "out" / "report.txt").exists()
+
+    def test_bounds_checks_entries_before_estimating_the_optimum(
+            self, tmp_path, one_dim_instance, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("approx_opt ran before the bounds entries were checked")
+
+        monkeypatch.setattr(cli.analysis, "approx_opt", never)
+        cfg = write_config(tmp_path, opt={"runs": 2, "iterations": 5},
+                           bounds=[{"theorem": "theorem4", "delta": -1}])
+        err = self.assert_rejected("bounds", cfg, tmp_path / "out", capsys)
+        assert "theorem4: delta must lie in (0, 1)" in err
 
     def test_run_bounds_and_report_share_the_trial_checks(self, tmp_path, one_dim_instance,
                                                           capsys):

@@ -281,7 +281,7 @@ class TestTrajectoryInvariants:
 class TestCsvOutput:
     def test_layout_and_precision(self, tmp_path):
         obj = one_dim_nqp()
-        recs = run_battery(obj, NoiseModel.gaussian_fixed(0.2), RunConfig("scg", 3), 2)
+        recs = list(run_battery(obj, NoiseModel.gaussian_fixed(0.2), RunConfig("scg", 3), 2))
         path = tmp_path / "battery.csv"
         records_to_csv(recs, path)
         lines = path.read_text().splitlines()
