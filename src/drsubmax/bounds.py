@@ -37,7 +37,6 @@ __all__ = [
     "momentum_series_check",
     "constants_for",
     "save_bound_curve",
-    "load_bound_curve",
 ]
 
 ONE_MINUS_INV_E = 1.0 - math.exp(-1.0)
@@ -342,35 +341,3 @@ def save_bound_curve(path, curve: BoundCurve) -> None:
         for i, t in enumerate(curve.t):
             prob = "" if curve.prob is None else f"{curve.prob[i]:.17g}"
             fh.write(f"{int(t)},{curve.bound[i]:.17g},{prob}\n")
-
-
-def load_bound_curve(path) -> BoundCurve:
-    label = "bound"
-    meta = []
-    ts, bs, ps = [], [], []
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    for ln in lines:
-        if ln.startswith("# "):
-            body = ln[2:]
-            if "=" in body:
-                key, _, val = body.partition("=")
-                meta.append((key, val))
-            else:
-                label = body
-        elif ln and not ln.startswith("t,"):
-            try:
-                t, b, p = ln.split(",")
-                ts.append(int(t))
-                bs.append(float(b))
-                ps.append(float(p) if p else math.nan)
-            except ValueError:
-                raise ValueError(f"{path}: malformed bound row {ln!r}") from None
-    prob = np.array(ps)
-    return BoundCurve(
-        label=label,
-        t=np.array(ts),
-        bound=np.array(bs),
-        prob=None if np.all(np.isnan(prob)) else prob,
-        meta=tuple(meta),
-    )

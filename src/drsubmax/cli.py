@@ -2,11 +2,14 @@
 bound curves, and produce fit/violation reports.
 
 Every command is driven by a JSON config file; command-line ``--set``
-options override individual (dotted) keys.  Outputs are plain CSV and text
-with 17-significant-digit floats, so identical configs reproduce identical
-bytes.  Exit codes: 0 success, 1 I/O failure, 2 validation failure.  Bad
-input raises ``ValueError`` and I/O failure ``OSError``, wherever it is
-found; ``main`` alone turns them into exit codes.
+options override individual (dotted) keys.  ``report`` reads nothing but the
+config and ``battery.csv``: it evaluates its bounds as ``bounds`` does, and
+the ``bound_<theorem>.csv`` files are plotting output only.  Outputs are
+plain CSV and text with 17-significant-digit floats, so identical configs
+reproduce identical bytes.  Exit codes: 0 success, 1 I/O failure, 2
+validation failure.  Bad input raises ``ValueError`` and I/O failure
+``OSError``, wherever it is found; ``main`` alone turns them into exit
+codes.
 """
 
 from __future__ import annotations
@@ -120,6 +123,7 @@ def validate_config(raw: dict) -> dict:
 
     if not isinstance(cfg["bounds"], list):
         raise ValueError("bounds must be a list")
+    seen = set()
     for entry in cfg["bounds"]:
         if not isinstance(entry, dict):
             raise ValueError("each bounds entry must be an object")
@@ -127,6 +131,9 @@ def validate_config(raw: dict) -> dict:
         theorem = entry.get("theorem")
         if not isinstance(theorem, str) or theorem not in bounds.THEOREMS:
             raise ValueError(f"unknown theorem {theorem!r}")
+        if theorem in seen:  # both entries would write one bound_<theorem>.csv
+            raise ValueError(f"{theorem}: listed twice in bounds")
+        seen.add(theorem)
         if ("delta" in entry) == ("p" in entry):
             raise ValueError("each bounds entry needs exactly one of delta or p")
         # delta and p are numbers, like the float-valued theorem parameters
@@ -294,19 +301,29 @@ def cmd_run(cfg: dict) -> int:
     return 0
 
 
+def _bound_curves(cfg: dict, objective, opt: float) -> list:
+    """``(theorem, delta, curve over t = 1..T)`` for each bounds entry, all
+    evaluated before the caller writes anything."""
+    if not cfg["bounds"]:
+        return []
+    consts = bounds.constants_for(objective, cfg["noise"], opt)
+    T = cfg["trial"].T
+    out = []
+    for entry in cfg["bounds"]:
+        delta = _bound_delta(entry, T)
+        out.append((entry["theorem"], delta,
+                    bounds.bound_curve(entry["theorem"], consts, T, delta, entry)))
+    return out
+
+
 def cmd_bounds(cfg: dict) -> int:
     if not cfg["bounds"]:
         raise ValueError("no bounds selected in config")
     objective = build_objective(cfg)
-    opt = resolve_opt(cfg, objective)
-    consts = bounds.constants_for(objective, cfg["noise"], opt)
-    out_dir = cfg["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    T = cfg["trial"].T
-    for entry in cfg["bounds"]:
-        theorem = entry["theorem"]
-        curve = bounds.bound_curve(theorem, consts, T, _bound_delta(entry, T), entry)
-        path = os.path.join(out_dir, f"bound_{theorem}.csv")
+    curves = _bound_curves(cfg, objective, resolve_opt(cfg, objective))
+    os.makedirs(cfg["output_dir"], exist_ok=True)
+    for theorem, _, curve in curves:
+        path = os.path.join(cfg["output_dir"], f"bound_{theorem}.csv")
         bounds.save_bound_curve(path, curve)
         print(f"wrote {path}")
     return 0
@@ -317,13 +334,24 @@ _REPORT_STATS = (("min", "min"), ("median", "median"), ("q90", 0.9))
 
 def cmd_report(cfg: dict) -> int:
     out_dir = cfg["output_dir"]
-    battery = analysis.TrialBattery.from_csv(os.path.join(out_dir, "battery.csv"))
+    battery_path = os.path.join(out_dir, "battery.csv")
+    battery = analysis.TrialBattery.from_csv(battery_path)
+    trial = cfg["trial"]
+    if battery.algorithm != trial.algorithm:
+        raise ValueError(f"{battery_path}: battery algorithm {battery.algorithm!r} "
+                         f"differs from the config's {trial.algorithm!r}")
+    if not np.array_equal(battery.t, np.arange(1, trial.T + 1)):
+        raise ValueError(f"{battery_path}: battery grid of {battery.t.size} points is not "
+                         f"1..T for the config's T = {trial.T}")
     series = optimizers.guarantee_series(battery.algorithm)
-    if cfg["normalized"]:
-        scale = resolve_opt(cfg, build_objective(cfg))
-        opt_text = _g17(scale)
-    else:
-        scale, opt_text = 1.0, "-"
+
+    scale, opt_text, bound_curves = 1.0, "-", []
+    if cfg["normalized"] or cfg["bounds"]:
+        objective = build_objective(cfg)
+        opt = resolve_opt(cfg, objective)
+        if cfg["normalized"]:
+            scale, opt_text = opt, _g17(opt)
+        bound_curves = _bound_curves(cfg, objective, opt)
 
     curves = []
     for label, stat in _REPORT_STATS:
@@ -332,15 +360,13 @@ def cmd_report(cfg: dict) -> int:
     fits = analysis.shared_c1_refit(curves, p=cfg["fit_exponent"], t_min=cfg["t_min"])
 
     violations = []
-    for entry in cfg["bounds"]:
-        path = os.path.join(out_dir, f"bound_{entry['theorem']}.csv")
-        if not os.path.exists(path):
-            continue
-        curve = bounds.load_bound_curve(path)
-        convention = bounds.THEOREMS[entry["theorem"]].statistic
+    for theorem, delta, curve in bound_curves:
+        convention = bounds.THEOREMS[theorem].statistic
         rate = analysis.bound_violation_rate(battery, curve, convention)
-        violations.append((entry["theorem"], _bound_delta(entry, cfg["trial"].T),
-                           convention, curve.at(int(battery.t[-1])), rate))
+        violations.append(
+            f"violation {theorem}: delta={_g17(delta)} statistic={convention} "
+            f"bound_at_T={_g17(curve.at(trial.T))} rate={_g17(rate)}"
+        )
 
     # every input is read and checked before the first output is written
     for t, values, label in curves:
@@ -364,13 +390,8 @@ def cmd_report(cfg: dict) -> int:
             f"fit {fit.label}: c2={_g17(fit.c2)} residual={_g17(fit.residual)} "
             f"n_points={fit.n_points}"
         )
-    for theorem, delta, convention, threshold, rate in violations:
-        lines.append(
-            f"violation {theorem}: delta={_g17(delta)} statistic={convention} "
-            f"bound_at_T={_g17(threshold)} rate={_g17(rate)}"
-        )
     with open(report_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines + violations) + "\n")
     print(f"wrote {report_path}")
     return 0
 

@@ -372,6 +372,69 @@ class TestReport:
         assert cli.main(["report", "--config", str(cfg)]) == 1
         assert "battery" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override,expected", [
+        ('bounds=[{"theorem":"theorem4","delta":0.5}]', "-0.15692725717306244"),
+        ("noise.sigma=2", None),
+    ])
+    def test_bound_follows_the_config_not_a_stale_file(self, tmp_path, override, expected):
+        """After ``bounds`` wrote the delta 0.01, sigma 0.5 curve, a report
+        under another delta or sigma evaluates that config's bound, the one
+        ``bounds`` writes under the same override."""
+        cfg = write_config(tmp_path, T=30, runs=4, opt={"runs": 2, "iterations": 50},
+                           problem={**_GENERATED, "m": 2},
+                           noise={"kind": "clipped_gaussian", "sigma": 0.5},
+                           bounds=[{"theorem": "theorem4", "delta": 0.01}])
+        for command in ("run", "bounds"):
+            assert cli.main([command, "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        stale = (out / "bound_theorem4.csv").read_text().splitlines()[-1].split(",")[1]
+        assert cli.main(["report", "--config", str(cfg), "--set", override]) == 0
+        line = next(ln for ln in (out / "report.txt").read_text().splitlines()
+                    if ln.startswith("violation theorem4"))
+        reported = line.split("bound_at_T=")[1].split()[0]
+        assert cli.main(["bounds", "--config", str(cfg), "--set", override]) == 0
+        fresh = (out / "bound_theorem4.csv").read_text().splitlines()[-1].split(",")[1]
+        assert reported == fresh != stale
+        if expected is not None:
+            assert reported == expected
+
+    def test_violation_lines_need_no_bound_files(self, tmp_path, one_dim_instance):
+        cfg = write_config(tmp_path, T=20, runs=3, opt=0.5,
+                           noise={"kind": "clipped_gaussian", "sigma": 0.1},
+                           bounds=[{"theorem": "theorem4", "delta": 0.1},
+                                   {"theorem": "theorem5", "delta": 1.0}])
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        assert cli.main(["report", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        assert not list(out.glob("bound_*.csv"))
+        lines = (out / "report.txt").read_text().splitlines()
+        assert [ln.split(":")[0] for ln in lines if ln.startswith("violation ")] == \
+            ["violation theorem4", "violation theorem5"]
+
+    def test_report_bytes_do_not_depend_on_bound_files(self, tmp_path, one_dim_instance):
+        """report.txt is the same with no bound files, with the ones ``bounds``
+        writes for this config, and with the ones of another delta."""
+        cfg = write_config(tmp_path, T=30, runs=5, opt=0.5, normalized=True,
+                           noise={"kind": "clipped_gaussian", "sigma": 0.2},
+                           bounds=[{"theorem": "theorem4", "delta": 0.05},
+                                   {"theorem": "theorem5", "delta": 2.0}])
+        out = tmp_path / "out"
+
+        def report():
+            assert cli.main(["report", "--config", str(cfg)]) == 0
+            return (out / "report.txt").read_bytes()
+
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        without = report()
+        assert cli.main(["bounds", "--config", str(cfg)]) == 0
+        fresh = report()
+        assert cli.main(["bounds", "--config", str(cfg), "--set",
+                         'bounds=[{"theorem":"theorem4","delta":0.5},'
+                         '{"theorem":"theorem5","delta":9.0}]']) == 0
+        stale = report()
+        assert without == fresh == stale
+        assert b"violation theorem4" in without and b"violation theorem5" in without
+
 
 _GENERATED = {"kind": "nqp-generate", "n": 4, "m": 1, "entry_low": -1.0,
               "entry_high": 0.0, "seed": 3}
@@ -414,6 +477,8 @@ _INVALID = [
         ("theorem1-unbounded-noise",
          {"noise": _GAUSSIAN, "bounds": [{"theorem": "theorem1", "delta": 0.1}]}),
         ("theorem3-p-above-one", {"bounds": [{"theorem": "theorem3", "p": 1.5}]}),
+        ("theorem4-twice", {"bounds": [{"theorem": "theorem4", "delta": 0.01, "alpha": 0.5},
+                                       {"theorem": "theorem4", "delta": 0.01, "alpha": 0.8}]}),
     )
 ]
 
@@ -443,15 +508,20 @@ class TestOneValidationBoundary:
         self.assert_rejected(command, cfg, out, capsys)
         assert command != "run" or not (out / "battery.csv").exists()
 
-    def test_malformed_bound_file_exits_validation(self, tmp_path, one_dim_instance,
-                                                   capsys):
-        cfg = write_config(tmp_path, bounds=[{"theorem": "theorem5", "delta": 1.0}])
-        assert cli.main(["run", "--config", str(cfg)]) == 0
+    @pytest.mark.parametrize("change,values", [
+        ({"algorithm": "pga"}, ("'scg'", "'pga'")),
+        ({"T": 50}, ("4 points", "T = 50")),
+        ({"T": 2}, ("4 points", "T = 2")),
+    ], ids=["algorithm", "T-longer", "T-shorter"])
+    def test_battery_must_match_the_config(self, tmp_path, one_dim_instance, change,
+                                           values, capsys):
+        """A battery run under another algorithm or horizon is not reported
+        under this config's name, bounds or fits."""
+        assert cli.main(["run", "--config", str(write_config(tmp_path))]) == 0
         capsys.readouterr()
-        (tmp_path / "out" / "bound_theorem5.csv").write_text(
-            "# theorem5\nt,bound_value,prob\n1,oops,\n")
+        cfg = write_config(tmp_path, name="other.json", **change)
         err = self.assert_rejected("report", cfg, tmp_path / "out", capsys)
-        assert "bound_theorem5.csv" in err
+        assert "battery.csv" in err and all(value in err for value in values), err
 
     @pytest.mark.parametrize("row", ["1,scg,5", "0,foo,5,0.5,0.5"])
     def test_malformed_battery_row_names_file_and_line(self, tmp_path, one_dim_instance,
