@@ -4,9 +4,10 @@ Each ``theoremN_bound`` evaluates one guarantee as a function of the
 iteration budget ``T`` and a confidence parameter, given the problem
 constants (smoothness, diameter, noise bounds, optimum).  Bounds may be
 negative: vacuous values are meaningful outputs for plotting.  ``THEOREMS``
-holds the per-theorem facts, and ``bound_curve`` evaluates a theorem by
-name.  Helper numerics live here too: the momentum series constant and a
-Perron-root spectral norm.
+holds the per-theorem facts, and ``bound_curve`` is the one reader of a
+config's bounds entry: it checks the entry against its theorem's keys and
+evaluates it.  Helper numerics live here too: the momentum series constant
+and a Perron-root spectral norm.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import diameter_bound
-from .objectives import Objective
+from .objectives import Objective, is_finite_real
 from .oracles import NoiseModel, noise_constants
 
 __all__ = [
@@ -312,16 +313,39 @@ THEOREMS = {
 }
 
 
-def bound_curve(name: str, c: BoundConstants, T: int, delta: float, params=None) -> BoundCurve:
-    """Theorem ``name`` over ``t = 1..T``, its parameters read from the
-    ``params`` mapping; the meta echoes the float parameters and ``K``."""
-    spec, params = THEOREMS[name], params or {}
-    args = {key: type(default)(params.get(key, default)) for key, default in spec.params.items()}
-    t = np.arange(1, T + 1)
-    # looked up at call time, so a wrapper installed on the module applies
-    out = globals()[f"{name}_bound"](c, t, delta, **args)
+def bound_curve(entry: dict, c: BoundConstants, T: int) -> BoundCurve:
+    """The config's bounds ``entry`` over ``t = 1..T``: ``theorem``, exactly
+    one of ``delta`` and ``p`` (mapped by ``TheoremSpec.delta``) and that
+    theorem's parameters.  Every ``ValueError`` starts with the theorem's
+    name; the meta echoes delta, the constants, the float parameters and
+    ``K``."""
+    name = entry.get("theorem")
+    if not isinstance(name, str) or name not in THEOREMS:
+        raise ValueError(f"{name}: unknown theorem, expected one of {', '.join(THEOREMS)}")
+    spec = THEOREMS[name]
+    try:
+        unknown = sorted(set(entry) - {"theorem", "delta", "p", *spec.params})
+        if unknown:
+            raise ValueError(f"unknown bounds entry key(s): {', '.join(unknown)}")
+        if ("delta" in entry) == ("p" in entry):
+            raise ValueError("each bounds entry needs exactly one of delta or p")
+        # delta and p are numbers, like the float-valued theorem parameters
+        for key, default in {"delta": 0.0, "p": 0.0, **spec.params}.items():
+            value = entry.get(key, default)
+            if isinstance(default, bool) and not isinstance(value, bool):
+                raise ValueError(f"{key} must be true or false")
+            if isinstance(default, float) and not is_finite_real(value):
+                raise ValueError(f"{key} must be a finite number")
+        args = {key: type(default)(entry.get(key, default))
+                for key, default in spec.params.items()}
+        delta = float(entry["delta"]) if "delta" in entry else spec.delta(entry["p"], T)
+        t = np.arange(1, T + 1)
+        # looked up at call time, so a wrapper installed on the module applies
+        out = globals()[f"{name}_bound"](c, t, delta, **args)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
     bound, prob = out if spec.chebyshev else (out, None)
-    meta = [("delta", float(delta)), ("L", c.lipschitz), ("D", c.diameter),
+    meta = [("delta", delta), ("L", c.lipschitz), ("D", c.diameter),
             ("M", c.noise_bound), ("sigma", c.noise_sigma), ("opt", c.opt)]
     meta += [(key, value) for key, value in args.items() if isinstance(value, float)]
     if "alpha" in args:

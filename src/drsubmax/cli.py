@@ -2,9 +2,10 @@
 bound curves, and produce fit/violation reports.
 
 Every command is driven by a JSON config file; command-line ``--set``
-options override individual (dotted) keys.  ``report`` reads nothing but the
-config and ``battery.csv``: it evaluates its bounds as ``bounds`` does, and
-the ``bound_<theorem>.csv`` files are plotting output only.  Outputs are
+options override individual (dotted) keys.  ``bounds.bound_curve`` alone
+reads and checks a bounds entry.  ``report`` reads nothing but the config and
+``battery.csv``: it evaluates its bounds as ``bounds`` does, and the
+``bound_<theorem>.csv`` files are plotting output only.  Outputs are
 plain CSV and text with 17-significant-digit floats, so identical configs
 reproduce identical bytes.  Exit codes: 0 success, 1 I/O failure, 2
 validation failure.  Bad input raises ``ValueError`` and I/O failure
@@ -57,9 +58,6 @@ _PROBLEM_KEYS = {
                          "p_high", "seed", "k", "upper", "alphas"},
 }
 
-_BOUND_KEYS = {"theorem", "delta", "p"}.union(
-    *(spec.params for spec in bounds.THEOREMS.values()))
-
 # an optimum approximation spec's keys, as approx_opt's arguments
 _OPT_ARGS = {"runs": "n_runs", "iterations": "iterations"}
 
@@ -86,8 +84,9 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
 def validate_config(raw: dict) -> dict:
     """The config with the CLI's defaults filled in, after checking the keys
     that no library type sees.  The trial and noise keys are checked by
-    ``RunConfig`` and ``NoiseModel`` when ``load_config`` builds them, and the
-    problem's values by the objective's constructor."""
+    ``RunConfig`` and ``NoiseModel`` when ``load_config`` builds them, each
+    bounds entry by ``bounds.bound_curve``, and the problem's values by the
+    objective's constructor."""
     _reject_unknown(raw, _TOP_KEYS, "config")
     cfg = dict(_DEFAULTS)
     cfg.update(raw)
@@ -123,26 +122,8 @@ def validate_config(raw: dict) -> dict:
 
     if not isinstance(cfg["bounds"], list):
         raise ValueError("bounds must be a list")
-    seen = set()
-    for entry in cfg["bounds"]:
-        if not isinstance(entry, dict):
-            raise ValueError("each bounds entry must be an object")
-        _reject_unknown(entry, _BOUND_KEYS, "bounds entry")
-        theorem = entry.get("theorem")
-        if not isinstance(theorem, str) or theorem not in bounds.THEOREMS:
-            raise ValueError(f"unknown theorem {theorem!r}")
-        if theorem in seen:  # both entries would write one bound_<theorem>.csv
-            raise ValueError(f"{theorem}: listed twice in bounds")
-        seen.add(theorem)
-        if ("delta" in entry) == ("p" in entry):
-            raise ValueError("each bounds entry needs exactly one of delta or p")
-        # delta and p are numbers, like the float-valued theorem parameters
-        for key, default in {"delta": 0.0, "p": 0.0, **bounds.THEOREMS[theorem].params}.items():
-            value = entry.get(key, default)
-            if isinstance(default, bool) and not isinstance(value, bool):
-                raise ValueError(f"{theorem}: {key} must be true or false")
-            if isinstance(default, float) and not is_finite_real(value):
-                raise ValueError(f"{theorem}: {key} must be a finite number")
+    if not all(isinstance(entry, dict) for entry in cfg["bounds"]):
+        raise ValueError("each bounds entry must be an object")
 
     opt = cfg["opt"]
     if isinstance(opt, dict):
@@ -166,12 +147,6 @@ def build_run_config(cfg: dict) -> RunConfig:
             _reject_unknown(kwargs[key], {f.name for f in fields(rule)}, key)
             kwargs[key] = rule(**kwargs[key])
     return RunConfig(**kwargs)
-
-
-def _bound_delta(entry: dict, T: int) -> float:
-    if "delta" in entry:
-        return float(entry["delta"])
-    return bounds.THEOREMS[entry["theorem"]].delta(entry["p"], T)
 
 
 def load_config(path, overrides) -> dict:
@@ -201,12 +176,12 @@ def load_config(path, overrides) -> dict:
     cfg["noise"] = NoiseModel(**cfg["noise"])
     # each bounds entry is checked by its theorem at T = 1 before any work
     unit = bounds.BoundConstants(1.0, 1.0, *noise_constants(cfg["noise"], 1, g_max=1.0))
+    seen = set()
     for entry in cfg["bounds"]:
-        try:
-            bounds.bound_curve(entry["theorem"], unit, 1, _bound_delta(entry, cfg["trial"].T),
-                               entry)
-        except ValueError as exc:
-            raise ValueError(f"{entry['theorem']}: {exc}") from None
+        theorem = bounds.bound_curve(entry, unit, 1).label
+        if theorem in seen:  # both entries would write one bound_<theorem>.csv
+            raise ValueError(f"{theorem}: listed twice in bounds")
+        seen.add(theorem)
     return cfg
 
 
@@ -302,18 +277,12 @@ def cmd_run(cfg: dict) -> int:
 
 
 def _bound_curves(cfg: dict, objective, opt: float) -> list:
-    """``(theorem, delta, curve over t = 1..T)`` for each bounds entry, all
-    evaluated before the caller writes anything."""
+    """Each bounds entry's curve over t = 1..T, all evaluated before the
+    caller writes anything."""
     if not cfg["bounds"]:
         return []
     consts = bounds.constants_for(objective, cfg["noise"], opt)
-    T = cfg["trial"].T
-    out = []
-    for entry in cfg["bounds"]:
-        delta = _bound_delta(entry, T)
-        out.append((entry["theorem"], delta,
-                    bounds.bound_curve(entry["theorem"], consts, T, delta, entry)))
-    return out
+    return [bounds.bound_curve(entry, consts, cfg["trial"].T) for entry in cfg["bounds"]]
 
 
 def cmd_bounds(cfg: dict) -> int:
@@ -322,8 +291,8 @@ def cmd_bounds(cfg: dict) -> int:
     objective = build_objective(cfg)
     curves = _bound_curves(cfg, objective, resolve_opt(cfg, objective))
     os.makedirs(cfg["output_dir"], exist_ok=True)
-    for theorem, _, curve in curves:
-        path = os.path.join(cfg["output_dir"], f"bound_{theorem}.csv")
+    for curve in curves:
+        path = os.path.join(cfg["output_dir"], f"bound_{curve.label}.csv")
         bounds.save_bound_curve(path, curve)
         print(f"wrote {path}")
     return 0
@@ -343,6 +312,9 @@ def cmd_report(cfg: dict) -> int:
     if not np.array_equal(battery.t, np.arange(1, trial.T + 1)):
         raise ValueError(f"{battery_path}: battery grid of {battery.t.size} points is not "
                          f"1..T for the config's T = {trial.T}")
+    if not np.array_equal(battery.run_ids, np.arange(cfg["runs"])):
+        raise ValueError(f"{battery_path}: battery of {battery.n_runs} runs is not run ids "
+                         f"0..runs-1 for the config's runs = {cfg['runs']}")
     series = optimizers.guarantee_series(battery.algorithm)
 
     scale, opt_text, bound_curves = 1.0, "-", []
@@ -360,11 +332,12 @@ def cmd_report(cfg: dict) -> int:
     fits = analysis.shared_c1_refit(curves, p=cfg["fit_exponent"], t_min=cfg["t_min"])
 
     violations = []
-    for theorem, delta, curve in bound_curves:
-        convention = bounds.THEOREMS[theorem].statistic
+    for curve in bound_curves:
+        convention = bounds.THEOREMS[curve.label].statistic
         rate = analysis.bound_violation_rate(battery, curve, convention)
         violations.append(
-            f"violation {theorem}: delta={_g17(delta)} statistic={convention} "
+            f"violation {curve.label}: delta={_g17(dict(curve.meta)['delta'])} "
+            f"statistic={convention} "
             f"bound_at_T={_g17(curve.at(trial.T))} rate={_g17(rate)}"
         )
 

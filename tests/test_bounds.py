@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from drsubmax.bounds import (
+    THEOREMS,
     BoundConstants,
     BoundCurve,
     boosted_constants,
+    bound_curve,
     constants_for,
     gamma_fn,
     k_constant,
@@ -335,6 +337,58 @@ class TestConstantsAssembly:
         obj = NqpObjective([[-1.0]], Polytope.box([1.0]))
         c = constants_for(obj, NoiseModel.gaussian_prop(1.0), opt=1.0)
         assert c.noise_sigma == pytest.approx(1.0, abs=1e-12)
+
+
+class TestBoundCurveEntry:
+    """``bound_curve`` reads a config's bounds entry: it checks the entry
+    against its theorem and evaluates it over ``t = 1..T``."""
+
+    @pytest.mark.parametrize("name", sorted(THEOREMS))
+    def test_p_maps_to_delta(self, name):
+        curve = bound_curve({"theorem": name, "p": 0.75}, UNIT, 20)
+        delta = math.sqrt(20 / 0.25) if name in ("theorem3", "theorem5") else 0.25
+        assert dict(curve.meta)["delta"] == pytest.approx(delta, rel=1e-15)
+        assert curve.label == name
+        assert list(curve.t) == list(range(1, 21))
+        same = bound_curve({"theorem": name, "delta": dict(curve.meta)["delta"]}, UNIT, 20)
+        assert np.array_equal(curve.bound, same.bound)
+
+    def test_default_alpha_echoed(self, tmp_path):
+        curve = bound_curve({"theorem": "theorem4", "delta": 0.01}, UNIT, 5)
+        path = tmp_path / "bound.csv"
+        save_bound_curve(path, curve)
+        lines = path.read_text().splitlines()
+        assert "# alpha=0.5" in lines and "# K=2" in lines
+        assert np.array_equal(curve.bound, theorem4_bound(UNIT, np.arange(1, 6), 0.01))
+
+    @pytest.mark.parametrize("entry", [
+        {"theorem": "theorem9", "delta": 0.1},
+        {"theorem": "theorem3", "delta": 100, "gamma": 0.3},
+        {"theorem": "theorem4", "deltta": 0.1},
+        {"theorem": "theorem2"},
+        {"theorem": "theorem5", "delta": 1.0, "p": 0.5},
+        {"theorem": "theorem4", "delta": True},
+        {"theorem": "theorem3", "p": "high"},
+        {"theorem": "theorem2", "delta": 0.1, "gamma": float("nan")},
+        {"theorem": "theorem5", "delta": 1.0, "main_text_exponent": 1},
+        {"theorem": "theorem3", "p": 1.5},
+        {"theorem": "theorem1", "delta": 0.0},
+        {"theorem": "theorem2", "delta": 0.1, "gamma": 2.0},
+        {"theorem": "theorem4", "delta": 0.01, "alpha": 0.995},
+    ])
+    def test_every_error_names_the_theorem(self, entry):
+        with pytest.raises(ValueError, match=f"^{entry['theorem']}: "):
+            bound_curve(entry, UNIT, 10)
+
+    def test_foreign_keys_named(self):
+        entry = {"theorem": "theorem1", "delta": 0.01, "alpha": 0.9, "main_text_exponent": True}
+        with pytest.raises(ValueError, match="^theorem1: .*alpha, main_text_exponent"):
+            bound_curve(entry, UNIT, 10)
+
+    def test_unbounded_noise_names_the_theorem(self):
+        unbounded = BoundConstants(1.0, 1.0, noise_bound=math.inf, noise_sigma=1.0)
+        with pytest.raises(ValueError, match="^theorem2: bounded gradient error"):
+            bound_curve({"theorem": "theorem2", "delta": 0.1}, unbounded, 10)
 
 
 class TestBoundCurveSerialization:

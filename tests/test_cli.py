@@ -299,7 +299,7 @@ class TestReport:
                 for t in range(1, 101):
                     y = 1.0 - 2.0 / math.sqrt(t)
                     fh.write(f"{rid},scg,{t},{y:.17g},{y:.17g}\n")
-        cfg = write_config(tmp_path, T=100)
+        cfg = write_config(tmp_path, T=100, runs=3)
         assert cli.main(["report", "--config", str(cfg)]) == 0
         report = (out / "report.txt").read_text()
         c1 = float(next(ln for ln in report.splitlines()
@@ -479,6 +479,13 @@ _INVALID = [
         ("theorem3-p-above-one", {"bounds": [{"theorem": "theorem3", "p": 1.5}]}),
         ("theorem4-twice", {"bounds": [{"theorem": "theorem4", "delta": 0.01, "alpha": 0.5},
                                        {"theorem": "theorem4", "delta": 0.01, "alpha": 0.8}]}),
+        ("bounds-object", {"bounds": {"theorem": "theorem4", "delta": 0.01}}),
+        ("bounds-entry-list", {"bounds": [["theorem4", 0.01]]}),
+        ("theorem9", {"bounds": [{"theorem": "theorem9", "delta": 0.01}]}),
+        ("theorem4-deltta", {"bounds": [{"theorem": "theorem4", "deltta": 0.01}]}),
+        ("theorem1-alpha", {"bounds": [{"theorem": "theorem1", "delta": 0.01, "alpha": 0.9}]}),
+        ("theorem4-main_text_exponent",
+         {"bounds": [{"theorem": "theorem4", "delta": 0.01, "main_text_exponent": True}]}),
     )
 ]
 
@@ -512,10 +519,11 @@ class TestOneValidationBoundary:
         ({"algorithm": "pga"}, ("'scg'", "'pga'")),
         ({"T": 50}, ("4 points", "T = 50")),
         ({"T": 2}, ("4 points", "T = 2")),
-    ], ids=["algorithm", "T-longer", "T-shorter"])
+        ({"runs": 3}, ("2 runs", "runs = 3")),
+    ], ids=["algorithm", "T-longer", "T-shorter", "runs"])
     def test_battery_must_match_the_config(self, tmp_path, one_dim_instance, change,
                                            values, capsys):
-        """A battery run under another algorithm or horizon is not reported
+        """A battery run under another algorithm, horizon or run count is not reported
         under this config's name, bounds or fits."""
         assert cli.main(["run", "--config", str(write_config(tmp_path))]) == 0
         capsys.readouterr()
