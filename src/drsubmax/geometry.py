@@ -4,8 +4,10 @@ The feasible region is ``{x : A x <= b, 0 <= x <= upper}`` with a strictly
 feasible origin (all entries of ``b`` and ``upper`` positive).  Two oracles
 are provided: Euclidean projection (the finite dual active-set method of
 Goldfarb and Idnani with an identity Hessian, certified by its KKT
-conditions) and linear maximization (a dense primal simplex with Bland's
-anti-cycling rule).  Both are deterministic functions of their inputs.
+conditions) and linear maximization (a bounded-variable primal simplex on
+the halfspaces the box does not already satisfy, with largest-reduced-cost
+pricing and Bland's rule after a degenerate pivot, certified by its
+recomputed reduced costs).  Both are deterministic functions of their inputs.
 """
 
 from __future__ import annotations
@@ -27,10 +29,16 @@ __all__ = [
     "load_polytope",
 ]
 
-#: absolute optimality tolerance of the linear maximization oracle
+#: tolerance of the linear maximization oracle: a variable enters the basis
+#: when its reduced cost improves the objective by more than this, and the
+#: certificate accepts an answer within this distance of feasibility and
+#: optimality (relative to max(1, ||g||_inf))
 TOL_LP = 1e-9
 
 _PIVOT_EPS = 1e-10
+#: pivot budget of the LMO's simplex per variable (finite by the anti-cycling
+#: rule; the budget only stops a cycle caused by rounding)
+_PIVOTS_PER_VARIABLE = 50
 
 #: a constraint is added to the projection's active set once it is violated
 #: by more than this distance, relative to max(1, ||y||)
@@ -56,7 +64,12 @@ class ProjectionError(RuntimeError):
 
 
 class LmoError(RuntimeError):
-    """The simplex pivot budget was exhausted (must not happen with Bland's rule)."""
+    """The LMO's answer failed its optimality certificate; carries the
+    residual."""
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,12 +79,17 @@ class Polytope:
     ``a_matrix`` is ``(m, n)`` with ``m == 0`` allowed (pure box), ``b_vector``
     has length ``m`` and ``upper`` length ``n``.  All entries of ``b_vector``
     and ``upper`` must be strictly positive so the origin is strictly feasible.
+
+    A halfspace is redundant when the whole box satisfies it,
+    ``sum_j max(A_ij, 0) * upper_j <= b_i``.  ``lmo`` runs on the other rows
+    only (``_lmo_rows``); every other use of the region keeps all of them.
     """
 
     a_matrix: np.ndarray
     b_vector: np.ndarray
     upper: np.ndarray
     _row_norms_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    _lmo_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a_matrix, dtype=float))
@@ -100,6 +118,9 @@ class Polytope:
         rn = np.einsum("ij,ij->i", a, a) if a.shape[0] else np.zeros(0)
         rn.setflags(write=False)
         object.__setattr__(self, "_row_norms_sq", rn)
+        rows = np.flatnonzero(np.maximum(a, 0.0) @ u > b)
+        rows.setflags(write=False)
+        object.__setattr__(self, "_lmo_rows", rows)
 
     @property
     def dim(self) -> int:
@@ -306,64 +327,124 @@ def _kkt_point(p: Polytope, y: np.ndarray, active: np.ndarray, side: np.ndarray)
 def lmo(p: Polytope, g) -> np.ndarray:
     """A vertex maximizing ``<g, v>`` over the polytope.
 
-    Pure boxes use the sign rule ``v_j = upper_j if g_j > 0 else 0``.  With
-    halfspaces the LP ``max g.v  s.t. [A; I] v <= [b; upper], v >= 0`` is
-    solved with a dense primal tableau simplex.  Bland's rule (lowest-index
-    entering variable, lowest-index basic variable on ratio ties) makes the
-    result deterministic and cycle-free; coordinates whose reduced objective
-    coefficient never turns positive rest at their lower bound 0.  Raises
-    ``ValueError`` when ``g`` has a non-finite entry.
+    Only the halfspaces that some point of the box violates take part (see
+    ``Polytope``); without any, the answer is the sign rule
+    ``v_j = upper_j if g_j > 0 else 0``.  Otherwise the LP
+    ``max g.v  s.t.  A v + s = b,  0 <= v <= upper,  s >= 0`` is solved by a
+    bounded-variable primal simplex (the upper-bounding technique of Dantzig,
+    Econometrica 23, 1955) on the tableau ``[A I]``, cold-started at the
+    origin with the slacks basic.  A nonbasic variable sits at 0 or at its
+    upper bound, and reaching the other bound first is a bound flip, not a
+    pivot.  The entering variable is the one with the largest improving
+    reduced cost; right after a degenerate pivot (a step of at most
+    ``_PIVOT_EPS``) it is the lowest-index improving one (Bland, Math. Oper.
+    Res. 2, 1977).  The lowest-index basic variable leaves on ratio ties.
+    Every pivot of a cycle would be degenerate and so would follow Bland's
+    rule, which cannot cycle.  Ties go to the lowest index, so the answer is
+    a deterministic function of ``p`` and ``g``.
+
+    The answer is certified before it is returned: the duals are recomputed
+    from the final basis and the original ``[A I]``, no nonbasic variable may
+    improve the objective by more than ``TOL_LP * max(1, ||g||_inf)``, and the
+    vertex may violate no constraint by more than ``TOL_LP``.  Raises
+    ``LmoError`` carrying the residual when it fails, and ``ValueError`` when
+    ``g`` has a non-finite entry.
     """
     g = _check_dim(p, g, "g")
     if not np.all(np.isfinite(g)):
         raise ValueError("g must be finite")
-    n = p.dim
-    if p.n_halfspaces == 0:
+    if p._lmo_rows.size == 0:
         return np.where(g > 0.0, p.upper, 0.0)
 
-    m = p.n_halfspaces
-    rows = m + n
-    cols = n + rows  # structural variables then one slack per row
-    tab = np.zeros((rows, cols + 1))
-    tab[:m, :n] = p.a_matrix
-    tab[m:rows, :n] = np.eye(n)
-    tab[:, n : n + rows] = np.eye(rows)
-    tab[:m, cols] = p.b_vector
-    tab[m:rows, cols] = p.upper
-    # reduced objective row for maximization: entering requires obj[j] < -TOL_LP
-    obj = np.zeros(cols + 1)
-    obj[:n] = -g
-    basis = np.arange(n, n + rows)
+    m, n = p._lmo_rows.size, p.dim
+    # the coordinates, then one slack per row
+    full = np.hstack((p.a_matrix[p._lmo_rows], np.eye(m)))
+    cost = np.concatenate((g, np.zeros(m)))
+    basis, at_upper, values = _bounded_simplex(full, p.b_vector[p._lmo_rows], p.upper, cost)
+    v = np.where(at_upper[:n], p.upper, 0.0)
+    structural = basis < n
+    v[basis[structural]] = values[structural]
+    v = np.clip(v, 0.0, p.upper)
+    residual = _lmo_residual(p, full, cost, basis, at_upper, v)
+    if not residual <= TOL_LP:
+        raise LmoError(f"LMO failed its optimality certificate: residual {residual:.3g}",
+                       residual=residual)
+    return v
 
-    max_pivots = 1000 + 50 * cols
-    for _ in range(max_pivots):
-        candidates = np.flatnonzero(obj[:cols] < -TOL_LP)
-        if candidates.size == 0:
-            break
-        j = int(candidates[0])  # Bland: lowest-index entering variable
-        col = tab[:, j]
-        pos = col > _PIVOT_EPS
-        if not np.any(pos):
-            raise LmoError("linear program is unbounded; polytope invariant violated")
-        ratios = np.full(rows, np.inf)
-        ratios[pos] = tab[pos, cols] / col[pos]
-        best = ratios.min()
+
+def _bounded_simplex(full: np.ndarray, b: np.ndarray, u: np.ndarray, cost: np.ndarray):
+    """Final basis (variable per row), nonbasic-at-upper mask and basic values
+    of ``max cost.z`` over ``full z = b``, ``0 <= z <= (u, inf)``, where
+    ``full = [A I]`` holds the ``n`` coordinates then the ``m`` slacks."""
+    m = full.shape[0]
+    n = full.shape[1] - m
+    tab = full.copy()  # B^-1 [A I]
+    cost = cost.copy()  # reduced costs c - c_B B^-1 [A I]
+    upper = np.concatenate((u, np.full(m, np.inf)))
+    sign = np.ones(n + m)  # -1 for a nonbasic variable at its upper bound
+    basis = np.arange(n, n + m)
+    values = b.copy()
+    basic_upper = np.full(m, np.inf)
+    ratios = np.empty(m)
+    bland = False
+    for _ in range(_PIVOTS_PER_VARIABLE * (n + m)):
+        gain = sign * cost  # zero on basic variables
+        if bland:
+            improving = np.flatnonzero(gain > TOL_LP)
+            if improving.size == 0:
+                break
+            j = int(improving[0])
+        else:
+            j = int(np.argmax(gain))
+            if not gain[j] > TOL_LP:
+                break
+        # the basic values move by -step * rate as v_j leaves its bound
+        rate = sign[j] * tab[:, j]
+        ratios.fill(np.inf)
+        np.divide(values, rate, out=ratios, where=rate > _PIVOT_EPS)
+        np.divide(values - basic_upper, rate, out=ratios, where=rate < -_PIVOT_EPS)
+        best = float(ratios.min())
+        step = max(best, 0.0)
+        u_j = float(upper[j])
+        if u_j == best == math.inf:
+            break  # unbounded, which only rounding can cause; the certificate fails
+        if u_j <= step:  # bound flip: v_j reaches its other bound first
+            values -= u_j * rate
+            sign[j] = -sign[j]
+            bland = False
+            continue
         tied = np.flatnonzero(ratios <= best + _PIVOT_EPS * max(1.0, abs(best)))
-        r = int(tied[np.argmin(basis[tied])])  # Bland: lowest basic index on ties
-        piv = tab[r, j]
-        tab[r] /= piv
+        r = int(tied[np.argmin(basis[tied])])  # lowest basic index on ties
+        values -= step * rate
+        values[r] = u_j - step if sign[j] < 0.0 else step
+        sign[basis[r]] = -1.0 if rate[r] < 0.0 else 1.0
+        sign[j] = 1.0
+        tab[r] /= tab[r, j]
         factors = tab[:, j].copy()
         factors[r] = 0.0
-        tab -= np.outer(factors, tab[r])
-        obj -= obj[j] * tab[r]
+        tab -= factors[:, None] * tab[r]
+        cost -= cost[j] * tab[r]
         basis[r] = j
-    else:
-        raise LmoError(f"pivot budget {max_pivots} exhausted")
+        basic_upper[r] = u_j
+        bland = step <= _PIVOT_EPS
+    at_upper = sign < 0.0
+    return basis, at_upper, values
 
-    v = np.zeros(n)
-    structural = basis < n
-    v[basis[structural]] = tab[structural, cols]
-    return np.clip(v, 0.0, p.upper)
+
+def _lmo_residual(p: Polytope, full: np.ndarray, cost: np.ndarray, basis: np.ndarray,
+                  at_upper: np.ndarray, v: np.ndarray) -> float:
+    """The larger of the vertex's constraint violation and the largest
+    improvement a nonbasic variable offers (relative to ``max(1, ||cost||_inf)``),
+    with the duals recomputed from the final basis and the original ``[A I]``."""
+    try:
+        y = np.linalg.solve(full[:, basis].T, cost[basis])
+    except np.linalg.LinAlgError:
+        return math.inf
+    reduced = cost - full.T @ y
+    gain = np.where(at_upper, -reduced, reduced)
+    gain[basis] = 0.0
+    scale = max(1.0, float(np.max(np.abs(cost))))
+    return max(float(np.max(gain)) / scale, violation(p, v))
 
 
 def diameter_bound(p: Polytope) -> float:

@@ -373,7 +373,7 @@ class TestReport:
         assert "battery" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override,expected", [
-        ('bounds=[{"theorem":"theorem4","delta":0.5}]', "-0.15692725717306244"),
+        ('bounds=[{"theorem":"theorem4","delta":0.5}]', "-0.156927257173062"),
         ("noise.sigma=2", None),
     ])
     def test_bound_follows_the_config_not_a_stale_file(self, tmp_path, override, expected):

@@ -3,6 +3,8 @@ import pytest
 
 from drsubmax import geometry
 from drsubmax.geometry import (
+    TOL_LP,
+    LmoError,
     Polytope,
     ProjectionError,
     contains,
@@ -212,6 +214,56 @@ class TestLmo:
             with pytest.raises(ValueError, match="finite"):
                 lmo(poly, g)
 
+    def test_highly_degenerate_vertex(self):
+        """Eight rows tight at one vertex, plus duplicate and scaled copies of
+        them: the answer is a vertex and optimal, against vertex enumeration
+        and HiGHS, for directions that make the degenerate vertex optimal
+        and for random ones."""
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(75)
+        n, corner = 4, np.array([0.5, 0.4, 0.6, 0.3])
+        a = rng.uniform(0.1, 1.0, size=(8, n))
+        a = np.vstack([a, a[:3], 2.5 * a[3:6]])
+        poly = Polytope(a, a @ corner, np.ones(n))
+        assert np.all(np.abs(poly.a_matrix @ corner - poly.b_vector) <= 1e-15)
+        verts = enumerate_vertices(poly)
+        assert np.min(np.linalg.norm(verts - corner, axis=1)) <= 1e-12
+        cone = [rng.uniform(0.0, 1.0, size=a.shape[0]) @ a for _ in range(50)]
+        for g in cone + [rng.standard_normal(n) for _ in range(100)]:
+            v = lmo(poly, g)
+            assert violation(poly, v) <= 1e-12
+            assert np.min(np.linalg.norm(verts - v, axis=1)) <= 1e-9
+            best = float(np.max(verts @ g))
+            assert v @ g >= best - 1e-9
+            res = linprog(-g, A_ub=poly.a_matrix, b_ub=poly.b_vector,
+                          bounds=[(0.0, u) for u in poly.upper], method="highs")
+            assert res.status == 0
+            assert v @ g >= -res.fun - 1e-9
+        for g in cone:
+            np.testing.assert_allclose(lmo(poly, g), corner, atol=1e-12)
+
+    @pytest.mark.parametrize("tamper", ["flip", "budget"])
+    def test_certificate_rejects_a_tampered_answer(self, monkeypatch, tamper):
+        """A vertex that is infeasible (a nonbasic variable moved to its other
+        bound) or suboptimal (no pivot allowed) raises ``LmoError`` with its
+        residual."""
+        g = np.array([2.0, 1.0])
+        if tamper == "flip":
+            simplex = geometry._bounded_simplex
+
+            def flipped(*args):
+                basis, at_upper, values = simplex(*args)
+                nonbasic = np.setdiff1d(np.arange(at_upper.size), basis)
+                at_upper[nonbasic[0]] = not at_upper[nonbasic[0]]
+                return basis, at_upper, values
+
+            monkeypatch.setattr(geometry, "_bounded_simplex", flipped)
+        else:
+            monkeypatch.setattr(geometry, "_PIVOTS_PER_VARIABLE", 0)
+        with pytest.raises(LmoError, match="certificate") as err:
+            lmo(TRIANGLE, g)
+        assert err.value.residual > TOL_LP
+
     def test_frank_wolfe_feasibility(self):
         """x0 = 0 plus T averaged oracle vertices stays feasible at 1e-9."""
         rng = np.random.default_rng(7)
@@ -222,6 +274,40 @@ class TestLmo:
             for _ in range(T):
                 x = x + lmo(poly, rng.standard_normal(poly.dim)) / T
             assert contains(poly, x, 1e-9)
+
+
+class TestPresolve:
+    """A halfspace the whole box satisfies is left out of the LMO only."""
+
+    # the second row holds on the whole box (10 * 1 <= 10) but not at (1.5, -0.5)
+    REDUNDANT = Polytope([[1.0, 1.0], [10.0, -10.0]], [1.0, 10.0], [1.0, 1.0])
+
+    def test_lmo_skips_the_redundant_row(self):
+        np.testing.assert_array_equal(self.REDUNDANT._lmo_rows, [0])
+        rng = np.random.default_rng(76)
+        for _ in range(50):
+            g = rng.standard_normal(2)
+            np.testing.assert_array_equal(lmo(self.REDUNDANT, g), lmo(TRIANGLE, g))
+
+    def test_violation_and_save_keep_the_redundant_row(self, tmp_path):
+        assert violation(self.REDUNDANT, [1.5, -0.5]) == 10.0
+        assert violation(TRIANGLE, [1.5, -0.5]) == 0.5
+        path = tmp_path / "poly.txt"
+        save_polytope(path, self.REDUNDANT)
+        back = load_polytope(path)
+        np.testing.assert_array_equal(back.a_matrix, self.REDUNDANT.a_matrix)
+        np.testing.assert_array_equal(back.b_vector, self.REDUNDANT.b_vector)
+        np.testing.assert_array_equal(back._lmo_rows, [0])
+
+    def test_acceptance_region_is_the_sign_rule(self):
+        """The acceptance instance's one halfspace, 0.2 * sum(x) <= 1, holds
+        on the unit box, so the LMO is the sign rule bit for bit."""
+        poly = Polytope([[0.2] * 5], [1.0], np.ones(5))
+        assert poly._lmo_rows.size == 0
+        rng = np.random.default_rng(77)
+        for _ in range(200):
+            g = rng.standard_normal(5) * (rng.uniform(size=5) < 0.8)
+            np.testing.assert_array_equal(lmo(poly, g), np.where(g > 0.0, 1.0, 0.0))
 
 
 class TestPaperScaleOracles:
@@ -244,6 +330,26 @@ class TestPaperScaleOracles:
                           bounds=[(0.0, u) for u in big.upper], method="highs")
             assert res.status == 0
             assert float(v @ g) >= -res.fun - 1e-9
+
+    def test_lmo_at_the_gradient_scale_of_scg(self):
+        """SCG's directions at 100 x 50 have entries near 5e3, and TOL_LP is
+        absolute: the answer is still feasible and optimal against HiGHS."""
+        from drsubmax.objectives import generate_nqp
+
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        obj = generate_nqp(123, 100, 50, -100.0, 0.0)
+        big = obj.polytope
+        rng = np.random.default_rng(78)
+        for _ in range(10):
+            x = rng.uniform(0.0, 0.02, size=big.dim) * big.upper
+            g = obj.grad(x) + 1000.0 * rng.standard_normal(big.dim)
+            assert np.max(np.abs(g)) > 1e3
+            v = lmo(big, g)
+            assert violation(big, v) <= 1e-12
+            res = linprog(-g, A_ub=big.a_matrix, b_ub=big.b_vector,
+                          bounds=[(0.0, u) for u in big.upper], method="highs")
+            assert res.status == 0
+            assert float(v @ g) >= -res.fun - 1e-12 * abs(res.fun)
 
     def test_lmo_degenerate_structures_match_lp_reference(self):
         """Duplicate rows, parallel scaled rows, and untouched columns."""
