@@ -87,7 +87,10 @@ class TrialBattery:
                     if algorithm not in (None, alg):
                         raise ValueError("mixed algorithms in one battery")
                     algorithm = alg
-                    per_run.setdefault(int(rid), []).append((int(t), float(f), float(avg)))
+                    f, avg = float(f), float(avg)
+                    if not (math.isfinite(f) and math.isfinite(avg)):
+                        raise ValueError("non-finite value")
+                    per_run.setdefault(int(rid), []).append((int(t), f, avg))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: battery row {line!r}: {exc}") from None
         if not per_run:

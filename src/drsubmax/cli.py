@@ -2,10 +2,14 @@
 bound curves, and produce fit/violation reports.
 
 Every command is driven by a JSON config file; command-line ``--set``
-options override individual (dotted) keys.  ``bounds.bound_curve`` alone
-reads and checks a bounds entry.  ``report`` reads nothing but the config and
-``battery.csv``: it evaluates its bounds as ``bounds`` does, and the
-``bound_<theorem>.csv`` files are plotting output only.  Outputs are
+options override individual (dotted) keys.  ``load_config`` builds the
+trial config, the noise model and the problem instance (through
+``objectives.build_problem``) once for every command, so ``run``, ``bounds``
+and ``report`` reject the same malformed configs.  ``bounds.bound_curve``
+alone reads and checks a bounds entry.  ``report`` reads nothing but the
+config, its instance and ``battery.csv``: it evaluates its bounds as
+``bounds`` does, and the ``bound_<theorem>.csv`` files are plotting output
+only.  Outputs are
 plain CSV and text with 17-significant-digit floats, so identical configs
 reproduce identical bytes.  Exit codes: 0 success, 1 I/O failure, 2
 validation failure.  Bad input raises ``ValueError`` and I/O failure
@@ -50,14 +54,6 @@ _TOP_KEYS = _TRIAL_KEYS | {
     "workers", "output_dir",
 }
 
-_PROBLEM_KEYS = {
-    "nqp-generate": {"kind", "n", "m", "entry_low", "entry_high", "seed"},
-    "nqp-file": {"kind", "path"},
-    "budget-file": {"kind", "path", "mapping", "k", "upper", "alphas"},
-    "budget-synthetic": {"kind", "channels", "customers", "density", "p_low",
-                         "p_high", "seed", "k", "upper", "alphas"},
-}
-
 # an optimum approximation spec's keys, as approx_opt's arguments
 _OPT_ARGS = {"runs": "n_runs", "iterations": "iterations"}
 
@@ -85,8 +81,8 @@ def validate_config(raw: dict) -> dict:
     """The config with the CLI's defaults filled in, after checking the keys
     that no library type sees.  The trial and noise keys are checked by
     ``RunConfig`` and ``NoiseModel`` when ``load_config`` builds them, each
-    bounds entry by ``bounds.bound_curve``, and the problem's values by the
-    objective's constructor."""
+    bounds entry by ``bounds.bound_curve``, and the problem entry by
+    ``objectives.build_problem``."""
     _reject_unknown(raw, _TOP_KEYS, "config")
     cfg = dict(_DEFAULTS)
     cfg.update(raw)
@@ -94,17 +90,8 @@ def validate_config(raw: dict) -> dict:
         if cfg.get(key) is None:
             raise ValueError(f"config key {key!r} is required")
 
-    problem = cfg["problem"]
-    if not isinstance(problem, dict) or "kind" not in problem:
-        raise ValueError("problem must be an object with a 'kind'")
-    kind = problem["kind"]
-    if not isinstance(kind, str) or kind not in _PROBLEM_KEYS:
-        raise ValueError(f"unknown problem kind {kind!r}")
-    _reject_unknown(problem, _PROBLEM_KEYS[kind], f"problem[{kind}]")
-    for name, value in (("output_dir", cfg["output_dir"]),
-                        ("problem path", problem.get("path", ""))):
-        if not isinstance(value, str):
-            raise ValueError(f"{name} must be a string")
+    if not isinstance(cfg["output_dir"], str):
+        raise ValueError("output_dir must be a string")
 
     for key in ("runs", "t_min"):
         if not (is_int(cfg[key]) and cfg[key] >= 1):
@@ -150,8 +137,9 @@ def build_run_config(cfg: dict) -> RunConfig:
 
 
 def load_config(path, overrides) -> dict:
-    """The validated config, with its ``trial`` entry the built ``RunConfig``
-    and its ``noise`` entry the built ``NoiseModel``."""
+    """The validated config, with its ``trial`` entry the built ``RunConfig``,
+    its ``noise`` entry the built ``NoiseModel`` and its ``objective`` entry
+    the built problem instance."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -173,6 +161,8 @@ def load_config(path, overrides) -> dict:
         node[parts[-1]] = parsed
     cfg = validate_config(raw)
     cfg["trial"] = build_run_config(cfg)
+    if cfg["t_min"] >= cfg["trial"].T:
+        raise ValueError("t_min must be below T, so the fits have at least two points")
     cfg["noise"] = NoiseModel(**cfg["noise"])
     # each bounds entry is checked by its theorem at T = 1 before any work
     unit = bounds.BoundConstants(1.0, 1.0, *noise_constants(cfg["noise"], 1, g_max=1.0))
@@ -182,44 +172,18 @@ def load_config(path, overrides) -> dict:
         if theorem in seen:  # both entries would write one bound_<theorem>.csv
             raise ValueError(f"{theorem}: listed twice in bounds")
         seen.add(theorem)
+    cfg["objective"] = objectives.build_problem(cfg["problem"])
     return cfg
 
 
-def build_objective(cfg: dict):
-    problem = cfg["problem"]
-    kind = problem["kind"]
-    try:
-        if kind == "nqp-generate":
-            return objectives.generate_nqp(
-                problem["seed"], problem["n"], problem["m"],
-                problem["entry_low"], problem["entry_high"],
-            )
-        if kind == "nqp-file":
-            return objectives.load_nqp(problem["path"])
-        if kind == "budget-file":
-            mapping = objectives.FrequencyMapping(problem.get("mapping", "exp"))
-            return objectives.load_bipartite(
-                problem["path"], mapping, k=problem.get("k", 1),
-                alphas=problem.get("alphas"), upper=problem.get("upper"),
-            )
-        return objectives.generate_budget(
-            problem["seed"], problem["channels"], problem["customers"],
-            problem["density"], problem["p_low"], problem["p_high"],
-            k=problem.get("k", 1), alphas=problem.get("alphas"),
-            upper=problem.get("upper", 1.0),
-        )
-    except KeyError as exc:
-        raise ValueError(f"problem spec is missing key {exc}") from None
-
-
-def resolve_opt(cfg: dict, objective) -> float:
+def resolve_opt(cfg: dict) -> float:
     """Known optimum from the config, or the seeded approximation procedure
     (best final greedy value across repeated runs under the config's noise)."""
     opt = cfg["opt"]
     if isinstance(opt, (int, float)):
         return float(opt)
     return analysis.approx_opt(
-        objective,
+        cfg["objective"],
         master_seed=cfg["trial"].master_seed + _OPT_SEED_OFFSET,
         noise=cfg["noise"],
         **{_OPT_ARGS[key]: value for key, value in (opt or {}).items()},
@@ -244,7 +208,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(cfg: dict) -> int:
-    objective = build_objective(cfg)
     os.makedirs(cfg["output_dir"], exist_ok=True)
     battery_path = os.path.join(cfg["output_dir"], "battery.csv")
     marker = battery_path + ".partial"
@@ -254,7 +217,7 @@ def cmd_run(cfg: dict) -> int:
     returned = []
 
     def summarized():
-        for record in optimizers.run_battery(objective, cfg["noise"], cfg["trial"],
+        for record in optimizers.run_battery(cfg["objective"], cfg["noise"], cfg["trial"],
                                              cfg["runs"], cfg["workers"]):
             returned.append(record.returned_value)
             yield record
@@ -276,20 +239,19 @@ def cmd_run(cfg: dict) -> int:
     return 0
 
 
-def _bound_curves(cfg: dict, objective, opt: float) -> list:
+def _bound_curves(cfg: dict, opt: float) -> list:
     """Each bounds entry's curve over t = 1..T, all evaluated before the
     caller writes anything."""
     if not cfg["bounds"]:
         return []
-    consts = bounds.constants_for(objective, cfg["noise"], opt)
+    consts = bounds.constants_for(cfg["objective"], cfg["noise"], opt)
     return [bounds.bound_curve(entry, consts, cfg["trial"].T) for entry in cfg["bounds"]]
 
 
 def cmd_bounds(cfg: dict) -> int:
     if not cfg["bounds"]:
         raise ValueError("no bounds selected in config")
-    objective = build_objective(cfg)
-    curves = _bound_curves(cfg, objective, resolve_opt(cfg, objective))
+    curves = _bound_curves(cfg, resolve_opt(cfg))
     os.makedirs(cfg["output_dir"], exist_ok=True)
     for curve in curves:
         path = os.path.join(cfg["output_dir"], f"bound_{curve.label}.csv")
@@ -319,11 +281,10 @@ def cmd_report(cfg: dict) -> int:
 
     scale, opt_text, bound_curves = 1.0, "-", []
     if cfg["normalized"] or cfg["bounds"]:
-        objective = build_objective(cfg)
-        opt = resolve_opt(cfg, objective)
+        opt = resolve_opt(cfg)
         if cfg["normalized"]:
             scale, opt_text = opt, _g17(opt)
-        bound_curves = _bound_curves(cfg, objective, opt)
+        bound_curves = _bound_curves(cfg, opt)
 
     curves = []
     for label, stat in _REPORT_STATS:

@@ -8,6 +8,8 @@ conditions) and linear maximization (a bounded-variable primal simplex on
 the halfspaces the box does not already satisfy, with largest-reduced-cost
 pricing and Bland's rule after a degenerate pivot, certified by its
 recomputed reduced costs).  Both are deterministic functions of their inputs.
+The module does no file I/O: an instance file, which stores a region with
+its objective, is read and written by ``objectives``.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ __all__ = [
     "project",
     "lmo",
     "diameter_bound",
-    "save_polytope",
-    "load_polytope",
 ]
 
 #: tolerance of the linear maximization oracle: a variable enters the basis
@@ -450,57 +450,3 @@ def _lmo_residual(p: Polytope, full: np.ndarray, cost: np.ndarray, basis: np.nda
 def diameter_bound(p: Polytope) -> float:
     """Upper bound ``||upper||_2`` on the Euclidean diameter of the region."""
     return float(np.linalg.norm(p.upper))
-
-
-def _fmt_row(values) -> str:
-    return " ".join(repr(float(v)) for v in np.asarray(values, dtype=float).ravel())
-
-
-def save_polytope(path, p: Polytope) -> None:
-    """Write the region in the line-oriented text format (exact round-trip)."""
-    with open(path, "w") as fh:
-        fh.write(_polytope_block(p))
-
-
-def _polytope_block(p: Polytope) -> str:
-    lines = [f"n {p.dim}", f"m {p.n_halfspaces}", "u " + _fmt_row(p.upper)]
-    if p.n_halfspaces:
-        lines.append("b " + _fmt_row(p.b_vector))
-        for row in p.a_matrix:
-            lines.append("A " + _fmt_row(row))
-    return "\n".join(lines) + "\n"
-
-
-def _parse_block(lines) -> Polytope:
-    n = m = None
-    u = b = None
-    a_rows = []
-    for line in lines:
-        key, _, rest = line.partition(" ")
-        if key == "n":
-            n = int(rest)
-        elif key == "m":
-            m = int(rest)
-        elif key == "u":
-            u = np.array([float(v) for v in rest.split()])
-        elif key == "b":
-            b = np.array([float(v) for v in rest.split()])
-        elif key == "A":
-            a_rows.append([float(v) for v in rest.split()])
-        else:
-            raise ValueError(f"unknown polytope key {key!r}")
-    if n is None or m is None or u is None:
-        raise ValueError("polytope block must define n, m, and u")
-    if u.size != n:
-        raise ValueError("u length disagrees with n")
-    if m == 0:
-        return Polytope.box(u)
-    if b is None or b.size != m or len(a_rows) != m:
-        raise ValueError("A/b rows disagree with m")
-    return Polytope(np.array(a_rows), b, u)
-
-
-def load_polytope(path) -> Polytope:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    return _parse_block(lines)

@@ -3,18 +3,21 @@ budget allocation over a bipartite channel/customer graph.
 
 Both families expose exact value, gradient, and Hessian access plus an
 attached feasible region, so solvers and noise oracles can treat them
-uniformly.  Generators are seeded and fully deterministic.
+uniformly.  Generators are seeded and fully deterministic.  ``build_problem``
+builds the instance a config's ``problem`` entry specifies, and the instance
+file format (``save_nqp``/``load_nqp``) lives here too.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Polytope, _fmt_row, _parse_block, _polytope_block
+from .geometry import Polytope
 
 __all__ = [
     "Objective",
@@ -26,6 +29,7 @@ __all__ = [
     "load_bipartite",
     "save_nqp",
     "load_nqp",
+    "build_problem",
 ]
 
 
@@ -225,17 +229,18 @@ def _check_sizes(n_channels, n_customers, k) -> None:
         raise ValueError("channels, customers and k must be positive integers")
 
 
-def load_bipartite(path, mapping: FrequencyMapping | None = None, k: int = 1,
+def load_bipartite(path, mapping: str = "exp", k: int = 1,
                    alphas=None, upper=None) -> BudgetAllocationObjective:
     """Build a budget-allocation objective from a tab-separated edge file.
 
     Lines are ``channel_id <TAB> customer_id <TAB> frequency``; duplicate
-    (channel, customer) pairs have their frequencies summed before mapping.
-    Channels and customers are indexed densely in first-appearance order.
-    The default budget limit is the mean frequency pushed through the same
-    mapping; pass ``upper`` (scalar or per-channel) to override.
+    (channel, customer) pairs have their frequencies summed before mapping,
+    a ``FrequencyMapping`` of kind ``mapping``.  Channels and customers are
+    indexed densely in first-appearance order.  The default budget limit is
+    the mean frequency pushed through the same mapping; pass ``upper``
+    (scalar or per-channel) to override.
     """
-    mapping = mapping or FrequencyMapping()
+    mapping = FrequencyMapping(mapping)
     channel_ids: dict[str, int] = {}
     customer_ids: dict[str, int] = {}
     freqs: dict[tuple[int, int], float] = {}
@@ -275,7 +280,7 @@ def load_bipartite(path, mapping: FrequencyMapping | None = None, k: int = 1,
     )
 
 
-def generate_budget(seed, n_channels: int, n_customers: int, density: float,
+def generate_budget(seed, channels: int, customers: int, density: float,
                     p_low: float, p_high: float, k: int = 1, alphas=None,
                     upper=1.0) -> BudgetAllocationObjective:
     """Seeded synthetic bipartite instance with edge probabilities in
@@ -283,42 +288,105 @@ def generate_budget(seed, n_channels: int, n_customers: int, density: float,
     edge so the indexing is dense."""
     if not is_int(seed) or seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    _check_sizes(n_channels, n_customers, k)
+    _check_sizes(channels, customers, k)
     if not (is_finite_real(p_low) and is_finite_real(p_high) and 0.0 < p_low <= p_high < 1.0):
         raise ValueError("need 0 < p_low <= p_high < 1")
     if not (is_finite_real(density) and 0.0 < density <= 1.0):
         raise ValueError("density must be in (0, 1]")
     rng = np.random.default_rng(seed)
-    mask = rng.random((n_channels, n_customers)) < density
-    for t in range(n_customers):
+    mask = rng.random((channels, customers)) < density
+    for t in range(customers):
         if not mask[:, t].any():
-            mask[rng.integers(n_channels), t] = True
-    for s in range(n_channels):
+            mask[rng.integers(channels), t] = True
+    for s in range(channels):
         if not mask[s].any():
-            mask[s, rng.integers(n_customers)] = True
+            mask[s, rng.integers(customers)] = True
     edges = [
         (s, t, float(rng.uniform(p_low, p_high)))
-        for s in range(n_channels)
-        for t in range(n_customers)
+        for s in range(channels)
+        for t in range(customers)
         if mask[s, t]
     ]
-    return BudgetAllocationObjective(n_channels, n_customers, edges, k=k,
+    return BudgetAllocationObjective(channels, customers, edges, k=k,
                                      alphas=alphas, per_advertiser_upper=upper)
 
 
+def _fmt_row(values) -> str:
+    return " ".join(repr(float(v)) for v in np.asarray(values, dtype=float).ravel())
+
+
 def save_nqp(path, obj: NqpObjective) -> None:
-    """Write a quadratic instance: the polytope block plus one H row per line."""
+    """Write a quadratic instance in the line-oriented text format (exact
+    round-trip): ``n``, ``m`` and ``u`` lines, then ``b`` and one ``A`` line
+    per halfspace, then one ``H`` line per row of H."""
+    p = obj.polytope
+    lines = [f"n {p.dim}", f"m {p.n_halfspaces}", "u " + _fmt_row(p.upper)]
+    if p.n_halfspaces:
+        lines.append("b " + _fmt_row(p.b_vector))
+        lines += ["A " + _fmt_row(row) for row in p.a_matrix]
+    lines += ["H " + _fmt_row(row) for row in obj.h_matrix]
     with open(path, "w") as fh:
-        fh.write(_polytope_block(obj.polytope))
-        for row in obj.h_matrix:
-            fh.write("H " + _fmt_row(row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_nqp(path) -> NqpObjective:
+    """Read an instance that ``save_nqp`` wrote."""
+    sizes, vectors, rows = {}, {}, {"A": [], "H": []}
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    h_rows = [[float(v) for v in ln[2:].split()] for ln in lines if ln.startswith("H ")]
-    poly = _parse_block([ln for ln in lines if not ln.startswith("H ")])
-    if len(h_rows) != poly.dim:
+        for line in fh:
+            key, _, rest = line.strip().partition(" ")
+            if key in ("n", "m"):
+                sizes[key] = int(rest)
+            elif key in ("u", "b"):
+                vectors[key] = np.array([float(v) for v in rest.split()])
+            elif key in rows:
+                rows[key].append([float(v) for v in rest.split()])
+            elif key:
+                raise ValueError(f"unknown polytope key {key!r}")
+    if "n" not in sizes or "m" not in sizes or "u" not in vectors:
+        raise ValueError("polytope block must define n, m, and u")
+    u, b, m = vectors["u"], vectors.get("b"), sizes["m"]
+    if u.size != sizes["n"]:
+        raise ValueError("u length disagrees with n")
+    if m == 0:
+        poly = Polytope.box(u)
+    elif b is None or b.size != m or len(rows["A"]) != m:
+        raise ValueError("A/b rows disagree with m")
+    else:
+        poly = Polytope(np.array(rows["A"]), b, u)
+    if len(rows["H"]) != poly.dim:
         raise ValueError("H block size disagrees with the polytope dimension")
-    return NqpObjective(np.array(h_rows), poly)
+    return NqpObjective(np.array(rows["H"]), poly)
+
+
+# each problem kind's builder; a config's problem entry holds its ``kind`` and
+# the builder's keyword arguments
+_PROBLEMS = {
+    "nqp-generate": generate_nqp,
+    "nqp-file": load_nqp,
+    "budget-file": load_bipartite,
+    "budget-synthetic": generate_budget,
+}
+
+
+def build_problem(spec) -> Objective:
+    """The instance a config's ``problem`` entry specifies: ``kind`` names
+    the builder and the other keys are its keyword arguments, the ones
+    without a default required."""
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ValueError("problem must be an object with a 'kind'")
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _PROBLEMS:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    builder = _PROBLEMS[kind]
+    params = inspect.signature(builder).parameters
+    kwargs = {key: value for key, value in spec.items() if key != "kind"}
+    unknown = sorted(set(kwargs) - set(params))
+    if unknown:
+        raise ValueError(f"unknown problem[{kind}] key(s): {', '.join(unknown)}")
+    for name, param in params.items():
+        if param.default is param.empty and name not in kwargs:
+            raise ValueError(f"problem spec is missing key {name!r}")
+    if not isinstance(kwargs.get("path", ""), str):
+        raise ValueError("problem path must be a string")
+    return builder(**kwargs)

@@ -372,15 +372,24 @@ class TestReport:
         assert cli.main(["report", "--config", str(cfg)]) == 1
         assert "battery" in capsys.readouterr().err
 
+    def test_unnormalized_report_needs_the_instance(self, tmp_path, one_dim_instance,
+                                                    capsys):
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        one_dim_instance.unlink()
+        assert cli.main(["report", "--config", str(cfg)]) == 1
+        assert "one_dim.txt" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.txt").exists()
+
     @pytest.mark.parametrize("override,expected", [
-        ('bounds=[{"theorem":"theorem4","delta":0.5}]', "-0.156927257173062"),
+        ('bounds=[{"theorem":"theorem4","delta":0.5}]', "-0.1707063793042467"),
         ("noise.sigma=2", None),
     ])
     def test_bound_follows_the_config_not_a_stale_file(self, tmp_path, override, expected):
         """After ``bounds`` wrote the delta 0.01, sigma 0.5 curve, a report
         under another delta or sigma evaluates that config's bound, the one
         ``bounds`` writes under the same override."""
-        cfg = write_config(tmp_path, T=30, runs=4, opt={"runs": 2, "iterations": 50},
+        cfg = write_config(tmp_path, T=30, runs=4, opt=3.75,
                            problem={**_GENERATED, "m": 2},
                            noise={"kind": "clipped_gaussian", "sigma": 0.5},
                            bounds=[{"theorem": "theorem4", "delta": 0.01}])
@@ -442,7 +451,8 @@ _BUDGET = {"kind": "budget-synthetic", "channels": 3, "customers": 4, "density":
            "p_low": 0.2, "p_high": 0.7, "seed": 5, "k": 2}
 _GAUSSIAN = {"kind": "gaussian_fixed", "sigma": 0.1}
 
-# (command, id, the one change to the valid scg config of write_config)
+# (command, id, the one change to the valid scg config of write_config; for
+# ``bounds``, the config with a valid bounds entry and a known optimum)
 _INVALID = [
     ("run", "T-true", {"T": True}),
     ("run", "runs-true", {"runs": True}),
@@ -453,16 +463,6 @@ _INVALID = [
     ("run", "sigma-text", {"noise": {**_GAUSSIAN, "sigma": "a"}}),
     ("run", "sigma-nan", {"noise": {**_GAUSSIAN, "sigma": float("nan")}}),
     ("run", "hessian_sigma-text", {"noise": {**_GAUSSIAN, "hessian_sigma": "a"}}),
-    ("run", "generate-n-text", {"problem": {**_GENERATED, "n": "a"}}),
-    ("run", "generate-n-fraction", {"problem": {**_GENERATED, "n": 2.5}}),
-    ("run", "generate-seed-text", {"problem": {**_GENERATED, "seed": "x"}}),
-    ("run", "budget-k-fraction", {"problem": {**_BUDGET, "k": 2.5}}),
-    ("run", "budget-channels-text", {"problem": {**_BUDGET, "channels": "a"}}),
-    ("run", "budget-density-text", {"problem": {**_BUDGET, "density": "x"}}),
-    ("run", "budget-upper-nan", {"problem": {**_BUDGET, "upper": float("nan")}}),
-    ("run", "budget-upper-true", {"problem": {**_BUDGET, "upper": True}}),
-    ("run", "budget-alphas-object", {"problem": {**_BUDGET, "alphas": {}}}),
-    ("run", "file-path-number", {"problem": {"kind": "nqp-file", "path": 1}}),
     ("run", "output_dir-number", {"output_dir": 5}),
     ("report", "T-true", {"T": True}),
     ("report", "fit_exponent-text", {"fit_exponent": "a"}),
@@ -471,6 +471,18 @@ _INVALID = [
     (command, name, change)
     for command in ("run", "bounds", "report")
     for name, change in (
+        ("generate-n-text", {"problem": {**_GENERATED, "n": "a"}}),
+        ("generate-n-fraction", {"problem": {**_GENERATED, "n": 2.5}}),
+        ("generate-n-negative", {"problem": {**_GENERATED, "n": -1}}),
+        ("generate-seed-text", {"problem": {**_GENERATED, "seed": "x"}}),
+        ("budget-k-fraction", {"problem": {**_BUDGET, "k": 2.5}}),
+        ("budget-channels-text", {"problem": {**_BUDGET, "channels": "a"}}),
+        ("budget-density-text", {"problem": {**_BUDGET, "density": "x"}}),
+        ("budget-upper-nan", {"problem": {**_BUDGET, "upper": float("nan")}}),
+        ("budget-upper-true", {"problem": {**_BUDGET, "upper": True}}),
+        ("budget-alphas-object", {"problem": {**_BUDGET, "alphas": {}}}),
+        ("file-path-number", {"problem": {"kind": "nqp-file", "path": 1}}),
+        ("t_min-equals-T", {"t_min": 4}),
         ("theorem4-alpha-near-one",
          {"bounds": [{"theorem": "theorem4", "delta": 0.01, "alpha": 0.995}]}),
         ("theorem4-delta-negative", {"bounds": [{"theorem": "theorem4", "delta": -1}]}),
@@ -511,6 +523,8 @@ class TestOneValidationBoundary:
         if command == "report":  # a battery to report on, from the valid config
             assert cli.main(["run", "--config", str(write_config(tmp_path))]) == 0
             capsys.readouterr()
+        if command == "bounds":
+            change = {"opt": 0.5, "bounds": [{"theorem": "theorem5", "delta": 1.0}], **change}
         cfg = write_config(tmp_path, name="invalid.json", **change)
         self.assert_rejected(command, cfg, out, capsys)
         assert command != "run" or not (out / "battery.csv").exists()
@@ -531,7 +545,8 @@ class TestOneValidationBoundary:
         err = self.assert_rejected("report", cfg, tmp_path / "out", capsys)
         assert "battery.csv" in err and all(value in err for value in values), err
 
-    @pytest.mark.parametrize("row", ["1,scg,5", "0,foo,5,0.5,0.5"])
+    @pytest.mark.parametrize("row", ["1,scg,5", "0,foo,5,0.5,0.5", "0,scg,5,nan,0.5",
+                                     "0,scg,5,0.5,inf"])
     def test_malformed_battery_row_names_file_and_line(self, tmp_path, one_dim_instance,
                                                        row, capsys):
         cfg = write_config(tmp_path)
@@ -564,29 +579,75 @@ class TestOneValidationBoundary:
             assert "T must be" in self.assert_rejected(command, cfg, tmp_path / "out", capsys)
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this drsubmax: the
+    child does not inherit the test runner's import path, so it is given the
+    directory that holds the imported package."""
+    import os
+
+    import drsubmax
+
+    package_root = os.path.dirname(os.path.dirname(drsubmax.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self, tmp_path):
-        import os
         import subprocess
         import sys
 
-        import drsubmax
-
-        # the child does not inherit the test runner's import path, so give it
-        # the directory that holds the imported package
-        package_root = os.path.dirname(os.path.dirname(drsubmax.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
         out = tmp_path / "inst.txt"
         result = subprocess.run(
             [sys.executable, "-m", "drsubmax", "generate", "nqp", "--n", "3",
              "--m", "1", "--low", "-1", "--high", "0", "--seed", "1",
              "--out", str(out)],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=_child_env(),
         )
         assert result.returncode == 0, result.stderr
         assert out.exists()
         assert "L = " in result.stdout
+
+
+_NUMPY_ONLY = """
+import contextlib, io, json, sys
+from drsubmax import NoiseModel, RunConfig, cli, generate_nqp, run_trial
+from drsubmax.optimizers import ALGORITHMS
+
+obj = generate_nqp(1, 4, 2, -1.0, 0.0)
+for algorithm in ALGORITHMS:
+    run_trial(obj, NoiseModel("clipped_gaussian", sigma=0.1), RunConfig(algorithm, T=3))
+cfg = {"problem": {"kind": "nqp-generate", "n": 4, "m": 2, "entry_low": -1.0,
+                   "entry_high": 0.0, "seed": 1},
+       "algorithm": "scg", "T": 5, "runs": 2, "workers": 1,
+       "noise": {"kind": "clipped_gaussian", "sigma": 0.1},
+       "opt": {"runs": 2, "iterations": 5},
+       "bounds": [{"theorem": "theorem4", "delta": 0.1}], "output_dir": sys.argv[2]}
+with open(sys.argv[1], "w") as fh:
+    json.dump(cfg, fh)
+with contextlib.redirect_stdout(io.StringIO()):
+    for command in ("run", "bounds", "report"):
+        assert cli.main([command, "--config", sys.argv[1]]) == 0, command
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+class TestNumpyOnly:
+    def test_trials_and_commands_import_no_scipy(self, tmp_path):
+        """One trial of each algorithm and one run, bounds and report, with
+        the optimum estimated, leave no scipy module loaded: the package
+        depends on numpy alone."""
+        import subprocess
+        import sys
+
+        result = subprocess.run(
+            [sys.executable, "-c", _NUMPY_ONLY, str(tmp_path / "cfg.json"),
+             str(tmp_path / "out")],
+            capture_output=True, text=True, env=_child_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+        assert (tmp_path / "out" / "report.txt").exists()
 
 
 class TestEndToEndDeterminism:

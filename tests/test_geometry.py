@@ -10,16 +10,21 @@ from drsubmax.geometry import (
     contains,
     diameter_bound,
     lmo,
-    load_polytope,
     project,
-    save_polytope,
     violation,
 )
+from drsubmax.objectives import NqpObjective, load_nqp, save_nqp
 
 from _util import enumerate_vertices, grid_projection, random_small_polytope, sample_feasible
 
 TRIANGLE = Polytope([[1.0, 1.0]], [1.0], [1.0, 1.0])
 UNIT_BOX2 = Polytope.box([1.0, 1.0])
+
+
+def round_trip(path, poly: Polytope) -> Polytope:
+    """The region of an instance file with H = -I written for ``poly``."""
+    save_nqp(path, NqpObjective(-np.eye(poly.dim), poly))
+    return load_nqp(path).polytope
 
 
 class TestPolytopeConstruction:
@@ -293,8 +298,7 @@ class TestPresolve:
         assert violation(self.REDUNDANT, [1.5, -0.5]) == 10.0
         assert violation(TRIANGLE, [1.5, -0.5]) == 0.5
         path = tmp_path / "poly.txt"
-        save_polytope(path, self.REDUNDANT)
-        back = load_polytope(path)
+        back = round_trip(path, self.REDUNDANT)
         np.testing.assert_array_equal(back.a_matrix, self.REDUNDANT.a_matrix)
         np.testing.assert_array_equal(back.b_vector, self.REDUNDANT.b_vector)
         np.testing.assert_array_equal(back._lmo_rows, [0])
@@ -425,8 +429,7 @@ class TestSerialization:
         poly = Polytope(rng.uniform(0, 1, (3, 4)), rng.uniform(0.5, 1.5, 3),
                         rng.uniform(0.5, 2.0, 4))
         path = tmp_path / "poly.txt"
-        save_polytope(path, poly)
-        back = load_polytope(path)
+        back = round_trip(path, poly)
         np.testing.assert_array_equal(back.a_matrix, poly.a_matrix)
         np.testing.assert_array_equal(back.b_vector, poly.b_vector)
         np.testing.assert_array_equal(back.upper, poly.upper)
@@ -434,7 +437,6 @@ class TestSerialization:
     def test_round_trip_box_only(self, tmp_path):
         poly = Polytope.box([0.1, 1 / 3, 2.0])
         path = tmp_path / "box.txt"
-        save_polytope(path, poly)
-        back = load_polytope(path)
+        back = round_trip(path, poly)
         assert back.n_halfspaces == 0
         np.testing.assert_array_equal(back.upper, poly.upper)

@@ -6,7 +6,6 @@ import pytest
 from drsubmax.geometry import Polytope
 from drsubmax.objectives import (
     BudgetAllocationObjective,
-    FrequencyMapping,
     NqpObjective,
     generate_budget,
     generate_nqp,
@@ -227,7 +226,7 @@ class TestBipartiteLoading:
 
     def test_linear_mapping_and_upper_override(self, tmp_path):
         path = self._write(tmp_path, "k1\tc1\t1\nk2\tc1\t4\n")
-        obj = load_bipartite(path, FrequencyMapping("linear"), upper=3.0)
+        obj = load_bipartite(path, "linear", upper=3.0)
         probs = {s: p for s, _, p in obj.edges}
         assert probs[0] == pytest.approx(0.25)
         assert probs[1] == pytest.approx(0.99)  # capped
