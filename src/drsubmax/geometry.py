@@ -6,8 +6,19 @@ are provided: Euclidean projection (the finite dual active-set method of
 Goldfarb and Idnani with an identity Hessian, certified by its KKT
 conditions) and linear maximization (a bounded-variable primal simplex on
 the halfspaces the box does not already satisfy, with largest-reduced-cost
-pricing and Bland's rule after a degenerate pivot, certified by its
-recomputed reduced costs).  Both are deterministic functions of their inputs.
+pricing and Bland's rule after a degenerate pivot, certified by reduced
+costs recomputed from its final basis and by complementary slackness).  Both
+are deterministic functions of their inputs.
+
+A Frank-Wolfe trial calls the LMO on one region with a new direction each
+time.  Its caller may pass an ``LmoWarmStart``, which carries the previous
+call's final simplex state: that basis is still feasible, so the next call
+needs only the pivots its new direction asks for.  A warm-started answer is
+certified like a cold one; when it fails, that call is solved again from the
+cold start, so a warm start never turns a cold answer into an ``LmoError``.
+The state belongs to one caller and one region, and nothing is cached on the
+region or in the module, so without it ``lmo(p, g)`` is the pure cold start.
+
 The module does no file I/O: an instance file, which stores a region with
 its objective, is read and written by ``objectives``.
 """
@@ -23,6 +34,7 @@ __all__ = [
     "Polytope",
     "ProjectionError",
     "LmoError",
+    "LmoWarmStart",
     "contains",
     "project",
     "lmo",
@@ -82,7 +94,8 @@ class Polytope:
 
     A halfspace is redundant when the whole box satisfies it,
     ``sum_j max(A_ij, 0) * upper_j <= b_i``.  ``lmo`` runs on the other rows
-    only (``_lmo_rows``); every other use of the region keeps all of them.
+    only (``_lmo_rows``, with its read-only tableau ``[A_rows I]`` in
+    ``_lmo_tableau``); every other use of the region keeps all of them.
     """
 
     a_matrix: np.ndarray
@@ -90,6 +103,7 @@ class Polytope:
     upper: np.ndarray
     _row_norms_sq: np.ndarray = field(init=False, repr=False, compare=False)
     _lmo_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _lmo_tableau: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a_matrix, dtype=float))
@@ -121,6 +135,10 @@ class Polytope:
         rows = np.flatnonzero(np.maximum(a, 0.0) @ u > b)
         rows.setflags(write=False)
         object.__setattr__(self, "_lmo_rows", rows)
+        # the coordinates, then one slack per row
+        tableau = np.hstack((a[rows], np.eye(rows.size)))
+        tableau.setflags(write=False)
+        object.__setattr__(self, "_lmo_tableau", tableau)
 
     @property
     def dim(self) -> int:
@@ -324,7 +342,31 @@ def _kkt_point(p: Polytope, y: np.ndarray, active: np.ndarray, side: np.ndarray)
     return x, max(violation(p, x), worst)
 
 
-def lmo(p: Polytope, g) -> np.ndarray:
+class LmoWarmStart:
+    """One caller's warm start for ``lmo`` on one polytope.
+
+    It holds the final simplex state of the previous call: the tableau
+    ``B^-1 [A I]``, the basis, the sign of each variable (-1 for a nonbasic
+    variable at its upper bound), the basic values and the basic variables'
+    upper bounds.  These depend on the basis only, not on the direction, so
+    the next call reuses them as they are.  A new state is empty, and its
+    first call starts cold.  Create one per Frank-Wolfe trial and pass it to
+    every LMO call of that trial; using it with another polytope raises
+    ``ValueError``.
+    """
+
+    __slots__ = ("polytope", "tab", "basis", "sign", "values", "basic_upper")
+
+    def __init__(self, polytope: Polytope):
+        self.polytope = polytope
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget the basis, so that the next call starts cold."""
+        self.tab = self.basis = self.sign = self.values = self.basic_upper = None
+
+
+def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
     """A vertex maximizing ``<g, v>`` over the polytope.
 
     Only the halfspaces that some point of the box violates take part (see
@@ -343,48 +385,84 @@ def lmo(p: Polytope, g) -> np.ndarray:
     rule, which cannot cycle.  Ties go to the lowest index, so the answer is
     a deterministic function of ``p`` and ``g``.
 
+    With a ``warm`` state that holds a basis, the simplex starts from it
+    instead: the previous call's basis is feasible for any direction, so only
+    the reduced costs ``c - c_B B^-1 [A I]`` are recomputed (and set to
+    exactly 0 on the basic columns) before the same pivots run.  The state is
+    updated to this call's final basis.  A warm answer is then a
+    deterministic function of ``p``, ``g`` and the state.
+
     The answer is certified before it is returned: the duals are recomputed
     from the final basis and the original ``[A I]``, no nonbasic variable may
-    improve the objective by more than ``TOL_LP * max(1, ||g||_inf)``, and the
-    vertex may violate no constraint by more than ``TOL_LP``.  Raises
-    ``LmoError`` carrying the residual when it fails, and ``ValueError`` when
-    ``g`` has a non-finite entry.
+    improve the objective by more than ``TOL_LP * max(1, ||g||_inf)``, the
+    vertex may violate no constraint by more than ``TOL_LP``, and each row
+    whose slack is nonbasic must hold with equality within ``TOL_LP``.  With
+    primal and dual feasibility, that last check (complementary slackness)
+    makes the answer the optimal basis's own vertex, so a carried tableau
+    that drifted cannot pass off a feasible but suboptimal point.  A warm answer
+    that fails is discarded with the state, and the call is solved again from
+    the cold start.  Raises ``LmoError`` carrying the residual when a cold
+    answer fails, and ``ValueError`` when ``g`` has a non-finite entry or
+    ``warm`` belongs to another polytope.
     """
+    if warm is not None and warm.polytope is not p:
+        raise ValueError("the LMO warm start belongs to another polytope")
     g = _check_dim(p, g, "g")
     if not np.all(np.isfinite(g)):
         raise ValueError("g must be finite")
     if p._lmo_rows.size == 0:
         return np.where(g > 0.0, p.upper, 0.0)
 
-    m, n = p._lmo_rows.size, p.dim
-    # the coordinates, then one slack per row
-    full = np.hstack((p.a_matrix[p._lmo_rows], np.eye(m)))
-    cost = np.concatenate((g, np.zeros(m)))
-    basis, at_upper, values = _bounded_simplex(full, p.b_vector[p._lmo_rows], p.upper, cost)
-    v = np.where(at_upper[:n], p.upper, 0.0)
-    structural = basis < n
-    v[basis[structural]] = values[structural]
-    v = np.clip(v, 0.0, p.upper)
-    residual = _lmo_residual(p, full, cost, basis, at_upper, v)
+    cost = np.concatenate((g, np.zeros(p._lmo_rows.size)))
+    if warm is not None and warm.basis is not None:
+        v, residual = _solve_lmo(p, cost, warm)
+        if residual <= TOL_LP:
+            return v
+        warm.clear()
+    v, residual = _solve_lmo(p, cost, warm)
     if not residual <= TOL_LP:
+        if warm is not None:
+            warm.clear()
         raise LmoError(f"LMO failed its optimality certificate: residual {residual:.3g}",
                        residual=residual)
     return v
 
 
-def _bounded_simplex(full: np.ndarray, b: np.ndarray, u: np.ndarray, cost: np.ndarray):
+def _solve_lmo(p: Polytope, cost: np.ndarray, warm: LmoWarmStart | None):
+    """The simplex's vertex for ``cost`` (the direction, then 0 per slack),
+    started from ``warm`` when it holds a basis, with its certificate
+    residual."""
+    basis, at_upper, values = _bounded_simplex(p._lmo_tableau, p.b_vector[p._lmo_rows],
+                                               p.upper, cost, warm)
+    v = np.where(at_upper[:p.dim], p.upper, 0.0)
+    structural = basis < p.dim
+    v[basis[structural]] = values[structural]
+    v = np.clip(v, 0.0, p.upper)
+    return v, _lmo_residual(p, cost, basis, at_upper, v)
+
+
+def _bounded_simplex(full: np.ndarray, b: np.ndarray, u: np.ndarray, cost: np.ndarray,
+                     warm: LmoWarmStart | None):
     """Final basis (variable per row), nonbasic-at-upper mask and basic values
     of ``max cost.z`` over ``full z = b``, ``0 <= z <= (u, inf)``, where
-    ``full = [A I]`` holds the ``n`` coordinates then the ``m`` slacks."""
+    ``full = [A I]`` holds the ``n`` coordinates then the ``m`` slacks.  It
+    starts from ``warm``'s basis when the state holds one, and from the slack
+    basis otherwise; ``warm`` then holds the final state."""
     m = full.shape[0]
     n = full.shape[1] - m
-    tab = full.copy()  # B^-1 [A I]
-    cost = cost.copy()  # reduced costs c - c_B B^-1 [A I]
     upper = np.concatenate((u, np.full(m, np.inf)))
-    sign = np.ones(n + m)  # -1 for a nonbasic variable at its upper bound
-    basis = np.arange(n, n + m)
-    values = b.copy()
-    basic_upper = np.full(m, np.inf)
+    if warm is None or warm.basis is None:
+        tab = full.copy()  # B^-1 [A I]
+        cost = cost.copy()  # reduced costs c - c_B B^-1 [A I]
+        sign = np.ones(n + m)  # -1 for a nonbasic variable at its upper bound
+        basis = np.arange(n, n + m)
+        values = b.copy()
+        basic_upper = np.full(m, np.inf)
+    else:
+        tab, basis, sign = warm.tab, warm.basis, warm.sign
+        values, basic_upper = warm.values, warm.basic_upper
+        cost = cost - cost[basis] @ tab
+        cost[basis] = 0.0
     ratios = np.empty(m)
     bland = False
     for _ in range(_PIVOTS_PER_VARIABLE * (n + m)):
@@ -427,15 +505,22 @@ def _bounded_simplex(full: np.ndarray, b: np.ndarray, u: np.ndarray, cost: np.nd
         basis[r] = j
         basic_upper[r] = u_j
         bland = step <= _PIVOT_EPS
-    at_upper = sign < 0.0
-    return basis, at_upper, values
+    if warm is not None:
+        warm.tab, warm.basis, warm.sign = tab, basis, sign
+        warm.values, warm.basic_upper = values, basic_upper
+    return basis, sign < 0.0, values
 
 
-def _lmo_residual(p: Polytope, full: np.ndarray, cost: np.ndarray, basis: np.ndarray,
+def _lmo_residual(p: Polytope, cost: np.ndarray, basis: np.ndarray,
                   at_upper: np.ndarray, v: np.ndarray) -> float:
-    """The larger of the vertex's constraint violation and the largest
+    """The largest of the vertex's constraint violation, the slack of a row
+    whose slack variable is nonbasic (it must be tight), and the largest
     improvement a nonbasic variable offers (relative to ``max(1, ||cost||_inf)``),
-    with the duals recomputed from the final basis and the original ``[A I]``."""
+    with the duals recomputed from the final basis and the original ``[A I]``.
+    Together they certify that ``v`` is the basic solution of an optimal
+    basis, whatever tableau the simplex carried.  NaN when ``v`` is not
+    finite."""
+    full, n = p._lmo_tableau, p.dim
     try:
         y = np.linalg.solve(full[:, basis].T, cost[basis])
     except np.linalg.LinAlgError:
@@ -443,8 +528,12 @@ def _lmo_residual(p: Polytope, full: np.ndarray, cost: np.ndarray, basis: np.nda
     reduced = cost - full.T @ y
     gain = np.where(at_upper, -reduced, reduced)
     gain[basis] = 0.0
-    scale = max(1.0, float(np.max(np.abs(cost))))
-    return max(float(np.max(gain)) / scale, violation(p, v))
+    scale = max(1.0, float(np.abs(cost).max()))
+    # v lies in the box, so it meets every row that lmo leaves out
+    slack = p.b_vector[p._lmo_rows] - full[:, :n] @ v
+    basic_rows = basis[basis >= n] - n
+    slack[basic_rows] = np.minimum(slack[basic_rows], 0.0)
+    return float(np.maximum(gain.max() / scale, np.abs(slack).max()))
 
 
 def diameter_bound(p: Polytope) -> float:

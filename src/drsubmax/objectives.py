@@ -130,18 +130,21 @@ def generate_nqp(seed, n: int, m: int, entry_low: float, entry_high: float) -> N
     return NqpObjective(h, poly)
 
 
+#: the ``linear`` frequency mapping's cap, which keeps every probability below 1
+_LINEAR_P_CAP = 0.99
+
+
 @dataclass(frozen=True)
 class FrequencyMapping:
     """Rule turning a (phrase, customer) frequency into an influence probability.
 
     ``exp``:    p = 1 - exp(-freq / f_max)
-    ``linear``: p = min(freq / f_max, p_cap)
+    ``linear``: p = min(freq / f_max, 0.99)
 
     ``f_max`` is the maximum frequency seen in the corpus being loaded.
     """
 
     kind: str = "exp"
-    p_cap: float = 0.99
 
     def __post_init__(self):
         if self.kind not in ("exp", "linear"):
@@ -150,7 +153,7 @@ class FrequencyMapping:
     def __call__(self, freq: float, f_max: float) -> float:
         if self.kind == "exp":
             return 1.0 - math.exp(-freq / f_max)
-        return min(freq / f_max, self.p_cap)
+        return min(freq / f_max, _LINEAR_P_CAP)
 
 
 class BudgetAllocationObjective(Objective):
@@ -349,6 +352,8 @@ def load_nqp(path) -> NqpObjective:
     if u.size != sizes["n"]:
         raise ValueError("u length disagrees with n")
     if m == 0:
+        if b is not None or rows["A"]:
+            raise ValueError("m is 0 but the file has b or A lines")
         poly = Polytope.box(u)
     elif b is None or b.size != m or len(rows["A"]) != m:
         raise ValueError("A/b rows disagree with m")

@@ -5,7 +5,9 @@ estimate: plain, boosted, momentum, or path-integrated.  ``pga`` and
 ``boosted_pga`` take a projected ascent step (their guarantees concern the
 running average value).  ``scg`` and ``scgpp`` are Frank-Wolfe style:
 starting from the origin they add one scaled vertex per iteration, so the
-final iterate is a convex combination of vertices and always feasible.
+final iterate is a convex combination of vertices and always feasible.  Each
+of their trials owns one ``LmoWarmStart``, so every LMO call after the first
+re-optimizes from the previous call's basis.
 
 Per-trial randomness comes exclusively from the trial's ``OracleStream``
 generator, in a fixed query order (initialization draws, then one group of
@@ -22,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import lmo, project
+from .geometry import LmoWarmStart, lmo, project
 from .objectives import Objective, is_finite_real, is_int
 from .oracles import NoiseModel, OracleStream
 
@@ -232,16 +234,19 @@ _ESTIMATES = {
 def run_trial(objective: Objective, noise: NoiseModel, cfg: RunConfig) -> RunRecord:
     """One trial: build its oracle stream, then per iteration query the
     algorithm's gradient estimate and apply its update; every post-update
-    iterate is recorded with its exact value."""
+    iterate is recorded with its exact value.  A greedy trial's LMO calls
+    share one warm start, created here, so the trial depends on nothing that
+    another trial ran before it."""
     oracle = OracleStream(objective, noise, cfg.master_seed, cfg.run_id)
     estimate = _ESTIMATES[cfg.algorithm](objective, oracle, cfg)
     poly, T = objective.polytope, cfg.T
+    warm = LmoWarmStart(poly) if cfg.algorithm in GREEDY else None
     x = _init_point(objective, cfg, oracle.rng)
     iterates = []
     for t in range(1, T + 1):
         g = estimate(t, x)
-        if cfg.algorithm in GREEDY:
-            x = x + lmo(poly, g) / T
+        if warm is not None:
+            x = x + lmo(poly, g, warm) / T
         else:
             x = project(poly, x + cfg.step_rule.eta(t) * g)
         iterates.append(x)

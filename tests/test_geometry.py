@@ -5,6 +5,7 @@ from drsubmax import geometry
 from drsubmax.geometry import (
     TOL_LP,
     LmoError,
+    LmoWarmStart,
     Polytope,
     ProjectionError,
     contains,
@@ -312,6 +313,111 @@ class TestPresolve:
         for _ in range(200):
             g = rng.standard_normal(5) * (rng.uniform(size=5) < 0.8)
             np.testing.assert_array_equal(lmo(poly, g), np.where(g > 0.0, 1.0, 0.0))
+
+
+class TestLmoWarmStart:
+    """``lmo(p, g, warm)`` re-optimizes from the previous call's basis, and
+    falls back to the cold start when its answer fails the certificate."""
+
+    @pytest.fixture()
+    def simplex_runs(self, monkeypatch):
+        """A list that counts the simplex runs of every ``lmo`` call."""
+        runs = []
+        simplex = geometry._bounded_simplex
+
+        def counted(*args):
+            runs.append(args[4] is not None and args[4].basis is not None)
+            return simplex(*args)
+
+        monkeypatch.setattr(geometry, "_bounded_simplex", counted)
+        return runs
+
+    def test_tableau_is_built_once_and_read_only(self):
+        poly = TestPresolve.REDUNDANT
+        np.testing.assert_array_equal(poly._lmo_tableau, [[1.0, 1.0, 1.0]])
+        assert not poly._lmo_tableau.flags.writeable
+        assert UNIT_BOX2._lmo_tableau.shape == (0, 2)
+
+    def test_every_call_of_an_scg_trial_matches_the_cold_start(self, monkeypatch,
+                                                                 simplex_runs):
+        """All 200 calls of a 100 x 50 SCG trial: each warm answer passes its
+        certificate (no call falls back to the cold start), is feasible, and
+        its value agrees with the cold answer's within 1e-12 relative."""
+        from drsubmax import optimizers
+        from drsubmax.objectives import generate_nqp
+        from drsubmax.oracles import NoiseModel
+
+        obj = generate_nqp(123, 100, 50, -100.0, 0.0)
+        poly, calls = obj.polytope, []
+
+        def recording(p, g, warm):
+            calls.append((np.array(g), lmo(p, g, warm)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(optimizers, "lmo", recording)
+        optimizers.run_trial(obj, NoiseModel.clipped_gaussian(1000.0),
+                             optimizers.RunConfig("scg", 200))
+        assert len(calls) == 200
+        # one simplex run a call, warm from the second call on
+        assert simplex_runs == [False] + [True] * 199
+        for g, v in calls:
+            cold = lmo(poly, g)
+            assert violation(poly, v) <= 1e-12
+            assert abs(g @ v - g @ cold) <= 1e-12 * abs(g @ cold)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.01, 2.0])
+    def test_corrupted_state_falls_back_to_the_cold_answer(self, simplex_runs, scale):
+        """A scaled tableau is no longer ``B^-1 [A I]``: the warm answer fails
+        the certificate, and the call returns the cold answer bit for bit.
+        Without the complementary-slackness check some of these warm answers,
+        feasible but not optimal, would pass."""
+        from drsubmax.objectives import generate_nqp
+
+        poly = generate_nqp(123, 100, 50, -100.0, 0.0).polytope
+        rng = np.random.default_rng(80)
+        for _ in range(3):
+            warm = LmoWarmStart(poly)
+            lmo(poly, rng.standard_normal(poly.dim), warm)
+            warm.tab *= scale
+            g = rng.standard_normal(poly.dim)
+            simplex_runs.clear()
+            np.testing.assert_array_equal(lmo(poly, g, warm), lmo(poly, g))
+            assert simplex_runs == [True, False, False]  # warm, cold retry, cold
+            np.testing.assert_array_equal(lmo(poly, g, warm), lmo(poly, g))
+
+    def test_cold_failure_raises_and_clears_the_state(self, monkeypatch):
+        warm = LmoWarmStart(TRIANGLE)
+        np.testing.assert_allclose(lmo(TRIANGLE, [2.0, 1.0], warm), [1.0, 0.0], atol=1e-15)
+        monkeypatch.setattr(geometry, "_PIVOTS_PER_VARIABLE", 0)
+        with pytest.raises(LmoError, match="certificate"):
+            lmo(TRIANGLE, [1.0, 2.0], warm)
+        assert warm.basis is None and warm.tab is None
+
+    def test_state_of_another_polytope_rejected(self):
+        twin = Polytope([[1.0, 1.0]], [1.0], [1.0, 1.0])
+        for poly in (twin, UNIT_BOX2):
+            with pytest.raises(ValueError, match="another polytope"):
+                lmo(poly, [1.0, 1.0], LmoWarmStart(TRIANGLE))
+
+    def test_box_ignores_the_state(self):
+        warm = LmoWarmStart(UNIT_BOX2)
+        np.testing.assert_array_equal(lmo(UNIT_BOX2, [1.0, -1.0], warm), [1.0, 0.0])
+        assert warm.basis is None
+
+    def test_warm_answers_match_vertex_enumeration(self):
+        """A Frank-Wolfe-like sequence of slowly turning directions on small
+        polytopes: every warm answer is an optimal vertex."""
+        rng = np.random.default_rng(79)
+        for _ in range(10):
+            poly = random_small_polytope(rng)
+            verts = enumerate_vertices(poly)
+            warm = LmoWarmStart(poly)
+            g = rng.standard_normal(poly.dim)
+            for _ in range(30):
+                g = 0.8 * g + 0.2 * rng.standard_normal(poly.dim)
+                v = lmo(poly, g, warm)
+                assert v @ g >= float(np.max(verts @ g)) - 1e-9
+                assert np.min(np.linalg.norm(verts - v, axis=1)) <= 1e-8
 
 
 class TestPaperScaleOracles:

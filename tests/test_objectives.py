@@ -260,3 +260,20 @@ class TestNqpSerialization:
         save_nqp(p1, generate_nqp(5, 4, 2, -1.0, 0.0))
         save_nqp(p2, generate_nqp(5, 4, 2, -1.0, 0.0))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("extra", ["b 1.0", "A 1.0 1.0"], ids=["b", "A"])
+    def test_halfspace_lines_in_a_box_file_rejected(self, tmp_path, extra):
+        """A file that says ``m 0`` but has a ``b`` or an ``A`` line is
+        rejected, not read as the box without that halfspace."""
+        path = tmp_path / "inst.txt"
+        path.write_text(f"n 2\nm 0\nu 1.0 1.0\n{extra}\nH -1.0 0.0\nH 0.0 -1.0\n")
+        with pytest.raises(ValueError, match="m is 0"):
+            load_nqp(path)
+
+    def test_box_round_trip(self, tmp_path):
+        obj = generate_nqp(32, 3, 0, -1.0, 0.0)
+        path = tmp_path / "box.txt"
+        save_nqp(path, obj)
+        back = load_nqp(path)
+        assert back.polytope.n_halfspaces == 0
+        np.testing.assert_array_equal(back.h_matrix, obj.h_matrix)

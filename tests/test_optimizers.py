@@ -278,6 +278,45 @@ class TestTrajectoryInvariants:
         assert a.returned_value == b.returned_value
 
 
+class TestWarmStartedTrials:
+    """Each greedy trial owns its LMO warm start, so trials stay functions of
+    ``(master_seed, run_id)``."""
+
+    @pytest.mark.parametrize("algorithm", ["scg", "scgpp"])
+    def test_rerun_is_bit_identical_after_another_trial(self, algorithm):
+        obj = generate_nqp(17, 10, 5, -1.0, 0.0)
+        noise = NoiseModel.clipped_gaussian(4.0)
+        cfg = RunConfig(algorithm, 40, master_seed=2, run_id=1, batch_size=5)
+        a = run_trial(obj, noise, cfg)
+        run_trial(obj, noise, RunConfig(algorithm, 40, master_seed=2, run_id=0, batch_size=5))
+        b = run_trial(obj, noise, cfg)
+        np.testing.assert_array_equal(a.iterates, b.iterates)
+        np.testing.assert_array_equal(a.f_true, b.f_true)
+        assert a.returned_value == b.returned_value
+
+    @pytest.mark.parametrize("algorithm", ["scg", "scgpp"])
+    def test_battery_is_the_same_serial_and_in_a_pool(self, algorithm):
+        obj = generate_nqp(18, 10, 5, -1.0, 0.0)
+        noise = NoiseModel.clipped_gaussian(4.0)
+        cfg = RunConfig(algorithm, 30, master_seed=4, batch_size=5)
+        serial = list(run_battery(obj, noise, cfg, 4, workers=1))
+        pooled = list(run_battery(obj, noise, cfg, 4, workers=2))
+        assert [r.config.run_id for r in pooled] == [0, 1, 2, 3]
+        for a, b in zip(serial, pooled):
+            np.testing.assert_array_equal(a.iterates, b.iterates)
+            np.testing.assert_array_equal(a.f_true, b.f_true)
+            assert a.returned_value == b.returned_value
+
+    def test_paper_scale_scg_trial(self):
+        """A 100 x 50 SCG trial at the paper's horizon T = 1000: no LMO call
+        raises, and the final iterate is feasible."""
+        obj = generate_nqp(123, 100, 50, -100.0, 0.0)
+        rec = run_trial(obj, NoiseModel.clipped_gaussian(1000.0), RunConfig("scg", 1000))
+        assert rec.iterates.shape == (1000, 100)
+        assert contains(obj.polytope, rec.iterates[-1], 1e-9)
+        assert np.isfinite(rec.returned_value)
+
+
 class TestCsvOutput:
     def test_layout_and_precision(self, tmp_path):
         obj = one_dim_nqp()
