@@ -31,7 +31,6 @@ from .bounds import (
 from .geometry import Polytope, contains, diameter_bound, lmo, project
 from .objectives import (
     BudgetAllocationObjective,
-    FrequencyMapping,
     NqpObjective,
     generate_budget,
     generate_nqp,

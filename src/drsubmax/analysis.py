@@ -11,7 +11,7 @@ import numpy as np
 from .bounds import BoundCurve
 from .objectives import Objective
 from .oracles import NoiseModel
-from .optimizers import ALGORITHMS, RunConfig, run_battery
+from .optimizers import ALGORITHMS, BATTERY_HEADER, RunConfig, run_battery
 from .optimizers import run_trial  # noqa: F401  the benchmark's tracer wraps it here
 
 __all__ = [
@@ -74,7 +74,7 @@ class TrialBattery:
         algorithm = None
         with open(path) as fh:
             header = fh.readline().strip()
-            if header != "run_id,algorithm,t,f_true,f_running_avg":
+            if header != BATTERY_HEADER:
                 raise ValueError(f"{path}: unexpected battery header {header!r}")
             for lineno, line in enumerate(fh, start=2):
                 line = line.strip()

@@ -11,13 +11,15 @@ costs recomputed from its final basis and by complementary slackness).  Both
 are deterministic functions of their inputs.
 
 A Frank-Wolfe trial calls the LMO on one region with a new direction each
-time.  Its caller may pass an ``LmoWarmStart``, which carries the previous
-call's final simplex state: that basis is still feasible, so the next call
-needs only the pivots its new direction asks for.  A warm-started answer is
-certified like a cold one; when it fails, that call is solved again from the
-cold start, so a warm start never turns a cold answer into an ``LmoError``.
-The state belongs to one caller and one region, and nothing is cached on the
-region or in the module, so without it ``lmo(p, g)`` is the pure cold start.
+time.  Its caller may pass an ``LmoWarmStart``, the simplex state that each
+call starts from and leaves updated.  A new state holds the slack basis at
+the origin, the cold start; after a call it holds that call's final basis,
+which is still feasible, so the next call needs only the pivots its new
+direction asks for.  An answer that fails its certificate is solved once
+more from the slack basis, so a warm start never turns a cold answer into an
+``LmoError``.  The state belongs to one caller and one region, and nothing
+is cached on the region or in the module, so ``lmo(p, g)`` without a state
+starts from a new one.
 
 The module does no file I/O: an instance file, which stores a region with
 its objective, is read and written by ``objectives``.
@@ -343,27 +345,31 @@ def _kkt_point(p: Polytope, y: np.ndarray, active: np.ndarray, side: np.ndarray)
 
 
 class LmoWarmStart:
-    """One caller's warm start for ``lmo`` on one polytope.
+    """One caller's simplex state for ``lmo`` on one polytope.
 
-    It holds the final simplex state of the previous call: the tableau
-    ``B^-1 [A I]``, the basis, the sign of each variable (-1 for a nonbasic
-    variable at its upper bound), the basic values and the basic variables'
-    upper bounds.  These depend on the basis only, not on the direction, so
-    the next call reuses them as they are.  A new state is empty, and its
-    first call starts cold.  Create one per Frank-Wolfe trial and pass it to
-    every LMO call of that trial; using it with another polytope raises
-    ``ValueError``.
+    It holds the tableau ``B^-1 [A I]``, the basis, the sign of each variable
+    (-1 for a nonbasic variable at its upper bound) and the basic values.
+    These depend on the basis only, not on the direction, so each call
+    starts from the state the previous call left.  A new or cleared state
+    holds the slack basis at the origin, which is the cold start.  Create
+    one per Frank-Wolfe trial and pass it to every LMO call of that trial;
+    using it with another polytope raises ``ValueError``.
     """
 
-    __slots__ = ("polytope", "tab", "basis", "sign", "values", "basic_upper")
+    __slots__ = ("polytope", "tab", "basis", "sign", "values")
 
     def __init__(self, polytope: Polytope):
         self.polytope = polytope
         self.clear()
 
     def clear(self) -> None:
-        """Forget the basis, so that the next call starts cold."""
-        self.tab = self.basis = self.sign = self.values = self.basic_upper = None
+        """Return to the slack basis at the origin, the cold start."""
+        p = self.polytope
+        m = p._lmo_rows.size
+        self.tab = p._lmo_tableau.copy()
+        self.basis = np.arange(p.dim, p.dim + m)
+        self.sign = np.ones(p.dim + m)
+        self.values = p.b_vector[p._lmo_rows]
 
 
 def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
@@ -374,23 +380,22 @@ def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
     ``v_j = upper_j if g_j > 0 else 0``.  Otherwise the LP
     ``max g.v  s.t.  A v + s = b,  0 <= v <= upper,  s >= 0`` is solved by a
     bounded-variable primal simplex (the upper-bounding technique of Dantzig,
-    Econometrica 23, 1955) on the tableau ``[A I]``, cold-started at the
-    origin with the slacks basic.  A nonbasic variable sits at 0 or at its
-    upper bound, and reaching the other bound first is a bound flip, not a
-    pivot.  The entering variable is the one with the largest improving
-    reduced cost; right after a degenerate pivot (a step of at most
-    ``_PIVOT_EPS``) it is the lowest-index improving one (Bland, Math. Oper.
-    Res. 2, 1977).  The lowest-index basic variable leaves on ratio ties.
-    Every pivot of a cycle would be degenerate and so would follow Bland's
-    rule, which cannot cycle.  Ties go to the lowest index, so the answer is
-    a deterministic function of ``p`` and ``g``.
-
-    With a ``warm`` state that holds a basis, the simplex starts from it
-    instead: the previous call's basis is feasible for any direction, so only
-    the reduced costs ``c - c_B B^-1 [A I]`` are recomputed (and set to
-    exactly 0 on the basic columns) before the same pivots run.  The state is
-    updated to this call's final basis.  A warm answer is then a
-    deterministic function of ``p``, ``g`` and the state.
+    Econometrica 23, 1955) on the tableau ``[A I]``, started from the basis
+    ``warm`` holds: the slack basis at the origin when the state is new or
+    cleared (and always without ``warm``, which uses a new state), and the
+    previous call's final basis otherwise, which is feasible for any
+    direction.  Only the reduced costs ``c - c_B B^-1 [A I]`` are computed
+    (and set to exactly 0 on the basic columns); at the slack basis they are
+    ``c`` itself.  A nonbasic variable sits at 0 or at its upper bound, and
+    reaching the other bound first is a bound flip, not a pivot.  The
+    entering variable is the one with the largest improving reduced cost;
+    right after a degenerate pivot (a step of at most ``_PIVOT_EPS``) it is
+    the lowest-index improving one (Bland, Math. Oper. Res. 2, 1977).  The
+    lowest-index basic variable leaves on ratio ties.  Every pivot of a cycle
+    would be degenerate and so would follow Bland's rule, which cannot cycle.
+    Ties go to the lowest index, so the answer is a deterministic function
+    of ``p``, ``g`` and the state, which is updated to this call's final
+    basis.
 
     The answer is certified before it is returned: the duals are recomputed
     from the final basis and the original ``[A I]``, no nonbasic variable may
@@ -399,11 +404,12 @@ def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
     whose slack is nonbasic must hold with equality within ``TOL_LP``.  With
     primal and dual feasibility, that last check (complementary slackness)
     makes the answer the optimal basis's own vertex, so a carried tableau
-    that drifted cannot pass off a feasible but suboptimal point.  A warm answer
-    that fails is discarded with the state, and the call is solved again from
-    the cold start.  Raises ``LmoError`` carrying the residual when a cold
-    answer fails, and ``ValueError`` when ``g`` has a non-finite entry or
-    ``warm`` belongs to another polytope.
+    that drifted cannot pass off a feasible but suboptimal point.  An answer
+    that fails clears the state, and the call is solved once more from the
+    slack basis.  Raises ``LmoError`` carrying the residual when that answer
+    fails too (the state is then left at the slack basis), and
+    ``ValueError`` when ``g`` has a non-finite entry or ``warm`` belongs to
+    another polytope.
     """
     if warm is not None and warm.polytope is not p:
         raise ValueError("the LMO warm start belongs to another polytope")
@@ -413,56 +419,31 @@ def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
     if p._lmo_rows.size == 0:
         return np.where(g > 0.0, p.upper, 0.0)
 
+    state = LmoWarmStart(p) if warm is None else warm
     cost = np.concatenate((g, np.zeros(p._lmo_rows.size)))
-    if warm is not None and warm.basis is not None:
-        v, residual = _solve_lmo(p, cost, warm)
+    for _ in range(2):
+        _bounded_simplex(state, cost)
+        v = np.where(state.sign[:p.dim] < 0.0, p.upper, 0.0)
+        structural = state.basis < p.dim
+        v[state.basis[structural]] = state.values[structural]
+        v = np.clip(v, 0.0, p.upper)
+        residual = _lmo_residual(state, cost, v)
         if residual <= TOL_LP:
             return v
-        warm.clear()
-    v, residual = _solve_lmo(p, cost, warm)
-    if not residual <= TOL_LP:
-        if warm is not None:
-            warm.clear()
-        raise LmoError(f"LMO failed its optimality certificate: residual {residual:.3g}",
-                       residual=residual)
-    return v
+        state.clear()
+    raise LmoError(f"LMO failed its optimality certificate: residual {residual:.3g}",
+                   residual=residual)
 
 
-def _solve_lmo(p: Polytope, cost: np.ndarray, warm: LmoWarmStart | None):
-    """The simplex's vertex for ``cost`` (the direction, then 0 per slack),
-    started from ``warm`` when it holds a basis, with its certificate
-    residual."""
-    basis, at_upper, values = _bounded_simplex(p._lmo_tableau, p.b_vector[p._lmo_rows],
-                                               p.upper, cost, warm)
-    v = np.where(at_upper[:p.dim], p.upper, 0.0)
-    structural = basis < p.dim
-    v[basis[structural]] = values[structural]
-    v = np.clip(v, 0.0, p.upper)
-    return v, _lmo_residual(p, cost, basis, at_upper, v)
-
-
-def _bounded_simplex(full: np.ndarray, b: np.ndarray, u: np.ndarray, cost: np.ndarray,
-                     warm: LmoWarmStart | None):
-    """Final basis (variable per row), nonbasic-at-upper mask and basic values
-    of ``max cost.z`` over ``full z = b``, ``0 <= z <= (u, inf)``, where
-    ``full = [A I]`` holds the ``n`` coordinates then the ``m`` slacks.  It
-    starts from ``warm``'s basis when the state holds one, and from the slack
-    basis otherwise; ``warm`` then holds the final state."""
-    m = full.shape[0]
-    n = full.shape[1] - m
-    upper = np.concatenate((u, np.full(m, np.inf)))
-    if warm is None or warm.basis is None:
-        tab = full.copy()  # B^-1 [A I]
-        cost = cost.copy()  # reduced costs c - c_B B^-1 [A I]
-        sign = np.ones(n + m)  # -1 for a nonbasic variable at its upper bound
-        basis = np.arange(n, n + m)
-        values = b.copy()
-        basic_upper = np.full(m, np.inf)
-    else:
-        tab, basis, sign = warm.tab, warm.basis, warm.sign
-        values, basic_upper = warm.values, warm.basic_upper
-        cost = cost - cost[basis] @ tab
-        cost[basis] = 0.0
+def _bounded_simplex(state: LmoWarmStart, cost: np.ndarray) -> None:
+    """Maximize ``cost.z`` over ``[A I] z = b``, ``0 <= z <= (upper, inf)``,
+    where ``z`` holds the ``n`` coordinates then the ``m`` slacks, from the
+    basis ``state`` holds, and leave the final simplex state in ``state``."""
+    tab, basis, sign, values = state.tab, state.basis, state.sign, state.values
+    m, n = basis.size, state.polytope.dim
+    upper = np.concatenate((state.polytope.upper, np.full(m, np.inf)))
+    cost = cost - cost[basis] @ tab  # reduced costs c - c_B B^-1 [A I]
+    cost[basis] = 0.0
     ratios = np.empty(m)
     bland = False
     for _ in range(_PIVOTS_PER_VARIABLE * (n + m)):
@@ -480,7 +461,7 @@ def _bounded_simplex(full: np.ndarray, b: np.ndarray, u: np.ndarray, cost: np.nd
         rate = sign[j] * tab[:, j]
         ratios.fill(np.inf)
         np.divide(values, rate, out=ratios, where=rate > _PIVOT_EPS)
-        np.divide(values - basic_upper, rate, out=ratios, where=rate < -_PIVOT_EPS)
+        np.divide(values - upper[basis], rate, out=ratios, where=rate < -_PIVOT_EPS)
         best = float(ratios.min())
         step = max(best, 0.0)
         u_j = float(upper[j])
@@ -503,30 +484,25 @@ def _bounded_simplex(full: np.ndarray, b: np.ndarray, u: np.ndarray, cost: np.nd
         tab -= factors[:, None] * tab[r]
         cost -= cost[j] * tab[r]
         basis[r] = j
-        basic_upper[r] = u_j
         bland = step <= _PIVOT_EPS
-    if warm is not None:
-        warm.tab, warm.basis, warm.sign = tab, basis, sign
-        warm.values, warm.basic_upper = values, basic_upper
-    return basis, sign < 0.0, values
 
 
-def _lmo_residual(p: Polytope, cost: np.ndarray, basis: np.ndarray,
-                  at_upper: np.ndarray, v: np.ndarray) -> float:
+def _lmo_residual(state: LmoWarmStart, cost: np.ndarray, v: np.ndarray) -> float:
     """The largest of the vertex's constraint violation, the slack of a row
     whose slack variable is nonbasic (it must be tight), and the largest
     improvement a nonbasic variable offers (relative to ``max(1, ||cost||_inf)``),
-    with the duals recomputed from the final basis and the original ``[A I]``.
-    Together they certify that ``v`` is the basic solution of an optimal
-    basis, whatever tableau the simplex carried.  NaN when ``v`` is not
-    finite."""
+    with the duals recomputed from the state's basis and the original
+    ``[A I]``.  Together they certify that ``v`` is the basic solution of an
+    optimal basis, whatever tableau the simplex carried.  NaN when ``v`` is
+    not finite."""
+    p, basis = state.polytope, state.basis
     full, n = p._lmo_tableau, p.dim
     try:
         y = np.linalg.solve(full[:, basis].T, cost[basis])
     except np.linalg.LinAlgError:
         return math.inf
     reduced = cost - full.T @ y
-    gain = np.where(at_upper, -reduced, reduced)
+    gain = np.where(state.sign < 0.0, -reduced, reduced)
     gain[basis] = 0.0
     scale = max(1.0, float(np.abs(cost).max()))
     # v lies in the box, so it meets every row that lmo leaves out

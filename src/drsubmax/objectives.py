@@ -13,7 +13,6 @@ from __future__ import annotations
 import inspect
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,6 @@ __all__ = [
     "Objective",
     "NqpObjective",
     "BudgetAllocationObjective",
-    "FrequencyMapping",
     "generate_nqp",
     "generate_budget",
     "load_bipartite",
@@ -62,6 +60,13 @@ class Objective:
     def hessian(self, x) -> np.ndarray:
         raise NotImplementedError
 
+    def _check(self, x) -> np.ndarray:
+        """``x`` as a flat float array of the objective's dimension."""
+        x = np.asarray(x, dtype=float).ravel()
+        if x.size != self.dim:
+            raise ValueError(f"x has dimension {x.size}, objective has {self.dim}")
+        return x
+
 
 class NqpObjective(Objective):
     """Quadratic ``f(x) = x'Hx/2 + h'x`` with symmetric entrywise-nonpositive H.
@@ -94,12 +99,6 @@ class NqpObjective(Objective):
 
     def hessian(self, x=None) -> np.ndarray:
         return self.h_matrix.copy()
-
-    def _check(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).ravel()
-        if x.size != self.dim:
-            raise ValueError(f"x has dimension {x.size}, objective has {self.dim}")
-        return x
 
 
 def generate_nqp(seed, n: int, m: int, entry_low: float, entry_high: float) -> NqpObjective:
@@ -134,26 +133,13 @@ def generate_nqp(seed, n: int, m: int, entry_low: float, entry_high: float) -> N
 _LINEAR_P_CAP = 0.99
 
 
-@dataclass(frozen=True)
-class FrequencyMapping:
-    """Rule turning a (phrase, customer) frequency into an influence probability.
-
-    ``exp``:    p = 1 - exp(-freq / f_max)
-    ``linear``: p = min(freq / f_max, 0.99)
-
-    ``f_max`` is the maximum frequency seen in the corpus being loaded.
-    """
-
-    kind: str = "exp"
-
-    def __post_init__(self):
-        if self.kind not in ("exp", "linear"):
-            raise ValueError(f"unknown frequency mapping {self.kind!r}")
-
-    def __call__(self, freq: float, f_max: float) -> float:
-        if self.kind == "exp":
-            return 1.0 - math.exp(-freq / f_max)
-        return min(freq / f_max, _LINEAR_P_CAP)
+def _map_frequency(mapping: str, freq: float, f_max: float) -> float:
+    """The influence probability of a (channel, customer) frequency, where
+    ``f_max`` is the largest frequency in the file being loaded:
+    ``exp`` gives 1 - exp(-freq / f_max), ``linear`` min(freq / f_max, 0.99)."""
+    if mapping == "exp":
+        return 1.0 - math.exp(-freq / f_max)
+    return min(freq / f_max, _LINEAR_P_CAP)
 
 
 class BudgetAllocationObjective(Objective):
@@ -190,9 +176,7 @@ class BudgetAllocationObjective(Objective):
         self.polytope = Polytope.box(np.tile(self.per_advertiser_upper, k))
 
     def _blocks(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).ravel()
-        if x.size != self.dim:
-            raise ValueError(f"x has dimension {x.size}, objective has {self.dim}")
+        x = self._check(x)
         if np.any(x < 0):
             raise ValueError("budget allocations must be nonnegative")
         return x.reshape(self.k, self.n_channels)
@@ -237,13 +221,16 @@ def load_bipartite(path, mapping: str = "exp", k: int = 1,
     """Build a budget-allocation objective from a tab-separated edge file.
 
     Lines are ``channel_id <TAB> customer_id <TAB> frequency``; duplicate
-    (channel, customer) pairs have their frequencies summed before mapping,
-    a ``FrequencyMapping`` of kind ``mapping``.  Channels and customers are
-    indexed densely in first-appearance order.  The default budget limit is
-    the mean frequency pushed through the same mapping; pass ``upper``
-    (scalar or per-channel) to override.
+    (channel, customer) pairs have their frequencies summed before
+    ``mapping`` (``exp`` or ``linear``, see ``_map_frequency``) turns each
+    into an influence probability.  A frequency must be a finite number of
+    at least 1.  Channels and customers are indexed densely in
+    first-appearance order.  The default budget limit is the mean frequency
+    pushed through the same mapping; pass ``upper`` (scalar or per-channel)
+    to override.
     """
-    mapping = FrequencyMapping(mapping)
+    if mapping not in ("exp", "linear"):
+        raise ValueError(f"unknown frequency mapping {mapping!r}")
     channel_ids: dict[str, int] = {}
     customer_ids: dict[str, int] = {}
     freqs: dict[tuple[int, int], float] = {}
@@ -260,8 +247,8 @@ def load_bipartite(path, mapping: str = "exp", k: int = 1,
                 freq = float(freq_text)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad frequency {freq_text!r}") from None
-            if freq < 1:
-                raise ValueError(f"{path}:{lineno}: frequency must be >= 1")
+            if not (math.isfinite(freq) and freq >= 1):
+                raise ValueError(f"{path}:{lineno}: frequency must be a finite number >= 1")
             s = channel_ids.setdefault(chan, len(channel_ids))
             t = customer_ids.setdefault(cust, len(customer_ids))
             freqs[(s, t)] = freqs.get((s, t), 0.0) + freq
@@ -270,13 +257,13 @@ def load_bipartite(path, mapping: str = "exp", k: int = 1,
     f_max = max(freqs.values())
     edges = []
     for (s, t), freq in sorted(freqs.items()):
-        p = mapping(freq, f_max)
+        p = _map_frequency(mapping, freq, f_max)
         if not (0.0 < p < 1.0):
             raise ValueError(f"mapped probability {p} for frequency {freq} outside (0, 1)")
         edges.append((s, t, p))
     if upper is None:
         mean_freq = sum(freqs.values()) / len(freqs)
-        upper = mapping(mean_freq, f_max)
+        upper = _map_frequency(mapping, mean_freq, f_max)
     return BudgetAllocationObjective(
         len(channel_ids), len(customer_ids), edges, k=k, alphas=alphas,
         per_advertiser_upper=upper,

@@ -43,6 +43,8 @@ __all__ = [
 ALGORITHMS = ("pga", "boosted_pga", "scg", "scgpp")
 GREEDY = ("scg", "scgpp")
 CONVENTIONS = ("uniform_random_iterate", "last_iterate", "best_iterate")
+#: the header line of ``battery.csv``, which ``records_to_csv`` writes
+BATTERY_HEADER = "run_id,algorithm,t,f_true,f_running_avg"
 
 
 @dataclass(frozen=True)
@@ -290,11 +292,11 @@ def run_battery(objective: Objective, noise: NoiseModel, cfg: RunConfig,
 
 
 def records_to_csv(records, path) -> None:
-    """Write trajectories as ``run_id,algorithm,t,f_true,f_running_avg`` rows
-    with 17-significant-digit floats, each record's as it arrives, in the
-    order given: the rows of records consumed before an exception stay."""
+    """Write trajectories under ``BATTERY_HEADER``, one row per iterate with
+    17-significant-digit floats, each record's as it arrives, in the order
+    given: the rows of records consumed before an exception stay."""
     with open(path, "w") as fh:
-        fh.write("run_id,algorithm,t,f_true,f_running_avg\n")
+        fh.write(BATTERY_HEADER + "\n")
         for rec in records:
             rid = rec.config.run_id
             alg = rec.config.algorithm

@@ -22,6 +22,17 @@ TRIANGLE = Polytope([[1.0, 1.0]], [1.0], [1.0, 1.0])
 UNIT_BOX2 = Polytope.box([1.0, 1.0])
 
 
+def at_slack_basis(state: LmoWarmStart) -> bool:
+    """True iff ``state`` holds the LMO's cold start: the tableau ``[A I]``,
+    the slacks basic at ``b`` and every coordinate at its lower bound."""
+    p = state.polytope
+    n, m = p.dim, p._lmo_rows.size
+    return (np.array_equal(state.tab, p._lmo_tableau)
+            and np.array_equal(state.basis, np.arange(n, n + m))
+            and np.array_equal(state.sign, np.ones(n + m))
+            and np.array_equal(state.values, p.b_vector[p._lmo_rows]))
+
+
 def round_trip(path, poly: Polytope) -> Polytope:
     """The region of an instance file with H = -I written for ``poly``."""
     save_nqp(path, NqpObjective(-np.eye(poly.dim), poly))
@@ -257,11 +268,10 @@ class TestLmo:
         if tamper == "flip":
             simplex = geometry._bounded_simplex
 
-            def flipped(*args):
-                basis, at_upper, values = simplex(*args)
-                nonbasic = np.setdiff1d(np.arange(at_upper.size), basis)
-                at_upper[nonbasic[0]] = not at_upper[nonbasic[0]]
-                return basis, at_upper, values
+            def flipped(state, cost):
+                simplex(state, cost)
+                nonbasic = np.setdiff1d(np.arange(state.sign.size), state.basis)
+                state.sign[nonbasic[0]] = -state.sign[nonbasic[0]]
 
             monkeypatch.setattr(geometry, "_bounded_simplex", flipped)
         else:
@@ -317,17 +327,18 @@ class TestPresolve:
 
 class TestLmoWarmStart:
     """``lmo(p, g, warm)`` re-optimizes from the previous call's basis, and
-    falls back to the cold start when its answer fails the certificate."""
+    falls back to the slack basis when its answer fails the certificate."""
 
     @pytest.fixture()
     def simplex_runs(self, monkeypatch):
-        """A list that counts the simplex runs of every ``lmo`` call."""
+        """A list that records, for each simplex run of every ``lmo`` call,
+        whether it starts warm (away from the slack basis)."""
         runs = []
         simplex = geometry._bounded_simplex
 
-        def counted(*args):
-            runs.append(args[4] is not None and args[4].basis is not None)
-            return simplex(*args)
+        def counted(state, cost):
+            runs.append(not at_slack_basis(state))
+            simplex(state, cost)
 
         monkeypatch.setattr(geometry, "_bounded_simplex", counted)
         return runs
@@ -385,13 +396,39 @@ class TestLmoWarmStart:
             assert simplex_runs == [True, False, False]  # warm, cold retry, cold
             np.testing.assert_array_equal(lmo(poly, g, warm), lmo(poly, g))
 
-    def test_cold_failure_raises_and_clears_the_state(self, monkeypatch):
+    def test_new_and_cleared_states_hold_the_slack_basis(self):
+        from drsubmax.objectives import generate_nqp
+
+        for poly in (TRIANGLE, UNIT_BOX2, generate_nqp(123, 100, 50, -100.0, 0.0).polytope):
+            warm = LmoWarmStart(poly)
+            assert at_slack_basis(warm)
+            lmo(poly, np.ones(poly.dim), warm)
+            assert at_slack_basis(warm) == (poly is UNIT_BOX2)
+            warm.clear()
+            assert at_slack_basis(warm)
+            assert warm.tab.flags.writeable and warm.values.flags.writeable
+
+    def test_without_a_state_equals_a_new_state(self):
+        """``lmo(p, g)`` is ``lmo(p, g, LmoWarmStart(p))`` bit for bit."""
+        from drsubmax.objectives import generate_nqp
+
+        rng = np.random.default_rng(81)
+        polys = [random_small_polytope(rng) for _ in range(20)]
+        polys.append(generate_nqp(123, 100, 50, -100.0, 0.0).polytope)
+        for poly in polys:
+            for _ in range(10):
+                g = rng.standard_normal(poly.dim)
+                np.testing.assert_array_equal(lmo(poly, g), lmo(poly, g, LmoWarmStart(poly)))
+
+    def test_cold_failure_raises_and_clears_the_state(self, monkeypatch, simplex_runs):
         warm = LmoWarmStart(TRIANGLE)
         np.testing.assert_allclose(lmo(TRIANGLE, [2.0, 1.0], warm), [1.0, 0.0], atol=1e-15)
         monkeypatch.setattr(geometry, "_PIVOTS_PER_VARIABLE", 0)
+        simplex_runs.clear()
         with pytest.raises(LmoError, match="certificate"):
             lmo(TRIANGLE, [1.0, 2.0], warm)
-        assert warm.basis is None and warm.tab is None
+        assert simplex_runs == [True, False]  # warm, then the failing cold retry
+        assert at_slack_basis(warm)
 
     def test_state_of_another_polytope_rejected(self):
         twin = Polytope([[1.0, 1.0]], [1.0], [1.0, 1.0])
@@ -401,8 +438,11 @@ class TestLmoWarmStart:
 
     def test_box_ignores_the_state(self):
         warm = LmoWarmStart(UNIT_BOX2)
+        arrays = (warm.tab, warm.basis, warm.sign, warm.values)
         np.testing.assert_array_equal(lmo(UNIT_BOX2, [1.0, -1.0], warm), [1.0, 0.0])
-        assert warm.basis is None
+        after = (warm.tab, warm.basis, warm.sign, warm.values)
+        assert all(a is b for a, b in zip(after, arrays))
+        assert at_slack_basis(warm)
 
     def test_warm_answers_match_vertex_enumeration(self):
         """A Frank-Wolfe-like sequence of slowly turning directions on small

@@ -224,6 +224,18 @@ class TestBipartiteLoading:
         with pytest.raises(ValueError, match=":1"):
             load_bipartite(path)
 
+    @pytest.mark.parametrize("mapping", ["exp", "linear"])
+    @pytest.mark.parametrize("freq", ["nan", "inf"])
+    def test_non_finite_frequency_reports_number(self, tmp_path, mapping, freq):
+        path = self._write(tmp_path, f"k1\tc1\t3\nk2\tc1\t{freq}\n")
+        with pytest.raises(ValueError, match=r"edges\.tsv:2: frequency must be a finite"):
+            load_bipartite(path, mapping)
+
+    def test_unknown_mapping_rejected(self, tmp_path):
+        path = self._write(tmp_path, "k1\tc1\t3\n")
+        with pytest.raises(ValueError, match="unknown frequency mapping 'log'"):
+            load_bipartite(path, "log")
+
     def test_linear_mapping_and_upper_override(self, tmp_path):
         path = self._write(tmp_path, "k1\tc1\t1\nk2\tc1\t4\n")
         obj = load_bipartite(path, "linear", upper=3.0)
