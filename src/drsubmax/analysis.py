@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import BoundCurve
-from .objectives import Objective
+from .objectives import Objective, is_int
 from .oracles import NoiseModel
 from .optimizers import ALGORITHMS, BATTERY_HEADER, RunConfig, run_battery
 from .optimizers import run_trial  # noqa: F401  the benchmark's tracer wraps it here
@@ -202,13 +202,15 @@ def approx_opt(objective: Objective, master_seed: int = 0, n_runs: int = 100,
 
     With a noise model the runs differ through their streams and the maximum
     of the exact objective at their final iterates is returned; without one
-    the run is deterministic, so a single run suffices.
+    the run is deterministic, so a single run suffices.  ``n_runs`` must be
+    a positive integer either way.
     """
+    if not (is_int(n_runs) and n_runs >= 1):
+        raise ValueError("n_runs must be a positive integer")
     if noise is None or noise.kind == "none":
         noise, n_runs = NoiseModel.none(), 1
     cfg = RunConfig(algorithm="scg", T=iterations, master_seed=master_seed)
-    return max((rec.returned_value for rec in run_battery(objective, noise, cfg, n_runs)),
-               default=-math.inf)
+    return max(rec.returned_value for rec in run_battery(objective, noise, cfg, n_runs))
 
 
 def bound_violation_rate(battery: TrialBattery, curve: BoundCurve, convention: str) -> float:

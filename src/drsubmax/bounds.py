@@ -12,6 +12,7 @@ and a Perron-root spectral norm.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -304,12 +305,16 @@ class TheoremSpec:
 
 
 THEOREMS = {
-    "theorem1": TheoremSpec({}, False, "average_iterate"),
-    "theorem2": TheoremSpec({"gamma": 1.0, "main_text_smoothness": False},
-                            False, "average_iterate"),
-    "theorem3": TheoremSpec({}, True, "final_iterate"),
-    "theorem4": TheoremSpec({"alpha": 0.5}, False, "final_iterate"),
-    "theorem5": TheoremSpec({"main_text_exponent": False}, True, "final_iterate"),
+    name: TheoremSpec({key: param.default for key, param
+                       in inspect.signature(globals()[f"{name}_bound"]).parameters.items()
+                       if param.default is not param.empty}, chebyshev, statistic)
+    for name, chebyshev, statistic in (
+        ("theorem1", False, "average_iterate"),
+        ("theorem2", False, "average_iterate"),
+        ("theorem3", True, "final_iterate"),
+        ("theorem4", False, "final_iterate"),
+        ("theorem5", True, "final_iterate"),
+    )
 }
 
 

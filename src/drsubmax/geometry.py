@@ -103,7 +103,7 @@ class Polytope:
     a_matrix: np.ndarray
     b_vector: np.ndarray
     upper: np.ndarray
-    _row_norms_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    _row_norms: np.ndarray = field(init=False, repr=False, compare=False)
     _lmo_rows: np.ndarray = field(init=False, repr=False, compare=False)
     _lmo_tableau: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -131,9 +131,9 @@ class Polytope:
         object.__setattr__(self, "a_matrix", a)
         object.__setattr__(self, "b_vector", b)
         object.__setattr__(self, "upper", u)
-        rn = np.einsum("ij,ij->i", a, a) if a.shape[0] else np.zeros(0)
+        rn = np.sqrt(np.einsum("ij,ij->i", a, a)) if a.shape[0] else np.zeros(0)
         rn.setflags(write=False)
-        object.__setattr__(self, "_row_norms_sq", rn)
+        object.__setattr__(self, "_row_norms", rn)
         rows = np.flatnonzero(np.maximum(a, 0.0) @ u > b)
         rows.setflags(write=False)
         object.__setattr__(self, "_lmo_rows", rows)
@@ -226,30 +226,35 @@ def project(p: Polytope, y) -> np.ndarray:
 
 
 def _dual_active_set(p: Polytope, y: np.ndarray, scale: float):
-    """Active halfspaces (boolean mask) and fixed coordinates (``side`` is -1
-    at the lower face, +1 at the upper face, 0 when free) at the projection."""
+    """The active set at the projection: ``active`` is 1 at a tight halfspace
+    and 0 elsewhere, and ``side`` is -1 at a coordinate fixed at its lower
+    face, +1 at its upper face and 0 when free.
+
+    The constraints share one index space: halfspace ``i`` is ``i`` and
+    coordinate ``j``'s box face is ``m + j``.  ``face`` (``active`` then
+    ``side``) and the multipliers ``mult`` run over it, so a constraint joins
+    the active set in one place and leaves it in one place."""
     a, b, u = p.a_matrix, p.b_vector, p.upper
     m, n = a.shape
-    row_norms = np.sqrt(p._row_norms_sq)
-    row_norms[row_norms == 0.0] = 1.0  # a zero row is never violated (b > 0)
+    # a zero row is never violated (b > 0)
+    row_norms = np.where(p._row_norms == 0.0, 1.0, p._row_norms)
     add_tol = _ADD_RTOL * scale
     x = y.copy()
-    active = np.zeros(m, dtype=bool)
-    lam = np.zeros(m)  # halfspace multipliers
-    side = np.zeros(n)
-    mu = np.zeros(n)  # box-face multipliers
+    face = np.zeros(m + n)
+    active, side = face[:m], face[m:]
+    mult = np.zeros(m + n)
     normal = np.zeros(n)
     steps = _STEPS_PER_CONSTRAINT * (m + 2 * n)
     while steps > 0:
         dist = np.concatenate(((a @ x - b) / row_norms, np.maximum(-x, x - u)))
-        dist[:m][active] = -math.inf  # tight up to rounding; fixed faces are exact
+        dist[face != 0.0] = -math.inf  # already active (halfspaces tight up to rounding)
         k = int(np.argmax(dist))
         if not dist[k] > add_tol:
             break
-        # constraint k as  normal . x <= rhs
+        # constraint k as  normal . x <= rhs,  with face[k] = sign once active
         if k < m:
             normal[:] = a[k]
-            rhs = b[k]
+            rhs, sign = b[k], 1.0
         else:
             j = k - m
             sign = 1.0 if x[j] > u[j] else -1.0
@@ -261,6 +266,7 @@ def _dual_active_set(p: Polytope, y: np.ndarray, scale: float):
             steps -= 1
             rows = np.flatnonzero(active)
             fixed = np.flatnonzero(side)
+            act = np.concatenate((rows, m + fixed))
             free = side == 0.0
             a_rows = a[rows]
             # split the normal into r, its coefficients on the active normals,
@@ -283,43 +289,32 @@ def _dual_active_set(p: Polytope, y: np.ndarray, scale: float):
             falling = np.flatnonzero(rates > 0.0)
             partial = math.inf
             if falling.size:
-                ratios = np.concatenate((lam[rows], mu[fixed]))[falling] / rates[falling]
+                ratios = mult[act[falling]] / rates[falling]
                 i = int(np.argmin(ratios))
                 partial = max(float(ratios[i]), 0.0)
-                drop = int(falling[i])
             t = min(full, partial)
             if math.isinf(t):
                 # no step satisfies constraint k, which only rounding can cause
                 # (the origin is feasible); the certificate then fails
                 return active, side
             x -= t * z
-            lam[rows] -= t * r_rows
-            mu[fixed] -= t * r_fixed
+            mult[act] -= t * rates
             added += t
-            if full <= partial:
-                if k < m:
-                    active[k] = True
-                    lam[k] = added
-                else:
-                    side[j] = sign
-                    mu[j] = added
+            if full <= partial:  # constraint k joins
+                face[k], mult[k] = sign, added
+                if k >= m:
                     x[j] = rhs
                 break
-            if drop < rows.size:
-                active[rows[drop]] = False
-                lam[rows[drop]] = 0.0
-            else:
-                c = fixed[drop - rows.size]
-                side[c] = 0.0
-                mu[c] = 0.0
+            leaving = act[falling[i]]  # the constraint whose multiplier reached 0
+            face[leaving], mult[leaving] = 0.0, 0.0
     return active, side
 
 
 def _kkt_point(p: Polytope, y: np.ndarray, active: np.ndarray, side: np.ndarray):
-    """The projection of ``y`` onto the face where the ``active`` halfspaces
-    are tight and the coordinates with nonzero ``side`` sit at their box face,
-    with its KKT residual: the larger of the point's constraint violation and
-    its most negative multiplier (times its normal's length)."""
+    """The projection of ``y`` onto the face where the halfspaces with nonzero
+    ``active`` are tight and the coordinates with nonzero ``side`` sit at their
+    box face, with its KKT residual: the larger of the point's constraint
+    violation and its most negative multiplier (times its normal's length)."""
     a, b, u = p.a_matrix, p.b_vector, p.upper
     free = side == 0.0
     x = np.where(side > 0.0, u, 0.0)
@@ -339,7 +334,7 @@ def _kkt_point(p: Polytope, y: np.ndarray, active: np.ndarray, side: np.ndarray)
         x[free] = y[free] - a_rows[:, free].T @ lam
     # box-face multipliers: y - x = A_rows^T lam + side * mu on fixed coordinates
     mu = side[~free] * (y[~free] - x[~free] - a_rows[:, ~free].T @ lam)
-    worst = max(float(np.max(-lam * np.sqrt(p._row_norms_sq[rows]), initial=0.0)),
+    worst = max(float(np.max(-lam * p._row_norms[rows], initial=0.0)),
                 float(np.max(-mu, initial=0.0)))
     return x, max(violation(p, x), worst)
 

@@ -224,10 +224,10 @@ def load_bipartite(path, mapping: str = "exp", k: int = 1,
     (channel, customer) pairs have their frequencies summed before
     ``mapping`` (``exp`` or ``linear``, see ``_map_frequency``) turns each
     into an influence probability.  A frequency must be a finite number of
-    at least 1.  Channels and customers are indexed densely in
-    first-appearance order.  The default budget limit is the mean frequency
-    pushed through the same mapping; pass ``upper`` (scalar or per-channel)
-    to override.
+    at least 1, and so must each pair's sum.  Channels and customers are
+    indexed densely in first-appearance order.  The default budget limit is
+    the mean frequency pushed through the same mapping; pass ``upper``
+    (scalar or per-channel) to override.
     """
     if mapping not in ("exp", "linear"):
         raise ValueError(f"unknown frequency mapping {mapping!r}")
@@ -249,9 +249,13 @@ def load_bipartite(path, mapping: str = "exp", k: int = 1,
                 raise ValueError(f"{path}:{lineno}: bad frequency {freq_text!r}") from None
             if not (math.isfinite(freq) and freq >= 1):
                 raise ValueError(f"{path}:{lineno}: frequency must be a finite number >= 1")
-            s = channel_ids.setdefault(chan, len(channel_ids))
-            t = customer_ids.setdefault(cust, len(customer_ids))
-            freqs[(s, t)] = freqs.get((s, t), 0.0) + freq
+            edge = (channel_ids.setdefault(chan, len(channel_ids)),
+                    customer_ids.setdefault(cust, len(customer_ids)))
+            freq += freqs.get(edge, 0.0)
+            if not math.isfinite(freq):
+                raise ValueError(f"{path}:{lineno}: summed frequency of {chan!r} and "
+                                 f"{cust!r} is not finite")
+            freqs[edge] = freq
     if not freqs:
         raise ValueError(f"{path}: no edges")
     f_max = max(freqs.values())

@@ -58,7 +58,7 @@ class NoiseModel:
 
     @classmethod
     def none(cls) -> "NoiseModel":
-        return cls("none", hessian_sigma=0.0)
+        return cls("none")
 
     @classmethod
     def gaussian_fixed(cls, sigma: float, hessian_sigma: float | None = None) -> "NoiseModel":
@@ -66,8 +66,7 @@ class NoiseModel:
 
     @classmethod
     def gaussian_prop(cls, scale: float, hessian_sigma: float | None = None) -> "NoiseModel":
-        return cls("gaussian_prop", scale=scale,
-                   hessian_sigma=0.0 if hessian_sigma is None else hessian_sigma)
+        return cls("gaussian_prop", scale=scale, hessian_sigma=hessian_sigma)
 
     @classmethod
     def clipped_gaussian(cls, sigma: float, hessian_sigma: float | None = None) -> "NoiseModel":

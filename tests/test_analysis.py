@@ -193,6 +193,13 @@ class TestApproxOpt:
                          noise=NoiseModel.clipped_gaussian(0.2))
         assert val <= 0.5 + 1e-12
 
+    @pytest.mark.parametrize("noise", [None, NoiseModel.clipped_gaussian(0.1)])
+    @pytest.mark.parametrize("n_runs", [0, -3, 2.5, True])
+    def test_n_runs_must_be_a_positive_integer(self, noise, n_runs):
+        obj = generate_nqp(1, 4, 2, -1, 0)
+        with pytest.raises(ValueError, match="n_runs must be a positive integer"):
+            approx_opt(obj, n_runs=n_runs, iterations=10, noise=noise)
+
 
 class TestBoundViolationRate:
     def _noise_free_battery(self):

@@ -343,6 +343,21 @@ class TestBoundCurveEntry:
     """``bound_curve`` reads a config's bounds entry: it checks the entry
     against its theorem and evaluates it over ``t = 1..T``."""
 
+    def test_theorem_table(self):
+        table = {name: (spec.params, spec.chebyshev, spec.statistic)
+                 for name, spec in THEOREMS.items()}
+        assert table == {
+            "theorem1": ({}, False, "average_iterate"),
+            "theorem2": ({"gamma": 1.0, "main_text_smoothness": False},
+                         False, "average_iterate"),
+            "theorem3": ({}, True, "final_iterate"),
+            "theorem4": ({"alpha": 0.5}, False, "final_iterate"),
+            "theorem5": ({"main_text_exponent": False}, True, "final_iterate"),
+        }
+        # bound_curve casts an entry's value to its default's type, in this order
+        assert [(key, type(value)) for key, value in THEOREMS["theorem2"].params.items()] == [
+            ("gamma", float), ("main_text_smoothness", bool)]
+
     @pytest.mark.parametrize("name", sorted(THEOREMS))
     def test_p_maps_to_delta(self, name):
         curve = bound_curve({"theorem": name, "p": 0.75}, UNIT, 20)

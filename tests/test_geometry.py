@@ -325,6 +325,36 @@ class TestPresolve:
             np.testing.assert_array_equal(lmo(poly, g), np.where(g > 0.0, 1.0, 0.0))
 
 
+class TestZeroRow:
+    """An all-zero halfspace row holds everywhere (b > 0): the oracles answer
+    bit for bit as on the region without it."""
+
+    def assert_same_answers(self, with_zero, without, points, directions):
+        for y in points:
+            np.testing.assert_array_equal(project(with_zero, y), project(without, y))
+            assert violation(with_zero, y) == violation(without, y)
+        for g in directions:
+            np.testing.assert_array_equal(lmo(with_zero, g), lmo(without, g))
+
+    def test_triangle(self):
+        poly = Polytope([[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0], [1.0, 1.0])
+        rng = np.random.default_rng(79)
+        points = [[2.0, 2.0], [1.5, -0.5], [0.2, 0.3]] + list(rng.normal(size=(50, 2)) * 3.0)
+        self.assert_same_answers(poly, TRIANGLE, points, rng.standard_normal((50, 2)))
+
+    def test_paper_scale_region(self):
+        from drsubmax.objectives import generate_nqp
+
+        obj = generate_nqp(123, 100, 50, -100.0, 0.0)
+        big = obj.polytope
+        poly = Polytope(np.vstack((big.a_matrix, np.zeros(big.dim))),
+                        np.append(big.b_vector, 1.0), big.upper)
+        rng = np.random.default_rng(80)
+        g0 = obj.grad(np.zeros(obj.dim))
+        points = [rng.uniform(-1.0, 2.0, size=big.dim) for _ in range(3)] + [0.01 * g0]
+        self.assert_same_answers(poly, big, points, rng.standard_normal((5, big.dim)))
+
+
 class TestLmoWarmStart:
     """``lmo(p, g, warm)`` re-optimizes from the previous call's basis, and
     falls back to the slack basis when its answer fails the certificate."""

@@ -231,6 +231,12 @@ class TestBipartiteLoading:
         with pytest.raises(ValueError, match=r"edges\.tsv:2: frequency must be a finite"):
             load_bipartite(path, mapping)
 
+    @pytest.mark.parametrize("mapping", ["exp", "linear"])
+    def test_overflowing_sum_reports_number(self, tmp_path, mapping):
+        path = self._write(tmp_path, "k2\tc1\t3\nk1\tc1\t1e308\nk1\tc1\t1e308\n")
+        with pytest.raises(ValueError, match=r"edges\.tsv:3: summed frequency .* not finite"):
+            load_bipartite(path, mapping)
+
     def test_unknown_mapping_rejected(self, tmp_path):
         path = self._write(tmp_path, "k1\tc1\t3\n")
         with pytest.raises(ValueError, match="unknown frequency mapping 'log'"):

@@ -25,6 +25,14 @@ class TestNoiseModelConstruction:
         with pytest.raises(ValueError):
             NoiseModel.clipped_gaussian(-1.0)
 
+    def test_factories_equal_the_constructor(self):
+        assert NoiseModel.none() == NoiseModel()
+        assert NoiseModel.gaussian_prop(2.0) == NoiseModel("gaussian_prop", scale=2.0)
+        assert NoiseModel.gaussian_prop(2.0).hessian_sigma == 0.0
+        assert NoiseModel.gaussian_prop(2.0, 0.3) == NoiseModel("gaussian_prop", 0.0, 2.0, 0.3)
+        assert NoiseModel.gaussian_fixed(0.5) == NoiseModel("gaussian_fixed", sigma=0.5)
+        assert NoiseModel.clipped_gaussian(0.5) == NoiseModel("clipped_gaussian", sigma=0.5)
+
 
 class TestDeterminism:
     def test_same_seed_same_stream(self):
