@@ -3,14 +3,15 @@ bound curves, and produce fit/violation reports.
 
 Every command is driven by a JSON config file; command-line ``--set``
 options override individual (dotted) keys.  ``load_config`` builds the
-trial config, the noise model and the problem instance (through
-``objectives.build_problem``) once for every command, so ``run``, ``bounds``
-and ``report`` reject the same malformed configs.  ``bounds.bound_curve``
-alone reads and checks a bounds entry.  ``report`` reads nothing but the
-config, its instance and ``battery.csv``: it evaluates its bounds as
-``bounds`` does, and the ``bound_<theorem>.csv`` files are plotting output
-only.  Outputs are
-plain CSV and text with 17-significant-digit floats, so identical configs
+config once for every command into a frozen ``Experiment``: the trial
+config, the noise model, the problem instance (through
+``objectives.build_problem``) and the keys only the CLI reads.  So ``run``,
+``bounds`` and ``report`` reject the same malformed configs, and no command
+reads the raw JSON.  ``bounds.bound_curve`` alone reads and checks a bounds
+entry.  ``report`` reads nothing but the config, its instance and
+``battery.csv``: it evaluates its bounds as ``bounds`` does, and the
+``bound_<theorem>.csv`` files are plotting output only.  Outputs are plain
+CSV and text with 17-significant-digit floats, so identical configs
 reproduce identical bytes.  Exit codes: 0 success, 1 I/O failure, 2
 validation failure.  Bad input raises ``ValueError`` and I/O failure
 ``OSError``, wherever it is found; ``main`` alone turns them into exit
@@ -20,10 +21,11 @@ codes.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -47,28 +49,8 @@ EXIT_VALIDATION = 2
 # config handling
 # ----------------------------------------------------------------------
 
-# the trial keys are the fields of RunConfig but the per-trial run_id
-_TRIAL_KEYS = {f.name for f in fields(RunConfig)} - {"run_id"}
-_TOP_KEYS = _TRIAL_KEYS | {
-    "problem", "runs", "noise", "bounds", "opt", "normalized", "t_min", "fit_exponent",
-    "workers", "output_dir",
-}
-
 # an optimum approximation spec's keys, as approx_opt's arguments
 _OPT_ARGS = {"runs": "n_runs", "iterations": "iterations"}
-
-# the trial and noise keys default in RunConfig, StepRule, MomentumRule and
-# NoiseModel
-_DEFAULTS = {
-    "runs": 1,
-    "noise": {},
-    "bounds": [],
-    "opt": None,
-    "normalized": True,
-    "t_min": 1,
-    "fit_exponent": 0.5,
-    "workers": "auto",
-}
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
@@ -77,69 +59,76 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
         raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
-def validate_config(raw: dict) -> dict:
-    """The config with the CLI's defaults filled in, after checking the keys
-    that no library type sees.  The trial and noise keys are checked by
-    ``RunConfig`` and ``NoiseModel`` when ``load_config`` builds them, each
-    bounds entry by ``bounds.bound_curve``, and the problem entry by
-    ``objectives.build_problem``."""
-    _reject_unknown(raw, _TOP_KEYS, "config")
-    cfg = dict(_DEFAULTS)
-    cfg.update(raw)
-    for key in ("problem", "algorithm", "T", "output_dir"):
-        if cfg.get(key) is None:
-            raise ValueError(f"config key {key!r} is required")
+@dataclass(frozen=True)
+class Experiment:
+    """One battery as its config fixes it: the built trial config and noise
+    model, the problem entry and the keys only the CLI reads.  Construction
+    checks those keys, ``t_min < T`` and each bounds entry at T = 1, and
+    builds ``objective``, the instance the problem entry specifies, last, so
+    a bad value is reported before any instance file is read.  The trial
+    and noise keys default in ``RunConfig``, ``StepRule``, ``MomentumRule``
+    and ``NoiseModel``, and the fit keys in ``analysis.shared_c1_refit``."""
 
-    if not isinstance(cfg["output_dir"], str):
-        raise ValueError("output_dir must be a string")
+    trial: RunConfig
+    problem: dict
+    output_dir: str
+    noise: NoiseModel = NoiseModel()
+    runs: int = 1
+    bounds: list = field(default_factory=list)
+    opt: float | dict | None = None
+    normalized: bool = True
+    t_min: int = inspect.signature(analysis.shared_c1_refit).parameters["t_min"].default
+    fit_exponent: float = inspect.signature(analysis.shared_c1_refit).parameters["p"].default
+    workers: int | str = "auto"
+    objective: objectives.Objective = field(init=False, repr=False, compare=False)
 
-    for key in ("runs", "t_min"):
-        if not (is_int(cfg[key]) and cfg[key] >= 1):
-            raise ValueError(f"{key} must be a positive integer")
-    if cfg["workers"] != "auto" and not (is_int(cfg["workers"]) and cfg["workers"] >= 1):
-        raise ValueError("workers must be a positive integer or 'auto'")
-    if not (is_finite_real(cfg["fit_exponent"]) and cfg["fit_exponent"] > 0):
-        raise ValueError("fit_exponent must be a positive finite number")
-    if not isinstance(cfg["normalized"], bool):
-        raise ValueError("normalized must be true or false")
-
-    if not isinstance(cfg["noise"], dict):
-        raise ValueError("noise must be an object")
-    _reject_unknown(cfg["noise"], {f.name for f in fields(NoiseModel)}, "noise")
-
-    if not isinstance(cfg["bounds"], list):
-        raise ValueError("bounds must be a list")
-    if not all(isinstance(entry, dict) for entry in cfg["bounds"]):
-        raise ValueError("each bounds entry must be an object")
-
-    opt = cfg["opt"]
-    if isinstance(opt, dict):
-        _reject_unknown(opt, set(_OPT_ARGS), "opt")
-        for key, value in opt.items():
-            if not (is_int(value) and value >= 1):
-                raise ValueError(f"opt.{key} must be a positive integer")
-    elif opt is not None and not (is_finite_real(opt) and opt > 0):
-        raise ValueError("opt must be a positive number, null, or an approximation spec")
-    return cfg
-
-
-def build_run_config(cfg: dict) -> RunConfig:
-    """The trial config from the keys the config sets; the dataclass
-    defaults fill in the rest."""
-    kwargs = {key: cfg[key] for key in _TRIAL_KEYS if key in cfg}
-    for key, rule in (("step_rule", StepRule), ("momentum_rule", MomentumRule)):
-        if key in kwargs:
-            if not isinstance(kwargs[key], dict):
-                raise ValueError(f"{key} must be an object")
-            _reject_unknown(kwargs[key], {f.name for f in fields(rule)}, key)
-            kwargs[key] = rule(**kwargs[key])
-    return RunConfig(**kwargs)
+    def __post_init__(self):
+        if not isinstance(self.output_dir, str):
+            raise ValueError("output_dir must be a string")
+        for key in ("runs", "t_min"):
+            if not (is_int(getattr(self, key)) and getattr(self, key) >= 1):
+                raise ValueError(f"{key} must be a positive integer")
+        if self.workers != "auto" and not (is_int(self.workers) and self.workers >= 1):
+            raise ValueError("workers must be a positive integer or 'auto'")
+        if not (is_finite_real(self.fit_exponent) and self.fit_exponent > 0):
+            raise ValueError("fit_exponent must be a positive finite number")
+        if not isinstance(self.normalized, bool):
+            raise ValueError("normalized must be true or false")
+        if not isinstance(self.bounds, list):
+            raise ValueError("bounds must be a list")
+        if not all(isinstance(entry, dict) for entry in self.bounds):
+            raise ValueError("each bounds entry must be an object")
+        if isinstance(self.opt, dict):
+            _reject_unknown(self.opt, set(_OPT_ARGS), "opt")
+            for key, value in self.opt.items():
+                if not (is_int(value) and value >= 1):
+                    raise ValueError(f"opt.{key} must be a positive integer")
+        elif self.opt is not None and not (is_finite_real(self.opt) and self.opt > 0):
+            raise ValueError("opt must be a positive number, null, or an approximation spec")
+        if self.t_min >= self.trial.T:
+            raise ValueError("t_min must be below T, so the fits have at least two points")
+        # each bounds entry is checked by its theorem at T = 1 before any work
+        unit = bounds.BoundConstants(1.0, 1.0, *noise_constants(self.noise, 1, g_max=1.0))
+        seen = set()
+        for entry in self.bounds:
+            theorem = bounds.bound_curve(entry, unit, 1).label
+            if theorem in seen:  # both entries would write one bound_<theorem>.csv
+                raise ValueError(f"{theorem}: listed twice in bounds")
+            seen.add(theorem)
+        object.__setattr__(self, "objective", objectives.build_problem(self.problem))
 
 
-def load_config(path, overrides) -> dict:
-    """The validated config, with its ``trial`` entry the built ``RunConfig``,
-    its ``noise`` entry the built ``NoiseModel`` and its ``objective`` entry
-    the built problem instance."""
+def _build(cls, value, where: str):
+    """``cls`` built from a config object whose keys are its fields."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object")
+    _reject_unknown(value, {f.name for f in fields(cls)}, where)
+    return cls(**value)
+
+
+def load_config(path, overrides) -> Experiment:
+    """The experiment a config file specifies, after the ``--set`` overrides
+    (``key=value``, a dotted key addressing a nested object)."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -159,35 +148,37 @@ def load_config(path, overrides) -> dict:
             if not isinstance(node, dict):
                 raise ValueError(f"--set path {key!r} does not address an object")
         node[parts[-1]] = parsed
-    cfg = validate_config(raw)
-    cfg["trial"] = build_run_config(cfg)
-    if cfg["t_min"] >= cfg["trial"].T:
-        raise ValueError("t_min must be below T, so the fits have at least two points")
-    cfg["noise"] = NoiseModel(**cfg["noise"])
-    # each bounds entry is checked by its theorem at T = 1 before any work
-    unit = bounds.BoundConstants(1.0, 1.0, *noise_constants(cfg["noise"], 1, g_max=1.0))
-    seen = set()
-    for entry in cfg["bounds"]:
-        theorem = bounds.bound_curve(entry, unit, 1).label
-        if theorem in seen:  # both entries would write one bound_<theorem>.csv
-            raise ValueError(f"{theorem}: listed twice in bounds")
-        seen.add(theorem)
-    cfg["objective"] = objectives.build_problem(cfg["problem"])
-    return cfg
+    # the top-level keys are the fields of RunConfig but the per-trial run_id
+    # and those of Experiment but the built trial
+    keys = {f.name: f for cls in (RunConfig, Experiment) for f in fields(cls) if f.init}
+    del keys["run_id"], keys["trial"]
+    _reject_unknown(raw, set(keys), "config")
+    for key, f in keys.items():  # a key without a default is required
+        if f.default is MISSING and f.default_factory is MISSING and raw.get(key) is None:
+            raise ValueError(f"config key {key!r} is required")
+    for key, cls in (("step_rule", StepRule), ("momentum_rule", MomentumRule),
+                     ("noise", NoiseModel)):
+        if key in raw:
+            raw[key] = _build(cls, raw[key], key)
+    trial = RunConfig(**{f.name: raw.pop(f.name) for f in fields(RunConfig) if f.name in raw})
+    return Experiment(trial, **raw)
 
 
-def resolve_opt(cfg: dict) -> float:
+def resolve_opt(cfg: Experiment) -> float:
     """Known optimum from the config, or the seeded approximation procedure
-    (best final greedy value across repeated runs under the config's noise)."""
-    opt = cfg["opt"]
-    if isinstance(opt, (int, float)):
-        return float(opt)
-    return analysis.approx_opt(
-        cfg["objective"],
-        master_seed=cfg["trial"].master_seed + _OPT_SEED_OFFSET,
-        noise=cfg["noise"],
-        **{_OPT_ARGS[key]: value for key, value in (opt or {}).items()},
+    (best final greedy value across repeated runs under the config's noise),
+    which must be positive as a configured one is."""
+    if isinstance(cfg.opt, (int, float)):
+        return float(cfg.opt)
+    opt = analysis.approx_opt(
+        cfg.objective,
+        master_seed=cfg.trial.master_seed + _OPT_SEED_OFFSET,
+        noise=cfg.noise,
+        **{_OPT_ARGS[key]: value for key, value in (cfg.opt or {}).items()},
     )
+    if not opt > 0:  # nothing can be normalized by it or bounded below it
+        raise ValueError(f"estimated optimum {_g17(opt)} is not positive")
+    return opt
 
 
 # ----------------------------------------------------------------------
@@ -207,9 +198,9 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_run(cfg: dict) -> int:
-    os.makedirs(cfg["output_dir"], exist_ok=True)
-    battery_path = os.path.join(cfg["output_dir"], "battery.csv")
+def cmd_run(cfg: Experiment) -> int:
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    battery_path = os.path.join(cfg.output_dir, "battery.csv")
     marker = battery_path + ".partial"
     if os.path.exists(marker):
         os.remove(marker)
@@ -217,8 +208,8 @@ def cmd_run(cfg: dict) -> int:
     returned = []
 
     def summarized():
-        for record in optimizers.run_battery(cfg["objective"], cfg["noise"], cfg["trial"],
-                                             cfg["runs"], cfg["workers"]):
+        for record in optimizers.run_battery(cfg.objective, cfg.noise, cfg.trial,
+                                             cfg.runs, cfg.workers):
             returned.append(record.returned_value)
             yield record
 
@@ -239,22 +230,22 @@ def cmd_run(cfg: dict) -> int:
     return 0
 
 
-def _bound_curves(cfg: dict, opt: float) -> list:
+def _bound_curves(cfg: Experiment, opt: float) -> list:
     """Each bounds entry's curve over t = 1..T, all evaluated before the
     caller writes anything."""
-    if not cfg["bounds"]:
+    if not cfg.bounds:
         return []
-    consts = bounds.constants_for(cfg["objective"], cfg["noise"], opt)
-    return [bounds.bound_curve(entry, consts, cfg["trial"].T) for entry in cfg["bounds"]]
+    consts = bounds.constants_for(cfg.objective, cfg.noise, opt)
+    return [bounds.bound_curve(entry, consts, cfg.trial.T) for entry in cfg.bounds]
 
 
-def cmd_bounds(cfg: dict) -> int:
-    if not cfg["bounds"]:
+def cmd_bounds(cfg: Experiment) -> int:
+    if not cfg.bounds:
         raise ValueError("no bounds selected in config")
     curves = _bound_curves(cfg, resolve_opt(cfg))
-    os.makedirs(cfg["output_dir"], exist_ok=True)
+    os.makedirs(cfg.output_dir, exist_ok=True)
     for curve in curves:
-        path = os.path.join(cfg["output_dir"], f"bound_{curve.label}.csv")
+        path = os.path.join(cfg.output_dir, f"bound_{curve.label}.csv")
         bounds.save_bound_curve(path, curve)
         print(f"wrote {path}")
     return 0
@@ -263,26 +254,26 @@ def cmd_bounds(cfg: dict) -> int:
 _REPORT_STATS = (("min", "min"), ("median", "median"), ("q90", 0.9))
 
 
-def cmd_report(cfg: dict) -> int:
-    out_dir = cfg["output_dir"]
+def cmd_report(cfg: Experiment) -> int:
+    out_dir = cfg.output_dir
     battery_path = os.path.join(out_dir, "battery.csv")
     battery = analysis.TrialBattery.from_csv(battery_path)
-    trial = cfg["trial"]
+    trial = cfg.trial
     if battery.algorithm != trial.algorithm:
         raise ValueError(f"{battery_path}: battery algorithm {battery.algorithm!r} "
                          f"differs from the config's {trial.algorithm!r}")
     if not np.array_equal(battery.t, np.arange(1, trial.T + 1)):
         raise ValueError(f"{battery_path}: battery grid of {battery.t.size} points is not "
                          f"1..T for the config's T = {trial.T}")
-    if not np.array_equal(battery.run_ids, np.arange(cfg["runs"])):
+    if not np.array_equal(battery.run_ids, np.arange(cfg.runs)):
         raise ValueError(f"{battery_path}: battery of {battery.n_runs} runs is not run ids "
-                         f"0..runs-1 for the config's runs = {cfg['runs']}")
+                         f"0..runs-1 for the config's runs = {cfg.runs}")
     series = optimizers.guarantee_series(battery.algorithm)
 
     scale, opt_text, bound_curves = 1.0, "-", []
-    if cfg["normalized"] or cfg["bounds"]:
+    if cfg.normalized or cfg.bounds:
         opt = resolve_opt(cfg)
-        if cfg["normalized"]:
+        if cfg.normalized:
             scale, opt_text = opt, _g17(opt)
         bound_curves = _bound_curves(cfg, opt)
 
@@ -290,7 +281,7 @@ def cmd_report(cfg: dict) -> int:
     for label, stat in _REPORT_STATS:
         t, values = analysis.trajectory_statistic(battery, stat, series)
         curves.append((t, values / scale, label))
-    fits = analysis.shared_c1_refit(curves, p=cfg["fit_exponent"], t_min=cfg["t_min"])
+    fits = analysis.shared_c1_refit(curves, p=cfg.fit_exponent, t_min=cfg.t_min)
 
     violations = []
     for curve in bound_curves:
@@ -315,8 +306,8 @@ def cmd_report(cfg: dict) -> int:
         f"T: {int(battery.t[-1])}",
         f"series: {series}",
         f"opt: {opt_text}",
-        f"normalized: {str(cfg['normalized']).lower()}",
-        f"fit: p={_g17(cfg['fit_exponent'])} t_min={cfg['t_min']}",
+        f"normalized: {str(cfg.normalized).lower()}",
+        f"fit: p={_g17(cfg.fit_exponent)} t_min={cfg.t_min}",
         f"c1_shared: {_g17(fits[0].c1)}",
     ]
     for fit in fits:

@@ -201,7 +201,8 @@ def project(p: Polytope, y) -> np.ndarray:
     KKT conditions: feasibility and nonnegative multipliers, both within
     ``1e-9 * max(1, ||y||)``.  Raises ``ProjectionError`` carrying the
     iterate and its residual when the certificate fails, and ``ValueError``
-    when ``y`` has a non-finite entry.
+    when ``y`` has a non-finite entry or, unless the clamped point is the
+    answer, a norm that overflows (both tolerances would be infinite).
     """
     y = _check_dim(p, y, "y")
     if not np.all(np.isfinite(y)):
@@ -214,6 +215,8 @@ def project(p: Polytope, y) -> np.ndarray:
         return x
 
     scale = max(1.0, float(np.linalg.norm(y)))
+    if not math.isfinite(scale):
+        raise ValueError("y is too large: its norm overflows")
     active, side = _dual_active_set(p, y, scale)
     x, residual = _kkt_point(p, y, active, side)
     if not residual <= _KKT_RTOL * scale:

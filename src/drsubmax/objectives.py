@@ -267,6 +267,8 @@ def load_bipartite(path, mapping: str = "exp", k: int = 1,
         edges.append((s, t, p))
     if upper is None:
         mean_freq = sum(freqs.values()) / len(freqs)
+        if math.isinf(mean_freq):  # the sum overflowed; the sum of the ratios cannot
+            mean_freq = f_max * (sum(freq / f_max for freq in freqs.values()) / len(freqs))
         upper = _map_frequency(mapping, mean_freq, f_max)
     return BudgetAllocationObjective(
         len(channel_ids), len(customer_ids), edges, k=k, alphas=alphas,
@@ -324,35 +326,49 @@ def save_nqp(path, obj: NqpObjective) -> None:
 
 
 def load_nqp(path) -> NqpObjective:
-    """Read an instance that ``save_nqp`` wrote."""
-    sizes, vectors, rows = {}, {}, {"A": [], "H": []}
+    """Read an instance that ``save_nqp`` wrote.  The ``n``, ``m``, ``u`` and
+    ``b`` lines may appear once each, and an error about one line names
+    ``path:lineno``."""
+    once, rows = {}, {"A": [], "H": []}  # each line's (values, path:lineno)
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             key, _, rest = line.strip().partition(" ")
-            if key in ("n", "m"):
-                sizes[key] = int(rest)
-            elif key in ("u", "b"):
-                vectors[key] = np.array([float(v) for v in rest.split()])
-            elif key in rows:
-                rows[key].append([float(v) for v in rest.split()])
-            elif key:
-                raise ValueError(f"unknown polytope key {key!r}")
-    if "n" not in sizes or "m" not in sizes or "u" not in vectors:
-        raise ValueError("polytope block must define n, m, and u")
-    u, b, m = vectors["u"], vectors.get("b"), sizes["m"]
-    if u.size != sizes["n"]:
-        raise ValueError("u length disagrees with n")
+            if not key:
+                continue
+            where = f"{path}:{lineno}"
+            if key not in ("n", "m", "u", "b", *rows):
+                raise ValueError(f"{where}: unknown polytope key {key!r}")
+            if key in once:
+                raise ValueError(f"{where}: repeated {key!r} line")
+            try:
+                values = int(rest) if key in ("n", "m") else [float(v) for v in rest.split()]
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if key in rows:
+                rows[key].append((values, where))
+            else:
+                once[key] = (values, where)
+    if not {"n", "m", "u"} <= once.keys():
+        raise ValueError(f"{path}: polytope block must define n, m, and u")
+    n, m = once["n"][0], once["m"][0]
+    if m == 0 and ("b" in once or rows["A"]):
+        raise ValueError(f"{path}: m is 0 but the file has b or A lines")
+    if m != 0 and ("b" not in once or len(rows["A"]) != m):
+        raise ValueError(f"{path}: A/b rows disagree with m")
+    if len(rows["H"]) != n:
+        raise ValueError(f"{path}: H block size disagrees with n")
+    sized = [(once["u"], n)] + [(row, n) for row in rows["A"] + rows["H"]]
+    if m:
+        sized.append((once["b"], m))
+    for (values, where), size in sized:
+        if len(values) != size:
+            raise ValueError(f"{where}: {len(values)} values where {size} are expected")
+    u = np.array(once["u"][0])
     if m == 0:
-        if b is not None or rows["A"]:
-            raise ValueError("m is 0 but the file has b or A lines")
         poly = Polytope.box(u)
-    elif b is None or b.size != m or len(rows["A"]) != m:
-        raise ValueError("A/b rows disagree with m")
     else:
-        poly = Polytope(np.array(rows["A"]), b, u)
-    if len(rows["H"]) != poly.dim:
-        raise ValueError("H block size disagrees with the polytope dimension")
-    return NqpObjective(np.array(rows["H"]), poly)
+        poly = Polytope(np.array([row for row, _ in rows["A"]]), np.array(once["b"][0]), u)
+    return NqpObjective(np.array([row for row, _ in rows["H"]]), poly)
 
 
 # each problem kind's builder; a config's problem entry holds its ``kind`` and

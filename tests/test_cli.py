@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from drsubmax import cli
-from drsubmax.analysis import TrialBattery
+from drsubmax.analysis import TrialBattery, shared_c1_refit
 from drsubmax.geometry import Polytope
 from drsubmax.objectives import NqpObjective, save_nqp
 
@@ -367,6 +368,16 @@ class TestReport:
         assert "opt" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.txt").exists()
 
+    def test_fit_defaults_are_the_refits_own(self, tmp_path, one_dim_instance):
+        """A config without ``t_min`` or ``fit_exponent`` fits with the
+        defaults of ``analysis.shared_c1_refit``."""
+        cfg = write_config(tmp_path)
+        for command in ("run", "report"):
+            assert cli.main([command, "--config", str(cfg)]) == 0
+        params = inspect.signature(shared_c1_refit).parameters
+        assert f"fit: p={params['p'].default} t_min={params['t_min'].default}" in \
+            (tmp_path / "out" / "report.txt").read_text().splitlines()
+
     def test_missing_battery_exits_io(self, tmp_path, one_dim_instance, capsys):
         cfg = write_config(tmp_path)
         assert cli.main(["report", "--config", str(cfg)]) == 1
@@ -570,6 +581,27 @@ class TestOneValidationBoundary:
                            bounds=[{"theorem": "theorem4", "delta": -1}])
         err = self.assert_rejected("bounds", cfg, tmp_path / "out", capsys)
         assert "theorem4: delta must lie in (0, 1)" in err
+
+    @pytest.mark.parametrize("command", ["bounds", "report"])
+    def test_zero_estimated_optimum_rejected(self, tmp_path, command, capsys):
+        """With f = 0 everywhere the estimated optimum is 0: nothing can be
+        normalized by it or bounded below it, so neither command writes, and
+        ``report`` needs no bounds entry to refuse it."""
+        entries = [{"theorem": "theorem4", "delta": 0.1}] if command == "bounds" else []
+        cfg = write_config(tmp_path, T=10, runs=3, normalized=True, bounds=entries,
+                           problem={**_GENERATED, "n": 3, "entry_low": 0.0, "seed": 1},
+                           noise={"kind": "clipped_gaussian", "sigma": 0.1},
+                           opt={"runs": 2, "iterations": 20})
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        err = self.assert_rejected(command, cfg, tmp_path / "out", capsys)
+        assert "estimated optimum 0 is not positive" in err
+
+    def test_instance_is_built_after_every_other_check(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, runs=0,
+                           problem={"kind": "nqp-file", "path": str(tmp_path / "missing.txt")})
+        err = self.assert_rejected("run", cfg, tmp_path / "out", capsys)
+        assert "runs must be a positive integer" in err
 
     def test_run_bounds_and_report_share_the_trial_checks(self, tmp_path, one_dim_instance,
                                                           capsys):

@@ -181,6 +181,12 @@ class TestProject:
             with pytest.raises(ValueError):
                 project(TRIANGLE, y)
 
+    def test_overflowing_norm_rejected(self):
+        """||y|| overflows to inf above about 1.3e154, which would make both
+        tolerances infinite and return y itself, 2e154 outside the region."""
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+            project(TRIANGLE, [1e154, 1e154])
+
     def test_failed_certificate_carries_iterate_and_residual(self, monkeypatch):
         # with no step allowed the active set stays empty, so the candidate
         # is y itself and its KKT check fails on feasibility

@@ -256,6 +256,16 @@ class TestBipartiteLoading:
         expected = 1.0 - math.exp(-3.0 / 4.0)
         np.testing.assert_allclose(obj.per_advertiser_upper, expected)
 
+    @pytest.mark.parametrize("freq", ["1e308", "1.7976931348623157e308"])
+    def test_default_budget_of_huge_frequencies(self, tmp_path, freq):
+        """The mean frequency does not overflow where the frequency sum does:
+        the file loads as the same file at frequency 1."""
+        lines = "".join(f"k{i}\tc{i}\t{{}}\n" for i in range(3))
+        huge = load_bipartite(self._write(tmp_path, lines.format(freq, freq, freq)))
+        unit = load_bipartite(self._write(tmp_path, lines.format(1, 1, 1)))
+        assert huge.edges == unit.edges
+        np.testing.assert_array_equal(huge.per_advertiser_upper, unit.per_advertiser_upper)
+
     def test_advertisers_replicate_budget(self, tmp_path):
         path = self._write(tmp_path, "k1\tc1\t2\nk2\tc2\t4\n")
         obj = load_bipartite(path, k=3)
@@ -287,6 +297,33 @@ class TestNqpSerialization:
         path.write_text(f"n 2\nm 0\nu 1.0 1.0\n{extra}\nH -1.0 0.0\nH 0.0 -1.0\n")
         with pytest.raises(ValueError, match="m is 0"):
             load_nqp(path)
+
+    _TRIANGLE = ["n 2", "m 1", "u 1.0 1.0", "b 1.0", "A 1.0 1.0", "H -1.0 0.0", "H 0.0 -1.0"]
+
+    @pytest.mark.parametrize("lineno,line,replace,message", [
+        (2, "n 2", False, "repeated 'n' line"),
+        (3, "m 0", False, "repeated 'm' line"),
+        (4, "u 1.0 1.0", False, "repeated 'u' line"),
+        (5, "b 1.0", False, "repeated 'b' line"),
+        (2, "m x", True, "invalid literal"),
+        (5, "A 0.5 x", True, "could not convert string to float: 'x'"),
+        (5, "A 1.0 1.0 1.0", True, "3 values where 2 are expected"),
+        (6, "H -1.0", True, "1 values where 2 are expected"),
+        (3, "u 1.0", True, "1 values where 2 are expected"),
+        (4, "b 1.0 1.0", True, "2 values where 1 are expected"),
+        (1, "z 1", True, "unknown polytope key 'z'"),
+    ], ids=["n-twice", "m-twice", "u-twice", "b-twice", "m-text", "A-text", "A-long",
+            "H-short", "u-short", "b-long", "unknown-key"])
+    def test_line_error_names_the_line(self, tmp_path, lineno, line, replace, message):
+        """An error about one line names ``path:lineno``, and a second ``n``,
+        ``m``, ``u`` or ``b`` line is an error, not a replacement."""
+        lines = list(self._TRIANGLE)
+        lines[lineno - 1 : lineno - 1 + replace] = [line]
+        path = tmp_path / "inst.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_nqp(path)
+        assert str(info.value).startswith(f"{path}:{lineno}: {message}")
 
     def test_box_round_trip(self, tmp_path):
         obj = generate_nqp(32, 3, 0, -1.0, 0.0)
