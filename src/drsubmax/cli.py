@@ -85,6 +85,8 @@ class Experiment:
     def __post_init__(self):
         if not isinstance(self.output_dir, str):
             raise ValueError("output_dir must be a string")
+        if not self.output_dir:
+            raise ValueError("output_dir must not be empty")
         for key in ("runs", "t_min"):
             if not (is_int(getattr(self, key)) and getattr(self, key) >= 1):
                 raise ValueError(f"{key} must be a positive integer")

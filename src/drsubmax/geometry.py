@@ -11,15 +11,16 @@ costs recomputed from its final basis and by complementary slackness).  Both
 are deterministic functions of their inputs.
 
 A Frank-Wolfe trial calls the LMO on one region with a new direction each
-time.  Its caller may pass an ``LmoWarmStart``, the simplex state that each
-call starts from and leaves updated.  A new state holds the slack basis at
-the origin, the cold start; after a call it holds that call's final basis,
-which is still feasible, so the next call needs only the pivots its new
-direction asks for.  An answer that fails its certificate is solved once
-more from the slack basis, so a warm start never turns a cold answer into an
-``LmoError``.  The state belongs to one caller and one region, and nothing
-is cached on the region or in the module, so ``lmo(p, g)`` without a state
-starts from a new one.
+time.  Its caller may pass an ``LmoWarmStart``, which presolves the region
+once and holds the simplex state that each call starts from and leaves
+updated.  A new state holds the slack basis at the origin, the cold start;
+after a call it holds that call's final basis, which is still feasible, so
+the next call needs only the pivots its new direction asks for.  An answer
+that fails its certificate is solved once more from the slack basis, so a
+warm start never turns a cold answer into an ``LmoError``.  The state
+belongs to one caller and one region.  Nothing is cached on the region or
+in the module: ``lmo(p, g)`` without a state presolves into a new one, and
+``project`` computes the row norms it needs on each call.
 
 The module does no file I/O: an instance file, which stores a region with
 its objective, is read and written by ``objectives``.
@@ -28,7 +29,7 @@ its objective, is read and written by ``objectives``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,24 +94,19 @@ class Polytope:
     ``a_matrix`` is ``(m, n)`` with ``m == 0`` allowed (pure box), ``b_vector``
     has length ``m`` and ``upper`` length ``n``.  All entries of ``b_vector``
     and ``upper`` must be strictly positive so the origin is strictly feasible.
-
-    A halfspace is redundant when the whole box satisfies it,
-    ``sum_j max(A_ij, 0) * upper_j <= b_i``.  ``lmo`` runs on the other rows
-    only (``_lmo_rows``, with its read-only tableau ``[A_rows I]`` in
-    ``_lmo_tableau``); every other use of the region keeps all of them.
+    The LMO's presolve and tableau live in ``LmoWarmStart``.
     """
 
     a_matrix: np.ndarray
     b_vector: np.ndarray
     upper: np.ndarray
-    _row_norms: np.ndarray = field(init=False, repr=False, compare=False)
-    _lmo_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    _lmo_tableau: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a_matrix, dtype=float))
         b = np.asarray(self.b_vector, dtype=float).ravel()
         u = np.asarray(self.upper, dtype=float).ravel()
+        if a.ndim != 2:
+            raise ValueError(f"A must be a matrix, got shape {a.shape}")
         if a.size == 0:
             a = np.zeros((0, u.size))
         if a.shape[0] != b.size:
@@ -131,16 +127,6 @@ class Polytope:
         object.__setattr__(self, "a_matrix", a)
         object.__setattr__(self, "b_vector", b)
         object.__setattr__(self, "upper", u)
-        rn = np.sqrt(np.einsum("ij,ij->i", a, a)) if a.shape[0] else np.zeros(0)
-        rn.setflags(write=False)
-        object.__setattr__(self, "_row_norms", rn)
-        rows = np.flatnonzero(np.maximum(a, 0.0) @ u > b)
-        rows.setflags(write=False)
-        object.__setattr__(self, "_lmo_rows", rows)
-        # the coordinates, then one slack per row
-        tableau = np.hstack((a[rows], np.eye(rows.size)))
-        tableau.setflags(write=False)
-        object.__setattr__(self, "_lmo_tableau", tableau)
 
     @property
     def dim(self) -> int:
@@ -199,10 +185,13 @@ def project(p: Polytope, y) -> np.ndarray:
 
     The answer is recomputed from the final active set and certified by its
     KKT conditions: feasibility and nonnegative multipliers, both within
-    ``1e-9 * max(1, ||y||)``.  Raises ``ProjectionError`` carrying the
-    iterate and its residual when the certificate fails, and ``ValueError``
-    when ``y`` has a non-finite entry or, unless the clamped point is the
-    answer, a norm that overflows (both tolerances would be infinite).
+    ``1e-9 * max(1, ||y||)``.  The answer is backward stable, so a far
+    target's answer is feasible only on ``||y||``'s scale: on ``x1 + x2 <= 1``
+    in the unit box, ``y = (1e12, 1e12)`` gives a point 4.9e-4 outside.
+    Raises ``ProjectionError`` carrying the iterate and its residual when the
+    certificate fails, and ``ValueError`` when ``y`` has a non-finite entry
+    or, unless the clamped point is the answer, a norm that overflows (both
+    tolerances would be infinite).
     """
     y = _check_dim(p, y, "y")
     if not np.all(np.isfinite(y)):
@@ -217,8 +206,9 @@ def project(p: Polytope, y) -> np.ndarray:
     scale = max(1.0, float(np.linalg.norm(y)))
     if not math.isfinite(scale):
         raise ValueError("y is too large: its norm overflows")
-    active, side = _dual_active_set(p, y, scale)
-    x, residual = _kkt_point(p, y, active, side)
+    row_norms = np.sqrt(np.einsum("ij,ij->i", p.a_matrix, p.a_matrix))
+    active, side = _dual_active_set(p, y, scale, row_norms)
+    x, residual = _kkt_point(p, y, active, side, row_norms)
     if not residual <= _KKT_RTOL * scale:
         raise ProjectionError(
             f"projection failed its KKT certificate: residual {residual:.3g}",
@@ -228,7 +218,7 @@ def project(p: Polytope, y) -> np.ndarray:
     return x
 
 
-def _dual_active_set(p: Polytope, y: np.ndarray, scale: float):
+def _dual_active_set(p: Polytope, y: np.ndarray, scale: float, row_norms: np.ndarray):
     """The active set at the projection: ``active`` is 1 at a tight halfspace
     and 0 elsewhere, and ``side`` is -1 at a coordinate fixed at its lower
     face, +1 at its upper face and 0 when free.
@@ -240,7 +230,7 @@ def _dual_active_set(p: Polytope, y: np.ndarray, scale: float):
     a, b, u = p.a_matrix, p.b_vector, p.upper
     m, n = a.shape
     # a zero row is never violated (b > 0)
-    row_norms = np.where(p._row_norms == 0.0, 1.0, p._row_norms)
+    row_norms = np.where(row_norms == 0.0, 1.0, row_norms)
     add_tol = _ADD_RTOL * scale
     x = y.copy()
     face = np.zeros(m + n)
@@ -313,7 +303,8 @@ def _dual_active_set(p: Polytope, y: np.ndarray, scale: float):
     return active, side
 
 
-def _kkt_point(p: Polytope, y: np.ndarray, active: np.ndarray, side: np.ndarray):
+def _kkt_point(p: Polytope, y: np.ndarray, active: np.ndarray, side: np.ndarray,
+               row_norms: np.ndarray):
     """The projection of ``y`` onto the face where the halfspaces with nonzero
     ``active`` are tight and the coordinates with nonzero ``side`` sit at their
     box face, with its KKT residual: the larger of the point's constraint
@@ -337,7 +328,7 @@ def _kkt_point(p: Polytope, y: np.ndarray, active: np.ndarray, side: np.ndarray)
         x[free] = y[free] - a_rows[:, free].T @ lam
     # box-face multipliers: y - x = A_rows^T lam + side * mu on fixed coordinates
     mu = side[~free] * (y[~free] - x[~free] - a_rows[:, ~free].T @ lam)
-    worst = max(float(np.max(-lam * p._row_norms[rows], initial=0.0)),
+    worst = max(float(np.max(-lam * row_norms[rows], initial=0.0)),
                 float(np.max(-mu, initial=0.0)))
     return x, max(violation(p, x), worst)
 
@@ -345,36 +336,44 @@ def _kkt_point(p: Polytope, y: np.ndarray, active: np.ndarray, side: np.ndarray)
 class LmoWarmStart:
     """One caller's simplex state for ``lmo`` on one polytope.
 
-    It holds the tableau ``B^-1 [A I]``, the basis, the sign of each variable
-    (-1 for a nonbasic variable at its upper bound) and the basic values.
-    These depend on the basis only, not on the direction, so each call
-    starts from the state the previous call left.  A new or cleared state
-    holds the slack basis at the origin, which is the cold start.  Create
-    one per Frank-Wolfe trial and pass it to every LMO call of that trial;
-    using it with another polytope raises ``ValueError``.
+    A halfspace is redundant when the whole box satisfies it,
+    ``sum_j max(A_ij, 0) * upper_j <= b_i``.  A new state keeps the other
+    ``rows`` (every other use of the region keeps all of them), the read-only
+    tableau ``base = [A_rows I]`` and the variables' bounds ``upper``,
+    ``(upper, inf, ...)``.  It then holds the tableau ``B^-1 [A I]``, the
+    basis, the sign of each variable (-1 for a nonbasic variable at its upper
+    bound) and the basic values.  These depend on the basis only, not on the
+    direction, so each call starts from the state the previous call left.  A
+    new or cleared state holds the slack basis at the origin, which is the
+    cold start.  Create one per Frank-Wolfe trial and pass it to every LMO
+    call of that trial; using it with another polytope raises ``ValueError``.
     """
 
-    __slots__ = ("polytope", "tab", "basis", "sign", "values")
+    __slots__ = ("polytope", "rows", "base", "upper", "tab", "basis", "sign", "values")
 
     def __init__(self, polytope: Polytope):
-        self.polytope = polytope
+        a, u = polytope.a_matrix, polytope.upper
+        rows = np.flatnonzero(np.maximum(a, 0.0) @ u > polytope.b_vector)
+        base = np.hstack((a[rows], np.eye(rows.size)))
+        upper = np.concatenate((u, np.full(rows.size, np.inf)))
+        base.setflags(write=False)
+        self.polytope, self.rows, self.base, self.upper = polytope, rows, base, upper
         self.clear()
 
     def clear(self) -> None:
         """Return to the slack basis at the origin, the cold start."""
-        p = self.polytope
-        m = p._lmo_rows.size
-        self.tab = p._lmo_tableau.copy()
-        self.basis = np.arange(p.dim, p.dim + m)
-        self.sign = np.ones(p.dim + m)
-        self.values = p.b_vector[p._lmo_rows]
+        n, m = self.polytope.dim, self.rows.size
+        self.tab = self.base.copy()
+        self.basis = np.arange(n, n + m)
+        self.sign = np.ones(n + m)
+        self.values = self.polytope.b_vector[self.rows]
 
 
 def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
     """A vertex maximizing ``<g, v>`` over the polytope.
 
     Only the halfspaces that some point of the box violates take part (see
-    ``Polytope``); without any, the answer is the sign rule
+    ``LmoWarmStart``); without any, the answer is the sign rule
     ``v_j = upper_j if g_j > 0 else 0``.  Otherwise the LP
     ``max g.v  s.t.  A v + s = b,  0 <= v <= upper,  s >= 0`` is solved by a
     bounded-variable primal simplex (the upper-bounding technique of Dantzig,
@@ -414,11 +413,11 @@ def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
     g = _check_dim(p, g, "g")
     if not np.all(np.isfinite(g)):
         raise ValueError("g must be finite")
-    if p._lmo_rows.size == 0:
+    state = LmoWarmStart(p) if warm is None else warm
+    if state.rows.size == 0:
         return np.where(g > 0.0, p.upper, 0.0)
 
-    state = LmoWarmStart(p) if warm is None else warm
-    cost = np.concatenate((g, np.zeros(p._lmo_rows.size)))
+    cost = np.concatenate((g, np.zeros(state.rows.size)))
     for _ in range(2):
         _bounded_simplex(state, cost)
         v = np.where(state.sign[:p.dim] < 0.0, p.upper, 0.0)
@@ -438,8 +437,7 @@ def _bounded_simplex(state: LmoWarmStart, cost: np.ndarray) -> None:
     where ``z`` holds the ``n`` coordinates then the ``m`` slacks, from the
     basis ``state`` holds, and leave the final simplex state in ``state``."""
     tab, basis, sign, values = state.tab, state.basis, state.sign, state.values
-    m, n = basis.size, state.polytope.dim
-    upper = np.concatenate((state.polytope.upper, np.full(m, np.inf)))
+    upper, m, n = state.upper, basis.size, state.polytope.dim
     cost = cost - cost[basis] @ tab  # reduced costs c - c_B B^-1 [A I]
     cost[basis] = 0.0
     ratios = np.empty(m)
@@ -494,7 +492,7 @@ def _lmo_residual(state: LmoWarmStart, cost: np.ndarray, v: np.ndarray) -> float
     optimal basis, whatever tableau the simplex carried.  NaN when ``v`` is
     not finite."""
     p, basis = state.polytope, state.basis
-    full, n = p._lmo_tableau, p.dim
+    full, n = state.base, p.dim
     try:
         y = np.linalg.solve(full[:, basis].T, cost[basis])
     except np.linalg.LinAlgError:
@@ -504,7 +502,7 @@ def _lmo_residual(state: LmoWarmStart, cost: np.ndarray, v: np.ndarray) -> float
     gain[basis] = 0.0
     scale = max(1.0, float(np.abs(cost).max()))
     # v lies in the box, so it meets every row that lmo leaves out
-    slack = p.b_vector[p._lmo_rows] - full[:, :n] @ v
+    slack = p.b_vector[state.rows] - full[:, :n] @ v
     basic_rows = basis[basis >= n] - n
     slack[basic_rows] = np.minimum(slack[basic_rows], 0.0)
     return float(np.maximum(gain.max() / scale, np.abs(slack).max()))

@@ -103,10 +103,8 @@ class OracleStream:
     def __init__(self, objective: Objective, noise: NoiseModel, master_seed: int, run_id: int):
         self.objective = objective
         self.noise = noise
-        self.master_seed = int(master_seed)
-        self.run_id = int(run_id)
         self.rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.run_id,))
+            np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(run_id),))
         )
 
     def grad(self, x) -> np.ndarray:

@@ -493,6 +493,7 @@ _INVALID = [
         ("budget-upper-true", {"problem": {**_BUDGET, "upper": True}}),
         ("budget-alphas-object", {"problem": {**_BUDGET, "alphas": {}}}),
         ("file-path-number", {"problem": {"kind": "nqp-file", "path": 1}}),
+        ("output_dir-empty", {"output_dir": ""}),
         ("t_min-equals-T", {"t_min": 4}),
         ("theorem4-alpha-near-one",
          {"bounds": [{"theorem": "theorem4", "delta": 0.01, "alpha": 0.995}]}),

@@ -26,11 +26,11 @@ def at_slack_basis(state: LmoWarmStart) -> bool:
     """True iff ``state`` holds the LMO's cold start: the tableau ``[A I]``,
     the slacks basic at ``b`` and every coordinate at its lower bound."""
     p = state.polytope
-    n, m = p.dim, p._lmo_rows.size
-    return (np.array_equal(state.tab, p._lmo_tableau)
+    n, m = p.dim, state.rows.size
+    return (np.array_equal(state.tab, state.base)
             and np.array_equal(state.basis, np.arange(n, n + m))
             and np.array_equal(state.sign, np.ones(n + m))
-            and np.array_equal(state.values, p.b_vector[p._lmo_rows]))
+            and np.array_equal(state.values, p.b_vector[state.rows]))
 
 
 def round_trip(path, poly: Polytope) -> Polytope:
@@ -57,6 +57,10 @@ class TestPolytopeConstruction:
     def test_rejects_non_finite_entries(self, a, b, u):
         with pytest.raises(ValueError, match="finite"):
             Polytope(a, b, u)
+
+    def test_rejects_a_matrix_that_is_not_2d(self):
+        with pytest.raises(ValueError, match=r"A must be a matrix, got shape \(1, 2, 2\)"):
+            Polytope(np.ones((1, 2, 2)), [1.0], [1.0, 1.0])
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -305,7 +309,7 @@ class TestPresolve:
     REDUNDANT = Polytope([[1.0, 1.0], [10.0, -10.0]], [1.0, 10.0], [1.0, 1.0])
 
     def test_lmo_skips_the_redundant_row(self):
-        np.testing.assert_array_equal(self.REDUNDANT._lmo_rows, [0])
+        np.testing.assert_array_equal(LmoWarmStart(self.REDUNDANT).rows, [0])
         rng = np.random.default_rng(76)
         for _ in range(50):
             g = rng.standard_normal(2)
@@ -318,13 +322,13 @@ class TestPresolve:
         back = round_trip(path, self.REDUNDANT)
         np.testing.assert_array_equal(back.a_matrix, self.REDUNDANT.a_matrix)
         np.testing.assert_array_equal(back.b_vector, self.REDUNDANT.b_vector)
-        np.testing.assert_array_equal(back._lmo_rows, [0])
+        np.testing.assert_array_equal(LmoWarmStart(back).rows, [0])
 
     def test_acceptance_region_is_the_sign_rule(self):
         """The acceptance instance's one halfspace, 0.2 * sum(x) <= 1, holds
         on the unit box, so the LMO is the sign rule bit for bit."""
         poly = Polytope([[0.2] * 5], [1.0], np.ones(5))
-        assert poly._lmo_rows.size == 0
+        assert LmoWarmStart(poly).rows.size == 0
         rng = np.random.default_rng(77)
         for _ in range(200):
             g = rng.standard_normal(5) * (rng.uniform(size=5) < 0.8)
@@ -381,9 +385,9 @@ class TestLmoWarmStart:
 
     def test_tableau_is_built_once_and_read_only(self):
         poly = TestPresolve.REDUNDANT
-        np.testing.assert_array_equal(poly._lmo_tableau, [[1.0, 1.0, 1.0]])
-        assert not poly._lmo_tableau.flags.writeable
-        assert UNIT_BOX2._lmo_tableau.shape == (0, 2)
+        np.testing.assert_array_equal(LmoWarmStart(poly).base, [[1.0, 1.0, 1.0]])
+        assert not LmoWarmStart(poly).base.flags.writeable
+        assert LmoWarmStart(UNIT_BOX2).base.shape == (0, 2)
 
     def test_every_call_of_an_scg_trial_matches_the_cold_start(self, monkeypatch,
                                                                  simplex_runs):
@@ -471,6 +475,28 @@ class TestLmoWarmStart:
         for poly in (twin, UNIT_BOX2):
             with pytest.raises(ValueError, match="another polytope"):
                 lmo(poly, [1.0, 1.0], LmoWarmStart(TRIANGLE))
+
+    def test_states_on_one_polytope_keep_their_own_tableaux(self):
+        """Two states on one polytope build equal read-only bases ``[A_rows I]``
+        and bounds ``(upper, inf...)``; a pivot or ``clear()`` in one leaves
+        the other's tableau untouched."""
+        poly = Polytope([[2.0, 1.0], [1.0, 2.0]], [1.0, 1.0], [1.0, 1.0])
+        base = [[2.0, 1.0, 1.0, 0.0], [1.0, 2.0, 0.0, 1.0]]
+        first, second = LmoWarmStart(poly), LmoWarmStart(poly)
+        for state in (first, second):
+            np.testing.assert_array_equal(state.base, base)
+            assert not state.base.flags.writeable
+            np.testing.assert_array_equal(state.upper, [1.0, 1.0, np.inf, np.inf])
+        lmo(poly, [1.0, 0.0], first)  # x1 enters by a pivot
+        assert not np.array_equal(first.tab, base)
+        assert at_slack_basis(second)
+        lmo(poly, [0.0, 1.0], second)
+        tab = second.tab.copy()
+        assert not np.array_equal(tab, base)
+        first.clear()
+        assert at_slack_basis(first)
+        np.testing.assert_array_equal(second.tab, tab)
+        np.testing.assert_array_equal(first.base, base)
 
     def test_box_ignores_the_state(self):
         warm = LmoWarmStart(UNIT_BOX2)
