@@ -11,7 +11,7 @@ import numpy as np
 from .bounds import BoundCurve
 from .objectives import Objective, is_int
 from .oracles import NoiseModel
-from .optimizers import ALGORITHMS, BATTERY_HEADER, RunConfig, run_battery
+from .optimizers import ALGORITHMS, BATTERY_HEADER, RunConfig, guarantee_series, run_battery
 from .optimizers import run_trial  # noqa: F401  the benchmark's tracer wraps it here
 
 __all__ = [
@@ -111,9 +111,9 @@ class TrialBattery:
 def trajectory_statistic(battery: TrialBattery, stat, series: str = "f_true"):
     """Per-iteration statistic across runs.
 
-    ``stat`` is ``"min"``, ``"median"``, ``"mean"``, or a float ``q`` in
-    (0, 1) for the nearest-rank quantile (the ``ceil(q N)``-th order
-    statistic, no interpolation).  Returns ``(t, values)``.
+    ``stat`` is ``"min"``, ``"median"``, ``"mean"``, or a float ``q`` in (0, 1)
+    for the nearest-rank (``inverted_cdf``) quantile, the ``ceil(q N)``-th
+    order statistic without interpolation.  Returns ``(t, values)``.
     """
     data = battery.series(series)
     if isinstance(stat, str):
@@ -129,8 +129,7 @@ def trajectory_statistic(battery: TrialBattery, stat, series: str = "f_true"):
         q = float(stat)
         if not (0.0 < q < 1.0):
             raise ValueError("quantile level must lie in (0, 1)")
-        rank = math.ceil(q * battery.n_runs)
-        values = np.sort(data, axis=0)[rank - 1]
+        values = np.quantile(data, q, axis=0, method="inverted_cdf")
     return battery.t.copy(), values
 
 
@@ -213,18 +212,12 @@ def approx_opt(objective: Objective, master_seed: int = 0, n_runs: int = 100,
     return max(rec.returned_value for rec in run_battery(objective, noise, cfg, n_runs))
 
 
-def bound_violation_rate(battery: TrialBattery, curve: BoundCurve, convention: str) -> float:
-    """Fraction of runs whose returned statistic at the final iteration falls
-    strictly below the bound there.
-
-    ``convention`` is ``"average_iterate"`` (running average, projected
-    ascent guarantees) or ``"final_iterate"`` (greedy guarantees).
-    """
-    if convention not in ("average_iterate", "final_iterate"):
-        raise ValueError(f"unknown convention {convention!r}")
+def bound_violation_rate(battery: TrialBattery, curve: BoundCurve) -> float:
+    """Fraction of runs whose guarantee series (``guarantee_series`` of the
+    battery's algorithm) at the final iteration falls strictly below the
+    bound there."""
     if curve.t.size != battery.t.size or np.any(curve.t != battery.t):
         raise ValueError("grid mismatch between bound curve and battery")
-    horizon = int(battery.t[-1])
-    threshold = curve.at(horizon)
-    series = battery.f_running_avg if convention == "average_iterate" else battery.f_true
+    threshold = curve.at(int(battery.t[-1]))
+    series = battery.series(guarantee_series(battery.algorithm))
     return float(np.mean(series[:, -1] < threshold))

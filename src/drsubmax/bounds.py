@@ -4,10 +4,10 @@ Each ``theoremN_bound`` evaluates one guarantee as a function of the
 iteration budget ``T`` and a confidence parameter, given the problem
 constants (smoothness, diameter, noise bounds, optimum).  Bounds may be
 negative: vacuous values are meaningful outputs for plotting.  ``THEOREMS``
-holds the per-theorem facts, and ``bound_curve`` is the one reader of a
-config's bounds entry: it checks the entry against its theorem's keys and
-evaluates it.  Helper numerics live here too: the momentum series constant
-and a Perron-root spectral norm.
+holds the per-theorem facts, among them the algorithm each bounds, and
+``bound_curve`` is the one reader of a config's bounds entry: it checks the
+entry against its theorem and its trial, and evaluates it.  Helper numerics
+live here too: the momentum series constant and a Perron-root spectral norm.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 
 from .geometry import diameter_bound
 from .objectives import Objective, is_finite_real
+from .optimizers import RunConfig
 from .oracles import NoiseModel, noise_constants
 
 __all__ = [
@@ -291,11 +292,11 @@ class BoundCurve:
 class TheoremSpec:
     """Per-theorem facts: the keyword parameters of ``<name>_bound`` with
     their defaults, whether it is a Chebyshev-type bound returning
-    ``(bound, prob)``, and the battery statistic it is checked on."""
+    ``(bound, prob)``, and the algorithm whose trials it bounds."""
 
     params: dict
     chebyshev: bool
-    statistic: str
+    algorithm: str
 
     def delta(self, p: float, T: int) -> float:
         """The ``delta`` at which the bound holds with probability ``p``."""
@@ -307,23 +308,24 @@ class TheoremSpec:
 THEOREMS = {
     name: TheoremSpec({key: param.default for key, param
                        in inspect.signature(globals()[f"{name}_bound"]).parameters.items()
-                       if param.default is not param.empty}, chebyshev, statistic)
-    for name, chebyshev, statistic in (
-        ("theorem1", False, "average_iterate"),
-        ("theorem2", False, "average_iterate"),
-        ("theorem3", True, "final_iterate"),
-        ("theorem4", False, "final_iterate"),
-        ("theorem5", True, "final_iterate"),
+                       if param.default is not param.empty}, chebyshev, algorithm)
+    for name, chebyshev, algorithm in (
+        ("theorem1", False, "pga"),
+        ("theorem2", False, "boosted_pga"),
+        ("theorem3", True, "scg"),
+        ("theorem4", False, "scg"),
+        ("theorem5", True, "scgpp"),
     )
 }
 
 
-def bound_curve(entry: dict, c: BoundConstants, T: int) -> BoundCurve:
-    """The config's bounds ``entry`` over ``t = 1..T``: ``theorem``, exactly
-    one of ``delta`` and ``p`` (mapped by ``TheoremSpec.delta``) and that
-    theorem's parameters.  Every ``ValueError`` starts with the theorem's
-    name; the meta echoes delta, the constants, the float parameters and
-    ``K``."""
+def bound_curve(entry: dict, c: BoundConstants, trial: RunConfig) -> BoundCurve:
+    """The config's bounds ``entry`` over ``t = 1..trial.T``: ``theorem``,
+    exactly one of ``delta`` and ``p`` (mapped by ``TheoremSpec.delta``) and
+    that theorem's parameters, of which the trial fixes ``gamma`` and
+    ``alpha``.  The theorem must bound ``trial.algorithm``.  Every
+    ``ValueError`` starts with the theorem's name; the meta echoes delta, the
+    constants, the float parameters and ``K``."""
     name = entry.get("theorem")
     if not isinstance(name, str) or name not in THEOREMS:
         raise ValueError(f"{name}: unknown theorem, expected one of {', '.join(THEOREMS)}")
@@ -343,8 +345,19 @@ def bound_curve(entry: dict, c: BoundConstants, T: int) -> BoundCurve:
                 raise ValueError(f"{key} must be a finite number")
         args = {key: type(default)(entry.get(key, default))
                 for key, default in spec.params.items()}
-        delta = float(entry["delta"]) if "delta" in entry else spec.delta(entry["p"], T)
-        t = np.arange(1, T + 1)
+        if spec.algorithm != trial.algorithm:
+            raise ValueError(f"bounds {spec.algorithm} batteries, not {trial.algorithm}")
+        rule = trial.momentum_rule
+        if "alpha" in args and rule.kind != "alpha":
+            raise ValueError(f"bounds the alpha momentum rule, not {rule.kind}")
+        # the trial fixes gamma and alpha; an entry may only repeat them
+        for key, value in (("gamma", trial.gamma), ("alpha", rule.value)):
+            if key in args:
+                if key in entry and args[key] != value:
+                    raise ValueError(f"{key} {args[key]!r} differs from the trial's {value!r}")
+                args[key] = float(value)
+        delta = float(entry["delta"]) if "delta" in entry else spec.delta(entry["p"], trial.T)
+        t = np.arange(1, trial.T + 1)
         # looked up at call time, so a wrapper installed on the module applies
         out = globals()[f"{name}_bound"](c, t, delta, **args)
     except ValueError as exc:

@@ -8,8 +8,10 @@ config, the noise model, the problem instance (through
 ``objectives.build_problem``) and the keys only the CLI reads.  So ``run``,
 ``bounds`` and ``report`` reject the same malformed configs, and no command
 reads the raw JSON.  ``bounds.bound_curve`` alone reads and checks a bounds
-entry.  ``report`` reads nothing but the config, its instance and
-``battery.csv``: it evaluates its bounds as ``bounds`` does, and the
+entry: its theorem must bound the config's algorithm, and takes ``gamma``
+and ``alpha`` from the trial.  ``report`` reads nothing but the config, its
+instance and ``battery.csv``: it evaluates its bounds as ``bounds`` does and
+checks them on the series it fits, the algorithm's guarantee series; the
 ``bound_<theorem>.csv`` files are plotting output only.  Outputs are plain
 CSV and text with 17-significant-digit floats, so identical configs
 reproduce identical bytes.  Exit codes: 0 success, 1 I/O failure, 2
@@ -109,11 +111,11 @@ class Experiment:
             raise ValueError("opt must be a positive number, null, or an approximation spec")
         if self.t_min >= self.trial.T:
             raise ValueError("t_min must be below T, so the fits have at least two points")
-        # each bounds entry is checked by its theorem at T = 1 before any work
+        # each bounds entry is checked against its theorem and trial before any work
         unit = bounds.BoundConstants(1.0, 1.0, *noise_constants(self.noise, 1, g_max=1.0))
         seen = set()
         for entry in self.bounds:
-            theorem = bounds.bound_curve(entry, unit, 1).label
+            theorem = bounds.bound_curve(entry, unit, self.trial).label
             if theorem in seen:  # both entries would write one bound_<theorem>.csv
                 raise ValueError(f"{theorem}: listed twice in bounds")
             seen.add(theorem)
@@ -238,7 +240,7 @@ def _bound_curves(cfg: Experiment, opt: float) -> list:
     if not cfg.bounds:
         return []
     consts = bounds.constants_for(cfg.objective, cfg.noise, opt)
-    return [bounds.bound_curve(entry, consts, cfg.trial.T) for entry in cfg.bounds]
+    return [bounds.bound_curve(entry, consts, cfg.trial) for entry in cfg.bounds]
 
 
 def cmd_bounds(cfg: Experiment) -> int:
@@ -271,6 +273,7 @@ def cmd_report(cfg: Experiment) -> int:
         raise ValueError(f"{battery_path}: battery of {battery.n_runs} runs is not run ids "
                          f"0..runs-1 for the config's runs = {cfg.runs}")
     series = optimizers.guarantee_series(battery.algorithm)
+    statistic = "final_iterate" if series == "f_true" else "average_iterate"
 
     scale, opt_text, bound_curves = 1.0, "-", []
     if cfg.normalized or cfg.bounds:
@@ -287,11 +290,10 @@ def cmd_report(cfg: Experiment) -> int:
 
     violations = []
     for curve in bound_curves:
-        convention = bounds.THEOREMS[curve.label].statistic
-        rate = analysis.bound_violation_rate(battery, curve, convention)
+        rate = analysis.bound_violation_rate(battery, curve)
         violations.append(
             f"violation {curve.label}: delta={_g17(dict(curve.meta)['delta'])} "
-            f"statistic={convention} "
+            f"statistic={statistic} "
             f"bound_at_T={_g17(curve.at(trial.T))} rate={_g17(rate)}"
         )
 

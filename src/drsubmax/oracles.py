@@ -31,7 +31,7 @@ class NoiseModel:
     """Additive perturbation of gradient and Hessian queries.
 
     kinds:
-      ``none``              exact oracle
+      ``none``              exact oracle: every level is 0
       ``gaussian_fixed``    per-coordinate N(0, sigma^2)
       ``gaussian_prop``     per-coordinate N(0, (scale * ||grad|| / n)^2),
                             using the true gradient norm at the query point
@@ -55,6 +55,8 @@ class NoiseModel:
             value = getattr(self, name)
             if not (is_finite_real(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite nonnegative number")
+        if self.kind == "none" and (self.sigma or self.scale or self.hessian_sigma):
+            raise ValueError("noise kind 'none' takes no sigma, scale or hessian_sigma")
 
     @classmethod
     def none(cls) -> "NoiseModel":

@@ -202,9 +202,9 @@ class TestApproxOpt:
 
 
 class TestBoundViolationRate:
-    def _noise_free_battery(self):
+    def _noise_free_battery(self, algorithm="scg"):
         obj = NqpObjective([[-1.0]], Polytope.box([1.0]))
-        recs = run_battery(obj, NoiseModel.none(), RunConfig("scg", 20), 3)
+        recs = run_battery(obj, NoiseModel.none(), RunConfig(algorithm, 20), 3)
         return obj, TrialBattery.from_records(recs)
 
     def test_noise_free_runs_respect_valid_bound(self):
@@ -213,25 +213,31 @@ class TestBoundViolationRate:
         t = np.arange(1, 21)
         bound, prob = theorem5_bound(consts, t, 1.0)
         curve = BoundCurve("theorem5", t, bound, prob)
-        assert bound_violation_rate(bat, curve, "final_iterate") == 0.0
+        assert bound_violation_rate(bat, curve) == 0.0
 
     def test_huge_surrogate_bound_violated_by_all(self):
-        _, bat = self._noise_free_battery()
         curve = BoundCurve("surrogate", np.arange(1, 21), np.full(20, 1e6))
-        assert bound_violation_rate(bat, curve, "final_iterate") == 1.0
-        assert bound_violation_rate(bat, curve, "average_iterate") == 1.0
+        for algorithm in ("scg", "pga"):
+            _, bat = self._noise_free_battery(algorithm)
+            assert bound_violation_rate(bat, curve) == 1.0
 
     def test_grid_mismatch_rejected(self):
         _, bat = self._noise_free_battery()
         curve = BoundCurve("theorem5", np.arange(1, 11), np.zeros(10))
         with pytest.raises(ValueError, match="grid"):
-            bound_violation_rate(bat, curve, "final_iterate")
+            bound_violation_rate(bat, curve)
 
-    def test_unknown_convention_rejected(self):
-        _, bat = self._noise_free_battery()
-        curve = BoundCurve("x", np.arange(1, 21), np.zeros(20))
-        with pytest.raises(ValueError):
-            bound_violation_rate(bat, curve, "midpoint")
+    @pytest.mark.parametrize("algorithm,rate", [
+        ("pga", 1.0), ("boosted_pga", 1.0), ("scg", 0.0), ("scgpp", 0.0)])
+    def test_reads_the_algorithms_guarantee_series(self, algorithm, rate):
+        """The rate is checked on the running average for projected ascent
+        and on the final iterate value for the Frank-Wolfe variants: a bound
+        of 3 lies above both final running averages (2.5, 2.75) and below
+        both final values (4)."""
+        f_true = np.array([[1.0, 4.0], [1.5, 4.0]])
+        bat = TrialBattery([0, 1], [1, 2], f_true, f_true.cumsum(axis=1) / [1, 2], algorithm)
+        curve = BoundCurve("threshold", np.array([1, 2]), np.array([0.0, 3.0]))
+        assert bound_violation_rate(bat, curve) == rate
 
 
 class TestVarianceShrinkage:

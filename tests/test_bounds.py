@@ -23,12 +23,24 @@ from drsubmax.bounds import (
 )
 from drsubmax.geometry import Polytope
 from drsubmax.objectives import NqpObjective, generate_budget, generate_nqp
+from drsubmax.optimizers import MomentumRule, RunConfig
 from drsubmax.oracles import NoiseModel
 
 ONE_MINUS_INV_E = 1.0 - math.exp(-1.0)
 
 UNIT = BoundConstants(lipschitz=1.0, diameter=1.0, noise_bound=1.0,
                       noise_sigma=1.0, opt=1.0, grad0_norm=1.0)
+
+# the algorithm each theorem's docstring bounds
+BOUNDED = {"theorem1": "pga", "theorem2": "boosted_pga", "theorem3": "scg",
+           "theorem4": "scg", "theorem5": "scgpp"}
+
+
+def paired(name, T, alpha=0.5, gamma=1.0):
+    """A trial of the algorithm theorem ``name`` bounds (``scg`` for an unknown
+    name), under the ``alpha`` momentum rule for theorem4."""
+    rule = MomentumRule("alpha", alpha) if name == "theorem4" else MomentumRule()
+    return RunConfig(BOUNDED.get(name, "scg"), T, gamma=gamma, momentum_rule=rule)
 
 
 class TestSpectralNorm:
@@ -344,15 +356,14 @@ class TestBoundCurveEntry:
     against its theorem and evaluates it over ``t = 1..T``."""
 
     def test_theorem_table(self):
-        table = {name: (spec.params, spec.chebyshev, spec.statistic)
+        table = {name: (spec.params, spec.chebyshev, spec.algorithm)
                  for name, spec in THEOREMS.items()}
         assert table == {
-            "theorem1": ({}, False, "average_iterate"),
-            "theorem2": ({"gamma": 1.0, "main_text_smoothness": False},
-                         False, "average_iterate"),
-            "theorem3": ({}, True, "final_iterate"),
-            "theorem4": ({"alpha": 0.5}, False, "final_iterate"),
-            "theorem5": ({"main_text_exponent": False}, True, "final_iterate"),
+            "theorem1": ({}, False, "pga"),
+            "theorem2": ({"gamma": 1.0, "main_text_smoothness": False}, False, "boosted_pga"),
+            "theorem3": ({}, True, "scg"),
+            "theorem4": ({"alpha": 0.5}, False, "scg"),
+            "theorem5": ({"main_text_exponent": False}, True, "scgpp"),
         }
         # bound_curve casts an entry's value to its default's type, in this order
         assert [(key, type(value)) for key, value in THEOREMS["theorem2"].params.items()] == [
@@ -360,16 +371,17 @@ class TestBoundCurveEntry:
 
     @pytest.mark.parametrize("name", sorted(THEOREMS))
     def test_p_maps_to_delta(self, name):
-        curve = bound_curve({"theorem": name, "p": 0.75}, UNIT, 20)
+        curve = bound_curve({"theorem": name, "p": 0.75}, UNIT, paired(name, 20))
         delta = math.sqrt(20 / 0.25) if name in ("theorem3", "theorem5") else 0.25
         assert dict(curve.meta)["delta"] == pytest.approx(delta, rel=1e-15)
         assert curve.label == name
         assert list(curve.t) == list(range(1, 21))
-        same = bound_curve({"theorem": name, "delta": dict(curve.meta)["delta"]}, UNIT, 20)
+        same = bound_curve({"theorem": name, "delta": dict(curve.meta)["delta"]}, UNIT,
+                           paired(name, 20))
         assert np.array_equal(curve.bound, same.bound)
 
     def test_default_alpha_echoed(self, tmp_path):
-        curve = bound_curve({"theorem": "theorem4", "delta": 0.01}, UNIT, 5)
+        curve = bound_curve({"theorem": "theorem4", "delta": 0.01}, UNIT, paired("theorem4", 5))
         path = tmp_path / "bound.csv"
         save_bound_curve(path, curve)
         lines = path.read_text().splitlines()
@@ -392,18 +404,62 @@ class TestBoundCurveEntry:
         {"theorem": "theorem4", "delta": 0.01, "alpha": 0.995},
     ])
     def test_every_error_names_the_theorem(self, entry):
-        with pytest.raises(ValueError, match=f"^{entry['theorem']}: "):
-            bound_curve(entry, UNIT, 10)
+        name = entry["theorem"]
+        trial = paired(name, 10, alpha=entry.get("alpha", 0.5))
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            bound_curve(entry, UNIT, trial)
 
     def test_foreign_keys_named(self):
         entry = {"theorem": "theorem1", "delta": 0.01, "alpha": 0.9, "main_text_exponent": True}
         with pytest.raises(ValueError, match="^theorem1: .*alpha, main_text_exponent"):
-            bound_curve(entry, UNIT, 10)
+            bound_curve(entry, UNIT, paired("theorem1", 10))
 
     def test_unbounded_noise_names_the_theorem(self):
         unbounded = BoundConstants(1.0, 1.0, noise_bound=math.inf, noise_sigma=1.0)
         with pytest.raises(ValueError, match="^theorem2: bounded gradient error"):
-            bound_curve({"theorem": "theorem2", "delta": 0.1}, unbounded, 10)
+            bound_curve({"theorem": "theorem2", "delta": 0.1}, unbounded, paired("theorem2", 10))
+
+    @pytest.mark.parametrize("name", sorted(THEOREMS))
+    def test_theorem_bounds_only_its_algorithm(self, name):
+        for algorithm in {"pga", "boosted_pga", "scg", "scgpp"} - {BOUNDED[name]}:
+            trial = RunConfig(algorithm, 10, momentum_rule=MomentumRule("alpha", 0.5))
+            with pytest.raises(ValueError, match=f"^{name}: bounds {BOUNDED[name]} batteries, "
+                                                 f"not {algorithm}$"):
+                bound_curve({"theorem": name, "delta": 0.5}, UNIT, trial)
+
+    @pytest.mark.parametrize("kind,value", [("poly48", 0.0), ("constant", 0.5)])
+    def test_theorem4_needs_the_alpha_momentum_rule(self, kind, value):
+        trial = RunConfig("scg", 10, momentum_rule=MomentumRule(kind, value))
+        message = f"^theorem4: bounds the alpha momentum rule, not {kind}$"
+        with pytest.raises(ValueError, match=message):
+            bound_curve({"theorem": "theorem4", "delta": 0.1}, UNIT, trial)
+
+    def test_trial_fixes_alpha_and_gamma(self):
+        """An entry that omits ``alpha`` or ``gamma`` gets the trial's, not the
+        theorem's default; one that repeats it gets the same curve."""
+        t = np.arange(1, 11)
+        for entry, trial, expected in (
+            ({"theorem": "theorem4", "delta": 0.1}, paired("theorem4", 10, alpha=0.3),
+             theorem4_bound(UNIT, t, 0.1, alpha=0.3)),
+            ({"theorem": "theorem2", "delta": 0.1}, paired("theorem2", 10, gamma=0.5),
+             theorem2_bound(UNIT, t, 0.1, gamma=0.5)),
+        ):
+            key, value = ("alpha", 0.3) if entry["theorem"] == "theorem4" else ("gamma", 0.5)
+            curve = bound_curve(entry, UNIT, trial)
+            assert np.array_equal(curve.bound, expected)
+            assert dict(curve.meta)[key] == value
+            repeated = bound_curve({**entry, key: value}, UNIT, trial)
+            assert np.array_equal(repeated.bound, expected)
+
+    @pytest.mark.parametrize("entry,trial,message", [
+        ({"theorem": "theorem4", "delta": 0.1, "alpha": 0.3}, paired("theorem4", 10),
+         "alpha 0.3 differs from the trial's 0.5"),
+        ({"theorem": "theorem2", "delta": 0.1, "gamma": 1.0}, paired("theorem2", 10, gamma=0.5),
+         "gamma 1.0 differs from the trial's 0.5"),
+    ], ids=["alpha", "gamma"])
+    def test_entry_may_not_restate_the_trial(self, entry, trial, message):
+        with pytest.raises(ValueError, match=f"^{entry['theorem']}: {message}$"):
+            bound_curve(entry, UNIT, trial)
 
 
 class TestBoundCurveSerialization:

@@ -18,6 +18,14 @@ def one_dim_instance(tmp_path):
     return path
 
 
+# the config change that gives each theorem the trial it bounds, from the
+# theorem's docstring: its algorithm and, for theorem4, the alpha momentum rule
+_ALPHA = {"kind": "alpha", "value": 0.5}
+PAIRED = {"theorem1": {"algorithm": "pga"}, "theorem2": {"algorithm": "boosted_pga"},
+          "theorem3": {}, "theorem4": {"momentum_rule": _ALPHA},
+          "theorem5": {"algorithm": "scgpp"}}
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = {
         "problem": {"kind": "nqp-file", "path": str(tmp_path / "one_dim.txt")},
@@ -224,26 +232,27 @@ class TestRun:
 class TestBounds:
     def test_unbounded_noise_rejected_for_theorem1(self, tmp_path, one_dim_instance, capsys):
         cfg = write_config(tmp_path, noise={"kind": "gaussian_fixed", "sigma": 0.1},
-                           bounds=[{"theorem": "theorem1", "delta": 0.01}], opt=0.5)
+                           bounds=[{"theorem": "theorem1", "delta": 0.01}], opt=0.5,
+                           **PAIRED["theorem1"])
         assert cli.main(["bounds", "--config", str(cfg)]) == 2
         assert "M" in capsys.readouterr().err
 
     def test_theorem4_echoes_momentum_constant(self, tmp_path, one_dim_instance):
         cfg = write_config(tmp_path, noise={"kind": "clipped_gaussian", "sigma": 0.1},
                            bounds=[{"theorem": "theorem4", "delta": 0.01, "alpha": 0.5}],
-                           opt=0.5)
+                           opt=0.5, **PAIRED["theorem4"])
         assert cli.main(["bounds", "--config", str(cfg)]) == 0
         text = (tmp_path / "out" / "bound_theorem4.csv").read_text()
         assert "# K=2\n" in text
         assert "# alpha=0.5\n" in text
 
     def test_chebyshev_bounds_carry_probability_column(self, tmp_path, one_dim_instance):
-        cfg = write_config(tmp_path, T=100,
-                           noise={"kind": "gaussian_fixed", "sigma": 0.1},
-                           bounds=[{"theorem": "theorem3", "delta": 100.0},
-                                   {"theorem": "theorem5", "delta": 100.0}],
-                           opt=0.5)
-        assert cli.main(["bounds", "--config", str(cfg)]) == 0
+        for theorem in ("theorem3", "theorem5"):
+            cfg = write_config(tmp_path, T=100,
+                               noise={"kind": "gaussian_fixed", "sigma": 0.1},
+                               bounds=[{"theorem": theorem, "delta": 100.0}],
+                               opt=0.5, **PAIRED[theorem])
+            assert cli.main(["bounds", "--config", str(cfg)]) == 0
         for name in ("bound_theorem3.csv", "bound_theorem5.csv"):
             lines = (tmp_path / "out" / name).read_text().splitlines()
             final = lines[-1].split(",")
@@ -253,7 +262,8 @@ class TestBounds:
     def test_confidence_level_converts_to_delta(self, tmp_path, one_dim_instance):
         cfg = write_config(tmp_path, T=1000,
                            noise={"kind": "gaussian_fixed", "sigma": 0.1},
-                           bounds=[{"theorem": "theorem5", "p": 0.99}], opt=0.5)
+                           bounds=[{"theorem": "theorem5", "p": 0.99}], opt=0.5,
+                           **PAIRED["theorem5"])
         assert cli.main(["bounds", "--config", str(cfg)]) == 0
         text = (tmp_path / "out" / "bound_theorem5.csv").read_text()
         delta_line = next(ln for ln in text.splitlines() if ln.startswith("# delta="))
@@ -261,8 +271,8 @@ class TestBounds:
             math.sqrt(1000 / 0.01), abs=1e-9)
 
     def test_delta_and_p_together_rejected(self, tmp_path, one_dim_instance, capsys):
-        cfg = write_config(tmp_path,
-                           bounds=[{"theorem": "theorem5", "delta": 1.0, "p": 0.5}])
+        cfg = write_config(tmp_path, bounds=[{"theorem": "theorem5", "delta": 1.0, "p": 0.5}],
+                           **PAIRED["theorem5"])
         assert cli.main(["bounds", "--config", str(cfg)]) == 2
         assert "delta or p" in capsys.readouterr().err
 
@@ -278,14 +288,15 @@ class TestBounds:
     ])
     def test_non_numeric_entry_values_exit_validation(self, tmp_path, one_dim_instance,
                                                       entry, capsys):
-        cfg = write_config(tmp_path, bounds=[entry], opt=0.5)
+        cfg = write_config(tmp_path, bounds=[entry], opt=0.5, **PAIRED[entry["theorem"]])
         assert cli.main(["bounds", "--config", str(cfg)]) == 2
         assert entry["theorem"] in capsys.readouterr().err
 
     @pytest.mark.parametrize("opt", [0, -2, 0.0, float("inf"), True, {"runs": 0},
                                      {"iterations": -5}, {"runs": 2.5}])
     def test_non_positive_opt_rejected(self, tmp_path, one_dim_instance, opt, capsys):
-        cfg = write_config(tmp_path, opt=opt, bounds=[{"theorem": "theorem5", "delta": 1.0}])
+        cfg = write_config(tmp_path, opt=opt, bounds=[{"theorem": "theorem5", "delta": 1.0}],
+                           **PAIRED["theorem5"])
         assert cli.main(["bounds", "--config", str(cfg)]) == 2
         assert "opt" in capsys.readouterr().err
 
@@ -314,7 +325,7 @@ class TestReport:
 
     def test_noise_free_battery_has_zero_violation_rate(self, tmp_path, one_dim_instance):
         cfg = write_config(tmp_path, T=20, runs=3, opt=0.5,
-                           bounds=[{"theorem": "theorem5", "delta": 1.0}])
+                           bounds=[{"theorem": "theorem5", "delta": 1.0}], **PAIRED["theorem5"])
         assert cli.main(["run", "--config", str(cfg)]) == 0
         assert cli.main(["bounds", "--config", str(cfg)]) == 0
         assert cli.main(["report", "--config", str(cfg)]) == 0
@@ -403,7 +414,7 @@ class TestReport:
         cfg = write_config(tmp_path, T=30, runs=4, opt=3.75,
                            problem={**_GENERATED, "m": 2},
                            noise={"kind": "clipped_gaussian", "sigma": 0.5},
-                           bounds=[{"theorem": "theorem4", "delta": 0.01}])
+                           bounds=[{"theorem": "theorem4", "delta": 0.01}], **PAIRED["theorem4"])
         for command in ("run", "bounds"):
             assert cli.main([command, "--config", str(cfg)]) == 0
         out = tmp_path / "out"
@@ -421,23 +432,23 @@ class TestReport:
     def test_violation_lines_need_no_bound_files(self, tmp_path, one_dim_instance):
         cfg = write_config(tmp_path, T=20, runs=3, opt=0.5,
                            noise={"kind": "clipped_gaussian", "sigma": 0.1},
-                           bounds=[{"theorem": "theorem4", "delta": 0.1},
-                                   {"theorem": "theorem5", "delta": 1.0}])
+                           bounds=[{"theorem": "theorem3", "delta": 1.0},
+                                   {"theorem": "theorem4", "delta": 0.1}], **PAIRED["theorem4"])
         assert cli.main(["run", "--config", str(cfg)]) == 0
         assert cli.main(["report", "--config", str(cfg)]) == 0
         out = tmp_path / "out"
         assert not list(out.glob("bound_*.csv"))
         lines = (out / "report.txt").read_text().splitlines()
         assert [ln.split(":")[0] for ln in lines if ln.startswith("violation ")] == \
-            ["violation theorem4", "violation theorem5"]
+            ["violation theorem3", "violation theorem4"]
 
     def test_report_bytes_do_not_depend_on_bound_files(self, tmp_path, one_dim_instance):
         """report.txt is the same with no bound files, with the ones ``bounds``
         writes for this config, and with the ones of another delta."""
         cfg = write_config(tmp_path, T=30, runs=5, opt=0.5, normalized=True,
                            noise={"kind": "clipped_gaussian", "sigma": 0.2},
-                           bounds=[{"theorem": "theorem4", "delta": 0.05},
-                                   {"theorem": "theorem5", "delta": 2.0}])
+                           bounds=[{"theorem": "theorem3", "delta": 2.0},
+                                   {"theorem": "theorem4", "delta": 0.05}], **PAIRED["theorem4"])
         out = tmp_path / "out"
 
         def report():
@@ -449,11 +460,11 @@ class TestReport:
         assert cli.main(["bounds", "--config", str(cfg)]) == 0
         fresh = report()
         assert cli.main(["bounds", "--config", str(cfg), "--set",
-                         'bounds=[{"theorem":"theorem4","delta":0.5},'
-                         '{"theorem":"theorem5","delta":9.0}]']) == 0
+                         'bounds=[{"theorem":"theorem3","delta":9.0},'
+                         '{"theorem":"theorem4","delta":0.5}]']) == 0
         stale = report()
         assert without == fresh == stale
-        assert b"violation theorem4" in without and b"violation theorem5" in without
+        assert b"violation theorem3" in without and b"violation theorem4" in without
 
 
 _GENERATED = {"kind": "nqp-generate", "n": 4, "m": 1, "entry_low": -1.0,
@@ -496,20 +507,34 @@ _INVALID = [
         ("output_dir-empty", {"output_dir": ""}),
         ("t_min-equals-T", {"t_min": 4}),
         ("theorem4-alpha-near-one",
-         {"bounds": [{"theorem": "theorem4", "delta": 0.01, "alpha": 0.995}]}),
-        ("theorem4-delta-negative", {"bounds": [{"theorem": "theorem4", "delta": -1}]}),
+         {"momentum_rule": {**_ALPHA, "value": 0.995},
+          "bounds": [{"theorem": "theorem4", "delta": 0.01, "alpha": 0.995}]}),
+        ("theorem4-delta-negative",
+         {**PAIRED["theorem4"], "bounds": [{"theorem": "theorem4", "delta": -1}]}),
         ("theorem1-unbounded-noise",
-         {"noise": _GAUSSIAN, "bounds": [{"theorem": "theorem1", "delta": 0.1}]}),
+         {**PAIRED["theorem1"], "noise": _GAUSSIAN,
+          "bounds": [{"theorem": "theorem1", "delta": 0.1}]}),
         ("theorem3-p-above-one", {"bounds": [{"theorem": "theorem3", "p": 1.5}]}),
-        ("theorem4-twice", {"bounds": [{"theorem": "theorem4", "delta": 0.01, "alpha": 0.5},
-                                       {"theorem": "theorem4", "delta": 0.01, "alpha": 0.8}]}),
+        ("theorem4-twice", {**PAIRED["theorem4"],
+                            "bounds": [{"theorem": "theorem4", "delta": 0.01, "alpha": 0.5},
+                                       {"theorem": "theorem4", "delta": 0.05}]}),
         ("bounds-object", {"bounds": {"theorem": "theorem4", "delta": 0.01}}),
         ("bounds-entry-list", {"bounds": [["theorem4", 0.01]]}),
         ("theorem9", {"bounds": [{"theorem": "theorem9", "delta": 0.01}]}),
-        ("theorem4-deltta", {"bounds": [{"theorem": "theorem4", "deltta": 0.01}]}),
-        ("theorem1-alpha", {"bounds": [{"theorem": "theorem1", "delta": 0.01, "alpha": 0.9}]}),
+        ("theorem4-deltta",
+         {**PAIRED["theorem4"], "bounds": [{"theorem": "theorem4", "deltta": 0.01}]}),
+        ("theorem1-alpha", {**PAIRED["theorem1"],
+                            "bounds": [{"theorem": "theorem1", "delta": 0.01, "alpha": 0.9}]}),
         ("theorem4-main_text_exponent",
-         {"bounds": [{"theorem": "theorem4", "delta": 0.01, "main_text_exponent": True}]}),
+         {**PAIRED["theorem4"],
+          "bounds": [{"theorem": "theorem4", "delta": 0.01, "main_text_exponent": True}]}),
+        ("theorem4-poly48", {"bounds": [{"theorem": "theorem4", "delta": 0.01}]}),
+        ("theorem4-alpha-differs",
+         {**PAIRED["theorem4"], "bounds": [{"theorem": "theorem4", "delta": 0.01, "alpha": 0.3}]}),
+        ("theorem2-gamma-differs",
+         {**PAIRED["theorem2"], "gamma": 0.5,
+          "bounds": [{"theorem": "theorem2", "delta": 0.01, "gamma": 1.0}]}),
+        ("none-noise-sigma", {"noise": {"kind": "none", "sigma": 1000.0}}),
     )
 ]
 
@@ -536,7 +561,7 @@ class TestOneValidationBoundary:
             assert cli.main(["run", "--config", str(write_config(tmp_path))]) == 0
             capsys.readouterr()
         if command == "bounds":
-            change = {"opt": 0.5, "bounds": [{"theorem": "theorem5", "delta": 1.0}], **change}
+            change = {"opt": 0.5, "bounds": [{"theorem": "theorem3", "delta": 1.0}], **change}
         cfg = write_config(tmp_path, name="invalid.json", **change)
         self.assert_rejected(command, cfg, out, capsys)
         assert command != "run" or not (out / "battery.csv").exists()
@@ -579,7 +604,7 @@ class TestOneValidationBoundary:
 
         monkeypatch.setattr(cli.analysis, "approx_opt", never)
         cfg = write_config(tmp_path, opt={"runs": 2, "iterations": 5},
-                           bounds=[{"theorem": "theorem4", "delta": -1}])
+                           bounds=[{"theorem": "theorem4", "delta": -1}], **PAIRED["theorem4"])
         err = self.assert_rejected("bounds", cfg, tmp_path / "out", capsys)
         assert "theorem4: delta must lie in (0, 1)" in err
 
@@ -590,6 +615,7 @@ class TestOneValidationBoundary:
         ``report`` needs no bounds entry to refuse it."""
         entries = [{"theorem": "theorem4", "delta": 0.1}] if command == "bounds" else []
         cfg = write_config(tmp_path, T=10, runs=3, normalized=True, bounds=entries,
+                           **PAIRED["theorem4"],
                            problem={**_GENERATED, "n": 3, "entry_low": 0.0, "seed": 1},
                            noise={"kind": "clipped_gaussian", "sigma": 0.1},
                            opt={"runs": 2, "iterations": 20})
@@ -607,9 +633,43 @@ class TestOneValidationBoundary:
     def test_run_bounds_and_report_share_the_trial_checks(self, tmp_path, one_dim_instance,
                                                           capsys):
         cfg = write_config(tmp_path, T=True, opt=0.5,
-                           bounds=[{"theorem": "theorem5", "delta": 1.0}])
+                           bounds=[{"theorem": "theorem3", "delta": 1.0}])
         for command in ("run", "bounds", "report"):
             assert "T must be" in self.assert_rejected(command, cfg, tmp_path / "out", capsys)
+
+
+class TestTheoremPairing:
+    """Each theorem is checked on the algorithm it bounds, and on no other."""
+
+    @pytest.mark.parametrize("theorem,statistic", [
+        ("theorem1", "average_iterate"), ("theorem2", "average_iterate"),
+        ("theorem3", "final_iterate"), ("theorem4", "final_iterate"),
+        ("theorem5", "final_iterate")])
+    def test_each_theorem_checks_the_algorithm_it_bounds(self, tmp_path, one_dim_instance,
+                                                         theorem, statistic):
+        cfg = write_config(tmp_path, T=10, opt=0.5,
+                           noise={"kind": "clipped_gaussian", "sigma": 0.1},
+                           bounds=[{"theorem": theorem, "delta": 0.5}], **PAIRED[theorem])
+        for command in ("run", "bounds", "report"):
+            assert cli.main([command, "--config", str(cfg)]) == 0, command
+        line = next(ln for ln in (tmp_path / "out" / "report.txt").read_text().splitlines()
+                    if ln.startswith(f"violation {theorem}:"))
+        assert f" statistic={statistic} " in line
+
+    def test_bound_of_another_algorithm_rejected(self, tmp_path, capsys):
+        """A ``pga`` battery listed with an SCG++ bound and an SCG bound is
+        refused by every command, naming the first entry's algorithm."""
+        cfg = write_config(tmp_path, algorithm="pga", T=30, runs=4,
+                           problem={**_GENERATED, "n": 8, "m": 3, "seed": 4},
+                           noise={"kind": "clipped_gaussian", "sigma": 0.1},
+                           opt={"runs": 2, "iterations": 50},
+                           bounds=[{"theorem": "theorem5", "delta": 1.0},
+                                   {"theorem": "theorem4", "delta": 0.1, "alpha": 0.3}])
+        out = tmp_path / "out"
+        for command in ("run", "bounds", "report"):
+            err = TestOneValidationBoundary.assert_rejected(command, cfg, out, capsys)
+            assert err == "error: theorem5: bounds scgpp batteries, not pga\n"
+        assert not out.exists()
 
 
 def _child_env():
@@ -655,6 +715,7 @@ cfg = {"problem": {"kind": "nqp-generate", "n": 4, "m": 2, "entry_low": -1.0,
        "algorithm": "scg", "T": 5, "runs": 2, "workers": 1,
        "noise": {"kind": "clipped_gaussian", "sigma": 0.1},
        "opt": {"runs": 2, "iterations": 5},
+       "momentum_rule": {"kind": "alpha", "value": 0.5},
        "bounds": [{"theorem": "theorem4", "delta": 0.1}], "output_dir": sys.argv[2]}
 with open(sys.argv[1], "w") as fh:
     json.dump(cfg, fh)
@@ -687,7 +748,7 @@ class TestEndToEndDeterminism:
     def test_pipeline_reproduces_identical_bytes(self, tmp_path, one_dim_instance):
         cfg = write_config(tmp_path, T=30, runs=5, opt=0.5, normalized=True,
                            noise={"kind": "clipped_gaussian", "sigma": 0.2},
-                           bounds=[{"theorem": "theorem5", "delta": 2.0}])
+                           bounds=[{"theorem": "theorem5", "delta": 2.0}], **PAIRED["theorem5"])
         names = ["battery.csv", "bound_theorem5.csv", "stats_min.csv",
                  "stats_median.csv", "stats_q90.csv", "report.txt"]
         for out in ("first", "second"):

@@ -25,6 +25,17 @@ class TestNoiseModelConstruction:
         with pytest.raises(ValueError):
             NoiseModel.clipped_gaussian(-1.0)
 
+    @pytest.mark.parametrize("levels", [{"sigma": 1000.0}, {"scale": 0.5},
+                                        {"hessian_sigma": 0.1}])
+    def test_exact_oracle_takes_no_noise_level(self, levels):
+        """Under kind ``none`` a positive sigma would still perturb Hessian
+        queries through the ``sigma / 10`` default, while ``noise_constants``
+        reports ``(0, 0)``, so any positive level is rejected."""
+        with pytest.raises(ValueError, match="'none' takes no sigma"):
+            NoiseModel("none", **levels)
+        zero = {key: 0.0 for key in levels}
+        assert NoiseModel("none", **zero) == NoiseModel.none()
+
     def test_factories_equal_the_constructor(self):
         assert NoiseModel.none() == NoiseModel()
         assert NoiseModel.gaussian_prop(2.0) == NoiseModel("gaussian_prop", scale=2.0)
