@@ -3,12 +3,14 @@
 The feasible region is ``{x : A x <= b, 0 <= x <= upper}`` with a strictly
 feasible origin (all entries of ``b`` and ``upper`` positive).  Two oracles
 are provided: Euclidean projection (the finite dual active-set method of
-Goldfarb and Idnani with an identity Hessian, certified by its KKT
-conditions) and linear maximization (a bounded-variable primal simplex on
-the halfspaces the box does not already satisfy, with largest-reduced-cost
-pricing and Bland's rule after a degenerate pivot, certified by reduced
-costs recomputed from its final basis and by complementary slackness).  Both
-are deterministic functions of their inputs.
+Goldfarb and Idnani with an identity Hessian, which carries one
+factorization of its active set through the call and updates it when a
+constraint joins or leaves, certified by its KKT conditions) and linear
+maximization (a bounded-variable primal simplex on the halfspaces the box
+does not already satisfy, with largest-reduced-cost pricing and Bland's
+rule after a degenerate pivot, certified by reduced costs recomputed from
+its final basis and by complementary slackness).  Both are deterministic
+functions of their inputs.
 
 A Frank-Wolfe trial calls the LMO on one region with a new direction each
 time.  Its caller may pass an ``LmoWarmStart``, which presolves the region
@@ -63,6 +65,9 @@ _ADD_RTOL = 1e-13
 _DEPENDENT_RTOL = 1e-10
 #: the projection's KKT certificate tolerance, relative to max(1, ||y||)
 _KKT_RTOL = 1e-9
+#: an update of the projection's carried Gram inverse that may amplify its
+#: rounding by this factor or more is replaced by recomputing the inverse
+_MAX_GROWTH = 1e8
 #: step budget of the dual active-set method per constraint (finite in exact
 #: arithmetic; the budget only stops a cycle caused by rounding)
 _STEPS_PER_CONSTRAINT = 20
@@ -180,8 +185,12 @@ def project(p: Polytope, y) -> np.ndarray:
     dropping the active constraint whose multiplier reaches 0 first, until a
     full step makes the added constraint tight.  The method ends after
     finitely many steps.  Active box faces fix their coordinate, so each step
-    solves a least-squares problem in the active halfspaces restricted to the
-    free coordinates only.
+    splits the added normal into its least-squares combination of the active
+    halfspaces' normals on the free coordinates and the part orthogonal to
+    them.  It reads that split from the inverse Gram matrix of those normals,
+    which the call carries and updates by one rank-one change when a
+    constraint joins or leaves (``_GramInverse``), instead of refactorizing
+    the active set every step.
 
     The answer is recomputed from the final active set and certified by its
     KKT conditions: feasibility and nonnegative multipliers, both within
@@ -218,6 +227,94 @@ def project(p: Polytope, y) -> np.ndarray:
     return x
 
 
+class _GramInverse:
+    """The active halfspaces of one projection, with the inverse of their
+    Gram matrix on the free coordinates.
+
+    Slot ``s < len(ginv)`` holds halfspace ``rows[s]`` and its normal
+    ``normals[s]``, a row of ``A_S``.  ``free`` is 1 on the free coordinates
+    and 0 on the fixed ones, and ``ginv = (A_SF A_SF^T)^-1`` for ``A_SF``, the
+    free columns of ``A_S``.  Each change of the active set is a rank-one
+    change of that Gram matrix, so its inverse is updated (Goldfarb and
+    Idnani, Math. Prog. 27, 1983; Gill, Golub, Murray and Saunders, Math.
+    Comp. 28, 1974): bordered when a halfspace joins, by Sherman-Morrison
+    when a coordinate is fixed or freed, and by a principal-submatrix
+    downdate when a halfspace leaves.  An update divides by a pivot, which
+    can amplify the carried rounding by a growth factor (at least 1 in exact
+    arithmetic).  When that factor reaches ``_MAX_GROWTH``, or is not
+    positive, which only drift can cause, the inverse is recomputed from
+    ``normals`` and ``free`` instead."""
+
+    __slots__ = ("rows", "normals", "ginv", "free")
+
+    def __init__(self, m: int, n: int):
+        self.rows = np.zeros(m, dtype=int)
+        self.normals = np.zeros((m, n))
+        self.ginv = np.zeros((0, 0))
+        self.free = np.ones(n)
+
+    def split(self, normal: np.ndarray):
+        """``r``, the least-squares coefficients of ``normal`` on the active
+        normals over the free coordinates, and ``w = normal - r A_S``, whose
+        free part is orthogonal to the active normals."""
+        a_s = self.normals[:len(self.ginv)]
+        r = self.ginv @ (a_s @ (normal * self.free))
+        return r, normal - r @ a_s
+
+    def add_row(self, k: int, normal: np.ndarray, r: np.ndarray, zz: float) -> None:
+        """Halfspace ``k`` joins.  ``r`` is ``split(normal)``'s, and ``zz > 0``,
+        the squared norm of its free residual, is the Schur complement."""
+        s = len(self.ginv)
+        self.rows[s], self.normals[s] = k, normal
+        if not float(normal * self.free @ normal) < _MAX_GROWTH * zz:
+            return self.refactor(s + 1)
+        g = np.empty((s + 1, s + 1))
+        g[:s, :s] = self.ginv + np.multiply.outer(r, r / zz)
+        g[s, :s] = g[:s, s] = -r / zz
+        g[s, s] = 1.0 / zz
+        self.ginv = g
+
+    def fix(self, j: int, r: np.ndarray, zz: float) -> None:
+        """Coordinate ``j`` is fixed: the Gram matrix loses ``m_j m_j^T`` for
+        ``m_j = A_S[:, j]``.  With ``r`` and ``zz > 0`` from ``split(±e_j)``,
+        ``r = ±ginv m_j`` and ``zz = 1 - m_j^T ginv m_j``."""
+        self.free[j] = 0.0
+        if not 1.0 < _MAX_GROWTH * zz:
+            return self.refactor(len(self.ginv))
+        self.ginv += np.multiply.outer(r, r / zz)
+
+    def drop_row(self, k: int) -> None:
+        """Halfspace ``k`` leaves: its slot swaps with the last, which is cut."""
+        rows, normals, g = self.rows, self.normals, self.ginv
+        last = len(g) - 1
+        p = int((rows[:last + 1] == k).argmax())
+        swap = [last, p]
+        rows[[p, last]] = rows[swap]
+        normals[[p, last]] = normals[swap]
+        g[[p, last]] = g[swap]
+        g[:, [p, last]] = g[:, swap]
+        g_kk = float(g[last, last])
+        if not 0.0 < g_kk * float(normals[last] * self.free @ normals[last]) < _MAX_GROWTH:
+            return self.refactor(last)
+        f = g[:last, last]
+        self.ginv = g[:last, :last] - np.multiply.outer(f, f / g_kk)
+
+    def release(self, j: int) -> None:
+        """Coordinate ``j`` is freed: the Gram matrix gains ``m_j m_j^T``."""
+        self.free[j] = 1.0
+        m_j = self.normals[:len(self.ginv), j]
+        v = self.ginv @ m_j
+        denom = 1.0 + float(m_j @ v)
+        if not 0.0 < denom < _MAX_GROWTH:
+            return self.refactor(len(self.ginv))
+        self.ginv -= np.multiply.outer(v, v / denom)
+
+    def refactor(self, size: int) -> None:
+        """Recompute the inverse of the first ``size`` slots."""
+        a_s = self.normals[:size]
+        self.ginv = np.linalg.pinv((a_s * self.free) @ a_s.T, hermitian=True)
+
+
 def _dual_active_set(p: Polytope, y: np.ndarray, scale: float, row_norms: np.ndarray):
     """The active set at the projection: ``active`` is 1 at a tight halfspace
     and 0 elsewhere, and ``side`` is -1 at a coordinate fixed at its lower
@@ -225,8 +322,10 @@ def _dual_active_set(p: Polytope, y: np.ndarray, scale: float, row_norms: np.nda
 
     The constraints share one index space: halfspace ``i`` is ``i`` and
     coordinate ``j``'s box face is ``m + j``.  ``face`` (``active`` then
-    ``side``) and the multipliers ``mult`` run over it, so a constraint joins
-    the active set in one place and leaves it in one place."""
+    ``side``), the multipliers ``mult`` and the rates at which a dual step
+    lowers them run over it, so a constraint joins the active set in one
+    place and leaves it in one place, and the active halfspaces' factorization
+    (``_GramInverse``) is updated at those two places."""
     a, b, u = p.a_matrix, p.b_vector, p.upper
     m, n = a.shape
     # a zero row is never violated (b > 0)
@@ -236,12 +335,15 @@ def _dual_active_set(p: Polytope, y: np.ndarray, scale: float, row_norms: np.nda
     face = np.zeros(m + n)
     active, side = face[:m], face[m:]
     mult = np.zeros(m + n)
+    rates = np.zeros(m + n)
+    ratios = np.empty(m + n)
     normal = np.zeros(n)
+    gram = _GramInverse(m, n)
     steps = _STEPS_PER_CONSTRAINT * (m + 2 * n)
     while steps > 0:
         dist = np.concatenate(((a @ x - b) / row_norms, np.maximum(-x, x - u)))
         dist[face != 0.0] = -math.inf  # already active (halfspaces tight up to rounding)
-        k = int(np.argmax(dist))
+        k = int(dist.argmax())
         if not dist[k] > add_tol:
             break
         # constraint k as  normal . x <= rhs,  with face[k] = sign once active
@@ -254,52 +356,48 @@ def _dual_active_set(p: Polytope, y: np.ndarray, scale: float, row_norms: np.nda
             normal[:] = 0.0
             normal[j] = sign
             rhs = u[j] if sign > 0 else 0.0
+        dependent = _DEPENDENT_RTOL**2 * float(normal @ normal)
         added = 0.0  # dual step taken so far on constraint k
         while steps > 0:
             steps -= 1
-            rows = np.flatnonzero(active)
-            fixed = np.flatnonzero(side)
-            act = np.concatenate((rows, m + fixed))
-            free = side == 0.0
-            a_rows = a[rows]
             # split the normal into r, its coefficients on the active normals,
             # and z, the part orthogonal to them (zero on fixed coordinates)
-            z = np.zeros(n)
-            z[free] = normal[free]
-            r_rows = np.zeros(0)
-            if rows.size:
-                q, r_tri = np.linalg.qr(a_rows[:, free].T)
-                coef = q.T @ z[free]
-                r_rows = np.linalg.solve(r_tri, coef)
-                z[free] -= q @ coef
-            r_fixed = side[fixed] * (normal[fixed] - r_rows @ a_rows[:, fixed])
+            r, w = gram.split(normal)
+            z = w * gram.free
             zz = float(z @ z)
             full = math.inf  # unless z = 0: the normal is a combination of active normals
-            if zz > _DEPENDENT_RTOL**2 * float(normal @ normal):
+            if zz > dependent:
                 full = (float(normal @ x) - rhs) / zz
             # the active multiplier that reaches 0 first (lowest index on ties)
-            rates = np.concatenate((r_rows, r_fixed))
-            falling = np.flatnonzero(rates > 0.0)
-            partial = math.inf
-            if falling.size:
-                ratios = mult[act[falling]] / rates[falling]
-                i = int(np.argmin(ratios))
-                partial = max(float(ratios[i]), 0.0)
+            rates[:m] = 0.0
+            rates[gram.rows[:r.size]] = r
+            np.multiply(side, w, out=rates[m:])
+            ratios.fill(math.inf)
+            np.divide(mult, rates, out=ratios, where=rates > 0.0)
+            i = int(ratios.argmin())
+            partial = max(float(ratios[i]), 0.0)
             t = min(full, partial)
             if math.isinf(t):
                 # no step satisfies constraint k, which only rounding can cause
                 # (the origin is feasible); the certificate then fails
                 return active, side
             x -= t * z
-            mult[act] -= t * rates
+            mult -= t * rates
             added += t
             if full <= partial:  # constraint k joins
                 face[k], mult[k] = sign, added
-                if k >= m:
+                if k < m:
+                    gram.add_row(k, normal, r, zz)
+                else:
                     x[j] = rhs
+                    gram.fix(j, r, zz)
                 break
-            leaving = act[falling[i]]  # the constraint whose multiplier reached 0
-            face[leaving], mult[leaving] = 0.0, 0.0
+            # constraint i, whose multiplier reached 0, leaves
+            face[i], mult[i] = 0.0, 0.0
+            if i < m:
+                gram.drop_row(i)
+            else:
+                gram.release(i - m)
     return active, side
 
 

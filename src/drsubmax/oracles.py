@@ -38,7 +38,10 @@ class NoiseModel:
       ``clipped_gaussian``  per-coordinate clip(N(0, sigma), -2 sigma, 2 sigma)
 
     ``hessian_sigma`` is the per-entry deviation of the symmetric noise added
-    to Hessian queries; it defaults to ``sigma / 10``.
+    to Hessian queries; it defaults to ``sigma / 10``.  A kind takes only the
+    gradient level it reads: ``gaussian_prop`` rejects a positive ``sigma``
+    (so its Hessian default is 0), the other two a positive ``scale``, and
+    ``none`` every positive level.
     """
 
     kind: str = "none"
@@ -57,6 +60,9 @@ class NoiseModel:
                 raise ValueError(f"{name} must be a finite nonnegative number")
         if self.kind == "none" and (self.sigma or self.scale or self.hessian_sigma):
             raise ValueError("noise kind 'none' takes no sigma, scale or hessian_sigma")
+        unread = "sigma" if self.kind == "gaussian_prop" else "scale"
+        if self.kind != "none" and getattr(self, unread):
+            raise ValueError(f"noise kind {self.kind!r} takes no {unread}")
 
     @classmethod
     def none(cls) -> "NoiseModel":

@@ -535,6 +535,10 @@ _INVALID = [
          {**PAIRED["theorem2"], "gamma": 0.5,
           "bounds": [{"theorem": "theorem2", "delta": 0.01, "gamma": 1.0}]}),
         ("none-noise-sigma", {"noise": {"kind": "none", "sigma": 1000.0}}),
+        ("gaussian_prop-sigma",
+         {"noise": {"kind": "gaussian_prop", "scale": 0.1, "sigma": 1000.0}}),
+        ("clipped_gaussian-scale", {"noise": {"kind": "clipped_gaussian", "sigma": 0.1,
+                                              "scale": 50.0}}),
     )
 ]
 

@@ -618,6 +618,170 @@ class TestPaperScaleOracles:
             assert d <= np.min(np.linalg.norm(witnesses - y, axis=1)) + 1e-6
 
 
+class TestCarriedFactorization:
+    """``_dual_active_set`` carries the inverse Gram matrix of its active
+    halfspaces on the free coordinates (``_GramInverse``) and updates it on
+    each join and each leave instead of refactorizing every dual step."""
+
+    UPDATES = ("add_row", "fix", "drop_row", "release")
+
+    @pytest.fixture()
+    def far_targets(self):
+        """Random 30 x 12 regions with targets from 10 to 10^6 times their
+        size, far enough that halfspaces drop and box faces are fixed and
+        freed."""
+        from drsubmax.objectives import generate_nqp
+
+        rng = np.random.default_rng(90)
+        return [(generate_nqp(seed, 30, 12, -1.0, 0.0).polytope,
+                 rng.standard_normal(30) * scale)
+                for seed in range(6) for scale in (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)]
+
+    def spy_updates(self, monkeypatch) -> dict:
+        counts = dict.fromkeys(self.UPDATES + ("refactor",), 0)
+        for name in counts:
+            method = getattr(geometry._GramInverse, name)
+
+            def counted(carrier, *args, _name=name, _method=method):
+                counts[_name] += 1
+                return _method(carrier, *args)
+
+            monkeypatch.setattr(geometry._GramInverse, name, counted)
+        return counts
+
+    def test_every_update_keeps_the_inverse(self, monkeypatch):
+        """After each join and leave, ``ginv`` is the inverse of ``A_SF A_SF^T``
+        recomputed from the active rows and free coordinates, and no update
+        fell back to recomputing it."""
+        counts = self.spy_updates(monkeypatch)
+        rng = np.random.default_rng(91)
+        a = rng.uniform(0.0, 1.0, size=(6, 10))
+        carrier = geometry._GramInverse(6, 10)
+        rows, free = [], np.ones(10)
+
+        def join(normal):
+            r, w = carrier.split(normal)
+            return r, float((w * carrier.free) @ w)
+
+        def check():  # in the carrier's slot order
+            order = carrier.rows[:len(rows)]
+            assert sorted(order) == sorted(rows)
+            gram = (a[order] * free) @ a[order].T
+            np.testing.assert_allclose(carrier.ginv @ gram, np.eye(len(rows)), atol=1e-10)
+
+        for k in (0, 3, 5, 1):
+            carrier.add_row(k, a[k], *join(a[k]))
+            rows.append(k)
+            check()
+        for j in (2, 7, 4):
+            carrier.fix(j, *join(np.eye(10)[j]))
+            free[j] = 0.0
+            check()
+        for k in (3, 0):
+            carrier.drop_row(k)
+            rows.remove(k)
+            check()
+        for j in (7, 2):
+            carrier.release(j)
+            free[j] = 1.0
+            check()
+        carrier.add_row(2, a[2], *join(a[2]))
+        rows.append(2)
+        check()
+        assert counts["refactor"] == 0
+
+    def test_far_targets_are_certified(self, monkeypatch, far_targets):
+        """Every kind of update happens, and each answer meets the
+        constraints and passes the NNLS cross-check of its KKT conditions."""
+        counts = self.spy_updates(monkeypatch)
+        for poly, y in far_targets:
+            x = project(poly, y)
+            assert violation(poly, x) <= 1e-12 * max(1.0, np.linalg.norm(y))
+            assert kkt_residual(poly, y, x) <= 1e-10
+        assert min(counts[name] for name in self.UPDATES) > 0, counts
+
+    def test_recomputing_every_update_gives_the_same_answers(self, monkeypatch,
+                                                             far_targets):
+        """With no growth trusted, every update is replaced by a
+        recomputation, and the answers stay the same bit for bit."""
+        updated = [project(poly, y) for poly, y in far_targets]
+        monkeypatch.setattr(geometry, "_MAX_GROWTH", 1.0)
+        counts = self.spy_updates(monkeypatch)
+        for (poly, y), x in zip(far_targets, updated):
+            np.testing.assert_array_equal(project(poly, y), x)
+        assert counts["refactor"] >= 0.9 * sum(counts[name] for name in self.UPDATES)
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-5, 1e-6])
+    def test_nearly_parallel_halfspaces_recompute_the_inverse(self, monkeypatch, delta):
+        """Two active halfspaces whose normals differ by ``delta`` make the
+        bordered update's growth about ``1 / delta^2``, past ``_MAX_GROWTH``,
+        so the inverse is recomputed; the answer is their common vertex."""
+        counts = self.spy_updates(monkeypatch)
+        poly = Polytope([[1.0, 1.0], [1.0, 1.0 + delta]], [1.0, 1.0 + delta / 2], [1.0, 1.0])
+        y = np.array([0.5, 0.5]) + 3.0 * np.array([1.0, 1.0 + delta / 2])
+        x = project(poly, y)
+        assert counts["refactor"] == 1
+        np.testing.assert_allclose(x, [0.5, 0.5], atol=1e-9)
+        assert violation(poly, x) <= 1e-14
+
+    @pytest.mark.parametrize("update", UPDATES)
+    @pytest.mark.parametrize("factor", [1.001, 1.5, -1.0])
+    def test_corrupted_carrier_never_returns_an_uncertified_point(self, monkeypatch,
+                                                                 far_targets, update,
+                                                                 factor):
+        """An update that scales the carried inverse sends the method down
+        another path, and the KKT certificate catches every wrong answer:
+        each call returns the uncorrupted answer bit for bit or raises."""
+        clean = [project(poly, y) for poly, y in far_targets]
+        method = getattr(geometry._GramInverse, update)
+
+        def corrupted(carrier, *args):
+            method(carrier, *args)
+            carrier.ginv *= factor
+
+        monkeypatch.setattr(geometry._GramInverse, update, corrupted)
+        failed = 0
+        for (poly, y), x in zip(far_targets, clean):
+            try:
+                np.testing.assert_array_equal(project(poly, y), x)
+            except ProjectionError:
+                failed += 1
+        assert failed > 0
+
+    def test_one_factorization_a_call(self, monkeypatch):
+        """The dual steps make no QR or solve; only the final certificate
+        does (one QR, two triangular solves)."""
+        from drsubmax.objectives import generate_nqp
+
+        obj = generate_nqp(123, 100, 50, -100.0, 0.0)
+        calls = {"qr": 0, "solve": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        project(obj.polytope, 2.0 * obj.grad(np.zeros(obj.dim)))
+        assert calls == {"qr": 1, "solve": 2}
+
+    def test_far_targets_at_paper_scale_warn_nothing(self):
+        """The ratio test divides only where a multiplier falls, so no numpy
+        warning is emitted (100 x 50, targets at 10 to 10^6)."""
+        import warnings
+
+        from drsubmax.objectives import generate_nqp
+
+        poly = generate_nqp(123, 100, 50, -100.0, 0.0).polytope
+        rng = np.random.default_rng(92)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1e1, 1e2, 1e3, 1e4, 1e5, 1e6):
+                x = project(poly, rng.standard_normal(poly.dim) * scale)
+                assert violation(poly, x) <= 1e-12 * scale
+
+
 class TestDiameterBound:
     def test_paper_five_dim_value(self):
         assert diameter_bound(Polytope.box(np.ones(5))) == pytest.approx(

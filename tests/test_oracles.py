@@ -36,6 +36,22 @@ class TestNoiseModelConstruction:
         zero = {key: 0.0 for key in levels}
         assert NoiseModel("none", **zero) == NoiseModel.none()
 
+    @pytest.mark.parametrize("kind,levels", [
+        ("gaussian_prop", {"sigma": 1000.0, "scale": 0.1}),
+        ("gaussian_fixed", {"sigma": 1.0, "scale": 50.0}),
+        ("clipped_gaussian", {"sigma": 1.0, "scale": 50.0}),
+    ])
+    def test_a_kind_takes_only_the_level_it_reads(self, kind, levels):
+        """``gaussian_prop`` reads ``scale`` only: a positive ``sigma`` would
+        still set its Hessian noise through the ``sigma / 10`` default while
+        its gradient noise and ``noise_constants`` ignore it.  The other two
+        kinds never read ``scale``."""
+        unread = "sigma" if kind == "gaussian_prop" else "scale"
+        with pytest.raises(ValueError, match=f"'{kind}' takes no {unread}"):
+            NoiseModel(kind, **levels)
+        read = {key: value for key, value in levels.items() if key != unread}
+        assert NoiseModel(kind, **{**levels, unread: 0.0}) == NoiseModel(kind, **read)
+
     def test_factories_equal_the_constructor(self):
         assert NoiseModel.none() == NoiseModel()
         assert NoiseModel.gaussian_prop(2.0) == NoiseModel("gaussian_prop", scale=2.0)
