@@ -27,7 +27,7 @@ import inspect
 import json
 import os
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -65,11 +65,13 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
 class Experiment:
     """One battery as its config fixes it: the built trial config and noise
     model, the problem entry and the keys only the CLI reads.  Construction
-    checks those keys, ``t_min < T`` and each bounds entry at T = 1, and
-    builds ``objective``, the instance the problem entry specifies, last, so
-    a bad value is reported before any instance file is read.  The trial
-    and noise keys default in ``RunConfig``, ``StepRule``, ``MomentumRule``
-    and ``NoiseModel``, and the fit keys in ``analysis.shared_c1_refit``."""
+    checks those keys, ``t_min < T``, each bounds entry's curve over t = 1..T
+    with unit constants, and that ``noise.hessian_sigma`` keeps its default
+    unless the trial queries Hessians.  It builds ``objective``, the problem
+    entry's instance, last, so a bad value is reported before any instance
+    file is read.  The trial and noise keys default in ``RunConfig``,
+    ``StepRule``, ``MomentumRule`` and ``NoiseModel``, and the fit keys in
+    ``analysis.shared_c1_refit``."""
 
     trial: RunConfig
     problem: dict
@@ -111,6 +113,10 @@ class Experiment:
             raise ValueError("opt must be a positive number, null, or an approximation spec")
         if self.t_min >= self.trial.T:
             raise ValueError("t_min must be below T, so the fits have at least two points")
+        if (self.trial.algorithm not in optimizers.HESSIAN_READERS
+                and self.noise != replace(self.noise, hessian_sigma=None)):
+            raise ValueError(f"{self.trial.algorithm} queries no Hessian, so it does not "
+                             "read noise.hessian_sigma")
         # each bounds entry is checked against its theorem and trial before any work
         unit = bounds.BoundConstants(1.0, 1.0, *noise_constants(self.noise, 1, g_max=1.0))
         seen = set()

@@ -7,7 +7,8 @@ running average value).  ``scg`` and ``scgpp`` are Frank-Wolfe style:
 starting from the origin they add one scaled vertex per iteration, so the
 final iterate is a convex combination of vertices and always feasible.  Each
 of their trials owns one ``LmoWarmStart``, so every LMO call after the first
-re-optimizes from the previous call's basis.
+re-optimizes from the previous call's basis.  ``READS`` lists the settings
+each algorithm reads; a ``RunConfig`` that sets any other is rejected.
 
 Per-trial randomness comes exclusively from the trial's ``OracleStream``
 generator, in a fixed query order (initialization draws, then one group of
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -42,6 +43,14 @@ __all__ = [
 
 ALGORITHMS = ("pga", "boosted_pga", "scg", "scgpp")
 GREEDY = ("scg", "scgpp")
+#: the ``RunConfig`` fields each algorithm reads beyond algorithm, T, master_seed, run_id
+READS = {
+    "pga": ("step_rule", "init_rule", "returned_convention"),
+    "boosted_pga": ("step_rule", "init_rule", "returned_convention", "gamma"),
+    "scg": ("momentum_rule",),
+    "scgpp": ("batch_size",),
+}
+HESSIAN_READERS = ("scgpp",)  # query noisy Hessians, so read NoiseModel.hessian_sigma
 CONVENTIONS = ("uniform_random_iterate", "last_iterate", "best_iterate")
 #: the header line of ``battery.csv``, which ``records_to_csv`` writes
 BATTERY_HEADER = "run_id,algorithm,t,f_true,f_running_avg"
@@ -70,7 +79,7 @@ class StepRule:
 class MomentumRule:
     """Momentum coefficient sequence for the greedy gradient average.
 
-    ``poly48``:   rho_t = 4 / (t + 8)^(2/3)
+    ``poly48``:   rho_t = 4 / (t + 8)^(2/3), fixed: it takes no value
     ``alpha``:    rho_t = t^(-value) with value in (0, 1)
     ``constant``: rho_t = value (direct override, mainly for tests)
     """
@@ -85,6 +94,8 @@ class MomentumRule:
             raise ValueError("alpha must lie in (0, 1)")
         if self.kind == "constant" and not (0.0 < self.value <= 1.0):
             raise ValueError("constant momentum must lie in (0, 1]")
+        if self.kind == "poly48" and self.value != 0.0:
+            raise ValueError("momentum rule 'poly48' takes no value")
         if self.kind not in ("poly48", "alpha", "constant"):
             raise ValueError(f"unknown momentum rule {self.kind!r}")
 
@@ -98,7 +109,10 @@ class MomentumRule:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one trial needs besides the objective and noise model."""
+    """Everything one trial needs besides the objective and noise model.  Of
+    the fields after ``run_id`` an algorithm reads only its ``READS``, and
+    another that differs from its default is rejected; the defaults of
+    ``batch_size``, ``init_rule`` and ``returned_convention`` are derived."""
 
     algorithm: str
     T: int
@@ -108,12 +122,19 @@ class RunConfig:
     gamma: float = 1.0
     momentum_rule: MomentumRule = MomentumRule()
     batch_size: int | None = None
-    init_rule: str = "gaussian_project"
+    init_rule: str | None = None
     returned_convention: str | None = None
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        greedy = self.algorithm in GREEDY
+        derived = {"batch_size": self.T if self.algorithm == "scgpp" else None,
+                   "init_rule": "zero" if greedy else "gaussian_project",
+                   "returned_convention": "last_iterate" if greedy else "uniform_random_iterate"}
+        for name, value in derived.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
         for name, low in (("T", 1), ("master_seed", 0), ("run_id", 0), ("batch_size", 1)):
             value = getattr(self, name)
             if not ((is_int(value) and value >= low) or (name == "batch_size" and value is None)):
@@ -122,18 +143,12 @@ class RunConfig:
             raise ValueError("gamma must lie in (0, 1]")
         if self.init_rule not in ("zero", "gaussian_project", "upper"):
             raise ValueError(f"unknown init rule {self.init_rule!r}")
-        conv = self.returned_convention
-        if conv is None:
-            conv = "last_iterate" if self.algorithm in GREEDY else "uniform_random_iterate"
-            object.__setattr__(self, "returned_convention", conv)
-        elif conv not in CONVENTIONS:
-            raise ValueError(f"unknown returned convention {conv!r}")
-        if self.algorithm in GREEDY and self.returned_convention != "last_iterate":
-            raise ValueError("greedy variants return the final iterate")
-
-    @property
-    def effective_batch(self) -> int:
-        return self.T if self.batch_size is None else self.batch_size
+        if self.returned_convention not in CONVENTIONS:
+            raise ValueError(f"unknown returned convention {self.returned_convention!r}")
+        unread = [f.name for f in fields(self)[4:] if f.name not in READS[self.algorithm]
+                  and getattr(self, f.name) != derived.get(f.name, f.default)]
+        if unread:
+            raise ValueError(f"{self.algorithm} does not read {', '.join(unread)}")
 
 
 @dataclass(frozen=True)
@@ -155,8 +170,7 @@ def guarantee_series(algorithm: str) -> str:
 
 
 def _init_point(objective: Objective, cfg: RunConfig, rng) -> np.ndarray:
-    # the Frank-Wolfe variants always start at the origin
-    if cfg.algorithm in GREEDY or cfg.init_rule == "zero":
+    if cfg.init_rule == "zero":
         return np.zeros(objective.dim)
     if cfg.init_rule == "upper":
         return project(objective.polytope, objective.polytope.upper)
@@ -206,7 +220,7 @@ def _path_integrated(objective: Objective, oracle: OracleStream, cfg: RunConfig)
     Later calls draw ``batch`` interpolation points between the two most
     recent iterates, average noisy Hessians there, and add the
     Hessian-times-displacement correction to the running estimate."""
-    batch = cfg.effective_batch
+    batch = cfg.batch_size
     x_prev = ghat = None
 
     def estimate(t, x):

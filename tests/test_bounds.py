@@ -421,8 +421,10 @@ class TestBoundCurveEntry:
 
     @pytest.mark.parametrize("name", sorted(THEOREMS))
     def test_theorem_bounds_only_its_algorithm(self, name):
+        # each algorithm's trial sets only what it reads: scg the alpha momentum rule
+        own = {"scg": {"momentum_rule": MomentumRule("alpha", 0.5)}}
         for algorithm in {"pga", "boosted_pga", "scg", "scgpp"} - {BOUNDED[name]}:
-            trial = RunConfig(algorithm, 10, momentum_rule=MomentumRule("alpha", 0.5))
+            trial = RunConfig(algorithm, 10, **own.get(algorithm, {}))
             with pytest.raises(ValueError, match=f"^{name}: bounds {BOUNDED[name]} batteries, "
                                                  f"not {algorithm}$"):
                 bound_curve({"theorem": name, "delta": 0.5}, UNIT, trial)

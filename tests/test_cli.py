@@ -473,6 +473,20 @@ _BUDGET = {"kind": "budget-synthetic", "channels": 3, "customers": 4, "density":
            "p_low": 0.2, "p_high": 0.7, "seed": 5, "k": 2}
 _GAUSSIAN = {"kind": "gaussian_fixed", "sigma": 0.1}
 
+# (id, the one change to the valid scg config of write_config, the error it
+# gives): a setting the config's algorithm never reads
+_UNREAD = [
+    ("scg-batch_size", {"batch_size": 3}, "scg does not read batch_size"),
+    ("pga-momentum_rule", {"algorithm": "pga", "momentum_rule": _ALPHA},
+     "pga does not read momentum_rule"),
+    ("scgpp-step_rule", {"algorithm": "scgpp", "step_rule": {"kind": "constant", "value": 0.05}},
+     "scgpp does not read step_rule"),
+    ("poly48-value", {"momentum_rule": {"kind": "poly48", "value": 0.7}},
+     "momentum rule 'poly48' takes no value"),
+    ("scg-hessian_sigma", {"noise": {**_GAUSSIAN, "hessian_sigma": 5.0}},
+     "scg queries no Hessian, so it does not read noise.hessian_sigma"),
+]
+
 # (command, id, the one change to the valid scg config of write_config; for
 # ``bounds``, the config with a valid bounds entry and a known optimum)
 _INVALID = [
@@ -540,6 +554,10 @@ _INVALID = [
         ("clipped_gaussian-scale", {"noise": {"kind": "clipped_gaussian", "sigma": 0.1,
                                               "scale": 50.0}}),
     )
+] + [
+    (command, name, change)
+    for command in ("run", "bounds", "report")
+    for name, change, _ in _UNREAD
 ]
 
 
@@ -569,6 +587,21 @@ class TestOneValidationBoundary:
         cfg = write_config(tmp_path, name="invalid.json", **change)
         self.assert_rejected(command, cfg, out, capsys)
         assert command != "run" or not (out / "battery.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "bounds", "report"])
+    @pytest.mark.parametrize("change,message",
+                             [pytest.param(ch, m, id=i) for i, ch, m in _UNREAD])
+    def test_unread_setting_is_named(self, tmp_path, one_dim_instance, command, change,
+                                     message, capsys):
+        """Every command rejects a setting the algorithm never reads for that
+        reason, before it looks at a bounds entry or the battery."""
+        if command == "report":
+            assert cli.main(["run", "--config", str(write_config(tmp_path))]) == 0
+            capsys.readouterr()
+        cfg = write_config(tmp_path, name="unread.json", opt=0.5,
+                           bounds=[{"theorem": "theorem3", "delta": 1.0}], **change)
+        err = self.assert_rejected(command, cfg, tmp_path / "out", capsys)
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("change,values", [
         ({"algorithm": "pga"}, ("'scg'", "'pga'")),

@@ -21,6 +21,21 @@ from _util import enumerate_vertices
 ONE_MINUS_INV_E = 1.0 - math.exp(-1.0)
 
 
+# the fields each algorithm reads beyond algorithm, T, master_seed and run_id,
+# and a value of each that differs from its default for every algorithm
+READ_BY = {"pga": {"step_rule", "init_rule", "returned_convention"},
+           "boosted_pga": {"step_rule", "init_rule", "returned_convention", "gamma"},
+           "scg": {"momentum_rule"}, "scgpp": {"batch_size"}}
+NON_DEFAULT = {"step_rule": StepRule("constant", 0.05), "gamma": 0.5,
+               "momentum_rule": MomentumRule("alpha", 0.5), "batch_size": 3,
+               "init_rule": "upper", "returned_convention": "best_iterate"}
+
+
+def batched(algorithm, batch_size):
+    """``batch_size`` as a ``RunConfig`` keyword where the algorithm reads it."""
+    return {"batch_size": batch_size} if algorithm == "scgpp" else {}
+
+
 def one_dim_nqp():
     return NqpObjective([[-1.0]], Polytope.box([1.0]))
 
@@ -39,8 +54,36 @@ class TestRunConfigValidation:
         assert RunConfig("scg", 5).returned_convention == "last_iterate"
 
     def test_batch_defaults_to_horizon(self):
-        assert RunConfig("scgpp", 7).effective_batch == 7
-        assert RunConfig("scgpp", 7, batch_size=3).effective_batch == 3
+        assert RunConfig("scgpp", 7).batch_size == 7
+        assert RunConfig("scgpp", 7, batch_size=3).batch_size == 3
+
+    def test_derived_defaults(self):
+        """The Frank-Wolfe variants start at the origin; only scgpp has a batch."""
+        assert RunConfig("scg", 7).init_rule == RunConfig("scgpp", 7).init_rule == "zero"
+        assert RunConfig("pga", 7).init_rule == "gaussian_project"
+        assert RunConfig("scg", 7).batch_size is None
+
+    @pytest.mark.parametrize("algorithm", ["pga", "boosted_pga", "scg", "scgpp"])
+    @pytest.mark.parametrize("name", sorted(NON_DEFAULT))
+    def test_only_the_fields_its_algorithm_reads(self, algorithm, name):
+        """A non-default value is accepted if and only if the algorithm reads
+        the field; otherwise the error names the algorithm and the field."""
+        if name in READ_BY[algorithm]:
+            cfg = RunConfig(algorithm, 7, **{name: NON_DEFAULT[name]})
+            assert getattr(cfg, name) == NON_DEFAULT[name]
+        else:
+            with pytest.raises(ValueError, match=f"^{algorithm} does not read {name}$"):
+                RunConfig(algorithm, 7, **{name: NON_DEFAULT[name]})
+
+    def test_every_unread_field_is_named(self):
+        with pytest.raises(ValueError,
+                           match="^scg does not read step_rule, gamma, batch_size, init_rule$"):
+            RunConfig("scg", 30, step_rule=StepRule("constant", 0.05), gamma=0.3,
+                      batch_size=7, init_rule="upper")
+
+    def test_poly48_takes_no_value(self):
+        with pytest.raises(ValueError, match="^momentum rule 'poly48' takes no value$"):
+            MomentumRule("poly48", 0.7)
 
 
 class TestPga:
@@ -214,7 +257,7 @@ class TestTrajectoryInvariants:
     @pytest.mark.parametrize("algorithm", ["pga", "boosted_pga", "scg", "scgpp"])
     def test_every_iterate_feasible(self, algorithm):
         obj = generate_nqp(13, 4, 2, -1.0, 0.0)
-        cfg = RunConfig(algorithm, 40, master_seed=1, batch_size=2)
+        cfg = RunConfig(algorithm, 40, master_seed=1, **batched(algorithm, 2))
         rec = run_trial(obj, NoiseModel.gaussian_prop(1.0), cfg)
         for x in rec.iterates:
             assert contains(obj.polytope, x, 1e-6)
@@ -269,7 +312,7 @@ class TestTrajectoryInvariants:
     @pytest.mark.parametrize("algorithm", ["pga", "boosted_pga", "scg", "scgpp"])
     def test_bit_identical_reruns(self, algorithm):
         obj = generate_nqp(16, 3, 1, -1.0, 0.0)
-        cfg = RunConfig(algorithm, 25, master_seed=9, run_id=3, batch_size=2)
+        cfg = RunConfig(algorithm, 25, master_seed=9, run_id=3, **batched(algorithm, 2))
         noise = NoiseModel.clipped_gaussian(0.3)
         a = run_trial(obj, noise, cfg)
         b = run_trial(obj, noise, cfg)
@@ -286,9 +329,10 @@ class TestWarmStartedTrials:
     def test_rerun_is_bit_identical_after_another_trial(self, algorithm):
         obj = generate_nqp(17, 10, 5, -1.0, 0.0)
         noise = NoiseModel.clipped_gaussian(4.0)
-        cfg = RunConfig(algorithm, 40, master_seed=2, run_id=1, batch_size=5)
+        cfg = RunConfig(algorithm, 40, master_seed=2, run_id=1, **batched(algorithm, 5))
         a = run_trial(obj, noise, cfg)
-        run_trial(obj, noise, RunConfig(algorithm, 40, master_seed=2, run_id=0, batch_size=5))
+        run_trial(obj, noise, RunConfig(algorithm, 40, master_seed=2, run_id=0,
+                                        **batched(algorithm, 5)))
         b = run_trial(obj, noise, cfg)
         np.testing.assert_array_equal(a.iterates, b.iterates)
         np.testing.assert_array_equal(a.f_true, b.f_true)
@@ -298,7 +342,7 @@ class TestWarmStartedTrials:
     def test_battery_is_the_same_serial_and_in_a_pool(self, algorithm):
         obj = generate_nqp(18, 10, 5, -1.0, 0.0)
         noise = NoiseModel.clipped_gaussian(4.0)
-        cfg = RunConfig(algorithm, 30, master_seed=4, batch_size=5)
+        cfg = RunConfig(algorithm, 30, master_seed=4, **batched(algorithm, 5))
         serial = list(run_battery(obj, noise, cfg, 4, workers=1))
         pooled = list(run_battery(obj, noise, cfg, 4, workers=2))
         assert [r.config.run_id for r in pooled] == [0, 1, 2, 3]
