@@ -10,9 +10,13 @@ config, the noise model, the problem instance (through
 reads the raw JSON.  ``bounds.bound_curve`` alone reads and checks a bounds
 entry: its theorem must bound the config's algorithm, and takes ``gamma``
 and ``alpha`` from the trial.  ``report`` reads nothing but the config, its
-instance and ``battery.csv``: it evaluates its bounds as ``bounds`` does and
-checks them on the series it fits, the algorithm's guarantee series; the
-``bound_<theorem>.csv`` files are plotting output only.  Outputs are plain
+instance, ``battery.csv`` and ``opt.txt``: it evaluates its bounds as
+``bounds`` does and checks them on the series it fits, the algorithm's
+guarantee series; the ``bound_<theorem>.csv`` files are plotting output
+only.  An estimated optimum is computed once per battery: ``bounds`` writes
+it to ``opt.txt`` under the key of the estimate's inputs, and ``report``
+reuses it under its own key (``resolve_opt``), so ``report.txt`` holds the
+same bytes with or without the file.  Outputs are plain
 CSV and text with 17-significant-digit floats, so identical configs
 reproduce identical bytes.  Exit codes: 0 success, 1 I/O failure, 2
 validation failure.  Bad input raises ``ValueError`` and I/O failure
@@ -23,11 +27,13 @@ codes.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import inspect
 import json
+import math
 import os
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -51,8 +57,14 @@ EXIT_VALIDATION = 2
 # config handling
 # ----------------------------------------------------------------------
 
-# an optimum approximation spec's keys, as approx_opt's arguments
+# an optimum approximation spec's keys, as approx_opt's arguments, and their defaults
 _OPT_ARGS = {"runs": "n_runs", "iterations": "iterations"}
+_OPT_DEFAULTS = {name: inspect.signature(analysis.approx_opt).parameters[name].default
+                 for name in _OPT_ARGS.values()}
+# the estimated optimum's file in output_dir, and the estimator its key names:
+# another estimator must rename it, so that no file of the old one is reused
+_OPT_FILE = "opt.txt"
+_OPT_ESTIMATOR = "approx_opt: best final value of noisy scg runs"
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
@@ -174,21 +186,54 @@ def load_config(path, overrides) -> Experiment:
     return Experiment(trial, **raw)
 
 
-def resolve_opt(cfg: Experiment) -> float:
-    """Known optimum from the config, or the seeded approximation procedure
-    (best final greedy value across repeated runs under the config's noise),
-    which must be positive as a configured one is."""
+def _opt_key(cfg: Experiment, spec: dict) -> str:
+    """SHA-256 hex digest of a canonical JSON of what the estimate reads: the
+    instance's contents, the noise model, the estimator's name and its
+    integer arguments ``spec`` (the offset seed, ``n_runs``, ``iterations``)."""
+    inputs = {
+        "estimator": _OPT_ESTIMATOR,
+        "instance": objectives.instance_digest(cfg.objective),
+        "noise": {key: value if isinstance(value, str) else float(value)
+                  for key, value in asdict(cfg.noise).items()},
+        **{name: int(value) for name, value in spec.items()},
+    }
+    return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
+
+
+def _cached_opt(path: str, key: str) -> float | None:
+    """The optimum in ``path`` when the file parses, holds ``key`` and a
+    finite positive value; ``None`` otherwise."""
+    try:
+        with open(path) as fh:
+            key_line, _, opt_text = fh.read().partition("\nopt: ")
+        opt = float(opt_text)
+    except (OSError, ValueError):
+        return None
+    return opt if key_line == f"key: {key}" and math.isfinite(opt) and opt > 0 else None
+
+
+def resolve_opt(cfg: Experiment, reuse: bool = False) -> tuple[float, str | None]:
+    """The optimum and, for an estimated one, the key of its inputs.
+
+    A configured optimum comes with no key.  Otherwise
+    ``analysis.approx_opt`` estimates it (the best final value across
+    seeded, repeated greedy runs under the config's noise), and it must be
+    positive, as a configured one is.  With ``reuse``, a finite positive
+    value in ``output_dir/opt.txt`` under this key (``_opt_key``, which
+    leaves out ``output_dir``, the bounds and the fit keys) is returned
+    instead: ``bounds`` wrote it to 17 digits, which round-trip.
+    """
     if isinstance(cfg.opt, (int, float)):
-        return float(cfg.opt)
-    opt = analysis.approx_opt(
-        cfg.objective,
-        master_seed=cfg.trial.master_seed + _OPT_SEED_OFFSET,
-        noise=cfg.noise,
-        **{_OPT_ARGS[key]: value for key, value in (cfg.opt or {}).items()},
-    )
-    if not opt > 0:  # nothing can be normalized by it or bounded below it
-        raise ValueError(f"estimated optimum {_g17(opt)} is not positive")
-    return opt
+        return float(cfg.opt), None
+    spec = {**_OPT_DEFAULTS, **{_OPT_ARGS[key]: value for key, value in (cfg.opt or {}).items()},
+            "master_seed": cfg.trial.master_seed + _OPT_SEED_OFFSET}
+    key = _opt_key(cfg, spec)
+    opt = _cached_opt(os.path.join(cfg.output_dir, _OPT_FILE), key) if reuse else None
+    if opt is None:
+        opt = analysis.approx_opt(cfg.objective, noise=cfg.noise, **spec)
+        if not opt > 0:  # nothing can be normalized by it or bounded below it
+            raise ValueError(f"estimated optimum {_g17(opt)} is not positive")
+    return opt, key
 
 
 # ----------------------------------------------------------------------
@@ -252,8 +297,14 @@ def _bound_curves(cfg: Experiment, opt: float) -> list:
 def cmd_bounds(cfg: Experiment) -> int:
     if not cfg.bounds:
         raise ValueError("no bounds selected in config")
-    curves = _bound_curves(cfg, resolve_opt(cfg))
+    opt, key = resolve_opt(cfg)
+    curves = _bound_curves(cfg, opt)
     os.makedirs(cfg.output_dir, exist_ok=True)
+    if key is not None:  # an estimate, for report to reuse
+        path = os.path.join(cfg.output_dir, _OPT_FILE)
+        with open(path, "w") as fh:
+            fh.write(f"key: {key}\nopt: {_g17(opt)}\n")
+        print(f"wrote {path}")
     for curve in curves:
         path = os.path.join(cfg.output_dir, f"bound_{curve.label}.csv")
         bounds.save_bound_curve(path, curve)
@@ -283,7 +334,7 @@ def cmd_report(cfg: Experiment) -> int:
 
     scale, opt_text, bound_curves = 1.0, "-", []
     if cfg.normalized or cfg.bounds:
-        opt = resolve_opt(cfg)
+        opt, _ = resolve_opt(cfg, reuse=True)
         if cfg.normalized:
             scale, opt_text = opt, _g17(opt)
         bound_curves = _bound_curves(cfg, opt)

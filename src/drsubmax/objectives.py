@@ -10,6 +10,7 @@ file format (``save_nqp``/``load_nqp``) lives here too.
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import math
 import numbers
@@ -28,6 +29,7 @@ __all__ = [
     "save_nqp",
     "load_nqp",
     "build_problem",
+    "instance_digest",
 ]
 
 
@@ -59,6 +61,11 @@ class Objective:
 
     def hessian(self, x) -> np.ndarray:
         raise NotImplementedError
+
+    def _arrays(self) -> dict:
+        """The arrays that define the objective and its region, by name."""
+        p = self.polytope
+        return {"A": p.a_matrix, "b": p.b_vector, "u": p.upper}
 
     def _check(self, x) -> np.ndarray:
         """``x`` as a flat float array of the objective's dimension."""
@@ -99,6 +106,9 @@ class NqpObjective(Objective):
 
     def hessian(self, x=None) -> np.ndarray:
         return self.h_matrix.copy()
+
+    def _arrays(self) -> dict:
+        return {**super()._arrays(), "H": self.h_matrix}
 
 
 def generate_nqp(seed, n: int, m: int, entry_low: float, entry_high: float) -> NqpObjective:
@@ -201,6 +211,9 @@ class BudgetAllocationObjective(Objective):
             block = -self.alphas[i] * (self._coeff.T * np.exp(-w[i])) @ self._coeff
             out[i * n : (i + 1) * n, i * n : (i + 1) * n] = block
         return out
+
+    def _arrays(self) -> dict:
+        return {**super()._arrays(), "coeff": self._coeff, "alphas": self.alphas}
 
 
 def _positive_reals(values, size: int, name: str) -> np.ndarray:
@@ -369,6 +382,19 @@ def load_nqp(path) -> NqpObjective:
     else:
         poly = Polytope(np.array([row for row, _ in rows["A"]]), np.array(once["b"][0]), u)
     return NqpObjective(np.array([row for row, _ in rows["H"]]), poly)
+
+
+def instance_digest(objective: Objective) -> str:
+    """SHA-256 hex digest of an instance's contents: its class name and the
+    name, dtype, shape and bytes of each array that defines the objective
+    and its region.  Two instances with one digest have the same values,
+    gradients, Hessians and region."""
+    digest = hashlib.sha256(type(objective).__name__.encode())
+    for name, array in objective._arrays().items():
+        array = np.ascontiguousarray(array)
+        digest.update(f"\n{name} {array.dtype.str} {array.shape}\n".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 # each problem kind's builder; a config's problem entry holds its ``kind`` and

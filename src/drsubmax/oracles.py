@@ -38,7 +38,7 @@ class NoiseModel:
       ``clipped_gaussian``  per-coordinate clip(N(0, sigma), -2 sigma, 2 sigma)
 
     ``hessian_sigma`` is the per-entry deviation of the symmetric noise added
-    to Hessian queries; it defaults to ``sigma / 10``.  A kind takes only the
+    to Hessian queries; it defaults to ``0.1 * sigma``.  A kind takes only the
     gradient level it reads: ``gaussian_prop`` rejects a positive ``sigma``
     (so its Hessian default is 0), the other two a positive ``scale``, and
     ``none`` every positive level.

@@ -8,7 +8,7 @@ import pytest
 from drsubmax import cli
 from drsubmax.analysis import TrialBattery, shared_c1_refit
 from drsubmax.geometry import Polytope
-from drsubmax.objectives import NqpObjective, save_nqp
+from drsubmax.objectives import NqpObjective, generate_nqp, load_nqp, save_nqp
 
 
 @pytest.fixture()
@@ -467,6 +467,118 @@ class TestReport:
         assert b"violation theorem3" in without and b"violation theorem4" in without
 
 
+def _double_the_hessian(out, instance):
+    obj = load_nqp(instance)
+    save_nqp(instance, NqpObjective(2.0 * obj.h_matrix, obj.polytope))
+
+
+def _rewrite_opt_file(text):
+    def rewrite(out, instance):
+        (out / "opt.txt").write_text(text((out / "opt.txt").read_text()))
+    return rewrite
+
+
+# (id, the --set overrides of the report, the edit made after bounds): each
+# makes report estimate the optimum again
+_STALE_OPT = [
+    ("opt.runs", ["opt.runs=3"], None),
+    ("opt.iterations", ["opt.iterations=30"], None),
+    ("master_seed", ["master_seed=1"], None),
+    ("noise.sigma", ["noise.sigma=0.2"], None),
+    ("edited-instance", [], _double_the_hessian),
+    ("garbled", [], _rewrite_opt_file(lambda text: text.replace(": ", " ", 1))),
+    ("wrong-key", [], _rewrite_opt_file(
+        lambda text: "key: " + "0" * 64 + "\n" + text.splitlines()[1] + "\n")),
+    ("zero", [], _rewrite_opt_file(lambda text: text.splitlines()[0] + "\nopt: 0\n")),
+]
+
+
+class TestOptFile:
+    """``bounds`` writes an estimated optimum to opt.txt under the key of the
+    estimate's inputs, and ``report`` reuses it only under its own key."""
+
+    @staticmethod
+    def config(tmp_path, **overrides):
+        instance = tmp_path / "nqp.txt"
+        if not instance.exists():
+            save_nqp(instance, generate_nqp(3, 4, 2, -1.0, 0.0))
+        return write_config(tmp_path, T=10, runs=3, normalized=True,
+                            problem={"kind": "nqp-file", "path": str(instance)},
+                            noise={"kind": "clipped_gaussian", "sigma": 0.1},
+                            opt={"runs": 2, "iterations": 20},
+                            bounds=[{"theorem": "theorem4", "delta": 0.1}],
+                            **PAIRED["theorem4"], **overrides)
+
+    @staticmethod
+    def report(cfg, overrides=()):
+        argv = ["report", "--config", str(cfg)]
+        for override in overrides:
+            argv += ["--set", override]
+        assert cli.main(argv) == 0
+        return (cfg.parent / "out" / "report.txt").read_bytes()
+
+    @staticmethod
+    def count_estimates(monkeypatch):
+        calls = []
+        original = cli.analysis.approx_opt
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli.analysis, "approx_opt", counted)
+        return calls
+
+    def test_report_reuses_the_estimate_of_bounds(self, tmp_path, monkeypatch):
+        cfg = self.config(tmp_path)
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        fresh = self.report(cfg)
+        assert cli.main(["bounds", "--config", str(cfg)]) == 0
+
+        def never(*args, **kwargs):
+            raise AssertionError("report estimated the optimum again")
+
+        monkeypatch.setattr(cli.analysis, "approx_opt", never)
+        assert self.report(cfg) == fresh
+
+    @pytest.mark.parametrize("overrides,edit", [pytest.param(o, e, id=i)
+                                                for i, o, e in _STALE_OPT])
+    def test_report_estimates_again_under_another_key(self, tmp_path, monkeypatch,
+                                                      overrides, edit):
+        cfg = self.config(tmp_path)
+        out = tmp_path / "out"
+        for command in ("run", "bounds"):
+            assert cli.main([command, "--config", str(cfg)]) == 0
+        if edit is not None:
+            edit(out, tmp_path / "nqp.txt")
+        calls = self.count_estimates(monkeypatch)
+        reported = self.report(cfg, overrides)
+        assert len(calls) == 1
+        (out / "opt.txt").unlink()
+        assert reported == self.report(cfg, overrides)
+
+    def test_file_does_not_depend_on_output_dir(self, tmp_path):
+        cfg = self.config(tmp_path)
+        files = []
+        for out in ("first", "second"):
+            override = f"output_dir={json.dumps(str(tmp_path / out))}"
+            assert cli.main(["bounds", "--config", str(cfg), "--set", override]) == 0
+            files.append((tmp_path / out / "opt.txt").read_bytes())
+        assert files[0] == files[1]
+        key_line, opt_line = files[0].decode().splitlines()
+        assert key_line.startswith("key: ") and len(key_line) == len("key: ") + 64
+        assert opt_line == f"opt: {float(opt_line[5:]):.17g}" and float(opt_line[5:]) > 0
+
+    def test_numeric_opt_neither_writes_nor_reads_the_file(self, tmp_path):
+        cfg = self.config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["bounds", "--config", str(cfg), "--set", "opt=0.7"]) == 0
+        assert not (out / "opt.txt").exists()
+        for command in ("run", "bounds"):
+            assert cli.main([command, "--config", str(cfg)]) == 0
+        assert b"\nopt: 0.69999999999999996\n" in self.report(cfg, ["opt=0.7"])
+
+
 _GENERATED = {"kind": "nqp-generate", "n": 4, "m": 1, "entry_low": -1.0,
               "entry_high": 0.0, "seed": 3}
 _BUDGET = {"kind": "budget-synthetic", "channels": 3, "customers": 4, "density": 0.7,
@@ -603,6 +715,15 @@ class TestOneValidationBoundary:
         err = self.assert_rejected(command, cfg, tmp_path / "out", capsys)
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("sigma", [0.1, 7.0])
+    def test_default_hessian_sigma_written_out_is_accepted(self, tmp_path, one_dim_instance,
+                                                           sigma):
+        """An scg config may write out the default ``hessian_sigma``,
+        ``0.1 * sigma``, which is not always ``sigma / 10``."""
+        cfg = write_config(tmp_path, noise={"kind": "clipped_gaussian", "sigma": sigma,
+                                            "hessian_sigma": 0.1 * sigma})
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+
     @pytest.mark.parametrize("change,values", [
         ({"algorithm": "pga"}, ("'scg'", "'pga'")),
         ({"T": 50}, ("4 points", "T = 50")),
@@ -660,6 +781,7 @@ class TestOneValidationBoundary:
         capsys.readouterr()
         err = self.assert_rejected(command, cfg, tmp_path / "out", capsys)
         assert "estimated optimum 0 is not positive" in err
+        assert not (tmp_path / "out" / "opt.txt").exists()
 
     def test_instance_is_built_after_every_other_check(self, tmp_path, capsys):
         cfg = write_config(tmp_path, runs=0,

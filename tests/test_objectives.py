@@ -9,6 +9,7 @@ from drsubmax.objectives import (
     NqpObjective,
     generate_budget,
     generate_nqp,
+    instance_digest,
     load_bipartite,
     load_nqp,
     save_nqp,
@@ -332,3 +333,32 @@ class TestNqpSerialization:
         back = load_nqp(path)
         assert back.polytope.n_halfspaces == 0
         np.testing.assert_array_equal(back.h_matrix, obj.h_matrix)
+
+
+class TestInstanceDigest:
+    def test_equal_contents_equal_digest(self, tmp_path):
+        obj = generate_nqp(31, 5, 2, -1.0, 0.0)
+        path = tmp_path / "inst.txt"
+        save_nqp(path, obj)
+        assert instance_digest(load_nqp(path)) == instance_digest(obj)
+        assert instance_digest(generate_budget(5, 3, 4, 0.7, 0.2, 0.7, k=2)) == \
+            instance_digest(generate_budget(5, 3, 4, 0.7, 0.2, 0.7, k=2))
+
+    def test_every_defining_array_counts(self):
+        """Changing H, A, b, u, the budget coefficients, alphas or the kind of
+        objective changes the digest."""
+        h = -np.ones((2, 2))
+        base = NqpObjective(h, Polytope([[1.0, 1.0]], [1.0], [1.0, 1.0]))
+        variants = [
+            NqpObjective(2 * h, base.polytope),
+            NqpObjective(h, Polytope([[1.0, 0.5]], [1.0], [1.0, 1.0])),
+            NqpObjective(h, Polytope([[1.0, 1.0]], [0.5], [1.0, 1.0])),
+            NqpObjective(h, Polytope([[1.0, 1.0]], [1.0], [1.0, 0.5])),
+            NqpObjective(h, Polytope.box([1.0, 1.0])),
+            BudgetAllocationObjective(2, 1, [(0, 0, 0.5), (1, 0, 0.5)]),
+            BudgetAllocationObjective(2, 1, [(0, 0, 0.5), (1, 0, 0.25)]),
+            BudgetAllocationObjective(1, 1, [(0, 0, 0.5)], k=2, alphas=[0.5, 0.5]),
+            BudgetAllocationObjective(1, 1, [(0, 0, 0.5)], k=2, alphas=[0.25, 0.75]),
+        ]
+        digests = [instance_digest(obj) for obj in [base, *variants]]
+        assert len(set(digests)) == len(digests)

@@ -29,7 +29,7 @@ class TestNoiseModelConstruction:
                                         {"hessian_sigma": 0.1}])
     def test_exact_oracle_takes_no_noise_level(self, levels):
         """Under kind ``none`` a positive sigma would still perturb Hessian
-        queries through the ``sigma / 10`` default, while ``noise_constants``
+        queries through the ``0.1 * sigma`` default, while ``noise_constants``
         reports ``(0, 0)``, so any positive level is rejected."""
         with pytest.raises(ValueError, match="'none' takes no sigma"):
             NoiseModel("none", **levels)
@@ -43,7 +43,7 @@ class TestNoiseModelConstruction:
     ])
     def test_a_kind_takes_only_the_level_it_reads(self, kind, levels):
         """``gaussian_prop`` reads ``scale`` only: a positive ``sigma`` would
-        still set its Hessian noise through the ``sigma / 10`` default while
+        still set its Hessian noise through the ``0.1 * sigma`` default while
         its gradient noise and ``noise_constants`` ignore it.  The other two
         kinds never read ``scale``."""
         unread = "sigma" if kind == "gaussian_prop" else "scale"
