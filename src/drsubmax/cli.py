@@ -9,16 +9,19 @@ config, the noise model, the problem instance (through
 ``bounds`` and ``report`` reject the same malformed configs, and no command
 reads the raw JSON.  ``bounds.bound_curve`` alone reads and checks a bounds
 entry: its theorem must bound the config's algorithm, and takes ``gamma``
-and ``alpha`` from the trial.  ``report`` reads nothing but the config, its
-instance, ``battery.csv`` and ``opt.txt``: it evaluates its bounds as
-``bounds`` does and checks them on the series it fits, the algorithm's
-guarantee series; the ``bound_<theorem>.csv`` files are plotting output
-only.  An estimated optimum is computed once per battery: ``bounds`` writes
-it to ``opt.txt`` under the key of the estimate's inputs, and ``report``
-reuses it under its own key (``resolve_opt``), so ``report.txt`` holds the
-same bytes with or without the file.  Outputs are plain
-CSV and text with 17-significant-digit floats, so identical configs
-reproduce identical bytes.  Exit codes: 0 success, 1 I/O failure, 2
+and ``alpha`` from the trial.  ``run`` writes ``run_config.json`` next to
+``battery.csv``: what fixes its rows (``_run_config``), and ``report``
+rejects a battery whose file is missing or differs from its own config.
+``report`` reads nothing but the config, its instance, ``battery.csv``,
+``run_config.json`` and ``opt.txt``: it evaluates its bounds as ``bounds``
+does and checks them on the series it fits, the algorithm's guarantee
+series; the ``bound_<theorem>.csv`` files are plotting output only.  An
+estimated optimum is computed once per battery: ``bounds`` writes it to
+``opt.txt`` under the key of the estimate's inputs, and ``report`` reuses
+it under its own key (``resolve_opt``), so ``report.txt`` holds the same
+bytes with or without the file.  Outputs are plain CSV and text with
+17-significant-digit floats, and JSON with sorted keys, so identical
+configs reproduce identical bytes.  Exit codes: 0 success, 1 I/O failure, 2
 validation failure.  Bad input raises ``ValueError`` and I/O failure
 ``OSError``, wherever it is found; ``main`` alone turns them into exit
 codes.
@@ -65,6 +68,8 @@ _OPT_DEFAULTS = {name: inspect.signature(analysis.approx_opt).parameters[name].d
 # another estimator must rename it, so that no file of the old one is reused
 _OPT_FILE = "opt.txt"
 _OPT_ESTIMATOR = "approx_opt: best final value of noisy scg runs"
+# what fixed the rows of battery.csv, which run writes next to it and report checks
+_RUN_CONFIG_FILE = "run_config.json"
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
@@ -236,6 +241,57 @@ def resolve_opt(cfg: Experiment, reuse: bool = False) -> tuple[float, str | None
     return opt, key
 
 
+def _run_config(cfg: Experiment) -> dict:
+    """What fixes a battery's rows, in field order: the trial config but its
+    ``run_id``, the noise model, ``runs`` and the instance's digest.  It
+    leaves out ``output_dir`` and ``workers``, which change no row."""
+    trial = asdict(cfg.trial)
+    del trial["run_id"]
+    return {"trial": trial, "noise": asdict(cfg.noise), "runs": cfg.runs,
+            "instance": objectives.instance_digest(cfg.objective)}
+
+
+def _write_run_config(cfg: Experiment) -> None:
+    """Write ``_run_config`` to ``output_dir`` as canonical JSON (sorted keys)."""
+    with open(os.path.join(cfg.output_dir, _RUN_CONFIG_FILE), "w") as fh:
+        fh.write(json.dumps(_run_config(cfg), sort_keys=True, indent=1) + "\n")
+
+
+def _flatten(node, prefix: str = "") -> dict:
+    """A JSON object's leaves by dotted name, in the object's key order."""
+    if not isinstance(node, dict):
+        return {prefix: node}
+    return {name: leaf for key, value in node.items()
+            for name, leaf in _flatten(value, f"{prefix}.{key}" if prefix else key).items()}
+
+
+def _check_run_config(cfg: Experiment) -> None:
+    """Reject a battery whose ``run_config.json`` is missing or differs from
+    the config's own, naming the first field that differs."""
+    path = os.path.join(cfg.output_dir, _RUN_CONFIG_FILE)
+    try:
+        with open(path) as fh:
+            recorded = json.load(fh)
+    except FileNotFoundError:
+        raise ValueError(f"{path} is missing, so the battery's config is unknown") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(recorded, dict):
+        raise ValueError(f"{path}: the root must be an object")
+    own = _run_config(cfg)
+    if recorded == own:
+        return
+    own, recorded = _flatten(own), _flatten(recorded)
+    for name in [*own, *recorded]:
+        if name not in recorded or name not in own or recorded[name] != own[name]:
+            theirs, mine = (json.dumps(side[name]) if name in side else "nothing"
+                            for side in (recorded, own))
+            raise ValueError(f"{path}: the battery was run with {name} {theirs}, "
+                             f"the config has {mine}")
+    # a difference no leaf shows, such as an extra empty object
+    raise ValueError(f"{path}: differs from the config's run config")
+
+
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
@@ -259,6 +315,7 @@ def cmd_run(cfg: Experiment) -> int:
     marker = battery_path + ".partial"
     if os.path.exists(marker):
         os.remove(marker)
+    _write_run_config(cfg)
 
     returned = []
 
@@ -329,6 +386,7 @@ def cmd_report(cfg: Experiment) -> int:
     if not np.array_equal(battery.run_ids, np.arange(cfg.runs)):
         raise ValueError(f"{battery_path}: battery of {battery.n_runs} runs is not run ids "
                          f"0..runs-1 for the config's runs = {cfg.runs}")
+    _check_run_config(cfg)
     series = optimizers.guarantee_series(battery.algorithm)
     statistic = "final_iterate" if series == "f_true" else "average_iterate"
 

@@ -1,11 +1,12 @@
 """Benchmark objective families: monotone DR-submodular quadratics and
 budget allocation over a bipartite channel/customer graph.
 
-Both families expose exact value, gradient, and Hessian access plus an
-attached feasible region, so solvers and noise oracles can treat them
-uniformly.  Generators are seeded and fully deterministic.  ``build_problem``
-builds the instance a config's ``problem`` entry specifies, and the instance
-file format (``save_nqp``/``load_nqp``) lives here too.
+Both families expose exact value, gradient, Hessian and Hessian-vector
+product access plus an attached feasible region, so solvers and noise
+oracles can treat them uniformly.  Generators are seeded and fully
+deterministic.  ``build_problem`` builds the instance a config's ``problem``
+entry specifies, and the instance file format (``save_nqp``/``load_nqp``)
+lives here too.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def is_finite_real(value) -> bool:
 
 
 class Objective:
-    """Common surface: ``value``/``grad``/``hessian``, ``dim``, ``polytope``."""
+    """Common surface: ``value``/``grad``/``hessian``/``hvp``, ``dim``, ``polytope``."""
 
     polytope: Polytope
 
@@ -60,6 +61,10 @@ class Objective:
         raise NotImplementedError
 
     def hessian(self, x) -> np.ndarray:
+        raise NotImplementedError
+
+    def hvp(self, x, d) -> np.ndarray:
+        """The Hessian-vector product ``hessian(x) @ d``."""
         raise NotImplementedError
 
     def _arrays(self) -> dict:
@@ -106,6 +111,9 @@ class NqpObjective(Objective):
 
     def hessian(self, x=None) -> np.ndarray:
         return self.h_matrix.copy()
+
+    def hvp(self, x, d) -> np.ndarray:
+        return self.h_matrix @ self._check(d)
 
     def _arrays(self) -> dict:
         return {**super()._arrays(), "H": self.h_matrix}
@@ -211,6 +219,12 @@ class BudgetAllocationObjective(Objective):
             block = -self.alphas[i] * (self._coeff.T * np.exp(-w[i])) @ self._coeff
             out[i * n : (i + 1) * n, i * n : (i + 1) * n] = block
         return out
+
+    def hvp(self, x, d) -> np.ndarray:
+        """Block i is ``-alpha_i C'(exp(-w_i) * (C d_i))``; no matrix is built."""
+        w = self._blocks(x) @ self._coeff.T
+        cd = self._check(d).reshape(self.k, self.n_channels) @ self._coeff.T
+        return (-self.alphas[:, None] * ((np.exp(-w) * cd) @ self._coeff)).ravel()
 
     def _arrays(self) -> dict:
         return {**super()._arrays(), "coeff": self._coeff, "alphas": self.alphas}

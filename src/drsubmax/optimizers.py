@@ -218,8 +218,10 @@ def _momentum(objective: Objective, oracle: OracleStream, cfg: RunConfig):
 def _path_integrated(objective: Objective, oracle: OracleStream, cfg: RunConfig):
     """SCG++: the first call averages ``batch`` noisy gradients at the origin.
     Later calls draw ``batch`` interpolation points between the two most
-    recent iterates, average noisy Hessians there, and add the
-    Hessian-times-displacement correction to the running estimate."""
+    recent iterates and add the mean of the noisy Hessian-vector products
+    with the displacement ``x - x_prev`` there to the running estimate.  Each
+    query draws its point's uniform, then its own noise; no Hessian matrix
+    is formed."""
     batch = cfg.batch_size
     x_prev = ghat = None
 
@@ -228,12 +230,12 @@ def _path_integrated(objective: Objective, oracle: OracleStream, cfg: RunConfig)
         if ghat is None:
             ghat = np.mean([oracle.grad(x) for _ in range(batch)], axis=0)
         else:
-            hbar = np.zeros((objective.dim, objective.dim))
+            d = x - x_prev
+            corr = np.zeros(objective.dim)
             for _ in range(batch):
                 a = float(oracle.rng.random())
-                hbar += oracle.hessian(a * x + (1.0 - a) * x_prev)
-            hbar /= batch
-            ghat = ghat + hbar @ (x - x_prev)
+                corr += oracle.hessian(a * x + (1.0 - a) * x_prev, d)
+            ghat = ghat + corr / batch
         x_prev = x
         return ghat
     return estimate

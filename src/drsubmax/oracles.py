@@ -1,10 +1,12 @@
-"""Seeded stochastic gradient/Hessian oracles wrapping an objective.
+"""Seeded stochastic gradient and Hessian-vector oracles wrapping an objective.
 
 A noise model describes the perturbation applied to each query and carries
 the constants (worst-case error bound, total standard deviation) that the
-bound evaluators consume.  Every trial owns one ``OracleStream`` whose
-generator is derived from ``(master_seed, run_id)``, so reruns are
-reproducible regardless of scheduling.
+bound evaluators consume.  A Hessian query returns the noisy product
+``(H(x) + Z) d`` with a symmetric Gaussian ``Z``, drawn from its exact law
+with n + 1 normals; no n x n matrix is built.  Every trial owns one
+``OracleStream`` whose generator is derived from ``(master_seed, run_id)``,
+so reruns are reproducible regardless of scheduling.
 
 Stream contract: all randomness of a trial (noise draws plus any sampling
 the solver performs) comes from the stream's single numpy ``Generator`` in
@@ -37,11 +39,12 @@ class NoiseModel:
                             using the true gradient norm at the query point
       ``clipped_gaussian``  per-coordinate clip(N(0, sigma), -2 sigma, 2 sigma)
 
-    ``hessian_sigma`` is the per-entry deviation of the symmetric noise added
-    to Hessian queries; it defaults to ``0.1 * sigma``.  A kind takes only the
-    gradient level it reads: ``gaussian_prop`` rejects a positive ``sigma``
-    (so its Hessian default is 0), the other two a positive ``scale``, and
-    ``none`` every positive level.
+    ``hessian_sigma`` is the per-entry deviation of the symmetric matrix
+    ``Z`` whose product ``Z d`` perturbs a Hessian-vector query
+    (``OracleStream.hessian``); it defaults to ``0.1 * sigma``.  A kind
+    takes only the gradient level it reads: ``gaussian_prop`` rejects a
+    positive ``sigma`` (so its Hessian default is 0), the other two a
+    positive ``scale``, and ``none`` every positive level.
     """
 
     kind: str = "none"
@@ -133,19 +136,23 @@ class OracleStream:
             return g.copy()
         return g + self.rng.normal(0.0, sd, size=n)
 
-    def hessian(self, x) -> np.ndarray:
-        """Unbiased noisy Hessian at ``x``; the perturbation is symmetric with
-        i.i.d. upper-triangle entries mirrored below the diagonal."""
+    def hessian(self, x, d) -> np.ndarray:
+        """Unbiased noisy Hessian-vector product ``(H(x) + Z) d``, where ``Z``
+        is symmetric with i.i.d. N(0, s^2) entries on and above the diagonal
+        (``s = hessian_sigma``).  ``Z d`` is Gaussian with covariance
+        ``s^2 (||d||^2 I + d d' - diag(d * d))``, which is the law of
+        ``s (sqrt(||d||^2 - d_j^2) xi_j + eta d_j)``.  So a query draws
+        n + 1 normals in one call, ``xi_1..xi_n`` then ``eta``, and none when
+        ``s`` is 0."""
         try:
-            h = self.objective.hessian(x)
+            hd = self.objective.hvp(x, d)
         except NotImplementedError:
-            raise ValueError("objective does not provide Hessian access") from None
+            raise ValueError("objective does not provide Hessian-vector products") from None
         hs = self.noise.hessian_sigma
         if hs == 0.0:
-            return h
-        n = h.shape[0]
-        iu = np.triu_indices(n)
-        z = np.zeros((n, n))
-        z[iu] = self.rng.normal(0.0, hs, size=iu[0].size)
-        z = z + np.triu(z, 1).T
-        return h + z
+            return hd
+        d = np.asarray(d, dtype=float).ravel()
+        z = self.rng.normal(0.0, hs, size=d.size + 1)
+        dd = d * d
+        # a float sum of nonnegative terms is at least each term, so the root's argument is >= 0
+        return hd + np.sqrt(dd.sum() - dd) * z[:-1] + z[-1] * d

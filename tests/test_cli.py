@@ -8,7 +8,8 @@ import pytest
 from drsubmax import cli
 from drsubmax.analysis import TrialBattery, shared_c1_refit
 from drsubmax.geometry import Polytope
-from drsubmax.objectives import NqpObjective, generate_nqp, load_nqp, save_nqp
+from drsubmax.objectives import (NqpObjective, generate_nqp, instance_digest, load_nqp,
+                                 save_nqp)
 
 
 @pytest.fixture()
@@ -42,6 +43,19 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def main_with(command, cfg, overrides=()) -> int:
+    """``cli.main`` on ``command --config cfg`` with one ``--set`` per override."""
+    argv = [command, "--config", str(cfg)]
+    for override in overrides:
+        argv += ["--set", override]
+    return cli.main(argv)
+
+
+def write_run_config(cfg_path):
+    """The run_config.json ``run`` writes, for a battery.csv written by hand."""
+    cli._write_run_config(cli.load_config(cfg_path, []))
 
 
 class TestGenerate:
@@ -312,6 +326,7 @@ class TestReport:
                     y = 1.0 - 2.0 / math.sqrt(t)
                     fh.write(f"{rid},scg,{t},{y:.17g},{y:.17g}\n")
         cfg = write_config(tmp_path, T=100, runs=3)
+        write_run_config(cfg)
         assert cli.main(["report", "--config", str(cfg)]) == 0
         report = (out / "report.txt").read_text()
         c1 = float(next(ln for ln in report.splitlines()
@@ -409,8 +424,9 @@ class TestReport:
     ])
     def test_bound_follows_the_config_not_a_stale_file(self, tmp_path, override, expected):
         """After ``bounds`` wrote the delta 0.01, sigma 0.5 curve, a report
-        under another delta or sigma evaluates that config's bound, the one
-        ``bounds`` writes under the same override."""
+        under another delta or sigma (of a battery run under it) evaluates
+        that config's bound, the one ``bounds`` writes under the same
+        override."""
         cfg = write_config(tmp_path, T=30, runs=4, opt=3.75,
                            problem={**_GENERATED, "m": 2},
                            noise={"kind": "clipped_gaussian", "sigma": 0.5},
@@ -419,6 +435,7 @@ class TestReport:
             assert cli.main([command, "--config", str(cfg)]) == 0
         out = tmp_path / "out"
         stale = (out / "bound_theorem4.csv").read_text().splitlines()[-1].split(",")[1]
+        assert cli.main(["run", "--config", str(cfg), "--set", override]) == 0
         assert cli.main(["report", "--config", str(cfg), "--set", override]) == 0
         line = next(ln for ln in (out / "report.txt").read_text().splitlines()
                     if ln.startswith("violation theorem4"))
@@ -511,10 +528,7 @@ class TestOptFile:
 
     @staticmethod
     def report(cfg, overrides=()):
-        argv = ["report", "--config", str(cfg)]
-        for override in overrides:
-            argv += ["--set", override]
-        assert cli.main(argv) == 0
+        assert main_with("report", cfg, overrides) == 0
         return (cfg.parent / "out" / "report.txt").read_bytes()
 
     @staticmethod
@@ -551,6 +565,7 @@ class TestOptFile:
             assert cli.main([command, "--config", str(cfg)]) == 0
         if edit is not None:
             edit(out, tmp_path / "nqp.txt")
+        assert main_with("run", cfg, overrides) == 0  # the battery of the report's config
         calls = self.count_estimates(monkeypatch)
         reported = self.report(cfg, overrides)
         assert len(calls) == 1
@@ -577,6 +592,95 @@ class TestOptFile:
         for command in ("run", "bounds"):
             assert cli.main([command, "--config", str(cfg)]) == 0
         assert b"\nopt: 0.69999999999999996\n" in self.report(cfg, ["opt=0.7"])
+
+
+def _set_in_run_config(name, value):
+    def edit(out):
+        path = out / "run_config.json"
+        recorded = json.loads(path.read_text())
+        recorded[name] = value
+        path.write_text(json.dumps(recorded))
+    return edit
+
+
+# (id, the --set overrides of the report, the edit made to output_dir after
+# run, the field the error names): each is a battery of another config
+_OTHER_BATTERY = [
+    ("noise.sigma", ["noise.sigma=2"], None, "noise.sigma 0.5, the config has 2"),
+    ("master_seed", ["master_seed=1"], None, "trial.master_seed 0, the config has 1"),
+    ("instance", ["problem.seed=4"], None, "instance"),
+    ("hessian_sigma", ["noise.hessian_sigma=0.3"], None,
+     "noise.hessian_sigma 0.05, the config has 0.3"),
+    ("runs", [], _set_in_run_config("runs", 3), "runs 3, the config has 2"),
+    ("extra-field", [], _set_in_run_config("workers", 1), "workers 1, the config has nothing"),
+]
+
+
+class TestRunConfig:
+    """``run`` writes what fixes the battery's rows to run_config.json, and
+    ``report`` refuses a battery whose file differs from its own config."""
+
+    @staticmethod
+    def config(tmp_path, **overrides):
+        return write_config(tmp_path, T=10, runs=2, algorithm="scgpp", batch_size=2,
+                            problem={**_GENERATED, "seed": 3},
+                            noise={"kind": "clipped_gaussian", "sigma": 0.5}, **overrides)
+
+    def test_file_is_canonical_and_leaves_out_output_dir_and_workers(self, tmp_path):
+        files = []
+        for out, workers in (("first", 1), ("second", 2)):
+            cfg = self.config(tmp_path, output_dir=str(tmp_path / out), workers=workers)
+            assert cli.main(["run", "--config", str(cfg)]) == 0
+            files.append((tmp_path / out / "run_config.json").read_text())
+        assert files[0] == files[1]
+        recorded = json.loads(files[0])
+        assert files[0] == json.dumps(recorded, sort_keys=True, indent=1) + "\n"
+        assert sorted(recorded) == ["instance", "noise", "runs", "trial"]
+        assert "run_id" not in recorded["trial"] and recorded["trial"]["batch_size"] == 2
+        assert recorded["noise"] == {"kind": "clipped_gaussian", "sigma": 0.5,
+                                     "scale": 0.0, "hessian_sigma": 0.05}
+        assert recorded["runs"] == 2
+        assert recorded["instance"] == instance_digest(generate_nqp(3, 4, 1, -1.0, 0.0))
+
+    @pytest.mark.parametrize("overrides,edit,named", [pytest.param(o, e, n, id=i)
+                                                      for i, o, e, n in _OTHER_BATTERY])
+    def test_report_rejects_a_battery_of_another_config(self, tmp_path, overrides, edit,
+                                                        named, capsys):
+        cfg = self.config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        if edit is not None:
+            edit(out)
+        capsys.readouterr()
+        assert main_with("report", cfg, overrides) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'run_config.json'}: the battery was run with ")
+        assert named in err, err
+        assert not (out / "report.txt").exists()
+
+    @pytest.mark.parametrize("rewrite", [
+        None, lambda text: "{not json", lambda text: "[1, 2]",
+        lambda text: json.dumps({**json.loads(text), "extra": {}})],
+        ids=["missing", "garbled", "not-an-object", "empty-object"])
+    def test_report_rejects_a_missing_or_malformed_file(self, tmp_path, rewrite,
+                                                      capsys):
+        cfg = self.config(tmp_path)
+        path = tmp_path / "out" / "run_config.json"
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        if rewrite is None:
+            path.unlink()
+        else:
+            path.write_text(rewrite(path.read_text()))
+        capsys.readouterr()
+        assert cli.main(["report", "--config", str(cfg)]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.txt").exists()
+
+    def test_report_accepts_the_same_config_under_other_cli_keys(self, tmp_path):
+        cfg = self.config(tmp_path)
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        for overrides in (["workers=2"], ["normalized=true", "opt=2.5"], ["t_min=3"]):
+            assert main_with("report", cfg, overrides) == 0
 
 
 _GENERATED = {"kind": "nqp-generate", "n": 4, "m": 1, "entry_low": -1.0,

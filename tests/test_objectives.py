@@ -175,6 +175,16 @@ class TestDrProperties:
                 idx = rng.integers(0, obj.dim, size=(20, 2))
                 assert np.all(h[idx[:, 0], idx[:, 1]] <= 1e-12)
 
+    def test_hvp_is_the_hessian_times_the_direction(self, instances):
+        """On NQP and on a budget instance with two advertisers, whose
+        product is taken block by block without building the Hessian."""
+        rng = np.random.default_rng(26)
+        for obj in instances:
+            for x in sample_feasible(obj.polytope, rng, 5):
+                d = rng.normal(size=obj.dim)
+                np.testing.assert_allclose(obj.hvp(x, d), obj.hessian(x) @ d,
+                                           rtol=1e-12, atol=1e-14)
+
     def test_monotone(self, instances):
         rng = np.random.default_rng(24)
         for obj in instances:

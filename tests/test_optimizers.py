@@ -234,8 +234,9 @@ class TestScgpp:
             assert contains(obj.polytope, x, 1e-6)
 
     def test_displacement_estimate_unbiased(self):
-        """Monte Carlo mean of the Hessian-times-displacement correction
-        matches the exact value within the CLT tolerance."""
+        """Monte Carlo mean of the noisy Hessian-vector product with the
+        displacement, at uniform points between two iterates, matches the
+        exact value within the CLT tolerance."""
         obj = generate_nqp(12, 3, 0, -1.0, 0.0)
         hs = 0.2
         st = OracleStream(obj, NoiseModel.gaussian_fixed(1.0, hessian_sigma=hs), 0, 0)
@@ -246,7 +247,7 @@ class TestScgpp:
         total = np.zeros(3)
         for _ in range(n_draws):
             a = float(st.rng.random())
-            total += st.hessian(a * x_new + (1 - a) * x_old) @ step
+            total += st.hessian(a * x_new + (1 - a) * x_old, step)
         mean = total / n_draws
         exact = obj.h_matrix @ step
         tol = 4 * hs * np.linalg.norm(step) / math.sqrt(n_draws)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,9 +69,10 @@ class TestDeterminism:
         a = OracleStream(obj, nm, master_seed=11, run_id=4)
         b = OracleStream(obj, nm, master_seed=11, run_id=4)
         x = np.full(4, 0.2)
+        d = np.array([0.1, -0.2, 0.0, 0.3])
         for _ in range(10):
             np.testing.assert_array_equal(a.grad(x), b.grad(x))
-        np.testing.assert_array_equal(a.hessian(x), b.hessian(x))
+            np.testing.assert_array_equal(a.hessian(x, d), b.hessian(x, d))
 
     def test_distinct_run_ids_differ(self):
         obj = one_dim_nqp()
@@ -126,35 +128,97 @@ class TestNoisyGrad:
         np.testing.assert_array_equal(stream.grad([1.0]), [0.0])
 
 
+def dense_noise_products(rng, s, d, n_draws):
+    """``Z d`` for ``n_draws`` symmetric ``Z`` with i.i.d. N(0, s^2) entries
+    on and above the diagonal: the dense sampler the oracle's law comes from."""
+    upper = np.triu(rng.normal(0.0, s, size=(n_draws, d.size, d.size)))
+    z = upper + np.swapaxes(np.triu(upper, 1), 1, 2)
+    return z @ d
+
+
 class TestNoisyHessian:
-    def test_zero_sigma_exact(self):
+    """``OracleStream.hessian(x, d)`` draws ``(H(x) + Z) d`` from its exact
+    law with n + 1 normals, without building ``Z``."""
+
+    N_DRAWS = 50_000
+    HS = 0.2
+    D = np.array([0.5, -1.0, 0.0, 2.0, 0.25, -0.75])
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        """``N_DRAWS`` noisy products at a 6-dimensional quadratic minus the
+        exact product ``H d``."""
+        obj = generate_nqp(7, 6, 0, -1.0, 0.0)
+        stream = OracleStream(obj, NoiseModel.gaussian_fixed(1.0, hessian_sigma=self.HS), 1, 0)
+        x = np.full(6, 0.3)
+        exact = obj.h_matrix @ self.D
+        return np.array([stream.hessian(x, self.D) for _ in range(self.N_DRAWS)]) - exact
+
+    def test_zero_sigma_exact_and_draws_nothing(self):
         obj = generate_nqp(6, 3, 0, -1.0, 0.0)
         stream = OracleStream(obj, NoiseModel.clipped_gaussian(0.5, hessian_sigma=0.0), 0, 0)
-        np.testing.assert_array_equal(stream.hessian(np.zeros(3)), obj.h_matrix)
+        before = stream.rng.bit_generator.state
+        d = np.array([0.2, -0.1, 0.4])
+        np.testing.assert_array_equal(stream.hessian(np.zeros(3), d), obj.h_matrix @ d)
+        assert stream.rng.bit_generator.state == before
 
-    def test_symmetric_and_unbiased(self):
-        """Per-entry empirical mean within 4 hs / sqrt(N) over 10^4 draws."""
-        obj = generate_nqp(7, 3, 0, -1.0, 0.0)
-        hs = 0.2
-        stream = OracleStream(obj, NoiseModel.gaussian_fixed(1.0, hessian_sigma=hs), 1, 0)
-        x = np.zeros(3)
-        total = np.zeros((3, 3))
-        n_draws = 10_000
-        for _ in range(n_draws):
-            h = stream.hessian(x)
-            np.testing.assert_array_equal(h, h.T)
-            total += h
-        mean_err = total / n_draws - obj.h_matrix
-        assert np.max(np.abs(mean_err)) <= 4 * hs / math.sqrt(n_draws)
+    def test_unbiased(self, draws):
+        """Each coordinate's deviation is ``s ||d||``, so its empirical mean
+        lies within 4 s ||d|| / sqrt(N)."""
+        tol = 4 * self.HS * np.linalg.norm(self.D) / math.sqrt(self.N_DRAWS)
+        assert np.max(np.abs(draws.mean(axis=0))) <= tol
+
+    def test_covariance_is_that_of_the_dense_sampler(self, draws):
+        """The empirical covariance matches ``s^2 (||d||^2 I + d d' - diag(d * d))``
+        and the empirical covariance of the dense symmetric ``Z d``, within
+        five standard errors (an entry's is at most s^2 ||d||^2 sqrt(2 / N))."""
+        d, s2 = self.D, self.HS ** 2
+        exact = s2 * (d @ d * np.eye(d.size) + np.outer(d, d) - np.diag(d * d))
+        dense = dense_noise_products(np.random.default_rng(5), self.HS, d, self.N_DRAWS)
+        se = s2 * (d @ d) * math.sqrt(2.0 / self.N_DRAWS)
+        cov = np.cov(draws, rowvar=False)
+        assert np.max(np.abs(cov - exact)) <= 5 * se
+        assert np.max(np.abs(np.cov(dense, rowvar=False) - exact)) <= 5 * se
+        assert np.max(np.abs(cov - np.cov(dense, rowvar=False))) <= 5 * math.sqrt(2) * se
 
     def test_one_dim_draws_inside_five_sigma(self):
+        """In one dimension the product is ``(h + s eta) d``; the root's
+        argument ``||d||^2 - d_1^2`` is 0."""
         obj = one_dim_nqp()
         stream = OracleStream(obj, NoiseModel.gaussian_fixed(1.0, hessian_sigma=0.1), 2, 0)
-        draws = np.array([stream.hessian([0.0])[0, 0] for _ in range(10_000)])
+        draws = np.array([stream.hessian([0.0], [1.0])[0] for _ in range(10_000)])
         inside = np.mean((draws >= -1.5) & (draws <= -0.5))
         assert inside >= 0.9999
 
-    def test_objective_without_hessian_rejected(self):
+    def test_one_hot_direction_is_finite_without_warning(self):
+        """A one-hot ``d`` makes one root's argument exactly 0."""
+        obj = generate_nqp(9, 4, 0, -1.0, 0.0)
+        stream = OracleStream(obj, NoiseModel.gaussian_fixed(1.0, hessian_sigma=0.3), 3, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for j in range(4):
+                d = np.zeros(4)
+                d[j] = 0.7
+                out = stream.hessian(np.full(4, 0.1), d)
+                assert np.all(np.isfinite(out))
+
+    def test_one_query_draws_n_plus_one_normals(self):
+        """The stream contract: after one noisy query the generator equals a
+        fresh one of the same seed that drew ``normal(size=n + 1)``, and the
+        answer is ``H d + s (sqrt(||d||^2 - d_j^2) xi_j + eta d_j)`` with
+        those draws, ``xi`` first and ``eta`` last."""
+        obj = generate_nqp(4, 5, 0, -1.0, 0.0)
+        hs = 0.3
+        stream = OracleStream(obj, NoiseModel.gaussian_fixed(1.0, hessian_sigma=hs), 11, 2)
+        fresh = OracleStream(obj, NoiseModel.none(), 11, 2).rng
+        d = np.array([0.3, -0.1, 0.0, 0.2, 0.05])
+        out = stream.hessian(np.full(5, 0.2), d)
+        xi_eta = fresh.normal(size=6)
+        assert stream.rng.bit_generator.state == fresh.bit_generator.state
+        expected = obj.h_matrix @ d + hs * (np.sqrt(d @ d - d * d) * xi_eta[:5] + xi_eta[5] * d)
+        np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-15)
+
+    def test_objective_without_hvp_rejected(self):
         class NoHessian(Objective):
             def __init__(self):
                 self.polytope = Polytope.box([1.0])
@@ -167,7 +231,7 @@ class TestNoisyHessian:
 
         stream = OracleStream(NoHessian(), NoiseModel.gaussian_fixed(1.0), 0, 0)
         with pytest.raises(ValueError, match="Hessian"):
-            stream.hessian([0.0])
+            stream.hessian([0.0], [1.0])
 
 
 class TestNoiseConstants:
