@@ -5,35 +5,34 @@ Every command is driven by a JSON config file; command-line ``--set``
 options override individual (dotted) keys.  ``load_config`` builds the
 config once for every command into a frozen ``Experiment``: the trial
 config, the noise model, the problem instance (through
-``objectives.build_problem``) and the keys only the CLI reads.  So ``run``,
-``bounds`` and ``report`` reject the same malformed configs, and no command
-reads the raw JSON.  ``bounds.bound_curve`` alone reads and checks a bounds
-entry: its theorem must bound the config's algorithm, and takes ``gamma``
-and ``alpha`` from the trial.  ``run`` writes ``run_config.json`` next to
-``battery.csv``: what fixes its rows (``_run_config``), and ``report``
-rejects a battery whose file is missing or differs from its own config.
-``report`` reads nothing but the config, its instance, ``battery.csv``,
-``run_config.json`` and ``opt.txt``: it evaluates its bounds as ``bounds``
-does and checks them on the series it fits, the algorithm's guarantee
-series; the ``bound_<theorem>.csv`` files are plotting output only.  An
-estimated optimum is computed once per battery: ``bounds`` writes it to
-``opt.txt`` under the key of the estimate's inputs, and ``report`` reuses
-it under its own key (``resolve_opt``), so ``report.txt`` holds the same
-bytes with or without the file.  Outputs are plain CSV and text with
-17-significant-digit floats, and JSON with sorted keys, so identical
-configs reproduce identical bytes.  Exit codes: 0 success, 1 I/O failure, 2
-validation failure.  Bad input raises ``ValueError`` and I/O failure
-``OSError``, wherever it is found; ``main`` alone turns them into exit
-codes.
+``objectives.build_problem``) and its digest, and the keys only the CLI
+reads.  So ``run``, ``bounds`` and ``report`` reject the same malformed
+configs, and no command reads the raw JSON.  ``bounds.bound_curve`` alone
+reads and checks a bounds entry: its theorem must bound the config's
+algorithm, and takes ``gamma`` and ``alpha`` from the trial.  ``run``
+writes ``run_config.json`` next to ``battery.csv``: what fixes its rows
+(``_run_config``), and ``report`` rejects a battery whose file is missing
+or differs from its own config.  ``report`` reads nothing but the config,
+its instance, ``battery.csv``, ``run_config.json`` and ``opt.json``: it
+evaluates its bounds as ``bounds`` does and checks them on the series it
+fits, the algorithm's guarantee series; the ``bound_<theorem>.csv`` files
+are plotting output only.  An estimated optimum is computed once per
+battery (``resolve_opt``): whichever command estimates it writes
+``opt.json``, the estimate with its inputs, and every command reuses a
+record whose inputs match its own, so ``report.txt`` holds the same bytes
+with or without the file.  Outputs are plain CSV and text with
+17-significant-digit floats, and canonical JSON records (``_write_record``),
+so identical configs reproduce identical bytes.  Exit codes: 0 success, 1
+I/O failure, 2 validation failure.  Bad input raises ``ValueError`` and I/O
+failure ``OSError``, wherever it is found; ``main`` alone turns them into
+exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import inspect
 import json
-import math
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -64,9 +63,9 @@ EXIT_VALIDATION = 2
 _OPT_ARGS = {"runs": "n_runs", "iterations": "iterations"}
 _OPT_DEFAULTS = {name: inspect.signature(analysis.approx_opt).parameters[name].default
                  for name in _OPT_ARGS.values()}
-# the estimated optimum's file in output_dir, and the estimator its key names:
-# another estimator must rename it, so that no file of the old one is reused
-_OPT_FILE = "opt.txt"
+# the estimated optimum's record in output_dir, and the estimator its inputs
+# name: another estimator must rename it, so that no record of the old one is reused
+_OPT_FILE = "opt.json"
 _OPT_ESTIMATOR = "approx_opt: best final value of noisy scg runs"
 # what fixed the rows of battery.csv, which run writes next to it and report checks
 _RUN_CONFIG_FILE = "run_config.json"
@@ -85,10 +84,10 @@ class Experiment:
     checks those keys, ``t_min < T``, each bounds entry's curve over t = 1..T
     with unit constants, and that ``noise.hessian_sigma`` keeps its default
     unless the trial queries Hessians.  It builds ``objective``, the problem
-    entry's instance, last, so a bad value is reported before any instance
-    file is read.  The trial and noise keys default in ``RunConfig``,
-    ``StepRule``, ``MomentumRule`` and ``NoiseModel``, and the fit keys in
-    ``analysis.shared_c1_refit``."""
+    entry's instance, and its digest ``instance`` last, so a bad value is
+    reported before any instance file is read.  The trial and noise keys
+    default in ``RunConfig``, ``StepRule``, ``MomentumRule`` and
+    ``NoiseModel``, and the fit keys in ``analysis.shared_c1_refit``."""
 
     trial: RunConfig
     problem: dict
@@ -102,6 +101,7 @@ class Experiment:
     fit_exponent: float = inspect.signature(analysis.shared_c1_refit).parameters["p"].default
     workers: int | str = "auto"
     objective: objectives.Objective = field(init=False, repr=False, compare=False)
+    instance: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.output_dir, str):
@@ -143,6 +143,7 @@ class Experiment:
                 raise ValueError(f"{theorem}: listed twice in bounds")
             seen.add(theorem)
         object.__setattr__(self, "objective", objectives.build_problem(self.problem))
+        object.__setattr__(self, "instance", objectives.instance_digest(self.objective))
 
 
 def _build(cls, value, where: str):
@@ -191,54 +192,44 @@ def load_config(path, overrides) -> Experiment:
     return Experiment(trial, **raw)
 
 
-def _opt_key(cfg: Experiment, spec: dict) -> str:
-    """SHA-256 hex digest of a canonical JSON of what the estimate reads: the
-    instance's contents, the noise model, the estimator's name and its
-    integer arguments ``spec`` (the offset seed, ``n_runs``, ``iterations``)."""
-    inputs = {
-        "estimator": _OPT_ESTIMATOR,
-        "instance": objectives.instance_digest(cfg.objective),
-        "noise": {key: value if isinstance(value, str) else float(value)
-                  for key, value in asdict(cfg.noise).items()},
-        **{name: int(value) for name, value in spec.items()},
-    }
-    return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
+def _write_record(cfg: Experiment, name: str, record: dict) -> None:
+    """Write ``record`` to ``output_dir/name`` as canonical JSON (sorted keys)."""
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    with open(os.path.join(cfg.output_dir, name), "w") as fh:
+        fh.write(json.dumps(record, sort_keys=True, indent=1) + "\n")
 
 
-def _cached_opt(path: str, key: str) -> float | None:
-    """The optimum in ``path`` when the file parses, holds ``key`` and a
-    finite positive value; ``None`` otherwise."""
-    try:
-        with open(path) as fh:
-            key_line, _, opt_text = fh.read().partition("\nopt: ")
-        opt = float(opt_text)
-    except (OSError, ValueError):
-        return None
-    return opt if key_line == f"key: {key}" and math.isfinite(opt) and opt > 0 else None
+def resolve_opt(cfg: Experiment) -> float:
+    """The configured optimum, or else the estimated one.
 
-
-def resolve_opt(cfg: Experiment, reuse: bool = False) -> tuple[float, str | None]:
-    """The optimum and, for an estimated one, the key of its inputs.
-
-    A configured optimum comes with no key.  Otherwise
     ``analysis.approx_opt`` estimates it (the best final value across
     seeded, repeated greedy runs under the config's noise), and it must be
-    positive, as a configured one is.  With ``reuse``, a finite positive
-    value in ``output_dir/opt.txt`` under this key (``_opt_key``, which
-    leaves out ``output_dir``, the bounds and the fit keys) is returned
-    instead: ``bounds`` wrote it to 17 digits, which round-trip.
+    positive, as a configured one is.  Its inputs are the estimator's name,
+    the instance's digest, the noise model, the offset seed, ``n_runs`` and
+    ``iterations``; not ``output_dir``, the bounds or the fit keys.  When
+    ``output_dir/opt.json`` parses, holds these inputs and a finite positive
+    ``opt``, that value is returned (a JSON float round-trips); otherwise the
+    estimate is written there with its inputs.
     """
     if isinstance(cfg.opt, (int, float)):
-        return float(cfg.opt), None
+        return float(cfg.opt)
     spec = {**_OPT_DEFAULTS, **{_OPT_ARGS[key]: value for key, value in (cfg.opt or {}).items()},
             "master_seed": cfg.trial.master_seed + _OPT_SEED_OFFSET}
-    key = _opt_key(cfg, spec)
-    opt = _cached_opt(os.path.join(cfg.output_dir, _OPT_FILE), key) if reuse else None
-    if opt is None:
-        opt = analysis.approx_opt(cfg.objective, noise=cfg.noise, **spec)
-        if not opt > 0:  # nothing can be normalized by it or bounded below it
-            raise ValueError(f"estimated optimum {_g17(opt)} is not positive")
-    return opt, key
+    inputs = {"estimator": _OPT_ESTIMATOR, "instance": cfg.instance,
+              "noise": asdict(cfg.noise), **spec}
+    try:
+        with open(os.path.join(cfg.output_dir, _OPT_FILE)) as fh:
+            record = json.load(fh)
+    except (OSError, ValueError):  # an unreadable record is estimated again
+        record = None
+    if (isinstance(record, dict) and record.get("inputs") == inputs
+            and is_finite_real(record.get("opt")) and record["opt"] > 0):
+        return float(record["opt"])
+    opt = float(analysis.approx_opt(cfg.objective, noise=cfg.noise, **spec))
+    if not opt > 0:  # nothing can be normalized by it or bounded below it
+        raise ValueError(f"estimated optimum {_g17(opt)} is not positive")
+    _write_record(cfg, _OPT_FILE, {"inputs": inputs, "opt": opt})
+    return opt
 
 
 def _run_config(cfg: Experiment) -> dict:
@@ -248,13 +239,7 @@ def _run_config(cfg: Experiment) -> dict:
     trial = asdict(cfg.trial)
     del trial["run_id"]
     return {"trial": trial, "noise": asdict(cfg.noise), "runs": cfg.runs,
-            "instance": objectives.instance_digest(cfg.objective)}
-
-
-def _write_run_config(cfg: Experiment) -> None:
-    """Write ``_run_config`` to ``output_dir`` as canonical JSON (sorted keys)."""
-    with open(os.path.join(cfg.output_dir, _RUN_CONFIG_FILE), "w") as fh:
-        fh.write(json.dumps(_run_config(cfg), sort_keys=True, indent=1) + "\n")
+            "instance": cfg.instance}
 
 
 def _flatten(node, prefix: str = "") -> dict:
@@ -315,7 +300,7 @@ def cmd_run(cfg: Experiment) -> int:
     marker = battery_path + ".partial"
     if os.path.exists(marker):
         os.remove(marker)
-    _write_run_config(cfg)
+    _write_record(cfg, _RUN_CONFIG_FILE, _run_config(cfg))
 
     returned = []
 
@@ -354,14 +339,8 @@ def _bound_curves(cfg: Experiment, opt: float) -> list:
 def cmd_bounds(cfg: Experiment) -> int:
     if not cfg.bounds:
         raise ValueError("no bounds selected in config")
-    opt, key = resolve_opt(cfg)
-    curves = _bound_curves(cfg, opt)
+    curves = _bound_curves(cfg, resolve_opt(cfg))
     os.makedirs(cfg.output_dir, exist_ok=True)
-    if key is not None:  # an estimate, for report to reuse
-        path = os.path.join(cfg.output_dir, _OPT_FILE)
-        with open(path, "w") as fh:
-            fh.write(f"key: {key}\nopt: {_g17(opt)}\n")
-        print(f"wrote {path}")
     for curve in curves:
         path = os.path.join(cfg.output_dir, f"bound_{curve.label}.csv")
         bounds.save_bound_curve(path, curve)
@@ -392,7 +371,7 @@ def cmd_report(cfg: Experiment) -> int:
 
     scale, opt_text, bound_curves = 1.0, "-", []
     if cfg.normalized or cfg.bounds:
-        opt, _ = resolve_opt(cfg, reuse=True)
+        opt = resolve_opt(cfg)
         if cfg.normalized:
             scale, opt_text = opt, _g17(opt)
         bound_curves = _bound_curves(cfg, opt)
@@ -412,7 +391,7 @@ def cmd_report(cfg: Experiment) -> int:
             f"bound_at_T={_g17(curve.at(trial.T))} rate={_g17(rate)}"
         )
 
-    # every input is read and checked before the first output is written
+    # every input is read and checked before the first output but opt.json is written
     for t, values, label in curves:
         with open(os.path.join(out_dir, f"stats_{label}.csv"), "w") as fh:
             fh.write("t,stat_value,stat_label\n")

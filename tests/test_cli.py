@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -55,7 +56,8 @@ def main_with(command, cfg, overrides=()) -> int:
 
 def write_run_config(cfg_path):
     """The run_config.json ``run`` writes, for a battery.csv written by hand."""
-    cli._write_run_config(cli.load_config(cfg_path, []))
+    cfg = cli.load_config(cfg_path, [])
+    cli._write_record(cfg, cli._RUN_CONFIG_FILE, cli._run_config(cfg))
 
 
 class TestGenerate:
@@ -484,47 +486,65 @@ class TestReport:
         assert b"violation theorem3" in without and b"violation theorem4" in without
 
 
-def _double_the_hessian(out, instance):
+def _double_the_hessian(instance):
     obj = load_nqp(instance)
     save_nqp(instance, NqpObjective(2.0 * obj.h_matrix, obj.polytope))
 
 
-def _rewrite_opt_file(text):
-    def rewrite(out, instance):
-        (out / "opt.txt").write_text(text((out / "opt.txt").read_text()))
-    return rewrite
-
-
-# (id, the --set overrides of the report, the edit made after bounds): each
-# makes report estimate the optimum again
-_STALE_OPT = [
+# (id, the --set overrides of the report, the edit made to the instance after
+# bounds): each changes an input of the estimate, so report estimates again
+_OTHER_INPUTS = [
     ("opt.runs", ["opt.runs=3"], None),
     ("opt.iterations", ["opt.iterations=30"], None),
     ("master_seed", ["master_seed=1"], None),
     ("noise.sigma", ["noise.sigma=0.2"], None),
     ("edited-instance", [], _double_the_hessian),
-    ("garbled", [], _rewrite_opt_file(lambda text: text.replace(": ", " ", 1))),
-    ("wrong-key", [], _rewrite_opt_file(
-        lambda text: "key: " + "0" * 64 + "\n" + text.splitlines()[1] + "\n")),
-    ("zero", [], _rewrite_opt_file(lambda text: text.splitlines()[0] + "\nopt: 0\n")),
+]
+
+
+def _set_opt(value):
+    def edit(record):
+        record["opt"] = value
+        return json.dumps(record)
+    return edit
+
+
+def _without(key):
+    def edit(record):
+        del record[key]
+        return json.dumps(record)
+    return edit
+
+
+# (id, the rewrite of the valid record's parsed JSON to the file's new text):
+# each record is unusable, so it is estimated again and no error is raised
+_UNUSABLE_RECORD = [
+    ("garbled", lambda record: json.dumps(record)[:-2]),
+    ("list", lambda record: json.dumps([record])),
+    ("no-inputs", _without("inputs")),
+    ("no-opt", _without("opt")),
+    ("zero", _set_opt(0)),
+    ("nan", _set_opt(math.nan)),
+    ("bool", _set_opt(True)),
+    ("string", _set_opt("1.5")),
 ]
 
 
 class TestOptFile:
-    """``bounds`` writes an estimated optimum to opt.txt under the key of the
-    estimate's inputs, and ``report`` reuses it only under its own key."""
+    """Whichever command estimates the optimum writes it to opt.json with the
+    estimate's inputs, and every command reuses a record whose inputs match."""
 
     @staticmethod
     def config(tmp_path, **overrides):
         instance = tmp_path / "nqp.txt"
         if not instance.exists():
             save_nqp(instance, generate_nqp(3, 4, 2, -1.0, 0.0))
-        return write_config(tmp_path, T=10, runs=3, normalized=True,
-                            problem={"kind": "nqp-file", "path": str(instance)},
-                            noise={"kind": "clipped_gaussian", "sigma": 0.1},
-                            opt={"runs": 2, "iterations": 20},
-                            bounds=[{"theorem": "theorem4", "delta": 0.1}],
-                            **PAIRED["theorem4"], **overrides)
+        settings = dict(T=10, runs=3, normalized=True,
+                        problem={"kind": "nqp-file", "path": str(instance)},
+                        noise={"kind": "clipped_gaussian", "sigma": 0.1},
+                        opt={"runs": 2, "iterations": 20},
+                        bounds=[{"theorem": "theorem4", "delta": 0.1}], **PAIRED["theorem4"])
+        return write_config(tmp_path, **{**settings, **overrides})
 
     @staticmethod
     def report(cfg, overrides=()):
@@ -543,55 +563,123 @@ class TestOptFile:
         monkeypatch.setattr(cli.analysis, "approx_opt", counted)
         return calls
 
+    @staticmethod
+    def forbid_estimates(monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the optimum was estimated again")
+
+        monkeypatch.setattr(cli.analysis, "approx_opt", never)
+
     def test_report_reuses_the_estimate_of_bounds(self, tmp_path, monkeypatch):
         cfg = self.config(tmp_path)
         assert cli.main(["run", "--config", str(cfg)]) == 0
         fresh = self.report(cfg)
+        (tmp_path / "out" / "opt.json").unlink()
         assert cli.main(["bounds", "--config", str(cfg)]) == 0
+        self.forbid_estimates(monkeypatch)
+        assert self.report(cfg) == fresh
 
-        def never(*args, **kwargs):
-            raise AssertionError("report estimated the optimum again")
+    def test_bounds_reuses_a_matching_record(self, tmp_path, monkeypatch):
+        cfg = self.config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["bounds", "--config", str(cfg)]) == 0
+        files = [(out / name).read_bytes() for name in ("opt.json", "bound_theorem4.csv")]
+        self.forbid_estimates(monkeypatch)
+        assert cli.main(["bounds", "--config", str(cfg)]) == 0
+        assert [(out / name).read_bytes() for name in ("opt.json", "bound_theorem4.csv")] \
+            == files
 
-        monkeypatch.setattr(cli.analysis, "approx_opt", never)
+    def test_report_without_bounds_writes_the_record(self, tmp_path, monkeypatch):
+        cfg = self.config(tmp_path, bounds=[])
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        calls = self.count_estimates(monkeypatch)
+        fresh = self.report(cfg)
+        assert len(calls) == 1
+        assert (tmp_path / "out" / "opt.json").exists()
+        self.forbid_estimates(monkeypatch)
         assert self.report(cfg) == fresh
 
     @pytest.mark.parametrize("overrides,edit", [pytest.param(o, e, id=i)
-                                                for i, o, e in _STALE_OPT])
-    def test_report_estimates_again_under_another_key(self, tmp_path, monkeypatch,
-                                                      overrides, edit):
+                                                for i, o, e in _OTHER_INPUTS])
+    def test_report_estimates_again_for_other_inputs(self, tmp_path, monkeypatch,
+                                                     overrides, edit):
         cfg = self.config(tmp_path)
-        out = tmp_path / "out"
         for command in ("run", "bounds"):
             assert cli.main([command, "--config", str(cfg)]) == 0
         if edit is not None:
-            edit(out, tmp_path / "nqp.txt")
+            edit(tmp_path / "nqp.txt")
         assert main_with("run", cfg, overrides) == 0  # the battery of the report's config
         calls = self.count_estimates(monkeypatch)
         reported = self.report(cfg, overrides)
         assert len(calls) == 1
-        (out / "opt.txt").unlink()
+        (tmp_path / "out" / "opt.json").unlink()
         assert reported == self.report(cfg, overrides)
 
-    def test_file_does_not_depend_on_output_dir(self, tmp_path):
+    @pytest.mark.parametrize("command", ["bounds", "report"])
+    @pytest.mark.parametrize("rewrite", [pytest.param(r, id=i) for i, r in _UNUSABLE_RECORD])
+    def test_unusable_record_is_estimated_again(self, tmp_path, monkeypatch, command,
+                                                rewrite):
+        cfg = self.config(tmp_path)
+        path = tmp_path / "out" / "opt.json"
+        for step in ("run", "bounds"):
+            assert cli.main([step, "--config", str(cfg)]) == 0
+        valid = path.read_text()
+        path.write_text(rewrite(json.loads(valid)))
+        calls = self.count_estimates(monkeypatch)
+        assert cli.main([command, "--config", str(cfg)]) == 0
+        assert len(calls) == 1
+        assert path.read_text() == valid
+
+    def test_record_does_not_depend_on_output_dir(self, tmp_path):
         cfg = self.config(tmp_path)
         files = []
         for out in ("first", "second"):
             override = f"output_dir={json.dumps(str(tmp_path / out))}"
             assert cli.main(["bounds", "--config", str(cfg), "--set", override]) == 0
-            files.append((tmp_path / out / "opt.txt").read_bytes())
+            files.append((tmp_path / out / "opt.json").read_text())
         assert files[0] == files[1]
-        key_line, opt_line = files[0].decode().splitlines()
-        assert key_line.startswith("key: ") and len(key_line) == len("key: ") + 64
-        assert opt_line == f"opt: {float(opt_line[5:]):.17g}" and float(opt_line[5:]) > 0
+        record = json.loads(files[0])
+        assert files[0] == json.dumps(record, sort_keys=True, indent=1) + "\n"
+        assert sorted(record) == ["inputs", "opt"] and record["opt"] > 0
+        assert sorted(record["inputs"]) == ["estimator", "instance", "iterations",
+                                            "master_seed", "n_runs", "noise"]
 
-    def test_numeric_opt_neither_writes_nor_reads_the_file(self, tmp_path):
+    def test_numeric_opt_neither_writes_nor_reads_the_record(self, tmp_path):
         cfg = self.config(tmp_path)
         out = tmp_path / "out"
         assert cli.main(["bounds", "--config", str(cfg), "--set", "opt=0.7"]) == 0
-        assert not (out / "opt.txt").exists()
+        assert not (out / "opt.json").exists()
         for command in ("run", "bounds"):
             assert cli.main([command, "--config", str(cfg)]) == 0
+        assert (out / "opt.json").exists()
         assert b"\nopt: 0.69999999999999996\n" in self.report(cfg, ["opt=0.7"])
+
+    @pytest.mark.parametrize("overrides,record", [
+        pytest.param([], ["opt.json"], id="estimated"),
+        pytest.param(["opt=0.7"], [], id="numeric")])
+    def test_output_files(self, tmp_path, overrides, record):
+        """The files of a pipeline, which criterion 10 byte-compares across reruns."""
+        cfg = self.config(tmp_path)
+        for command in ("run", "bounds", "report"):
+            assert main_with(command, cfg, overrides) == 0
+        assert sorted(os.listdir(tmp_path / "out")) == sorted(
+            ["battery.csv", "bound_theorem4.csv", "report.txt", "run_config.json",
+             "stats_median.csv", "stats_min.csv", "stats_q90.csv", *record])
+
+    def test_each_command_computes_the_digest_once(self, tmp_path, monkeypatch):
+        cfg = self.config(tmp_path)
+        calls = []
+        original = cli.objectives.instance_digest
+
+        def counted(objective):
+            calls.append(objective)
+            return original(objective)
+
+        monkeypatch.setattr(cli.objectives, "instance_digest", counted)
+        for command in ("run", "bounds", "report"):
+            calls.clear()
+            assert cli.main([command, "--config", str(cfg)]) == 0
+            assert len(calls) == 1, command
 
 
 def _set_in_run_config(name, value):
@@ -885,7 +973,7 @@ class TestOneValidationBoundary:
         capsys.readouterr()
         err = self.assert_rejected(command, cfg, tmp_path / "out", capsys)
         assert "estimated optimum 0 is not positive" in err
-        assert not (tmp_path / "out" / "opt.txt").exists()
+        assert not (tmp_path / "out" / "opt.json").exists()
 
     def test_instance_is_built_after_every_other_check(self, tmp_path, capsys):
         cfg = write_config(tmp_path, runs=0,
