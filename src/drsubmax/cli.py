@@ -205,18 +205,19 @@ def resolve_opt(cfg: Experiment) -> float:
     ``analysis.approx_opt`` estimates it (the best final value across
     seeded, repeated greedy runs under the config's noise), and it must be
     positive, as a configured one is.  Its inputs are the estimator's name,
-    the instance's digest, the noise model, the offset seed, ``n_runs`` and
-    ``iterations``; not ``output_dir``, the bounds or the fit keys.  When
-    ``output_dir/opt.json`` parses, holds these inputs and a finite positive
-    ``opt``, that value is returned (a JSON float round-trips); otherwise the
-    estimate is written there with its inputs.
+    the instance's digest, the noise model but ``hessian_sigma``, the offset
+    seed, ``n_runs`` and ``iterations``; not ``output_dir``, the bounds or
+    the fit keys.  When ``output_dir/opt.json`` parses, holds these inputs
+    and a finite positive ``opt``, that value is returned (a JSON float
+    round-trips); otherwise the estimate is written there with its inputs.
     """
     if isinstance(cfg.opt, (int, float)):
         return float(cfg.opt)
     spec = {**_OPT_DEFAULTS, **{_OPT_ARGS[key]: value for key, value in (cfg.opt or {}).items()},
             "master_seed": cfg.trial.master_seed + _OPT_SEED_OFFSET}
-    inputs = {"estimator": _OPT_ESTIMATOR, "instance": cfg.instance,
-              "noise": asdict(cfg.noise), **spec}
+    noise = asdict(cfg.noise)
+    del noise["hessian_sigma"]  # the estimate's scg runs query no Hessian
+    inputs = {"estimator": _OPT_ESTIMATOR, "instance": cfg.instance, "noise": noise, **spec}
     try:
         with open(os.path.join(cfg.output_dir, _OPT_FILE)) as fh:
             record = json.load(fh)

@@ -107,13 +107,13 @@ class Polytope:
     upper: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a_matrix, dtype=float))
+        a = np.asarray(self.a_matrix, dtype=float)
         b = np.asarray(self.b_vector, dtype=float).ravel()
         u = np.asarray(self.upper, dtype=float).ravel()
+        # no rows, as [] or a (0, k) array; an empty row is a row
+        a = np.zeros((0, u.size)) if a.shape[:1] == (0,) else np.atleast_2d(a)
         if a.ndim != 2:
             raise ValueError(f"A must be a matrix, got shape {a.shape}")
-        if a.size == 0:
-            a = np.zeros((0, u.size))
         if a.shape[0] != b.size:
             raise ValueError(f"A has {a.shape[0]} rows but b has {b.size} entries")
         if a.shape[0] > 0 and a.shape[1] != u.size:

@@ -5,14 +5,16 @@ Both families expose exact value, gradient, Hessian and Hessian-vector
 product access plus an attached feasible region, so solvers and noise
 oracles can treat them uniformly.  Generators are seeded and fully
 deterministic.  ``build_problem`` builds the instance a config's ``problem``
-entry specifies, and the instance file format (``save_nqp``/``load_nqp``)
-lives here too.
+entry specifies.  A quadratic instance file (``save_nqp``/``load_nqp``) is
+the JSON of the arrays ``instance_digest`` hashes: ``A``, ``b``, ``u`` and
+``H``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import inspect
+import json
 import math
 import numbers
 
@@ -139,11 +141,7 @@ def generate_nqp(seed, n: int, m: int, entry_low: float, entry_high: float) -> N
     draw = rng.uniform(entry_low, entry_high, size=(n, n))
     h = np.triu(draw)
     h = h + np.triu(h, 1).T
-    if m == 0:
-        poly = Polytope.box(np.ones(n))
-    else:
-        a = rng.uniform(0.0, 1.0, size=(m, n))
-        poly = Polytope(a, np.ones(m), np.ones(n))
+    poly = Polytope(rng.uniform(0.0, 1.0, size=(m, n)), np.ones(m), np.ones(n))
     return NqpObjective(h, poly)
 
 
@@ -182,7 +180,6 @@ class BudgetAllocationObjective(Objective):
             coeff[t, s] += -math.log1p(-p)
         self.n_channels = n_channels
         self.n_customers = n_customers
-        self.edges = tuple((int(s), int(t), float(p)) for s, t, p in edges)
         self.k = k
         self.alphas = _positive_reals(np.full(k, 1.0 / k) if alphas is None else alphas,
                                       k, "alphas")
@@ -334,68 +331,61 @@ def generate_budget(seed, channels: int, customers: int, density: float,
                                      alphas=alphas, per_advertiser_upper=upper)
 
 
-def _fmt_row(values) -> str:
-    return " ".join(repr(float(v)) for v in np.asarray(values, dtype=float).ravel())
-
-
 def save_nqp(path, obj: NqpObjective) -> None:
-    """Write a quadratic instance in the line-oriented text format (exact
-    round-trip): ``n``, ``m`` and ``u`` lines, then ``b`` and one ``A`` line
-    per halfspace, then one ``H`` line per row of H."""
-    p = obj.polytope
-    lines = [f"n {p.dim}", f"m {p.n_halfspaces}", "u " + _fmt_row(p.upper)]
-    if p.n_halfspaces:
-        lines.append("b " + _fmt_row(p.b_vector))
-        lines += ["A " + _fmt_row(row) for row in p.a_matrix]
-    lines += ["H " + _fmt_row(row) for row in obj.h_matrix]
+    """Write a quadratic instance as canonical JSON (sorted keys) of the
+    arrays ``instance_digest`` hashes: ``A``, ``b``, ``u`` and ``H``, each a
+    list, or a list of lists, of floats.  ``json`` writes a float by its
+    ``repr``, so the round trip is exact; a box has ``"A": [], "b": []``."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        json.dump({name: array.tolist() for name, array in obj._arrays().items()}, fh,
+                  sort_keys=True)
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object's ``(key, value)`` pairs as a dict, with no key repeated."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _numbers(values) -> bool:
+    """A list of numbers.  Every number was parsed as a float, so a bool, a
+    string or a null is not one."""
+    return isinstance(values, list) and all(isinstance(v, float) for v in values)
+
+
+def _check_nqp_format(data) -> None:
+    """The checks only the file format needs: exactly the four keys, ``u``
+    and ``b`` lists of numbers, ``A`` and ``H`` lists of equal-length lists
+    of numbers."""
+    if not isinstance(data, dict):
+        raise ValueError("the file must hold a JSON object")
+    if data.keys() != {"A", "b", "u", "H"}:
+        raise ValueError(f"the keys must be A, b, u and H, not {', '.join(sorted(data))}")
+    for key in ("u", "b"):
+        if not _numbers(data[key]):
+            raise ValueError(f"{key} must be a list of numbers")
+    for key in ("A", "H"):
+        rows = data[key]
+        if not (isinstance(rows, list)
+                and all(_numbers(row) and len(row) == len(rows[0]) for row in rows)):
+            raise ValueError(f"{key} must be a list of equal-length lists of numbers")
 
 
 def load_nqp(path) -> NqpObjective:
-    """Read an instance that ``save_nqp`` wrote.  The ``n``, ``m``, ``u`` and
-    ``b`` lines may appear once each, and an error about one line names
-    ``path:lineno``."""
-    once, rows = {}, {"A": [], "H": []}  # each line's (values, path:lineno)
+    """Read an instance that ``save_nqp`` wrote.  Beyond the file's format,
+    ``Polytope`` and ``NqpObjective`` check its shapes and values, and every
+    error names ``path``."""
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            key, _, rest = line.strip().partition(" ")
-            if not key:
-                continue
-            where = f"{path}:{lineno}"
-            if key not in ("n", "m", "u", "b", *rows):
-                raise ValueError(f"{where}: unknown polytope key {key!r}")
-            if key in once:
-                raise ValueError(f"{where}: repeated {key!r} line")
-            try:
-                values = int(rest) if key in ("n", "m") else [float(v) for v in rest.split()]
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            if key in rows:
-                rows[key].append((values, where))
-            else:
-                once[key] = (values, where)
-    if not {"n", "m", "u"} <= once.keys():
-        raise ValueError(f"{path}: polytope block must define n, m, and u")
-    n, m = once["n"][0], once["m"][0]
-    if m == 0 and ("b" in once or rows["A"]):
-        raise ValueError(f"{path}: m is 0 but the file has b or A lines")
-    if m != 0 and ("b" not in once or len(rows["A"]) != m):
-        raise ValueError(f"{path}: A/b rows disagree with m")
-    if len(rows["H"]) != n:
-        raise ValueError(f"{path}: H block size disagrees with n")
-    sized = [(once["u"], n)] + [(row, n) for row in rows["A"] + rows["H"]]
-    if m:
-        sized.append((once["b"], m))
-    for (values, where), size in sized:
-        if len(values) != size:
-            raise ValueError(f"{where}: {len(values)} values where {size} are expected")
-    u = np.array(once["u"][0])
-    if m == 0:
-        poly = Polytope.box(u)
-    else:
-        poly = Polytope(np.array([row for row, _ in rows["A"]]), np.array(once["b"][0]), u)
-    return NqpObjective(np.array([row for row, _ in rows["H"]]), poly)
+        try:
+            data = json.load(fh, parse_int=float, object_pairs_hook=_unique_keys)
+            _check_nqp_format(data)
+            return NqpObjective(data["H"], Polytope(data["A"], data["b"], data["u"]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def instance_digest(objective: Objective) -> str:

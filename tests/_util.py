@@ -1,13 +1,16 @@
 """Shared independent oracles for the test suite: brute-force grid
-projection, exhaustive vertex enumeration, finite differences, and feasible
-point sampling.  These stay deliberately separate from the library code
-paths they check."""
+projection, exhaustive vertex enumeration, the exact optimum of a small
+quadratic by face enumeration, finite differences, feasible point
+sampling, and malformed instance files.  These stay deliberately separate
+from the library code paths they check."""
 
 import itertools
+import json
 
 import numpy as np
 
 from drsubmax.geometry import Polytope, contains
+from drsubmax.objectives import NqpObjective
 
 
 def grid_projection(poly: Polytope, y, step: float = 1e-3):
@@ -41,6 +44,51 @@ def enumerate_vertices(poly: Polytope) -> np.ndarray:
     # dedupe up to rounding
     keyed = {tuple(np.round(v, 9)): v for v in verts}
     return np.array(list(keyed.values()))
+
+
+def acceptance_nqp() -> NqpObjective:
+    """An instance built as the acceptance gate's is: H from seed 7 with
+    entries in [-1, 0], and the halfspace 0.2 * sum(x) <= 1, which holds on
+    the unit box."""
+    draw = np.random.default_rng(7).uniform(-1.0, 0.0, size=(5, 5))
+    return NqpObjective(np.triu(draw) + np.triu(draw, 1).T,
+                        Polytope([[0.2] * 5], [1.0], np.ones(5)))
+
+
+def exact_nqp_opt(obj) -> float:
+    """The exact maximum of a quadratic instance over its region, by
+    enumerating its faces: each coordinate at 0, at its upper bound or free,
+    times each subset of halfspaces made tight.  A maximizer is a stationary
+    point of f on the relative interior of some face, so one KKT solve per
+    face finds it.  A singular system is skipped (a maximizer then also lies
+    on a smaller face), and so is an infeasible point; a nearly singular
+    one gives some point, which counts only when it is feasible.  Intended
+    for n <= 5 and m <= 2: 3^n 2^m solves."""
+    poly = obj.polytope
+    h_mat, h_vec, a_mat, b_vec = obj.h_matrix, obj.h_vector, poly.a_matrix, poly.b_vector
+    best = -np.inf
+    for state in itertools.product((0, 1, 2), repeat=poly.dim):  # at 0, at u, free
+        free = np.flatnonzero(np.array(state) == 2)
+        x = np.where(np.array(state) == 1, poly.upper, 0.0)
+        for size in range(poly.n_halfspaces + 1):
+            for tight in map(list, itertools.combinations(range(poly.n_halfspaces), size)):
+                # stationarity on the free coordinates, H_FF x_F - A_SF' lam = -grad_F f(x),
+                # and the tight rows, A_SF x_F = b_S - A_S x, at x_F = 0
+                k = free.size
+                kkt = np.zeros((k + size, k + size))
+                kkt[:k, :k] = h_mat[np.ix_(free, free)]
+                kkt[k:, :k] = a_mat[np.ix_(tight, free)]
+                kkt[:k, k:] = -kkt[k:, :k].T
+                rhs = np.concatenate([-(h_mat[free] @ x + h_vec[free]),
+                                      b_vec[tight] - a_mat[tight] @ x])
+                y = x.copy()
+                try:
+                    y[free] = np.linalg.solve(kkt, rhs)[:k]
+                except np.linalg.LinAlgError:  # singular
+                    continue
+                if contains(poly, y, 1e-9):
+                    best = max(best, obj.value(y))
+    return best
 
 
 def sample_feasible(poly: Polytope, rng, count: int) -> np.ndarray:
@@ -95,3 +143,43 @@ def random_small_polytope(rng, with_halfspaces=True) -> Polytope:
     a = rng.uniform(0.0, 1.0, size=(m, n))
     b = rng.uniform(0.5, 1.5, size=m)
     return Polytope(a, b, u)
+
+
+# a valid instance file: the triangle x1 + x2 <= 1 in the unit square, H = -I
+TRIANGLE_FILE = {"A": [[1.0, 1.0]], "b": [1.0], "u": [1.0, 1.0],
+                 "H": [[-1.0, 0.0], [0.0, -1.0]]}
+
+
+def _edited(**changes) -> str:
+    """The triangle's file with some keys changed, and those set to None removed."""
+    fields = {**TRIANGLE_FILE, **changes}
+    return json.dumps({key: value for key, value in fields.items() if value is not None})
+
+
+# (id, the text of a malformed instance file, what its error says after the path)
+MALFORMED_NQP_FILES = [
+    ("b-twice", _edited()[:-1] + ', "b": [1.0]}', "repeated key 'b'"),
+    ("unknown-key", _edited(z=1), "the keys must be A, b, u and H, not A, H, b, u, z"),
+    ("missing-H", _edited(H=None), "the keys must be A, b, u and H, not A, b, u"),
+    ("not-an-object", json.dumps([TRIANGLE_FILE]), "the file must hold a JSON object"),
+    ("not-json", _edited()[:-1], "Expecting ',' delimiter"),
+    ("A-text", _edited(A=[[0.5, "x"]]), "A must be a list of equal-length lists of numbers"),
+    ("u-bool", _edited(u=[True, 1.0]), "u must be a list of numbers"),
+    ("b-null", _edited(b=[None]), "b must be a list of numbers"),
+    ("b-number", _edited(b=1.0), "b must be a list of numbers"),
+    ("H-ragged", _edited(H=[[-1.0, 0.0], [0.0]]),
+     "H must be a list of equal-length lists of numbers"),
+    ("A-long", _edited(A=[[1.0, 1.0, 1.0]]), "A has 3 columns but upper has 2 entries"),
+    ("H-short", _edited(H=[[-1.0, 0.0]]), "H must be a square matrix"),
+    ("u-short", _edited(u=[1.0]), "A has 2 columns but upper has 1 entries"),
+    ("b-long", _edited(b=[1.0, 1.0]), "A has 1 rows but b has 2 entries"),
+    ("box-with-b", _edited(A=[]), "A has 0 rows but b has 1 entries"),
+    ("box-with-A", _edited(b=[]), "A has 1 rows but b has 0 entries"),
+    ("box-with-empty-row", _edited(A=[[]], b=[]), "A has 1 rows but b has 0 entries"),
+    ("A-empty-row", _edited(A=[[]]), "A has 0 columns but upper has 2 entries"),
+    ("u-nan", _edited(u=[float("nan"), 1.0]), "polytope entries must be finite"),
+    ("u-huge-integer", _edited().replace('"u": [1.0', '"u": [1' + "0" * 400),
+     "polytope entries must be finite"),
+    ("H-positive", _edited(H=[[-1.0, 0.5], [0.5, -1.0]]),
+     "all entries of H must be finite and <= 0"),
+]

@@ -15,6 +15,8 @@ from drsubmax.objectives import BudgetAllocationObjective, NqpObjective, generat
 from drsubmax.oracles import NoiseModel
 from drsubmax.optimizers import RunConfig, records_to_csv, run_battery
 
+from _util import acceptance_nqp, exact_nqp_opt
+
 
 def constant_battery(levels, T=5):
     t = np.arange(1, T + 1)
@@ -192,6 +194,30 @@ class TestApproxOpt:
         val = approx_opt(obj, master_seed=3, n_runs=20, iterations=200,
                          noise=NoiseModel.clipped_gaussian(0.2))
         assert val <= 0.5 + 1e-12
+
+    @pytest.mark.parametrize("seed,gap", [(1, 3.5589e-3), (2, 6.1675e-3), (3, 0.0),
+                                          (4, 1.0687e-2)])
+    def test_gap_to_the_exact_optimum(self, seed, gap):
+        """The estimate (4 noisy runs of 200 iterations) never exceeds the
+        exact optimum of face enumeration, and falls short of it by a pinned
+        relative gap."""
+        obj = generate_nqp(seed, 5, 2, -1.0, 0.0)
+        exact = exact_nqp_opt(obj)
+        estimate = approx_opt(obj, n_runs=4, iterations=200,
+                              noise=NoiseModel.clipped_gaussian(0.1))
+        assert estimate <= exact * (1 + 1e-9)
+        assert (exact - estimate) / exact == pytest.approx(gap, rel=1e-3, abs=1e-12)
+
+    def test_redundant_halfspace_leaves_the_corner_optimal(self):
+        """On an instance shaped like the acceptance gate's, whose halfspace
+        0.2 * sum(x) <= 1 holds on the unit box, the exact optimum and the
+        estimate are both f(1)."""
+        obj = acceptance_nqp()
+        corner = obj.value(np.ones(5))
+        assert exact_nqp_opt(obj) == pytest.approx(corner, rel=1e-14)
+        estimate = approx_opt(obj, n_runs=4, iterations=200,
+                              noise=NoiseModel.clipped_gaussian(0.1))
+        assert estimate == pytest.approx(corner, rel=1e-14)
 
     @pytest.mark.parametrize("noise", [None, NoiseModel.clipped_gaussian(0.1)])
     @pytest.mark.parametrize("n_runs", [0, -3, 2.5, True])

@@ -12,10 +12,12 @@ from drsubmax.geometry import Polytope
 from drsubmax.objectives import (NqpObjective, generate_nqp, instance_digest, load_nqp,
                                  save_nqp)
 
+from _util import MALFORMED_NQP_FILES
+
 
 @pytest.fixture()
 def one_dim_instance(tmp_path):
-    path = tmp_path / "one_dim.txt"
+    path = tmp_path / "one_dim.json"
     save_nqp(path, NqpObjective([[-1.0]], Polytope.box([1.0])))
     return path
 
@@ -30,7 +32,7 @@ PAIRED = {"theorem1": {"algorithm": "pga"}, "theorem2": {"algorithm": "boosted_p
 
 def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = {
-        "problem": {"kind": "nqp-file", "path": str(tmp_path / "one_dim.txt")},
+        "problem": {"kind": "nqp-file", "path": str(tmp_path / "one_dim.json")},
         "algorithm": "scg",
         "T": 4,
         "runs": 2,
@@ -62,7 +64,7 @@ def write_run_config(cfg_path):
 
 class TestGenerate:
     def test_writes_instance_and_prints_constants(self, tmp_path, capsys):
-        out = tmp_path / "inst.txt"
+        out = tmp_path / "inst.json"
         code = cli.main(["generate", "nqp", "--n", "5", "--m", "1", "--low", "-1",
                          "--high", "0", "--seed", "7", "--out", str(out)])
         assert code == 0
@@ -75,12 +77,12 @@ class TestGenerate:
     def test_positive_entries_exit_validation(self, tmp_path, capsys):
         code = cli.main(["generate", "nqp", "--n", "3", "--m", "1", "--low", "-1",
                          "--high", "1", "--seed", "0",
-                         "--out", str(tmp_path / "x.txt")])
+                         "--out", str(tmp_path / "x.json")])
         assert code == 2
         assert "entry_high" in capsys.readouterr().err
 
     def test_byte_identical_regeneration(self, tmp_path):
-        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["generate", "nqp", "--n", "4", "--m", "2", "--low", "-2",
                 "--high", "0", "--seed", "3"]
         assert cli.main(args + ["--out", str(a)]) == 0
@@ -99,9 +101,9 @@ class TestRun:
 
     def test_missing_instance_exits_io(self, tmp_path, capsys):
         cfg = write_config(tmp_path, problem={"kind": "nqp-file",
-                                              "path": str(tmp_path / "absent.txt")})
+                                              "path": str(tmp_path / "absent.json")})
         assert cli.main(["run", "--config", str(cfg)]) == 1
-        assert "absent.txt" in capsys.readouterr().err
+        assert "absent.json" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path, one_dim_instance, capsys):
         cfg = write_config(tmp_path, typo_key=1)
@@ -417,7 +419,7 @@ class TestReport:
         assert cli.main(["run", "--config", str(cfg)]) == 0
         one_dim_instance.unlink()
         assert cli.main(["report", "--config", str(cfg)]) == 1
-        assert "one_dim.txt" in capsys.readouterr().err
+        assert "one_dim.json" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.txt").exists()
 
     @pytest.mark.parametrize("override,expected", [
@@ -536,7 +538,7 @@ class TestOptFile:
 
     @staticmethod
     def config(tmp_path, **overrides):
-        instance = tmp_path / "nqp.txt"
+        instance = tmp_path / "nqp.json"
         if not instance.exists():
             save_nqp(instance, generate_nqp(3, 4, 2, -1.0, 0.0))
         settings = dict(T=10, runs=3, normalized=True,
@@ -607,7 +609,7 @@ class TestOptFile:
         for command in ("run", "bounds"):
             assert cli.main([command, "--config", str(cfg)]) == 0
         if edit is not None:
-            edit(tmp_path / "nqp.txt")
+            edit(tmp_path / "nqp.json")
         assert main_with("run", cfg, overrides) == 0  # the battery of the report's config
         calls = self.count_estimates(monkeypatch)
         reported = self.report(cfg, overrides)
@@ -629,6 +631,23 @@ class TestOptFile:
         assert cli.main([command, "--config", str(cfg)]) == 0
         assert len(calls) == 1
         assert path.read_text() == valid
+
+    def test_record_leaves_out_hessian_sigma(self, tmp_path, monkeypatch):
+        """The estimate's scg runs query no Hessian, so an scgpp config that
+        changes only ``noise.hessian_sigma`` reuses the record."""
+        instance = tmp_path / "nqp.json"
+        save_nqp(instance, generate_nqp(3, 4, 2, -1.0, 0.0))
+        cfg = write_config(tmp_path, algorithm="scgpp", batch_size=2, T=10,
+                           problem={"kind": "nqp-file", "path": str(instance)},
+                           noise={"kind": "clipped_gaussian", "sigma": 0.1},
+                           opt={"runs": 2, "iterations": 20},
+                           bounds=[{"theorem": "theorem5", "p": 0.9}])
+        calls = self.count_estimates(monkeypatch)
+        for hessian_sigma in ("0.01", "0.3"):
+            assert main_with("bounds", cfg, [f"noise.hessian_sigma={hessian_sigma}"]) == 0
+        assert len(calls) == 1
+        record = json.loads((tmp_path / "out" / "opt.json").read_text())
+        assert sorted(record["inputs"]["noise"]) == ["kind", "scale", "sigma"]
 
     def test_record_does_not_depend_on_output_dir(self, tmp_path):
         cfg = self.config(tmp_path)
@@ -975,9 +994,18 @@ class TestOneValidationBoundary:
         assert "estimated optimum 0 is not positive" in err
         assert not (tmp_path / "out" / "opt.json").exists()
 
+    @pytest.mark.parametrize("text,message",
+                             [pytest.param(t, m, id=i) for i, t, m in MALFORMED_NQP_FILES])
+    def test_malformed_instance_file_is_named(self, tmp_path, text, message, capsys):
+        instance = tmp_path / "bad.json"
+        instance.write_text(text)
+        cfg = write_config(tmp_path, problem={"kind": "nqp-file", "path": str(instance)})
+        err = self.assert_rejected("run", cfg, tmp_path / "out", capsys)
+        assert err.startswith(f"error: {instance}: {message}"), err
+
     def test_instance_is_built_after_every_other_check(self, tmp_path, capsys):
         cfg = write_config(tmp_path, runs=0,
-                           problem={"kind": "nqp-file", "path": str(tmp_path / "missing.txt")})
+                           problem={"kind": "nqp-file", "path": str(tmp_path / "missing.json")})
         err = self.assert_rejected("run", cfg, tmp_path / "out", capsys)
         assert "runs must be a positive integer" in err
 
@@ -1041,7 +1069,7 @@ class TestModuleEntryPoint:
         import subprocess
         import sys
 
-        out = tmp_path / "inst.txt"
+        out = tmp_path / "inst.json"
         result = subprocess.run(
             [sys.executable, "-m", "drsubmax", "generate", "nqp", "--n", "3",
              "--m", "1", "--low", "-1", "--high", "0", "--seed", "1",

@@ -318,7 +318,7 @@ class TestPresolve:
     def test_violation_and_save_keep_the_redundant_row(self, tmp_path):
         assert violation(self.REDUNDANT, [1.5, -0.5]) == 10.0
         assert violation(TRIANGLE, [1.5, -0.5]) == 0.5
-        path = tmp_path / "poly.txt"
+        path = tmp_path / "poly.json"
         back = round_trip(path, self.REDUNDANT)
         np.testing.assert_array_equal(back.a_matrix, self.REDUNDANT.a_matrix)
         np.testing.assert_array_equal(back.b_vector, self.REDUNDANT.b_vector)
@@ -800,7 +800,7 @@ class TestSerialization:
         rng = np.random.default_rng(8)
         poly = Polytope(rng.uniform(0, 1, (3, 4)), rng.uniform(0.5, 1.5, 3),
                         rng.uniform(0.5, 2.0, 4))
-        path = tmp_path / "poly.txt"
+        path = tmp_path / "poly.json"
         back = round_trip(path, poly)
         np.testing.assert_array_equal(back.a_matrix, poly.a_matrix)
         np.testing.assert_array_equal(back.b_vector, poly.b_vector)
@@ -808,7 +808,7 @@ class TestSerialization:
 
     def test_round_trip_box_only(self, tmp_path):
         poly = Polytope.box([0.1, 1 / 3, 2.0])
-        path = tmp_path / "box.txt"
+        path = tmp_path / "box.json"
         back = round_trip(path, poly)
         assert back.n_halfspaces == 0
         np.testing.assert_array_equal(back.upper, poly.upper)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,8 @@ from drsubmax.objectives import (
     save_nqp,
 )
 
-from _util import fd_gradient, fd_hessian, sample_feasible
+from _util import (MALFORMED_NQP_FILES, TRIANGLE_FILE, acceptance_nqp, fd_gradient,
+                   fd_hessian, sample_feasible)
 
 LN2 = math.log(2.0)
 
@@ -89,6 +91,14 @@ class TestGenerateNqp:
 
     def test_box_only_allowed(self):
         assert generate_nqp(0, 3, 0, -1.0, 0.0).polytope.n_halfspaces == 0
+
+    @pytest.mark.parametrize("seed,n", [(0, 1), (32, 3), (5, 6)])
+    def test_no_halfspaces_is_the_box(self, seed, n):
+        """With m = 0 the halfspace draw is empty, so the instance is the one
+        on ``Polytope.box``."""
+        obj = generate_nqp(seed, n, 0, -1.0, 0.0)
+        box = NqpObjective(obj.h_matrix, Polytope.box(np.ones(n)))
+        assert instance_digest(obj) == instance_digest(box)
 
 
 class TestBudget:
@@ -210,8 +220,8 @@ class TestBipartiteLoading:
 
     def test_exp_mapping_single_edge(self, tmp_path):
         path = self._write(tmp_path, "k1\tc1\t3\n")
-        obj = load_bipartite(path)
-        assert obj.edges[0][2] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+        obj = load_bipartite(path)  # one unit on the edge's channel gives its probability
+        assert obj.value([1.0]) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
 
     def test_empty_file_rejected(self, tmp_path):
         path = self._write(tmp_path, "")
@@ -219,11 +229,9 @@ class TestBipartiteLoading:
             load_bipartite(path)
 
     def test_duplicate_edges_sum_frequencies(self, tmp_path):
-        dup = self._write(tmp_path, "k1\tc1\t2\nk1\tc1\t1\nk2\tc1\t3\n")
-        single = self._write(tmp_path, "k1\tc1\t3\nk2\tc1\t3\n")
-        a = load_bipartite(dup)
-        b = load_bipartite(single)
-        assert a.edges == b.edges
+        dup = load_bipartite(self._write(tmp_path, "k1\tc1\t2\nk1\tc1\t1\nk2\tc1\t3\n"))
+        single = load_bipartite(self._write(tmp_path, "k1\tc1\t3\nk2\tc1\t3\n"))
+        assert instance_digest(dup) == instance_digest(single)
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = self._write(tmp_path, "k1\tc1\t3\nk2 c2 4\n")
@@ -256,9 +264,8 @@ class TestBipartiteLoading:
     def test_linear_mapping_and_upper_override(self, tmp_path):
         path = self._write(tmp_path, "k1\tc1\t1\nk2\tc1\t4\n")
         obj = load_bipartite(path, "linear", upper=3.0)
-        probs = {s: p for s, _, p in obj.edges}
-        assert probs[0] == pytest.approx(0.25)
-        assert probs[1] == pytest.approx(0.99)  # capped
+        # one unit on a channel gives the probability of its one edge; 0.99 is capped
+        assert [obj.value(x) for x in np.eye(2)] == pytest.approx([0.25, 0.99])
         np.testing.assert_array_equal(obj.polytope.upper, [3.0, 3.0])
 
     def test_default_budget_is_mapped_mean_frequency(self, tmp_path):
@@ -274,7 +281,7 @@ class TestBipartiteLoading:
         lines = "".join(f"k{i}\tc{i}\t{{}}\n" for i in range(3))
         huge = load_bipartite(self._write(tmp_path, lines.format(freq, freq, freq)))
         unit = load_bipartite(self._write(tmp_path, lines.format(1, 1, 1)))
-        assert huge.edges == unit.edges
+        assert instance_digest(huge) == instance_digest(unit)
         np.testing.assert_array_equal(huge.per_advertiser_upper, unit.per_advertiser_upper)
 
     def test_advertisers_replicate_budget(self, tmp_path):
@@ -285,70 +292,59 @@ class TestBipartiteLoading:
 
 
 class TestNqpSerialization:
-    def test_round_trip_exact(self, tmp_path):
-        obj = generate_nqp(31, 5, 2, -1.0, 0.0)
-        path = tmp_path / "inst.txt"
+    @pytest.mark.parametrize("obj", [generate_nqp(31, 5, 2, -1.0, 0.0),
+                                     generate_nqp(32, 3, 0, -1.0, 0.0), acceptance_nqp()],
+                             ids=["halfspaces", "box", "acceptance"])
+    def test_round_trip_exact(self, tmp_path, obj):
+        """The loaded instance has the saved one's digest, and saving it
+        again writes the same bytes."""
+        path, again = tmp_path / "inst.json", tmp_path / "again.json"
         save_nqp(path, obj)
         back = load_nqp(path)
-        np.testing.assert_array_equal(back.h_matrix, obj.h_matrix)
-        np.testing.assert_array_equal(back.h_vector, obj.h_vector)
-        np.testing.assert_array_equal(back.polytope.a_matrix, obj.polytope.a_matrix)
+        assert instance_digest(back) == instance_digest(obj)
+        save_nqp(again, back)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_generator_and_save_are_deterministic(self, tmp_path):
-        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_nqp(p1, generate_nqp(5, 4, 2, -1.0, 0.0))
         save_nqp(p2, generate_nqp(5, 4, 2, -1.0, 0.0))
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("extra", ["b 1.0", "A 1.0 1.0"], ids=["b", "A"])
-    def test_halfspace_lines_in_a_box_file_rejected(self, tmp_path, extra):
-        """A file that says ``m 0`` but has a ``b`` or an ``A`` line is
-        rejected, not read as the box without that halfspace."""
-        path = tmp_path / "inst.txt"
-        path.write_text(f"n 2\nm 0\nu 1.0 1.0\n{extra}\nH -1.0 0.0\nH 0.0 -1.0\n")
-        with pytest.raises(ValueError, match="m is 0"):
-            load_nqp(path)
+    def test_file_is_the_json_of_the_digested_arrays(self, tmp_path):
+        """Sorted keys A, b, u and H, and a box's A and b are empty lists."""
+        obj = generate_nqp(32, 3, 0, -1.0, 0.0)
+        path = tmp_path / "box.json"
+        save_nqp(path, obj)
+        data = json.loads(path.read_text())
+        assert data == {name: array.tolist() for name, array in obj._arrays().items()}
+        assert data["A"] == data["b"] == []
+        assert path.read_text() == json.dumps(data, sort_keys=True)
 
-    _TRIANGLE = ["n 2", "m 1", "u 1.0 1.0", "b 1.0", "A 1.0 1.0", "H -1.0 0.0", "H 0.0 -1.0"]
+    def test_integers_are_numbers(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text('{"A": [[1, 1]], "b": [1], "u": [1, 1], "H": [[-1, 0], [0, -1]]}')
+        triangle = NqpObjective(TRIANGLE_FILE["H"], Polytope(TRIANGLE_FILE["A"],
+                                                             TRIANGLE_FILE["b"],
+                                                             TRIANGLE_FILE["u"]))
+        assert instance_digest(load_nqp(path)) == instance_digest(triangle)
 
-    @pytest.mark.parametrize("lineno,line,replace,message", [
-        (2, "n 2", False, "repeated 'n' line"),
-        (3, "m 0", False, "repeated 'm' line"),
-        (4, "u 1.0 1.0", False, "repeated 'u' line"),
-        (5, "b 1.0", False, "repeated 'b' line"),
-        (2, "m x", True, "invalid literal"),
-        (5, "A 0.5 x", True, "could not convert string to float: 'x'"),
-        (5, "A 1.0 1.0 1.0", True, "3 values where 2 are expected"),
-        (6, "H -1.0", True, "1 values where 2 are expected"),
-        (3, "u 1.0", True, "1 values where 2 are expected"),
-        (4, "b 1.0 1.0", True, "2 values where 1 are expected"),
-        (1, "z 1", True, "unknown polytope key 'z'"),
-    ], ids=["n-twice", "m-twice", "u-twice", "b-twice", "m-text", "A-text", "A-long",
-            "H-short", "u-short", "b-long", "unknown-key"])
-    def test_line_error_names_the_line(self, tmp_path, lineno, line, replace, message):
-        """An error about one line names ``path:lineno``, and a second ``n``,
-        ``m``, ``u`` or ``b`` line is an error, not a replacement."""
-        lines = list(self._TRIANGLE)
-        lines[lineno - 1 : lineno - 1 + replace] = [line]
-        path = tmp_path / "inst.txt"
-        path.write_text("\n".join(lines) + "\n")
+    @pytest.mark.parametrize("text,message",
+                             [pytest.param(t, m, id=i) for i, t, m in MALFORMED_NQP_FILES])
+    def test_malformed_file_names_the_file(self, tmp_path, text, message):
+        """The file's own format is checked on load, and its shapes and values
+        by the constructors; either error starts with the file's path."""
+        path = tmp_path / "inst.json"
+        path.write_text(text)
         with pytest.raises(ValueError) as info:
             load_nqp(path)
-        assert str(info.value).startswith(f"{path}:{lineno}: {message}")
-
-    def test_box_round_trip(self, tmp_path):
-        obj = generate_nqp(32, 3, 0, -1.0, 0.0)
-        path = tmp_path / "box.txt"
-        save_nqp(path, obj)
-        back = load_nqp(path)
-        assert back.polytope.n_halfspaces == 0
-        np.testing.assert_array_equal(back.h_matrix, obj.h_matrix)
+        assert str(info.value).startswith(f"{path}: {message}")
 
 
 class TestInstanceDigest:
     def test_equal_contents_equal_digest(self, tmp_path):
         obj = generate_nqp(31, 5, 2, -1.0, 0.0)
-        path = tmp_path / "inst.txt"
+        path = tmp_path / "inst.json"
         save_nqp(path, obj)
         assert instance_digest(load_nqp(path)) == instance_digest(obj)
         assert instance_digest(generate_budget(5, 3, 4, 0.7, 0.2, 0.7, k=2)) == \
