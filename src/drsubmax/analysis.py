@@ -11,7 +11,8 @@ import numpy as np
 from .bounds import BoundCurve
 from .objectives import Objective, is_int
 from .oracles import NoiseModel
-from .optimizers import ALGORITHMS, BATTERY_HEADER, RunConfig, guarantee_series, run_battery
+from .optimizers import (ALGORITHMS, BATTERY_HEADER, RunConfig, guarantee_series, run_battery,
+                         running_average)
 from .optimizers import run_trial  # noqa: F401  the benchmark's tracer wraps it here
 
 __all__ = [
@@ -26,30 +27,34 @@ __all__ = [
 
 
 class TrialBattery:
-    """Trials sharing everything but ``run_id``: an (N, T) value matrix per
-    recorded series, rows sorted by run id so aggregation is independent of
-    completion order."""
+    """Trials sharing everything but ``run_id``: an (N, T) matrix of values
+    over t = 1..T, rows sorted by run id so aggregation is independent of
+    completion order, from which ``t`` and the running averages derive."""
 
-    def __init__(self, run_ids, t, f_true, f_running_avg, algorithm: str):
+    def __init__(self, run_ids, f_true, algorithm: str):
         order = np.argsort(run_ids)
         self.run_ids = np.asarray(run_ids)[order]
-        self.t = np.asarray(t)
         self.f_true = np.asarray(f_true, dtype=float)[order]
-        self.f_running_avg = np.asarray(f_running_avg, dtype=float)[order]
         self.algorithm = algorithm
-        if self.f_true.shape != (self.n_runs, self.t.size):
-            raise ValueError("trajectory matrix shape disagrees with run ids and grid")
+        if self.f_true.ndim != 2 or self.f_true.shape[0] != self.n_runs:
+            raise ValueError("trajectory matrix shape disagrees with run ids")
 
     @property
     def n_runs(self) -> int:
         return self.run_ids.size
 
+    @property
+    def t(self) -> np.ndarray:
+        return np.arange(1, self.f_true.shape[1] + 1)
+
+    @property
+    def f_running_avg(self) -> np.ndarray:
+        return running_average(self.f_true)
+
     def series(self, name: str) -> np.ndarray:
-        if name == "f_true":
-            return self.f_true
-        if name == "f_running_avg":
-            return self.f_running_avg
-        raise ValueError(f"unknown series {name!r}")
+        if name not in ("f_true", "f_running_avg"):
+            raise ValueError(f"unknown series {name!r}")
+        return getattr(self, name)
 
     @classmethod
     def from_records(cls, records) -> "TrialBattery":
@@ -60,17 +65,14 @@ class TrialBattery:
         for rec in records[1:]:
             if replace(rec.config, run_id=0) != base:
                 raise ValueError("battery records must share their configuration")
-        return cls(
-            run_ids=[rec.config.run_id for rec in records],
-            t=records[0].t,
-            f_true=[rec.f_true for rec in records],
-            f_running_avg=[rec.f_running_avg for rec in records],
-            algorithm=base.algorithm,
-        )
+        return cls([rec.config.run_id for rec in records], [rec.f_true for rec in records],
+                   base.algorithm)
 
     @classmethod
     def from_csv(cls, path) -> "TrialBattery":
-        per_run: dict[int, list[tuple[int, float, float]]] = {}
+        """A battery ``records_to_csv`` wrote: every run's rows are t = 1..k
+        for one k, and its running average column holds finite numbers."""
+        per_run: dict[int, list[tuple[int, float]]] = {}
         algorithm = None
         with open(path) as fh:
             header = fh.readline().strip()
@@ -87,25 +89,21 @@ class TrialBattery:
                     if algorithm not in (None, alg):
                         raise ValueError("mixed algorithms in one battery")
                     algorithm = alg
-                    f, avg = float(f), float(avg)
-                    if not (math.isfinite(f) and math.isfinite(avg)):
+                    f = float(f)
+                    if not (math.isfinite(f) and math.isfinite(float(avg))):
                         raise ValueError("non-finite value")
-                    per_run.setdefault(int(rid), []).append((int(t), f, avg))
+                    per_run.setdefault(int(rid), []).append((int(t), f))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: battery row {line!r}: {exc}") from None
         if not per_run:
             raise ValueError(f"{path}: empty battery")
         run_ids = sorted(per_run)
-        grids = []
-        f_true, f_avg = [], []
+        grid = list(range(1, len(per_run[run_ids[0]]) + 1))
         for rid in run_ids:
-            rows = sorted(per_run[rid])
-            grids.append([r[0] for r in rows])
-            f_true.append([r[1] for r in rows])
-            f_avg.append([r[2] for r in rows])
-        if any(g != grids[0] for g in grids[1:]):
-            raise ValueError(f"{path}: runs disagree on the iteration grid")
-        return cls(run_ids, grids[0], f_true, f_avg, algorithm)
+            per_run[rid].sort()
+            if [t for t, _ in per_run[rid]] != grid:
+                raise ValueError(f"{path}: the rows of run {rid} are not t = 1..{len(grid)}")
+        return cls(run_ids, [[f for _, f in per_run[rid]] for rid in run_ids], algorithm)
 
 
 def trajectory_statistic(battery: TrialBattery, stat, series: str = "f_true"):
@@ -130,7 +128,7 @@ def trajectory_statistic(battery: TrialBattery, stat, series: str = "f_true"):
         if not (0.0 < q < 1.0):
             raise ValueError("quantile level must lie in (0, 1)")
         values = np.quantile(data, q, axis=0, method="inverted_cdf")
-    return battery.t.copy(), values
+    return battery.t, values
 
 
 @dataclass(frozen=True)
@@ -216,8 +214,7 @@ def bound_violation_rate(battery: TrialBattery, curve: BoundCurve) -> float:
     """Fraction of runs whose guarantee series (``guarantee_series`` of the
     battery's algorithm) at the final iteration falls strictly below the
     bound there."""
-    if curve.t.size != battery.t.size or np.any(curve.t != battery.t):
-        raise ValueError("grid mismatch between bound curve and battery")
-    threshold = curve.at(int(battery.t[-1]))
     series = battery.series(guarantee_series(battery.algorithm))
-    return float(np.mean(series[:, -1] < threshold))
+    if curve.bound.size != series.shape[1]:
+        raise ValueError("grid mismatch between bound curve and battery")
+    return float(np.mean(series[:, -1] < curve.bound[-1]))

@@ -273,19 +273,18 @@ def theorem5_bound(c: BoundConstants, T, delta: float, main_text_exponent: bool 
 
 @dataclass(frozen=True)
 class BoundCurve:
-    """An evaluated theoretical lower bound per iteration count."""
+    """An evaluated theoretical lower bound over t = 1..T: ``bound[t - 1]``
+    (and ``prob[t - 1]`` for a Chebyshev-type bound) belongs to ``t``."""
 
     label: str
-    t: np.ndarray
     bound: np.ndarray
     prob: np.ndarray | None = None
     meta: tuple = ()
 
-    def at(self, t_query: int) -> float:
-        idx = np.flatnonzero(self.t == t_query)
-        if idx.size == 0:
-            raise ValueError(f"bound curve has no entry for t={t_query}")
-        return float(self.bound[idx[0]])
+    def at(self, t: int) -> float:
+        if not 1 <= t <= self.bound.size:
+            raise ValueError(f"bound curve has no entry for t={t}")
+        return float(self.bound[t - 1])
 
 
 @dataclass(frozen=True)
@@ -357,9 +356,8 @@ def bound_curve(entry: dict, c: BoundConstants, trial: RunConfig) -> BoundCurve:
                     raise ValueError(f"{key} {args[key]!r} differs from the trial's {value!r}")
                 args[key] = float(value)
         delta = float(entry["delta"]) if "delta" in entry else spec.delta(entry["p"], trial.T)
-        t = np.arange(1, trial.T + 1)
         # looked up at call time, so a wrapper installed on the module applies
-        out = globals()[f"{name}_bound"](c, t, delta, **args)
+        out = globals()[f"{name}_bound"](c, np.arange(1, trial.T + 1), delta, **args)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
     bound, prob = out if spec.chebyshev else (out, None)
@@ -368,7 +366,7 @@ def bound_curve(entry: dict, c: BoundConstants, trial: RunConfig) -> BoundCurve:
     meta += [(key, value) for key, value in args.items() if isinstance(value, float)]
     if "alpha" in args:
         meta.append(("K", k_constant(args["alpha"])))
-    return BoundCurve(name, t, bound, prob, tuple(meta))
+    return BoundCurve(name, bound, prob, tuple(meta))
 
 
 def save_bound_curve(path, curve: BoundCurve) -> None:
@@ -380,6 +378,6 @@ def save_bound_curve(path, curve: BoundCurve) -> None:
             fh.write(f"# {key}={value:.17g}\n" if isinstance(value, float)
                      else f"# {key}={value}\n")
         fh.write("t,bound_value,prob\n")
-        for i, t in enumerate(curve.t):
-            prob = "" if curve.prob is None else f"{curve.prob[i]:.17g}"
-            fh.write(f"{int(t)},{curve.bound[i]:.17g},{prob}\n")
+        for t, bound in enumerate(curve.bound, 1):
+            prob = "" if curve.prob is None else f"{curve.prob[t - 1]:.17g}"
+            fh.write(f"{t},{bound:.17g},{prob}\n")

@@ -1,8 +1,9 @@
 """Command-line surface: generate instances, run trial batteries, evaluate
 bound curves, and produce fit/violation reports.
 
-Every command is driven by a JSON config file; command-line ``--set``
-options override individual (dotted) keys.  ``load_config`` builds the
+Every command is driven by a JSON config file, which ``objectives.load_json``
+reads with no key repeated; command-line ``--set`` options override
+individual (dotted) keys.  ``load_config`` builds the
 config once for every command into a frozen ``Experiment``: the trial
 config, the noise model, the problem instance (through
 ``objectives.build_problem``) and its digest, and the keys only the CLI
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import analysis, bounds, objectives, optimizers
 from .geometry import diameter_bound
-from .objectives import is_finite_real, is_int
+from .objectives import is_finite_real, is_int, load_json
 from .oracles import NoiseModel, noise_constants
 from .optimizers import MomentumRule, RunConfig, StepRule
 
@@ -157,10 +158,9 @@ def _build(cls, value, where: str):
 def load_config(path, overrides) -> Experiment:
     """The experiment a config file specifies, after the ``--set`` overrides
     (``key=value``, a dotted key addressing a nested object)."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = load_json(path)
     if not isinstance(raw, dict):
-        raise ValueError("config root must be an object")
+        raise ValueError(f"{path}: config root must be an object")
     for item in overrides or []:
         key, sep, value = item.partition("=")
         if not sep:
@@ -219,8 +219,7 @@ def resolve_opt(cfg: Experiment) -> float:
     del noise["hessian_sigma"]  # the estimate's scg runs query no Hessian
     inputs = {"estimator": _OPT_ESTIMATOR, "instance": cfg.instance, "noise": noise, **spec}
     try:
-        with open(os.path.join(cfg.output_dir, _OPT_FILE)) as fh:
-            record = json.load(fh)
+        record = load_json(os.path.join(cfg.output_dir, _OPT_FILE))
     except (OSError, ValueError):  # an unreadable record is estimated again
         record = None
     if (isinstance(record, dict) and record.get("inputs") == inputs
@@ -256,12 +255,9 @@ def _check_run_config(cfg: Experiment) -> None:
     the config's own, naming the first field that differs."""
     path = os.path.join(cfg.output_dir, _RUN_CONFIG_FILE)
     try:
-        with open(path) as fh:
-            recorded = json.load(fh)
+        recorded = load_json(path)
     except FileNotFoundError:
         raise ValueError(f"{path} is missing, so the battery's config is unknown") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(recorded, dict):
         raise ValueError(f"{path}: the root must be an object")
     own = _run_config(cfg)
@@ -296,12 +292,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(cfg: Experiment) -> int:
-    os.makedirs(cfg.output_dir, exist_ok=True)
     battery_path = os.path.join(cfg.output_dir, "battery.csv")
     marker = battery_path + ".partial"
     if os.path.exists(marker):
         os.remove(marker)
-    _write_record(cfg, _RUN_CONFIG_FILE, _run_config(cfg))
+    _write_record(cfg, _RUN_CONFIG_FILE, _run_config(cfg))  # makes output_dir
 
     returned = []
 
@@ -360,9 +355,9 @@ def cmd_report(cfg: Experiment) -> int:
     if battery.algorithm != trial.algorithm:
         raise ValueError(f"{battery_path}: battery algorithm {battery.algorithm!r} "
                          f"differs from the config's {trial.algorithm!r}")
-    if not np.array_equal(battery.t, np.arange(1, trial.T + 1)):
-        raise ValueError(f"{battery_path}: battery grid of {battery.t.size} points is not "
-                         f"1..T for the config's T = {trial.T}")
+    if battery.f_true.shape[1] != trial.T:
+        raise ValueError(f"{battery_path}: battery of {battery.f_true.shape[1]} points per run "
+                         f"is not t = 1..T for the config's T = {trial.T}")
     if not np.array_equal(battery.run_ids, np.arange(cfg.runs)):
         raise ValueError(f"{battery_path}: battery of {battery.n_runs} runs is not run ids "
                          f"0..runs-1 for the config's runs = {cfg.runs}")
@@ -397,12 +392,12 @@ def cmd_report(cfg: Experiment) -> int:
         with open(os.path.join(out_dir, f"stats_{label}.csv"), "w") as fh:
             fh.write("t,stat_value,stat_label\n")
             for ti, vi in zip(t, values):
-                fh.write(f"{int(ti)},{vi:.17g},{label}\n")
+                fh.write(f"{ti},{vi:.17g},{label}\n")
     report_path = os.path.join(out_dir, "report.txt")
     lines = [
         f"algorithm: {battery.algorithm}",
         f"runs: {battery.n_runs}",
-        f"T: {int(battery.t[-1])}",
+        f"T: {trial.T}",
         f"series: {series}",
         f"opt: {opt_text}",
         f"normalized: {str(cfg.normalized).lower()}",

@@ -31,6 +31,7 @@ __all__ = [
     "load_bipartite",
     "save_nqp",
     "load_nqp",
+    "load_json",
     "build_problem",
     "instance_digest",
 ]
@@ -351,6 +352,16 @@ def _unique_keys(pairs) -> dict:
     return obj
 
 
+def load_json(path, **kwargs):
+    """A JSON file's value, ``json.load`` with ``kwargs``, but a repeated
+    object key is an error; every ``ValueError`` starts with ``path``."""
+    with open(path) as fh:
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys, **kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def _numbers(values) -> bool:
     """A list of numbers.  Every number was parsed as a float, so a bool, a
     string or a null is not one."""
@@ -379,13 +390,12 @@ def load_nqp(path) -> NqpObjective:
     """Read an instance that ``save_nqp`` wrote.  Beyond the file's format,
     ``Polytope`` and ``NqpObjective`` check its shapes and values, and every
     error names ``path``."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh, parse_int=float, object_pairs_hook=_unique_keys)
-            _check_nqp_format(data)
-            return NqpObjective(data["H"], Polytope(data["A"], data["b"], data["u"]))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    data = load_json(path, parse_int=float)
+    try:
+        _check_nqp_format(data)
+        return NqpObjective(data["H"], Polytope(data["A"], data["b"], data["u"]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def instance_digest(objective: Objective) -> str:

@@ -36,6 +36,7 @@ __all__ = [
     "RunRecord",
     "boost_s_from_uniform",
     "guarantee_series",
+    "running_average",
     "run_trial",
     "run_battery",
     "records_to_csv",
@@ -153,13 +154,11 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One trial's trajectory: iterates with exact objective values."""
+    """One trial's trajectory over t = 1..T: iterates with exact objective values."""
 
     config: RunConfig
-    t: np.ndarray
     iterates: np.ndarray
     f_true: np.ndarray
-    f_running_avg: np.ndarray
     returned_value: float
 
 
@@ -167,6 +166,13 @@ def guarantee_series(algorithm: str) -> str:
     """The recorded series an algorithm's guarantees concern: the running
     average value for projected ascent, the iterate value for Frank-Wolfe."""
     return "f_true" if algorithm in GREEDY else "f_running_avg"
+
+
+def running_average(f) -> np.ndarray:
+    """The running average of values over t = 1..T along the last axis:
+    entry ``t - 1`` is the mean of the first ``t`` values, summed in order."""
+    f = np.asarray(f, dtype=float)
+    return np.cumsum(f, axis=-1) / np.arange(1, f.shape[-1] + 1)
 
 
 def _init_point(objective: Objective, cfg: RunConfig, rng) -> np.ndarray:
@@ -278,14 +284,7 @@ def run_trial(objective: Objective, noise: NoiseModel, cfg: RunConfig) -> RunRec
         returned = float(np.max(f))
     else:
         returned = float(f[-1])
-    return RunRecord(
-        config=cfg,
-        t=np.arange(1, T + 1),
-        iterates=xs,
-        f_true=f,
-        f_running_avg=np.cumsum(f) / np.arange(1, T + 1),
-        returned_value=returned,
-    )
+    return RunRecord(config=cfg, iterates=xs, f_true=f, returned_value=returned)
 
 
 def _trial(job) -> RunRecord:
@@ -316,5 +315,5 @@ def records_to_csv(records, path) -> None:
         for rec in records:
             rid = rec.config.run_id
             alg = rec.config.algorithm
-            for t, f, avg in zip(rec.t, rec.f_true, rec.f_running_avg):
+            for t, (f, avg) in enumerate(zip(rec.f_true, running_average(rec.f_true)), 1):
                 fh.write(f"{rid},{alg},{t},{f:.17g},{avg:.17g}\n")

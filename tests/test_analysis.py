@@ -19,9 +19,8 @@ from _util import acceptance_nqp, exact_nqp_opt
 
 
 def constant_battery(levels, T=5):
-    t = np.arange(1, T + 1)
     curves = [np.full(T, lv, dtype=float) for lv in levels]
-    return TrialBattery(range(len(levels)), t, curves, curves, "scg")
+    return TrialBattery(range(len(levels)), curves, "scg")
 
 
 class TestTrajectoryStatistic:
@@ -41,9 +40,8 @@ class TestTrajectoryStatistic:
 
     def test_statistic_ordering_pointwise(self):
         rng = np.random.default_rng(61)
-        t = np.arange(1, 21)
         curves = rng.normal(size=(9, 20))
-        bat = TrialBattery(range(9), t, curves, curves, "scg")
+        bat = TrialBattery(range(9), curves, "scg")
         mn = trajectory_statistic(bat, "min")[1]
         md = trajectory_statistic(bat, "median")[1]
         q90 = trajectory_statistic(bat, 0.9)[1]
@@ -51,12 +49,11 @@ class TestTrajectoryStatistic:
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(62)
-        t = np.arange(1, 11)
         curves = rng.normal(size=(5, 10))
         ids = np.array([4, 0, 3, 1, 2])
-        a = TrialBattery(ids, t, curves, curves, "scg")
+        a = TrialBattery(ids, curves, "scg")
         perm = np.array([2, 0, 4, 1, 3])
-        b = TrialBattery(ids[perm], t, curves[perm], curves[perm], "scg")
+        b = TrialBattery(ids[perm], curves[perm], "scg")
         for stat in ("min", "median", 0.9):
             np.testing.assert_array_equal(
                 trajectory_statistic(a, stat)[1], trajectory_statistic(b, stat)[1])
@@ -89,6 +86,40 @@ class TestBatteryConstruction:
         np.testing.assert_array_equal(loaded.t, direct.t)
         np.testing.assert_array_equal(loaded.f_true, direct.f_true)
         np.testing.assert_array_equal(loaded.f_running_avg, direct.f_running_avg)
+
+    @pytest.mark.parametrize("runs,edit", [
+        ("1", {"4": None}),            # the last row of run 1 is missing
+        ("1", {"2": None}),            # a middle row of run 1 is missing
+        ("1", {"3": "2"}),             # run 1 repeats t = 2
+        ("1", {str(t): str(t + 1) for t in range(1, 5)}),   # run 1 starts at t = 2
+        ("01", {str(t): str(t + 1) for t in range(1, 5)}),  # every run starts at t = 2
+    ], ids=["drop-last", "drop-middle", "repeat", "start-at-2", "all-start-at-2"])
+    def test_from_csv_requires_one_grid_1_to_k(self, tmp_path, runs, edit):
+        """Each run's iterations are t = 1..k, with one k for every run."""
+        obj = generate_nqp(63, 3, 1, -1.0, 0.0)
+        path = tmp_path / "battery.csv"
+        records_to_csv(run_battery(obj, NoiseModel.none(), RunConfig("scg", 4), 2), path)
+        lines = []
+        for line in path.read_text().splitlines():
+            rid, alg, t, rest = line.split(",", 3)
+            if rid in runs and t in edit:
+                if edit[t] is None:
+                    continue
+                line = ",".join((rid, alg, edit[t], rest))
+            lines.append(line)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{path}: the rows of run {runs[0]} are not "):
+            TrialBattery.from_csv(path)
+
+    def test_from_csv_derives_grid_and_running_average(self, tmp_path):
+        """The grid is t = 1..T and the running average is derived from the
+        values, whatever the file's running average column holds."""
+        path = tmp_path / "battery.csv"
+        path.write_text("run_id,algorithm,t,f_true,f_running_avg\n"
+                        "0,pga,2,3.0,0.0\n0,pga,1,1.0,0.0\n")
+        battery = TrialBattery.from_csv(path)
+        np.testing.assert_array_equal(battery.t, [1, 2])
+        np.testing.assert_array_equal(battery.f_running_avg, [[1.0, 2.0]])
 
 
 class TestFitCurve:
@@ -238,18 +269,18 @@ class TestBoundViolationRate:
         consts = constants_for(obj, NoiseModel.none(), opt=0.5)
         t = np.arange(1, 21)
         bound, prob = theorem5_bound(consts, t, 1.0)
-        curve = BoundCurve("theorem5", t, bound, prob)
+        curve = BoundCurve("theorem5", bound, prob)
         assert bound_violation_rate(bat, curve) == 0.0
 
     def test_huge_surrogate_bound_violated_by_all(self):
-        curve = BoundCurve("surrogate", np.arange(1, 21), np.full(20, 1e6))
+        curve = BoundCurve("surrogate", np.full(20, 1e6))
         for algorithm in ("scg", "pga"):
             _, bat = self._noise_free_battery(algorithm)
             assert bound_violation_rate(bat, curve) == 1.0
 
     def test_grid_mismatch_rejected(self):
         _, bat = self._noise_free_battery()
-        curve = BoundCurve("theorem5", np.arange(1, 11), np.zeros(10))
+        curve = BoundCurve("theorem5", np.zeros(10))
         with pytest.raises(ValueError, match="grid"):
             bound_violation_rate(bat, curve)
 
@@ -261,8 +292,8 @@ class TestBoundViolationRate:
         of 3 lies above both final running averages (2.5, 2.75) and below
         both final values (4)."""
         f_true = np.array([[1.0, 4.0], [1.5, 4.0]])
-        bat = TrialBattery([0, 1], [1, 2], f_true, f_true.cumsum(axis=1) / [1, 2], algorithm)
-        curve = BoundCurve("threshold", np.array([1, 2]), np.array([0.0, 3.0]))
+        bat = TrialBattery([0, 1], f_true, algorithm)
+        curve = BoundCurve("threshold", np.array([0.0, 3.0]))
         assert bound_violation_rate(bat, curve) == rate
 
 

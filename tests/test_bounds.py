@@ -375,7 +375,7 @@ class TestBoundCurveEntry:
         delta = math.sqrt(20 / 0.25) if name in ("theorem3", "theorem5") else 0.25
         assert dict(curve.meta)["delta"] == pytest.approx(delta, rel=1e-15)
         assert curve.label == name
-        assert list(curve.t) == list(range(1, 21))
+        assert curve.bound.shape == (20,)
         same = bound_curve({"theorem": name, "delta": dict(curve.meta)["delta"]}, UNIT,
                            paired(name, 20))
         assert np.array_equal(curve.bound, same.bound)
@@ -468,7 +468,7 @@ class TestBoundCurveSerialization:
     def test_round_trip_with_probability(self, tmp_path):
         t = np.arange(1, 6)
         bound, prob = theorem5_bound(UNIT, t, 3.0)
-        curve = BoundCurve("theorem5", t, bound, prob, (("delta", 3.0),))
+        curve = BoundCurve("theorem5", bound, prob, (("delta", 3.0),))
         path = tmp_path / "bound.csv"
         save_bound_curve(path, curve)
         lines = path.read_text().splitlines()
@@ -479,10 +479,13 @@ class TestBoundCurveSerialization:
         assert [float(row[1]) for row in rows] == list(bound)
         assert [float(row[2]) for row in rows] == list(prob)
         assert float(rows[2][1]) == curve.at(3) == bound[2]
+        for t in (0, 6):
+            with pytest.raises(ValueError, match=f"no entry for t={t}"):
+                curve.at(t)
 
     def test_probability_column_empty_when_not_applicable(self, tmp_path):
         t = np.arange(1, 4)
-        curve = BoundCurve("theorem1", t, theorem1_bound(UNIT, t, 0.1))
+        curve = BoundCurve("theorem1", theorem1_bound(UNIT, t, 0.1))
         path = tmp_path / "b1.csv"
         save_bound_curve(path, curve)
         lines = path.read_text().splitlines()

@@ -529,6 +529,7 @@ _UNUSABLE_RECORD = [
     ("nan", _set_opt(math.nan)),
     ("bool", _set_opt(True)),
     ("string", _set_opt("1.5")),
+    ("repeated-key", lambda record: json.dumps(record)[:-1] + f', "opt": {record["opt"]!r}}}'),
 ]
 
 
@@ -767,8 +768,9 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("rewrite", [
         None, lambda text: "{not json", lambda text: "[1, 2]",
-        lambda text: json.dumps({**json.loads(text), "extra": {}})],
-        ids=["missing", "garbled", "not-an-object", "empty-object"])
+        lambda text: json.dumps({**json.loads(text), "extra": {}}),
+        lambda text: text.rstrip()[:-1] + ', "runs": 2}'],
+        ids=["missing", "garbled", "not-an-object", "empty-object", "repeated-key"])
     def test_report_rejects_a_missing_or_malformed_file(self, tmp_path, rewrite,
                                                       capsys):
         cfg = self.config(tmp_path)
@@ -925,6 +927,27 @@ class TestOneValidationBoundary:
                            bounds=[{"theorem": "theorem3", "delta": 1.0}], **change)
         err = self.assert_rejected(command, cfg, tmp_path / "out", capsys)
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["run", "bounds", "report"])
+    @pytest.mark.parametrize("edit,message", [
+        (lambda text: text.replace('"T": 4', '"T": 4, "T": 7'), "repeated key 'T'"),
+        (lambda text: text.replace('"noise": {', '"noise": {"kind": "gaussian_fixed", '),
+         "repeated key 'kind'"),
+        (lambda text: "{" + text[2:], "Expecting property name enclosed in double quotes: "
+                                      "line 1 column 2 (char 1)"),
+    ], ids=["repeated-top-level-key", "repeated-nested-key", "garbled"])
+    def test_config_parse_error_names_the_file(self, tmp_path, one_dim_instance, command,
+                                               edit, message, capsys):
+        """A config is read as an instance file is: a repeated key is an error
+        rather than its last value, and every parse error names the file."""
+        if command == "report":
+            assert cli.main(["run", "--config", str(write_config(tmp_path))]) == 0
+            capsys.readouterr()
+        cfg = write_config(tmp_path, name="parse.json", opt=0.5,
+                           bounds=[{"theorem": "theorem3", "delta": 1.0}])
+        cfg.write_text(edit(cfg.read_text()))
+        err = self.assert_rejected(command, cfg, tmp_path / "out", capsys)
+        assert err == f"error: {cfg}: {message}\n"
 
     @pytest.mark.parametrize("sigma", [0.1, 7.0])
     def test_default_hessian_sigma_written_out_is_accepted(self, tmp_path, one_dim_instance,

@@ -14,6 +14,7 @@ from drsubmax.optimizers import (
     records_to_csv,
     run_battery,
     run_trial,
+    running_average,
 )
 
 from _util import enumerate_vertices
@@ -281,7 +282,33 @@ class TestTrajectoryInvariants:
         rec = run_trial(obj, NoiseModel.gaussian_fixed(0.3), RunConfig("pga", 200))
         for t in (1, 7, 100, 200):
             exact = math.fsum(rec.f_true[:t]) / t
-            assert abs(rec.f_running_avg[t - 1] - exact) <= 1e-12
+            assert abs(running_average(rec.f_true)[t - 1] - exact) <= 1e-12
+
+    def test_running_average_of_a_matrix_is_that_of_each_row(self):
+        """Bit for bit: the rows of a battery get the averages their records got."""
+        f = np.random.default_rng(17).normal(size=(4, 30))
+        avg = running_average(f)
+        for row, row_avg in zip(f, avg):
+            np.testing.assert_array_equal(running_average(row), row_avg)
+            np.testing.assert_array_equal(np.cumsum(row) / np.arange(1, 31), row_avg)
+
+    @pytest.mark.parametrize("algorithm", ["pga", "boosted_pga", "scg"])
+    def test_projected_ascent_trajectories_are_prefixes_across_horizons(self, algorithm):
+        """A projected ascent step depends on t alone and the returned-iterate
+        draw follows the loop, so a horizon-t trial repeats the first t values
+        of the horizon-T trial bit for bit.  A greedy step is 1/T, so a
+        shorter greedy trial is not a prefix."""
+        obj = generate_nqp(18, 4, 2, -1.0, 0.0)
+        noise = NoiseModel.gaussian_fixed(0.3)
+        T = 8
+        for run_id in range(3):
+            full = run_trial(obj, noise, RunConfig(algorithm, T, master_seed=5, run_id=run_id))
+            for t in range(1, T):
+                short = run_trial(obj, noise, RunConfig(algorithm, t, master_seed=5,
+                                                        run_id=run_id))
+                prefix = (np.array_equal(short.f_true, full.f_true[:t]) and np.array_equal(
+                    running_average(short.f_true), running_average(full.f_true)[:t]))
+                assert prefix == (algorithm != "scg"), (run_id, t)
 
     def test_greedy_steps_are_scaled_vertices(self):
         """T times each greedy displacement is a vertex, so the final point is
@@ -374,4 +401,4 @@ class TestCsvOutput:
         rid, alg, t, f, avg = lines[1].split(",")
         assert (rid, alg, t) == ("0", "scg", "1")
         assert float(f) == recs[0].f_true[0]  # 17 significant digits round-trip
-        assert float(avg) == recs[0].f_running_avg[0]
+        assert float(avg) == running_average(recs[0].f_true)[0] == recs[0].f_true[0]
