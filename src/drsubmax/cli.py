@@ -3,7 +3,8 @@ bound curves, and produce fit/violation reports.
 
 Every command is driven by a JSON config file, which ``objectives.load_json``
 reads with no key repeated; command-line ``--set`` options override
-individual (dotted) keys.  ``load_config`` builds the
+individual (dotted) keys, each value JSON with no key repeated or else a
+string.  ``load_config`` builds the
 config once for every command into a frozen ``Experiment``: the trial
 config, the noise model, the problem instance (through
 ``objectives.build_problem``) and its digest, and the keys only the CLI
@@ -166,9 +167,11 @@ def load_config(path, overrides) -> Experiment:
         if not sep:
             raise ValueError(f"--set expects key=value, got {item!r}")
         try:
-            parsed = json.loads(value)
+            parsed = json.loads(value, object_pairs_hook=objectives._unique_keys)
         except json.JSONDecodeError:
             parsed = value
+        except ValueError as exc:  # a repeated key, as in a config file
+            raise ValueError(f"--set {item!r}: {exc}") from None
         node = raw
         parts = key.split(".")
         for part in parts[:-1]:

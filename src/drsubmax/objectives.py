@@ -66,8 +66,9 @@ class Objective:
     def hessian(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def hvp(self, x, d) -> np.ndarray:
-        """The Hessian-vector product ``hessian(x) @ d``."""
+    def hvp(self, x0, x1, a, d) -> np.ndarray:
+        """The mean over the weights ``a_k`` of the Hessian-vector products
+        ``hessian(x0 + a_k (x1 - x0)) @ d`` along the segment ``x0 -> x1``."""
         raise NotImplementedError
 
     def _arrays(self) -> dict:
@@ -115,7 +116,7 @@ class NqpObjective(Objective):
     def hessian(self, x=None) -> np.ndarray:
         return self.h_matrix.copy()
 
-    def hvp(self, x, d) -> np.ndarray:
+    def hvp(self, x0, x1, a, d) -> np.ndarray:
         return self.h_matrix @ self._check(d)
 
     def _arrays(self) -> dict:
@@ -218,11 +219,18 @@ class BudgetAllocationObjective(Objective):
             out[i * n : (i + 1) * n, i * n : (i + 1) * n] = block
         return out
 
-    def hvp(self, x, d) -> np.ndarray:
-        """Block i is ``-alpha_i C'(exp(-w_i) * (C d_i))``; no matrix is built."""
-        w = self._blocks(x) @ self._coeff.T
+    def hvp(self, x0, x1, a, d) -> np.ndarray:
+        """Block i of one product is ``-alpha_i C'(exp(-w_i) * (C d_i))``,
+        linear in ``exp(-w)``, so the mean of b products is that of the mean
+        of the b ``exp(-w)``.  ``w`` is linear in the point, so the b
+        exponents are ``w0 + a_k (w1 - w0)``, one ``(b, k, customers)``
+        array; no point or matrix is built."""
+        w0 = self._blocks(x0) @ self._coeff.T
+        w1 = self._blocks(x1) @ self._coeff.T
+        a = np.asarray(a, dtype=float).reshape(-1, 1, 1)
+        e = np.exp(-(w0 + a * (w1 - w0))).mean(axis=0)
         cd = self._check(d).reshape(self.k, self.n_channels) @ self._coeff.T
-        return (-self.alphas[:, None] * ((np.exp(-w) * cd) @ self._coeff)).ravel()
+        return (-self.alphas[:, None] * ((e * cd) @ self._coeff)).ravel()
 
     def _arrays(self) -> dict:
         return {**super()._arrays(), "coeff": self._coeff, "alphas": self.alphas}

@@ -222,26 +222,21 @@ def _momentum(objective: Objective, oracle: OracleStream, cfg: RunConfig):
 
 
 def _path_integrated(objective: Objective, oracle: OracleStream, cfg: RunConfig):
-    """SCG++: the first call averages ``batch`` noisy gradients at the origin.
-    Later calls draw ``batch`` interpolation points between the two most
-    recent iterates and add the mean of the noisy Hessian-vector products
-    with the displacement ``x - x_prev`` there to the running estimate.  Each
-    query draws its point's uniform, then its own noise; no Hessian matrix
-    is formed."""
+    """SCG++: the first call averages ``batch`` noisy gradients at the origin,
+    in one batched query.  Each later call draws ``batch`` uniforms, the
+    interpolation points between the two most recent iterates, and adds the
+    mean of the noisy Hessian-vector products with the displacement
+    ``x - x_prev`` there, one Hessian query, to the running estimate.  No
+    interpolation point or Hessian matrix is formed."""
     batch = cfg.batch_size
     x_prev = ghat = None
 
     def estimate(t, x):
         nonlocal x_prev, ghat
         if ghat is None:
-            ghat = np.mean([oracle.grad(x) for _ in range(batch)], axis=0)
+            ghat = oracle.grad(x, batch)
         else:
-            d = x - x_prev
-            corr = np.zeros(objective.dim)
-            for _ in range(batch):
-                a = float(oracle.rng.random())
-                corr += oracle.hessian(a * x + (1.0 - a) * x_prev, d)
-            ghat = ghat + corr / batch
+            ghat = ghat + oracle.hessian(x_prev, x, oracle.rng.random(batch), x - x_prev)
         x_prev = x
         return ghat
     return estimate

@@ -2,16 +2,20 @@
 
 A noise model describes the perturbation applied to each query and carries
 the constants (worst-case error bound, total standard deviation) that the
-bound evaluators consume.  A Hessian query returns the noisy product
-``(H(x) + Z) d`` with a symmetric Gaussian ``Z``, drawn from its exact law
-with n + 1 normals; no n x n matrix is built.  Every trial owns one
+bound evaluators consume.  A Hessian query returns the mean of b noisy
+products ``(H(x_k) + Z_k) d`` along a segment, with independent symmetric
+Gaussian ``Z_k``; their mean noise is drawn from its exact law with n + 1
+normals, and no n x n matrix is built.  Every trial owns one
 ``OracleStream`` whose generator is derived from ``(master_seed, run_id)``,
 so reruns are reproducible regardless of scheduling.
 
 Stream contract: all randomness of a trial (noise draws plus any sampling
 the solver performs) comes from the stream's single numpy ``Generator`` in
-query order.  Identical ``(master_seed, run_id)`` and an identical query
-sequence therefore reproduce identical realizations bit for bit.
+query order.  A batch of b gradients at one point draws one ``(b, n)``
+array; an SCG++ iteration draws its b interpolation uniforms, then the
+n + 1 normals of its one Hessian query.  Identical ``(master_seed,
+run_id)`` and an identical query sequence therefore reproduce identical
+realizations bit for bit.
 """
 
 from __future__ import annotations
@@ -118,41 +122,48 @@ class OracleStream:
             np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(run_id),))
         )
 
-    def grad(self, x) -> np.ndarray:
-        """Unbiased noisy gradient at ``x``."""
+    def grad(self, x, batch: int | None = None) -> np.ndarray:
+        """Unbiased noisy gradient at ``x``.  With ``batch`` it is the mean
+        of ``batch`` independent ones, whose noise is one ``(batch, n)``
+        draw: the draws of ``batch`` single queries, stacked."""
         g = self.objective.grad(x)
         kind = self.noise.kind
         if kind == "none":
             return g
-        n = g.size
+        size = g.size if batch is None else (batch, g.size)
         if kind == "gaussian_fixed":
-            return g + self.rng.normal(0.0, self.noise.sigma, size=n)
-        if kind == "clipped_gaussian":
+            noisy = g + self.rng.normal(0.0, self.noise.sigma, size=size)
+        elif kind == "clipped_gaussian":
             s = self.noise.sigma
-            z = self.rng.normal(0.0, s, size=n)
-            return g + np.clip(z, -2.0 * s, 2.0 * s)
-        sd = self.noise.scale * float(np.linalg.norm(g)) / n
-        if sd == 0.0:  # stationary query point: no draw consumed
-            return g.copy()
-        return g + self.rng.normal(0.0, sd, size=n)
+            noisy = g + np.clip(self.rng.normal(0.0, s, size=size), -2.0 * s, 2.0 * s)
+        else:
+            sd = self.noise.scale * float(np.linalg.norm(g)) / g.size
+            if sd == 0.0:  # stationary query point: no draw consumed
+                return g
+            noisy = g + self.rng.normal(0.0, sd, size=size)
+        return noisy if batch is None else noisy.mean(axis=0)
 
-    def hessian(self, x, d) -> np.ndarray:
-        """Unbiased noisy Hessian-vector product ``(H(x) + Z) d``, where ``Z``
+    def hessian(self, x0, x1, a, d) -> np.ndarray:
+        """The mean of b = ``len(a)`` unbiased noisy Hessian-vector products
+        ``(H(x_k) + Z_k) d`` at the points ``x_k = x0 + a_k (x1 - x0)``; a
+        single query at ``x`` is ``hessian(x, x, [0.0], d)``.  Each ``Z_k``
         is symmetric with i.i.d. N(0, s^2) entries on and above the diagonal
-        (``s = hessian_sigma``).  ``Z d`` is Gaussian with covariance
-        ``s^2 (||d||^2 I + d d' - diag(d * d))``, which is the law of
-        ``s (sqrt(||d||^2 - d_j^2) xi_j + eta d_j)``.  So a query draws
-        n + 1 normals in one call, ``xi_1..xi_n`` then ``eta``, and none when
-        ``s`` is 0."""
+        (``s = hessian_sigma``), so ``Z_k d`` is Gaussian with covariance
+        ``s^2 (||d||^2 I + d d' - diag(d * d))``, and the mean of b
+        independent ones has the law of ``Z d`` at scale ``s / sqrt(b)``:
+        ``(s / sqrt(b)) (sqrt(||d||^2 - d_j^2) xi_j + eta d_j)``.  So a query
+        draws n + 1 normals in one call, ``xi_1..xi_n`` then ``eta``, and
+        none when ``s`` is 0."""
+        a = np.asarray(a, dtype=float)
         try:
-            hd = self.objective.hvp(x, d)
+            hd = self.objective.hvp(x0, x1, a, d)
         except NotImplementedError:
             raise ValueError("objective does not provide Hessian-vector products") from None
-        hs = self.noise.hessian_sigma
-        if hs == 0.0:
+        s = self.noise.hessian_sigma / math.sqrt(a.size)
+        if s == 0.0:
             return hd
         d = np.asarray(d, dtype=float).ravel()
-        z = self.rng.normal(0.0, hs, size=d.size + 1)
+        z = self.rng.normal(0.0, s, size=d.size + 1)
         dd = d * d
         # a float sum of nonnegative terms is at least each term, so the root's argument is >= 0
         return hd + np.sqrt(dd.sum() - dd) * z[:-1] + z[-1] * d

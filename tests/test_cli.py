@@ -949,6 +949,23 @@ class TestOneValidationBoundary:
         err = self.assert_rejected(command, cfg, tmp_path / "out", capsys)
         assert err == f"error: {cfg}: {message}\n"
 
+    @pytest.mark.parametrize("command", ["run", "bounds", "report"])
+    def test_set_value_with_a_repeated_key_is_rejected(self, tmp_path, one_dim_instance,
+                                                       command, capsys):
+        """A ``--set`` value is read as a config file is: a repeated key is an
+        error that names the item, rather than its last value."""
+        cfg = write_config(tmp_path, opt=0.5, bounds=[{"theorem": "theorem3", "delta": 1.0}])
+        if command == "report":
+            assert cli.main(["run", "--config", str(cfg)]) == 0
+            capsys.readouterr()
+        out = tmp_path / "out"
+        before = sorted(out.iterdir()) if out.exists() else []
+        item = 'noise={"kind": "gaussian_fixed", "kind": "none"}'
+        assert main_with(command, cfg, [item]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --set {item!r}: repeated key 'kind'\n"
+        assert (sorted(out.iterdir()) if out.exists() else []) == before
+
     @pytest.mark.parametrize("sigma", [0.1, 7.0])
     def test_default_hessian_sigma_written_out_is_accepted(self, tmp_path, one_dim_instance,
                                                            sigma):

@@ -187,12 +187,32 @@ class TestDrProperties:
 
     def test_hvp_is_the_hessian_times_the_direction(self, instances):
         """On NQP and on a budget instance with two advertisers, whose
-        product is taken block by block without building the Hessian."""
+        product is taken block by block without building the Hessian.  One
+        weight 0 is the product at the segment's start."""
         rng = np.random.default_rng(26)
         for obj in instances:
-            for x in sample_feasible(obj.polytope, rng, 5):
+            pts = sample_feasible(obj.polytope, rng, 6)
+            for x, y in zip(pts[:5], pts[1:]):
                 d = rng.normal(size=obj.dim)
-                np.testing.assert_allclose(obj.hvp(x, d), obj.hessian(x) @ d,
+                np.testing.assert_allclose(obj.hvp(x, y, [0.0], d), obj.hessian(x) @ d,
+                                           rtol=1e-12, atol=1e-14)
+
+    def test_batched_hvp_is_the_mean_of_single_products(self, instances):
+        """Along a segment, the product at b weights equals the mean of the
+        products at the b points, each a single-weight product and the
+        Hessian there times ``d``."""
+        rng = np.random.default_rng(27)
+        for obj in instances:
+            pts = sample_feasible(obj.polytope, rng, 4)
+            for x0, x1 in zip(pts[:3], pts[1:]):
+                d = x1 - x0
+                a = rng.random(7)
+                points = [x0 + ak * (x1 - x0) for ak in a]
+                singles = [obj.hvp(p, p, [0.0], d) for p in points]
+                np.testing.assert_allclose(obj.hvp(x0, x1, a, d), np.mean(singles, axis=0),
+                                           rtol=1e-12, atol=0)
+                np.testing.assert_allclose(np.mean(singles, axis=0),
+                                           np.mean([obj.hessian(p) @ d for p in points], axis=0),
                                            rtol=1e-12, atol=1e-14)
 
     def test_monotone(self, instances):

@@ -235,11 +235,12 @@ class TestScgpp:
             assert contains(obj.polytope, x, 1e-6)
 
     def test_displacement_estimate_unbiased(self):
-        """Monte Carlo mean of the noisy Hessian-vector product with the
-        displacement, at uniform points between two iterates, matches the
-        exact value within the CLT tolerance."""
+        """Monte Carlo mean of the aggregated noisy Hessian-vector product
+        with the displacement, at ``b`` uniform points between two iterates,
+        matches the exact value within the CLT tolerance of its deviation
+        ``(s / sqrt(b)) ||d||``."""
         obj = generate_nqp(12, 3, 0, -1.0, 0.0)
-        hs = 0.2
+        hs, batch = 0.2, 4
         st = OracleStream(obj, NoiseModel.gaussian_fixed(1.0, hessian_sigma=hs), 0, 0)
         x_new = np.array([0.3, 0.2, 0.1])
         x_old = np.array([0.1, 0.1, 0.1])
@@ -247,12 +248,31 @@ class TestScgpp:
         n_draws = 10_000
         total = np.zeros(3)
         for _ in range(n_draws):
-            a = float(st.rng.random())
-            total += st.hessian(a * x_new + (1 - a) * x_old, step)
+            total += st.hessian(x_old, x_new, st.rng.random(batch), step)
         mean = total / n_draws
         exact = obj.h_matrix @ step
-        tol = 4 * hs * np.linalg.norm(step) / math.sqrt(n_draws)
+        tol = 4 * hs / math.sqrt(batch) * np.linalg.norm(step) / math.sqrt(n_draws)
         assert np.all(np.abs(mean - exact) <= tol)
+
+    @pytest.mark.parametrize("objective", [
+        generate_nqp(12, 3, 1, -1.0, 0.0),
+        generate_budget(31, 3, 4, density=0.7, p_low=0.2, p_high=0.7, k=2),
+    ], ids=["nqp", "budget"])
+    def test_one_query_of_each_kind_per_iteration(self, objective, monkeypatch):
+        """An SCG++ trial makes one batched gradient query, then one Hessian
+        query of ``batch`` weights per later iteration, whatever the
+        objective."""
+        calls = []
+        for name in ("grad", "hessian"):
+            original = getattr(OracleStream, name)
+
+            def spy(stream, *args, _name=name, _original=original):
+                calls.append((_name, args[-1] if _name == "grad" else len(args[2])))
+                return _original(stream, *args)
+            monkeypatch.setattr(OracleStream, name, spy)
+        noise = NoiseModel.gaussian_fixed(0.1, hessian_sigma=0.02)
+        run_trial(objective, noise, RunConfig("scgpp", 7, batch_size=5))
+        assert calls == [("grad", 5)] + [("hessian", 5)] * 6
 
 
 class TestTrajectoryInvariants:

@@ -69,10 +69,14 @@ class TestDeterminism:
         a = OracleStream(obj, nm, master_seed=11, run_id=4)
         b = OracleStream(obj, nm, master_seed=11, run_id=4)
         x = np.full(4, 0.2)
-        d = np.array([0.1, -0.2, 0.0, 0.3])
-        for _ in range(10):
+        y = np.array([0.3, 0.2, 0.2, 0.5])
+        for batch in (1, 3, 10):
             np.testing.assert_array_equal(a.grad(x), b.grad(x))
-            np.testing.assert_array_equal(a.hessian(x, d), b.hessian(x, d))
+            np.testing.assert_array_equal(a.grad(x, batch), b.grad(x, batch))
+            weights = a.rng.random(batch)
+            np.testing.assert_array_equal(weights, b.rng.random(batch))
+            np.testing.assert_array_equal(a.hessian(x, y, weights, y - x),
+                                          b.hessian(x, y, weights, y - x))
 
     def test_distinct_run_ids_differ(self):
         obj = one_dim_nqp()
@@ -126,6 +130,32 @@ class TestNoisyGrad:
         obj = one_dim_nqp()
         stream = OracleStream(obj, NoiseModel.gaussian_prop(1.0), 5, 0)
         np.testing.assert_array_equal(stream.grad([1.0]), [0.0])
+        np.testing.assert_array_equal(stream.grad([1.0], 4), [0.0])
+        fresh = OracleStream(obj, NoiseModel.none(), 5, 0).rng
+        assert stream.rng.bit_generator.state == fresh.bit_generator.state
+
+    def test_a_matrix_draw_is_the_stacked_vector_draws(self):
+        """The numpy property a batched query rests on: one ``(b, n)`` draw
+        equals b draws of n, stacked."""
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        np.testing.assert_array_equal(a.normal(0.0, 0.5, size=(4, 7)),
+                                      [b.normal(0.0, 0.5, size=7) for _ in range(4)])
+
+    @pytest.mark.parametrize("noise", [NoiseModel.gaussian_fixed(0.7),
+                                       NoiseModel.clipped_gaussian(0.4),
+                                       NoiseModel.gaussian_prop(1.5)],
+                             ids=lambda nm: nm.kind)
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_batch_is_the_mean_of_single_queries(self, noise, batch):
+        """``grad(x, b)`` equals the mean of b single queries from a stream
+        of the same seed bit for bit, and leaves the generator where they do."""
+        obj = generate_nqp(3, 4, 2, -1.0, 0.0)
+        x = np.full(4, 0.2)
+        batched = OracleStream(obj, noise, 11, 4)
+        single = OracleStream(obj, noise, 11, 4)
+        np.testing.assert_array_equal(batched.grad(x, batch),
+                                      np.mean([single.grad(x) for _ in range(batch)], axis=0))
+        assert batched.rng.bit_generator.state == single.rng.bit_generator.state
 
 
 def dense_noise_products(rng, s, d, n_draws):
@@ -137,29 +167,43 @@ def dense_noise_products(rng, s, d, n_draws):
 
 
 class TestNoisyHessian:
-    """``OracleStream.hessian(x, d)`` draws ``(H(x) + Z) d`` from its exact
-    law with n + 1 normals, without building ``Z``."""
+    """``OracleStream.hessian(x0, x1, a, d)`` draws the mean of b = ``len(a)``
+    products ``(H(x_k) + Z_k) d`` from its exact law with n + 1 normals,
+    without building any ``Z_k``."""
 
     N_DRAWS = 50_000
     HS = 0.2
     D = np.array([0.5, -1.0, 0.0, 2.0, 0.25, -0.75])
+    BATCH = 3
+
+    def answers(self, weights):
+        """``N_DRAWS`` noisy answers with ``weights`` at a 6-dimensional
+        quadratic minus the exact product ``H d``."""
+        obj = generate_nqp(7, 6, 0, -1.0, 0.0)
+        stream = OracleStream(obj, NoiseModel.gaussian_fixed(1.0, hessian_sigma=self.HS), 1, 0)
+        x0, x1 = np.full(6, 0.3), np.full(6, 0.5)
+        exact = obj.h_matrix @ self.D
+        return np.array([stream.hessian(x0, x1, weights, self.D)
+                         for _ in range(self.N_DRAWS)]) - exact
 
     @pytest.fixture(scope="class")
     def draws(self):
-        """``N_DRAWS`` noisy products at a 6-dimensional quadratic minus the
-        exact product ``H d``."""
-        obj = generate_nqp(7, 6, 0, -1.0, 0.0)
-        stream = OracleStream(obj, NoiseModel.gaussian_fixed(1.0, hessian_sigma=self.HS), 1, 0)
-        x = np.full(6, 0.3)
-        exact = obj.h_matrix @ self.D
-        return np.array([stream.hessian(x, self.D) for _ in range(self.N_DRAWS)]) - exact
+        """Single queries: one weight."""
+        return self.answers([0.0])
+
+    @pytest.fixture(scope="class")
+    def aggregated(self):
+        """Queries of ``BATCH`` weights."""
+        return self.answers(np.linspace(0.0, 1.0, self.BATCH))
 
     def test_zero_sigma_exact_and_draws_nothing(self):
         obj = generate_nqp(6, 3, 0, -1.0, 0.0)
         stream = OracleStream(obj, NoiseModel.clipped_gaussian(0.5, hessian_sigma=0.0), 0, 0)
         before = stream.rng.bit_generator.state
         d = np.array([0.2, -0.1, 0.4])
-        np.testing.assert_array_equal(stream.hessian(np.zeros(3), d), obj.h_matrix @ d)
+        for weights in ([0.0], [0.1, 0.5, 0.9, 0.3]):
+            np.testing.assert_array_equal(stream.hessian(np.zeros(3), d, weights, d),
+                                          obj.h_matrix @ d)
         assert stream.rng.bit_generator.state == before
 
     def test_unbiased(self, draws):
@@ -181,12 +225,32 @@ class TestNoisyHessian:
         assert np.max(np.abs(np.cov(dense, rowvar=False) - exact)) <= 5 * se
         assert np.max(np.abs(cov - np.cov(dense, rowvar=False))) <= 5 * math.sqrt(2) * se
 
+    def test_aggregate_is_the_mean_of_b_dense_queries(self, aggregated):
+        """A query of b weights has the law of the mean of b independent
+        dense products ``Z_k d``: mean 0 within 4 (s / sqrt(b)) ||d|| / sqrt(N),
+        and covariance ``(s^2 / b) (||d||^2 I + d d' - diag(d * d))``, which
+        both it and the mean of b dense draws match within five standard
+        errors."""
+        d, b = self.D, self.BATCH
+        s2 = self.HS ** 2 / b
+        rng = np.random.default_rng(6)
+        dense = sum(dense_noise_products(rng, self.HS, d, self.N_DRAWS) for _ in range(b)) / b
+        exact = s2 * (d @ d * np.eye(d.size) + np.outer(d, d) - np.diag(d * d))
+        tol = 4 * math.sqrt(s2) * np.linalg.norm(d) / math.sqrt(self.N_DRAWS)
+        assert np.max(np.abs(aggregated.mean(axis=0))) <= tol
+        assert np.max(np.abs(dense.mean(axis=0))) <= tol
+        se = s2 * (d @ d) * math.sqrt(2.0 / self.N_DRAWS)
+        cov = np.cov(aggregated, rowvar=False)
+        assert np.max(np.abs(cov - exact)) <= 5 * se
+        assert np.max(np.abs(np.cov(dense, rowvar=False) - exact)) <= 5 * se
+        assert np.max(np.abs(cov - np.cov(dense, rowvar=False))) <= 5 * math.sqrt(2) * se
+
     def test_one_dim_draws_inside_five_sigma(self):
         """In one dimension the product is ``(h + s eta) d``; the root's
         argument ``||d||^2 - d_1^2`` is 0."""
         obj = one_dim_nqp()
         stream = OracleStream(obj, NoiseModel.gaussian_fixed(1.0, hessian_sigma=0.1), 2, 0)
-        draws = np.array([stream.hessian([0.0], [1.0])[0] for _ in range(10_000)])
+        draws = np.array([stream.hessian([0.0], [1.0], [0.0], [1.0])[0] for _ in range(10_000)])
         inside = np.mean((draws >= -1.5) & (draws <= -0.5))
         assert inside >= 0.9999
 
@@ -194,29 +258,35 @@ class TestNoisyHessian:
         """A one-hot ``d`` makes one root's argument exactly 0."""
         obj = generate_nqp(9, 4, 0, -1.0, 0.0)
         stream = OracleStream(obj, NoiseModel.gaussian_fixed(1.0, hessian_sigma=0.3), 3, 0)
+        x = np.full(4, 0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for j in range(4):
                 d = np.zeros(4)
                 d[j] = 0.7
-                out = stream.hessian(np.full(4, 0.1), d)
+                out = stream.hessian(x, x + d, [0.2, 0.6], d)
                 assert np.all(np.isfinite(out))
 
     def test_one_query_draws_n_plus_one_normals(self):
-        """The stream contract: after one noisy query the generator equals a
-        fresh one of the same seed that drew ``normal(size=n + 1)``, and the
-        answer is ``H d + s (sqrt(||d||^2 - d_j^2) xi_j + eta d_j)`` with
+        """The stream contract: after one noisy query of b weights (here 1
+        and 4) the generator equals a fresh one of the same seed that drew
+        ``normal(size=n + 1)``, and the answer is
+        ``H d + (s / sqrt(b)) (sqrt(||d||^2 - d_j^2) xi_j + eta d_j)`` with
         those draws, ``xi`` first and ``eta`` last."""
         obj = generate_nqp(4, 5, 0, -1.0, 0.0)
         hs = 0.3
-        stream = OracleStream(obj, NoiseModel.gaussian_fixed(1.0, hessian_sigma=hs), 11, 2)
-        fresh = OracleStream(obj, NoiseModel.none(), 11, 2).rng
         d = np.array([0.3, -0.1, 0.0, 0.2, 0.05])
-        out = stream.hessian(np.full(5, 0.2), d)
-        xi_eta = fresh.normal(size=6)
-        assert stream.rng.bit_generator.state == fresh.bit_generator.state
-        expected = obj.h_matrix @ d + hs * (np.sqrt(d @ d - d * d) * xi_eta[:5] + xi_eta[5] * d)
-        np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-15)
+        x = np.full(5, 0.2)
+        for weights in ([0.0], [0.3, 0.9, 0.1, 0.5]):
+            stream = OracleStream(obj, NoiseModel.gaussian_fixed(1.0, hessian_sigma=hs), 11, 2)
+            fresh = OracleStream(obj, NoiseModel.none(), 11, 2).rng
+            out = stream.hessian(x, x + d, weights, d)
+            xi_eta = fresh.normal(size=6)
+            assert stream.rng.bit_generator.state == fresh.bit_generator.state
+            scale = hs / math.sqrt(len(weights))
+            expected = obj.h_matrix @ d + scale * (np.sqrt(d @ d - d * d) * xi_eta[:5]
+                                                   + xi_eta[5] * d)
+            np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-15)
 
     def test_objective_without_hvp_rejected(self):
         class NoHessian(Objective):
@@ -231,7 +301,7 @@ class TestNoisyHessian:
 
         stream = OracleStream(NoHessian(), NoiseModel.gaussian_fixed(1.0), 0, 0)
         with pytest.raises(ValueError, match="Hessian"):
-            stream.hessian([0.0], [1.0])
+            stream.hessian([0.0], [1.0], [0.5], [1.0])
 
 
 class TestNoiseConstants:
