@@ -1,13 +1,14 @@
 """Numerical evaluation of the high-probability lower bounds.
 
 Each ``theoremN_bound`` evaluates one guarantee as a function of the
-iteration budget ``T`` and a confidence parameter, given the problem
-constants (smoothness, diameter, noise bounds, optimum).  Bounds may be
-negative: vacuous values are meaningful outputs for plotting.  ``THEOREMS``
-holds the per-theorem facts, among them the algorithm each bounds, and
-``bound_curve`` is the one reader of a config's bounds entry: it checks the
-entry against its theorem and its trial, and evaluates it.  Helper numerics
-live here too: the momentum series constant and a Perron-root spectral norm.
+iteration budget ``T`` (a scalar, giving a float, or an array) and a
+confidence parameter, given the problem constants (smoothness, diameter,
+noise bounds, optimum).  Bounds may be negative: vacuous values are
+meaningful outputs for plotting.  ``THEOREMS`` holds the per-theorem facts,
+among them the algorithm each bounds, and ``bound_curve`` is the one reader
+of a config's bounds entry: it checks the entry against its theorem and its
+trial, and evaluates it.  Helper numerics live here too: the momentum series
+constant and a Perron-root spectral norm.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import diameter_bound
-from .objectives import Objective, is_finite_real
+from .objectives import Objective, is_finite_real, reject_unknown
 from .optimizers import RunConfig
 from .oracles import NoiseModel, noise_constants
 
@@ -130,12 +131,13 @@ class BoundConstants:
     grad0_norm: float = 0.0
 
     def __post_init__(self):
-        if self.lipschitz < 0 or self.diameter < 0:
-            raise ValueError("lipschitz and diameter must be nonnegative")
-        if self.noise_bound < 0 or self.noise_sigma < 0 or self.grad0_norm < 0:
-            raise ValueError("noise constants must be nonnegative")
-        if self.opt <= 0:
-            raise ValueError("opt must be positive")
+        if not (0 <= self.lipschitz < math.inf and 0 <= self.diameter < math.inf):
+            raise ValueError("lipschitz and diameter must be finite and nonnegative")
+        if not (self.noise_bound >= 0 and 0 <= self.noise_sigma < math.inf
+                and 0 <= self.grad0_norm < math.inf):
+            raise ValueError("noise constants must be nonnegative, and all but noise_bound finite")
+        if not 0 < self.opt < math.inf:
+            raise ValueError("opt must be finite and positive")
 
 
 def constants_for(objective: Objective, noise: NoiseModel, opt: float) -> BoundConstants:
@@ -162,13 +164,9 @@ def constants_for(objective: Objective, noise: NoiseModel, opt: float) -> BoundC
 
 def _as_T(T):
     t = np.asarray(T, dtype=float)
-    if np.any(t < 1):
+    if not np.all(t >= 1):
         raise ValueError("T must be at least 1")
     return t
-
-
-def _maybe_scalar(value, T):
-    return float(value) if np.isscalar(T) or np.ndim(T) == 0 else value
 
 
 def _check_delta_unit(delta: float) -> None:
@@ -188,7 +186,7 @@ def theorem1_bound(c: BoundConstants, T, delta: float):
     t = _as_T(T)
     big_c = (8.0 * (c.lipschitz + c.noise_bound) ** 2 + c.diameter**2) / 8.0
     dev = c.diameter * c.noise_bound * np.sqrt(math.log(1.0 / delta) / (2.0 * t))
-    return _maybe_scalar(c.opt / 2.0 - big_c / np.sqrt(t) - dev, T)
+    return c.opt / 2.0 - big_c / np.sqrt(t) - dev
 
 
 def boosted_constants(c: BoundConstants, gamma: float = 1.0,
@@ -223,7 +221,7 @@ def theorem2_bound(c: BoundConstants, T, delta: float, gamma: float = 1.0,
     big_c = (8.0 * (l_aux * c.diameter + m_aux) ** 2 + c.diameter**2) / 8.0
     dev = c.diameter * m_aux * np.sqrt(math.log(1.0 / delta) / (2.0 * t))
     asymptote = (1.0 - math.exp(-gamma)) * c.opt
-    return _maybe_scalar(asymptote - big_c / np.sqrt(t) - dev, T)
+    return asymptote - big_c / np.sqrt(t) - dev
 
 
 def _chebyshev_prob(T, delta: float):
@@ -234,15 +232,15 @@ def theorem3_bound(c: BoundConstants, T, delta: float):
     """(bound, probability) for the final iterate of momentum Frank-Wolfe
     under bounded gradient variance; the bound holds with the returned
     probability ``max(0, 1 - T / delta^2)``."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be finite and positive")
     t = _as_T(T)
     q = max(c.grad0_norm**2 * 9.0 ** (2.0 / 3.0),
             16.0 * c.noise_sigma**2 + 3.0 * c.lipschitz**2 * c.diameter**2)
     bound = (ONE_MINUS_INV_E * c.opt
              - delta * 2.0 * math.sqrt(q) * c.diameter / t ** (1.0 / 3.0)
              - c.lipschitz * c.diameter**2 / (2.0 * t**2))
-    return _maybe_scalar(bound, T), _maybe_scalar(_chebyshev_prob(t, delta), T)
+    return bound, _chebyshev_prob(t, delta)
 
 
 def theorem4_bound(c: BoundConstants, T, delta: float, alpha: float = 0.5):
@@ -254,7 +252,7 @@ def theorem4_bound(c: BoundConstants, T, delta: float, alpha: float = 0.5):
     k = k_constant(alpha)
     dev = 2.0 * c.diameter * k * c.noise_sigma * math.sqrt(math.log(1.0 / delta)) / np.sqrt(t)
     curv = (4.0 * k + 1.0) / 2.0 * c.lipschitz * c.diameter**2 / t
-    return _maybe_scalar(ONE_MINUS_INV_E * c.opt - dev - curv, T)
+    return ONE_MINUS_INV_E * c.opt - dev - curv
 
 
 def theorem5_bound(c: BoundConstants, T, delta: float, main_text_exponent: bool = False):
@@ -262,13 +260,13 @@ def theorem5_bound(c: BoundConstants, T, delta: float, main_text_exponent: bool 
     greedy.  The default deficit is ``delta L D^2 / T`` (the proof-backed
     form, consistent with the fixed-confidence corollary); the flag switches
     to the ``delta L D^2 / T^2`` variant."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be finite and positive")
     t = _as_T(T)
     ld2 = c.lipschitz * c.diameter**2
     denom = t**2 if main_text_exponent else t
     bound = ONE_MINUS_INV_E * c.opt - delta * ld2 / denom - ld2 / (2.0 * t**2)
-    return _maybe_scalar(bound, T), _maybe_scalar(_chebyshev_prob(t, delta), T)
+    return bound, _chebyshev_prob(t, delta)
 
 
 @dataclass(frozen=True)
@@ -330,9 +328,7 @@ def bound_curve(entry: dict, c: BoundConstants, trial: RunConfig) -> BoundCurve:
         raise ValueError(f"{name}: unknown theorem, expected one of {', '.join(THEOREMS)}")
     spec = THEOREMS[name]
     try:
-        unknown = sorted(set(entry) - {"theorem", "delta", "p", *spec.params})
-        if unknown:
-            raise ValueError(f"unknown bounds entry key(s): {', '.join(unknown)}")
+        reject_unknown(entry, {"theorem", "delta", "p", *spec.params}, "bounds entry")
         if ("delta" in entry) == ("p" in entry):
             raise ValueError("each bounds entry needs exactly one of delta or p")
         # delta and p are numbers, like the float-valued theorem parameters

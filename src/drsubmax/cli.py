@@ -43,7 +43,7 @@ import numpy as np
 
 from . import analysis, bounds, objectives, optimizers
 from .geometry import diameter_bound
-from .objectives import is_finite_real, is_int, load_json
+from .objectives import is_finite_real, is_int, load_json, reject_unknown
 from .oracles import NoiseModel, noise_constants
 from .optimizers import MomentumRule, RunConfig, StepRule
 
@@ -71,12 +71,6 @@ _OPT_FILE = "opt.json"
 _OPT_ESTIMATOR = "approx_opt: best final value of noisy scg runs"
 # what fixed the rows of battery.csv, which run writes next to it and report checks
 _RUN_CONFIG_FILE = "run_config.json"
-
-
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -124,7 +118,7 @@ class Experiment:
         if not all(isinstance(entry, dict) for entry in self.bounds):
             raise ValueError("each bounds entry must be an object")
         if isinstance(self.opt, dict):
-            _reject_unknown(self.opt, set(_OPT_ARGS), "opt")
+            reject_unknown(self.opt, _OPT_ARGS, "opt")
             for key, value in self.opt.items():
                 if not (is_int(value) and value >= 1):
                     raise ValueError(f"opt.{key} must be a positive integer")
@@ -132,7 +126,7 @@ class Experiment:
             raise ValueError("opt must be a positive number, null, or an approximation spec")
         if self.t_min >= self.trial.T:
             raise ValueError("t_min must be below T, so the fits have at least two points")
-        if (self.trial.algorithm not in optimizers.HESSIAN_READERS
+        if ("noise.hessian_sigma" not in optimizers.READS[self.trial.algorithm]
                 and self.noise != replace(self.noise, hessian_sigma=None)):
             raise ValueError(f"{self.trial.algorithm} queries no Hessian, so it does not "
                              "read noise.hessian_sigma")
@@ -152,7 +146,7 @@ def _build(cls, value, where: str):
     """``cls`` built from a config object whose keys are its fields."""
     if not isinstance(value, dict):
         raise ValueError(f"{where} must be an object")
-    _reject_unknown(value, {f.name for f in fields(cls)}, where)
+    reject_unknown(value, {f.name for f in fields(cls)}, where)
     return cls(**value)
 
 
@@ -183,7 +177,7 @@ def load_config(path, overrides) -> Experiment:
     # and those of Experiment but the built trial
     keys = {f.name: f for cls in (RunConfig, Experiment) for f in fields(cls) if f.init}
     del keys["run_id"], keys["trial"]
-    _reject_unknown(raw, set(keys), "config")
+    reject_unknown(raw, keys, "config")
     for key, f in keys.items():  # a key without a default is required
         if f.default is MISSING and f.default_factory is MISSING and raw.get(key) is None:
             raise ValueError(f"config key {key!r} is required")
@@ -301,16 +295,10 @@ def cmd_run(cfg: Experiment) -> int:
         os.remove(marker)
     _write_record(cfg, _RUN_CONFIG_FILE, _run_config(cfg))  # makes output_dir
 
-    returned = []
-
-    def summarized():
-        for record in optimizers.run_battery(cfg.objective, cfg.noise, cfg.trial,
-                                             cfg.runs, cfg.workers):
-            returned.append(record.returned_value)
-            yield record
-
     try:  # the rows of the trials before a failing one stay in the file
-        optimizers.records_to_csv(summarized(), battery_path)
+        returned = optimizers.records_to_csv(
+            optimizers.run_battery(cfg.objective, cfg.noise, cfg.trial, cfg.runs, cfg.workers),
+            battery_path)
     except Exception as exc:  # abort the battery, leave a partial marker
         with open(marker, "w") as fh:
             fh.write(f"battery aborted: {exc}\n")

@@ -156,7 +156,7 @@ def _check_dim(p: Polytope, x: np.ndarray, name: str) -> np.ndarray:
 
 def contains(p: Polytope, x, tol: float = 1e-9) -> bool:
     """True iff every box and halfspace constraint holds within ``tol``."""
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     return violation(p, x) <= tol
 
@@ -167,10 +167,8 @@ def violation(p: Polytope, x) -> float:
     x = _check_dim(p, x, "x")
     if not np.all(np.isfinite(x)):
         return math.inf
-    v = max(float(np.max(-x, initial=0.0)), float(np.max(x - p.upper, initial=0.0)))
-    if p.n_halfspaces:
-        v = max(v, float(np.max(p.a_matrix @ x - p.b_vector)))
-    return max(v, 0.0)
+    return max(float(np.max(part, initial=0.0))
+               for part in (-x, x - p.upper, p.a_matrix @ x - p.b_vector))
 
 
 def project(p: Polytope, y) -> np.ndarray:

@@ -20,7 +20,7 @@ import numbers
 
 import numpy as np
 
-from .geometry import Polytope
+from .geometry import Polytope, _check_dim
 
 __all__ = [
     "Objective",
@@ -46,6 +46,13 @@ def is_finite_real(value) -> bool:
     """A finite real number that is not a bool (numpy scalars included)."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value))
+
+
+def reject_unknown(keys, allowed, where: str) -> None:
+    """Raise ``unknown {where} key(s): a, b`` for the ``keys`` not in ``allowed``."""
+    unknown = sorted(set(keys) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
 class Objective:
@@ -78,10 +85,7 @@ class Objective:
 
     def _check(self, x) -> np.ndarray:
         """``x`` as a flat float array of the objective's dimension."""
-        x = np.asarray(x, dtype=float).ravel()
-        if x.size != self.dim:
-            raise ValueError(f"x has dimension {x.size}, objective has {self.dim}")
-        return x
+        return _check_dim(self.polytope, x, "x")
 
 
 class NqpObjective(Objective):
@@ -441,9 +445,7 @@ def build_problem(spec) -> Objective:
     builder = _PROBLEMS[kind]
     params = inspect.signature(builder).parameters
     kwargs = {key: value for key, value in spec.items() if key != "kind"}
-    unknown = sorted(set(kwargs) - set(params))
-    if unknown:
-        raise ValueError(f"unknown problem[{kind}] key(s): {', '.join(unknown)}")
+    reject_unknown(kwargs, params, f"problem[{kind}]")
     for name, param in params.items():
         if param.default is param.empty and name not in kwargs:
             raise ValueError(f"problem spec is missing key {name!r}")

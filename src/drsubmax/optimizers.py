@@ -42,16 +42,16 @@ __all__ = [
     "records_to_csv",
 ]
 
-ALGORITHMS = ("pga", "boosted_pga", "scg", "scgpp")
-GREEDY = ("scg", "scgpp")
-#: the ``RunConfig`` fields each algorithm reads beyond algorithm, T, master_seed, run_id
+#: the ``RunConfig`` fields each algorithm reads beyond algorithm, T, master_seed,
+#: run_id, and ``noise.hessian_sigma`` for the one that queries noisy Hessians
 READS = {
     "pga": ("step_rule", "init_rule", "returned_convention"),
     "boosted_pga": ("step_rule", "init_rule", "returned_convention", "gamma"),
     "scg": ("momentum_rule",),
-    "scgpp": ("batch_size",),
+    "scgpp": ("batch_size", "noise.hessian_sigma"),
 }
-HESSIAN_READERS = ("scgpp",)  # query noisy Hessians, so read NoiseModel.hessian_sigma
+ALGORITHMS = tuple(READS)
+GREEDY = ("scg", "scgpp")
 CONVENTIONS = ("uniform_random_iterate", "last_iterate", "best_iterate")
 #: the header line of ``battery.csv``, which ``records_to_csv`` writes
 BATTERY_HEADER = "run_id,algorithm,t,f_true,f_running_avg"
@@ -189,6 +189,8 @@ def boost_s_from_uniform(u: float, gamma: float = 1.0) -> float:
     ``exp(gamma (s - 1)) / ((1 - exp(-gamma)) / gamma)`` on [0, 1]."""
     if not (0.0 <= u <= 1.0):
         raise ValueError("u must lie in [0, 1]")
+    if not (0.0 < gamma <= 1.0):
+        raise ValueError("gamma must lie in (0, 1]")
     eg = math.exp(-gamma)
     return 1.0 + math.log(eg + u * (1.0 - eg)) / gamma
 
@@ -301,10 +303,12 @@ def run_battery(objective: Objective, noise: NoiseModel, cfg: RunConfig,
         yield from pool.map(_trial, jobs)
 
 
-def records_to_csv(records, path) -> None:
+def records_to_csv(records, path) -> list:
     """Write trajectories under ``BATTERY_HEADER``, one row per iterate with
     17-significant-digit floats, each record's as it arrives, in the order
-    given: the rows of records consumed before an exception stay."""
+    given: the rows of records consumed before an exception stay.  Returns
+    the records' returned values in that order."""
+    returned = []
     with open(path, "w") as fh:
         fh.write(BATTERY_HEADER + "\n")
         for rec in records:
@@ -312,3 +316,5 @@ def records_to_csv(records, path) -> None:
             alg = rec.config.algorithm
             for t, (f, avg) in enumerate(zip(rec.f_true, running_average(rec.f_true)), 1):
                 fh.write(f"{rid},{alg},{t},{f:.17g},{avg:.17g}\n")
+            returned.append(rec.returned_value)
+    return returned

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import Objective, is_finite_real
+from .objectives import Objective, is_finite_real, is_int
 
 __all__ = ["NoiseModel", "OracleStream", "noise_constants"]
 
@@ -126,6 +126,8 @@ class OracleStream:
         """Unbiased noisy gradient at ``x``.  With ``batch`` it is the mean
         of ``batch`` independent ones, whose noise is one ``(batch, n)``
         draw: the draws of ``batch`` single queries, stacked."""
+        if not (batch is None or (is_int(batch) and batch >= 1)):
+            raise ValueError("batch must be an integer >= 1")
         g = self.objective.grad(x)
         kind = self.noise.kind
         if kind == "none":
@@ -155,6 +157,8 @@ class OracleStream:
         draws n + 1 normals in one call, ``xi_1..xi_n`` then ``eta``, and
         none when ``s`` is 0."""
         a = np.asarray(a, dtype=float)
+        if a.ndim != 1 or a.size == 0:
+            raise ValueError("the weights a must be a nonempty 1-D sequence")
         try:
             hd = self.objective.hvp(x0, x1, a, d)
         except NotImplementedError:

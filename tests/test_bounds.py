@@ -334,6 +334,48 @@ class TestBoundShapeProperties:
         assert abs(theorem5_bound(mild, horizon, 0.5)[0] - ONE_MINUS_INV_E) <= 1e-6
 
 
+class TestEvaluatorInputs:
+    """A theorem takes a scalar or array ``T``, and rejects inputs its bound
+    has no value for."""
+
+    ARGS = {"theorem1": (0.1,), "theorem2": (0.1, 0.5), "theorem3": (30.0,),
+            "theorem4": (0.1, 0.5), "theorem5": (30.0,)}
+
+    @pytest.mark.parametrize("name", sorted(THEOREMS))
+    def test_scalar_T_is_the_last_entry_of_the_curve(self, name):
+        evaluate = globals()[f"{name}_bound"]
+        c = BoundConstants(lipschitz=1.3, diameter=2.1, noise_bound=0.7, noise_sigma=0.4,
+                           opt=3.0, grad0_norm=1.1)
+        for horizon in (1, 7, 1000):
+            scalar = evaluate(c, horizon, *self.ARGS[name])
+            curve = evaluate(c, np.arange(1, horizon + 1), *self.ARGS[name])
+            pairs = zip(scalar, curve) if THEOREMS[name].chebyshev else [(scalar, curve)]
+            for value, values in pairs:
+                assert isinstance(value, float)
+                assert np.array_equal(np.float64(value), values[-1])
+
+    @pytest.mark.parametrize("name", sorted(THEOREMS))
+    @pytest.mark.parametrize("T", [math.nan, [3.0, math.nan]], ids=["nan", "nan-entry"])
+    def test_nan_T_rejected(self, name, T):
+        with pytest.raises(ValueError, match="T must be at least 1"):
+            globals()[f"{name}_bound"](UNIT, T, *self.ARGS[name])
+
+    @pytest.mark.parametrize("name", ["theorem3", "theorem5"])
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_chebyshev_delta_must_be_finite(self, name, delta):
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            globals()[f"{name}_bound"](UNIT, 10, delta)
+
+    @pytest.mark.parametrize("key,value", [
+        (key, value) for key in ("lipschitz", "diameter", "noise_bound", "noise_sigma", "opt",
+                                 "grad0_norm") for value in (math.nan, math.inf)
+        if (key, value) != ("noise_bound", math.inf)  # unclipped Gaussians have M = inf
+    ])
+    def test_constants_must_be_finite(self, key, value):
+        with pytest.raises(ValueError, match="finite"):
+            BoundConstants(**{"lipschitz": 1.0, "diameter": 1.0, key: value})
+
+
 class TestConstantsAssembly:
     def test_nqp_constants(self):
         obj = generate_nqp(55, 5, 1, -1.0, 0.0)

@@ -82,10 +82,14 @@ class TestContains:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             contains(UNIT_BOX2, [0.5, 0.5, 0.5])
+        # an objective checks its points against its region the same way
+        with pytest.raises(ValueError, match="^x has dimension 3, polytope has dimension 2$"):
+            NqpObjective(-np.eye(2), UNIT_BOX2).grad([0.5, 0.5, 0.5])
 
     def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            contains(UNIT_BOX2, [0.5, 0.5], -1.0)
+        for tol in (-1.0, np.nan):
+            with pytest.raises(ValueError):
+                contains(UNIT_BOX2, [0.5, 0.5], tol)
 
     def test_non_finite_point_not_contained(self):
         assert not contains(TRIANGLE, [np.nan, 0.2])

@@ -134,6 +134,11 @@ class TestBoostedPga:
     def test_sampler_closed_form_midpoint(self):
         assert boost_s_from_uniform(0.5, 1.0) == pytest.approx(0.6201145069582775, abs=1e-12)
 
+    @pytest.mark.parametrize("gamma", [0.0, -0.5, 1.5, float("nan")])
+    def test_sampler_gamma_outside_unit_interval_rejected(self, gamma):
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
+            boost_s_from_uniform(0.5, gamma)
+
     def test_forced_full_scale_update(self):
         """From the origin the query point s * 0 does not depend on the drawn
         scale s, so the first step is eta * (1 - 1/e) * grad(0)."""
@@ -422,3 +427,11 @@ class TestCsvOutput:
         assert (rid, alg, t) == ("0", "scg", "1")
         assert float(f) == recs[0].f_true[0]  # 17 significant digits round-trip
         assert float(avg) == running_average(recs[0].f_true)[0] == recs[0].f_true[0]
+
+    def test_returns_the_returned_values_in_the_order_written(self, tmp_path):
+        recs = list(run_battery(one_dim_nqp(), NoiseModel.gaussian_fixed(0.2),
+                                RunConfig("pga", 4), 3))[::-1]
+        returned = records_to_csv(iter(recs), tmp_path / "battery.csv")
+        assert returned == [rec.returned_value for rec in recs]
+        rows = (tmp_path / "battery.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows[::4]] == ["2", "1", "0"]

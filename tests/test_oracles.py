@@ -103,11 +103,16 @@ class TestNoisyGrad:
         assert np.all(errs <= bound + 1e-12)
 
     def test_clipped_scalar_draws_bounded(self):
-        """10^6 scalar draws of the clipped model respect the clip level."""
-        stream = OracleStream(one_dim_nqp(), NoiseModel.clipped_gaussian(1.0), 2, 0)
-        g = stream.objective.grad([0.5])[0]
-        draws = np.array([stream.grad([0.5])[0] - g for _ in range(1_000_000)])
+        """10^6 scalar draws of the clipped model, as 10^4 queries of 100
+        coordinates, respect the clip level, and about 4.6% reach it."""
+        obj = NqpObjective(-np.eye(100), Polytope.box(np.ones(100)))
+        stream = OracleStream(obj, NoiseModel.clipped_gaussian(1.0), 2, 0)
+        x = np.full(100, 0.5)
+        g = obj.grad(x)
+        draws = np.array([stream.grad(x) - g for _ in range(10_000)])
+        assert draws.size == 1_000_000
         assert np.all(np.abs(draws) <= 2.0 + 1e-12)
+        assert np.mean(np.abs(draws) >= 2.0 - 1e-12) > 0.04
 
     def test_gaussian_fixed_unbiased(self):
         """CLT check: |mean error| <= 0.02 over 10^5 draws at sigma = 1."""
@@ -156,6 +161,15 @@ class TestNoisyGrad:
         np.testing.assert_array_equal(batched.grad(x, batch),
                                       np.mean([single.grad(x) for _ in range(batch)], axis=0))
         assert batched.rng.bit_generator.state == single.rng.bit_generator.state
+
+    @pytest.mark.parametrize("noise", [NoiseModel.none(), NoiseModel.gaussian_fixed(1.0)],
+                             ids=lambda nm: nm.kind)
+    @pytest.mark.parametrize("batch", [0, -2, 1.5, 2.0, True])
+    def test_batch_must_be_a_positive_integer(self, noise, batch):
+        """A batch of no queries has no mean, and a fractional one no size."""
+        stream = OracleStream(one_dim_nqp(), noise, 0, 0)
+        with pytest.raises(ValueError, match="batch must be an integer >= 1"):
+            stream.grad([0.5], batch)
 
 
 def dense_noise_products(rng, s, d, n_draws):
@@ -302,6 +316,14 @@ class TestNoisyHessian:
         stream = OracleStream(NoHessian(), NoiseModel.gaussian_fixed(1.0), 0, 0)
         with pytest.raises(ValueError, match="Hessian"):
             stream.hessian([0.0], [1.0], [0.5], [1.0])
+
+    @pytest.mark.parametrize("weights", [[], [[0.5]], 0.5], ids=["empty", "2-D", "scalar"])
+    def test_weights_must_be_a_nonempty_vector(self, weights):
+        """b = ``len(a)`` must be at least 1, or the noise scale ``s / sqrt(b)``
+        has no value."""
+        stream = OracleStream(one_dim_nqp(), NoiseModel.gaussian_fixed(1.0), 0, 0)
+        with pytest.raises(ValueError, match="nonempty 1-D"):
+            stream.hessian([0.0], [1.0], weights, [1.0])
 
 
 class TestNoiseConstants:
