@@ -182,10 +182,9 @@ def shared_c1_refit(curves, p: float = 0.5, t_min: int = 1) -> list[FittedCurve]
     curves = list(curves)
     if not curves:
         raise ValueError("need at least one curve")
-    stage1 = [fit_curve(t, y, p, t_min, label) for t, y, label in curves]
-    c1_shared = float(np.mean([f.c1 for f in stage1]))
+    c1_shared = float(np.mean([fit_curve(t, y, p, t_min).c1 for t, y, _ in curves]))
     out = []
-    for (t, y, label), _ in zip(curves, stage1):
+    for t, y, label in curves:
         t, y, u = _fit_design(t, y, p, t_min)
         c2 = float(np.sum((c1_shared - y) * u) / np.sum(u * u))
         resid = float(np.sum((y - c1_shared + c2 * u) ** 2))

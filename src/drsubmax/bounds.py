@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import diameter_bound
-from .objectives import Objective, is_finite_real, reject_unknown
+from .objectives import Objective, is_finite_real, is_int, reject_unknown
 from .optimizers import RunConfig
 from .oracles import NoiseModel, noise_constants
 
@@ -82,7 +82,7 @@ def spectral_norm(h_matrix) -> float:
 def gamma_fn(x: float) -> float:
     """Gamma function for ``x > 0`` (``math.gamma``, exact at integers)."""
     x = float(x)
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError("gamma_fn is defined for x > 0 only")
     return math.gamma(x)
 
@@ -106,6 +106,8 @@ def momentum_series_check(alpha: float, T: int) -> float:
     ``k_constant(alpha)``."""
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
+    if not (is_int(T) and T >= 1):
+        raise ValueError("T must be an integer >= 1")
     t = np.arange(1, T + 1, dtype=float)
     return float(np.sum((1.0 - t ** -alpha) ** t))
 
@@ -174,19 +176,23 @@ def _check_delta_unit(delta: float) -> None:
         raise ValueError("delta must lie in (0, 1)")
 
 
-def theorem1_bound(c: BoundConstants, T, delta: float):
-    """Lower bound on the running average value of projected ascent with
-    diminishing steps, holding with probability at least ``1 - delta``.
-
-    Requires a finite worst-case gradient error ``noise_bound``.
-    """
+def _ascent_bound(c: BoundConstants, T, delta: float, asymptote: float, k: float, m: float):
+    """The projected-ascent shape of theorems 1 and 2:
+    ``asymptote - (8 k^2 + D^2) / (8 sqrt(t)) - D m sqrt(log(1/delta) / (2t))``,
+    which requires a finite worst-case gradient error ``noise_bound``."""
     _check_delta_unit(delta)
     if not math.isfinite(c.noise_bound):
         raise ValueError("bounded gradient error M unavailable for this noise model")
     t = _as_T(T)
-    big_c = (8.0 * (c.lipschitz + c.noise_bound) ** 2 + c.diameter**2) / 8.0
-    dev = c.diameter * c.noise_bound * np.sqrt(math.log(1.0 / delta) / (2.0 * t))
-    return c.opt / 2.0 - big_c / np.sqrt(t) - dev
+    big_c = (8.0 * k**2 + c.diameter**2) / 8.0
+    dev = c.diameter * m * np.sqrt(math.log(1.0 / delta) / (2.0 * t))
+    return asymptote - big_c / np.sqrt(t) - dev
+
+
+def theorem1_bound(c: BoundConstants, T, delta: float):
+    """Lower bound on the running average value of projected ascent with
+    diminishing steps, holding with probability at least ``1 - delta``."""
+    return _ascent_bound(c, T, delta, c.opt / 2.0, c.lipschitz + c.noise_bound, c.noise_bound)
 
 
 def boosted_constants(c: BoundConstants, gamma: float = 1.0,
@@ -213,34 +219,29 @@ def theorem2_bound(c: BoundConstants, T, delta: float, gamma: float = 1.0,
     """Lower bound on the running average value of boosted projected ascent,
     holding with probability at least ``1 - delta``; approaches
     ``(1 - exp(-gamma)) * opt``."""
-    _check_delta_unit(delta)
-    if not math.isfinite(c.noise_bound):
-        raise ValueError("bounded gradient error M unavailable for this noise model")
-    t = _as_T(T)
     l_aux, m_aux = boosted_constants(c, gamma, main_text_smoothness)
-    big_c = (8.0 * (l_aux * c.diameter + m_aux) ** 2 + c.diameter**2) / 8.0
-    dev = c.diameter * m_aux * np.sqrt(math.log(1.0 / delta) / (2.0 * t))
-    asymptote = (1.0 - math.exp(-gamma)) * c.opt
-    return asymptote - big_c / np.sqrt(t) - dev
+    return _ascent_bound(c, T, delta, (1.0 - math.exp(-gamma)) * c.opt,
+                         l_aux * c.diameter + m_aux, m_aux)
 
 
-def _chebyshev_prob(T, delta: float):
-    return np.maximum(0.0, 1.0 - np.asarray(T, dtype=float) / delta**2)
+def _greedy_bound(c: BoundConstants, T, delta: float, deficit):
+    """The Chebyshev-type shape of theorems 3 and 5: ``((1 - 1/e) opt -
+    deficit(t) - L D^2 / (2 t^2), max(0, 1 - t / delta^2))``."""
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be finite and positive")
+    t = _as_T(T)
+    bound = ONE_MINUS_INV_E * c.opt - deficit(t) - c.lipschitz * c.diameter**2 / (2.0 * t**2)
+    return bound, np.maximum(0.0, 1.0 - t / delta**2)
 
 
 def theorem3_bound(c: BoundConstants, T, delta: float):
     """(bound, probability) for the final iterate of momentum Frank-Wolfe
     under bounded gradient variance; the bound holds with the returned
     probability ``max(0, 1 - T / delta^2)``."""
-    if not 0 < delta < math.inf:
-        raise ValueError("delta must be finite and positive")
-    t = _as_T(T)
     q = max(c.grad0_norm**2 * 9.0 ** (2.0 / 3.0),
             16.0 * c.noise_sigma**2 + 3.0 * c.lipschitz**2 * c.diameter**2)
-    bound = (ONE_MINUS_INV_E * c.opt
-             - delta * 2.0 * math.sqrt(q) * c.diameter / t ** (1.0 / 3.0)
-             - c.lipschitz * c.diameter**2 / (2.0 * t**2))
-    return bound, _chebyshev_prob(t, delta)
+    return _greedy_bound(c, T, delta,
+                         lambda t: delta * 2.0 * math.sqrt(q) * c.diameter / t ** (1.0 / 3.0))
 
 
 def theorem4_bound(c: BoundConstants, T, delta: float, alpha: float = 0.5):
@@ -260,13 +261,9 @@ def theorem5_bound(c: BoundConstants, T, delta: float, main_text_exponent: bool 
     greedy.  The default deficit is ``delta L D^2 / T`` (the proof-backed
     form, consistent with the fixed-confidence corollary); the flag switches
     to the ``delta L D^2 / T^2`` variant."""
-    if not 0 < delta < math.inf:
-        raise ValueError("delta must be finite and positive")
-    t = _as_T(T)
     ld2 = c.lipschitz * c.diameter**2
-    denom = t**2 if main_text_exponent else t
-    bound = ONE_MINUS_INV_E * c.opt - delta * ld2 / denom - ld2 / (2.0 * t**2)
-    return bound, _chebyshev_prob(t, delta)
+    return _greedy_bound(c, T, delta,
+                         lambda t: delta * ld2 / (t**2 if main_text_exponent else t))
 
 
 @dataclass(frozen=True)

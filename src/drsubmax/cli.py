@@ -224,7 +224,7 @@ def resolve_opt(cfg: Experiment) -> float:
         return float(record["opt"])
     opt = float(analysis.approx_opt(cfg.objective, noise=cfg.noise, **spec))
     if not opt > 0:  # nothing can be normalized by it or bounded below it
-        raise ValueError(f"estimated optimum {_g17(opt)} is not positive")
+        raise ValueError(f"estimated optimum {opt:.17g} is not positive")
     _write_record(cfg, _OPT_FILE, {"inputs": inputs, "opt": opt})
     return opt
 
@@ -275,16 +275,12 @@ def _check_run_config(cfg: Experiment) -> None:
 # commands
 # ----------------------------------------------------------------------
 
-def _g17(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def cmd_generate(args) -> int:
     obj = objectives.generate_nqp(args.seed, args.n, args.m, args.low, args.high)
     objectives.save_nqp(args.out, obj)
     print(f"wrote {args.out}")
-    print(f"L = {_g17(bounds.spectral_norm(obj.h_matrix))}")
-    print(f"D = {_g17(diameter_bound(obj.polytope))}")
+    print(f"L = {bounds.spectral_norm(obj.h_matrix):.17g}")
+    print(f"D = {diameter_bound(obj.polytope):.17g}")
     return 0
 
 
@@ -306,9 +302,9 @@ def cmd_run(cfg: Experiment) -> int:
         return EXIT_IO
 
     print(
-        f"returned: min={_g17(float(np.min(returned)))} "
-        f"median={_g17(float(np.median(returned)))} "
-        f"max={_g17(float(np.max(returned)))}"
+        f"returned: min={float(np.min(returned)):.17g} "
+        f"median={float(np.median(returned)):.17g} "
+        f"max={float(np.max(returned)):.17g}"
     )
     print(f"wrote {battery_path}")
     return 0
@@ -360,7 +356,7 @@ def cmd_report(cfg: Experiment) -> int:
     if cfg.normalized or cfg.bounds:
         opt = resolve_opt(cfg)
         if cfg.normalized:
-            scale, opt_text = opt, _g17(opt)
+            scale, opt_text = opt, f"{opt:.17g}"
         bound_curves = _bound_curves(cfg, opt)
 
     curves = []
@@ -373,9 +369,9 @@ def cmd_report(cfg: Experiment) -> int:
     for curve in bound_curves:
         rate = analysis.bound_violation_rate(battery, curve)
         violations.append(
-            f"violation {curve.label}: delta={_g17(dict(curve.meta)['delta'])} "
+            f"violation {curve.label}: delta={dict(curve.meta)['delta']:.17g} "
             f"statistic={statistic} "
-            f"bound_at_T={_g17(curve.at(trial.T))} rate={_g17(rate)}"
+            f"bound_at_T={curve.at(trial.T):.17g} rate={rate:.17g}"
         )
 
     # every input is read and checked before the first output but opt.json is written
@@ -392,12 +388,12 @@ def cmd_report(cfg: Experiment) -> int:
         f"series: {series}",
         f"opt: {opt_text}",
         f"normalized: {str(cfg.normalized).lower()}",
-        f"fit: p={_g17(cfg.fit_exponent)} t_min={cfg.t_min}",
-        f"c1_shared: {_g17(fits[0].c1)}",
+        f"fit: p={cfg.fit_exponent:.17g} t_min={cfg.t_min}",
+        f"c1_shared: {fits[0].c1:.17g}",
     ]
     for fit in fits:
         lines.append(
-            f"fit {fit.label}: c2={_g17(fit.c2)} residual={_g17(fit.residual)} "
+            f"fit {fit.label}: c2={fit.c2:.17g} residual={fit.residual:.17g} "
             f"n_points={fit.n_points}"
         )
     with open(report_path, "w") as fh:

@@ -83,9 +83,9 @@ class Objective:
         p = self.polytope
         return {"A": p.a_matrix, "b": p.b_vector, "u": p.upper}
 
-    def _check(self, x) -> np.ndarray:
-        """``x`` as a flat float array of the objective's dimension."""
-        return _check_dim(self.polytope, x, "x")
+    def _check(self, x, name: str = "x") -> np.ndarray:
+        """``x`` as a flat float array of the objective's dimension, ``name`` in errors."""
+        return _check_dim(self.polytope, x, name)
 
 
 class NqpObjective(Objective):
@@ -121,7 +121,7 @@ class NqpObjective(Objective):
         return self.h_matrix.copy()
 
     def hvp(self, x0, x1, a, d) -> np.ndarray:
-        return self.h_matrix @ self._check(d)
+        return self.h_matrix @ self._check(d, "d")
 
     def _arrays(self) -> dict:
         return {**super()._arrays(), "H": self.h_matrix}
@@ -233,7 +233,7 @@ class BudgetAllocationObjective(Objective):
         w1 = self._blocks(x1) @ self._coeff.T
         a = np.asarray(a, dtype=float).reshape(-1, 1, 1)
         e = np.exp(-(w0 + a * (w1 - w0))).mean(axis=0)
-        cd = self._check(d).reshape(self.k, self.n_channels) @ self._coeff.T
+        cd = self._check(d, "d").reshape(self.k, self.n_channels) @ self._coeff.T
         return (-self.alphas[:, None] * ((e * cd) @ self._coeff)).ravel()
 
     def _arrays(self) -> dict:

@@ -132,17 +132,15 @@ class OracleStream:
         kind = self.noise.kind
         if kind == "none":
             return g
-        size = g.size if batch is None else (batch, g.size)
-        if kind == "gaussian_fixed":
-            noisy = g + self.rng.normal(0.0, self.noise.sigma, size=size)
-        elif kind == "clipped_gaussian":
-            s = self.noise.sigma
-            noisy = g + np.clip(self.rng.normal(0.0, s, size=size), -2.0 * s, 2.0 * s)
-        else:
+        sd = self.noise.sigma
+        if kind == "gaussian_prop":
             sd = self.noise.scale * float(np.linalg.norm(g)) / g.size
             if sd == 0.0:  # stationary query point: no draw consumed
                 return g
-            noisy = g + self.rng.normal(0.0, sd, size=size)
+        z = self.rng.normal(0.0, sd, size=g.size if batch is None else (batch, g.size))
+        if kind == "clipped_gaussian":
+            z = np.clip(z, -2.0 * sd, 2.0 * sd)
+        noisy = g + z
         return noisy if batch is None else noisy.mean(axis=0)
 
     def hessian(self, x0, x1, a, d) -> np.ndarray:

@@ -113,6 +113,8 @@ class TestGammaFunction:
             gamma_fn(0.0)
         with pytest.raises(ValueError):
             gamma_fn(-1.5)
+        with pytest.raises(ValueError):
+            gamma_fn(math.nan)
 
 
 class TestMomentumConstant:
@@ -138,6 +140,11 @@ class TestMomentumConstant:
 
     def test_series_first_term_vanishes(self):
         assert momentum_series_check(0.5, 1) == 0.0
+
+    def test_series_horizon_must_be_a_positive_integer(self):
+        for bad in (2.5, 0, -3, True):
+            with pytest.raises(ValueError, match="T must be an integer >= 1"):
+                momentum_series_check(0.5, bad)
 
     def test_series_partial_sums_frozen(self):
         # direct summation oracles, frozen after independent evaluation
@@ -166,6 +173,8 @@ class TestTheorem1:
         c = BoundConstants(lipschitz=1.0, diameter=1.0, noise_bound=math.inf, opt=1.0)
         with pytest.raises(ValueError, match="M"):
             theorem1_bound(c, 10, 0.1)
+        with pytest.raises(ValueError, match="M"):
+            theorem2_bound(c, 10, 0.1)
 
     def test_delta_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):

@@ -85,6 +85,8 @@ class TestContains:
         # an objective checks its points against its region the same way
         with pytest.raises(ValueError, match="^x has dimension 3, polytope has dimension 2$"):
             NqpObjective(-np.eye(2), UNIT_BOX2).grad([0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match="^d has dimension 3, polytope has dimension 2$"):
+            NqpObjective(-np.eye(2), UNIT_BOX2).hvp([0.5, 0.5], [0.5, 0.5], [0.0], [1.0, 1.0, 1.0])
 
     def test_negative_tol_rejected(self):
         for tol in (-1.0, np.nan):

@@ -139,6 +139,20 @@ class TestNoisyGrad:
         fresh = OracleStream(obj, NoiseModel.none(), 5, 0).rng
         assert stream.rng.bit_generator.state == fresh.bit_generator.state
 
+    @pytest.mark.parametrize("noise", [NoiseModel.gaussian_fixed(0.0),
+                                       NoiseModel.clipped_gaussian(0.0)],
+                             ids=lambda nm: nm.kind)
+    def test_zero_sigma_is_exact_and_still_draws(self, noise):
+        """At sigma 0 a query returns the gradient exactly and advances the
+        generator as one ``normal(size=n)`` draw, so streams do not move."""
+        obj = generate_nqp(5, 3, 0, -1.0, 0.0)
+        stream = OracleStream(obj, noise, 5, 0)
+        x = np.full(3, 0.4)
+        np.testing.assert_array_equal(stream.grad(x), obj.grad(x))
+        fresh = OracleStream(obj, NoiseModel.none(), 5, 0).rng
+        fresh.normal(size=3)
+        assert stream.rng.bit_generator.state == fresh.bit_generator.state
+
     def test_a_matrix_draw_is_the_stacked_vector_draws(self):
         """The numpy property a batched query rests on: one ``(b, n)`` draw
         equals b draws of n, stacked."""
