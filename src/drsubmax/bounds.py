@@ -200,8 +200,9 @@ def boosted_constants(c: BoundConstants, gamma: float = 1.0,
     """Smoothness and noise constants of the reweighted auxiliary objective.
 
     Returns ``(L_aux, M_aux)``.  The default smoothness is the proof-backed
-    ``L (gamma + exp(-gamma) - 1) / gamma^2``; the flag switches to the
-    looser ``L (1 + 1/e)`` variant.
+    ``L (gamma + exp(-gamma) - 1) / gamma^2``, with ``exp(-gamma) - 1`` taken
+    by ``expm1`` so that it stays near ``L / 2`` as gamma goes to 0; the flag
+    switches to the looser ``L (1 + 1/e)`` variant.
     """
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in (0, 1]")
@@ -210,7 +211,7 @@ def boosted_constants(c: BoundConstants, gamma: float = 1.0,
     if main_text_smoothness:
         l_aux = c.lipschitz * (1.0 + math.exp(-1.0))
     else:
-        l_aux = c.lipschitz * (gamma + math.exp(-gamma) - 1.0) / gamma**2
+        l_aux = c.lipschitz * (gamma + math.expm1(-gamma)) / gamma**2
     return l_aux, m_aux
 
 

@@ -3,11 +3,14 @@ budget allocation over a bipartite channel/customer graph.
 
 Both families expose exact value, gradient, Hessian and Hessian-vector
 product access plus an attached feasible region, so solvers and noise
-oracles can treat them uniformly.  Generators are seeded and fully
-deterministic.  ``build_problem`` builds the instance a config's ``problem``
-entry specifies.  A quadratic instance file (``save_nqp``/``load_nqp``) is
-the JSON of the arrays ``instance_digest`` hashes: ``A``, ``b``, ``u`` and
-``H``.
+oracles can treat them uniformly; ``Objective`` holds only the code they
+share.  A budget instance is one ``(channels, customers)`` matrix of
+influence probabilities, which ``generate_budget`` draws and
+``load_bipartite`` maps from a frequency file.  Generators are seeded and
+fully deterministic.  ``build_problem`` builds the instance a config's
+``problem`` entry specifies.  A quadratic instance file
+(``save_nqp``/``load_nqp``) is the JSON of the arrays ``instance_digest``
+hashes: ``A``, ``b``, ``u`` and ``H``.
 """
 
 from __future__ import annotations
@@ -56,27 +59,17 @@ def reject_unknown(keys, allowed, where: str) -> None:
 
 
 class Objective:
-    """Common surface: ``value``/``grad``/``hessian``/``hvp``, ``dim``, ``polytope``."""
+    """What every objective shares: ``dim``, the defining ``_arrays`` and the
+    ``_check`` of a point.  A subclass sets ``polytope`` and defines
+    ``value(x)``, ``grad(x)``, ``hessian(x)`` and ``hvp(x0, x1, a, d)``: the
+    mean over the weights ``a_k`` of the Hessian-vector products
+    ``hessian(x0 + a_k (x1 - x0)) @ d`` along the segment ``x0 -> x1``."""
 
     polytope: Polytope
 
     @property
     def dim(self) -> int:
         return self.polytope.dim
-
-    def value(self, x) -> float:
-        raise NotImplementedError
-
-    def grad(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def hessian(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def hvp(self, x0, x1, a, d) -> np.ndarray:
-        """The mean over the weights ``a_k`` of the Hessian-vector products
-        ``hessian(x0 + a_k (x1 - x0)) @ d`` along the segment ``x0 -> x1``."""
-        raise NotImplementedError
 
     def _arrays(self) -> dict:
         """The arrays that define the objective and its region, by name."""
@@ -158,64 +151,68 @@ _LINEAR_P_CAP = 0.99
 def _map_frequency(mapping: str, freq: float, f_max: float) -> float:
     """The influence probability of a (channel, customer) frequency, where
     ``f_max`` is the largest frequency in the file being loaded:
-    ``exp`` gives 1 - exp(-freq / f_max), ``linear`` min(freq / f_max, 0.99)."""
+    ``exp`` gives 1 - exp(-freq / f_max), by ``expm1`` so that no small ratio
+    cancels to 0, ``linear`` min(freq / f_max, 0.99).  Both lie in (0, 1) for
+    every ``1 <= freq <= f_max``."""
     if mapping == "exp":
-        return 1.0 - math.exp(-freq / f_max)
+        return -math.expm1(-freq / f_max)
     return min(freq / f_max, _LINEAR_P_CAP)
 
 
 class BudgetAllocationObjective(Objective):
     """Influence-coverage objective over a bipartite channel/customer graph.
 
-    Each of ``k`` advertisers holds a budget vector over the channels; the
-    influence on customer t is ``1 - prod (1 - p_st)^{x_s}``, accumulated in
-    log space to avoid underflow.  Advertiser blocks are separable, so the
-    Hessian is block diagonal and entrywise nonpositive.
+    ``probs`` is the ``(channels, customers)`` matrix of influence
+    probabilities, each finite and in [0, 1), with 0 where a channel does not
+    reach a customer; at least one entry is positive.  Each of ``k``
+    advertisers holds a budget vector over the channels; the influence on
+    customer t is ``1 - prod (1 - p_st)^{x_s}``, accumulated in log space to
+    avoid underflow.  Advertiser blocks are separable, so the Hessian is
+    block diagonal and entrywise nonpositive.
     """
 
-    def __init__(self, n_channels: int, n_customers: int, edges, k: int = 1,
-                 alphas=None, per_advertiser_upper=None):
-        _check_sizes(n_channels, n_customers, k)
-        edges = list(edges)
-        if not edges:
+    def __init__(self, probs, k: int = 1, alphas=None, per_advertiser_upper=None):
+        probs = np.asarray(probs, dtype=float)
+        if probs.ndim != 2:
+            raise ValueError("probs must be a (channels, customers) matrix")
+        _check_sizes(*probs.shape, k)
+        if not np.all(np.isfinite(probs) & (probs >= 0.0) & (probs < 1.0)):
+            raise ValueError("influence probabilities must be finite and in [0, 1)")
+        p = probs.T
+        edge = p > 0.0
+        if not edge.any():
             raise ValueError("no edges")
-        coeff = np.zeros((n_customers, n_channels))
-        for s, t, p in edges:
-            if not (is_finite_real(p) and 0.0 < p < 1.0):
-                raise ValueError(f"edge probability {p} outside (0, 1)")
-            coeff[t, s] += -math.log1p(-p)
-        self.n_channels = n_channels
-        self.n_customers = n_customers
+        # math.log1p, not np.log1p, whose last bit differs for some probabilities
+        coeff = np.zeros(p.shape)
+        coeff[edge] = [-math.log1p(-q) for q in p[edge]]
+        self.n_channels, self.n_customers = probs.shape
         self.k = k
         self.alphas = _positive_reals(np.full(k, 1.0 / k) if alphas is None else alphas,
                                       k, "alphas")
         self._coeff = coeff
         upper = 1.0 if per_advertiser_upper is None else per_advertiser_upper
         if is_finite_real(upper):
-            upper = [upper] * n_channels
-        self.per_advertiser_upper = _positive_reals(upper, n_channels, "per-advertiser budget")
+            upper = [upper] * self.n_channels
+        self.per_advertiser_upper = _positive_reals(upper, self.n_channels,
+                                                    "per-advertiser budget")
         self.polytope = Polytope.box(np.tile(self.per_advertiser_upper, k))
 
-    def _blocks(self, x) -> np.ndarray:
+    def _exposure(self, x) -> np.ndarray:
+        """The ``(k, customers)`` accumulated -log(1 - p) mass of allocation ``x``."""
         x = self._check(x)
         if np.any(x < 0):
             raise ValueError("budget allocations must be nonnegative")
-        return x.reshape(self.k, self.n_channels)
+        return x.reshape(self.k, self.n_channels) @ self._coeff.T
 
     def value(self, x) -> float:
-        blocks = self._blocks(x)
-        w = blocks @ self._coeff.T  # (k, customers) accumulated -log(1-p) mass
-        return float(np.sum(self.alphas[:, None] * -np.expm1(-w)))
+        return float(np.sum(self.alphas[:, None] * -np.expm1(-self._exposure(x))))
 
     def grad(self, x) -> np.ndarray:
-        blocks = self._blocks(x)
-        w = blocks @ self._coeff.T
-        g = self.alphas[:, None] * (np.exp(-w) @ self._coeff)
+        g = self.alphas[:, None] * (np.exp(-self._exposure(x)) @ self._coeff)
         return g.ravel()
 
     def hessian(self, x) -> np.ndarray:
-        blocks = self._blocks(x)
-        w = blocks @ self._coeff.T
+        w = self._exposure(x)
         out = np.zeros((self.dim, self.dim))
         n = self.n_channels
         for i in range(self.k):
@@ -229,8 +226,8 @@ class BudgetAllocationObjective(Objective):
         of the b ``exp(-w)``.  ``w`` is linear in the point, so the b
         exponents are ``w0 + a_k (w1 - w0)``, one ``(b, k, customers)``
         array; no point or matrix is built."""
-        w0 = self._blocks(x0) @ self._coeff.T
-        w1 = self._blocks(x1) @ self._coeff.T
+        w0 = self._exposure(x0)
+        w1 = self._exposure(x1)
         a = np.asarray(a, dtype=float).reshape(-1, 1, 1)
         e = np.exp(-(w0 + a * (w1 - w0))).mean(axis=0)
         cd = self._check(d, "d").reshape(self.k, self.n_channels) @ self._coeff.T
@@ -296,21 +293,15 @@ def load_bipartite(path, mapping: str = "exp", k: int = 1,
     if not freqs:
         raise ValueError(f"{path}: no edges")
     f_max = max(freqs.values())
-    edges = []
-    for (s, t), freq in sorted(freqs.items()):
-        p = _map_frequency(mapping, freq, f_max)
-        if not (0.0 < p < 1.0):
-            raise ValueError(f"mapped probability {p} for frequency {freq} outside (0, 1)")
-        edges.append((s, t, p))
+    probs = np.zeros((len(channel_ids), len(customer_ids)))
+    channels, customers = np.array(list(freqs)).T
+    probs[channels, customers] = [_map_frequency(mapping, freq, f_max) for freq in freqs.values()]
     if upper is None:
         mean_freq = sum(freqs.values()) / len(freqs)
         if math.isinf(mean_freq):  # the sum overflowed; the sum of the ratios cannot
             mean_freq = f_max * (sum(freq / f_max for freq in freqs.values()) / len(freqs))
         upper = _map_frequency(mapping, mean_freq, f_max)
-    return BudgetAllocationObjective(
-        len(channel_ids), len(customer_ids), edges, k=k, alphas=alphas,
-        per_advertiser_upper=upper,
-    )
+    return BudgetAllocationObjective(probs, k=k, alphas=alphas, per_advertiser_upper=upper)
 
 
 def generate_budget(seed, channels: int, customers: int, density: float,
@@ -328,20 +319,15 @@ def generate_budget(seed, channels: int, customers: int, density: float,
         raise ValueError("density must be in (0, 1]")
     rng = np.random.default_rng(seed)
     mask = rng.random((channels, customers)) < density
-    for t in range(customers):
-        if not mask[:, t].any():
-            mask[rng.integers(channels), t] = True
-    for s in range(channels):
-        if not mask[s].any():
-            mask[s, rng.integers(customers)] = True
-    edges = [
-        (s, t, float(rng.uniform(p_low, p_high)))
-        for s in range(channels)
-        for t in range(customers)
-        if mask[s, t]
-    ]
-    return BudgetAllocationObjective(channels, customers, edges, k=k,
-                                     alphas=alphas, per_advertiser_upper=upper)
+    # one random channel for each customer with none, then one random
+    # customer for each channel still with none
+    empty = np.flatnonzero(~mask.any(axis=0))
+    mask[rng.integers(channels, size=empty.size), empty] = True
+    empty = np.flatnonzero(~mask.any(axis=1))
+    mask[empty, rng.integers(customers, size=empty.size)] = True
+    probs = np.zeros((channels, customers))
+    probs[mask] = rng.uniform(p_low, p_high, size=mask.sum())
+    return BudgetAllocationObjective(probs, k=k, alphas=alphas, per_advertiser_upper=upper)
 
 
 def save_nqp(path, obj: NqpObjective) -> None:

@@ -157,10 +157,7 @@ class OracleStream:
         a = np.asarray(a, dtype=float)
         if a.ndim != 1 or a.size == 0:
             raise ValueError("the weights a must be a nonempty 1-D sequence")
-        try:
-            hd = self.objective.hvp(x0, x1, a, d)
-        except NotImplementedError:
-            raise ValueError("objective does not provide Hessian-vector products") from None
+        hd = self.objective.hvp(x0, x1, a, d)
         s = self.noise.hessian_sigma / math.sqrt(a.size)
         if s == 0.0:
             return hd

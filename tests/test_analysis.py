@@ -216,8 +216,7 @@ class TestApproxOpt:
         assert approx_opt(obj, iterations=5000) == pytest.approx(0.5, abs=1e-6)
 
     def test_single_edge_budget(self):
-        obj = BudgetAllocationObjective(1, 1, [(0, 0, 0.5)], alphas=[1.0],
-                                        per_advertiser_upper=1.0)
+        obj = BudgetAllocationObjective([[0.5]], alphas=[1.0], per_advertiser_upper=1.0)
         assert approx_opt(obj, iterations=5000) == pytest.approx(0.5, abs=1e-6)
 
     def test_never_exceeds_true_optimum(self):

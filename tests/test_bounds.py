@@ -207,6 +207,14 @@ class TestTheorem2:
         assert l_aux == pytest.approx(
             (gamma + math.exp(-gamma) - 1.0) / gamma**2, abs=1e-12)
 
+    @pytest.mark.parametrize("gamma", [1e-8, 1e-6, 1e-4])
+    def test_smoothness_at_small_gamma(self, gamma):
+        """``(gamma + exp(-gamma) - 1) / gamma^2`` against its series
+        ``1/2 - gamma/6 + gamma^2/24``; what cancellation is left in
+        ``gamma + expm1(-gamma)`` is a relative error of a few ulps / gamma."""
+        l_aux, _ = boosted_constants(UNIT, gamma)
+        assert l_aux == pytest.approx(0.5 - gamma / 6.0 + gamma**2 / 24.0, rel=1e-15 / gamma)
+
     def test_main_text_smoothness_flag(self):
         l_aux, _ = boosted_constants(UNIT, 1.0, main_text_smoothness=True)
         assert l_aux == pytest.approx(1.0 + math.exp(-1.0), abs=1e-12)

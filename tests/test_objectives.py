@@ -27,8 +27,7 @@ def one_dim_nqp() -> NqpObjective:
 
 
 def tiny_budget(p=0.5, k=1, alphas=None, upper=2.0) -> BudgetAllocationObjective:
-    return BudgetAllocationObjective(1, 1, [(0, 0, p)], k=k, alphas=alphas,
-                                     per_advertiser_upper=upper)
+    return BudgetAllocationObjective([[p]], k=k, alphas=alphas, per_advertiser_upper=upper)
 
 
 class TestNqp:
@@ -161,9 +160,18 @@ class TestBudget:
         with pytest.raises(ValueError):
             tiny_budget().value([-0.1])
 
-    def test_bad_probability_rejected(self):
-        with pytest.raises(ValueError):
-            tiny_budget(p=1.0)
+    @pytest.mark.parametrize("probs", [[[1.0]], [[-0.1]], [[math.nan]], [0.5], [[[0.5]]]],
+                             ids=["one", "negative", "nan", "1-D", "3-D"])
+    def test_bad_probability_matrix_rejected(self, probs):
+        with pytest.raises(ValueError, match="probabilities|matrix"):
+            BudgetAllocationObjective(probs)
+
+    def test_zero_probability_is_no_edge(self):
+        obj = BudgetAllocationObjective([[0.5, 0.0]], alphas=[1.0])
+        assert (obj.n_channels, obj.n_customers) == (1, 2)
+        assert obj.value([1.0]) == pytest.approx(0.5, abs=1e-15)
+        with pytest.raises(ValueError, match="no edges"):
+            BudgetAllocationObjective([[0.0, 0.0]])
 
 
 class TestDrProperties:
@@ -281,6 +289,13 @@ class TestBipartiteLoading:
         with pytest.raises(ValueError, match="unknown frequency mapping 'log'"):
             load_bipartite(path, "log")
 
+    def test_exp_mapping_keeps_small_ratios(self, tmp_path):
+        """A frequency ratio of 1e-17 maps to a positive probability, not to
+        the 0 that ``1 - exp(-1e-17)`` rounds to."""
+        obj = load_bipartite(self._write(tmp_path, "k1\tc1\t1\nk2\tc1\t1e17\n"))
+        assert obj.value([1.0, 0.0]) == -math.expm1(-1e-17)
+        assert obj.value([1.0, 0.0]) > 0.0
+
     def test_linear_mapping_and_upper_override(self, tmp_path):
         path = self._write(tmp_path, "k1\tc1\t1\nk2\tc1\t4\n")
         obj = load_bipartite(path, "linear", upper=3.0)
@@ -370,6 +385,18 @@ class TestInstanceDigest:
         assert instance_digest(generate_budget(5, 3, 4, 0.7, 0.2, 0.7, k=2)) == \
             instance_digest(generate_budget(5, 3, 4, 0.7, 0.2, 0.7, k=2))
 
+    def test_budget_digests_pinned(self, tmp_path):
+        """The acceptance budget instance and a linear-mapped file with a
+        duplicate edge hash to fixed digests, so any change to the generator's
+        draws or to the coefficient arithmetic shows here."""
+        acceptance = generate_budget(104, 4, 5, density=0.6, p_low=0.1, p_high=0.8, k=2)
+        assert instance_digest(acceptance) == \
+            "ea1b3724071babe1699d79bbc13c313acdbb3f81522b6b167e623ff8eaeb4ab3"
+        path = tmp_path / "edges.tsv"
+        path.write_text("k1\tc1\t3\nk2\tc1\t1\nk2\tc2\t2\nk1\tc1\t2\n")
+        assert instance_digest(load_bipartite(path, "linear", k=2)) == \
+            "057f852708259674930c86f643e57e5d180215d9e97bbb7d8d548491ccbf102a"
+
     def test_every_defining_array_counts(self):
         """Changing H, A, b, u, the budget coefficients, alphas or the kind of
         objective changes the digest."""
@@ -381,10 +408,10 @@ class TestInstanceDigest:
             NqpObjective(h, Polytope([[1.0, 1.0]], [0.5], [1.0, 1.0])),
             NqpObjective(h, Polytope([[1.0, 1.0]], [1.0], [1.0, 0.5])),
             NqpObjective(h, Polytope.box([1.0, 1.0])),
-            BudgetAllocationObjective(2, 1, [(0, 0, 0.5), (1, 0, 0.5)]),
-            BudgetAllocationObjective(2, 1, [(0, 0, 0.5), (1, 0, 0.25)]),
-            BudgetAllocationObjective(1, 1, [(0, 0, 0.5)], k=2, alphas=[0.5, 0.5]),
-            BudgetAllocationObjective(1, 1, [(0, 0, 0.5)], k=2, alphas=[0.25, 0.75]),
+            BudgetAllocationObjective([[0.5], [0.5]]),
+            BudgetAllocationObjective([[0.5], [0.25]]),
+            BudgetAllocationObjective([[0.5]], k=2, alphas=[0.5, 0.5]),
+            BudgetAllocationObjective([[0.5]], k=2, alphas=[0.25, 0.75]),
         ]
         digests = [instance_digest(obj) for obj in [base, *variants]]
         assert len(set(digests)) == len(digests)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from drsubmax.geometry import Polytope
-from drsubmax.objectives import NqpObjective, Objective, generate_nqp
+from drsubmax.objectives import NqpObjective, generate_nqp
 from drsubmax.oracles import NoiseModel, OracleStream, noise_constants
 
 
@@ -315,21 +315,6 @@ class TestNoisyHessian:
             expected = obj.h_matrix @ d + scale * (np.sqrt(d @ d - d * d) * xi_eta[:5]
                                                    + xi_eta[5] * d)
             np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-15)
-
-    def test_objective_without_hvp_rejected(self):
-        class NoHessian(Objective):
-            def __init__(self):
-                self.polytope = Polytope.box([1.0])
-
-            def value(self, x):
-                return 0.0
-
-            def grad(self, x):
-                return np.zeros(1)
-
-        stream = OracleStream(NoHessian(), NoiseModel.gaussian_fixed(1.0), 0, 0)
-        with pytest.raises(ValueError, match="Hessian"):
-            stream.hessian([0.0], [1.0], [0.5], [1.0])
 
     @pytest.mark.parametrize("weights", [[], [[0.5]], 0.5], ids=["empty", "2-D", "scalar"])
     def test_weights_must_be_a_nonempty_vector(self, weights):
