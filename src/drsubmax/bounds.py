@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import diameter_bound
 from .objectives import Objective, is_finite_real, is_int, reject_unknown
-from .optimizers import RunConfig
+from .optimizers import RunConfig, boost_mass
 from .oracles import NoiseModel, noise_constants
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
     "save_bound_curve",
 ]
 
-ONE_MINUS_INV_E = 1.0 - math.exp(-1.0)
+ONE_MINUS_INV_E = boost_mass(1.0)
 
 # iteration cap of the Collatz-Wielandt bracket in ``spectral_norm``
 _PERRON_MAX_ITER = 10000
@@ -199,19 +199,17 @@ def boosted_constants(c: BoundConstants, gamma: float = 1.0,
                       main_text_smoothness: bool = False) -> tuple[float, float]:
     """Smoothness and noise constants of the reweighted auxiliary objective.
 
-    Returns ``(L_aux, M_aux)``.  The default smoothness is the proof-backed
-    ``L (gamma + exp(-gamma) - 1) / gamma^2``, with ``exp(-gamma) - 1`` taken
-    by ``expm1`` so that it stays near ``L / 2`` as gamma goes to 0; the flag
-    switches to the looser ``L (1 + 1/e)`` variant.
+    Returns ``(L_aux, M_aux)`` from ``mass = boost_mass(gamma)``: the noise
+    constant shrinks by ``mass / gamma``, and the default smoothness is the
+    proof-backed ``L (gamma - mass) / gamma^2``, near ``L / 2`` as gamma goes
+    to 0; the flag switches to the looser ``L (1 + 1/e)`` variant.
     """
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError("gamma must lie in (0, 1]")
-    shrink = (1.0 - math.exp(-gamma)) / gamma
-    m_aux = (c.noise_bound + 2.0 * c.lipschitz * c.diameter) * shrink
+    mass = boost_mass(gamma)
+    m_aux = (c.noise_bound + 2.0 * c.lipschitz * c.diameter) * (mass / gamma)
     if main_text_smoothness:
         l_aux = c.lipschitz * (1.0 + math.exp(-1.0))
     else:
-        l_aux = c.lipschitz * (gamma + math.expm1(-gamma)) / gamma**2
+        l_aux = c.lipschitz * (gamma - mass) / gamma**2
     return l_aux, m_aux
 
 
@@ -219,9 +217,9 @@ def theorem2_bound(c: BoundConstants, T, delta: float, gamma: float = 1.0,
                    main_text_smoothness: bool = False):
     """Lower bound on the running average value of boosted projected ascent,
     holding with probability at least ``1 - delta``; approaches
-    ``(1 - exp(-gamma)) * opt``."""
+    ``boost_mass(gamma) * opt``, ``(1 - 1/e) opt`` at gamma = 1."""
     l_aux, m_aux = boosted_constants(c, gamma, main_text_smoothness)
-    return _ascent_bound(c, T, delta, (1.0 - math.exp(-gamma)) * c.opt,
+    return _ascent_bound(c, T, delta, boost_mass(gamma) * c.opt,
                          l_aux * c.diameter + m_aux, m_aux)
 
 
@@ -369,8 +367,7 @@ def save_bound_curve(path, curve: BoundCurve) -> None:
     with open(path, "w") as fh:
         fh.write(f"# {curve.label}\n")
         for key, value in curve.meta:
-            fh.write(f"# {key}={value:.17g}\n" if isinstance(value, float)
-                     else f"# {key}={value}\n")
+            fh.write(f"# {key}={value:.17g}\n")
         fh.write("t,bound_value,prob\n")
         for t, bound in enumerate(curve.bound, 1):
             prob = "" if curve.prob is None else f"{curve.prob[t - 1]:.17g}"

@@ -122,6 +122,8 @@ class Experiment:
             for key, value in self.opt.items():
                 if not (is_int(value) and value >= 1):
                     raise ValueError(f"opt.{key} must be a positive integer")
+            if self.noise.kind == "none" and self.opt.get("runs", 1) != 1:
+                raise ValueError("noise kind 'none' draws nothing, so opt.runs must be 1")
         elif self.opt is not None and not (is_finite_real(self.opt) and self.opt > 0):
             raise ValueError("opt must be a positive number, null, or an approximation spec")
         if self.t_min >= self.trial.T:
@@ -203,15 +205,18 @@ def resolve_opt(cfg: Experiment) -> float:
     seeded, repeated greedy runs under the config's noise), and it must be
     positive, as a configured one is.  Its inputs are the estimator's name,
     the instance's digest, the noise model but ``hessian_sigma``, the offset
-    seed, ``n_runs`` and ``iterations``; not ``output_dir``, the bounds or
-    the fit keys.  When ``output_dir/opt.json`` parses, holds these inputs
-    and a finite positive ``opt``, that value is returned (a JSON float
-    round-trips); otherwise the estimate is written there with its inputs.
+    seed, ``n_runs`` (1 under noise ``none``, which draws nothing) and
+    ``iterations``; not ``output_dir``, the bounds or the fit keys.  When
+    ``output_dir/opt.json`` parses, holds these inputs and a finite positive
+    ``opt``, that value is returned (a JSON float round-trips); otherwise the
+    estimate is written there with its inputs.
     """
     if isinstance(cfg.opt, (int, float)):
         return float(cfg.opt)
     spec = {**_OPT_DEFAULTS, **{_OPT_ARGS[key]: value for key, value in (cfg.opt or {}).items()},
             "master_seed": cfg.trial.master_seed + _OPT_SEED_OFFSET}
+    if cfg.noise.kind == "none":
+        spec["n_runs"] = 1
     noise = asdict(cfg.noise)
     del noise["hessian_sigma"]  # the estimate's scg runs query no Hessian
     inputs = {"estimator": _OPT_ESTIMATOR, "instance": cfg.instance, "noise": noise, **spec}

@@ -34,6 +34,7 @@ __all__ = [
     "MomentumRule",
     "RunConfig",
     "RunRecord",
+    "boost_mass",
     "boost_s_from_uniform",
     "guarantee_series",
     "running_average",
@@ -184,15 +185,20 @@ def _init_point(objective: Objective, cfg: RunConfig, rng) -> np.ndarray:
     return project(objective.polytope, rng.standard_normal(objective.dim))
 
 
-def boost_s_from_uniform(u: float, gamma: float = 1.0) -> float:
-    """Inverse CDF of the scale distribution with density
-    ``exp(gamma (s - 1)) / ((1 - exp(-gamma)) / gamma)`` on [0, 1]."""
-    if not (0.0 <= u <= 1.0):
-        raise ValueError("u must lie in [0, 1]")
+def boost_mass(gamma: float) -> float:
+    """``1 - exp(-gamma)`` by ``expm1``, which no small gamma cancels: the mass of
+    ``exp(gamma (s - 1))`` on [0, 1] and boosted ascent's approximation factor."""
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in (0, 1]")
-    eg = math.exp(-gamma)
-    return 1.0 + math.log(eg + u * (1.0 - eg)) / gamma
+    return -math.expm1(-gamma)
+
+
+def boost_s_from_uniform(u: float, gamma: float = 1.0) -> float:
+    """Inverse CDF of the scale distribution with density
+    ``exp(gamma (s - 1)) / (boost_mass(gamma) / gamma)`` on [0, 1]."""
+    if not (0.0 <= u <= 1.0):
+        raise ValueError("u must lie in [0, 1]")
+    return 1.0 + math.log(u * boost_mass(gamma) + math.exp(-gamma)) / gamma
 
 
 def _plain(objective: Objective, oracle: OracleStream, cfg: RunConfig):
@@ -202,8 +208,8 @@ def _plain(objective: Objective, oracle: OracleStream, cfg: RunConfig):
 
 def _boosted(objective: Objective, oracle: OracleStream, cfg: RunConfig):
     """Boosted ascent: draw a scale ``s`` by inverse CDF, query the noisy
-    gradient at ``s * x`` and multiply it by ``(1 - exp(-gamma)) / gamma``."""
-    factor = (1.0 - math.exp(-cfg.gamma)) / cfg.gamma
+    gradient at ``s * x`` and multiply it by ``boost_mass(gamma) / gamma``."""
+    factor = boost_mass(cfg.gamma) / cfg.gamma
 
     def estimate(t, x):
         s = boost_s_from_uniform(float(oracle.rng.random()), cfg.gamma)

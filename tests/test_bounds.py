@@ -215,6 +215,22 @@ class TestTheorem2:
         l_aux, _ = boosted_constants(UNIT, gamma)
         assert l_aux == pytest.approx(0.5 - gamma / 6.0 + gamma**2 / 24.0, rel=1e-15 / gamma)
 
+    @pytest.mark.parametrize("gamma", [1e-8, 1e-6, 1e-4])
+    def test_noise_shrink_at_small_gamma(self, gamma):
+        """``M_aux = (M + 2 L D) (1 - exp(-gamma)) / gamma`` against the series
+        of ``(1 - exp(-gamma)) / gamma``; ``M + 2 L D = 3`` for unit constants."""
+        _, m_aux = boosted_constants(UNIT, gamma)
+        assert m_aux == pytest.approx(
+            3.0 * (1.0 - gamma / 2.0 + gamma**2 / 6.0 - gamma**3 / 24.0), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("gamma", [1e-8, 1e-6, 1e-4])
+    def test_asymptote_at_small_gamma(self, gamma):
+        """With ``L = D = M = 0`` the bound is its asymptote ``(1 - exp(-gamma))
+        opt`` at every t, against ``gamma - gamma^2/2 + ...`` for opt = 1."""
+        flat = BoundConstants(lipschitz=0.0, diameter=0.0)
+        assert theorem2_bound(flat, 10, 0.1, gamma) == pytest.approx(
+            gamma - gamma**2 / 2.0 + gamma**3 / 6.0 - gamma**4 / 24.0, rel=1e-15, abs=0.0)
+
     def test_main_text_smoothness_flag(self):
         l_aux, _ = boosted_constants(UNIT, 1.0, main_text_smoothness=True)
         assert l_aux == pytest.approx(1.0 + math.exp(-1.0), abs=1e-12)

@@ -664,6 +664,16 @@ class TestOptFile:
         assert sorted(record["inputs"]) == ["estimator", "instance", "iterations",
                                             "master_seed", "n_runs", "noise"]
 
+    def test_noise_free_record_names_one_run(self, tmp_path, monkeypatch):
+        """Under noise ``none`` the estimate is one deterministic run, so its
+        record names one run, which ``opt.runs=1`` repeats."""
+        cfg = self.config(tmp_path, noise={"kind": "none"}, opt={"iterations": 20})
+        assert cli.main(["bounds", "--config", str(cfg)]) == 0
+        record = json.loads((tmp_path / "out" / "opt.json").read_text())
+        assert record["inputs"]["n_runs"] == 1
+        self.forbid_estimates(monkeypatch)
+        assert main_with("bounds", cfg, ["opt.runs=1"]) == 0
+
     def test_numeric_opt_neither_writes_nor_reads_the_record(self, tmp_path):
         cfg = self.config(tmp_path)
         out = tmp_path / "out"
@@ -874,6 +884,7 @@ _INVALID = [
          {**PAIRED["theorem2"], "gamma": 0.5,
           "bounds": [{"theorem": "theorem2", "delta": 0.01, "gamma": 1.0}]}),
         ("none-noise-sigma", {"noise": {"kind": "none", "sigma": 1000.0}}),
+        ("none-noise-opt-runs", {"opt": {"runs": 20, "iterations": 50}}),
         ("gaussian_prop-sigma",
          {"noise": {"kind": "gaussian_prop", "scale": 0.1, "sigma": 1000.0}}),
         ("clipped_gaussian-scale", {"noise": {"kind": "clipped_gaussian", "sigma": 0.1,
@@ -1012,7 +1023,7 @@ class TestOneValidationBoundary:
             raise AssertionError("approx_opt ran before the bounds entries were checked")
 
         monkeypatch.setattr(cli.analysis, "approx_opt", never)
-        cfg = write_config(tmp_path, opt={"runs": 2, "iterations": 5},
+        cfg = write_config(tmp_path, opt={"iterations": 5},
                            bounds=[{"theorem": "theorem4", "delta": -1}], **PAIRED["theorem4"])
         err = self.assert_rejected("bounds", cfg, tmp_path / "out", capsys)
         assert "theorem4: delta must lie in (0, 1)" in err

@@ -10,6 +10,7 @@ from drsubmax.optimizers import (
     MomentumRule,
     RunConfig,
     StepRule,
+    boost_mass,
     boost_s_from_uniform,
     records_to_csv,
     run_battery,
@@ -138,6 +139,13 @@ class TestBoostedPga:
     def test_sampler_gamma_outside_unit_interval_rejected(self, gamma):
         with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
             boost_s_from_uniform(0.5, gamma)
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
+            boost_mass(gamma)
+
+    def test_mass_at_gamma_one_keeps_the_subtraction_bits(self):
+        """At gamma = 1, the default, ``expm1`` and the subtraction agree bit
+        for bit, so boosted batteries at gamma = 1 keep their values."""
+        assert boost_mass(1.0) == 1.0 - math.exp(-1.0)
 
     def test_forced_full_scale_update(self):
         """From the origin the query point s * 0 does not depend on the drawn
@@ -147,6 +155,17 @@ class TestBoostedPga:
                         init_rule="zero", returned_convention="last_iterate")
         rec = run_trial(obj, NoiseModel.none(), cfg)
         assert rec.iterates[0, 0] == pytest.approx(0.1 * ONE_MINUS_INV_E, abs=1e-12)
+
+    def test_forced_full_scale_update_at_small_gamma(self):
+        """The first step from the origin scales grad(0) = 1 by
+        ``(1 - exp(-gamma)) / gamma = 1 - gamma/2 + gamma^2/6 - ...``, which
+        keeps its leading digits at gamma = 1e-8."""
+        gamma = 1e-8
+        cfg = RunConfig("boosted_pga", 1, step_rule=StepRule("constant", 0.1), gamma=gamma,
+                        init_rule="zero", returned_convention="last_iterate")
+        rec = run_trial(one_dim_nqp(), NoiseModel.none(), cfg)
+        assert rec.iterates[0, 0] == pytest.approx(
+            0.1 * (1.0 - gamma / 2.0 + gamma**2 / 6.0), rel=1e-15, abs=0.0)
 
     def test_estimator_unbiased_against_quadrature(self):
         """Monte Carlo mean of the reweighted estimator matches the Simpson
