@@ -193,18 +193,18 @@ def shared_c1_refit(curves, p: float = 0.5, t_min: int = 1) -> list[FittedCurve]
 
 
 def approx_opt(objective: Objective, master_seed: int = 0, n_runs: int = 100,
-               iterations: int = 5000, noise: NoiseModel | None = None) -> float:
+               iterations: int = 5000, noise: NoiseModel = NoiseModel()) -> float:
     """Optimum approximation: the best final value across repeated greedy runs.
 
-    With a noise model the runs differ through their streams and the maximum
-    of the exact objective at their final iterates is returned; without one
-    the run is deterministic, so a single run suffices.  ``n_runs`` must be
-    a positive integer either way.
+    Under a noise model that draws, the runs differ through their streams
+    and the maximum of the exact objective at their final iterates is
+    returned; under noise ``none``, the default, the run is deterministic, so
+    a single run suffices.  ``n_runs`` must be a positive integer either way.
     """
     if not (is_int(n_runs) and n_runs >= 1):
         raise ValueError("n_runs must be a positive integer")
-    if noise is None or noise.kind == "none":
-        noise, n_runs = NoiseModel.none(), 1
+    if noise.kind == "none":
+        n_runs = 1
     cfg = RunConfig(algorithm="scg", T=iterations, master_seed=master_seed)
     return max(rec.returned_value for rec in run_battery(objective, noise, cfg, n_runs))
 

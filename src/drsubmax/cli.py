@@ -33,6 +33,7 @@ exit codes.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -204,19 +205,21 @@ def resolve_opt(cfg: Experiment) -> float:
     ``analysis.approx_opt`` estimates it (the best final value across
     seeded, repeated greedy runs under the config's noise), and it must be
     positive, as a configured one is.  Its inputs are the estimator's name,
-    the instance's digest, the noise model but ``hessian_sigma``, the offset
-    seed, ``n_runs`` (1 under noise ``none``, which draws nothing) and
-    ``iterations``; not ``output_dir``, the bounds or the fit keys.  When
+    the instance's digest, the noise model but ``hessian_sigma``, ``n_runs``,
+    ``iterations`` and the offset seed; under noise ``none``, which draws
+    nothing, ``n_runs`` is 1 and the seed is left out.  They leave out
+    ``output_dir``, the bounds and the fit keys.  When
     ``output_dir/opt.json`` parses, holds these inputs and a finite positive
     ``opt``, that value is returned (a JSON float round-trips); otherwise the
     estimate is written there with its inputs.
     """
     if isinstance(cfg.opt, (int, float)):
         return float(cfg.opt)
-    spec = {**_OPT_DEFAULTS, **{_OPT_ARGS[key]: value for key, value in (cfg.opt or {}).items()},
-            "master_seed": cfg.trial.master_seed + _OPT_SEED_OFFSET}
-    if cfg.noise.kind == "none":
+    spec = {**_OPT_DEFAULTS, **{_OPT_ARGS[key]: value for key, value in (cfg.opt or {}).items()}}
+    if cfg.noise.kind == "none":  # one run, which draws nothing
         spec["n_runs"] = 1
+    else:
+        spec["master_seed"] = cfg.trial.master_seed + _OPT_SEED_OFFSET
     noise = asdict(cfg.noise)
     del noise["hessian_sigma"]  # the estimate's scg runs query no Hessian
     inputs = {"estimator": _OPT_ESTIMATOR, "instance": cfg.instance, "noise": noise, **spec}
@@ -411,6 +414,7 @@ def cmd_report(cfg: Experiment) -> int:
 # entry point
 # ----------------------------------------------------------------------
 
+@functools.cache  # one parser per process; main looks the commands up at call time
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drsubmax",
@@ -440,9 +444,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else 0
     try:
@@ -454,12 +457,9 @@ def main(argv=None) -> int:
         if args.command == "bounds":
             return cmd_bounds(cfg)
         return cmd_report(cfg)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_VALIDATION if isinstance(exc, ValueError) else EXIT_IO
 
 
 if __name__ == "__main__":

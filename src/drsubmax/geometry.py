@@ -540,15 +540,10 @@ def _bounded_simplex(state: LmoWarmStart, cost: np.ndarray) -> None:
     bland = False
     for _ in range(_PIVOTS_PER_VARIABLE * (n + m)):
         gain = sign * cost  # zero on basic variables
-        if bland:
-            improving = np.flatnonzero(gain > TOL_LP)
-            if improving.size == 0:
-                break
-            j = int(improving[0])
-        else:
-            j = int(np.argmax(gain))
-            if not gain[j] > TOL_LP:
-                break
+        # under Bland's rule the first True of the mask, the lowest improving index
+        j = int(np.argmax(gain > TOL_LP if bland else gain))
+        if not gain[j] > TOL_LP:
+            break
         # the basic values move by -step * rate as v_j leaves its bound
         rate = sign[j] * tab[:, j]
         ratios.fill(np.inf)

@@ -176,13 +176,14 @@ def running_average(f) -> np.ndarray:
     return np.cumsum(f, axis=-1) / np.arange(1, f.shape[-1] + 1)
 
 
-def _init_point(objective: Objective, cfg: RunConfig, rng) -> np.ndarray:
+def _init_point(oracle: OracleStream, cfg: RunConfig) -> np.ndarray:
+    objective = oracle.objective
     if cfg.init_rule == "zero":
         return np.zeros(objective.dim)
     if cfg.init_rule == "upper":
         return project(objective.polytope, objective.polytope.upper)
     # a standard normal draw may land outside the region, so project it back
-    return project(objective.polytope, rng.standard_normal(objective.dim))
+    return project(objective.polytope, oracle.rng.standard_normal(objective.dim))
 
 
 def boost_mass(gamma: float) -> float:
@@ -195,18 +196,20 @@ def boost_mass(gamma: float) -> float:
 
 def boost_s_from_uniform(u: float, gamma: float = 1.0) -> float:
     """Inverse CDF of the scale distribution with density
-    ``exp(gamma (s - 1)) / (boost_mass(gamma) / gamma)`` on [0, 1]."""
+    ``exp(gamma (s - 1)) / (boost_mass(gamma) / gamma)`` on [0, 1], whose CDF
+    ``(exp(gamma s) - 1) / (exp(gamma) - 1)`` ``log1p`` inverts with no
+    cancellation at small ``gamma`` or ``u``."""
     if not (0.0 <= u <= 1.0):
         raise ValueError("u must lie in [0, 1]")
-    return 1.0 + math.log(u * boost_mass(gamma) + math.exp(-gamma)) / gamma
+    return math.log1p(u * boost_mass(gamma) * math.exp(gamma)) / gamma
 
 
-def _plain(objective: Objective, oracle: OracleStream, cfg: RunConfig):
+def _plain(oracle: OracleStream, cfg: RunConfig):
     """Projected ascent: the noisy gradient at the current iterate."""
     return lambda t, x: oracle.grad(x)
 
 
-def _boosted(objective: Objective, oracle: OracleStream, cfg: RunConfig):
+def _boosted(oracle: OracleStream, cfg: RunConfig):
     """Boosted ascent: draw a scale ``s`` by inverse CDF, query the noisy
     gradient at ``s * x`` and multiply it by ``boost_mass(gamma) / gamma``."""
     factor = boost_mass(cfg.gamma) / cfg.gamma
@@ -217,9 +220,9 @@ def _boosted(objective: Objective, oracle: OracleStream, cfg: RunConfig):
     return estimate
 
 
-def _momentum(objective: Objective, oracle: OracleStream, cfg: RunConfig):
+def _momentum(oracle: OracleStream, cfg: RunConfig):
     """SCG: fold each fresh noisy gradient into the momentum average."""
-    gbar = np.zeros(objective.dim)
+    gbar = np.zeros(oracle.objective.dim)
 
     def estimate(t, x):
         nonlocal gbar
@@ -229,7 +232,7 @@ def _momentum(objective: Objective, oracle: OracleStream, cfg: RunConfig):
     return estimate
 
 
-def _path_integrated(objective: Objective, oracle: OracleStream, cfg: RunConfig):
+def _path_integrated(oracle: OracleStream, cfg: RunConfig):
     """SCG++: the first call averages ``batch`` noisy gradients at the origin,
     in one batched query.  Each later call draws ``batch`` uniforms, the
     interpolation points between the two most recent iterates, and adds the
@@ -265,10 +268,10 @@ def run_trial(objective: Objective, noise: NoiseModel, cfg: RunConfig) -> RunRec
     share one warm start, created here, so the trial depends on nothing that
     another trial ran before it."""
     oracle = OracleStream(objective, noise, cfg.master_seed, cfg.run_id)
-    estimate = _ESTIMATES[cfg.algorithm](objective, oracle, cfg)
+    estimate = _ESTIMATES[cfg.algorithm](oracle, cfg)
     poly, T = objective.polytope, cfg.T
     warm = LmoWarmStart(poly) if cfg.algorithm in GREEDY else None
-    x = _init_point(objective, cfg, oracle.rng)
+    x = _init_point(oracle, cfg)
     iterates = []
     for t in range(1, T + 1):
         g = estimate(t, x)

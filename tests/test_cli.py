@@ -674,6 +674,18 @@ class TestOptFile:
         self.forbid_estimates(monkeypatch)
         assert main_with("bounds", cfg, ["opt.runs=1"]) == 0
 
+    def test_noise_free_record_is_reused_across_master_seeds(self, tmp_path, monkeypatch):
+        """Under noise ``none`` the estimate draws nothing, so its record
+        leaves the seed out and another ``master_seed`` reuses it."""
+        cfg = self.config(tmp_path, noise={"kind": "none"}, opt={"iterations": 20})
+        path = tmp_path / "out" / "opt.json"
+        assert cli.main(["bounds", "--config", str(cfg)]) == 0
+        record = path.read_text()
+        assert "master_seed" not in json.loads(record)["inputs"]
+        self.forbid_estimates(monkeypatch)
+        assert main_with("bounds", cfg, ["master_seed=5"]) == 0
+        assert path.read_text() == record
+
     def test_numeric_opt_neither_writes_nor_reads_the_record(self, tmp_path):
         cfg = self.config(tmp_path)
         out = tmp_path / "out"
@@ -1113,6 +1125,37 @@ def _child_env():
     package_root = os.path.dirname(os.path.dirname(drsubmax.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
+class TestMain:
+    def test_overrides_do_not_leak_between_calls(self, tmp_path, one_dim_instance,
+                                                 monkeypatch):
+        """The parser is built once per process, and each call sees only its
+        own ``--set`` values."""
+        cfg = write_config(tmp_path)
+        seen = []
+        original = cli.load_config
+
+        def recorded(path, overrides):
+            seen.append(list(overrides))
+            return original(path, overrides)
+
+        monkeypatch.setattr(cli, "load_config", recorded)
+        for overrides in (["T=5"], [], ["T=6", "runs=1"], []):
+            assert main_with("run", cfg, overrides) == 0
+        assert seen == [["T=5"], [], ["T=6", "runs=1"], []]
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_commands_are_looked_up_at_call_time(self, tmp_path, one_dim_instance,
+                                                 monkeypatch):
+        """A command replaced after the parser is cached is the one ``main``
+        runs, so a wrapper installed on the module (as a tracer is) applies."""
+        cfg = write_config(tmp_path)
+        cli._build_parser()
+        calls = []
+        monkeypatch.setattr(cli, "cmd_report", lambda c: calls.append(c.trial.T) or 0)
+        assert cli.main(["report", "--config", str(cfg)]) == 0
+        assert calls == [4]
 
 
 class TestModuleEntryPoint:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -134,6 +135,18 @@ class TestBoostedPga:
 
     def test_sampler_closed_form_midpoint(self):
         assert boost_s_from_uniform(0.5, 1.0) == pytest.approx(0.6201145069582775, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.5, 1e-4, 1e-8, 1e-12])
+    @pytest.mark.parametrize("u", [0.5, 0.01, 1e-6, 1e-12, 0.999])
+    def test_sampler_matches_a_decimal_reference(self, gamma, u):
+        """The drawn scale is ``log(1 + u (e^gamma - 1)) / gamma`` to the
+        last bits, also where ``gamma`` or ``u`` is small: the reference is
+        evaluated with 60 significant digits."""
+        with localcontext() as ctx:
+            ctx.prec = 60
+            g = Decimal(gamma)
+            reference = float((Decimal(u) * (g.exp() - 1) + 1).ln() / g)
+        assert boost_s_from_uniform(u, gamma) == pytest.approx(reference, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("gamma", [0.0, -0.5, 1.5, float("nan")])
     def test_sampler_gamma_outside_unit_interval_rejected(self, gamma):
