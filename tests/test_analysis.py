@@ -13,7 +13,7 @@ from drsubmax.bounds import BoundCurve, constants_for, theorem5_bound
 from drsubmax.geometry import Polytope
 from drsubmax.objectives import BudgetAllocationObjective, NqpObjective, generate_nqp
 from drsubmax.oracles import NoiseModel
-from drsubmax.optimizers import RunConfig, records_to_csv, run_battery
+from drsubmax.optimizers import BATTERY_HEADER, RunConfig, records_to_csv, run_battery
 
 from _util import acceptance_nqp, exact_nqp_opt
 
@@ -62,6 +62,12 @@ class TestTrajectoryStatistic:
         with pytest.raises(ValueError):
             trajectory_statistic(constant_battery([1.0]), 1.5)
 
+    def test_unknown_statistic_or_series_rejected(self):
+        with pytest.raises(ValueError, match="unknown statistic 'max'"):
+            trajectory_statistic(constant_battery([1.0]), "max")
+        with pytest.raises(ValueError, match="unknown series 'run_ids'"):
+            trajectory_statistic(constant_battery([1.0]), "min", series="run_ids")
+
 
 class TestBatteryConstruction:
     def test_from_records_requires_shared_config(self):
@@ -70,6 +76,11 @@ class TestBatteryConstruction:
         other = list(run_battery(obj, NoiseModel.none(), RunConfig("scg", 5), 1))
         with pytest.raises(ValueError):
             TrialBattery.from_records(recs + other)
+
+    def test_values_must_be_a_matrix(self):
+        for values in ([1.0, 2.0], [[[1.0]], [[2.0]]]):
+            with pytest.raises(ValueError, match="shape disagrees with run ids"):
+                TrialBattery([0, 1], values, "scg")
 
     def test_from_records_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -111,12 +122,25 @@ class TestBatteryConstruction:
         with pytest.raises(ValueError, match=f"^{path}: the rows of run {runs[0]} are not "):
             TrialBattery.from_csv(path)
 
+    @pytest.mark.parametrize("text,message", [
+        ("run_id,algorithm,t,f_true\n0,scg,1,1.0\n", "unexpected battery header"),
+        (BATTERY_HEADER + "\n0,scg,1,1.0,1.0\n1,pga,1,1.0,1.0\n",
+         "3: battery row '1,pga,1,1.0,1.0': mixed algorithms in one battery"),
+        (BATTERY_HEADER + "\n", "empty battery"),
+    ], ids=["header", "mixed-algorithms", "header-only"])
+    def test_from_csv_rejects_a_malformed_file(self, tmp_path, text, message):
+        path = tmp_path / "battery.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{path}:.*{message}"):
+            TrialBattery.from_csv(path)
+
     def test_from_csv_derives_grid_and_running_average(self, tmp_path):
         """The grid is t = 1..T and the running average is derived from the
-        values, whatever the file's running average column holds."""
+        values, whatever the file's running average column holds; a blank
+        line is skipped."""
         path = tmp_path / "battery.csv"
         path.write_text("run_id,algorithm,t,f_true,f_running_avg\n"
-                        "0,pga,2,3.0,0.0\n0,pga,1,1.0,0.0\n")
+                        "0,pga,2,3.0,0.0\n\n0,pga,1,1.0,0.0\n")
         battery = TrialBattery.from_csv(path)
         np.testing.assert_array_equal(battery.t, [1, 2])
         np.testing.assert_array_equal(battery.f_running_avg, [[1.0, 2.0]])
@@ -159,6 +183,9 @@ class TestFitCurve:
     def test_singular_design_rejected(self):
         with pytest.raises(ValueError):
             fit_curve([4, 4, 4], [1.0, 2.0, 3.0])
+        # distinct t whose t^-p both underflow to 0
+        with pytest.raises(ValueError, match="singular design"):
+            fit_curve([1e6, 1e6 + 1], [0.0, 1.0], p=60)
 
     def test_alternative_exponent(self):
         t = np.arange(1, 201)
@@ -168,6 +195,10 @@ class TestFitCurve:
 
 
 class TestSharedC1Refit:
+    def test_no_curves_rejected(self):
+        with pytest.raises(ValueError, match="need at least one curve"):
+            shared_c1_refit([])
+
     def test_identical_curves_unchanged(self):
         t = np.arange(1, 101)
         y = 1.0 - 2.0 / np.sqrt(t)
@@ -249,7 +280,7 @@ class TestApproxOpt:
                               noise=NoiseModel.clipped_gaussian(0.1))
         assert estimate == pytest.approx(corner, rel=1e-14)
 
-    @pytest.mark.parametrize("noise", [None, NoiseModel.clipped_gaussian(0.1)])
+    @pytest.mark.parametrize("noise", [NoiseModel.none(), NoiseModel.clipped_gaussian(0.1)])
     @pytest.mark.parametrize("n_runs", [0, -3, 2.5, True])
     def test_n_runs_must_be_a_positive_integer(self, noise, n_runs):
         obj = generate_nqp(1, 4, 2, -1, 0)

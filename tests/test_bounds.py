@@ -141,6 +141,11 @@ class TestMomentumConstant:
     def test_series_first_term_vanishes(self):
         assert momentum_series_check(0.5, 1) == 0.0
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan")])
+    def test_series_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            momentum_series_check(alpha, 10)
+
     def test_series_horizon_must_be_a_positive_integer(self):
         for bad in (2.5, 0, -3, True):
             with pytest.raises(ValueError, match="T must be an integer >= 1"):

@@ -111,9 +111,11 @@ class TestRun:
         assert "typo_key" in capsys.readouterr().err
 
     def test_set_override(self, tmp_path, one_dim_instance):
+        """A ``--set`` value is JSON where it parses and a string otherwise."""
         cfg = write_config(tmp_path)
-        assert cli.main(["run", "--config", str(cfg), "--set", "T=2"]) == 0
-        lines = (tmp_path / "out" / "battery.csv").read_text().splitlines()
+        other = tmp_path / "other"
+        assert main_with("run", cfg, ["T=2", f"output_dir={other}"]) == 0
+        lines = (other / "battery.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 2
 
     @pytest.mark.parametrize("root", [[1, 2], 3, "text"])
@@ -140,6 +142,10 @@ class TestRun:
         marker = tmp_path / "out" / "battery.csv.partial"
         assert marker.exists()
         assert "synthetic trial failure" in marker.read_text()
+        # a later run that finishes removes the stale marker
+        monkeypatch.setattr(opt_module, "run_trial", real)
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        assert not marker.exists()
 
     def test_parallel_abort_keeps_finished_trials(self, tmp_path, one_dim_instance,
                                                   monkeypatch, capsys):
@@ -850,6 +856,28 @@ _INVALID = [
     ("report", "T-true", {"T": True}),
     ("report", "fit_exponent-text", {"fit_exponent": "a"}),
     ("report", "normalized-text", {"normalized": "yes"}),
+    ("run", "algorithm-unknown", {"algorithm": "sgd"}),
+    ("run", "algorithm-null", {"algorithm": None}),
+    ("run", "step_rule-unknown", {"step_rule": {"kind": "linear", "value": 1.0}}),
+    ("run", "step_rule-zero", {"step_rule": {"kind": "constant", "value": 0}}),
+    ("run", "momentum_rule-unknown", {"momentum_rule": {"kind": "cubic"}}),
+    ("run", "momentum_rule-constant-above-one", {"momentum_rule": {"kind": "constant",
+                                                                   "value": 1.5}}),
+    ("run", "momentum_rule-value-text", {"momentum_rule": {**_ALPHA, "value": "a"}}),
+    ("run", "boosted_pga-gamma-zero", {"algorithm": "boosted_pga", "gamma": 0}),
+    ("run", "init_rule-unknown", {"init_rule": "random"}),
+    ("run", "returned_convention-unknown", {"returned_convention": "mean"}),
+    ("run", "noise-text", {"noise": "none"}),
+    ("run", "problem-no-kind", {"problem": {"path": "one_dim.json"}}),
+    ("run", "problem-kind-unknown", {"problem": {"kind": "nqp-url"}}),
+    ("run", "generate-seed-missing",
+     {"problem": {k: v for k, v in _GENERATED.items() if k != "seed"}}),
+    ("run", "generate-entry_low-text", {"problem": {**_GENERATED, "entry_low": "a"}}),
+    ("run", "generate-entry_low-above-entry_high",
+     {"problem": {**_GENERATED, "entry_low": -0.5, "entry_high": -1.0}}),
+    ("run", "budget-seed-negative", {"problem": {**_BUDGET, "seed": -1}}),
+    ("run", "budget-p_low-above-p_high", {"problem": {**_BUDGET, "p_low": 0.8}}),
+    ("bounds", "bounds-empty", {"bounds": []}),
 ] + [
     (command, name, change)
     for command in ("run", "bounds", "report")
@@ -988,6 +1016,16 @@ class TestOneValidationBoundary:
         err = capsys.readouterr().err
         assert err == f"error: --set {item!r}: repeated key 'kind'\n"
         assert (sorted(out.iterdir()) if out.exists() else []) == before
+
+    @pytest.mark.parametrize("item,message", [
+        ("T", "--set expects key=value, got 'T'"),
+        ("T.x=1", "--set path 'T.x' does not address an object"),
+    ], ids=["no-equals", "through-a-number"])
+    def test_malformed_set_item_is_rejected(self, tmp_path, one_dim_instance, item,
+                                            message, capsys):
+        assert main_with("run", write_config(tmp_path), [item]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("sigma", [0.1, 7.0])
     def test_default_hessian_sigma_written_out_is_accepted(self, tmp_path, one_dim_instance,
@@ -1156,6 +1194,12 @@ class TestMain:
         monkeypatch.setattr(cli, "cmd_report", lambda c: calls.append(c.trial.T) or 0)
         assert cli.main(["report", "--config", str(cfg)]) == 0
         assert calls == [4]
+
+    @pytest.mark.parametrize("argv,code", [(["bogus"], 2), (["run"], 2), (["--help"], 0)])
+    def test_parser_exit_is_a_return_code(self, argv, code, capsys):
+        """An argparse exit, for a usage error or ``--help``, is returned
+        rather than raised."""
+        assert cli.main(argv) == code
 
 
 class TestModuleEntryPoint:

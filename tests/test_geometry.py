@@ -67,6 +67,8 @@ class TestPolytopeConstruction:
             Polytope([[1.0, 1.0]], [1.0, 1.0], [1.0, 1.0])
         with pytest.raises(ValueError):
             Polytope([[1.0, 1.0, 1.0]], [1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            Polytope([], [], [])
 
 
 class TestContains:

@@ -57,6 +57,10 @@ class TestNqp:
         with pytest.raises(ValueError):
             NqpObjective([[-1.0, -0.5], [-0.4, -1.0]], Polytope.box([1.0, 1.0]))
 
+    def test_requires_the_polytope_dimension(self):
+        with pytest.raises(ValueError, match="H dimension disagrees with the polytope"):
+            NqpObjective(-np.eye(2), Polytope.box([1.0]))
+
     def test_requires_finite_entries(self):
         with pytest.raises(ValueError, match="finite"):
             NqpObjective([[-np.inf, 0.0], [0.0, -1.0]], Polytope.box([1.0, 1.0]))
@@ -257,7 +261,8 @@ class TestBipartiteLoading:
             load_bipartite(path)
 
     def test_duplicate_edges_sum_frequencies(self, tmp_path):
-        dup = load_bipartite(self._write(tmp_path, "k1\tc1\t2\nk1\tc1\t1\nk2\tc1\t3\n"))
+        # a blank line is skipped
+        dup = load_bipartite(self._write(tmp_path, "k1\tc1\t2\n\nk1\tc1\t1\nk2\tc1\t3\n"))
         single = load_bipartite(self._write(tmp_path, "k1\tc1\t3\nk2\tc1\t3\n"))
         assert instance_digest(dup) == instance_digest(single)
 

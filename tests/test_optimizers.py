@@ -133,6 +133,11 @@ class TestBoostedPga:
         assert boost_s_from_uniform(1.0, 1.0) == pytest.approx(1.0, abs=1e-15)
         assert boost_s_from_uniform(0.0, 0.4) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("u", [-0.1, 1.5, float("nan")])
+    def test_sampler_u_outside_unit_interval_rejected(self, u):
+        with pytest.raises(ValueError, match=r"u must lie in \[0, 1\]"):
+            boost_s_from_uniform(u)
+
     def test_sampler_closed_form_midpoint(self):
         assert boost_s_from_uniform(0.5, 1.0) == pytest.approx(0.6201145069582775, abs=1e-12)
 

@@ -334,6 +334,10 @@ class TestNoiseConstants:
     def test_none_is_zero(self):
         assert noise_constants(NoiseModel.none(), 10) == (0.0, 0.0)
 
+    def test_dimension_must_be_positive(self):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            noise_constants(NoiseModel.none(), 0)
+
     def test_gaussian_fixed_unbounded_with_total_sigma(self):
         m, s = noise_constants(NoiseModel.gaussian_fixed(0.3), 4)
         assert math.isinf(m)
