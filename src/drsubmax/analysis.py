@@ -32,12 +32,12 @@ class TrialBattery:
     completion order, from which ``t`` and the running averages derive."""
 
     def __init__(self, run_ids, f_true, algorithm: str):
-        order = np.argsort(run_ids)
-        self.run_ids = np.asarray(run_ids)[order]
-        self.f_true = np.asarray(f_true, dtype=float)[order]
-        self.algorithm = algorithm
-        if self.f_true.ndim != 2 or self.f_true.shape[0] != self.n_runs:
+        run_ids, f_true = np.asarray(run_ids), np.asarray(f_true, dtype=float)
+        if f_true.ndim != 2 or f_true.shape[0] != run_ids.size:
             raise ValueError("trajectory matrix shape disagrees with run ids")
+        order = np.argsort(run_ids)
+        self.run_ids, self.f_true = run_ids[order], f_true[order]
+        self.algorithm = algorithm
 
     @property
     def n_runs(self) -> int:

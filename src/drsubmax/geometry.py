@@ -6,18 +6,21 @@ are provided: Euclidean projection (the finite dual active-set method of
 Goldfarb and Idnani with an identity Hessian, which carries one
 factorization of its active set through the call and updates it when a
 constraint joins or leaves, certified by its KKT conditions) and linear
-maximization (a bounded-variable primal simplex on the halfspaces the box
-does not already satisfy, with largest-reduced-cost pricing and Bland's
-rule after a degenerate pivot, certified by reduced costs recomputed from
-its final basis and by complementary slackness).  Both are deterministic
-functions of their inputs.
+maximization (a bounded-variable revised primal simplex on the halfspaces
+the box does not already satisfy, which carries the inverse of its basis,
+with largest-reduced-cost pricing and Bland's rule after a degenerate
+pivot, certified by reduced costs recomputed from its final basis and by
+complementary slackness).  Both are deterministic functions of their
+inputs, and the steps of each reuse work arrays allocated once per call.
 
 A Frank-Wolfe trial calls the LMO on one region with a new direction each
 time.  Its caller may pass an ``LmoWarmStart``, which presolves the region
 once and holds the simplex state that each call starts from and leaves
-updated.  A new state holds the slack basis at the origin, the cold start;
-after a call it holds that call's final basis, which is still feasible, so
-the next call needs only the pivots its new direction asks for.  An answer
+updated: the basis, its inverse ``B^-1``, the bound each nonbasic variable
+sits at and the basic values.  A new state holds the slack basis at the
+origin, the cold start; after a call it holds that call's final basis,
+which is still feasible, so the next call needs only the pivots its new
+direction asks for.  An answer
 that fails its certificate is solved once more from the slack basis, so a
 warm start never turns a cold answer into an ``LmoError``.  The state
 belongs to one caller and one region.  Nothing is cached on the region or
@@ -99,7 +102,7 @@ class Polytope:
     ``a_matrix`` is ``(m, n)`` with ``m == 0`` allowed (pure box), ``b_vector``
     has length ``m`` and ``upper`` length ``n``.  All entries of ``b_vector``
     and ``upper`` must be strictly positive so the origin is strictly feasible.
-    The LMO's presolve and tableau live in ``LmoWarmStart``.
+    The LMO's presolve and simplex state live in ``LmoWarmStart``.
     """
 
     a_matrix: np.ndarray
@@ -241,23 +244,35 @@ class _GramInverse:
     can amplify the carried rounding by a growth factor (at least 1 in exact
     arithmetic).  When that factor reaches ``_MAX_GROWTH``, or is not
     positive, which only drift can cause, the inverse is recomputed from
-    ``normals`` and ``free`` instead."""
+    ``normals`` and ``free`` instead.  ``w`` is the buffer that each split
+    returns and the next one overwrites."""
 
-    __slots__ = ("rows", "normals", "ginv", "free")
+    __slots__ = ("rows", "normals", "ginv", "free", "w")
 
     def __init__(self, m: int, n: int):
         self.rows = np.zeros(m, dtype=int)
         self.normals = np.zeros((m, n))
         self.ginv = np.zeros((0, 0))
         self.free = np.ones(n)
+        self.w = np.empty(n)
 
     def split(self, normal: np.ndarray):
         """``r``, the least-squares coefficients of ``normal`` on the active
         normals over the free coordinates, and ``w = normal - r A_S``, whose
         free part is orthogonal to the active normals."""
-        a_s = self.normals[:len(self.ginv)]
-        r = self.ginv @ (a_s @ (normal * self.free))
-        return r, normal - r @ a_s
+        a_s, w = self.normals[:len(self.ginv)], self.w
+        r = self.ginv @ (a_s @ np.multiply(normal, self.free, out=w))
+        return r, np.subtract(normal, np.dot(r, a_s, out=w), out=w)
+
+    def split_face(self, j: int, sign: float):
+        """``split`` of the box face normal of a free coordinate ``j`` (``sign``
+        at ``j``, 0.0 elsewhere), bit for bit, read without forming it:
+        ``r = ginv (sign * A_S[:, j])`` and ``w = sign * e_j - r A_S``."""
+        a_s, w = self.normals[:len(self.ginv)], self.w
+        r = self.ginv @ (sign * a_s[:, j])
+        np.subtract(0.0, np.dot(r, a_s, out=w), out=w)
+        w[j] += sign
+        return r, w
 
     def add_row(self, k: int, normal: np.ndarray, r: np.ndarray, zz: float) -> None:
         """Halfspace ``k`` joins.  ``r`` is ``split(normal)``'s, and ``zz > 0``,
@@ -267,7 +282,7 @@ class _GramInverse:
         if not float(normal * self.free @ normal) < _MAX_GROWTH * zz:
             return self.refactor(s + 1)
         g = np.empty((s + 1, s + 1))
-        g[:s, :s] = self.ginv + np.multiply.outer(r, r / zz)
+        g[:s, :s] = self.ginv + r[:, None] * (r / zz)
         g[s, :s] = g[:s, s] = -r / zz
         g[s, s] = 1.0 / zz
         self.ginv = g
@@ -279,7 +294,7 @@ class _GramInverse:
         self.free[j] = 0.0
         if not 1.0 < _MAX_GROWTH * zz:
             return self.refactor(len(self.ginv))
-        self.ginv += np.multiply.outer(r, r / zz)
+        self.ginv += r[:, None] * (r / zz)
 
     def drop_row(self, k: int) -> None:
         """Halfspace ``k`` leaves: its slot swaps with the last, which is cut."""
@@ -295,7 +310,7 @@ class _GramInverse:
         if not 0.0 < g_kk * float(normals[last] * self.free @ normals[last]) < _MAX_GROWTH:
             return self.refactor(last)
         f = g[:last, last]
-        self.ginv = g[:last, :last] - np.multiply.outer(f, f / g_kk)
+        self.ginv = g[:last, :last] - f[:, None] * (f / g_kk)
 
     def release(self, j: int) -> None:
         """Coordinate ``j`` is freed: the Gram matrix gains ``m_j m_j^T``."""
@@ -305,7 +320,7 @@ class _GramInverse:
         denom = 1.0 + float(m_j @ v)
         if not 0.0 < denom < _MAX_GROWTH:
             return self.refactor(len(self.ginv))
-        self.ginv -= np.multiply.outer(v, v / denom)
+        self.ginv -= v[:, None] * (v / denom)
 
     def refactor(self, size: int) -> None:
         """Recompute the inverse of the first ``size`` slots."""
@@ -332,46 +347,56 @@ def _dual_active_set(p: Polytope, y: np.ndarray, scale: float, row_norms: np.nda
     x = y.copy()
     face = np.zeros(m + n)
     active, side = face[:m], face[m:]
+    # -inf at the active constraints, added to the distances so that none is
+    # added twice (halfspaces are tight only up to rounding)
+    blocked = np.zeros(m + n)
     mult = np.zeros(m + n)
-    rates = np.zeros(m + n)
-    ratios = np.empty(m + n)
-    normal = np.zeros(n)
+    rates, ratios, dist = np.zeros(m + n), np.empty(m + n), np.empty(m + n)
+    rising = np.empty(m + n, dtype=bool)
+    z, work = np.empty(n), np.empty(n)
+    dist_rows, dist_box, rate_rows, rate_box = dist[:m], dist[m:], rates[:m], rates[m:]
     gram = _GramInverse(m, n)
     steps = _STEPS_PER_CONSTRAINT * (m + 2 * n)
     while steps > 0:
-        dist = np.concatenate(((a @ x - b) / row_norms, np.maximum(-x, x - u)))
-        dist[face != 0.0] = -math.inf  # already active (halfspaces tight up to rounding)
+        np.dot(a, x, out=dist_rows)
+        dist_rows -= b
+        dist_rows /= row_norms
+        np.maximum(np.negative(x, out=work), np.subtract(x, u, out=dist_box), out=dist_box)
+        dist += blocked
         k = int(dist.argmax())
         if not dist[k] > add_tol:
             break
-        # constraint k as  normal . x <= rhs,  with face[k] = sign once active
+        # constraint k as  normal . x <= rhs,  with face[k] = sign once active;
+        # a box face's normal is  sign * e_j
         if k < m:
-            normal[:] = a[k]
-            rhs, sign = b[k], 1.0
+            normal, rhs, sign = a[k], b[k], 1.0
+            dependent = _DEPENDENT_RTOL**2 * float(normal @ normal)
         else:
             j = k - m
             sign = 1.0 if x[j] > u[j] else -1.0
-            normal[:] = 0.0
-            normal[j] = sign
             rhs = u[j] if sign > 0 else 0.0
-        dependent = _DEPENDENT_RTOL**2 * float(normal @ normal)
+            dependent = _DEPENDENT_RTOL**2
         added = 0.0  # dual step taken so far on constraint k
         while steps > 0:
             steps -= 1
             # split the normal into r, its coefficients on the active normals,
             # and z, the part orthogonal to them (zero on fixed coordinates)
-            r, w = gram.split(normal)
-            z = w * gram.free
-            zz = float(z @ z)
+            if k < m:
+                r, w = gram.split(normal)
+                excess = float(normal @ x) - rhs
+            else:
+                r, w = gram.split_face(j, sign)
+                excess = sign * float(x[j]) - rhs
+            zz = float(np.multiply(w, gram.free, out=z) @ z)
             full = math.inf  # unless z = 0: the normal is a combination of active normals
             if zz > dependent:
-                full = (float(normal @ x) - rhs) / zz
+                full = excess / zz
             # the active multiplier that reaches 0 first (lowest index on ties)
-            rates[:m] = 0.0
-            rates[gram.rows[:r.size]] = r
-            np.multiply(side, w, out=rates[m:])
+            rate_rows.fill(0.0)
+            rate_rows[gram.rows[:r.size]] = r
+            np.multiply(side, w, out=rate_box)
             ratios.fill(math.inf)
-            np.divide(mult, rates, out=ratios, where=rates > 0.0)
+            np.divide(mult, rates, out=ratios, where=np.greater(rates, 0.0, out=rising))
             i = int(ratios.argmin())
             partial = max(float(ratios[i]), 0.0)
             t = min(full, partial)
@@ -379,11 +404,11 @@ def _dual_active_set(p: Polytope, y: np.ndarray, scale: float, row_norms: np.nda
                 # no step satisfies constraint k, which only rounding can cause
                 # (the origin is feasible); the certificate then fails
                 return active, side
-            x -= t * z
-            mult -= t * rates
+            x -= np.multiply(z, t, out=work)
+            mult -= np.multiply(rates, t, out=ratios)
             added += t
             if full <= partial:  # constraint k joins
-                face[k], mult[k] = sign, added
+                face[k], blocked[k], mult[k] = sign, -math.inf, added
                 if k < m:
                     gram.add_row(k, normal, r, zz)
                 else:
@@ -391,7 +416,7 @@ def _dual_active_set(p: Polytope, y: np.ndarray, scale: float, row_norms: np.nda
                     gram.fix(j, r, zz)
                 break
             # constraint i, whose multiplier reached 0, leaves
-            face[i], mult[i] = 0.0, 0.0
+            face[i], blocked[i], mult[i] = 0.0, 0.0, 0.0
             if i < m:
                 gram.drop_row(i)
             else:
@@ -434,18 +459,19 @@ class LmoWarmStart:
 
     A halfspace is redundant when the whole box satisfies it,
     ``sum_j max(A_ij, 0) * upper_j <= b_i``.  A new state keeps the other
-    ``rows`` (every other use of the region keeps all of them), the read-only
-    tableau ``base = [A_rows I]`` and the variables' bounds ``upper``,
-    ``(upper, inf, ...)``.  It then holds the tableau ``B^-1 [A I]``, the
-    basis, the sign of each variable (-1 for a nonbasic variable at its upper
-    bound) and the basic values.  These depend on the basis only, not on the
-    direction, so each call starts from the state the previous call left.  A
-    new or cleared state holds the slack basis at the origin, which is the
-    cold start.  Create one per Frank-Wolfe trial and pass it to every LMO
-    call of that trial; using it with another polytope raises ``ValueError``.
+    ``rows`` (every other use of the region keeps all of them), their
+    read-only constraint matrix ``base = [A_rows I]`` and the variables'
+    bounds ``upper``, ``(upper, inf, ...)``.  It then holds the basis, the
+    inverse ``binv`` of its columns of ``base``, the sign of each variable (-1
+    for a nonbasic variable at its upper bound) and the basic values.  These
+    depend on the basis only, not on the direction, so each call starts from
+    the state the previous call left.  A new or cleared state holds the slack
+    basis at the origin, whose inverse is the identity: the cold start.
+    Create one per Frank-Wolfe trial and pass it to every LMO call of that
+    trial; using it with another polytope raises ``ValueError``.
     """
 
-    __slots__ = ("polytope", "rows", "base", "upper", "tab", "basis", "sign", "values")
+    __slots__ = ("polytope", "rows", "base", "upper", "binv", "basis", "sign", "values")
 
     def __init__(self, polytope: Polytope):
         a, u = polytope.a_matrix, polytope.upper
@@ -459,7 +485,7 @@ class LmoWarmStart:
     def clear(self) -> None:
         """Return to the slack basis at the origin, the cold start."""
         n, m = self.polytope.dim, self.rows.size
-        self.tab = self.base.copy()
+        self.binv = np.eye(m)
         self.basis = np.arange(n, n + m)
         self.sign = np.ones(n + m)
         self.values = self.polytope.b_vector[self.rows]
@@ -473,22 +499,24 @@ def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
     ``v_j = upper_j if g_j > 0 else 0``.  Otherwise the LP
     ``max g.v  s.t.  A v + s = b,  0 <= v <= upper,  s >= 0`` is solved by a
     bounded-variable primal simplex (the upper-bounding technique of Dantzig,
-    Econometrica 23, 1955) on the tableau ``[A I]``, started from the basis
+    Econometrica 23, 1955) in its revised form, which carries only the basis
+    inverse ``B^-1`` (Dantzig and Orchard-Hays, MTAC 8, 1954) and forms the
+    one column of ``B^-1 [A I]`` that a pivot reads.  It starts from the basis
     ``warm`` holds: the slack basis at the origin when the state is new or
     cleared (and always without ``warm``, which uses a new state), and the
     previous call's final basis otherwise, which is feasible for any
-    direction.  Only the reduced costs ``c - c_B B^-1 [A I]`` are computed
-    (and set to exactly 0 on the basic columns); at the slack basis they are
-    ``c`` itself.  A nonbasic variable sits at 0 or at its upper bound, and
-    reaching the other bound first is a bound flip, not a pivot.  The
-    entering variable is the one with the largest improving reduced cost;
-    right after a degenerate pivot (a step of at most ``_PIVOT_EPS``) it is
-    the lowest-index improving one (Bland, Math. Oper. Res. 2, 1977).  The
-    lowest-index basic variable leaves on ratio ties.  Every pivot of a cycle
-    would be degenerate and so would follow Bland's rule, which cannot cycle.
-    Ties go to the lowest index, so the answer is a deterministic function
-    of ``p``, ``g`` and the state, which is updated to this call's final
-    basis.
+    direction.  Only the reduced costs ``c - c_B B^-1 [A I]`` are carried
+    (and set to exactly 0 on the basic columns), updated on each pivot by the
+    pivot row ``B^-1_r [A I]``; at the slack basis they are ``c`` itself.  A
+    nonbasic variable sits at 0 or at its upper bound, and reaching the other
+    bound first is a bound flip, not a pivot.  The entering variable is the
+    one with the largest improving reduced cost; right after a degenerate
+    pivot (a step of at most ``_PIVOT_EPS``) it is the lowest-index improving
+    one (Bland, Math. Oper. Res. 2, 1977).  The lowest-index basic variable
+    leaves on ratio ties.  Every pivot of a cycle would be degenerate and so
+    would follow Bland's rule, which cannot cycle.  Ties go to the lowest
+    index, so the answer is a deterministic function of ``p``, ``g`` and the
+    state, which is updated to this call's final basis.
 
     The answer is certified before it is returned: the duals are recomputed
     from the final basis and the original ``[A I]``, no nonbasic variable may
@@ -496,7 +524,7 @@ def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
     vertex may violate no constraint by more than ``TOL_LP``, and each row
     whose slack is nonbasic must hold with equality within ``TOL_LP``.  With
     primal and dual feasibility, that last check (complementary slackness)
-    makes the answer the optimal basis's own vertex, so a carried tableau
+    makes the answer the optimal basis's own vertex, so a carried inverse
     that drifted cannot pass off a feasible but suboptimal point.  An answer
     that fails clears the state, and the call is solved once more from the
     slack basis.  Raises ``LmoError`` carrying the residual when that answer
@@ -507,19 +535,23 @@ def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
     if warm is not None and warm.polytope is not p:
         raise ValueError("the LMO warm start belongs to another polytope")
     g = _check_dim(p, g, "g")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ValueError("g must be finite")
     state = LmoWarmStart(p) if warm is None else warm
+    n, u = p.dim, p.upper
     if state.rows.size == 0:
-        return np.where(g > 0.0, p.upper, 0.0)
+        return np.where(g > 0.0, u, 0.0)
 
-    cost = np.concatenate((g, np.zeros(state.rows.size)))
+    cost = np.zeros(state.upper.size)
+    cost[:n] = g
     for _ in range(2):
         _bounded_simplex(state, cost)
-        v = np.where(state.sign[:p.dim] < 0.0, p.upper, 0.0)
-        structural = state.basis < p.dim
-        v[state.basis[structural]] = state.values[structural]
-        v = np.clip(v, 0.0, p.upper)
+        basis = state.basis
+        v = np.where(state.sign[:n] < 0.0, u, 0.0)
+        structural = basis < n
+        v[basis[structural]] = state.values[structural]
+        # a basic value that rounding put past its bound
+        np.minimum(np.maximum(v, 0.0, out=v), u, out=v)
         residual = _lmo_residual(state, cost, v)
         if residual <= TOL_LP:
             return v
@@ -531,46 +563,60 @@ def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
 def _bounded_simplex(state: LmoWarmStart, cost: np.ndarray) -> None:
     """Maximize ``cost.z`` over ``[A I] z = b``, ``0 <= z <= (upper, inf)``,
     where ``z`` holds the ``n`` coordinates then the ``m`` slacks, from the
-    basis ``state`` holds, and leave the final simplex state in ``state``."""
-    tab, basis, sign, values = state.tab, state.basis, state.sign, state.values
-    upper, m, n = state.upper, basis.size, state.polytope.dim
-    cost = cost - cost[basis] @ tab  # reduced costs c - c_B B^-1 [A I]
-    cost[basis] = 0.0
-    ratios = np.empty(m)
+    basis ``state`` holds, and leave the final simplex state in ``state``.
+    Every array the pivots write is allocated here, once."""
+    binv, basis, sign, values = state.binv, state.basis, state.sign, state.values
+    base, upper, m = state.base, state.upper, basis.size
+    reduced = cost - (cost[basis] @ binv) @ base  # c - c_B B^-1 [A I]
+    reduced[basis] = 0.0
+    cap = upper[basis]  # the basic variables' upper bounds
+    gain, pivot_row = np.empty_like(reduced), np.empty_like(reduced)
+    improving = np.empty(reduced.size, dtype=bool)
+    col, flipped, ratios, work = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
+    mask, outer = np.empty(m, dtype=bool), np.empty((m, m))
     bland = False
-    for _ in range(_PIVOTS_PER_VARIABLE * (n + m)):
-        gain = sign * cost  # zero on basic variables
+    for _ in range(_PIVOTS_PER_VARIABLE * reduced.size):
+        np.multiply(sign, reduced, out=gain)  # zero on basic variables
         # under Bland's rule the first True of the mask, the lowest improving index
-        j = int(np.argmax(gain > TOL_LP if bland else gain))
+        j = int((np.greater(gain, TOL_LP, out=improving) if bland else gain).argmax())
         if not gain[j] > TOL_LP:
             break
-        # the basic values move by -step * rate as v_j leaves its bound
-        rate = sign[j] * tab[:, j]
+        # the entering column B^-1 a_j; the basic values move by -step * rate
+        # as v_j leaves its bound
+        np.dot(binv, base[:, j], out=col)
+        rate = col if sign[j] > 0.0 else np.negative(col, out=flipped)
         ratios.fill(np.inf)
-        np.divide(values, rate, out=ratios, where=rate > _PIVOT_EPS)
-        np.divide(values - upper[basis], rate, out=ratios, where=rate < -_PIVOT_EPS)
-        best = float(ratios.min())
+        np.divide(values, rate, out=ratios, where=np.greater(rate, _PIVOT_EPS, out=mask))
+        np.divide(np.subtract(values, cap, out=work), rate, out=ratios,
+                  where=np.less(rate, -_PIVOT_EPS, out=mask))
+        r = int(ratios.argmin())
+        best = float(ratios[r])
         step = max(best, 0.0)
         u_j = float(upper[j])
         if u_j == best == math.inf:
             break  # unbounded, which only rounding can cause; the certificate fails
         if u_j <= step:  # bound flip: v_j reaches its other bound first
-            values -= u_j * rate
+            values -= np.multiply(rate, u_j, out=work)
             sign[j] = -sign[j]
             bland = False
             continue
-        tied = np.flatnonzero(ratios <= best + _PIVOT_EPS * max(1.0, abs(best)))
-        r = int(tied[np.argmin(basis[tied])])  # lowest basic index on ties
-        values -= step * rate
+        tied = np.less_equal(ratios, best + _PIVOT_EPS * max(1.0, abs(best)),
+                             out=mask).nonzero()[0]
+        if tied.size > 1:
+            r = int(tied[basis[tied].argmin()])  # lowest basic index on ties
+        values -= np.multiply(rate, step, out=work)
         values[r] = u_j - step if sign[j] < 0.0 else step
         sign[basis[r]] = -1.0 if rate[r] < 0.0 else 1.0
         sign[j] = 1.0
-        tab[r] /= tab[r, j]
-        factors = tab[:, j].copy()
-        factors[r] = 0.0
-        tab -= factors[:, None] * tab[r]
-        cost -= cost[j] * tab[r]
-        basis[r] = j
+        # B^-1 <- E B^-1: row r over the pivot, eliminated from the other rows
+        row = binv[r]
+        row /= col[r]
+        col[r] = 0.0
+        binv -= np.multiply(col[:, None], row, out=outer)
+        # the reduced costs lose reduced_j times row r of the new B^-1 [A I]
+        reduced -= np.multiply(np.dot(row, base, out=pivot_row), reduced[j], out=pivot_row)
+        basis[r], cap[r] = j, u_j
+        reduced[basis] = 0.0
         bland = step <= _PIVOT_EPS
 
 
@@ -580,7 +626,7 @@ def _lmo_residual(state: LmoWarmStart, cost: np.ndarray, v: np.ndarray) -> float
     improvement a nonbasic variable offers (relative to ``max(1, ||cost||_inf)``),
     with the duals recomputed from the state's basis and the original
     ``[A I]``.  Together they certify that ``v`` is the basic solution of an
-    optimal basis, whatever tableau the simplex carried.  NaN when ``v`` is
+    optimal basis, whatever inverse the simplex carried.  NaN when ``v`` is
     not finite."""
     p, basis = state.polytope, state.basis
     full, n = state.base, p.dim
@@ -588,8 +634,8 @@ def _lmo_residual(state: LmoWarmStart, cost: np.ndarray, v: np.ndarray) -> float
         y = np.linalg.solve(full[:, basis].T, cost[basis])
     except np.linalg.LinAlgError:
         return math.inf
-    reduced = cost - full.T @ y
-    gain = np.where(state.sign < 0.0, -reduced, reduced)
+    gain = cost - full.T @ y
+    gain *= state.sign  # the improvement of moving each variable off its bound
     gain[basis] = 0.0
     scale = max(1.0, float(np.abs(cost).max()))
     # v lies in the box, so it meets every row that lmo leaves out

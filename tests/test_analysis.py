@@ -77,10 +77,14 @@ class TestBatteryConstruction:
         with pytest.raises(ValueError):
             TrialBattery.from_records(recs + other)
 
-    def test_values_must_be_a_matrix(self):
-        for values in ([1.0, 2.0], [[[1.0]], [[2.0]]]):
-            with pytest.raises(ValueError, match="shape disagrees with run ids"):
-                TrialBattery([0, 1], values, "scg")
+    @pytest.mark.parametrize("values", [
+        [1.0, 2.0], [[[1.0]], [[2.0]]], [[1.0], [2.0], [3.0]], [[1.0, 2.0]],
+    ], ids=["vector", "3d", "extra-row", "one-row"])
+    def test_values_must_be_a_matrix(self, values):
+        """One row per run id, checked before the rows are sorted by run id:
+        a third row is not cut off, and a single row is no ``IndexError``."""
+        with pytest.raises(ValueError, match="shape disagrees with run ids"):
+            TrialBattery([0, 1], values, "scg")
 
     def test_from_records_empty_rejected(self):
         with pytest.raises(ValueError):

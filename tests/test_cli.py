@@ -841,99 +841,149 @@ _UNREAD = [
 ]
 
 # (command, id, the one change to the valid scg config of write_config; for
-# ``bounds``, the config with a valid bounds entry and a known optimum)
+# ``bounds``, the config with a valid bounds entry and a known optimum; a
+# fragment of the error that change must give)
 _INVALID = [
-    ("run", "T-true", {"T": True}),
-    ("run", "runs-true", {"runs": True}),
-    ("run", "workers-true", {"workers": True}),
-    ("run", "t_min-true", {"t_min": True}),
-    ("run", "master_seed-negative", {"master_seed": -1}),
-    ("run", "scgpp-batch_size-fraction", {"algorithm": "scgpp", "batch_size": 2.5}),
-    ("run", "sigma-text", {"noise": {**_GAUSSIAN, "sigma": "a"}}),
-    ("run", "sigma-nan", {"noise": {**_GAUSSIAN, "sigma": float("nan")}}),
-    ("run", "hessian_sigma-text", {"noise": {**_GAUSSIAN, "hessian_sigma": "a"}}),
-    ("run", "output_dir-number", {"output_dir": 5}),
-    ("report", "T-true", {"T": True}),
-    ("report", "fit_exponent-text", {"fit_exponent": "a"}),
-    ("report", "normalized-text", {"normalized": "yes"}),
-    ("run", "algorithm-unknown", {"algorithm": "sgd"}),
-    ("run", "algorithm-null", {"algorithm": None}),
-    ("run", "step_rule-unknown", {"step_rule": {"kind": "linear", "value": 1.0}}),
-    ("run", "step_rule-zero", {"step_rule": {"kind": "constant", "value": 0}}),
-    ("run", "momentum_rule-unknown", {"momentum_rule": {"kind": "cubic"}}),
+    ("run", "T-true", {"T": True}, "T must be an integer >= 1"),
+    ("run", "runs-true", {"runs": True}, "runs must be a positive integer"),
+    ("run", "workers-true", {"workers": True},
+     "workers must be a positive integer or 'auto'"),
+    ("run", "t_min-true", {"t_min": True}, "t_min must be a positive integer"),
+    ("run", "master_seed-negative", {"master_seed": -1}, "master_seed must be an integer >= 0"),
+    ("run", "scgpp-batch_size-fraction", {"algorithm": "scgpp", "batch_size": 2.5},
+     "batch_size must be an integer >= 1"),
+    ("run", "sigma-text", {"noise": {**_GAUSSIAN, "sigma": "a"}},
+     "sigma must be a finite nonnegative number"),
+    ("run", "sigma-nan", {"noise": {**_GAUSSIAN, "sigma": float("nan")}},
+     "sigma must be a finite nonnegative number"),
+    ("run", "hessian_sigma-text", {"noise": {**_GAUSSIAN, "hessian_sigma": "a"}},
+     "hessian_sigma must be a finite nonnegative number"),
+    ("run", "output_dir-number", {"output_dir": 5}, "output_dir must be a string"),
+    ("report", "T-true", {"T": True}, "T must be an integer >= 1"),
+    ("report", "fit_exponent-text", {"fit_exponent": "a"},
+     "fit_exponent must be a positive finite number"),
+    ("report", "normalized-text", {"normalized": "yes"}, "normalized must be true or false"),
+    ("run", "algorithm-unknown", {"algorithm": "sgd"}, "unknown algorithm 'sgd'"),
+    ("run", "algorithm-null", {"algorithm": None}, "config key 'algorithm' is required"),
+    ("run", "step_rule-unknown", {"step_rule": {"kind": "linear", "value": 1.0}},
+     "unknown step rule 'linear'"),
+    ("run", "step_rule-zero", {"step_rule": {"kind": "constant", "value": 0}},
+     "step size must be a positive finite number"),
+    ("run", "momentum_rule-unknown", {"momentum_rule": {"kind": "cubic"}},
+     "unknown momentum rule 'cubic'"),
     ("run", "momentum_rule-constant-above-one", {"momentum_rule": {"kind": "constant",
-                                                                   "value": 1.5}}),
-    ("run", "momentum_rule-value-text", {"momentum_rule": {**_ALPHA, "value": "a"}}),
-    ("run", "boosted_pga-gamma-zero", {"algorithm": "boosted_pga", "gamma": 0}),
-    ("run", "init_rule-unknown", {"init_rule": "random"}),
-    ("run", "returned_convention-unknown", {"returned_convention": "mean"}),
-    ("run", "noise-text", {"noise": "none"}),
-    ("run", "problem-no-kind", {"problem": {"path": "one_dim.json"}}),
-    ("run", "problem-kind-unknown", {"problem": {"kind": "nqp-url"}}),
+                                                                   "value": 1.5}},
+     "constant momentum must lie in (0, 1]"),
+    ("run", "momentum_rule-value-text", {"momentum_rule": {**_ALPHA, "value": "a"}},
+     "momentum value must be a finite number"),
+    ("run", "boosted_pga-gamma-zero", {"algorithm": "boosted_pga", "gamma": 0},
+     "gamma must lie in (0, 1]"),
+    ("run", "init_rule-unknown", {"init_rule": "random"}, "unknown init rule 'random'"),
+    ("run", "returned_convention-unknown", {"returned_convention": "mean"},
+     "unknown returned convention 'mean'"),
+    ("run", "noise-text", {"noise": "none"}, "noise must be an object"),
+    ("run", "problem-no-kind", {"problem": {"path": "one_dim.json"}},
+     "problem must be an object with a 'kind'"),
+    ("run", "problem-kind-unknown", {"problem": {"kind": "nqp-url"}},
+     "unknown problem kind 'nqp-url'"),
     ("run", "generate-seed-missing",
-     {"problem": {k: v for k, v in _GENERATED.items() if k != "seed"}}),
-    ("run", "generate-entry_low-text", {"problem": {**_GENERATED, "entry_low": "a"}}),
+     {"problem": {k: v for k, v in _GENERATED.items() if k != "seed"}},
+     "problem spec is missing key 'seed'"),
+    ("run", "generate-entry_low-text", {"problem": {**_GENERATED, "entry_low": "a"}},
+     "entry_low and entry_high must be finite numbers"),
     ("run", "generate-entry_low-above-entry_high",
-     {"problem": {**_GENERATED, "entry_low": -0.5, "entry_high": -1.0}}),
-    ("run", "budget-seed-negative", {"problem": {**_BUDGET, "seed": -1}}),
-    ("run", "budget-p_low-above-p_high", {"problem": {**_BUDGET, "p_low": 0.8}}),
-    ("bounds", "bounds-empty", {"bounds": []}),
+     {"problem": {**_GENERATED, "entry_low": -0.5, "entry_high": -1.0}},
+     "entry_low must be <= entry_high"),
+    ("run", "budget-seed-negative", {"problem": {**_BUDGET, "seed": -1}},
+     "seed must be a nonnegative integer"),
+    ("run", "budget-p_low-above-p_high", {"problem": {**_BUDGET, "p_low": 0.8}},
+     "need 0 < p_low <= p_high < 1"),
+    ("bounds", "bounds-empty", {"bounds": []}, "no bounds selected in config"),
 ] + [
-    (command, name, change)
+    (command, name, change, message)
     for command in ("run", "bounds", "report")
-    for name, change in (
-        ("generate-n-text", {"problem": {**_GENERATED, "n": "a"}}),
-        ("generate-n-fraction", {"problem": {**_GENERATED, "n": 2.5}}),
-        ("generate-n-negative", {"problem": {**_GENERATED, "n": -1}}),
-        ("generate-seed-text", {"problem": {**_GENERATED, "seed": "x"}}),
-        ("budget-k-fraction", {"problem": {**_BUDGET, "k": 2.5}}),
-        ("budget-channels-text", {"problem": {**_BUDGET, "channels": "a"}}),
-        ("budget-density-text", {"problem": {**_BUDGET, "density": "x"}}),
-        ("budget-upper-nan", {"problem": {**_BUDGET, "upper": float("nan")}}),
-        ("budget-upper-true", {"problem": {**_BUDGET, "upper": True}}),
-        ("budget-alphas-object", {"problem": {**_BUDGET, "alphas": {}}}),
-        ("file-path-number", {"problem": {"kind": "nqp-file", "path": 1}}),
-        ("output_dir-empty", {"output_dir": ""}),
-        ("t_min-equals-T", {"t_min": 4}),
+    for name, change, message in (
+        ("generate-n-text", {"problem": {**_GENERATED, "n": "a"}},
+         "need integers seed >= 0, n >= 1 and m >= 0"),
+        ("generate-n-fraction", {"problem": {**_GENERATED, "n": 2.5}},
+         "need integers seed >= 0, n >= 1 and m >= 0"),
+        ("generate-n-negative", {"problem": {**_GENERATED, "n": -1}},
+         "need integers seed >= 0, n >= 1 and m >= 0"),
+        ("generate-seed-text", {"problem": {**_GENERATED, "seed": "x"}},
+         "need integers seed >= 0, n >= 1 and m >= 0"),
+        ("budget-k-fraction", {"problem": {**_BUDGET, "k": 2.5}},
+         "channels, customers and k must be positive integers"),
+        ("budget-channels-text", {"problem": {**_BUDGET, "channels": "a"}},
+         "channels, customers and k must be positive integers"),
+        ("budget-density-text", {"problem": {**_BUDGET, "density": "x"}},
+         "density must be in (0, 1]"),
+        ("budget-upper-nan", {"problem": {**_BUDGET, "upper": float("nan")}},
+         "per-advertiser budget must be 3 finite positive numbers"),
+        ("budget-upper-true", {"problem": {**_BUDGET, "upper": True}},
+         "per-advertiser budget must be 3 finite positive numbers"),
+        ("budget-alphas-object", {"problem": {**_BUDGET, "alphas": {}}},
+         "alphas must be 2 finite positive numbers"),
+        ("file-path-number", {"problem": {"kind": "nqp-file", "path": 1}},
+         "problem path must be a string"),
+        ("output_dir-empty", {"output_dir": ""}, "output_dir must not be empty"),
+        ("t_min-equals-T", {"t_min": 4}, "t_min must be below T"),
         ("theorem4-alpha-near-one",
          {"momentum_rule": {**_ALPHA, "value": 0.995},
-          "bounds": [{"theorem": "theorem4", "delta": 0.01, "alpha": 0.995}]}),
+          "bounds": [{"theorem": "theorem4", "delta": 0.01, "alpha": 0.995}]},
+         "theorem4: alpha = 0.995 is too close to 1"),
         ("theorem4-delta-negative",
-         {**PAIRED["theorem4"], "bounds": [{"theorem": "theorem4", "delta": -1}]}),
+         {**PAIRED["theorem4"], "bounds": [{"theorem": "theorem4", "delta": -1}]},
+         "theorem4: delta must lie in (0, 1)"),
         ("theorem1-unbounded-noise",
          {**PAIRED["theorem1"], "noise": _GAUSSIAN,
-          "bounds": [{"theorem": "theorem1", "delta": 0.1}]}),
-        ("theorem3-p-above-one", {"bounds": [{"theorem": "theorem3", "p": 1.5}]}),
+          "bounds": [{"theorem": "theorem1", "delta": 0.1}]},
+         "theorem1: bounded gradient error M unavailable"),
+        ("theorem3-p-above-one", {"bounds": [{"theorem": "theorem3", "p": 1.5}]},
+         "theorem3: confidence p must lie in (0, 1)"),
         ("theorem4-twice", {**PAIRED["theorem4"],
                             "bounds": [{"theorem": "theorem4", "delta": 0.01, "alpha": 0.5},
-                                       {"theorem": "theorem4", "delta": 0.05}]}),
-        ("bounds-object", {"bounds": {"theorem": "theorem4", "delta": 0.01}}),
-        ("bounds-entry-list", {"bounds": [["theorem4", 0.01]]}),
-        ("theorem9", {"bounds": [{"theorem": "theorem9", "delta": 0.01}]}),
+                                       {"theorem": "theorem4", "delta": 0.05}]},
+         "theorem4: listed twice in bounds"),
+        ("bounds-object", {"bounds": {"theorem": "theorem4", "delta": 0.01}},
+         "bounds must be a list"),
+        ("bounds-entry-list", {"bounds": [["theorem4", 0.01]]},
+         "each bounds entry must be an object"),
+        ("theorem9", {"bounds": [{"theorem": "theorem9", "delta": 0.01}]},
+         "theorem9: unknown theorem"),
         ("theorem4-deltta",
-         {**PAIRED["theorem4"], "bounds": [{"theorem": "theorem4", "deltta": 0.01}]}),
+         {**PAIRED["theorem4"], "bounds": [{"theorem": "theorem4", "deltta": 0.01}]},
+         "theorem4: unknown bounds entry key(s): deltta"),
         ("theorem1-alpha", {**PAIRED["theorem1"],
-                            "bounds": [{"theorem": "theorem1", "delta": 0.01, "alpha": 0.9}]}),
+                            "bounds": [{"theorem": "theorem1", "delta": 0.01, "alpha": 0.9}]},
+         "theorem1: unknown bounds entry key(s): alpha"),
         ("theorem4-main_text_exponent",
          {**PAIRED["theorem4"],
-          "bounds": [{"theorem": "theorem4", "delta": 0.01, "main_text_exponent": True}]}),
-        ("theorem4-poly48", {"bounds": [{"theorem": "theorem4", "delta": 0.01}]}),
+          "bounds": [{"theorem": "theorem4", "delta": 0.01, "main_text_exponent": True}]},
+         "theorem4: unknown bounds entry key(s): main_text_exponent"),
+        ("theorem4-poly48", {"bounds": [{"theorem": "theorem4", "delta": 0.01}]},
+         "theorem4: bounds the alpha momentum rule, not poly48"),
         ("theorem4-alpha-differs",
-         {**PAIRED["theorem4"], "bounds": [{"theorem": "theorem4", "delta": 0.01, "alpha": 0.3}]}),
+         {**PAIRED["theorem4"], "bounds": [{"theorem": "theorem4", "delta": 0.01, "alpha": 0.3}]},
+         "theorem4: alpha 0.3 differs from the trial's 0.5"),
         ("theorem2-gamma-differs",
          {**PAIRED["theorem2"], "gamma": 0.5,
-          "bounds": [{"theorem": "theorem2", "delta": 0.01, "gamma": 1.0}]}),
-        ("none-noise-sigma", {"noise": {"kind": "none", "sigma": 1000.0}}),
-        ("none-noise-opt-runs", {"opt": {"runs": 20, "iterations": 50}}),
+          "bounds": [{"theorem": "theorem2", "delta": 0.01, "gamma": 1.0}]},
+         "theorem2: gamma 1.0 differs from the trial's 0.5"),
+        ("none-noise-sigma", {"noise": {"kind": "none", "sigma": 1000.0}},
+         "noise kind 'none' takes no sigma"),
+        ("none-noise-opt-runs", {"opt": {"runs": 20, "iterations": 50}},
+         "opt.runs must be 1"),
         ("gaussian_prop-sigma",
-         {"noise": {"kind": "gaussian_prop", "scale": 0.1, "sigma": 1000.0}}),
+         {"noise": {"kind": "gaussian_prop", "scale": 0.1, "sigma": 1000.0}},
+         "noise kind 'gaussian_prop' takes no sigma"),
         ("clipped_gaussian-scale", {"noise": {"kind": "clipped_gaussian", "sigma": 0.1,
-                                              "scale": 50.0}}),
+                                              "scale": 50.0}},
+         "noise kind 'clipped_gaussian' takes no scale"),
     )
 ] + [
-    (command, name, change)
+    (command, name, change, message)
     for command in ("run", "bounds", "report")
-    for name, change, _ in _UNREAD
+    for name, change, message in _UNREAD
 ]
 
 
@@ -950,10 +1000,10 @@ class TestOneValidationBoundary:
         assert (sorted(out.iterdir()) if out.exists() else []) == before
         return err
 
-    @pytest.mark.parametrize("command,change",
-                             [pytest.param(c, ch, id=f"{c}-{i}") for c, i, ch in _INVALID])
+    @pytest.mark.parametrize("command,change,message",
+                             [pytest.param(c, ch, m, id=f"{c}-{i}") for c, i, ch, m in _INVALID])
     def test_invalid_value_exits_validation(self, tmp_path, one_dim_instance, command,
-                                            change, capsys):
+                                            change, message, capsys):
         out = tmp_path / "out"
         if command == "report":  # a battery to report on, from the valid config
             assert cli.main(["run", "--config", str(write_config(tmp_path))]) == 0
@@ -961,7 +1011,8 @@ class TestOneValidationBoundary:
         if command == "bounds":
             change = {"opt": 0.5, "bounds": [{"theorem": "theorem3", "delta": 1.0}], **change}
         cfg = write_config(tmp_path, name="invalid.json", **change)
-        self.assert_rejected(command, cfg, out, capsys)
+        err = self.assert_rejected(command, cfg, out, capsys)
+        assert message in err, err
         assert command != "run" or not (out / "battery.csv").exists()
 
     @pytest.mark.parametrize("command", ["run", "bounds", "report"])

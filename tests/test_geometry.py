@@ -23,11 +23,12 @@ UNIT_BOX2 = Polytope.box([1.0, 1.0])
 
 
 def at_slack_basis(state: LmoWarmStart) -> bool:
-    """True iff ``state`` holds the LMO's cold start: the tableau ``[A I]``,
-    the slacks basic at ``b`` and every coordinate at its lower bound."""
+    """True iff ``state`` holds the LMO's cold start: the slack basis, whose
+    inverse ``binv`` is I, the slacks basic at ``b`` and every coordinate at
+    its lower bound."""
     p = state.polytope
     n, m = p.dim, state.rows.size
-    return (np.array_equal(state.tab, state.base)
+    return (np.array_equal(state.binv, np.eye(m))
             and np.array_equal(state.basis, np.arange(n, n + m))
             and np.array_equal(state.sign, np.ones(n + m))
             and np.array_equal(state.values, p.b_vector[state.rows]))
@@ -391,7 +392,7 @@ class TestLmoWarmStart:
         monkeypatch.setattr(geometry, "_bounded_simplex", counted)
         return runs
 
-    def test_tableau_is_built_once_and_read_only(self):
+    def test_constraint_matrix_is_built_once_and_read_only(self):
         poly = TestPresolve.REDUNDANT
         np.testing.assert_array_equal(LmoWarmStart(poly).base, [[1.0, 1.0, 1.0]])
         assert not LmoWarmStart(poly).base.flags.writeable
@@ -401,7 +402,9 @@ class TestLmoWarmStart:
                                                                  simplex_runs):
         """All 200 calls of a 100 x 50 SCG trial: each warm answer passes its
         certificate (no call falls back to the cold start), is feasible, and
-        its value agrees with the cold answer's within 1e-12 relative."""
+        its value agrees with the cold answer's within 1e-12 relative.  After
+        each call the carried ``binv``, updated by the pivots, is still the
+        inverse of the basis columns of ``[A_rows I]``."""
         from drsubmax import optimizers
         from drsubmax.objectives import generate_nqp
         from drsubmax.oracles import NoiseModel
@@ -411,6 +414,9 @@ class TestLmoWarmStart:
 
         def recording(p, g, warm):
             calls.append((np.array(g), lmo(p, g, warm)))
+            eye = np.eye(warm.basis.size)
+            assert not np.array_equal(warm.binv, eye)
+            np.testing.assert_allclose(warm.binv @ warm.base[:, warm.basis], eye, atol=1e-9)
             return calls[-1][1]
 
         monkeypatch.setattr(optimizers, "lmo", recording)
@@ -426,7 +432,7 @@ class TestLmoWarmStart:
 
     @pytest.mark.parametrize("scale", [0.5, 1.01, 2.0])
     def test_corrupted_state_falls_back_to_the_cold_answer(self, simplex_runs, scale):
-        """A scaled tableau is no longer ``B^-1 [A I]``: the warm answer fails
+        """A scaled ``binv`` is no longer ``B^-1``: the warm answer fails
         the certificate, and the call returns the cold answer bit for bit.
         Without the complementary-slackness check some of these warm answers,
         feasible but not optimal, would pass."""
@@ -437,7 +443,7 @@ class TestLmoWarmStart:
         for _ in range(3):
             warm = LmoWarmStart(poly)
             lmo(poly, rng.standard_normal(poly.dim), warm)
-            warm.tab *= scale
+            warm.binv *= scale
             g = rng.standard_normal(poly.dim)
             simplex_runs.clear()
             np.testing.assert_array_equal(lmo(poly, g, warm), lmo(poly, g))
@@ -454,7 +460,7 @@ class TestLmoWarmStart:
             assert at_slack_basis(warm) == (poly is UNIT_BOX2)
             warm.clear()
             assert at_slack_basis(warm)
-            assert warm.tab.flags.writeable and warm.values.flags.writeable
+            assert warm.binv.flags.writeable and warm.values.flags.writeable
 
     def test_without_a_state_equals_a_new_state(self):
         """``lmo(p, g)`` is ``lmo(p, g, LmoWarmStart(p))`` bit for bit."""
@@ -484,10 +490,10 @@ class TestLmoWarmStart:
             with pytest.raises(ValueError, match="another polytope"):
                 lmo(poly, [1.0, 1.0], LmoWarmStart(TRIANGLE))
 
-    def test_states_on_one_polytope_keep_their_own_tableaux(self):
-        """Two states on one polytope build equal read-only bases ``[A_rows I]``
-        and bounds ``(upper, inf...)``; a pivot or ``clear()`` in one leaves
-        the other's tableau untouched."""
+    def test_states_on_one_polytope_keep_their_own_inverses(self):
+        """Two states on one polytope build equal read-only matrices
+        ``[A_rows I]`` and bounds ``(upper, inf...)``; a pivot or ``clear()``
+        in one leaves the other's basis inverse untouched."""
         poly = Polytope([[2.0, 1.0], [1.0, 2.0]], [1.0, 1.0], [1.0, 1.0])
         base = [[2.0, 1.0, 1.0, 0.0], [1.0, 2.0, 0.0, 1.0]]
         first, second = LmoWarmStart(poly), LmoWarmStart(poly)
@@ -496,21 +502,21 @@ class TestLmoWarmStart:
             assert not state.base.flags.writeable
             np.testing.assert_array_equal(state.upper, [1.0, 1.0, np.inf, np.inf])
         lmo(poly, [1.0, 0.0], first)  # x1 enters by a pivot
-        assert not np.array_equal(first.tab, base)
+        assert not np.array_equal(first.binv, np.eye(2))
         assert at_slack_basis(second)
         lmo(poly, [0.0, 1.0], second)
-        tab = second.tab.copy()
-        assert not np.array_equal(tab, base)
+        binv = second.binv.copy()
+        assert not np.array_equal(binv, np.eye(2))
         first.clear()
         assert at_slack_basis(first)
-        np.testing.assert_array_equal(second.tab, tab)
+        np.testing.assert_array_equal(second.binv, binv)
         np.testing.assert_array_equal(first.base, base)
 
     def test_box_ignores_the_state(self):
         warm = LmoWarmStart(UNIT_BOX2)
-        arrays = (warm.tab, warm.basis, warm.sign, warm.values)
+        arrays = (warm.binv, warm.basis, warm.sign, warm.values)
         np.testing.assert_array_equal(lmo(UNIT_BOX2, [1.0, -1.0], warm), [1.0, 0.0])
-        after = (warm.tab, warm.basis, warm.sign, warm.values)
+        after = (warm.binv, warm.basis, warm.sign, warm.values)
         assert all(a is b for a, b in zip(after, arrays))
         assert at_slack_basis(warm)
 
@@ -697,6 +703,41 @@ class TestCarriedFactorization:
         rows.append(2)
         check()
         assert counts["refactor"] == 0
+
+    def test_box_face_split_equals_the_general_split(self):
+        """On random carried states (halfspaces joined and dropped, coordinates
+        fixed and freed), ``split_face(j, sign)`` returns ``split`` of the
+        normal that is ``sign`` at ``j`` and 0.0 elsewhere, bit for bit, for
+        every free coordinate ``j`` and both faces."""
+        rng = np.random.default_rng(93)
+        checked = 0
+        for _ in range(20):
+            m, n = int(rng.integers(1, 8)), int(rng.integers(8, 16))
+            a = rng.uniform(-1.0, 1.0, size=(m, n))
+            carrier = geometry._GramInverse(m, n)
+            rows = rng.permutation(m)[:int(rng.integers(0, m + 1))]
+            for k in rows:
+                r, w = carrier.split(a[k])
+                carrier.add_row(k, a[k], r, float((w * carrier.free) @ w))
+            for j in rng.permutation(n)[:int(rng.integers(0, n - len(rows)))]:
+                r, w = carrier.split_face(j, 1.0)
+                carrier.fix(j, r, float((w * carrier.free) @ w))
+            if len(rows) > 1 and rng.random() < 0.5:
+                carrier.drop_row(rows[0])
+            fixed = np.flatnonzero(carrier.free == 0.0)
+            if fixed.size and rng.random() < 0.5:
+                carrier.release(fixed[0])
+            for j in np.flatnonzero(carrier.free):
+                for sign in (1.0, -1.0):
+                    r, w = carrier.split_face(j, sign)
+                    r, w = r.copy(), w.copy()
+                    normal = np.zeros(n)
+                    normal[j] = sign
+                    r_ref, w_ref = carrier.split(normal)
+                    assert r.tobytes() == r_ref.tobytes()
+                    assert w.tobytes() == w_ref.tobytes()
+                    checked += 1
+        assert checked > 200
 
     def test_far_targets_are_certified(self, monkeypatch, far_targets):
         """Every kind of update happens, and each answer meets the
