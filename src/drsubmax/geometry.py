@@ -7,20 +7,23 @@ Goldfarb and Idnani with an identity Hessian, which carries one
 factorization of its active set through the call and updates it when a
 constraint joins or leaves, certified by its KKT conditions) and linear
 maximization (a bounded-variable revised primal simplex on the halfspaces
-the box does not already satisfy, which carries the inverse of its basis,
-with largest-reduced-cost pricing and Bland's rule after a degenerate
-pivot, certified by reduced costs recomputed from its final basis and by
-complementary slackness).  Both are deterministic functions of their
-inputs, and the steps of each reuse work arrays allocated once per call.
+the box does not already satisfy, which carries the inverse of its basis
+with the duals as one more row, with largest-reduced-cost pricing and
+Bland's rule after a degenerate pivot, certified by reduced costs
+recomputed from its final basis and by complementary slackness).  Both are
+deterministic functions of their inputs.  The projection's steps reuse work
+arrays allocated once per call, the simplex's pivots ones allocated once
+per ``LmoWarmStart``.
 
 A Frank-Wolfe trial calls the LMO on one region with a new direction each
 time.  Its caller may pass an ``LmoWarmStart``, which presolves the region
 once and holds the simplex state that each call starts from and leaves
-updated: the basis, its inverse ``B^-1``, the bound each nonbasic variable
-sits at and the basic values.  A new state holds the slack basis at the
-origin, the cold start; after a call it holds that call's final basis,
-which is still feasible, so the next call needs only the pivots its new
-direction asks for.  An answer
+updated: the basis, ``[B^-1; y]`` (its inverse over the duals row, which
+each call sets for its own direction), the sign of each variable (the
+bound a nonbasic one sits at, 0 for a basic one) and the basic values.  A
+new state holds the slack basis at the origin, the cold start; after a
+call it holds that call's final basis, which is still feasible, so the
+next call needs only the pivots its new direction asks for.  An answer
 that fails its certificate is solved once more from the slack basis, so a
 warm start never turns a cold answer into an ``LmoError``.  The state
 belongs to one caller and one region.  Nothing is cached on the region or
@@ -460,35 +463,54 @@ class LmoWarmStart:
     A halfspace is redundant when the whole box satisfies it,
     ``sum_j max(A_ij, 0) * upper_j <= b_i``.  A new state keeps the other
     ``rows`` (every other use of the region keeps all of them), their
-    read-only constraint matrix ``base = [A_rows I]`` and the variables'
-    bounds ``upper``, ``(upper, inf, ...)``.  It then holds the basis, the
-    inverse ``binv`` of its columns of ``base``, the sign of each variable (-1
-    for a nonbasic variable at its upper bound) and the basic values.  These
-    depend on the basis only, not on the direction, so each call starts from
-    the state the previous call left.  A new or cleared state holds the slack
-    basis at the origin, whose inverse is the identity: the cold start.
-    Create one per Frank-Wolfe trial and pass it to every LMO call of that
-    trial; using it with another polytope raises ``ValueError``.
+    read-only constraint matrix ``base = [A_rows I]``, right-hand sides ``b``
+    and the variables' bounds ``upper``, ``(upper, inf, ...)``.  It then holds
+    the basis, the sign of each variable (+1 for a nonbasic variable at its
+    lower bound, -1 at its upper bound, 0 for a basic variable), the basic
+    values and their upper bounds ``cap``, and one ``(m + 1, m)`` array
+    ``ext``: its first ``m`` rows are the inverse ``binv`` of the basis
+    columns of ``base``, and its last row holds the duals ``y = c_B B^-1``
+    (``duals``), which each call sets for its own direction.  ``binv`` and
+    ``duals`` are views of ``ext``, so one rank-one update moves both.  The
+    basis and its inverse do not depend on the direction, so each call starts
+    from the state the previous call left.  A new or cleared state holds the
+    slack basis at the origin, whose inverse is the identity: the cold start.
+    The state also owns the simplex's work arrays, so a trial allocates them
+    once.  Create one per Frank-Wolfe trial and pass it to every LMO call of
+    that trial; using it with another polytope raises ``ValueError``.
     """
 
-    __slots__ = ("polytope", "rows", "base", "upper", "binv", "basis", "sign", "values")
+    __slots__ = ("polytope", "rows", "base", "b", "upper", "ext", "binv", "duals", "basis",
+                 "sign", "values", "cap", "reduced", "gain", "improving", "col_ext", "flipped",
+                 "ratios", "work", "mask", "outer")
 
     def __init__(self, polytope: Polytope):
         a, u = polytope.a_matrix, polytope.upper
         rows = np.flatnonzero(np.maximum(a, 0.0) @ u > polytope.b_vector)
-        base = np.hstack((a[rows], np.eye(rows.size)))
-        upper = np.concatenate((u, np.full(rows.size, np.inf)))
+        n, m = u.size, rows.size
+        base = np.hstack((a[rows], np.eye(m)))
+        b = polytope.b_vector[rows]
         base.setflags(write=False)
-        self.polytope, self.rows, self.base, self.upper = polytope, rows, base, upper
+        b.setflags(write=False)
+        self.polytope, self.rows, self.base, self.b = polytope, rows, base, b
+        self.upper = np.concatenate((u, np.full(m, np.inf)))
+        # work arrays of _bounded_simplex, which overwrites them on every call
+        self.reduced, self.gain = np.empty(n + m), np.empty(n + m)
+        self.improving = np.empty(n + m, dtype=bool)
+        self.col_ext, self.outer = np.empty(m + 1), np.empty((m + 1, m))
+        self.flipped, self.ratios, self.work = np.empty(m), np.empty(m), np.empty(m)
+        self.mask = np.empty(m, dtype=bool)
         self.clear()
 
     def clear(self) -> None:
         """Return to the slack basis at the origin, the cold start."""
         n, m = self.polytope.dim, self.rows.size
-        self.binv = np.eye(m)
+        self.ext = np.eye(m + 1, m)
+        self.binv, self.duals = self.ext[:m], self.ext[m]
         self.basis = np.arange(n, n + m)
-        self.sign = np.ones(n + m)
-        self.values = self.polytope.b_vector[self.rows]
+        self.sign = np.concatenate((np.ones(n), np.zeros(m)))
+        self.values = self.b.copy()
+        self.cap = np.full(m, np.inf)
 
 
 def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
@@ -499,38 +521,40 @@ def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
     ``v_j = upper_j if g_j > 0 else 0``.  Otherwise the LP
     ``max g.v  s.t.  A v + s = b,  0 <= v <= upper,  s >= 0`` is solved by a
     bounded-variable primal simplex (the upper-bounding technique of Dantzig,
-    Econometrica 23, 1955) in its revised form, which carries only the basis
-    inverse ``B^-1`` (Dantzig and Orchard-Hays, MTAC 8, 1954) and forms the
-    one column of ``B^-1 [A I]`` that a pivot reads.  It starts from the basis
-    ``warm`` holds: the slack basis at the origin when the state is new or
-    cleared (and always without ``warm``, which uses a new state), and the
-    previous call's final basis otherwise, which is feasible for any
-    direction.  Only the reduced costs ``c - c_B B^-1 [A I]`` are carried
-    (and set to exactly 0 on the basic columns), updated on each pivot by the
-    pivot row ``B^-1_r [A I]``; at the slack basis they are ``c`` itself.  A
-    nonbasic variable sits at 0 or at its upper bound, and reaching the other
-    bound first is a bound flip, not a pivot.  The entering variable is the
-    one with the largest improving reduced cost; right after a degenerate
-    pivot (a step of at most ``_PIVOT_EPS``) it is the lowest-index improving
-    one (Bland, Math. Oper. Res. 2, 1977).  The lowest-index basic variable
-    leaves on ratio ties.  Every pivot of a cycle would be degenerate and so
-    would follow Bland's rule, which cannot cycle.  Ties go to the lowest
-    index, so the answer is a deterministic function of ``p``, ``g`` and the
-    state, which is updated to this call's final basis.
+    Econometrica 23, 1955) in its revised form, which carries the basis
+    inverse ``B^-1`` with the duals ``y = c_B B^-1`` as one more row
+    (Dantzig and Orchard-Hays, MTAC 8, 1954) and forms the one column of
+    ``B^-1 [A I]`` that a pivot reads.  It starts from the basis ``warm``
+    holds: the slack basis at the origin when the state is new or cleared
+    (and always without ``warm``, which uses a new state), and the previous
+    call's final basis otherwise, which is feasible for any direction.  The
+    duals are set once a call from that basis, and each pivot updates them
+    with ``B^-1`` by one rank-one change of ``[B^-1; y]``; the reduced costs
+    ``c - y [A I]`` are recomputed from them, and a basic variable, whose
+    sign is 0, never prices.  A nonbasic variable sits at 0 or at its upper
+    bound, and reaching the other bound first is a bound flip, not a pivot.
+    The entering variable is the one with the largest improving reduced
+    cost; right after a degenerate pivot (a step of at most ``_PIVOT_EPS``)
+    it is the lowest-index improving one (Bland, Math. Oper. Res. 2, 1977).
+    The lowest-index basic variable leaves on ratio ties.  Every pivot of a
+    cycle would be degenerate and so would follow Bland's rule, which cannot
+    cycle.  Ties go to the lowest index, so the answer is a deterministic
+    function of ``p``, ``g`` and the state, which is updated to this call's
+    final basis.
 
     The answer is certified before it is returned: the duals are recomputed
-    from the final basis and the original ``[A I]``, no nonbasic variable may
-    improve the objective by more than ``TOL_LP * max(1, ||g||_inf)``, the
-    vertex may violate no constraint by more than ``TOL_LP``, and each row
-    whose slack is nonbasic must hold with equality within ``TOL_LP``.  With
-    primal and dual feasibility, that last check (complementary slackness)
-    makes the answer the optimal basis's own vertex, so a carried inverse
-    that drifted cannot pass off a feasible but suboptimal point.  An answer
-    that fails clears the state, and the call is solved once more from the
-    slack basis.  Raises ``LmoError`` carrying the residual when that answer
-    fails too (the state is then left at the slack basis), and
-    ``ValueError`` when ``g`` has a non-finite entry or ``warm`` belongs to
-    another polytope.
+    from the final basis and the original ``[A I]``, not read from the
+    carried ``[B^-1; y]``, no nonbasic variable may improve the objective by
+    more than ``TOL_LP * max(1, ||g||_inf)``, the vertex may violate no
+    constraint by more than ``TOL_LP``, and each row whose slack is nonbasic
+    must hold with equality within ``TOL_LP``.  With primal and dual
+    feasibility, that last check (complementary slackness) makes the answer
+    the optimal basis's own vertex, so a carried inverse that drifted cannot
+    pass off a feasible but suboptimal point.  An answer that fails clears
+    the state, and the call is solved once more from the slack basis.  Raises
+    ``LmoError`` carrying the residual when that answer fails too (the state
+    is then left at the slack basis), and ``ValueError`` when ``g`` has a
+    non-finite entry or ``warm`` belongs to another polytope.
     """
     if warm is not None and warm.polytope is not p:
         raise ValueError("the LMO warm start belongs to another polytope")
@@ -544,6 +568,7 @@ def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
 
     cost = np.zeros(state.upper.size)
     cost[:n] = g
+    scale = max(1.0, float(np.abs(g).max()))
     for _ in range(2):
         _bounded_simplex(state, cost)
         basis = state.basis
@@ -552,7 +577,7 @@ def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
         v[basis[structural]] = state.values[structural]
         # a basic value that rounding put past its bound
         np.minimum(np.maximum(v, 0.0, out=v), u, out=v)
-        residual = _lmo_residual(state, cost, v)
+        residual = _lmo_residual(state, cost, v, scale)
         if residual <= TOL_LP:
             return v
         state.clear()
@@ -564,18 +589,19 @@ def _bounded_simplex(state: LmoWarmStart, cost: np.ndarray) -> None:
     """Maximize ``cost.z`` over ``[A I] z = b``, ``0 <= z <= (upper, inf)``,
     where ``z`` holds the ``n`` coordinates then the ``m`` slacks, from the
     basis ``state`` holds, and leave the final simplex state in ``state``.
-    Every array the pivots write is allocated here, once."""
-    binv, basis, sign, values = state.binv, state.basis, state.sign, state.values
+    The duals row of ``state.ext`` is set here from ``cost``; every array the
+    pivots write belongs to ``state``."""
+    ext, binv, duals = state.ext, state.binv, state.duals
+    basis, sign, values, cap = state.basis, state.sign, state.values, state.cap
     base, upper, m = state.base, state.upper, basis.size
-    reduced = cost - (cost[basis] @ binv) @ base  # c - c_B B^-1 [A I]
-    reduced[basis] = 0.0
-    cap = upper[basis]  # the basic variables' upper bounds
-    gain, pivot_row = np.empty_like(reduced), np.empty_like(reduced)
-    improving = np.empty(reduced.size, dtype=bool)
-    col, flipped, ratios, work = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
-    mask, outer = np.empty(m, dtype=bool), np.empty((m, m))
+    reduced, gain, improving = state.reduced, state.gain, state.improving
+    col_ext, outer, flipped = state.col_ext, state.outer, state.flipped
+    ratios, work, mask = state.ratios, state.work, state.mask
+    col = col_ext[:m]
+    np.dot(cost[basis], binv, out=duals)  # y = c_B B^-1
     bland = False
     for _ in range(_PIVOTS_PER_VARIABLE * reduced.size):
+        np.subtract(cost, np.dot(duals, base, out=reduced), out=reduced)  # c - y [A I]
         np.multiply(sign, reduced, out=gain)  # zero on basic variables
         # under Bland's rule the first True of the mask, the lowest improving index
         j = int((np.greater(gain, TOL_LP, out=improving) if bland else gain).argmax())
@@ -607,41 +633,38 @@ def _bounded_simplex(state: LmoWarmStart, cost: np.ndarray) -> None:
         values -= np.multiply(rate, step, out=work)
         values[r] = u_j - step if sign[j] < 0.0 else step
         sign[basis[r]] = -1.0 if rate[r] < 0.0 else 1.0
-        sign[j] = 1.0
-        # B^-1 <- E B^-1: row r over the pivot, eliminated from the other rows
+        sign[j] = 0.0
+        # [B^-1; y] <- row r of B^-1 over the pivot, eliminated from the other
+        # rows of B^-1 and added to y reduced_j times: one k = 1 matrix product
         row = binv[r]
         row /= col[r]
         col[r] = 0.0
-        binv -= np.multiply(col[:, None], row, out=outer)
-        # the reduced costs lose reduced_j times row r of the new B^-1 [A I]
-        reduced -= np.multiply(np.dot(row, base, out=pivot_row), reduced[j], out=pivot_row)
+        col_ext[m] = -reduced[j]
+        ext -= np.dot(col_ext[:, None], row[None, :], out=outer)
         basis[r], cap[r] = j, u_j
-        reduced[basis] = 0.0
         bland = step <= _PIVOT_EPS
 
 
-def _lmo_residual(state: LmoWarmStart, cost: np.ndarray, v: np.ndarray) -> float:
+def _lmo_residual(state: LmoWarmStart, cost: np.ndarray, v: np.ndarray,
+                  scale: float) -> float:
     """The largest of the vertex's constraint violation, the slack of a row
     whose slack variable is nonbasic (it must be tight), and the largest
-    improvement a nonbasic variable offers (relative to ``max(1, ||cost||_inf)``),
-    with the duals recomputed from the state's basis and the original
-    ``[A I]``.  Together they certify that ``v`` is the basic solution of an
-    optimal basis, whatever inverse the simplex carried.  NaN when ``v`` is
-    not finite."""
-    p, basis = state.polytope, state.basis
-    full, n = state.base, p.dim
+    improvement a nonbasic variable offers (relative to ``scale``,
+    ``max(1, ||cost||_inf)``), with the duals recomputed from the state's
+    basis and the original ``[A I]``.  Together they certify that ``v`` is
+    the basic solution of an optimal basis, whatever ``[B^-1; y]`` the
+    simplex carried.  NaN when ``v`` is not finite."""
+    basis, full, n = state.basis, state.base, state.polytope.dim
     try:
         y = np.linalg.solve(full[:, basis].T, cost[basis])
     except np.linalg.LinAlgError:
         return math.inf
     gain = cost - full.T @ y
-    gain *= state.sign  # the improvement of moving each variable off its bound
-    gain[basis] = 0.0
-    scale = max(1.0, float(np.abs(cost).max()))
+    gain *= state.sign  # the improvement of moving each variable off its bound; 0 if basic
     # v lies in the box, so it meets every row that lmo leaves out
-    slack = p.b_vector[state.rows] - full[:, :n] @ v
-    basic_rows = basis[basis >= n] - n
-    slack[basic_rows] = np.minimum(slack[basic_rows], 0.0)
+    slack = state.b - full[:, :n] @ v
+    # a row whose slack is basic need only hold; the others must be tight
+    np.minimum(slack, 0.0, out=slack, where=state.sign[n:] == 0.0)
     return float(np.maximum(gain.max() / scale, np.abs(slack).max()))
 
 

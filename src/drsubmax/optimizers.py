@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -308,6 +307,9 @@ def run_battery(objective: Objective, noise: NoiseModel, cfg: RunConfig,
     if workers <= 1:
         yield from map(_trial, jobs)
         return
+    # imported here, so importing the package does not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_trial, jobs)
 

@@ -24,14 +24,15 @@ UNIT_BOX2 = Polytope.box([1.0, 1.0])
 
 def at_slack_basis(state: LmoWarmStart) -> bool:
     """True iff ``state`` holds the LMO's cold start: the slack basis, whose
-    inverse ``binv`` is I, the slacks basic at ``b`` and every coordinate at
-    its lower bound."""
+    inverse ``binv`` is I, the slacks basic (sign 0) at ``b`` with no upper
+    bound, and every coordinate at its lower bound (sign 1)."""
     p = state.polytope
     n, m = p.dim, state.rows.size
     return (np.array_equal(state.binv, np.eye(m))
             and np.array_equal(state.basis, np.arange(n, n + m))
-            and np.array_equal(state.sign, np.ones(n + m))
-            and np.array_equal(state.values, p.b_vector[state.rows]))
+            and np.array_equal(state.sign, np.repeat([1.0, 0.0], [n, m]))
+            and np.array_equal(state.values, p.b_vector[state.rows])
+            and np.array_equal(state.cap, np.full(m, np.inf)))
 
 
 def round_trip(path, poly: Polytope) -> Polytope:
@@ -403,8 +404,10 @@ class TestLmoWarmStart:
         """All 200 calls of a 100 x 50 SCG trial: each warm answer passes its
         certificate (no call falls back to the cold start), is feasible, and
         its value agrees with the cold answer's within 1e-12 relative.  After
-        each call the carried ``binv``, updated by the pivots, is still the
-        inverse of the basis columns of ``[A_rows I]``."""
+        each call the carried ``[B^-1; y]``, updated by the pivots, still holds
+        the inverse of the basis columns of ``[A_rows I]`` and the duals
+        ``c_B B^-1`` of the call's direction, and the signs mark exactly the
+        basic variables with 0."""
         from drsubmax import optimizers
         from drsubmax.objectives import generate_nqp
         from drsubmax.oracles import NoiseModel
@@ -414,9 +417,19 @@ class TestLmoWarmStart:
 
         def recording(p, g, warm):
             calls.append((np.array(g), lmo(p, g, warm)))
-            eye = np.eye(warm.basis.size)
+            m = warm.basis.size
+            eye, basic = np.eye(m), warm.base[:, warm.basis]
             assert not np.array_equal(warm.binv, eye)
-            np.testing.assert_allclose(warm.binv @ warm.base[:, warm.basis], eye, atol=1e-9)
+            np.testing.assert_allclose(warm.binv @ basic, eye, atol=1e-9)
+            np.testing.assert_array_equal(warm.ext, np.vstack((warm.binv, warm.duals)))
+            assert np.shares_memory(warm.binv, warm.ext) and np.shares_memory(warm.duals, warm.ext)
+            cost = np.concatenate((g, np.zeros(m)))
+            duals = np.linalg.solve(basic.T, cost[warm.basis])
+            np.testing.assert_allclose(warm.duals, duals, rtol=0.0,
+                                       atol=1e-9 * np.abs(duals).max())
+            assert np.all(warm.sign[warm.basis] == 0.0)
+            nonbasic = np.delete(warm.sign, warm.basis)
+            assert nonbasic.size == p.dim and np.all(np.abs(nonbasic) == 1.0)
             return calls[-1][1]
 
         monkeypatch.setattr(optimizers, "lmo", recording)
