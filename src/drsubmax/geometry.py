@@ -9,8 +9,11 @@ constraint joins or leaves, certified by its KKT conditions) and linear
 maximization (a bounded-variable revised primal simplex on the halfspaces
 the box does not already satisfy, which carries the inverse of its basis
 with the duals as one more row, with largest-reduced-cost pricing and
-Bland's rule after a degenerate pivot, certified by reduced costs
-recomputed from its final basis and by complementary slackness).  Both are
+Bland's rule after a degenerate pivot).  The LMO's certificate has two
+halves: a dual half, reduced costs from duals solved afresh on its final
+basis, which depends on the direction and is computed on every call, and a
+primal half, the vertex's feasibility and complementary slackness, which
+depends only on the basis and is computed once per basis.  Both oracles are
 deterministic functions of their inputs.  The projection's steps reuse work
 arrays allocated once per call, the simplex's pivots ones allocated once
 per ``LmoWarmStart``.
@@ -20,15 +23,18 @@ time.  Its caller may pass an ``LmoWarmStart``, which presolves the region
 once and holds the simplex state that each call starts from and leaves
 updated: the basis, ``[B^-1; y]`` (its inverse over the duals row, which
 each call sets for its own direction), the sign of each variable (the
-bound a nonbasic one sits at, 0 for a basic one) and the basic values.  A
-new state holds the slack basis at the origin, the cold start; after a
-call it holds that call's final basis, which is still feasible, so the
-next call needs only the pivots its new direction asks for.  An answer
-that fails its certificate is solved once more from the slack basis, so a
-warm start never turns a cold answer into an ``LmoError``.  The state
-belongs to one caller and one region.  Nothing is cached on the region or
-in the module: ``lmo(p, g)`` without a state presolves into a new one, and
-``project`` computes the row norms it needs on each call.
+bound a nonbasic one sits at, 0 for a basic one) and the basic values,
+with the vertex of that basic solution and the primal half of its
+certificate once a call has built them.  A new state holds the slack basis
+at the origin, the cold start; after a call it holds that call's final
+basis, which is still feasible, so the next call needs only the pivots its
+new direction asks for, and a call that needs none reuses the stored
+vertex.  An answer that fails its certificate is solved once more from the
+slack basis, so a warm start never turns a cold answer into an
+``LmoError``.  The state belongs to one caller and one region.  Nothing is
+cached on the region or in the module: ``lmo(p, g)`` without a state
+presolves into a new one, and ``project`` computes the row norms it needs
+on each call.
 
 The module does no file I/O: an instance file, which stores a region with
 its objective, is read and written by ``objectives``.
@@ -473,16 +479,22 @@ class LmoWarmStart:
     (``duals``), which each call sets for its own direction.  ``binv`` and
     ``duals`` are views of ``ext``, so one rank-one update moves both.  The
     basis and its inverse do not depend on the direction, so each call starts
-    from the state the previous call left.  A new or cleared state holds the
-    slack basis at the origin, whose inverse is the identity: the cold start.
-    The state also owns the simplex's work arrays, so a trial allocates them
-    once.  Create one per Frank-Wolfe trial and pass it to every LMO call of
-    that trial; using it with another polytope raises ``ValueError``.
+    from the state the previous call left.  Nor do the basic solution's
+    ``vertex`` and ``primal``, the primal half of its certificate (see
+    ``_basic_vertex``): ``lmo`` builds them once per basis, and
+    ``_bounded_simplex`` drops them (sets them to None) at its first pivot or
+    bound flip, as ``clear()`` does.  The dual half depends on the direction,
+    so every call computes it.  A new or cleared state holds the slack basis
+    at the origin, whose inverse is the identity: the cold start.  The state
+    also owns the LP's cost vector and the simplex's work arrays, so a trial
+    allocates them once.  Create one per Frank-Wolfe trial and pass it to
+    every LMO call of that trial; using it with another polytope raises
+    ``ValueError``.
     """
 
     __slots__ = ("polytope", "rows", "base", "b", "upper", "ext", "binv", "duals", "basis",
-                 "sign", "values", "cap", "reduced", "gain", "improving", "col_ext", "flipped",
-                 "ratios", "work", "mask", "outer")
+                 "sign", "values", "cap", "vertex", "primal", "cost", "reduced", "gain",
+                 "improving", "col_ext", "flipped", "ratios", "work", "mask", "outer")
 
     def __init__(self, polytope: Polytope):
         a, u = polytope.a_matrix, polytope.upper
@@ -494,6 +506,9 @@ class LmoWarmStart:
         b.setflags(write=False)
         self.polytope, self.rows, self.base, self.b = polytope, rows, base, b
         self.upper = np.concatenate((u, np.full(m, np.inf)))
+        # the LP's costs: lmo writes each direction over the first n, and the
+        # slacks' stay 0
+        self.cost = np.zeros(n + m)
         # work arrays of _bounded_simplex, which overwrites them on every call
         self.reduced, self.gain = np.empty(n + m), np.empty(n + m)
         self.improving = np.empty(n + m, dtype=bool)
@@ -511,6 +526,7 @@ class LmoWarmStart:
         self.sign = np.concatenate((np.ones(n), np.zeros(m)))
         self.values = self.b.copy()
         self.cap = np.full(m, np.inf)
+        self.vertex = self.primal = None
 
 
 def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
@@ -542,44 +558,46 @@ def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
     function of ``p``, ``g`` and the state, which is updated to this call's
     final basis.
 
-    The answer is certified before it is returned: the duals are recomputed
-    from the final basis and the original ``[A I]``, not read from the
-    carried ``[B^-1; y]``, no nonbasic variable may improve the objective by
-    more than ``TOL_LP * max(1, ||g||_inf)``, the vertex may violate no
-    constraint by more than ``TOL_LP``, and each row whose slack is nonbasic
-    must hold with equality within ``TOL_LP``.  With primal and dual
-    feasibility, that last check (complementary slackness) makes the answer
-    the optimal basis's own vertex, so a carried inverse that drifted cannot
-    pass off a feasible but suboptimal point.  An answer that fails clears
-    the state, and the call is solved once more from the slack basis.  Raises
-    ``LmoError`` carrying the residual when that answer fails too (the state
-    is then left at the slack basis), and ``ValueError`` when ``g`` has a
-    non-finite entry or ``warm`` belongs to another polytope.
+    The answer is certified before it is returned.  The dual half depends
+    on ``g``, so every call computes it: the duals are solved afresh from the
+    final basis and the original ``[A I]``, not read from the carried
+    ``[B^-1; y]``, and no nonbasic variable may improve the objective by more
+    than ``TOL_LP * max(1, ||g||_inf)``.  The primal half depends only on the
+    basis, the signs and the basic values, so it is computed with the vertex
+    once per basis and kept in ``warm`` until the simplex pivots or flips a
+    bound: the vertex may violate no constraint by more than ``TOL_LP``, and
+    each row whose slack is nonbasic must hold with equality within
+    ``TOL_LP``.  A call that moves nothing returns a copy of the stored
+    vertex.  With primal and dual feasibility, that last check
+    (complementary slackness) makes the answer the optimal basis's own
+    vertex, so a carried inverse that drifted cannot pass off a feasible but
+    suboptimal point.  An answer that fails clears the state, and the call
+    is solved once more from the slack basis.  Raises ``LmoError`` carrying
+    the residual when that answer fails too (the state is then left at the
+    slack basis), and ``ValueError`` when ``g`` has a non-finite entry or
+    ``warm`` belongs to another polytope.
     """
     if warm is not None and warm.polytope is not p:
         raise ValueError("the LMO warm start belongs to another polytope")
     g = _check_dim(p, g, "g")
-    if not np.isfinite(g).all():
+    top = float(np.abs(g).max())
+    if not math.isfinite(top):
         raise ValueError("g must be finite")
     state = LmoWarmStart(p) if warm is None else warm
     n, u = p.dim, p.upper
     if state.rows.size == 0:
         return np.where(g > 0.0, u, 0.0)
 
-    cost = np.zeros(state.upper.size)
+    cost = state.cost
     cost[:n] = g
-    scale = max(1.0, float(np.abs(g).max()))
+    scale = max(1.0, top)
     for _ in range(2):
         _bounded_simplex(state, cost)
-        basis = state.basis
-        v = np.where(state.sign[:n] < 0.0, u, 0.0)
-        structural = basis < n
-        v[basis[structural]] = state.values[structural]
-        # a basic value that rounding put past its bound
-        np.minimum(np.maximum(v, 0.0, out=v), u, out=v)
-        residual = _lmo_residual(state, cost, v, scale)
+        if state.vertex is None:
+            _basic_vertex(state)
+        residual = _lmo_residual(state, cost, scale)
         if residual <= TOL_LP:
-            return v
+            return state.vertex.copy()
         state.clear()
     raise LmoError(f"LMO failed its optimality certificate: residual {residual:.3g}",
                    residual=residual)
@@ -621,6 +639,7 @@ def _bounded_simplex(state: LmoWarmStart, cost: np.ndarray) -> None:
         u_j = float(upper[j])
         if u_j == best == math.inf:
             break  # unbounded, which only rounding can cause; the certificate fails
+        state.vertex = state.primal = None  # the basic solution moves: both are stale
         if u_j <= step:  # bound flip: v_j reaches its other bound first
             values -= np.multiply(rate, u_j, out=work)
             sign[j] = -sign[j]
@@ -645,27 +664,45 @@ def _bounded_simplex(state: LmoWarmStart, cost: np.ndarray) -> None:
         bland = step <= _PIVOT_EPS
 
 
-def _lmo_residual(state: LmoWarmStart, cost: np.ndarray, v: np.ndarray,
-                  scale: float) -> float:
-    """The largest of the vertex's constraint violation, the slack of a row
-    whose slack variable is nonbasic (it must be tight), and the largest
-    improvement a nonbasic variable offers (relative to ``scale``,
-    ``max(1, ||cost||_inf)``), with the duals recomputed from the state's
-    basis and the original ``[A I]``.  Together they certify that ``v`` is
+def _basic_vertex(state: LmoWarmStart) -> None:
+    """Store on ``state`` the vertex of its basic solution and the primal half
+    of its certificate, which depend only on the basis, the signs and the
+    basic values: the vertex's largest constraint violation and the slack of
+    a row whose slack variable is nonbasic (it must be tight).  NaN when the
+    vertex is not finite."""
+    basis, n, u = state.basis, state.polytope.dim, state.polytope.upper
+    v = np.where(state.sign[:n] < 0.0, u, 0.0)
+    structural = basis < n
+    v[basis[structural]] = state.values[structural]
+    # a basic value that rounding put past its bound
+    np.minimum(np.maximum(v, 0.0, out=v), u, out=v)
+    # v lies in the box, so it meets every row that lmo leaves out
+    slack = state.b - state.base[:, :n] @ v
+    # a row whose slack is basic need only hold: max(-slack, 0 * slack); the
+    # others must be tight: max(-slack, slack) = |slack|.  fmax skips the NaN
+    # of 0 * inf, so an infinite basic slack still counts as held
+    tight = np.abs(state.sign[n:])  # 0 at a basic slack, 1 at a nonbasic one
+    state.vertex = v
+    state.primal = np.fmax(np.negative(slack), slack * tight).max()
+
+
+def _lmo_residual(state: LmoWarmStart, cost: np.ndarray, scale: float) -> float:
+    """The larger of the primal half of the certificate that ``state`` holds
+    for its basis (see ``_basic_vertex``) and the dual half, which depends on
+    the direction and is computed on every call: the largest improvement a
+    nonbasic variable offers (relative to ``scale``, ``max(1,
+    ||cost||_inf)``), with the duals solved afresh from the state's basis and
+    the original ``[A I]``.  Together they certify that the stored vertex is
     the basic solution of an optimal basis, whatever ``[B^-1; y]`` the
-    simplex carried.  NaN when ``v`` is not finite."""
-    basis, full, n = state.basis, state.base, state.polytope.dim
+    simplex carried."""
+    basis, full = state.basis, state.base
     try:
         y = np.linalg.solve(full[:, basis].T, cost[basis])
     except np.linalg.LinAlgError:
         return math.inf
     gain = cost - full.T @ y
     gain *= state.sign  # the improvement of moving each variable off its bound; 0 if basic
-    # v lies in the box, so it meets every row that lmo leaves out
-    slack = state.b - full[:, :n] @ v
-    # a row whose slack is basic need only hold; the others must be tight
-    np.minimum(slack, 0.0, out=slack, where=state.sign[n:] == 0.0)
-    return float(np.maximum(gain.max() / scale, np.abs(slack).max()))
+    return float(np.maximum(gain.max() / scale, state.primal))
 
 
 def diameter_bound(p: Polytope) -> float:

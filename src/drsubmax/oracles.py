@@ -139,7 +139,7 @@ class OracleStream:
                 return g
         z = self.rng.normal(0.0, sd, size=g.size if batch is None else (batch, g.size))
         if kind == "clipped_gaussian":
-            z = np.clip(z, -2.0 * sd, 2.0 * sd)
+            np.minimum(np.maximum(z, -2.0 * sd, out=z), 2.0 * sd, out=z)
         noisy = g + z
         return noisy if batch is None else noisy.mean(axis=0)
 

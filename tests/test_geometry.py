@@ -549,6 +549,134 @@ class TestLmoWarmStart:
                 assert np.min(np.linalg.norm(verts - v, axis=1)) <= 1e-8
 
 
+def basic_vertex(state: LmoWarmStart) -> np.ndarray:
+    """The vertex of the basic solution ``state`` holds, built from its
+    basis, signs and basic values and clipped into the box."""
+    n, u, basis = state.polytope.dim, state.polytope.upper, state.basis
+    v = np.where(state.sign[:n] < 0.0, u, 0.0)
+    structural = basis < n
+    v[basis[structural]] = state.values[structural]
+    return np.clip(v, 0.0, u)
+
+
+class TestStoredVertex:
+    """A state keeps the vertex of its basis and the primal half of its
+    certificate until a pivot, a bound flip or ``clear()`` moves the basic
+    solution; a call that moves nothing answers with a copy of that vertex
+    and computes only the dual half afresh."""
+
+    # from the slack basis at the origin, x1 reaches its upper bound before
+    # the row does (a bound flip); then x2 enters and the row becomes tight
+    # (a pivot)
+    ROOMY = Polytope([[1.0, 1.0]], [1.5], [1.0, 1.0])
+
+    @pytest.fixture()
+    def rebuilds(self, monkeypatch):
+        """A list that records each rebuild of a stored vertex."""
+        calls = []
+        build = geometry._basic_vertex
+
+        def counted(state):
+            calls.append(state)
+            build(state)
+
+        monkeypatch.setattr(geometry, "_basic_vertex", counted)
+        return calls
+
+    def test_a_call_that_moves_nothing_returns_the_basis_vertex(self, monkeypatch):
+        """Every call of a 10 x 5 SCG trial: one that makes no pivot and no
+        bound flip returns, bit for bit, the vertex built from the basis, the
+        signs and the basic values."""
+        from drsubmax import optimizers
+        from drsubmax.objectives import generate_nqp
+        from drsubmax.oracles import NoiseModel
+
+        obj = generate_nqp(11, 10, 5, -1.0, 0.0)
+        moved = []
+        simplex = geometry._bounded_simplex
+
+        def watched(state, cost):
+            before = (state.basis.copy(), state.sign.copy(), state.values.copy())
+            simplex(state, cost)
+            after = (state.basis, state.sign, state.values)
+            moved.append(not all(np.array_equal(x, y) for x, y in zip(before, after)))
+
+        still = []
+
+        def recording(p, g, warm):
+            stored = warm.vertex
+            v = lmo(p, g, warm)
+            if not moved[-1]:
+                assert moved == [False] or stored is warm.vertex
+                assert v.tobytes() == basic_vertex(warm).tobytes()
+                assert v is not warm.vertex
+                still.append(v)
+            return v
+
+        monkeypatch.setattr(geometry, "_bounded_simplex", watched)
+        monkeypatch.setattr(optimizers, "lmo", recording)
+        cfg = optimizers.RunConfig("scg", 40, momentum_rule=optimizers.MomentumRule("alpha", 0.5))
+        optimizers.run_trial(obj, NoiseModel.clipped_gaussian(4.0), cfg)
+        assert len(moved) == 40
+        assert 0 < len(still) < 40
+
+    def test_mutating_an_answer_leaves_the_next_call_alone(self, rebuilds):
+        warm = LmoWarmStart(TRIANGLE)
+        v = lmo(TRIANGLE, [2.0, 1.0], warm)
+        expected = v.copy()
+        v[:] = -7.0
+        np.testing.assert_array_equal(lmo(TRIANGLE, [2.0, 1.0], warm), expected)
+        assert len(rebuilds) == 1  # the second call answered from the stored vertex
+
+    def test_clear_a_pivot_and_a_flip_drop_the_vertex(self, rebuilds):
+        poly = self.ROOMY
+        warm = LmoWarmStart(poly)
+        assert warm.vertex is None and warm.primal is None
+        np.testing.assert_array_equal(lmo(poly, [-1.0, -1.0], warm), [0.0, 0.0])
+        np.testing.assert_array_equal(lmo(poly, [-2.0, -1.0], warm), [0.0, 0.0])
+        assert len(rebuilds) == 1
+        # a bound flip (x1 to its upper bound), then a pivot (x2 enters)
+        for g, sign, v in (([1.0, -1.0], [-1.0, 1.0, 0.0], [1.0, 0.0]),
+                           ([1.0, 1.0], [-1.0, 0.0, 1.0], [1.0, 0.5])):
+            stored = warm.vertex
+            np.testing.assert_array_equal(lmo(poly, g, warm), v)
+            np.testing.assert_array_equal(warm.sign, sign)
+            assert warm.vertex is not stored
+        assert len(rebuilds) == 3
+        warm.clear()
+        assert warm.vertex is None and warm.primal is None
+        np.testing.assert_array_equal(lmo(poly, [1.0, 1.0], warm), [1.0, 0.5])
+        assert len(rebuilds) == 4
+
+    @pytest.mark.parametrize("poly, sign", [(ROOMY, [-1.0, 1.0, 0.0]),
+                                            (Polytope([[2.0, 1.0]], [1.0], [1.0, 1.0]),
+                                             [0.0, 1.0, 1.0])],
+                             ids=["flip", "pivot"])
+    def test_the_simplex_drops_the_vertex_when_it_moves(self, poly, sign):
+        """The drop happens inside ``_bounded_simplex``, so a caller that runs
+        the simplex on its own never keeps a stale vertex; a run that moves
+        nothing keeps it."""
+        warm = LmoWarmStart(poly)
+        lmo(poly, [-1.0, -1.0], warm)
+        stored = warm.vertex
+        geometry._bounded_simplex(warm, np.zeros(3))
+        assert warm.vertex is stored
+        geometry._bounded_simplex(warm, np.array([1.0, -1.0, 0.0]))
+        np.testing.assert_array_equal(warm.sign, sign)
+        assert warm.vertex is None and warm.primal is None
+
+    def test_a_stored_vertex_still_meets_the_dual_half(self, monkeypatch):
+        """With no pivot allowed the simplex leaves the stored basis and its
+        vertex in place: the dual half, solved afresh for each direction,
+        passes them while they stay optimal and rejects them after."""
+        warm = LmoWarmStart(self.ROOMY)
+        np.testing.assert_array_equal(lmo(self.ROOMY, [1.0, 1.0], warm), [1.0, 0.5])
+        monkeypatch.setattr(geometry, "_PIVOTS_PER_VARIABLE", 0)
+        np.testing.assert_array_equal(lmo(self.ROOMY, [2.0, 1.0], warm), [1.0, 0.5])
+        with pytest.raises(LmoError, match="certificate"):
+            lmo(self.ROOMY, [-1.0, 1.0], warm)
+
+
 class TestPaperScaleOracles:
     """The full-size benchmark region (100 coordinates, 50 halfspaces)."""
 
