@@ -25,9 +25,13 @@ record whose inputs match its own, so ``report.txt`` holds the same bytes
 with or without the file.  Outputs are plain CSV and text with
 17-significant-digit floats, and canonical JSON records (``_write_record``),
 so identical configs reproduce identical bytes.  Exit codes: 0 success, 1
-I/O failure, 2 validation failure.  Bad input raises ``ValueError`` and I/O
-failure ``OSError``, wherever it is found; ``main`` alone turns them into
-exit codes.
+I/O failure, an oracle that fails its certificate or an aborted battery, 2
+validation failure.  Bad input raises ``ValueError``, I/O failure ``OSError``
+and an oracle that fails its certificate a ``RuntimeError`` (``LmoError``,
+``ProjectionError``), wherever it is found; ``run`` writes its
+``battery.csv.partial`` marker and re-raises a failed trial as a
+``RuntimeError``.  ``main`` alone turns them into an exit code and one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ __all__ = ["main"]
 # battery trials of the same config, so their seed is offset
 _OPT_SEED_OFFSET = 1000003
 
-EXIT_IO = 1
+EXIT_FAILURE = 1
 EXIT_VALIDATION = 2
 
 
@@ -283,16 +287,15 @@ def _check_run_config(cfg: Experiment) -> None:
 # commands
 # ----------------------------------------------------------------------
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> None:
     obj = objectives.generate_nqp(args.seed, args.n, args.m, args.low, args.high)
     objectives.save_nqp(args.out, obj)
     print(f"wrote {args.out}")
     print(f"L = {bounds.spectral_norm(obj.h_matrix):.17g}")
     print(f"D = {diameter_bound(obj.polytope):.17g}")
-    return 0
 
 
-def cmd_run(cfg: Experiment) -> int:
+def cmd_run(cfg: Experiment) -> None:
     battery_path = os.path.join(cfg.output_dir, "battery.csv")
     marker = battery_path + ".partial"
     if os.path.exists(marker):
@@ -306,8 +309,7 @@ def cmd_run(cfg: Experiment) -> int:
     except Exception as exc:  # abort the battery, leave a partial marker
         with open(marker, "w") as fh:
             fh.write(f"battery aborted: {exc}\n")
-        print(f"battery aborted: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise RuntimeError(f"battery aborted: {exc}") from exc
 
     print(
         f"returned: min={float(np.min(returned)):.17g} "
@@ -315,7 +317,6 @@ def cmd_run(cfg: Experiment) -> int:
         f"max={float(np.max(returned)):.17g}"
     )
     print(f"wrote {battery_path}")
-    return 0
 
 
 def _bound_curves(cfg: Experiment, opt: float) -> list:
@@ -327,7 +328,7 @@ def _bound_curves(cfg: Experiment, opt: float) -> list:
     return [bounds.bound_curve(entry, consts, cfg.trial) for entry in cfg.bounds]
 
 
-def cmd_bounds(cfg: Experiment) -> int:
+def cmd_bounds(cfg: Experiment) -> None:
     if not cfg.bounds:
         raise ValueError("no bounds selected in config")
     curves = _bound_curves(cfg, resolve_opt(cfg))
@@ -336,13 +337,12 @@ def cmd_bounds(cfg: Experiment) -> int:
         path = os.path.join(cfg.output_dir, f"bound_{curve.label}.csv")
         bounds.save_bound_curve(path, curve)
         print(f"wrote {path}")
-    return 0
 
 
 _REPORT_STATS = (("min", "min"), ("median", "median"), ("q90", 0.9))
 
 
-def cmd_report(cfg: Experiment) -> int:
+def cmd_report(cfg: Experiment) -> None:
     out_dir = cfg.output_dir
     battery_path = os.path.join(out_dir, "battery.csv")
     battery = analysis.TrialBattery.from_csv(battery_path)
@@ -407,14 +407,13 @@ def cmd_report(cfg: Experiment) -> int:
     with open(report_path, "w") as fh:
         fh.write("\n".join(lines + violations) + "\n")
     print(f"wrote {report_path}")
-    return 0
 
 
 # ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
 
-@functools.cache  # one parser per process; main looks the commands up at call time
+@functools.cache  # one parser per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drsubmax",
@@ -448,19 +447,13 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else 0
-    try:
+    try:  # the commands are looked up at call time, so a wrapper set on the module applies
         if args.command == "generate":
-            return cmd_generate(args)
-        cfg = load_config(args.config, args.overrides)
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "bounds":
-            return cmd_bounds(cfg)
-        return cmd_report(cfg)
-    except (ValueError, OSError) as exc:
+            cmd_generate(args)
+        else:
+            cfg = load_config(args.config, args.overrides)
+            {"run": cmd_run, "bounds": cmd_bounds, "report": cmd_report}[args.command](cfg)
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION if isinstance(exc, ValueError) else EXIT_IO
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        return EXIT_VALIDATION if isinstance(exc, ValueError) else EXIT_FAILURE
+    return 0

@@ -8,7 +8,7 @@ import pytest
 
 from drsubmax import cli
 from drsubmax.analysis import TrialBattery, shared_c1_refit
-from drsubmax.geometry import Polytope
+from drsubmax.geometry import LmoError, Polytope
 from drsubmax.objectives import (NqpObjective, generate_nqp, instance_digest, load_nqp,
                                  save_nqp)
 
@@ -125,23 +125,26 @@ class TestRun:
         assert cli.main(["run", "--config", str(path), "--set", "T=2"]) == 2
         assert "root must be an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error", [RuntimeError, ValueError])
     def test_aborted_battery_leaves_partial_marker(self, tmp_path, one_dim_instance,
-                                                   monkeypatch, capsys):
+                                                   monkeypatch, capsys, error):
+        """A failed trial exits 1 whatever it raised: an aborted battery is
+        not a validation failure."""
         import drsubmax.optimizers as opt_module
 
         real = opt_module.run_trial
 
         def explode(objective, noise, cfg):
             if cfg.run_id == 1:
-                raise RuntimeError("synthetic trial failure")
+                raise error("synthetic trial failure")
             return real(objective, noise, cfg)
 
         monkeypatch.setattr(opt_module, "run_trial", explode)
         cfg = write_config(tmp_path)
         assert cli.main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: battery aborted: synthetic trial failure\n"
         marker = tmp_path / "out" / "battery.csv.partial"
-        assert marker.exists()
-        assert "synthetic trial failure" in marker.read_text()
+        assert marker.read_text() == "battery aborted: synthetic trial failure\n"
         # a later run that finishes removes the stale marker
         monkeypatch.setattr(opt_module, "run_trial", real)
         assert cli.main(["run", "--config", str(cfg)]) == 0
@@ -1251,6 +1254,50 @@ class TestMain:
         """An argparse exit, for a usage error or ``--help``, is returned
         rather than raised."""
         assert cli.main(argv) == code
+
+
+# an LP whose entering x1 has rate 8.6e-13 in the one row, so the LMO fails
+# its optimality certificate on the first direction (its optimum is 197.609)
+_LMO_FAILURE = "LMO failed its optimality certificate: residual 0.0519"
+
+
+@pytest.fixture()
+def lmo_failure_config(tmp_path):
+    path = tmp_path / "nqp3.json"
+    save_nqp(path, NqpObjective(-np.ones((3, 3)), Polytope(
+        [[613482016.4467916, 0.0005292282227471731, 8.174756674219773e-05]], [0.001],
+        [0.001, 100.0, 0.1])))
+    return write_config(tmp_path, problem={"kind": "nqp-file", "path": str(path)}, T=5,
+                        runs=1, opt={"runs": 1, "iterations": 5},
+                        bounds=[{"theorem": "theorem3", "delta": 10}])
+
+
+class TestOneErrorExit:
+    """An oracle that fails its certificate, from any command, and an aborted
+    battery exit 1 with one ``error:`` line and no traceback."""
+
+    def test_bounds_lmo_failure(self, lmo_failure_config, capsys):
+        assert cli.main(["bounds", "--config", str(lmo_failure_config)]) == 1
+        assert capsys.readouterr().err == f"error: {_LMO_FAILURE}\n"
+
+    def test_run_lmo_failure(self, tmp_path, lmo_failure_config, capsys):
+        assert cli.main(["run", "--config", str(lmo_failure_config)]) == 1
+        assert capsys.readouterr().err == f"error: battery aborted: {_LMO_FAILURE}\n"
+        marker = tmp_path / "out" / "battery.csv.partial"
+        assert marker.read_text() == f"battery aborted: {_LMO_FAILURE}\n"
+
+    def test_report_lmo_failure(self, tmp_path, one_dim_instance, monkeypatch, capsys):
+        cfg = write_config(tmp_path, normalized=True)
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+
+        def fail(*args, **kwargs):
+            raise LmoError(_LMO_FAILURE, 0.0519)
+
+        monkeypatch.setattr(cli.analysis, "approx_opt", fail)
+        assert cli.main(["report", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {_LMO_FAILURE}\n"
+        assert not (tmp_path / "out" / "report.txt").exists()
 
 
 class TestModuleEntryPoint:
