@@ -226,8 +226,10 @@ def theorem2_bound(c: BoundConstants, T, delta: float, gamma: float = 1.0,
 def _greedy_bound(c: BoundConstants, T, delta: float, deficit):
     """The Chebyshev-type shape of theorems 3 and 5: ``((1 - 1/e) opt -
     deficit(t) - L D^2 / (2 t^2), max(0, 1 - t / delta^2))``."""
-    if not 0 < delta < math.inf:
-        raise ValueError("delta must be finite and positive")
+    # a float's square by *, which neither raises nor warns when it overflows
+    # or underflows, as ** and a numpy square would
+    if not (delta > 0.0 and 0.0 < float(delta) * float(delta) < math.inf):
+        raise ValueError("delta must be finite and positive, and its square a positive float")
     t = _as_T(T)
     bound = ONE_MINUS_INV_E * c.opt - deficit(t) - c.lipschitz * c.diameter**2 / (2.0 * t**2)
     return bound, np.maximum(0.0, 1.0 - t / delta**2)
@@ -317,7 +319,8 @@ def bound_curve(entry: dict, c: BoundConstants, trial: RunConfig) -> BoundCurve:
     exactly one of ``delta`` and ``p`` (mapped by ``TheoremSpec.delta``) and
     that theorem's parameters, of which the trial fixes ``gamma`` and
     ``alpha``.  The theorem must bound ``trial.algorithm``.  Every
-    ``ValueError`` starts with the theorem's name; the meta echoes delta, the
+    ``ValueError`` starts with the theorem's name, and a constant whose
+    power overflows a float raises one too; the meta echoes delta, the
     constants, the float parameters and ``K``."""
     name = entry.get("theorem")
     if not isinstance(name, str) or name not in THEOREMS:
@@ -352,6 +355,8 @@ def bound_curve(entry: dict, c: BoundConstants, trial: RunConfig) -> BoundCurve:
         out = globals()[f"{name}_bound"](c, np.arange(1, trial.T + 1), delta, **args)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
+    except OverflowError:
+        raise ValueError(f"{name}: a constant of the bound overflows a float") from None
     bound, prob = out if spec.chebyshev else (out, None)
     meta = [("delta", delta), ("L", c.lipschitz), ("D", c.diameter),
             ("M", c.noise_bound), ("sigma", c.noise_sigma), ("opt", c.opt)]

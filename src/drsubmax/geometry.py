@@ -18,6 +18,18 @@ deterministic functions of their inputs.  The projection's steps reuse work
 arrays allocated once per call, the simplex's pivots ones allocated once
 per ``LmoWarmStart``.
 
+A projected-ascent trial projects a new target onto one region each
+iteration, and consecutive answers share most of their active set.  Its
+caller may pass a ``ProjectionWarmStart``, which holds the final active set
+of the last call that ran the dual method: the tight halfspaces and the
+face each fixed coordinate sits at.  The next call rebuilds that set's
+inverse Gram matrix from scratch, puts ``x`` on the set's face for its own
+target, and drops the constraints whose multipliers are negative there
+until none is, a start from which the dual method is valid, so it needs
+fewer dual steps.  A singular start, or an answer that fails its
+certificate, is run once more cold, so a warm start never turns a cold
+answer into a ``ProjectionError``.
+
 A Frank-Wolfe trial calls the LMO on one region with a new direction each
 time.  Its caller may pass an ``LmoWarmStart``, which presolves the region
 once and holds the simplex state that each call starts from and leaves
@@ -31,10 +43,10 @@ basis, which is still feasible, so the next call needs only the pivots its
 new direction asks for, and a call that needs none reuses the stored
 vertex.  An answer that fails its certificate is solved once more from the
 slack basis, so a warm start never turns a cold answer into an
-``LmoError``.  The state belongs to one caller and one region.  Nothing is
+``LmoError``.  Each state belongs to one caller and one region.  Nothing is
 cached on the region or in the module: ``lmo(p, g)`` without a state
-presolves into a new one, and ``project`` computes the row norms it needs
-on each call.
+presolves into a new one, ``project(p, y)`` without a state starts cold,
+and ``project`` computes the row norms it needs on each call.
 
 The module does no file I/O: an instance file, which stores a region with
 its objective, is read and written by ``objectives``.
@@ -50,6 +62,7 @@ import numpy as np
 __all__ = [
     "Polytope",
     "ProjectionError",
+    "ProjectionWarmStart",
     "LmoError",
     "LmoWarmStart",
     "contains",
@@ -183,35 +196,76 @@ def violation(p: Polytope, x) -> float:
                for part in (-x, x - p.upper, p.a_matrix @ x - p.b_vector))
 
 
-def project(p: Polytope, y) -> np.ndarray:
+class ProjectionWarmStart:
+    """One caller's active set for ``project`` on one polytope.
+
+    ``face`` is the final active set of the last call that ran the dual
+    method, in that method's index space (see ``_dual_active_set``): 1 at a
+    tight halfspace ``i``, -1 or +1 at ``m + j`` when coordinate ``j`` sits
+    at its lower or upper face, and 0 elsewhere.  A new or cleared state
+    holds None, the cold start.  Only the set is kept: each call rebuilds
+    the set's inverse Gram matrix from scratch for its own target.  Create
+    one per projected-ascent trial and pass it to every projection of that
+    trial; using it with another polytope raises ``ValueError``.
+    """
+
+    __slots__ = ("polytope", "face")
+
+    def __init__(self, polytope: Polytope):
+        self.polytope = polytope
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget the active set: the next call starts cold."""
+        self.face = None
+
+
+def project(p: Polytope, y, warm: ProjectionWarmStart | None = None) -> np.ndarray:
     """Euclidean projection of ``y`` onto the polytope.
 
     Already-feasible points are returned as a copy.  When the point clamped to
     the box is feasible (always for a pure box) it is the answer.  Otherwise
     the dual active-set method of Goldfarb and Idnani (Math. Prog. 27, 1983)
-    with an identity Hessian runs from ``x = y`` and an empty active set.  It
-    repeatedly adds the most violated constraint (by distance; lowest index
-    on ties, halfspaces before box faces) and takes partial dual steps,
-    dropping the active constraint whose multiplier reaches 0 first, until a
-    full step makes the added constraint tight.  The method ends after
-    finitely many steps.  Active box faces fix their coordinate, so each step
-    splits the added normal into its least-squares combination of the active
-    halfspaces' normals on the free coordinates and the part orthogonal to
-    them.  It reads that split from the inverse Gram matrix of those normals,
-    which the call carries and updates by one rank-one change when a
-    constraint joins or leaves (``_GramInverse``), instead of refactorizing
-    the active set every step.
+    with an identity Hessian runs from ``x = y`` and an empty active set, or
+    from the active set ``warm`` holds (see below).  It repeatedly adds the
+    most violated constraint (by distance; lowest index on ties, halfspaces
+    before box faces) and takes partial dual steps, dropping the active
+    constraint whose multiplier reaches 0 first, until a full step makes the
+    added constraint tight.  The method ends after finitely many steps.
+    Active box faces fix their coordinate, so each step splits the added
+    normal into its least-squares combination of the active halfspaces'
+    normals on the free coordinates and the part orthogonal to them.  It
+    reads that split from the inverse Gram matrix of those normals, which
+    the call carries and updates by one rank-one change when a constraint
+    joins or leaves (``_GramInverse``), instead of refactorizing the active
+    set every step.
+
+    The method may start from any active set whose face minimizer has
+    nonnegative multipliers.  A ``warm`` state that holds the previous
+    call's final set gives one (``_resume``): the set's inverse Gram matrix
+    is rebuilt from scratch, ``x`` is put on the set's face for this ``y``,
+    and the constraints whose multipliers are negative there leave, round
+    after round, until none is.  Consecutive projections of a trial share
+    most of their active set, so a warm call takes fewer dual steps.
 
     The answer is recomputed from the final active set and certified by its
     KKT conditions: feasibility and nonnegative multipliers, both within
-    ``1e-9 * max(1, ||y||)``.  The answer is backward stable, so a far
-    target's answer is feasible only on ``||y||``'s scale: on ``x1 + x2 <= 1``
-    in the unit box, ``y = (1e12, 1e12)`` gives a point 4.9e-4 outside.
-    Raises ``ProjectionError`` carrying the iterate and its residual when the
-    certificate fails, and ``ValueError`` when ``y`` has a non-finite entry
-    or, unless the clamped point is the answer, a norm that overflows (both
-    tolerances would be infinite).
+    ``1e-9 * max(1, ||y||)``.  So a warm answer is bit-identical to the cold
+    one whenever both end on the same set.  A warm start whose set is
+    singular, or whose answer fails, is run once more cold, so a warm start
+    never turns a cold answer into a ``ProjectionError``.  A certified call
+    leaves its final set in ``warm``, and a clamped answer leaves ``warm`` as
+    it was.  The answer is backward stable, so a
+    far target's answer is feasible only on ``||y||``'s scale: on ``x1 + x2
+    <= 1`` in the unit box, ``y = (1e12, 1e12)`` gives a point 4.9e-4
+    outside.  Raises ``ProjectionError`` carrying the cold iterate and its
+    residual when the certificate fails (``warm`` is then cleared), and
+    ``ValueError`` when ``warm`` belongs to another polytope, or ``y`` has a
+    non-finite entry or, unless the clamped point is the answer, a norm that
+    overflows (both tolerances would be infinite).
     """
+    if warm is not None and warm.polytope is not p:
+        raise ValueError("the projection warm start belongs to another polytope")
     y = _check_dim(p, y, "y")
     if not np.all(np.isfinite(y)):
         raise ValueError("y must be finite")
@@ -226,15 +280,23 @@ def project(p: Polytope, y) -> np.ndarray:
     if not math.isfinite(scale):
         raise ValueError("y is too large: its norm overflows")
     row_norms = np.sqrt(np.einsum("ij,ij->i", p.a_matrix, p.a_matrix))
-    active, side = _dual_active_set(p, y, scale, row_norms)
-    x, residual = _kkt_point(p, y, active, side, row_norms)
-    if not residual <= _KKT_RTOL * scale:
-        raise ProjectionError(
-            f"projection failed its KKT certificate: residual {residual:.3g}",
-            iterate=x,
-            residual=residual,
-        )
-    return x
+    starts = (None,) if warm is None or warm.face is None else (warm.face, None)
+    for start in starts:
+        face = _dual_active_set(p, y, scale, row_norms, start)
+        if face is None:  # the start's set is singular
+            continue
+        x, residual = _kkt_point(p, y, face, row_norms)
+        if residual <= _KKT_RTOL * scale:
+            if warm is not None:
+                warm.face = face
+            return x
+    if warm is not None:
+        warm.clear()
+    raise ProjectionError(
+        f"projection failed its KKT certificate: residual {residual:.3g}",
+        iterate=x,
+        residual=residual,
+    )
 
 
 class _GramInverse:
@@ -337,10 +399,13 @@ class _GramInverse:
         self.ginv = np.linalg.pinv((a_s * self.free) @ a_s.T, hermitian=True)
 
 
-def _dual_active_set(p: Polytope, y: np.ndarray, scale: float, row_norms: np.ndarray):
-    """The active set at the projection: ``active`` is 1 at a tight halfspace
-    and 0 elsewhere, and ``side`` is -1 at a coordinate fixed at its lower
-    face, +1 at its upper face and 0 when free.
+def _dual_active_set(p: Polytope, y: np.ndarray, scale: float, row_norms: np.ndarray,
+                     start: np.ndarray | None = None):
+    """The active set at the projection, as ``face``: 1 at a tight halfspace,
+    -1 at a coordinate fixed at its lower face, +1 at its upper face and 0
+    elsewhere.  It starts from the empty set, or from the set ``start`` (a
+    previous call's ``face``) pruned by ``_resume``; None when that set is
+    singular.
 
     The constraints share one index space: halfspace ``i`` is ``i`` and
     coordinate ``j``'s box face is ``m + j``.  ``face`` (``active`` then
@@ -353,18 +418,22 @@ def _dual_active_set(p: Polytope, y: np.ndarray, scale: float, row_norms: np.nda
     # a zero row is never violated (b > 0)
     row_norms = np.where(row_norms == 0.0, 1.0, row_norms)
     add_tol = _ADD_RTOL * scale
-    x = y.copy()
-    face = np.zeros(m + n)
-    active, side = face[:m], face[m:]
+    gram = _GramInverse(m, n)
+    if start is None:
+        x, face, mult = y.copy(), np.zeros(m + n), np.zeros(m + n)
+    else:
+        resumed = _resume(p, y, start, row_norms, gram)
+        if resumed is None:
+            return None
+        x, face, mult = resumed
+    side = face[m:]
     # -inf at the active constraints, added to the distances so that none is
     # added twice (halfspaces are tight only up to rounding)
-    blocked = np.zeros(m + n)
-    mult = np.zeros(m + n)
+    blocked = np.where(face != 0.0, -math.inf, 0.0)
     rates, ratios, dist = np.zeros(m + n), np.empty(m + n), np.empty(m + n)
     rising = np.empty(m + n, dtype=bool)
     z, work = np.empty(n), np.empty(n)
     dist_rows, dist_box, rate_rows, rate_box = dist[:m], dist[m:], rates[:m], rates[m:]
-    gram = _GramInverse(m, n)
     steps = _STEPS_PER_CONSTRAINT * (m + 2 * n)
     while steps > 0:
         np.dot(a, x, out=dist_rows)
@@ -412,7 +481,7 @@ def _dual_active_set(p: Polytope, y: np.ndarray, scale: float, row_norms: np.nda
             if math.isinf(t):
                 # no step satisfies constraint k, which only rounding can cause
                 # (the origin is feasible); the certificate then fails
-                return active, side
+                return face
             x -= np.multiply(z, t, out=work)
             mult -= np.multiply(rates, t, out=ratios)
             added += t
@@ -430,15 +499,67 @@ def _dual_active_set(p: Polytope, y: np.ndarray, scale: float, row_norms: np.nda
                 gram.drop_row(i)
             else:
                 gram.release(i - m)
-    return active, side
+    return face
 
 
-def _kkt_point(p: Polytope, y: np.ndarray, active: np.ndarray, side: np.ndarray,
-               row_norms: np.ndarray):
+def _resume(p: Polytope, y: np.ndarray, start: np.ndarray, row_norms: np.ndarray,
+            gram: _GramInverse):
+    """A dual-feasible start of ``_dual_active_set`` from the active set
+    ``start``: ``x``, the point closest to ``y`` on the face where its
+    halfspaces are tight and its fixed coordinates sit at their box face, with
+    ``face`` and ``mult``, the multipliers there.  The constraints whose
+    multiplier is negative leave, all at once, and the rest are solved again,
+    until none is.  Each round factors the set's Gram matrix from scratch,
+    and ``gram`` is left holding the inverse of the last one.  None when a
+    set is singular: by its Cholesky factor, some normal's free part
+    orthogonal to the normals before it is no longer than
+    ``_MAX_GROWTH**-0.5`` times the normal, so the inverse may amplify
+    rounding by ``_MAX_GROWTH`` or more.  (The Gram matrix squares the set's
+    condition, so its factor cannot resolve the finer test a halfspace
+    passes to join, ``_DEPENDENT_RTOL``.)"""
+    a, b, u = p.a_matrix, p.b_vector, p.upper
+    m = b.size
+    face = start.copy()
+    active, side = face[:m], face[m:]
+    while True:
+        rows = np.flatnonzero(active)
+        free = side == 0.0
+        x = np.where(free, y, np.where(side > 0.0, u, 0.0))
+        a_s = a[rows]
+        gram_matrix = (a_s * free) @ a_s.T  # A_SF A_SF^T
+        try:
+            # L_kk of G = L L^T is the free part of row k orthogonal to the rows before it
+            factor = np.linalg.cholesky(gram_matrix)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(_MAX_GROWTH * np.diagonal(factor)**2 > row_norms[rows]**2):
+            return None
+        # x_F = y_F - A_SF^T lam  with  A_S x = b_S
+        lam = np.linalg.solve(gram_matrix, a_s @ x - b[rows])
+        shift = lam @ a_s
+        # box-face multipliers: y - x = A_S^T lam + side * mu on fixed coordinates
+        mu = side * (y - x - shift)
+        leave_rows, leave_faces = lam < 0.0, mu < 0.0
+        if not (leave_rows.any() or leave_faces.any()):
+            break
+        active[rows[leave_rows]] = 0.0
+        side[leave_faces] = 0.0
+    x[free] -= shift[free]
+    gram.rows[:rows.size], gram.normals[:rows.size] = rows, a_s
+    gram.free, gram.ginv = free.astype(float), np.linalg.inv(gram_matrix)
+    mult = np.zeros(face.size)
+    mult[rows], mult[m:] = lam, mu
+    return x, face, mult
+
+
+def _kkt_point(p: Polytope, y: np.ndarray, face: np.ndarray, row_norms: np.ndarray):
     """The projection of ``y`` onto the face where the halfspaces with nonzero
-    ``active`` are tight and the coordinates with nonzero ``side`` sit at their
-    box face, with its KKT residual: the larger of the point's constraint
-    violation and its most negative multiplier (times its normal's length)."""
+    ``active = face[:m]`` are tight and the coordinates with nonzero ``side =
+    face[m:]`` sit at their box face, with its KKT residual: the larger of
+    the point's constraint violation and its most negative multiplier (times
+    its normal's length)."""
+    m = p.n_halfspaces
+    active, side = face[:m], face[m:]
     a, b, u = p.a_matrix, p.b_vector, p.upper
     free = side == 0.0
     x = np.where(side > 0.0, u, 0.0)

@@ -98,8 +98,12 @@ class NqpObjective(Objective):
             raise ValueError("H must be symmetric (within 1e-12)")
         if not np.all(np.isfinite(h_matrix) & (h_matrix <= 0)):
             raise ValueError("all entries of H must be finite and <= 0")
+        with np.errstate(over="ignore"):
+            h_vector = -h_matrix @ polytope.upper
+        if not np.all(np.isfinite(h_vector)):
+            raise ValueError("the linear term h = -H @ upper overflows")
         self.h_matrix = h_matrix
-        self.h_vector = -h_matrix @ polytope.upper
+        self.h_vector = h_vector
         self.polytope = polytope
 
     def value(self, x) -> float:

@@ -7,7 +7,9 @@ running average value).  ``scg`` and ``scgpp`` are Frank-Wolfe style:
 starting from the origin they add one scaled vertex per iteration, so the
 final iterate is a convex combination of vertices and always feasible.  Each
 of their trials owns one ``LmoWarmStart``, so every LMO call after the first
-re-optimizes from the previous call's basis.  ``READS`` lists the settings
+re-optimizes from the previous call's basis, and each projected-ascent trial
+owns one ``ProjectionWarmStart``, so every projection after the first
+resumes from the previous one's active set.  ``READS`` lists the settings
 each algorithm reads; a ``RunConfig`` that sets any other is rejected.
 
 Per-trial randomness comes exclusively from the trial's ``OracleStream``
@@ -24,7 +26,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .geometry import LmoWarmStart, lmo, project
+from .geometry import LmoWarmStart, ProjectionWarmStart, lmo, project
 from .objectives import Objective, is_finite_real, is_int
 from .oracles import NoiseModel, OracleStream
 
@@ -175,14 +177,15 @@ def running_average(f) -> np.ndarray:
     return np.cumsum(f, axis=-1) / np.arange(1, f.shape[-1] + 1)
 
 
-def _init_point(oracle: OracleStream, cfg: RunConfig) -> np.ndarray:
+def _init_point(oracle: OracleStream, cfg: RunConfig,
+                warm: ProjectionWarmStart) -> np.ndarray:
     objective = oracle.objective
     if cfg.init_rule == "zero":
         return np.zeros(objective.dim)
     if cfg.init_rule == "upper":
-        return project(objective.polytope, objective.polytope.upper)
+        return project(objective.polytope, objective.polytope.upper, warm)
     # a standard normal draw may land outside the region, so project it back
-    return project(objective.polytope, oracle.rng.standard_normal(objective.dim))
+    return project(objective.polytope, oracle.rng.standard_normal(objective.dim), warm)
 
 
 def boost_mass(gamma: float) -> float:
@@ -264,20 +267,22 @@ def run_trial(objective: Objective, noise: NoiseModel, cfg: RunConfig) -> RunRec
     """One trial: build its oracle stream, then per iteration query the
     algorithm's gradient estimate and apply its update; every post-update
     iterate is recorded with its exact value.  A greedy trial's LMO calls
-    share one warm start, created here, so the trial depends on nothing that
-    another trial ran before it."""
+    share one warm start, and a projected-ascent trial's projections (its
+    start point's included) another, created here, so the trial depends on
+    nothing that another trial ran before it."""
     oracle = OracleStream(objective, noise, cfg.master_seed, cfg.run_id)
     estimate = _ESTIMATES[cfg.algorithm](oracle, cfg)
     poly, T = objective.polytope, cfg.T
-    warm = LmoWarmStart(poly) if cfg.algorithm in GREEDY else None
-    x = _init_point(oracle, cfg)
+    greedy = cfg.algorithm in GREEDY
+    warm = (LmoWarmStart if greedy else ProjectionWarmStart)(poly)
+    x = np.zeros(objective.dim) if greedy else _init_point(oracle, cfg, warm)
     iterates = []
     for t in range(1, T + 1):
         g = estimate(t, x)
-        if warm is not None:
+        if greedy:
             x = x + lmo(poly, g, warm) / T
         else:
-            x = project(poly, x + cfg.step_rule.eta(t) * g)
+            x = project(poly, x + cfg.step_rule.eta(t) * g, warm)
         iterates.append(x)
 
     xs = np.asarray(iterates)

@@ -404,6 +404,14 @@ class TestEvaluatorInputs:
         with pytest.raises(ValueError, match="delta must be finite and positive"):
             globals()[f"{name}_bound"](UNIT, 10, delta)
 
+    @pytest.mark.parametrize("name", ["theorem3", "theorem5"])
+    @pytest.mark.parametrize("delta", [1e-300, 1e300, -1.0])
+    def test_chebyshev_delta_square_must_be_a_positive_float(self, name, delta):
+        """delta^2 underflows to 0 at 1e-300, where t / delta^2 would divide by
+        zero, and overflows at 1e300."""
+        with pytest.raises(ValueError, match="its square a positive float"):
+            globals()[f"{name}_bound"](UNIT, 10, delta)
+
     @pytest.mark.parametrize("key,value", [
         (key, value) for key in ("lipschitz", "diameter", "noise_bound", "noise_sigma", "opt",
                                  "grad0_norm") for value in (math.nan, math.inf)
@@ -493,6 +501,21 @@ class TestBoundCurveEntry:
         entry = {"theorem": "theorem1", "delta": 0.01, "alpha": 0.9, "main_text_exponent": True}
         with pytest.raises(ValueError, match="^theorem1: .*alpha, main_text_exponent"):
             bound_curve(entry, UNIT, paired("theorem1", 10))
+
+    @pytest.mark.parametrize("name,constant", [
+        ("theorem1", {"lipschitz": 1e160}), ("theorem2", {"lipschitz": 1e160}),
+        ("theorem1", {"noise_bound": 1e200}), ("theorem3", {"noise_sigma": 1e200}),
+        ("theorem3", {"grad0_norm": 1e200}),
+    ])
+    def test_overflowing_constant_names_the_theorem(self, name, constant):
+        """A constant whose square overflows a float (``**`` raises
+        ``OverflowError``) is the entry's ``ValueError``."""
+        c = BoundConstants(**{"lipschitz": 1.0, "diameter": 1.0, "noise_bound": 1.0,
+                              "noise_sigma": 1.0, "opt": 1.0, "grad0_norm": 1.0,
+                              **constant})
+        delta = 10.0 if THEOREMS[name].chebyshev else 0.1
+        with pytest.raises(ValueError, match=f"^{name}: a constant of the bound overflows"):
+            bound_curve({"theorem": name, "delta": delta}, c, paired(name, 10))
 
     def test_unbounded_noise_names_the_theorem(self):
         unbounded = BoundConstants(1.0, 1.0, noise_bound=math.inf, noise_sigma=1.0)

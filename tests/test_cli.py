@@ -1300,6 +1300,28 @@ class TestOneErrorExit:
         assert not (tmp_path / "out" / "report.txt").exists()
 
 
+class TestOverflowExit:
+    """Inputs whose arithmetic overflows or underflows a float exit 2 with one
+    ``error:`` line: no traceback and no numpy warning."""
+
+    @pytest.mark.parametrize("overrides,message", [
+        (["noise.sigma=1e200"], "theorem3: a constant of the bound overflows a float"),
+        (['bounds=[{"theorem": "theorem3", "delta": 1e300}]'],
+         "theorem3: delta must be finite and positive, and its square a positive float"),
+        (['bounds=[{"theorem": "theorem3", "delta": 1e-300}]'],
+         "theorem3: delta must be finite and positive, and its square a positive float"),
+        (["problem.entry_low=-1e308"], "the linear term h = -H @ upper overflows"),
+    ], ids=["sigma", "delta-overflow", "delta-underflow", "entries"])
+    def test_run_exits_2(self, tmp_path, capsys, overrides, message):
+        cfg = write_config(
+            tmp_path, T=6, problem={"kind": "nqp-generate", "seed": 3, "n": 4, "m": 2,
+                                    "entry_low": -1, "entry_high": 0},
+            noise={"kind": "clipped_gaussian", "sigma": 0.1}, opt={"runs": 2, "iterations": 10},
+            bounds=[{"theorem": "theorem3", "delta": 10}])
+        assert main_with("run", cfg, overrides) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self, tmp_path):
         import subprocess

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from drsubmax.geometry import (
     LmoWarmStart,
     Polytope,
     ProjectionError,
+    ProjectionWarmStart,
     contains,
     diameter_bound,
     lmo,
@@ -970,6 +973,206 @@ class TestCarriedFactorization:
             for scale in (1e1, 1e2, 1e3, 1e4, 1e5, 1e6):
                 x = project(poly, rng.standard_normal(poly.dim) * scale)
                 assert violation(poly, x) <= 1e-12 * scale
+
+
+class TestProjectionWarmStart:
+    """``project(p, y, warm)`` resumes the dual method from the previous
+    call's final active set, and runs once more cold when that start is
+    singular or its answer fails the certificate."""
+
+    @pytest.fixture()
+    def starts(self, monkeypatch):
+        """A list that records, for each run of the dual method, whether it
+        starts warm, and whether its start was singular."""
+        runs = []
+        method = geometry._dual_active_set
+
+        def recorded(p, y, scale, row_norms, start=None):
+            face = method(p, y, scale, row_norms, start)
+            runs.append("cold" if start is None else "warm" if face is not None else "singular")
+            return face
+
+        monkeypatch.setattr(geometry, "_dual_active_set", recorded)
+        return runs
+
+    @pytest.mark.parametrize("shape,sigma", [((10, 5, -1.0, 0.0), 0.5),
+                                             ((100, 50, -100.0, 0.0), 1000.0)],
+                             ids=["10x5", "100x50"])
+    @pytest.mark.parametrize("algorithm", ["pga", "boosted_pga"])
+    @pytest.mark.parametrize("step", ["default", "1/L"])
+    def test_every_projection_of_a_trial_matches_the_cold_start(self, monkeypatch, shape,
+                                                                sigma, algorithm, step):
+        """Every projection of the trial, its start point's included, is
+        bit-identical to the cold answer and ends on the cold answer's active
+        set, and the warm calls take fewer dual steps (one split a step)."""
+        from drsubmax import optimizers
+        from drsubmax.bounds import spectral_norm
+        from drsubmax.objectives import generate_nqp
+        from drsubmax.oracles import NoiseModel
+
+        obj = generate_nqp(123, *shape)
+        poly = obj.polytope
+        rule = {} if step == "default" else {
+            "step_rule": optimizers.StepRule("inv_sqrt", 1.0 / spectral_norm(obj.h_matrix))}
+        cfg = optimizers.RunConfig(algorithm, 12 if step == "default" else 24, run_id=1,
+                                   **rule)
+        splits = [0]
+        for name in ("split", "split_face"):
+            method = getattr(geometry._GramInverse, name)
+
+            def counted(carrier, *args, _method=method):
+                splits[0] += 1
+                return _method(carrier, *args)
+
+            monkeypatch.setattr(geometry._GramInverse, name, counted)
+        calls = []
+
+        def recording(p, y, warm):
+            x = project(p, y, warm)
+            calls.append((np.array(y), x.copy(), warm.face))
+            return x
+
+        monkeypatch.setattr(optimizers, "project", recording)
+        optimizers.run_trial(obj, NoiseModel.clipped_gaussian(sigma), cfg)
+        assert len(calls) == cfg.T + 1
+        warm_splits, splits[0] = splits[0], 0
+        for y, x, face in calls:
+            cold = ProjectionWarmStart(poly)
+            assert project(poly, y, cold).tobytes() == x.tobytes()
+            if cold.face is not None:  # not a clamped answer
+                np.testing.assert_array_equal(face, cold.face)
+        assert 0 < warm_splits < splits[0]
+
+    def test_state_of_another_polytope_rejected(self):
+        warm = ProjectionWarmStart(TRIANGLE)
+        with pytest.raises(ValueError, match="another polytope"):
+            project(Polytope([[1.0, 1.0]], [1.0], [1.0, 1.0]), [1.0, 1.0], warm)
+        assert warm.face is None
+
+    def test_new_state_is_cold_and_a_clamped_answer_keeps_it(self, starts):
+        warm = ProjectionWarmStart(TRIANGLE)
+        assert warm.face is None
+        np.testing.assert_array_equal(project(TRIANGLE, [0.2, -3.0], warm), [0.2, 0.0])
+        assert warm.face is None and starts == []
+        np.testing.assert_array_equal(project(TRIANGLE, [1.0, 1.0], warm),
+                                      project(TRIANGLE, [1.0, 1.0]))
+        np.testing.assert_array_equal(warm.face, [1.0, 0.0, 0.0])
+        face = warm.face
+        project(TRIANGLE, [0.5, -1.0], warm)  # the clamped answer: the set stays
+        assert warm.face is face
+        y = np.array([3.0, 0.5])
+        np.testing.assert_array_equal(project(TRIANGLE, y, warm), project(TRIANGLE, y))
+        assert starts == ["cold", "cold", "warm", "cold"]
+        warm.clear()
+        assert warm.face is None
+
+    # x1 + 2 x2 <= 2 and 2 x1 + x2 <= 2 in the unit box
+    TWO_ROWS = Polytope([[1.0, 2.0], [2.0, 1.0]], [2.0, 2.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("face,y,start", [
+        # both rows tight at (2/3, 2/3): the first row's multiplier is -34/45
+        ([1.0, 1.0, 0.0, 0.0], [2.0, 0.2], [0.0, 1.0, 0.0, 0.0]),
+        # the first row with x1 at 1: x1's multiplier is -0.6
+        ([1.0, 0.0, 1.0, 0.0], [0.9, 1.5], [1.0, 0.0, 0.0, 0.0]),
+    ])
+    def test_negative_multipliers_leave_before_the_first_step(self, monkeypatch, face, y,
+                                                             start):
+        """A stored constraint whose multiplier is negative for the new
+        target leaves the start, and the rest are solved again."""
+        resumed = []
+        method = geometry._resume
+
+        def recorded(*args):
+            out = method(*args)
+            resumed.append(out[1].copy())
+            return out
+
+        monkeypatch.setattr(geometry, "_resume", recorded)
+        warm = ProjectionWarmStart(self.TWO_ROWS)
+        warm.face = np.array(face)
+        np.testing.assert_array_equal(project(self.TWO_ROWS, y, warm),
+                                      project(self.TWO_ROWS, y))
+        np.testing.assert_array_equal(resumed, [start])
+
+    @pytest.mark.parametrize("face", [[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, -1.0],
+                                      [0.0, 1.0, -1.0, 1.0]])
+    def test_singular_start_runs_cold(self, starts, face):
+        """Two halfspaces with one normal, or a halfspace whose free part is
+        gone, are a singular set: the call runs cold and returns the cold
+        answer bit for bit."""
+        poly = Polytope([[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0], [1.0, 1.0])
+        y = np.array([1.0, 1.2])
+        cold = project(poly, y)
+        warm = ProjectionWarmStart(poly)
+        warm.face = np.array(face)
+        starts.clear()
+        np.testing.assert_array_equal(project(poly, y, warm), cold)
+        assert starts == ["singular", "cold"]
+        assert np.count_nonzero(warm.face[:2]) == 1
+
+    def test_failed_warm_answer_runs_cold(self, monkeypatch, starts):
+        """A warm answer that fails the certificate is replaced by the cold
+        answer; when that fails too, the error carries the cold iterate and
+        the state is cleared."""
+        from drsubmax.objectives import generate_nqp
+
+        poly = generate_nqp(7, 30, 12, -1.0, 0.0).polytope
+        rng = np.random.default_rng(95)
+        warm = ProjectionWarmStart(poly)
+        project(poly, 3.0 * rng.standard_normal(poly.dim), warm)
+        kkt, failing = geometry._kkt_point, {"warm"}
+
+        def refused(p, y, face, row_norms):
+            x, residual = kkt(p, y, face, row_norms)
+            return x, (math.inf if starts[-1] in failing else residual)
+
+        monkeypatch.setattr(geometry, "_kkt_point", refused)
+        for _ in range(3):
+            y = 3.0 * rng.standard_normal(poly.dim)
+            starts.clear()
+            x = project(poly, y, warm)
+            assert starts == ["warm", "cold"]
+            failing.clear()
+            cold = ProjectionWarmStart(poly)
+            np.testing.assert_array_equal(x, project(poly, y, cold))
+            np.testing.assert_array_equal(warm.face, cold.face)
+            failing.add("warm")
+        failing.add("cold")
+        starts.clear()
+        with pytest.raises(ProjectionError) as err:
+            project(poly, y, warm)
+        assert starts == ["warm", "cold"]
+        np.testing.assert_array_equal(err.value.iterate, x)
+        assert warm.face is None
+
+    def test_run_trial_owns_one_state_per_trial(self, monkeypatch):
+        """Each pga and boosted_pga trial creates one state and passes it to
+        all its projections, its start point's included, and a rerun of a
+        trial is bit-identical."""
+        from drsubmax import optimizers
+        from drsubmax.objectives import generate_nqp
+        from drsubmax.oracles import NoiseModel
+
+        obj, noise = generate_nqp(7, 10, 5, -1.0, 0.0), NoiseModel.clipped_gaussian(1.0)
+        seen = []
+
+        def recording(p, y, warm):
+            seen.append(warm)
+            return project(p, y, warm)
+
+        monkeypatch.setattr(optimizers, "project", recording)
+        for algorithm in ("pga", "boosted_pga"):
+            states, iterates = [], []
+            for run_id in (0, 1, 0):
+                seen.clear()
+                cfg = optimizers.RunConfig(algorithm, 6, run_id=run_id)
+                iterates.append(optimizers.run_trial(obj, noise, cfg).iterates.tobytes())
+                assert len(seen) == 7 and isinstance(seen[0], ProjectionWarmStart)
+                assert all(warm is seen[0] for warm in seen)
+                assert seen[0].polytope is obj.polytope
+                states.append(seen[0])
+            assert len({id(warm) for warm in states}) == 3
+            assert iterates[0] == iterates[2]
 
 
 class TestDiameterBound:

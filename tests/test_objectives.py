@@ -65,6 +65,15 @@ class TestNqp:
         with pytest.raises(ValueError, match="finite"):
             NqpObjective([[-np.inf, 0.0], [0.0, -1.0]], Polytope.box([1.0, 1.0]))
 
+    def test_overflowing_linear_term_rejected(self):
+        """Finite entries whose row sums overflow give an infinite ``h = -H u``:
+        a ``ValueError``, with no numpy warning on the way."""
+        huge = np.full((2, 2), -1e308)
+        with pytest.raises(ValueError, match="linear term h = -H @ upper overflows"):
+            NqpObjective(huge, Polytope.box([1.0, 1.0]))
+        with pytest.raises(ValueError, match="linear term"):
+            generate_nqp(3, 4, 2, -1e308, 0.0)
+
 
 class TestGenerateNqp:
     def test_paper_scale_instance(self):
