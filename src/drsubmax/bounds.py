@@ -54,7 +54,8 @@ def spectral_norm(h_matrix) -> float:
     the smallest upper end of the Collatz-Wielandt ratios ``(B x)_i / x_i``,
     which bracket the Perron root of ``B = -H`` for positive ``x``, over
     ``x <- B x / max ratio`` from the row sums of ``B`` (zero rows left out),
-    until the ends agree to 1e-13 relative or the upper end stops falling."""
+    until the ends agree to 1e-13 relative or the upper end stops falling.
+    inf, still an upper bound, when the row sums or the first product overflow."""
     h = np.asarray(h_matrix, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("spectral_norm expects a square matrix")
@@ -133,6 +134,9 @@ class BoundConstants:
     grad0_norm: float = 0.0
 
     def __post_init__(self):
+        for name in ("lipschitz", "grad0_norm"):  # inf when constants_for overflows
+            if getattr(self, name) == math.inf:
+                raise ValueError(f"{name} overflows a float: it must be finite")
         if not (0 <= self.lipschitz < math.inf and 0 <= self.diameter < math.inf):
             raise ValueError("lipschitz and diameter must be finite and nonnegative")
         if not (self.noise_bound >= 0 and 0 <= self.noise_sigma < math.inf
@@ -150,12 +154,17 @@ def constants_for(objective: Objective, noise: NoiseModel, opt: float) -> BoundC
     the diameter from the box bound, and the start error from the exact
     gradient at the origin, whose norm is also the gradient-norm bound
     ``G_max``: a monotone DR-submodular f has ``0 <= grad f <= grad f(0)``.
+    On entries near the float limit the norm or the Perron iteration
+    overflows to inf, which ``BoundConstants`` rejects, without a warning (a
+    row sum of ``H`` that overflows makes the Perron ratios inf / inf).
     """
     zero = np.zeros(objective.dim)
-    grad0_norm = float(np.linalg.norm(objective.grad(zero)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad0_norm = float(np.linalg.norm(objective.grad(zero)))
+        lipschitz = spectral_norm(objective.hessian(zero))
     m_bound, sigma = noise_constants(noise, objective.dim, g_max=grad0_norm)
     return BoundConstants(
-        lipschitz=spectral_norm(objective.hessian(zero)),
+        lipschitz=lipschitz,
         diameter=diameter_bound(objective.polytope),
         noise_bound=m_bound,
         noise_sigma=sigma,

@@ -21,14 +21,15 @@ per ``LmoWarmStart``.
 A projected-ascent trial projects a new target onto one region each
 iteration, and consecutive answers share most of their active set.  Its
 caller may pass a ``ProjectionWarmStart``, which holds the final active set
-of the last call that ran the dual method: the tight halfspaces and the
-face each fixed coordinate sits at.  The next call rebuilds that set's
-inverse Gram matrix from scratch, puts ``x`` on the set's face for its own
-target, and drops the constraints whose multipliers are negative there
-until none is, a start from which the dual method is valid, so it needs
-fewer dual steps.  A singular start, or an answer that fails its
-certificate, is run once more cold, so a warm start never turns a cold
-answer into a ``ProjectionError``.
+of the last call that ran the dual method (the tight halfspaces and the
+face each fixed coordinate sits at), or the empty set when new or cleared.
+Each call rebuilds that set's inverse Gram matrix from scratch, puts ``x``
+on the set's face for its own target, and drops the constraints whose
+multipliers are negative there until none is, a start from which the dual
+method is valid: ``x = y`` for the empty set, the cold start, and fewer
+dual steps for a previous call's set.  A singular set, or an answer that
+fails its certificate, is run once more from the empty set, so a warm
+start never turns a cold answer into a ``ProjectionError``.
 
 A Frank-Wolfe trial calls the LMO on one region with a new direction each
 time.  Its caller may pass an ``LmoWarmStart``, which presolves the region
@@ -45,8 +46,8 @@ vertex.  An answer that fails its certificate is solved once more from the
 slack basis, so a warm start never turns a cold answer into an
 ``LmoError``.  Each state belongs to one caller and one region.  Nothing is
 cached on the region or in the module: ``lmo(p, g)`` without a state
-presolves into a new one, ``project(p, y)`` without a state starts cold,
-and ``project`` computes the row norms it needs on each call.
+presolves into a new one, ``project(p, y)`` without a state starts from a
+new one, and ``project`` computes the row norms it needs on each call.
 
 The module does no file I/O: an instance file, which stores a region with
 its objective, is read and written by ``objectives``.
@@ -203,10 +204,11 @@ class ProjectionWarmStart:
     method, in that method's index space (see ``_dual_active_set``): 1 at a
     tight halfspace ``i``, -1 or +1 at ``m + j`` when coordinate ``j`` sits
     at its lower or upper face, and 0 elsewhere.  A new or cleared state
-    holds None, the cold start.  Only the set is kept: each call rebuilds
-    the set's inverse Gram matrix from scratch for its own target.  Create
-    one per projected-ascent trial and pass it to every projection of that
-    trial; using it with another polytope raises ``ValueError``.
+    holds zeros, the empty set: the cold start.  Only the set is kept: each
+    call rebuilds the set's inverse Gram matrix from scratch for its own
+    target.  Create one per projected-ascent trial and pass it to every
+    projection of that trial; using it with another polytope raises
+    ``ValueError``.
     """
 
     __slots__ = ("polytope", "face")
@@ -217,7 +219,7 @@ class ProjectionWarmStart:
 
     def clear(self) -> None:
         """Forget the active set: the next call starts cold."""
-        self.face = None
+        self.face = np.zeros(self.polytope.n_halfspaces + self.polytope.dim)
 
 
 def project(p: Polytope, y, warm: ProjectionWarmStart | None = None) -> np.ndarray:
@@ -226,8 +228,8 @@ def project(p: Polytope, y, warm: ProjectionWarmStart | None = None) -> np.ndarr
     Already-feasible points are returned as a copy.  When the point clamped to
     the box is feasible (always for a pure box) it is the answer.  Otherwise
     the dual active-set method of Goldfarb and Idnani (Math. Prog. 27, 1983)
-    with an identity Hessian runs from ``x = y`` and an empty active set, or
-    from the active set ``warm`` holds (see below).  It repeatedly adds the
+    with an identity Hessian runs from the active set that ``warm`` holds
+    (see below; a new state without ``warm``).  It repeatedly adds the
     most violated constraint (by distance; lowest index on ties, halfspaces
     before box faces) and takes partial dual steps, dropping the active
     constraint whose multiplier reaches 0 first, until a full step makes the
@@ -241,30 +243,31 @@ def project(p: Polytope, y, warm: ProjectionWarmStart | None = None) -> np.ndarr
     set every step.
 
     The method may start from any active set whose face minimizer has
-    nonnegative multipliers.  A ``warm`` state that holds the previous
-    call's final set gives one (``_resume``): the set's inverse Gram matrix
-    is rebuilt from scratch, ``x`` is put on the set's face for this ``y``,
-    and the constraints whose multipliers are negative there leave, round
-    after round, until none is.  Consecutive projections of a trial share
+    nonnegative multipliers, and the state's set gives one (``_resume``):
+    its inverse Gram matrix is rebuilt from scratch, ``x`` is put on its
+    face for this ``y``, and the constraints whose multipliers are negative
+    there leave, round after round, until none is.  The empty set gives
+    ``x = y``, the cold start.  Consecutive projections of a trial share
     most of their active set, so a warm call takes fewer dual steps.
 
     The answer is recomputed from the final active set and certified by its
     KKT conditions: feasibility and nonnegative multipliers, both within
     ``1e-9 * max(1, ||y||)``.  So a warm answer is bit-identical to the cold
-    one whenever both end on the same set.  A warm start whose set is
-    singular, or whose answer fails, is run once more cold, so a warm start
-    never turns a cold answer into a ``ProjectionError``.  A certified call
-    leaves its final set in ``warm``, and a clamped answer leaves ``warm`` as
-    it was.  The answer is backward stable, so a
-    far target's answer is feasible only on ``||y||``'s scale: on ``x1 + x2
-    <= 1`` in the unit box, ``y = (1e12, 1e12)`` gives a point 4.9e-4
-    outside.  Raises ``ProjectionError`` carrying the cold iterate and its
-    residual when the certificate fails (``warm`` is then cleared), and
-    ``ValueError`` when ``warm`` belongs to another polytope, or ``y`` has a
-    non-finite entry or, unless the clamped point is the answer, a norm that
-    overflows (both tolerances would be infinite).
+    one whenever both end on the same set.  A stored set that is singular,
+    or whose answer fails, is cleared and run once more cold, so a warm
+    start never turns a cold answer into a ``ProjectionError`` and no call
+    runs cold twice.  A certified call leaves its final set in ``warm``, and
+    a clamped answer leaves ``warm`` as it was.  The answer is backward
+    stable, so a far target's answer is feasible only on ``||y||``'s scale:
+    on ``x1 + x2 <= 1`` in the unit box, ``y = (1e12, 1e12)`` gives a point
+    4.9e-4 outside.  Raises ``ProjectionError`` carrying the cold iterate
+    and its residual when the cold answer fails (``warm`` is then cleared),
+    and ``ValueError`` when ``warm`` belongs to another polytope, or ``y``
+    has a non-finite entry or, unless the clamped point is the answer, a
+    norm that overflows (both tolerances would be infinite).
     """
-    if warm is not None and warm.polytope is not p:
+    state = ProjectionWarmStart(p) if warm is None else warm
+    if state.polytope is not p:
         raise ValueError("the projection warm start belongs to another polytope")
     y = _check_dim(p, y, "y")
     if not np.all(np.isfinite(y)):
@@ -280,23 +283,18 @@ def project(p: Polytope, y, warm: ProjectionWarmStart | None = None) -> np.ndarr
     if not math.isfinite(scale):
         raise ValueError("y is too large: its norm overflows")
     row_norms = np.sqrt(np.einsum("ij,ij->i", p.a_matrix, p.a_matrix))
-    starts = (None,) if warm is None or warm.face is None else (warm.face, None)
-    for start in starts:
-        face = _dual_active_set(p, y, scale, row_norms, start)
-        if face is None:  # the start's set is singular
-            continue
-        x, residual = _kkt_point(p, y, face, row_norms)
-        if residual <= _KKT_RTOL * scale:
-            if warm is not None:
-                warm.face = face
-            return x
-    if warm is not None:
-        warm.clear()
-    raise ProjectionError(
-        f"projection failed its KKT certificate: residual {residual:.3g}",
-        iterate=x,
-        residual=residual,
-    )
+    while True:
+        cold = not state.face.any()
+        face = _dual_active_set(p, y, scale, row_norms, state.face)
+        if face is not None:  # None: the stored set is singular
+            x, residual = _kkt_point(p, y, face, row_norms)
+            if residual <= _KKT_RTOL * scale:
+                state.face = face
+                return x
+        state.clear()
+        if cold:
+            raise ProjectionError(f"projection failed its KKT certificate: residual "
+                                  f"{residual:.3g}", iterate=x, residual=residual)
 
 
 class _GramInverse:
@@ -400,12 +398,12 @@ class _GramInverse:
 
 
 def _dual_active_set(p: Polytope, y: np.ndarray, scale: float, row_norms: np.ndarray,
-                     start: np.ndarray | None = None):
+                     start: np.ndarray):
     """The active set at the projection, as ``face``: 1 at a tight halfspace,
     -1 at a coordinate fixed at its lower face, +1 at its upper face and 0
-    elsewhere.  It starts from the empty set, or from the set ``start`` (a
-    previous call's ``face``) pruned by ``_resume``; None when that set is
-    singular.
+    elsewhere.  It starts from the set ``start`` (a previous call's
+    ``face``, or all zeros, the empty set) pruned by ``_resume``; None when
+    that set is singular, which the empty set never is.
 
     The constraints share one index space: halfspace ``i`` is ``i`` and
     coordinate ``j``'s box face is ``m + j``.  ``face`` (``active`` then
@@ -419,13 +417,10 @@ def _dual_active_set(p: Polytope, y: np.ndarray, scale: float, row_norms: np.nda
     row_norms = np.where(row_norms == 0.0, 1.0, row_norms)
     add_tol = _ADD_RTOL * scale
     gram = _GramInverse(m, n)
-    if start is None:
-        x, face, mult = y.copy(), np.zeros(m + n), np.zeros(m + n)
-    else:
-        resumed = _resume(p, y, start, row_norms, gram)
-        if resumed is None:
-            return None
-        x, face, mult = resumed
+    resumed = _resume(p, y, start, row_norms, gram)
+    if resumed is None:
+        return None
+    x, face, mult = resumed
     side = face[m:]
     # -inf at the active constraints, added to the distances so that none is
     # added twice (halfspaces are tight only up to rounding)
@@ -510,8 +505,9 @@ def _resume(p: Polytope, y: np.ndarray, start: np.ndarray, row_norms: np.ndarray
     ``face`` and ``mult``, the multipliers there.  The constraints whose
     multiplier is negative leave, all at once, and the rest are solved again,
     until none is.  Each round factors the set's Gram matrix from scratch,
-    and ``gram`` is left holding the inverse of the last one.  None when a
-    set is singular: by its Cholesky factor, some normal's free part
+    and ``gram`` is left holding the inverse of the last one; the empty set
+    gives ``x = y`` and no multipliers in one round of 0 x 0 matrices.  None
+    when a set is singular: by its Cholesky factor, some normal's free part
     orthogonal to the normals before it is no longer than
     ``_MAX_GROWTH**-0.5`` times the normal, so the inverse may amplify
     rounding by ``_MAX_GROWTH`` or more.  (The Gram matrix squares the set's

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -432,6 +433,28 @@ class TestConstantsAssembly:
         assert c.diameter == pytest.approx(math.sqrt(5.0), abs=1e-12)
         assert c.noise_bound == pytest.approx(2 * 0.1 * math.sqrt(5.0), abs=1e-12)
         assert c.grad0_norm == pytest.approx(float(np.linalg.norm(obj.h_vector)), abs=1e-12)
+
+    @pytest.mark.parametrize("noise", [NoiseModel.none(), NoiseModel.gaussian_prop(1.0)])
+    @pytest.mark.parametrize("instance", ["generated", "row-sums"])
+    def test_overflowing_constants_rejected_without_warning(self, instance, noise):
+        """Entries near -1e160 overflow the gradient norm at the origin and
+        the Perron iteration's first product; entries near -1e308 with a
+        small box overflow the row sums it starts from.  Either way the
+        smoothness constant is inf, rejected by ``BoundConstants`` as a
+        ``ValueError``, and no numpy warning is emitted."""
+        if instance == "generated":
+            obj = generate_nqp(3, 4, 2, -1e160, 0.0)
+        else:
+            obj = NqpObjective(np.full((4, 4), -1e308), Polytope.box(np.full(4, 1e-10)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^lipschitz overflows a float"):
+                constants_for(obj, noise, opt=1.0)
+
+    @pytest.mark.parametrize("key", ["lipschitz", "grad0_norm"])
+    def test_infinite_computed_constant_named(self, key):
+        with pytest.raises(ValueError, match=f"^{key} overflows a float"):
+            BoundConstants(**{"lipschitz": 1.0, "diameter": 1.0, key: math.inf})
 
     def test_prop_noise_needs_gradient_bound(self):
         obj = NqpObjective([[-1.0]], Polytope.box([1.0]))

@@ -1321,6 +1321,18 @@ class TestOverflowExit:
         assert main_with("run", cfg, overrides) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_bounds_on_overflowing_constants_exits_2(self, tmp_path, capsys):
+        """Entries near -1e160 overflow the smoothness constant and the
+        gradient norm at the origin: one ``error:`` line and no numpy
+        warning."""
+        cfg = write_config(
+            tmp_path, T=5, momentum_rule={"kind": "alpha", "value": 0.5}, opt=1.0,
+            problem={"kind": "nqp-generate", "seed": 3, "n": 4, "m": 2,
+                     "entry_low": -1e160, "entry_high": 0},
+            bounds=[{"theorem": "theorem4", "delta": 0.01}])
+        assert main_with("bounds", cfg) == 2
+        assert capsys.readouterr().err == "error: lipschitz overflows a float: it must be finite\n"
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self, tmp_path):

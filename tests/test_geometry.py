@@ -943,21 +943,24 @@ class TestCarriedFactorization:
 
     def test_one_factorization_a_call(self, monkeypatch):
         """The dual steps make no QR or solve; only the final certificate
-        does (one QR, two triangular solves)."""
+        does (one QR, two triangular solves).  The cold start's resume of the
+        empty set factors, solves and inverts its 0 x 0 Gram matrix once."""
         from drsubmax.objectives import generate_nqp
 
         obj = generate_nqp(123, 100, 50, -100.0, 0.0)
-        calls = {"qr": 0, "solve": 0}
-        for name in calls:
+        names = ("qr", "solve", "cholesky", "inv")
+        calls, empty = dict.fromkeys(names, 0), dict.fromkeys(names, 0)
+        for name in names:
             original = getattr(np.linalg, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+            def counted(matrix, *args, _name=name, _original=original, **kwargs):
+                (empty if np.size(matrix) == 0 else calls)[_name] += 1
+                return _original(matrix, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
         project(obj.polytope, 2.0 * obj.grad(np.zeros(obj.dim)))
-        assert calls == {"qr": 1, "solve": 2}
+        assert calls == {"qr": 1, "solve": 2, "cholesky": 0, "inv": 0}
+        assert empty == {"qr": 0, "solve": 1, "cholesky": 1, "inv": 1}
 
     def test_far_targets_at_paper_scale_warn_nothing(self):
         """The ratio test divides only where a multiplier falls, so no numpy
@@ -977,19 +980,22 @@ class TestCarriedFactorization:
 
 class TestProjectionWarmStart:
     """``project(p, y, warm)`` resumes the dual method from the previous
-    call's final active set, and runs once more cold when that start is
-    singular or its answer fails the certificate."""
+    call's final active set, or from the empty set, the cold start, and runs
+    once more cold when a stored set is singular or its answer fails the
+    certificate."""
 
     @pytest.fixture()
     def starts(self, monkeypatch):
         """A list that records, for each run of the dual method, whether it
-        starts warm, and whether its start was singular."""
+        starts from the empty set (cold) or a stored one (warm), and whether
+        that stored set was singular; the empty set never is."""
         runs = []
         method = geometry._dual_active_set
 
-        def recorded(p, y, scale, row_norms, start=None):
+        def recorded(p, y, scale, row_norms, start):
             face = method(p, y, scale, row_norms, start)
-            runs.append("cold" if start is None else "warm" if face is not None else "singular")
+            assert start.any() or face is not None
+            runs.append("cold" if not start.any() else "warm" if face is not None else "singular")
             return face
 
         monkeypatch.setattr(geometry, "_dual_active_set", recorded)
@@ -1039,21 +1045,28 @@ class TestProjectionWarmStart:
         for y, x, face in calls:
             cold = ProjectionWarmStart(poly)
             assert project(poly, y, cold).tobytes() == x.tobytes()
-            if cold.face is not None:  # not a clamped answer
+            if cold.face.any():  # not a clamped answer
                 np.testing.assert_array_equal(face, cold.face)
         assert 0 < warm_splits < splits[0]
 
     def test_state_of_another_polytope_rejected(self):
+        """A state is checked before anything runs and is left as it was."""
         warm = ProjectionWarmStart(TRIANGLE)
-        with pytest.raises(ValueError, match="another polytope"):
-            project(Polytope([[1.0, 1.0]], [1.0], [1.0, 1.0]), [1.0, 1.0], warm)
-        assert warm.face is None
+        other = Polytope([[1.0, 1.0]], [1.0], [1.0, 1.0])
+        for face in (np.zeros(3), np.array([1.0, 0.0, 0.0])):
+            with pytest.raises(ValueError, match="another polytope"):
+                project(other, [1.0, 1.0], warm)
+            np.testing.assert_array_equal(warm.face, face)
+            project(TRIANGLE, [1.0, 1.0], warm)
 
     def test_new_state_is_cold_and_a_clamped_answer_keeps_it(self, starts):
+        """A new state holds the empty set, and ``project`` without a state
+        starts cold too."""
         warm = ProjectionWarmStart(TRIANGLE)
-        assert warm.face is None
+        np.testing.assert_array_equal(warm.face, np.zeros(3))
+        empty = warm.face
         np.testing.assert_array_equal(project(TRIANGLE, [0.2, -3.0], warm), [0.2, 0.0])
-        assert warm.face is None and starts == []
+        assert warm.face is empty and starts == []
         np.testing.assert_array_equal(project(TRIANGLE, [1.0, 1.0], warm),
                                       project(TRIANGLE, [1.0, 1.0]))
         np.testing.assert_array_equal(warm.face, [1.0, 0.0, 0.0])
@@ -1064,7 +1077,7 @@ class TestProjectionWarmStart:
         np.testing.assert_array_equal(project(TRIANGLE, y, warm), project(TRIANGLE, y))
         assert starts == ["cold", "cold", "warm", "cold"]
         warm.clear()
-        assert warm.face is None
+        np.testing.assert_array_equal(warm.face, np.zeros(3))
 
     # x1 + 2 x2 <= 2 and 2 x1 + x2 <= 2 in the unit box
     TWO_ROWS = Polytope([[1.0, 2.0], [2.0, 1.0]], [2.0, 2.0], [1.0, 1.0])
@@ -1079,6 +1092,7 @@ class TestProjectionWarmStart:
                                                              start):
         """A stored constraint whose multiplier is negative for the new
         target leaves the start, and the rest are solved again."""
+        cold = project(self.TWO_ROWS, y)
         resumed = []
         method = geometry._resume
 
@@ -1090,8 +1104,7 @@ class TestProjectionWarmStart:
         monkeypatch.setattr(geometry, "_resume", recorded)
         warm = ProjectionWarmStart(self.TWO_ROWS)
         warm.face = np.array(face)
-        np.testing.assert_array_equal(project(self.TWO_ROWS, y, warm),
-                                      project(self.TWO_ROWS, y))
+        np.testing.assert_array_equal(project(self.TWO_ROWS, y, warm), cold)
         np.testing.assert_array_equal(resumed, [start])
 
     @pytest.mark.parametrize("face", [[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, -1.0],
@@ -1143,7 +1156,32 @@ class TestProjectionWarmStart:
             project(poly, y, warm)
         assert starts == ["warm", "cold"]
         np.testing.assert_array_equal(err.value.iterate, x)
-        assert warm.face is None
+        np.testing.assert_array_equal(warm.face, np.zeros(poly.n_halfspaces + poly.dim))
+
+    @pytest.mark.parametrize("state", ["none", "new", "cleared", "singular"])
+    def test_failing_cold_call_runs_the_dual_method_once(self, monkeypatch, starts, state):
+        """A call whose cold answer fails raises after one cold run, whether
+        it starts cold (without a state, or from a new or cleared one) or
+        falls back from a singular stored set."""
+        poly = Polytope([[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0], [1.0, 1.0])
+        y = np.array([1.0, 1.2])
+        cold = project(poly, y)
+        warm = None if state == "none" else ProjectionWarmStart(poly)
+        if state == "cleared":
+            project(poly, y, warm)
+            warm.clear()
+        elif state == "singular":
+            warm.face = np.array([1.0, 1.0, 0.0, 0.0])
+        kkt = geometry._kkt_point
+        monkeypatch.setattr(geometry, "_kkt_point",
+                            lambda *args: (kkt(*args)[0], math.inf))
+        starts.clear()
+        with pytest.raises(ProjectionError) as err:
+            project(poly, y, warm)
+        assert starts == (["singular", "cold"] if state == "singular" else ["cold"])
+        np.testing.assert_array_equal(err.value.iterate, cold)
+        if warm is not None:
+            np.testing.assert_array_equal(warm.face, np.zeros(4))
 
     def test_run_trial_owns_one_state_per_trial(self, monkeypatch):
         """Each pga and boosted_pga trial creates one state and passes it to
