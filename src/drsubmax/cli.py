@@ -291,7 +291,11 @@ def cmd_generate(args) -> None:
     obj = objectives.generate_nqp(args.seed, args.n, args.m, args.low, args.high)
     objectives.save_nqp(args.out, obj)
     print(f"wrote {args.out}")
-    print(f"L = {bounds.spectral_norm(obj.h_matrix):.17g}")
+    # as in bounds.constants_for: on entries near the float limit L overflows to
+    # inf, still an upper bound, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        lipschitz = bounds.spectral_norm(obj.h_matrix)
+    print(f"L = {lipschitz:.17g}")
     print(f"D = {diameter_bound(obj.polytope):.17g}")
 
 

@@ -23,13 +23,15 @@ iteration, and consecutive answers share most of their active set.  Its
 caller may pass a ``ProjectionWarmStart``, which holds the final active set
 of the last call that ran the dual method (the tight halfspaces and the
 face each fixed coordinate sits at), or the empty set when new or cleared.
-Each call rebuilds that set's inverse Gram matrix from scratch, puts ``x``
-on the set's face for its own target, and drops the constraints whose
-multipliers are negative there until none is, a start from which the dual
-method is valid: ``x = y`` for the empty set, the cold start, and fewer
-dual steps for a previous call's set.  A singular set, or an answer that
-fails its certificate, is run once more from the empty set, so a warm
-start never turns a cold answer into a ``ProjectionError``.
+Each call inverts that set's Gram matrix from scratch, puts ``x`` on the
+set's face for its own target, and drops the constraints whose multipliers
+are negative there until none is, a start from which the dual method is
+valid: ``x = y`` for the empty set, the cold start, and fewer dual steps for
+a previous call's set.  A singular set (its inverse fails the growth test
+the call's updates of it use), or an answer that fails its certificate, is
+run once more from the empty set unless the call started there, so a warm
+start never turns a cold answer into a ``ProjectionError`` and no call runs
+cold twice.
 
 A Frank-Wolfe trial calls the LMO on one region with a new direction each
 time.  Its caller may pass an ``LmoWarmStart``, which presolves the region
@@ -42,9 +44,11 @@ certificate once a call has built them.  A new state holds the slack basis
 at the origin, the cold start; after a call it holds that call's final
 basis, which is still feasible, so the next call needs only the pivots its
 new direction asks for, and a call that needs none reuses the stored
-vertex.  An answer that fails its certificate is solved once more from the
-slack basis, so a warm start never turns a cold answer into an
-``LmoError``.  Each state belongs to one caller and one region.  Nothing is
+vertex.  A state is cold from its creation or ``clear()`` until its first
+pivot or bound flip.  An answer that fails its certificate is solved once
+more from the slack basis unless the call started cold, so a warm start
+never turns a cold answer into an ``LmoError`` and no call runs cold twice.
+Each state belongs to one caller and one region.  Nothing is
 cached on the region or in the module: ``lmo(p, g)`` without a state
 presolves into a new one, ``project(p, y)`` without a state starts from a
 new one, and ``project`` computes the row norms it needs on each call.
@@ -244,19 +248,21 @@ def project(p: Polytope, y, warm: ProjectionWarmStart | None = None) -> np.ndarr
 
     The method may start from any active set whose face minimizer has
     nonnegative multipliers, and the state's set gives one (``_resume``):
-    its inverse Gram matrix is rebuilt from scratch, ``x`` is put on its
-    face for this ``y``, and the constraints whose multipliers are negative
-    there leave, round after round, until none is.  The empty set gives
-    ``x = y``, the cold start.  Consecutive projections of a trial share
-    most of their active set, so a warm call takes fewer dual steps.
+    each round inverts its Gram matrix once, from scratch, puts ``x`` on its
+    face for this ``y`` and reads the multipliers there, and the
+    constraints whose multipliers are negative leave, round after round,
+    until none is.  The empty set gives ``x = y``, the cold start.
+    Consecutive projections of a trial share most of their active set, so a
+    warm call takes fewer dual steps.
 
     The answer is recomputed from the final active set and certified by its
     KKT conditions: feasibility and nonnegative multipliers, both within
     ``1e-9 * max(1, ||y||)``.  So a warm answer is bit-identical to the cold
-    one whenever both end on the same set.  A stored set that is singular,
-    or whose answer fails, is cleared and run once more cold, so a warm
-    start never turns a cold answer into a ``ProjectionError`` and no call
-    runs cold twice.  A certified call leaves its final set in ``warm``, and
+    one whenever both end on the same set.  A stored set that is singular
+    (its inverse fails the growth test of ``_GramInverse``'s updates), or
+    whose answer fails, is cleared and run once more cold, so a warm start
+    never turns a cold answer into a ``ProjectionError`` and no call runs
+    cold twice.  A certified call leaves its final set in ``warm``, and
     a clamped answer leaves ``warm`` as it was.  The answer is backward
     stable, so a far target's answer is feasible only on ``||y||``'s scale:
     on ``x1 + x2 <= 1`` in the unit box, ``y = (1e12, 1e12)`` gives a point
@@ -402,8 +408,9 @@ def _dual_active_set(p: Polytope, y: np.ndarray, scale: float, row_norms: np.nda
     """The active set at the projection, as ``face``: 1 at a tight halfspace,
     -1 at a coordinate fixed at its lower face, +1 at its upper face and 0
     elsewhere.  It starts from the set ``start`` (a previous call's
-    ``face``, or all zeros, the empty set) pruned by ``_resume``; None when
-    that set is singular, which the empty set never is.
+    ``face``, or all zeros, the empty set) pruned by ``_resume``, which also
+    seeds the carried inverse; None when that set is singular by
+    ``_resume``'s growth test, which the empty set never is.
 
     The constraints share one index space: halfspace ``i`` is ``i`` and
     coordinate ``j``'s box face is ``m + j``.  ``face`` (``active`` then
@@ -417,7 +424,7 @@ def _dual_active_set(p: Polytope, y: np.ndarray, scale: float, row_norms: np.nda
     row_norms = np.where(row_norms == 0.0, 1.0, row_norms)
     add_tol = _ADD_RTOL * scale
     gram = _GramInverse(m, n)
-    resumed = _resume(p, y, start, row_norms, gram)
+    resumed = _resume(p, y, start, gram)
     if resumed is None:
         return None
     x, face, mult = resumed
@@ -497,22 +504,22 @@ def _dual_active_set(p: Polytope, y: np.ndarray, scale: float, row_norms: np.nda
     return face
 
 
-def _resume(p: Polytope, y: np.ndarray, start: np.ndarray, row_norms: np.ndarray,
-            gram: _GramInverse):
+def _resume(p: Polytope, y: np.ndarray, start: np.ndarray, gram: _GramInverse):
     """A dual-feasible start of ``_dual_active_set`` from the active set
     ``start``: ``x``, the point closest to ``y`` on the face where its
     halfspaces are tight and its fixed coordinates sit at their box face, with
     ``face`` and ``mult``, the multipliers there.  The constraints whose
     multiplier is negative leave, all at once, and the rest are solved again,
-    until none is.  Each round factors the set's Gram matrix from scratch,
-    and ``gram`` is left holding the inverse of the last one; the empty set
-    gives ``x = y`` and no multipliers in one round of 0 x 0 matrices.  None
-    when a set is singular: by its Cholesky factor, some normal's free part
-    orthogonal to the normals before it is no longer than
-    ``_MAX_GROWTH**-0.5`` times the normal, so the inverse may amplify
-    rounding by ``_MAX_GROWTH`` or more.  (The Gram matrix squares the set's
-    condition, so its factor cannot resolve the finer test a halfspace
-    passes to join, ``_DEPENDENT_RTOL``.)"""
+    until none is.  Each round inverts the set's Gram matrix ``G = A_SF
+    A_SF^T`` once, from scratch, reads the multipliers from that inverse, and
+    ``gram`` is left holding the last one; the empty set gives ``x = y`` and
+    no multipliers in one round of 0 x 0 matrices.  None when a set is
+    singular by the test ``_GramInverse`` trusts its inverse by: the
+    inversion fails, or some ``ginv_kk G_kk``, the growth at which
+    ``drop_row`` would recompute the inverse, is not in ``(0,
+    _MAX_GROWTH)``.  (The Gram matrix squares the set's condition, so its
+    inverse cannot resolve the finer test a halfspace passes to join,
+    ``_DEPENDENT_RTOL``.)"""
     a, b, u = p.a_matrix, p.b_vector, p.upper
     m = b.size
     face = start.copy()
@@ -524,14 +531,14 @@ def _resume(p: Polytope, y: np.ndarray, start: np.ndarray, row_norms: np.ndarray
         a_s = a[rows]
         gram_matrix = (a_s * free) @ a_s.T  # A_SF A_SF^T
         try:
-            # L_kk of G = L L^T is the free part of row k orthogonal to the rows before it
-            factor = np.linalg.cholesky(gram_matrix)
+            ginv = np.linalg.inv(gram_matrix)
         except np.linalg.LinAlgError:
             return None
-        if not np.all(_MAX_GROWTH * np.diagonal(factor)**2 > row_norms[rows]**2):
+        growth = np.diagonal(ginv) * np.diagonal(gram_matrix)
+        if not np.all((growth > 0.0) & (growth < _MAX_GROWTH)):
             return None
         # x_F = y_F - A_SF^T lam  with  A_S x = b_S
-        lam = np.linalg.solve(gram_matrix, a_s @ x - b[rows])
+        lam = ginv @ (a_s @ x - b[rows])
         shift = lam @ a_s
         # box-face multipliers: y - x = A_S^T lam + side * mu on fixed coordinates
         mu = side * (y - x - shift)
@@ -542,7 +549,7 @@ def _resume(p: Polytope, y: np.ndarray, start: np.ndarray, row_norms: np.ndarray
         side[leave_faces] = 0.0
     x[free] -= shift[free]
     gram.rows[:rows.size], gram.normals[:rows.size] = rows, a_s
-    gram.free, gram.ginv = free.astype(float), np.linalg.inv(gram_matrix)
+    gram.free, gram.ginv = free.astype(float), ginv
     mult = np.zeros(face.size)
     mult[rows], mult[m:] = lam, mu
     return x, face, mult
@@ -602,7 +609,9 @@ class LmoWarmStart:
     ``_bounded_simplex`` drops them (sets them to None) at its first pivot or
     bound flip, as ``clear()`` does.  The dual half depends on the direction,
     so every call computes it.  A new or cleared state holds the slack basis
-    at the origin, whose inverse is the identity: the cold start.  The state
+    at the origin, whose inverse is the identity: the cold start.  ``cold``
+    is True from then until that first pivot or bound flip, so a state that
+    has moved is warm even when it pivots back to the slack basis.  The state
     also owns the LP's cost vector and the simplex's work arrays, so a trial
     allocates them once.  Create one per Frank-Wolfe trial and pass it to
     every LMO call of that trial; using it with another polytope raises
@@ -611,7 +620,7 @@ class LmoWarmStart:
 
     __slots__ = ("polytope", "rows", "base", "b", "upper", "ext", "binv", "duals", "basis",
                  "sign", "values", "cap", "vertex", "primal", "cost", "reduced", "gain",
-                 "improving", "col_ext", "flipped", "ratios", "work", "mask", "outer")
+                 "improving", "col_ext", "flipped", "ratios", "work", "mask", "outer", "cold")
 
     def __init__(self, polytope: Polytope):
         a, u = polytope.a_matrix, polytope.upper
@@ -644,6 +653,7 @@ class LmoWarmStart:
         self.values = self.b.copy()
         self.cap = np.full(m, np.inf)
         self.vertex = self.primal = None
+        self.cold = True
 
 
 def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
@@ -689,8 +699,10 @@ def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
     (complementary slackness) makes the answer the optimal basis's own
     vertex, so a carried inverse that drifted cannot pass off a feasible but
     suboptimal point.  An answer that fails clears the state, and the call
-    is solved once more from the slack basis.  Raises ``LmoError`` carrying
-    the residual when that answer fails too (the state is then left at the
+    is solved once more from the slack basis unless it started cold (see
+    ``LmoWarmStart``), so a warm start never turns a cold answer into an
+    ``LmoError`` and no call runs cold twice.  Raises ``LmoError`` carrying
+    the residual when the cold answer fails (the state is then left at the
     slack basis), and ``ValueError`` when ``g`` has a non-finite entry or
     ``warm`` belongs to another polytope.
     """
@@ -708,7 +720,8 @@ def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
     cost = state.cost
     cost[:n] = g
     scale = max(1.0, top)
-    for _ in range(2):
+    while True:
+        cold = state.cold
         _bounded_simplex(state, cost)
         if state.vertex is None:
             _basic_vertex(state)
@@ -716,8 +729,9 @@ def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
         if residual <= TOL_LP:
             return state.vertex.copy()
         state.clear()
-    raise LmoError(f"LMO failed its optimality certificate: residual {residual:.3g}",
-                   residual=residual)
+        if cold:
+            raise LmoError(f"LMO failed its optimality certificate: residual {residual:.3g}",
+                           residual=residual)
 
 
 def _bounded_simplex(state: LmoWarmStart, cost: np.ndarray) -> None:
@@ -757,6 +771,7 @@ def _bounded_simplex(state: LmoWarmStart, cost: np.ndarray) -> None:
         if u_j == best == math.inf:
             break  # unbounded, which only rounding can cause; the certificate fails
         state.vertex = state.primal = None  # the basic solution moves: both are stale
+        state.cold = False
         if u_j <= step:  # bound flip: v_j reaches its other bound first
             values -= np.multiply(rate, u_j, out=work)
             sign[j] = -sign[j]

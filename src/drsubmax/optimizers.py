@@ -178,7 +178,10 @@ def running_average(f) -> np.ndarray:
 
 
 def _init_point(oracle: OracleStream, cfg: RunConfig,
-                warm: ProjectionWarmStart) -> np.ndarray:
+                warm: LmoWarmStart | ProjectionWarmStart) -> np.ndarray:
+    """The trial's start point by ``cfg.init_rule``: the origin, the greedy
+    algorithms' only rule, or a projection from ``warm``, the trial's
+    projection state."""
     objective = oracle.objective
     if cfg.init_rule == "zero":
         return np.zeros(objective.dim)
@@ -275,7 +278,7 @@ def run_trial(objective: Objective, noise: NoiseModel, cfg: RunConfig) -> RunRec
     poly, T = objective.polytope, cfg.T
     greedy = cfg.algorithm in GREEDY
     warm = (LmoWarmStart if greedy else ProjectionWarmStart)(poly)
-    x = np.zeros(objective.dim) if greedy else _init_point(oracle, cfg, warm)
+    x = _init_point(oracle, cfg, warm)
     iterates = []
     for t in range(1, T + 1):
         g = estimate(t, x)

@@ -81,6 +81,18 @@ class TestGenerate:
         assert code == 2
         assert "entry_high" in capsys.readouterr().err
 
+    def test_overflowing_smoothness_prints_inf_without_warning(self, tmp_path, capsys):
+        """Entries near -1e160 overflow ``L``: ``generate`` still writes the
+        instance and prints ``L = inf``, with nothing on stderr, as
+        ``bounds.constants_for`` computes the same constant."""
+        out = tmp_path / "big.json"
+        code = cli.main(["generate", "nqp", "--n", "4", "--m", "2", "--low=-1e160",
+                         "--high", "0", "--seed", "3", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0 and out.exists()
+        assert captured.err == ""
+        assert "L = inf" in captured.out.splitlines()
+
     def test_byte_identical_regeneration(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["generate", "nqp", "--n", "4", "--m", "2", "--low", "-2",

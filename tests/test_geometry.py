@@ -380,7 +380,8 @@ class TestZeroRow:
 
 class TestLmoWarmStart:
     """``lmo(p, g, warm)`` re-optimizes from the previous call's basis, and
-    falls back to the slack basis when its answer fails the certificate."""
+    falls back to the slack basis when its answer fails the certificate,
+    unless the call started there."""
 
     @pytest.fixture()
     def simplex_runs(self, monkeypatch):
@@ -498,7 +499,52 @@ class TestLmoWarmStart:
         with pytest.raises(LmoError, match="certificate"):
             lmo(TRIANGLE, [1.0, 2.0], warm)
         assert simplex_runs == [True, False]  # warm, then the failing cold retry
-        assert at_slack_basis(warm)
+        assert at_slack_basis(warm) and warm.cold
+
+    @pytest.mark.parametrize("state", ["none", "new", "cleared"])
+    def test_failing_cold_call_runs_the_simplex_once(self, monkeypatch, simplex_runs, state):
+        """A call that starts at the slack basis and fails raises after that
+        one run, without a state or from a new or cleared one: a second run
+        from the slack basis would repeat it."""
+        warm = None if state == "none" else LmoWarmStart(TRIANGLE)
+        if state == "cleared":
+            lmo(TRIANGLE, [2.0, 1.0], warm)
+            assert not warm.cold
+            warm.clear()
+        monkeypatch.setattr(geometry, "_PIVOTS_PER_VARIABLE", 0)
+        simplex_runs.clear()
+        with pytest.raises(LmoError, match="certificate"):
+            lmo(TRIANGLE, [1.0, 2.0], warm)
+        assert simplex_runs == [False]
+        if warm is not None:
+            assert at_slack_basis(warm) and warm.cold
+
+    def test_a_state_is_cold_until_it_moves(self, monkeypatch):
+        """A call that moves nothing leaves a new state cold, and a bound
+        flip makes it warm, even one that flips back to the slack basis: its
+        failing call runs twice, from the state and then cold."""
+        poly = TestStoredVertex.ROOMY
+        warm = LmoWarmStart(poly)
+        assert warm.cold
+        np.testing.assert_array_equal(lmo(poly, [-1.0, -1.0], warm), [0.0, 0.0])
+        assert warm.cold
+        np.testing.assert_array_equal(lmo(poly, [1.0, -1.0], warm), [1.0, 0.0])  # x1 flips up
+        assert not warm.cold
+        np.testing.assert_array_equal(lmo(poly, [-1.0, -1.0], warm), [0.0, 0.0])  # and back
+        assert at_slack_basis(warm) and not warm.cold
+        monkeypatch.setattr(geometry, "_PIVOTS_PER_VARIABLE", 0)
+        runs = []
+        simplex = geometry._bounded_simplex
+
+        def counted(state, cost):
+            runs.append(state.cold)
+            simplex(state, cost)
+
+        monkeypatch.setattr(geometry, "_bounded_simplex", counted)
+        with pytest.raises(LmoError, match="certificate"):
+            lmo(poly, [1.0, 1.0], warm)
+        assert runs == [False, True]
+        assert warm.cold
 
     def test_state_of_another_polytope_rejected(self):
         twin = Polytope([[1.0, 1.0]], [1.0], [1.0, 1.0])
@@ -942,9 +988,11 @@ class TestCarriedFactorization:
         assert failed > 0
 
     def test_one_factorization_a_call(self, monkeypatch):
-        """The dual steps make no QR or solve; only the final certificate
-        does (one QR, two triangular solves).  The cold start's resume of the
-        empty set factors, solves and inverts its 0 x 0 Gram matrix once."""
+        """The dual steps make no QR, solve or inverse; only the final
+        certificate does (one QR, two triangular solves).  Each round of the
+        resume inverts its Gram matrix once and solves nothing: the empty
+        set, the cold start, makes one 0 x 0 inverse, and a stored set one
+        inverse a round.  Nothing is factored by Cholesky."""
         from drsubmax.objectives import generate_nqp
 
         obj = generate_nqp(123, 100, 50, -100.0, 0.0)
@@ -960,7 +1008,19 @@ class TestCarriedFactorization:
             monkeypatch.setattr(np.linalg, name, counted)
         project(obj.polytope, 2.0 * obj.grad(np.zeros(obj.dim)))
         assert calls == {"qr": 1, "solve": 2, "cholesky": 0, "inv": 0}
-        assert empty == {"qr": 0, "solve": 1, "cholesky": 1, "inv": 1}
+        assert empty == {"qr": 0, "solve": 0, "cholesky": 0, "inv": 1}
+        two_rows = TestProjectionWarmStart.TWO_ROWS
+        # both rows, then the second alone once the first leaves: two rounds;
+        # the triangle's row stays: one round
+        for poly, face, y, rounds in ((two_rows, [1.0, 1.0, 0.0, 0.0], [2.0, 0.2], 2),
+                                      (TRIANGLE, [1.0, 0.0, 0.0], [3.0, 0.5], 1)):
+            warm = ProjectionWarmStart(poly)
+            warm.face = np.array(face)
+            for counts in (calls, empty):
+                counts.update(dict.fromkeys(names, 0))
+            project(poly, y, warm)
+            assert calls == {"qr": 1, "solve": 2, "cholesky": 0, "inv": rounds}
+            assert empty == dict.fromkeys(names, 0)
 
     def test_far_targets_at_paper_scale_warn_nothing(self):
         """The ratio test divides only where a multiplier falls, so no numpy
@@ -1122,6 +1182,37 @@ class TestProjectionWarmStart:
         np.testing.assert_array_equal(project(poly, y, warm), cold)
         assert starts == ["singular", "cold"]
         assert np.count_nonzero(warm.face[:2]) == 1
+
+    @pytest.mark.parametrize("poly,face,y,runs", [
+        # 1e5 x1 + x2 <= 1e5 + 0.5 in the unit box: with x1 at its upper face
+        # the row's free part is x2 alone, 1e-5 of its length; at (1, 0.5) the
+        # multipliers are 0.1 (row) and 1000 (x1's face)
+        (Polytope([[1e5, 1.0]], [1e5 + 0.5], [1.0, 1.0]), [1.0, 1.0, 0.0], [11001.0, 0.6],
+         ["warm"]),
+        # x1 + x2 <= 1 and x1 + (1 + d) x2 <= 1 + d / 2, whose inverse Gram
+        # matrix grows by about 4 / d^2: under _MAX_GROWTH at d = 1e-3, past it
+        # at d = 1e-4; at (0.5, 0.5) both multipliers are 1.5
+        (Polytope([[1.0, 1.0], [1.0, 1.001]], [1.0, 1.0005], [1.0, 1.0]),
+         [1.0, 1.0, 0.0, 0.0], [3.5, 3.5015], ["warm"]),
+        (Polytope([[1.0, 1.0], [1.0, 1.0001]], [1.0, 1.00005], [1.0, 1.0]),
+         [1.0, 1.0, 0.0, 0.0], [3.5, 3.50015], ["singular", "cold"]),
+    ], ids=["weighted", "growth-under", "growth-over"])
+    def test_a_stored_set_is_judged_by_its_growth(self, starts, poly, face, y, runs):
+        """A stored set is singular exactly when its inverse Gram matrix on
+        the free coordinates fails ``drop_row``'s growth test, whatever the
+        rows' weight on the fixed coordinates: a row that is mostly fixed
+        resumes warm, as do nearly parallel rows under ``_MAX_GROWTH``, and
+        rows past it run cold.  Either way the call returns the cold answer
+        bit for bit and stores the set it ends on."""
+        cold = ProjectionWarmStart(poly)
+        x = project(poly, y, cold)
+        np.testing.assert_array_equal(cold.face, face)
+        warm = ProjectionWarmStart(poly)
+        warm.face = np.array(face)
+        starts.clear()
+        assert project(poly, y, warm).tobytes() == x.tobytes()
+        assert starts == runs
+        np.testing.assert_array_equal(warm.face, face)
 
     def test_failed_warm_answer_runs_cold(self, monkeypatch, starts):
         """A warm answer that fails the certificate is replaced by the cold
