@@ -4,7 +4,8 @@ bound-shaped curve fitting, and optimum approximation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -61,12 +62,12 @@ class TrialBattery:
         records = list(records)
         if not records:
             raise ValueError("empty battery")
-        base = replace(records[0].config, run_id=0)
-        for rec in records[1:]:
-            if replace(rec.config, run_id=0) != base:
-                raise ValueError("battery records must share their configuration")
+        shared = attrgetter(*(f.name for f in fields(RunConfig) if f.name != "run_id"))
+        base = shared(records[0].config)
+        if any(shared(rec.config) != base for rec in records[1:]):
+            raise ValueError("battery records must share their configuration")
         return cls([rec.config.run_id for rec in records], [rec.f_true for rec in records],
-                   base.algorithm)
+                   records[0].config.algorithm)
 
     @classmethod
     def from_csv(cls, path) -> "TrialBattery":
@@ -155,20 +156,24 @@ def _fit_design(t, y, p: float, t_min: int):
     return t, y, t**-p
 
 
-def fit_curve(t, y, p: float = 0.5, t_min: int = 1, label: str = "") -> FittedCurve:
-    """Ordinary least squares of ``y`` on the basis ``{1, -t^-p}`` over points
-    with ``t >= t_min``, by the closed-form normal equations."""
-    t, y, u = _fit_design(t, y, p, t_min)
-    n = t.size
+def _ols_c1(y, u) -> float:
+    """The ordinary least-squares ``c1`` of ``y`` on the basis ``{1, -u}``,
+    by the closed-form normal equations."""
+    n = u.size
     s1, s2 = u.sum(), (u * u).sum()
     sy, syu = y.sum(), (y * u).sum()
     det = s1 * s1 - n * s2
     if abs(det) < 1e-300:
         raise ValueError("singular design")
-    c1 = (s1 * syu - s2 * sy) / det
-    c2 = (n * syu - s1 * sy) / det
-    resid = float(np.sum((y - c1 + c2 * u) ** 2))
-    return FittedCurve(float(c1), float(c2), p, label, resid, n)
+    return (s1 * syu - s2 * sy) / det
+
+
+def fit_curve(t, y, p: float = 0.5, t_min: int = 1, label: str = "") -> FittedCurve:
+    """Ordinary least squares of ``y`` on the basis ``{1, -t^-p}`` over points
+    with ``t >= t_min``: the one-curve ``shared_c1_refit``, since the ``c2``
+    that is least squares given the least-squares ``c1`` is the least-squares
+    ``c2``."""
+    return shared_c1_refit([(t, y, label)], p, t_min)[0]
 
 
 def shared_c1_refit(curves, p: float = 0.5, t_min: int = 1) -> list[FittedCurve]:
@@ -177,18 +182,28 @@ def shared_c1_refit(curves, p: float = 0.5, t_min: int = 1) -> list[FittedCurve]
     Stage one fits every ``(t, y, label)`` curve independently; the shared
     asymptote is the mean of the individual ``c1`` values.  Stage two refits
     each ``c2`` as the exact conditional least-squares optimum given the
-    shared ``c1``.
+    shared ``c1``.  A curve whose values, or whose fit's ``c1``, ``c2`` or
+    residual, are not finite floats is rejected by its label.
     """
     curves = list(curves)
     if not curves:
         raise ValueError("need at least one curve")
-    c1_shared = float(np.mean([fit_curve(t, y, p, t_min).c1 for t, y, _ in curves]))
-    out = []
+    designs = []
     for t, y, label in curves:
-        t, y, u = _fit_design(t, y, p, t_min)
-        c2 = float(np.sum((c1_shared - y) * u) / np.sum(u * u))
-        resid = float(np.sum((y - c1_shared + c2 * u) ** 2))
-        out.append(FittedCurve(c1_shared, c2, p, label, resid, t.size))
+        y = np.asarray(y, dtype=float)
+        if not np.isfinite(y).all():
+            raise ValueError(f"fit {label!r}: a value of its curve is not a finite float")
+        designs.append((*_fit_design(t, y, p, t_min), label))
+    out = []
+    # sums near the float limit overflow to inf or nan, which is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        c1 = float(np.mean([_ols_c1(y, u) for _, y, u, _ in designs]))
+        for t, y, u, label in designs:
+            c2 = float(((c1 - y) * u).sum() / (u * u).sum())
+            resid = float(((y - c1 + c2 * u) ** 2).sum())
+            if not (math.isfinite(c1) and math.isfinite(c2) and math.isfinite(resid)):
+                raise ValueError(f"fit {label!r}: its c1, c2 or residual is not a finite float")
+            out.append(FittedCurve(c1, c2, p, label, resid, t.size))
     return out
 
 

@@ -372,9 +372,11 @@ def cmd_report(cfg: Experiment) -> None:
         bound_curves = _bound_curves(cfg, opt)
 
     curves = []
-    for label, stat in _REPORT_STATS:
-        t, values = analysis.trajectory_statistic(battery, stat, series)
-        curves.append((t, values / scale, label))
+    # a value over an opt near zero overflows to inf, which the fit rejects by its label
+    with np.errstate(over="ignore"):
+        for label, stat in _REPORT_STATS:
+            t, values = analysis.trajectory_statistic(battery, stat, series)
+            curves.append((t, values / scale, label))
     fits = analysis.shared_c1_refit(curves, p=cfg.fit_exponent, t_min=cfg.t_min)
 
     violations = []

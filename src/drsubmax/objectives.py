@@ -52,10 +52,11 @@ def is_finite_real(value) -> bool:
 
 
 def reject_unknown(keys, allowed, where: str) -> None:
-    """Raise ``unknown {where} key(s): a, b`` for the ``keys`` not in ``allowed``."""
+    """Raise ``unknown {where} key(s): a, b`` for the ``keys`` not in ``allowed``,
+    with an empty key written ``''``."""
     unknown = sorted(set(keys) - set(allowed))
     if unknown:
-        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+        raise ValueError(f"unknown {where} key(s): {', '.join(k or repr(k) for k in unknown)}")
 
 
 class Objective:

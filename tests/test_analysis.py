@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from drsubmax import analysis
 from drsubmax.analysis import (
     TrialBattery,
     approx_opt,
@@ -13,7 +16,8 @@ from drsubmax.bounds import BoundCurve, constants_for, theorem5_bound
 from drsubmax.geometry import Polytope
 from drsubmax.objectives import BudgetAllocationObjective, NqpObjective, generate_nqp
 from drsubmax.oracles import NoiseModel
-from drsubmax.optimizers import BATTERY_HEADER, RunConfig, records_to_csv, run_battery
+from drsubmax.optimizers import (BATTERY_HEADER, MomentumRule, RunConfig, RunRecord, StepRule,
+                                 records_to_csv, run_battery)
 
 from _util import acceptance_nqp, exact_nqp_opt
 
@@ -89,6 +93,45 @@ class TestBatteryConstruction:
     def test_from_records_empty_rejected(self):
         with pytest.raises(ValueError):
             TrialBattery.from_records([])
+
+    @staticmethod
+    def record(cfg, run_id, value):
+        return RunRecord(replace(cfg, run_id=run_id), np.zeros((2, 1)), np.full(2, value), value)
+
+    def test_from_records_constructs_no_run_config(self, monkeypatch):
+        """The records' configs are compared as they are, not rebuilt and
+        checked again with ``run_id`` reset."""
+        cfg = RunConfig("pga", 2, step_rule=StepRule("constant", 0.5))
+        recs = [self.record(cfg, 1, 2.0), self.record(cfg, 0, 1.0)]
+        built = []
+        post_init = RunConfig.__post_init__
+        monkeypatch.setattr(RunConfig, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        battery = TrialBattery.from_records(recs)
+        assert built == []
+        np.testing.assert_array_equal(battery.run_ids, [0, 1])
+        np.testing.assert_array_equal(battery.f_true, [[1.0, 1.0], [2.0, 2.0]])
+        assert battery.algorithm == "pga"
+
+    @pytest.mark.parametrize("base,change", [
+        (RunConfig("pga", 2), {"T": 3}),
+        (RunConfig("pga", 2), {"master_seed": 1}),
+        (RunConfig("pga", 2), {"step_rule": StepRule("constant", 2.0)}),
+        (RunConfig("pga", 2), {"step_rule": StepRule("inv_sqrt", 3.0)}),
+        (RunConfig("pga", 2), {"init_rule": "upper"}),
+        (RunConfig("pga", 2), {"returned_convention": "last_iterate"}),
+        (RunConfig("boosted_pga", 2), {"gamma": 0.5}),
+        (RunConfig("scg", 2), {"momentum_rule": MomentumRule("alpha", 0.5)}),
+        (RunConfig("scg", 2, momentum_rule=MomentumRule("alpha", 0.5)),
+         {"momentum_rule": MomentumRule("alpha", 0.25)}),
+        (RunConfig("scgpp", 2), {"batch_size": 1}),
+        (RunConfig("scg", 2), {"algorithm": "scgpp", "batch_size": 2}),
+    ], ids=["T", "master_seed", "step-kind", "step-value", "init_rule", "convention",
+            "gamma", "momentum-kind", "momentum-value", "batch_size", "algorithm"])
+    def test_from_records_rejects_any_other_difference(self, base, change):
+        other = replace(base, **change)
+        with pytest.raises(ValueError, match="must share their configuration"):
+            TrialBattery.from_records([self.record(base, 0, 1.0), self.record(other, 1, 1.0)])
 
     def test_csv_round_trip(self, tmp_path):
         obj = generate_nqp(63, 3, 1, -1.0, 0.0)
@@ -198,10 +241,103 @@ class TestFitCurve:
         assert fit.c2 == pytest.approx(0.5, abs=1e-8)
 
 
+def closed_form_fit(t, y, p, t_min):
+    """The closed-form normal equations ``fit_curve`` solved before it became
+    the one-curve ``shared_c1_refit``: ``(c1, c2, residual)``."""
+    t, y = np.asarray(t, dtype=float), np.asarray(y, dtype=float)
+    t, y = t[t >= t_min], y[t >= t_min]
+    u = t**-p
+    n = t.size
+    s1, s2 = u.sum(), (u * u).sum()
+    sy, syu = y.sum(), (y * u).sum()
+    det = s1 * s1 - n * s2
+    c1 = (s1 * syu - s2 * sy) / det
+    c2 = (n * syu - s1 * sy) / det
+    return float(c1), float(c2), float(np.sum((y - c1 + c2 * u) ** 2))
+
+
+def random_curve(rng, t_min_share):
+    """A noisy ``c1 - c2 t^-p`` curve over t = 1..T whose ``t_min`` lies in
+    the first ``t_min_share`` of the grid: ``(t, y, p, t_min)``."""
+    T = int(rng.integers(20, 1000))
+    t_min = int(rng.integers(1, max(2, int(t_min_share * T))))
+    p = float(rng.uniform(0.25, 2.0))
+    c2 = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 30.0)
+    t = np.arange(1, T + 1)
+    y = rng.uniform(0.5, 1.5) - c2 * t**-p + rng.normal(0.0, 10.0 ** rng.integers(-6, -1), T)
+    return t, y, p, t_min
+
+
+class TestFitCurveReference:
+    """``fit_curve`` is the one-curve ``shared_c1_refit``: its ``c1`` is the
+    closed form's bit for bit, and its ``c2`` is the least squares given that
+    ``c1``, which moves the closed form's ``c2`` only by rounding."""
+
+    def test_matches_the_closed_form_normal_equations(self):
+        rng = np.random.default_rng(39)
+        for _ in range(1000):
+            t, y, p, t_min = random_curve(rng, 0.1)
+            fit = fit_curve(t, y, p, t_min, "ref")
+            c1_ref, c2_ref, resid_ref = closed_form_fit(t, y, p, t_min)
+            assert fit.c1 == c1_ref
+            assert abs(fit.c2 - c2_ref) <= 1e-11 * abs(c2_ref)
+            # the least squares given c1 is no worse than the closed form's c2, up to rounding
+            assert fit.residual <= resid_ref * (1.0 + 1e-8)
+            assert (fit.p, fit.label, fit.n_points) == (p, "ref", t.size - t_min + 1)
+
+    def test_near_collinear_designs(self):
+        """With ``t_min`` near ``T`` the basis is nearly collinear, and both
+        ways of forming ``c2`` lose digits to it: ``c1`` is still bit-equal,
+        and ``c2`` moves within the normal equations' error scale
+        ``cond(design)^2 * eps`` (up to 3e-7 relative here)."""
+        rng = np.random.default_rng(40)
+        for _ in range(1000):
+            t, y, p, t_min = random_curve(rng, 1.0)
+            fit = fit_curve(t, y, p, t_min)
+            c1_ref, c2_ref, resid_ref = closed_form_fit(t, y, p, t_min)
+            assert fit.c1 == c1_ref
+            u = t[t >= t_min].astype(float) ** -p
+            cond = np.linalg.cond(np.column_stack([np.ones_like(u), -u]))
+            assert abs(fit.c2 - c2_ref) <= cond**2 * np.finfo(float).eps * abs(c2_ref)
+            assert fit.residual <= resid_ref * (1.0 + 1e-8)
+
+
 class TestSharedC1Refit:
     def test_no_curves_rejected(self):
         with pytest.raises(ValueError, match="need at least one curve"):
             shared_c1_refit([])
+
+    def test_builds_each_design_once(self, monkeypatch):
+        calls = []
+        fit_design = analysis._fit_design
+        monkeypatch.setattr(analysis, "_fit_design",
+                            lambda *args: calls.append(args) or fit_design(*args))
+        t = np.arange(1, 21)
+        shared_c1_refit([(t, 1.0 - k / np.sqrt(t), str(k)) for k in range(3)])
+        assert len(calls) == 3
+        fit_curve(t, 1.0 - 1.0 / np.sqrt(t))
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_curve_that_is_not_finite_rejected_by_label(self, bad):
+        """Checked before any arithmetic, so no numpy warning either; the
+        value need not lie past ``t_min``."""
+        t = np.arange(1, 11)
+        y = 1.0 - 1.0 / np.sqrt(t)
+        with pytest.raises(ValueError, match="fit 'q90': a value of its curve is not a finite"):
+            shared_c1_refit([(t, y, "min"), (t, np.where(t == 1, bad, y), "q90")], t_min=2)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e307], ids=["residual", "sums"])
+    def test_fit_that_floats_cannot_hold_rejected_by_label(self, scale):
+        """Finite curves whose residual, or whose sums and so ``c1`` and
+        ``c2``, overflow to inf or nan: a ``ValueError`` naming the curve and
+        no numpy warning."""
+        t = np.arange(1, 6)
+        y = scale * np.array([3.0, 1.0, 4.0, 1.0, 5.0])
+        with pytest.raises(ValueError, match="fit 'min': its c1, c2 or residual is not a finite"):
+            shared_c1_refit([(t, y, "min"), (t, y / 2, "median")])
+        with pytest.raises(ValueError, match="fit '': its c1, c2 or residual is not a finite"):
+            fit_curve(t, y)
 
     def test_identical_curves_unchanged(self):
         t = np.arange(1, 101)

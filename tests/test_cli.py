@@ -1093,6 +1093,19 @@ class TestOneValidationBoundary:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("item,where", [(".T=5", "config"), ("=5", "config"),
+                                            ("noise.=5", "noise")],
+                             ids=["dotted", "bare", "nested"])
+    def test_empty_set_key_is_named(self, tmp_path, one_dim_instance, item, where, capsys):
+        assert main_with("run", write_config(tmp_path), [item]) == 2
+        assert capsys.readouterr().err == f"error: unknown {where} key(s): ''\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_file_key_is_named(self, tmp_path, one_dim_instance, capsys):
+        assert main_with("run", write_config(tmp_path, **{"": 1, "zz": 2})) == 2
+        assert capsys.readouterr().err == "error: unknown config key(s): '', zz\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("sigma", [0.1, 7.0])
     def test_default_hessian_sigma_written_out_is_accepted(self, tmp_path, one_dim_instance,
                                                            sigma):
@@ -1344,6 +1357,25 @@ class TestOverflowExit:
             bounds=[{"theorem": "theorem4", "delta": 0.01}])
         assert main_with("bounds", cfg) == 2
         assert capsys.readouterr().err == "error: lipschitz overflows a float: it must be finite\n"
+
+    @pytest.mark.parametrize("problem,overrides,message", [
+        (None, ["opt=5e-324"], "fit 'min': a value of its curve is not a finite float"),
+        ({"kind": "nqp-generate", "seed": 3, "n": 4, "m": 2, "entry_low": -1e160,
+          "entry_high": 0}, [], "fit 'min': its c1, c2 or residual is not a finite float"),
+    ], ids=["tiny-opt", "huge-values"])
+    def test_report_of_a_fit_floats_cannot_hold_exits_2(self, tmp_path, one_dim_instance,
+                                                         problem, overrides, message, capsys):
+        """Values over an opt near zero overflow to inf, and values near
+        1e160 overflow the fit's residual: one ``error:`` line, no numpy
+        warning, and no statistics or report written."""
+        cfg = write_config(tmp_path, T=5, opt=1.0, normalized=problem is None,
+                           momentum_rule={"kind": "alpha", "value": 0.5},
+                           **({"problem": problem} if problem else {}))
+        assert main_with("run", cfg) == 0
+        capsys.readouterr()
+        assert main_with("report", cfg, overrides) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(os.listdir(tmp_path / "out")) == ["battery.csv", "run_config.json"]
 
 
 class TestModuleEntryPoint:
