@@ -145,27 +145,29 @@ class FittedCurve:
 
 
 def _fit_design(t, y, p: float, t_min: int):
-    t = np.asarray(t, dtype=float)
+    """The fitted ``y``, ``u = t^-p``, ``u - ū`` and ``ū`` (taken about ``u[0]``,
+    so a ``u`` of one value has exactly no spread), and the least-squares
+    ``c1`` on ``{1, -u}`` from the centered design: ``ȳ + s ū``, for ``s`` the
+    slope of ``ȳ - y`` on ``u - ū``, whose spread ``Σ(u - ū)²`` drops what ``ū``
+    rounded to a float adds to it, ``(Σ(u - ū))² / n``."""
     y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError("a value of its curve is not a finite float")
+    t = np.asarray(t, dtype=float)
     mask = t >= t_min
     t, y = t[mask], y[mask]
     if t.size < 2:
         raise ValueError("need at least two points with t >= t_min")
-    if np.all(t == t[0]):
+    if (t == t[0]).all():
         raise ValueError("singular design: all t equal")
-    return t, y, t**-p
-
-
-def _ols_c1(y, u) -> float:
-    """The ordinary least-squares ``c1`` of ``y`` on the basis ``{1, -u}``,
-    by the closed-form normal equations."""
-    n = u.size
-    s1, s2 = u.sum(), (u * u).sum()
-    sy, syu = y.sum(), (y * u).sum()
-    det = s1 * s1 - n * s2
-    if abs(det) < 1e-300:
-        raise ValueError("singular design")
-    return (s1 * syu - s2 * sy) / det
+    u = t**-p
+    u_bar = u[0] + (u - u[0]).sum() / u.size
+    du = u - u_bar
+    spread = (du * du).sum() - du.sum() ** 2 / du.size
+    if not spread > 0:
+        raise ValueError("singular design: t^-p does not vary over t >= t_min in floats")
+    y_bar = y.sum() / y.size
+    return y, u, du, u_bar, y_bar + (du * (y_bar - y)).sum() / spread * u_bar
 
 
 def fit_curve(t, y, p: float = 0.5, t_min: int = 1, label: str = "") -> FittedCurve:
@@ -182,28 +184,31 @@ def shared_c1_refit(curves, p: float = 0.5, t_min: int = 1) -> list[FittedCurve]
     Stage one fits every ``(t, y, label)`` curve independently; the shared
     asymptote is the mean of the individual ``c1`` values.  Stage two refits
     each ``c2`` as the exact conditional least-squares optimum given the
-    shared ``c1``.  A curve whose values, or whose fit's ``c1``, ``c2`` or
-    residual, are not finite floats is rejected by its label.
+    shared ``c1``.  A curve is refused by its label when its values are not
+    finite floats, its design is singular, or its fit's ``c1``, ``c2`` or
+    residual is not a finite float.
     """
     curves = list(curves)
     if not curves:
         raise ValueError("need at least one curve")
     designs = []
-    for t, y, label in curves:
-        y = np.asarray(y, dtype=float)
-        if not np.isfinite(y).all():
-            raise ValueError(f"fit {label!r}: a value of its curve is not a finite float")
-        designs.append((*_fit_design(t, y, p, t_min), label))
-    out = []
     # sums near the float limit overflow to inf or nan, which is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        c1 = float(np.mean([_ols_c1(y, u) for _, y, u, _ in designs]))
-        for t, y, u, label in designs:
+        for t, y, label in curves:
+            try:
+                designs.append((*_fit_design(t, y, p, t_min), label))
+            except ValueError as exc:
+                raise ValueError(f"fit {label!r}: {exc}") from None
+        c1 = float(np.mean([own for *_, own, _ in designs]))
+        out = []
+        for y, u, du, u_bar, _, label in designs:
             c2 = float(((c1 - y) * u).sum() / (u * u).sum())
-            resid = float(((y - c1 + c2 * u) ** 2).sum())
+            # about ū, so a nearly collinear design's large c1 and c2 u cancel
+            # once, in the constant term
+            resid = float(((y - (c1 - c2 * u_bar) + c2 * du) ** 2).sum())
             if not (math.isfinite(c1) and math.isfinite(c2) and math.isfinite(resid)):
                 raise ValueError(f"fit {label!r}: its c1, c2 or residual is not a finite float")
-            out.append(FittedCurve(c1, c2, p, label, resid, t.size))
+            out.append(FittedCurve(c1, c2, p, label, resid, y.size))
     return out
 
 

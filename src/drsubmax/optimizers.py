@@ -82,9 +82,8 @@ class StepRule:
 class MomentumRule:
     """Momentum coefficient sequence for the greedy gradient average.
 
-    ``poly48``:   rho_t = 4 / (t + 8)^(2/3), fixed: it takes no value
-    ``alpha``:    rho_t = t^(-value) with value in (0, 1)
-    ``constant``: rho_t = value (direct override, mainly for tests)
+    ``poly48``: rho_t = 4 / (t + 8)^(2/3), fixed: it takes no value
+    ``alpha``:  rho_t = t^(-value) with value in (0, 1)
     """
 
     kind: str = "poly48"
@@ -95,19 +94,15 @@ class MomentumRule:
             raise ValueError("momentum value must be a finite number")
         if self.kind == "alpha" and not (0.0 < self.value < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
-        if self.kind == "constant" and not (0.0 < self.value <= 1.0):
-            raise ValueError("constant momentum must lie in (0, 1]")
         if self.kind == "poly48" and self.value != 0.0:
             raise ValueError("momentum rule 'poly48' takes no value")
-        if self.kind not in ("poly48", "alpha", "constant"):
+        if self.kind not in ("poly48", "alpha"):
             raise ValueError(f"unknown momentum rule {self.kind!r}")
 
     def rho(self, t: int) -> float:
         if self.kind == "poly48":
             return 4.0 / (t + 8.0) ** (2.0 / 3.0)
-        if self.kind == "alpha":
-            return float(t) ** -self.value
-        return self.value
+        return float(t) ** -self.value
 
 
 @dataclass(frozen=True)
@@ -144,7 +139,7 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer >= {low}")
         if not (is_finite_real(self.gamma) and 0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must lie in (0, 1]")
-        if self.init_rule not in ("zero", "gaussian_project", "upper"):
+        if self.init_rule not in ("zero", "gaussian_project"):
             raise ValueError(f"unknown init rule {self.init_rule!r}")
         if self.returned_convention not in CONVENTIONS:
             raise ValueError(f"unknown returned convention {self.returned_convention!r}")
@@ -185,8 +180,6 @@ def _init_point(oracle: OracleStream, cfg: RunConfig,
     objective = oracle.objective
     if cfg.init_rule == "zero":
         return np.zeros(objective.dim)
-    if cfg.init_rule == "upper":
-        return project(objective.polytope, objective.polytope.upper, warm)
     # a standard normal draw may land outside the region, so project it back
     return project(objective.polytope, oracle.rng.standard_normal(objective.dim), warm)
 

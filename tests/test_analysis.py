@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -118,7 +119,7 @@ class TestBatteryConstruction:
         (RunConfig("pga", 2), {"master_seed": 1}),
         (RunConfig("pga", 2), {"step_rule": StepRule("constant", 2.0)}),
         (RunConfig("pga", 2), {"step_rule": StepRule("inv_sqrt", 3.0)}),
-        (RunConfig("pga", 2), {"init_rule": "upper"}),
+        (RunConfig("pga", 2), {"init_rule": "zero"}),
         (RunConfig("pga", 2), {"returned_convention": "last_iterate"}),
         (RunConfig("boosted_pga", 2), {"gamma": 0.5}),
         (RunConfig("scg", 2), {"momentum_rule": MomentumRule("alpha", 0.5)}),
@@ -228,11 +229,22 @@ class TestFitCurve:
             fit_curve([1, 2, 3], [1.0, 2.0, 3.0], t_min=3)
 
     def test_singular_design_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^fit '': singular design: all t equal$"):
             fit_curve([4, 4, 4], [1.0, 2.0, 3.0])
         # distinct t whose t^-p both underflow to 0
-        with pytest.raises(ValueError, match="singular design"):
-            fit_curve([1e6, 1e6 + 1], [0.0, 1.0], p=60)
+        with pytest.raises(ValueError, match="^fit 'q90': singular design: t\\^-p does not vary"):
+            fit_curve([1e6, 1e6 + 1], [0.0, 1.0], p=60, label="q90")
+
+    @pytest.mark.parametrize("t,p", [(np.arange(1, 21), 1e-17), (np.arange(3, 8), 5e-17)],
+                             ids=["one", "below-one"])
+    def test_exponent_too_small_for_floats_rejected(self, t, p):
+        """Every ``t^-p`` rounds to one float, 1.0 or the float below it: the
+        design has exactly no spread, even where the plain mean of five
+        copies of that float rounds away from it."""
+        assert np.all(t**-p == t[0] ** -p)
+        with pytest.raises(ValueError, match="^fit 'min': singular design: t\\^-p does not vary"):
+            shared_c1_refit([(t, 0.5 - 1.0 / np.sqrt(t), "min"),
+                             (t, 1.0 - 1.0 / np.sqrt(t), "median")], p=p)
 
     def test_alternative_exponent(self):
         t = np.arange(1, 201)
@@ -241,26 +253,33 @@ class TestFitCurve:
         assert fit.c2 == pytest.approx(0.5, abs=1e-8)
 
 
-def closed_form_fit(t, y, p, t_min):
-    """The closed-form normal equations ``fit_curve`` solved before it became
-    the one-curve ``shared_c1_refit``: ``(c1, c2, residual)``."""
-    t, y = np.asarray(t, dtype=float), np.asarray(y, dtype=float)
-    t, y = t[t >= t_min], y[t >= t_min]
-    u = t**-p
-    n = t.size
-    s1, s2 = u.sum(), (u * u).sum()
-    sy, syu = y.sum(), (y * u).sum()
-    det = s1 * s1 - n * s2
-    c1 = (s1 * syu - s2 * sy) / det
-    c2 = (n * syu - s1 * sy) / det
-    return float(c1), float(c2), float(np.sum((y - c1 + c2 * u) ** 2))
+def exact_fit(t, y, p, t_min):
+    """The least squares of ``y`` on the basis ``{1, -u}`` over the points with
+    ``t >= t_min``, for the floats ``u = t^-p``, in exact arithmetic: each
+    float times ``2^1100`` is an integer, so every sum is exact, and each of
+    ``(c1, c2, residual)`` is rounded once."""
+    t = np.asarray(t, dtype=float)
+    mask = t >= t_min
+
+    def scaled(values):
+        return [num << (1101 - den.bit_length())
+                for num, den in map(float.as_integer_ratio, values.tolist())]
+
+    u, y = scaled(t[mask] ** -p), scaled(np.asarray(y, dtype=float)[mask])
+    n, su, sy = len(u), sum(u), sum(y)
+    suy = sum(a * b for a, b in zip(u, y))
+    slope = Fraction(n * suy - su * sy, n * sum(a * a for a in u) - su * su)
+    c1 = (sy - slope * su) / n
+    # the residual is orthogonal to the basis, so its square sum is y . residual
+    resid = (sum(b * b for b in y) - c1 * sy - slope * suy) / 2**2200
+    return float(c1 / 2**1100), float(-slope), float(resid)
 
 
-def random_curve(rng, t_min_share):
-    """A noisy ``c1 - c2 t^-p`` curve over t = 1..T whose ``t_min`` lies in
-    the first ``t_min_share`` of the grid: ``(t, y, p, t_min)``."""
+def random_curve(rng):
+    """A noisy ``c1 - c2 t^-p`` curve over t = 1..T and a ``t_min`` anywhere
+    below ``T``: ``(t, y, p, t_min)``."""
     T = int(rng.integers(20, 1000))
-    t_min = int(rng.integers(1, max(2, int(t_min_share * T))))
+    t_min = int(rng.integers(1, T))
     p = float(rng.uniform(0.25, 2.0))
     c2 = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 30.0)
     t = np.arange(1, T + 1)
@@ -269,37 +288,36 @@ def random_curve(rng, t_min_share):
 
 
 class TestFitCurveReference:
-    """``fit_curve`` is the one-curve ``shared_c1_refit``: its ``c1`` is the
-    closed form's bit for bit, and its ``c2`` is the least squares given that
-    ``c1``, which moves the closed form's ``c2`` only by rounding."""
+    """``fit_curve`` against the exact least squares of its float design."""
 
-    def test_matches_the_closed_form_normal_equations(self):
+    def test_matches_the_exact_least_squares(self):
+        """``c1`` and ``c2`` within 1e-10 relative, also where ``t_min`` near
+        ``T`` makes the basis nearly collinear."""
         rng = np.random.default_rng(39)
-        for _ in range(1000):
-            t, y, p, t_min = random_curve(rng, 0.1)
+        for _ in range(300):
+            t, y, p, t_min = random_curve(rng)
             fit = fit_curve(t, y, p, t_min, "ref")
-            c1_ref, c2_ref, resid_ref = closed_form_fit(t, y, p, t_min)
-            assert fit.c1 == c1_ref
-            assert abs(fit.c2 - c2_ref) <= 1e-11 * abs(c2_ref)
-            # the least squares given c1 is no worse than the closed form's c2, up to rounding
-            assert fit.residual <= resid_ref * (1.0 + 1e-8)
+            c1_ref, c2_ref, resid_ref = exact_fit(t, y, p, t_min)
+            assert abs(fit.c1 - c1_ref) <= 1e-10 * abs(c1_ref)
+            assert abs(fit.c2 - c2_ref) <= 1e-10 * abs(c2_ref)
+            # a two-point design's exact residual is 0, which rounding misses by ~eps^2
+            floor = fit.n_points * (np.finfo(float).eps * np.abs(y).max()) ** 2
+            assert abs(fit.residual - resid_ref) <= 1e-10 * resid_ref + floor
             assert (fit.p, fit.label, fit.n_points) == (p, "ref", t.size - t_min + 1)
 
-    def test_near_collinear_designs(self):
-        """With ``t_min`` near ``T`` the basis is nearly collinear, and both
-        ways of forming ``c2`` lose digits to it: ``c1`` is still bit-equal,
-        and ``c2`` moves within the normal equations' error scale
-        ``cond(design)^2 * eps`` (up to 3e-7 relative here)."""
-        rng = np.random.default_rng(40)
-        for _ in range(1000):
-            t, y, p, t_min = random_curve(rng, 1.0)
-            fit = fit_curve(t, y, p, t_min)
-            c1_ref, c2_ref, resid_ref = closed_form_fit(t, y, p, t_min)
-            assert fit.c1 == c1_ref
-            u = t[t >= t_min].astype(float) ** -p
-            cond = np.linalg.cond(np.column_stack([np.ones_like(u), -u]))
-            assert abs(fit.c2 - c2_ref) <= cond**2 * np.finfo(float).eps * abs(c2_ref)
-            assert fit.residual <= resid_ref * (1.0 + 1e-8)
+    @pytest.mark.parametrize("p", [1e-9, 1e-12])
+    def test_residual_at_a_tiny_exponent(self, p):
+        """``t^-p`` is nearly ``1 - p ln t``, so ``c1`` and ``c2`` are near
+        ``1 / p``: they are still exact within 1e-12 relative, and the
+        residual within 1e-6."""
+        rng = np.random.default_rng(7)
+        t = np.arange(1, 21)
+        y = 0.9 - 1.3 / np.sqrt(t) + rng.normal(0.0, 0.05, t.size)
+        fit = fit_curve(t, y, p)
+        c1_ref, c2_ref, resid_ref = exact_fit(t, y, p, 1)
+        assert abs(fit.residual - resid_ref) <= 1e-6
+        assert abs(fit.c1 - c1_ref) <= 1e-12 * abs(c1_ref)
+        assert abs(fit.c2 - c2_ref) <= 1e-12 * abs(c2_ref)
 
 
 class TestSharedC1Refit:

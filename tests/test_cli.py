@@ -886,14 +886,15 @@ _INVALID = [
      "step size must be a positive finite number"),
     ("run", "momentum_rule-unknown", {"momentum_rule": {"kind": "cubic"}},
      "unknown momentum rule 'cubic'"),
-    ("run", "momentum_rule-constant-above-one", {"momentum_rule": {"kind": "constant",
-                                                                   "value": 1.5}},
-     "constant momentum must lie in (0, 1]"),
+    ("run", "momentum_rule-constant", {"momentum_rule": {"kind": "constant", "value": 1.0}},
+     "unknown momentum rule 'constant'"),
     ("run", "momentum_rule-value-text", {"momentum_rule": {**_ALPHA, "value": "a"}},
      "momentum value must be a finite number"),
     ("run", "boosted_pga-gamma-zero", {"algorithm": "boosted_pga", "gamma": 0},
      "gamma must lie in (0, 1]"),
     ("run", "init_rule-unknown", {"init_rule": "random"}, "unknown init rule 'random'"),
+    ("run", "init_rule-upper", {"algorithm": "pga", "init_rule": "upper"},
+     "unknown init rule 'upper'"),
     ("run", "returned_convention-unknown", {"returned_convention": "mean"},
      "unknown returned convention 'mean'"),
     ("run", "noise-text", {"noise": "none"}, "noise must be an object"),
@@ -1362,12 +1363,15 @@ class TestOverflowExit:
         (None, ["opt=5e-324"], "fit 'min': a value of its curve is not a finite float"),
         ({"kind": "nqp-generate", "seed": 3, "n": 4, "m": 2, "entry_low": -1e160,
           "entry_high": 0}, [], "fit 'min': its c1, c2 or residual is not a finite float"),
-    ], ids=["tiny-opt", "huge-values"])
+        (None, ["fit_exponent=1e-17"],
+         "fit 'min': singular design: t^-p does not vary over t >= t_min in floats"),
+    ], ids=["tiny-opt", "huge-values", "tiny-exponent"])
     def test_report_of_a_fit_floats_cannot_hold_exits_2(self, tmp_path, one_dim_instance,
                                                          problem, overrides, message, capsys):
-        """Values over an opt near zero overflow to inf, and values near
-        1e160 overflow the fit's residual: one ``error:`` line, no numpy
-        warning, and no statistics or report written."""
+        """Values over an opt near zero overflow to inf, values near 1e160
+        overflow the fit's residual, and at the exponent 1e-17 every ``t^-p``
+        rounds to 1.0: one ``error:`` line naming the curve, no numpy warning,
+        and no statistics or report written."""
         cfg = write_config(tmp_path, T=5, opt=1.0, normalized=problem is None,
                            momentum_rule={"kind": "alpha", "value": 0.5},
                            **({"problem": problem} if problem else {}))

@@ -25,13 +25,16 @@ ONE_MINUS_INV_E = 1.0 - math.exp(-1.0)
 
 
 # the fields each algorithm reads beyond algorithm, T, master_seed and run_id,
-# and a value of each that differs from its default for every algorithm
+# and a value of each that differs from its default for every algorithm: the
+# init rule's, per algorithm, is the rule the algorithm does not start from
 READ_BY = {"pga": {"step_rule", "init_rule", "returned_convention"},
            "boosted_pga": {"step_rule", "init_rule", "returned_convention", "gamma"},
            "scg": {"momentum_rule"}, "scgpp": {"batch_size"}}
 NON_DEFAULT = {"step_rule": StepRule("constant", 0.05), "gamma": 0.5,
                "momentum_rule": MomentumRule("alpha", 0.5), "batch_size": 3,
-               "init_rule": "upper", "returned_convention": "best_iterate"}
+               "init_rule": {"pga": "zero", "boosted_pga": "zero", "scg": "gaussian_project",
+                             "scgpp": "gaussian_project"},
+               "returned_convention": "best_iterate"}
 
 
 def batched(algorithm, batch_size):
@@ -71,18 +74,18 @@ class TestRunConfigValidation:
     def test_only_the_fields_its_algorithm_reads(self, algorithm, name):
         """A non-default value is accepted if and only if the algorithm reads
         the field; otherwise the error names the algorithm and the field."""
+        value = NON_DEFAULT[name][algorithm] if name == "init_rule" else NON_DEFAULT[name]
         if name in READ_BY[algorithm]:
-            cfg = RunConfig(algorithm, 7, **{name: NON_DEFAULT[name]})
-            assert getattr(cfg, name) == NON_DEFAULT[name]
+            assert getattr(RunConfig(algorithm, 7, **{name: value}), name) == value
         else:
             with pytest.raises(ValueError, match=f"^{algorithm} does not read {name}$"):
-                RunConfig(algorithm, 7, **{name: NON_DEFAULT[name]})
+                RunConfig(algorithm, 7, **{name: value})
 
     def test_every_unread_field_is_named(self):
         with pytest.raises(ValueError,
                            match="^scg does not read step_rule, gamma, batch_size, init_rule$"):
             RunConfig("scg", 30, step_rule=StepRule("constant", 0.05), gamma=0.3,
-                      batch_size=7, init_rule="upper")
+                      batch_size=7, init_rule="gaussian_project")
 
     def test_poly48_takes_no_value(self):
         with pytest.raises(ValueError, match="^momentum rule 'poly48' takes no value$"):
@@ -101,13 +104,6 @@ class TestPga:
                         init_rule="zero", returned_convention="last_iterate")
         rec = run_trial(one_dim_nqp(), NoiseModel.none(), cfg)
         np.testing.assert_array_equal(rec.iterates.ravel(), [1.0, 1.0, 1.0, 1.0])
-
-    def test_stationary_at_box_bound(self):
-        obj = generate_nqp(4, 3, 0, -1.0, 0.0)
-        cfg = RunConfig("pga", 5, init_rule="upper", returned_convention="last_iterate")
-        rec = run_trial(obj, NoiseModel.none(), cfg)
-        for x in rec.iterates:
-            np.testing.assert_array_equal(x, obj.polytope.upper)
 
     def test_gaussian_init_is_projected(self):
         obj = generate_nqp(5, 4, 2, -1.0, 0.0)
@@ -218,21 +214,6 @@ class TestScg:
         np.testing.assert_allclose(rec.f_true, [0.21875, 0.375, 0.46875, 0.5], atol=1e-15)
         assert rec.returned_value == pytest.approx(0.5, abs=1e-15)
 
-    def test_momentum_override_uses_latest_sample(self):
-        """With the constant override rho = 1 the tracked gradient is exactly
-        the latest noisy sample; verified against a twin-stream replay."""
-        obj = generate_nqp(8, 3, 1, -1.0, 0.0)
-        noise = NoiseModel.gaussian_fixed(0.4)
-        T = 30
-        cfg = RunConfig("scg", T, master_seed=5, run_id=2,
-                        momentum_rule=MomentumRule("constant", 1.0))
-        rec = run_trial(obj, noise, cfg)
-        twin = OracleStream(obj, noise, 5, 2)
-        x = np.zeros(3)
-        for t in range(T):
-            x = x + lmo(obj.polytope, twin.grad(x)) / T
-            np.testing.assert_array_equal(rec.iterates[t], x)
-
     def test_single_step_lands_on_vertex(self):
         obj = generate_nqp(9, 2, 1, -1.0, 0.0)
         rec = run_trial(obj, NoiseModel.none(), RunConfig("scg", 1))
@@ -248,13 +229,14 @@ class TestScg:
 class TestScgpp:
     def test_exact_path_integration_matches_full_momentum_greedy(self):
         """Constant Hessian and exact oracles telescope to the exact gradient,
-        so the trajectory equals greedy with momentum pinned at 1."""
+        so the trajectory is Frank-Wolfe on the exact gradient with step 1/T."""
         obj = generate_nqp(10, 3, 1, -1.0, 0.0)
         T = 12
-        rec_pp = run_trial(obj, NoiseModel.none(), RunConfig("scgpp", T))
-        rec_scg = run_trial(obj, NoiseModel.none(),
-                            RunConfig("scg", T, momentum_rule=MomentumRule("constant", 1.0)))
-        np.testing.assert_allclose(rec_pp.iterates, rec_scg.iterates, atol=1e-12)
+        rec = run_trial(obj, NoiseModel.none(), RunConfig("scgpp", T))
+        x = np.zeros(3)
+        for t in range(T):
+            x = x + lmo(obj.polytope, obj.grad(x)) / T
+            np.testing.assert_allclose(rec.iterates[t], x, atol=1e-12)
 
     def test_one_dim_reaches_optimum(self):
         rec = run_trial(one_dim_nqp(), NoiseModel.none(), RunConfig("scgpp", 4))
