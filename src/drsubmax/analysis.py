@@ -156,6 +156,8 @@ def _fit_design(t, y, p: float, t_min: int):
     t = np.asarray(t, dtype=float)
     mask = t >= t_min
     t, y = t[mask], y[mask]
+    if not (t > 0).all():
+        raise ValueError(f"a fitted t must be positive, got t = {t.min():g}")
     if t.size < 2:
         raise ValueError("need at least two points with t >= t_min")
     if (t == t[0]).all():

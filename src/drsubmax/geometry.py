@@ -10,10 +10,11 @@ maximization (a bounded-variable revised primal simplex on the halfspaces
 the box does not already satisfy, which carries the inverse of its basis
 with the duals as one more row, with largest-reduced-cost pricing and
 Bland's rule after a degenerate pivot).  The LMO's certificate has two
-halves: a dual half, reduced costs from duals solved afresh on its final
-basis, which depends on the direction and is computed on every call, and a
-primal half, the vertex's feasibility and complementary slackness, which
-depends only on the basis and is computed once per basis.  Both oracles are
+halves: a dual half, the reduced costs on the original ``[A I]`` of the
+duals it carries, judged by weak duality, which depends on the direction
+and is computed on every call without a solve, and a primal half, the
+vertex's feasibility and complementary slackness, which depends only on
+the basis and is computed once per basis.  Both oracles are
 deterministic functions of their inputs.  The projection's steps reuse work
 arrays allocated once per call, the simplex's pivots ones allocated once
 per ``LmoWarmStart``.
@@ -608,14 +609,14 @@ class LmoWarmStart:
     ``_basic_vertex``): ``lmo`` builds them once per basis, and
     ``_bounded_simplex`` drops them (sets them to None) at its first pivot or
     bound flip, as ``clear()`` does.  The dual half depends on the direction,
-    so every call computes it.  A new or cleared state holds the slack basis
-    at the origin, whose inverse is the identity: the cold start.  ``cold``
-    is True from then until that first pivot or bound flip, so a state that
-    has moved is warm even when it pivots back to the slack basis.  The state
-    also owns the LP's cost vector and the simplex's work arrays, so a trial
-    allocates them once.  Create one per Frank-Wolfe trial and pass it to
-    every LMO call of that trial; using it with another polytope raises
-    ``ValueError``.
+    so every call computes it, from the carried ``duals``.  A new or cleared
+    state holds the slack basis at the origin, whose inverse is the
+    identity: the cold start.  ``cold`` is True from then until that first
+    pivot or bound flip, so a state that has moved is warm even when it
+    pivots back to the slack basis.  The state also owns the LP's cost
+    vector and the simplex's work arrays, so a trial allocates them once.
+    Create one per Frank-Wolfe trial and pass it to every LMO call of that
+    trial; using it with another polytope raises ``ValueError``.
     """
 
     __slots__ = ("polytope", "rows", "base", "b", "upper", "ext", "binv", "duals", "basis",
@@ -686,25 +687,28 @@ def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
     final basis.
 
     The answer is certified before it is returned.  The dual half depends
-    on ``g``, so every call computes it: the duals are solved afresh from the
-    final basis and the original ``[A I]``, not read from the carried
-    ``[B^-1; y]``, and no nonbasic variable may improve the objective by more
-    than ``TOL_LP * max(1, ||g||_inf)``.  The primal half depends only on the
-    basis, the signs and the basic values, so it is computed with the vertex
-    once per basis and kept in ``warm`` until the simplex pivots or flips a
-    bound: the vertex may violate no constraint by more than ``TOL_LP``, and
-    each row whose slack is nonbasic must hold with equality within
-    ``TOL_LP``.  A call that moves nothing returns a copy of the stored
-    vertex.  With primal and dual feasibility, that last check
-    (complementary slackness) makes the answer the optimal basis's own
-    vertex, so a carried inverse that drifted cannot pass off a feasible but
-    suboptimal point.  An answer that fails clears the state, and the call
-    is solved once more from the slack basis unless it started cold (see
-    ``LmoWarmStart``), so a warm start never turns a cold answer into an
-    ``LmoError`` and no call runs cold twice.  Raises ``LmoError`` carrying
-    the residual when the cold answer fails (the state is then left at the
-    slack basis), and ``ValueError`` when ``g`` has a non-finite entry or
-    ``warm`` belongs to another polytope.
+    on ``g``, so every call computes it, by weak duality and without a
+    solve: the reduced costs ``c - y [A I]`` of the carried duals ``y`` on
+    the original ``[A I]`` are formed once, no nonbasic variable may improve
+    the objective by more than ``TOL_LP * max(1, ||g||_inf)``, and no basic
+    variable's reduced cost, 0 for the final basis's own duals, may exceed
+    that in size.  So carried duals that drifted from ``c_B B^-1`` fail the
+    check instead of certifying it, and a NaN anywhere fails it too.  The
+    primal half depends only on the basis, the signs and the basic values,
+    so it is computed with the vertex once per basis and kept in ``warm``
+    until the simplex pivots or flips a bound: the vertex may violate no
+    constraint by more than ``TOL_LP``, and each row whose slack is nonbasic
+    must hold with equality within ``TOL_LP``.  A call that moves nothing
+    returns a copy of the stored vertex.  With primal and dual feasibility,
+    that last check (complementary slackness) makes the answer the optimal
+    basis's own vertex, so a carried inverse that drifted cannot pass off a
+    feasible but suboptimal point.  An answer that fails clears the state,
+    and the call is solved once more from the slack basis unless it started
+    cold (see ``LmoWarmStart``), so a warm start never turns a cold answer
+    into an ``LmoError`` and no call runs cold twice.  Raises ``LmoError``
+    carrying the residual when the cold answer fails (the state is then
+    left at the slack basis), and ``ValueError`` when ``g`` has a non-finite
+    entry or ``warm`` belongs to another polytope.
     """
     if warm is not None and warm.polytope is not p:
         raise ValueError("the LMO warm start belongs to another polytope")
@@ -821,19 +825,19 @@ def _basic_vertex(state: LmoWarmStart) -> None:
 def _lmo_residual(state: LmoWarmStart, cost: np.ndarray, scale: float) -> float:
     """The larger of the primal half of the certificate that ``state`` holds
     for its basis (see ``_basic_vertex``) and the dual half, which depends on
-    the direction and is computed on every call: the largest improvement a
-    nonbasic variable offers (relative to ``scale``, ``max(1,
-    ||cost||_inf)``), with the duals solved afresh from the state's basis and
-    the original ``[A I]``.  Together they certify that the stored vertex is
-    the basic solution of an optimal basis, whatever ``[B^-1; y]`` the
-    simplex carried."""
-    basis, full = state.basis, state.base
-    try:
-        y = np.linalg.solve(full[:, basis].T, cost[basis])
-    except np.linalg.LinAlgError:
-        return math.inf
-    gain = cost - full.T @ y
-    gain *= state.sign  # the improvement of moving each variable off its bound; 0 if basic
+    the direction and is computed on every call, without a solve, from the
+    carried duals ``y``: with ``d = c - y [A I]`` on the original ``[A I]``,
+    the largest of a nonbasic variable's improvement ``sign * d`` and a
+    basic variable's ``|d|`` (0 for the basis's own duals), relative to
+    ``scale``, ``max(1, ||cost||_inf)``.  By weak duality any ``y`` bounds
+    the objective, so together they certify that the stored vertex is the
+    basic solution of an optimal basis, whatever ``[B^-1; y]`` the simplex
+    carried: duals that drifted from ``c_B B^-1`` move the basic ``d`` off
+    0.  NaN, which refuses the answer, when any of it is NaN."""
+    reduced, gain, basis = state.reduced, state.gain, state.basis
+    np.subtract(cost, np.dot(state.duals, state.base, out=reduced), out=reduced)
+    np.multiply(state.sign, reduced, out=gain)  # a nonbasic variable's improvement
+    gain[basis] = np.abs(reduced[basis])
     return float(np.maximum(gain.max() / scale, state.primal))
 
 

@@ -1,11 +1,12 @@
 """Shared independent oracles for the test suite: brute-force grid
 projection, exhaustive vertex enumeration, the exact optimum of a small
-quadratic by face enumeration, finite differences, feasible point
-sampling, and malformed instance files.  These stay deliberately separate
-from the library code paths they check."""
+quadratic by face enumeration, the LMO certificate with solved duals,
+finite differences, feasible point sampling, and malformed instance files.
+These stay deliberately separate from the library code paths they check."""
 
 import itertools
 import json
+import math
 
 import numpy as np
 
@@ -44,6 +45,23 @@ def enumerate_vertices(poly: Polytope) -> np.ndarray:
     # dedupe up to rounding
     keyed = {tuple(np.round(v, 9)): v for v in verts}
     return np.array(list(keyed.values()))
+
+
+def solved_lmo_residual(state, cost, scale) -> float:
+    """The LMO certificate of ``state``'s basis with its dual half from duals
+    solved afresh, ``B^T y = c_B`` on the basis columns of the original
+    ``[A I]``, instead of the duals the simplex carries: the larger of the
+    stored primal half and the largest improvement a nonbasic variable offers,
+    relative to ``scale``; inf when the basis columns are singular.  By
+    construction the basic reduced costs are 0 up to the solve's rounding,
+    so only the nonbasic ones are judged."""
+    basis, full = state.basis, state.base
+    try:
+        y = np.linalg.solve(full[:, basis].T, cost[basis])
+    except np.linalg.LinAlgError:
+        return math.inf
+    gain = (cost - full.T @ y) * state.sign  # 0 at a basic variable
+    return float(np.maximum(gain.max() / scale, state.primal))
 
 
 def acceptance_nqp() -> NqpObjective:

@@ -235,6 +235,15 @@ class TestFitCurve:
         with pytest.raises(ValueError, match="^fit 'q90': singular design: t\\^-p does not vary"):
             fit_curve([1e6, 1e6 + 1], [0.0, 1.0], p=60, label="q90")
 
+    @pytest.mark.parametrize("t,t_min,low", [([-1, 1, 2], -5, "-1"), ([0, 1, 2], 0, "0")],
+                             ids=["negative", "zero"])
+    def test_nonpositive_t_rejected(self, t, t_min, low):
+        """A ``t <= 0`` kept by ``t_min`` is refused by name before ``t^-p``
+        is taken, which would be nan at ``t < 0`` and divide by zero at 0."""
+        message = f"^fit '': a fitted t must be positive, got t = {low}$"
+        with pytest.raises(ValueError, match=message):
+            fit_curve(t, [0.1, 0.5, 0.7], t_min=t_min)
+
     @pytest.mark.parametrize("t,p", [(np.arange(1, 21), 1e-17), (np.arange(3, 8), 5e-17)],
                              ids=["one", "below-one"])
     def test_exponent_too_small_for_floats_rejected(self, t, p):

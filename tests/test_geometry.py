@@ -19,7 +19,13 @@ from drsubmax.geometry import (
 )
 from drsubmax.objectives import NqpObjective, load_nqp, save_nqp
 
-from _util import enumerate_vertices, grid_projection, random_small_polytope, sample_feasible
+from _util import (
+    enumerate_vertices,
+    grid_projection,
+    random_small_polytope,
+    sample_feasible,
+    solved_lmo_residual,
+)
 
 TRIANGLE = Polytope([[1.0, 1.0]], [1.0], [1.0, 1.0])
 UNIT_BOX2 = Polytope.box([1.0, 1.0])
@@ -466,6 +472,97 @@ class TestLmoWarmStart:
             np.testing.assert_array_equal(lmo(poly, g, warm), lmo(poly, g))
             assert simplex_runs == [True, False, False]  # warm, cold retry, cold
             np.testing.assert_array_equal(lmo(poly, g, warm), lmo(poly, g))
+
+    @pytest.mark.parametrize("shift", [1e-7, -1e-3, math.nan])
+    def test_drifted_duals_fall_back_to_the_cold_answer(self, monkeypatch, shift):
+        """Duals that drift from ``c_B B^-1`` after a warm simplex run ends at
+        its final basis move the basic reduced costs off 0 (a NaN makes them
+        NaN): the warm answer fails the certificate, and the call returns the
+        cold answer bit for bit."""
+        from drsubmax.objectives import generate_nqp
+
+        poly = generate_nqp(123, 100, 50, -100.0, 0.0).polytope
+        simplex, runs = geometry._bounded_simplex, []
+
+        def drifted(state, cost):
+            runs.append(not state.cold)
+            simplex(state, cost)
+            if runs[-1]:
+                state.duals += shift * max(1.0, float(np.abs(cost).max()))
+
+        rng = np.random.default_rng(82)
+        for _ in range(3):
+            warm = LmoWarmStart(poly)
+            lmo(poly, rng.standard_normal(poly.dim), warm)
+            g = rng.standard_normal(poly.dim)
+            cold = lmo(poly, g)
+            with monkeypatch.context() as patch:
+                patch.setattr(geometry, "_bounded_simplex", drifted)
+                runs.clear()
+                np.testing.assert_array_equal(lmo(poly, g, warm), cold)
+            assert runs == [True, False]  # warm, cold retry
+
+    @pytest.mark.parametrize("algorithm", ["scg", "scgpp"])
+    @pytest.mark.parametrize("shape,sigma", [((100, 50, -100.0), 1000.0),
+                                             ((100, 50, -100.0), 5e4),
+                                             ((10, 5, -1.0), 4.0)],
+                             ids=["100x50-1e3", "100x50-5e4", "10x5-4"])
+    def test_carried_duals_certify_as_solved_duals(self, monkeypatch, algorithm, shape,
+                                                   sigma):
+        """On every call of a T = 1000 trial the certificate from the carried
+        duals accepts exactly when the one from duals solved afresh does
+        (``solved_lmo_residual``), and the carried basic reduced costs stay
+        below 1e-12 relative to ``max(1, ||g||_inf)``."""
+        from drsubmax import optimizers
+        from drsubmax.objectives import generate_nqp
+        from drsubmax.oracles import NoiseModel
+
+        residual, decisions, drift = geometry._lmo_residual, [], []
+
+        def both(state, cost, scale):
+            carried, solved = residual(state, cost, scale), solved_lmo_residual(state, cost, scale)
+            decisions.append((carried <= TOL_LP, solved <= TOL_LP))
+            basis = state.basis
+            drift.append(float(np.abs(cost[basis] - state.duals @ state.base[:, basis]).max())
+                         / scale)
+            return carried
+
+        monkeypatch.setattr(geometry, "_lmo_residual", both)
+        optimizers.run_trial(generate_nqp(123, *shape, 0.0), NoiseModel.clipped_gaussian(sigma),
+                             optimizers.RunConfig(algorithm, 1000, run_id=1))
+        assert decisions == [(True, True)] * 1000  # the same decision, and no fallback
+        assert max(drift) < 1e-12
+
+    def test_no_linalg_call_a_call(self, monkeypatch):
+        """An LMO call factors and solves nothing: the pivots update the
+        carried ``[B^-1; y]`` by rank-one products, and the certificate reads
+        the carried duals.  Neither a cold call, a warm call that pivots, nor
+        one that reuses its vertex makes an ``np.linalg`` call (100 x 50)."""
+        from drsubmax.objectives import generate_nqp
+
+        poly = generate_nqp(123, 100, 50, -100.0, 0.0).polytope
+        calls = []
+        for name in np.linalg.__all__:
+            original = getattr(np.linalg, name)
+            if isinstance(original, type):  # LinAlgError
+                continue
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rng = np.random.default_rng(83)
+        warm = LmoWarmStart(poly)
+        lmo(poly, rng.standard_normal(poly.dim), warm)  # cold
+        assert not warm.cold and calls == []
+        g = rng.standard_normal(poly.dim)
+        lmo(poly, g, warm)  # warm, pivots
+        stored = warm.vertex
+        lmo(poly, g, warm)  # warm, reuses the stored vertex
+        assert warm.vertex is stored
+        lmo(poly, g)  # cold, without a state
+        assert calls == []
 
     def test_new_and_cleared_states_hold_the_slack_basis(self):
         from drsubmax.objectives import generate_nqp
