@@ -204,10 +204,13 @@ def shared_c1_refit(curves, p: float = 0.5, t_min: int = 1) -> list[FittedCurve]
         c1 = float(np.mean([own for *_, own, _ in designs]))
         out = []
         for y, u, du, u_bar, _, label in designs:
-            c2 = float(((c1 - y) * u).sum() / (u * u).sum())
-            # about ū, so a nearly collinear design's large c1 and c2 u cancel
-            # once, in the constant term
-            resid = float(((y - (c1 - c2 * u_bar) + c2 * du) ** 2).sum())
+            uu = (u * u).sum()
+            c2 = float(((c1 - y) * u).sum() / uu)
+            # about ū, where a nearly collinear design's c1 and c2 u nearly
+            # cancel: the constant term c1 - c2 ū is formed from centered
+            # pieces, (c1 Σu(u - ū) + ū Σyu) / Σu², not from c1 and c2 ū
+            const = (c1 * (u * du).sum() + u_bar * (y * u).sum()) / uu
+            resid = float(((y - const + c2 * du) ** 2).sum())
             if not (math.isfinite(c1) and math.isfinite(c2) and math.isfinite(resid)):
                 raise ValueError(f"fit {label!r}: its c1, c2 or residual is not a finite float")
             out.append(FittedCurve(c1, c2, p, label, resid, y.size))

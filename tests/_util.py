@@ -1,12 +1,13 @@
 """Shared independent oracles for the test suite: brute-force grid
 projection, exhaustive vertex enumeration, the exact optimum of a small
-quadratic by face enumeration, the LMO certificate with solved duals,
-finite differences, feasible point sampling, and malformed instance files.
+quadratic by face enumeration, the LMO certificate with solved duals, the
+two-stage curve fit in exact arithmetic, finite differences, feasible point sampling, and malformed instance files.
 These stay deliberately separate from the library code paths they check."""
 
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -62,6 +63,39 @@ def solved_lmo_residual(state, cost, scale) -> float:
         return math.inf
     gain = (cost - full.T @ y) * state.sign  # 0 at a basic variable
     return float(np.maximum(gain.max() / scale, state.primal))
+
+
+def exact_two_stage_fit(curves, p: float, t_min: int = 1) -> list:
+    """``shared_c1_refit`` of ``(t, y)`` curves in exact arithmetic on its
+    float design ``u = t^-p`` over the points with ``t >= t_min``: each
+    curve's least-squares ``c1`` on the basis ``{1, -u}``, the shared ``c1``,
+    their mean, and each curve's ``c2`` that is least squares given it, with
+    its residual.  Each float times ``2^1100`` is an integer, so every sum is
+    exact, and each of a curve's ``(c1, c2, residual)`` is rounded once."""
+
+    def scaled(values):
+        return [num << (1101 - den.bit_length())
+                for num, den in map(float.as_integer_ratio, values.tolist())]
+
+    sums, own = [], []
+    for t, y in curves:
+        t = np.asarray(t, dtype=float)
+        mask = t >= t_min
+        u, y = scaled(t[mask] ** -p), scaled(np.asarray(y, dtype=float)[mask])
+        n, su, sy = len(u), sum(u), sum(y)
+        suu, suy = sum(a * a for a in u), sum(a * b for a, b in zip(u, y))
+        slope = Fraction(n * suy - su * sy, n * suu - su * su)
+        own.append((sy - slope * su) / n)
+        sums.append((n, su, sy, suu, suy, sum(b * b for b in y)))
+    c1 = sum(own) / len(own)  # times 2^1100, as are u and y
+    out = []
+    for n, su, sy, suu, suy, syy in sums:
+        c2 = (c1 * su - suy) / suu
+        # the square sum of y - c1 + c2 u, expanded
+        resid = (syy + n * c1 * c1 + c2 * c2 * suu - 2 * c1 * sy + 2 * c2 * suy
+                 - 2 * c1 * c2 * su)
+        out.append((float(c1 / 2**1100), float(c2), float(resid / 2**2200)))
+    return out
 
 
 def acceptance_nqp() -> NqpObjective:

@@ -1,5 +1,4 @@
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from drsubmax.oracles import NoiseModel
 from drsubmax.optimizers import (BATTERY_HEADER, MomentumRule, RunConfig, RunRecord, StepRule,
                                  records_to_csv, run_battery)
 
-from _util import acceptance_nqp, exact_nqp_opt
+from _util import acceptance_nqp, exact_nqp_opt, exact_two_stage_fit
 
 
 def constant_battery(levels, T=5):
@@ -262,28 +261,6 @@ class TestFitCurve:
         assert fit.c2 == pytest.approx(0.5, abs=1e-8)
 
 
-def exact_fit(t, y, p, t_min):
-    """The least squares of ``y`` on the basis ``{1, -u}`` over the points with
-    ``t >= t_min``, for the floats ``u = t^-p``, in exact arithmetic: each
-    float times ``2^1100`` is an integer, so every sum is exact, and each of
-    ``(c1, c2, residual)`` is rounded once."""
-    t = np.asarray(t, dtype=float)
-    mask = t >= t_min
-
-    def scaled(values):
-        return [num << (1101 - den.bit_length())
-                for num, den in map(float.as_integer_ratio, values.tolist())]
-
-    u, y = scaled(t[mask] ** -p), scaled(np.asarray(y, dtype=float)[mask])
-    n, su, sy = len(u), sum(u), sum(y)
-    suy = sum(a * b for a, b in zip(u, y))
-    slope = Fraction(n * suy - su * sy, n * sum(a * a for a in u) - su * su)
-    c1 = (sy - slope * su) / n
-    # the residual is orthogonal to the basis, so its square sum is y . residual
-    resid = (sum(b * b for b in y) - c1 * sy - slope * suy) / 2**2200
-    return float(c1 / 2**1100), float(-slope), float(resid)
-
-
 def random_curve(rng):
     """A noisy ``c1 - c2 t^-p`` curve over t = 1..T and a ``t_min`` anywhere
     below ``T``: ``(t, y, p, t_min)``."""
@@ -306,7 +283,7 @@ class TestFitCurveReference:
         for _ in range(300):
             t, y, p, t_min = random_curve(rng)
             fit = fit_curve(t, y, p, t_min, "ref")
-            c1_ref, c2_ref, resid_ref = exact_fit(t, y, p, t_min)
+            c1_ref, c2_ref, resid_ref = exact_two_stage_fit([(t, y)], p, t_min)[0]
             assert abs(fit.c1 - c1_ref) <= 1e-10 * abs(c1_ref)
             assert abs(fit.c2 - c2_ref) <= 1e-10 * abs(c2_ref)
             # a two-point design's exact residual is 0, which rounding misses by ~eps^2
@@ -323,7 +300,7 @@ class TestFitCurveReference:
         t = np.arange(1, 21)
         y = 0.9 - 1.3 / np.sqrt(t) + rng.normal(0.0, 0.05, t.size)
         fit = fit_curve(t, y, p)
-        c1_ref, c2_ref, resid_ref = exact_fit(t, y, p, 1)
+        c1_ref, c2_ref, resid_ref = exact_two_stage_fit([(t, y)], p, 1)[0]
         assert abs(fit.residual - resid_ref) <= 1e-6
         assert abs(fit.c1 - c1_ref) <= 1e-12 * abs(c1_ref)
         assert abs(fit.c2 - c2_ref) <= 1e-12 * abs(c2_ref)

@@ -12,7 +12,7 @@ from drsubmax.geometry import LmoError, Polytope
 from drsubmax.objectives import (NqpObjective, generate_nqp, instance_digest, load_nqp,
                                  save_nqp)
 
-from _util import MALFORMED_NQP_FILES
+from _util import MALFORMED_NQP_FILES, exact_two_stage_fit
 
 
 @pytest.fixture()
@@ -362,6 +362,34 @@ class TestReport:
             c2 = float(line.split("c2=")[1].split()[0])
             assert c2 == pytest.approx(2.0, abs=1e-8)
             assert (out / f"stats_{label}.csv").exists()
+
+    def test_ci_smoke_fit_at_a_tiny_exponent_is_exact(self, tmp_path):
+        """The packaging smoke's scg battery reported at ``fit_exponent``
+        1e-13, where ``c1`` and ``c2`` are near 3.4e12 and cancel: each
+        printed residual is the exact two-stage fit's within 1e-8 relative,
+        and ``c1_shared`` within 1e-15."""
+        instance = tmp_path / "nqp5.json"
+        assert cli.main(["generate", "nqp", "--n", "5", "--m", "1", "--low", "-1", "--high",
+                         "0", "--seed", "7", "--out", str(instance)]) == 0
+        cfg = write_config(tmp_path, problem={"kind": "nqp-file", "path": str(instance)}, T=20,
+                           momentum_rule=_ALPHA, normalized=True,
+                           noise={"kind": "clipped_gaussian", "sigma": 0.1},
+                           opt={"runs": 2, "iterations": 50})
+        assert main_with("run", cfg) == 0
+        assert main_with("report", cfg, ["fit_exponent=1e-13"]) == 0
+        out = tmp_path / "out"
+        report = (out / "report.txt").read_text().splitlines()
+        curves = []
+        for label in ("min", "median", "q90"):
+            rows = (out / f"stats_{label}.csv").read_text().splitlines()[1:]
+            curves.append(np.array([[float(v) for v in row.split(",")[:2]] for row in rows]).T)
+        exact = exact_two_stage_fit(curves, 1e-13)
+        c1 = float(next(ln for ln in report if ln.startswith("c1_shared:")).split(":")[1])
+        assert 3e12 < c1 < 4e12
+        assert c1 == pytest.approx(exact[0][0], rel=1e-15)
+        for label, (_, _, resid) in zip(("min", "median", "q90"), exact):
+            line = next(ln for ln in report if ln.startswith(f"fit {label}:"))
+            assert float(line.split("residual=")[1].split()[0]) == pytest.approx(resid, rel=1e-8)
 
     def test_noise_free_battery_has_zero_violation_rate(self, tmp_path, one_dim_instance):
         cfg = write_config(tmp_path, T=20, runs=3, opt=0.5,

@@ -1167,7 +1167,9 @@ class TestProjectionWarmStart:
                                                                 sigma, algorithm, step):
         """Every projection of the trial, its start point's included, is
         bit-identical to the cold answer and ends on the cold answer's active
-        set, and the warm calls take fewer dual steps (one split a step)."""
+        set.  With the batch rounds off, the warm calls take fewer dual steps
+        (one split a step) than the cold ones: a cold call's batch rounds may
+        take fewer dual steps still, but each costs a fresh inverse."""
         from drsubmax import optimizers
         from drsubmax.bounds import spectral_norm
         from drsubmax.objectives import generate_nqp
@@ -1191,20 +1193,30 @@ class TestProjectionWarmStart:
         calls = []
 
         def recording(p, y, warm):
+            start = warm.face
             x = project(p, y, warm)
-            calls.append((np.array(y), x.copy(), warm.face))
+            calls.append((np.array(y), x.copy(), start, warm.face))
             return x
 
         monkeypatch.setattr(optimizers, "project", recording)
         optimizers.run_trial(obj, NoiseModel.clipped_gaussian(sigma), cfg)
         assert len(calls) == cfg.T + 1
-        warm_splits, splits[0] = splits[0], 0
-        for y, x, face in calls:
+        for y, x, _, face in calls:
             cold = ProjectionWarmStart(poly)
             assert project(poly, y, cold).tobytes() == x.tobytes()
             if cold.face.any():  # not a clamped answer
                 np.testing.assert_array_equal(face, cold.face)
-        assert 0 < warm_splits < splits[0]
+        TestBatchRounds.batch_free(monkeypatch, poly)
+        batch_free = []
+        for warm in (True, False):
+            splits[0] = 0
+            for y, _, start, _ in calls:
+                state = ProjectionWarmStart(poly)
+                if warm:
+                    state.face = start
+                project(poly, y, state)
+            batch_free.append(splits[0])
+        assert 0 < batch_free[0] < batch_free[1]
 
     def test_state_of_another_polytope_rejected(self):
         """A state is checked before anything runs and is left as it was."""
@@ -1399,6 +1411,129 @@ class TestProjectionWarmStart:
                 states.append(seen[0])
             assert len({id(warm) for warm in states}) == 3
             assert iterates[0] == iterates[2]
+
+
+class TestBatchRounds:
+    """Before its first dual step ``_dual_active_set`` may add every violated
+    constraint at once and resume from that set.  The rounds only choose the
+    start, so every answer and final set are the batch-free method's."""
+
+    @pytest.fixture()
+    def resumes(self, monkeypatch):
+        """A list of the sets ``_resume`` is called with, each with whether
+        it was singular."""
+        calls = []
+        method = geometry._resume
+
+        def recorded(p, y, start, gram):
+            out = method(p, y, start, gram)
+            calls.append((start.copy(), out is None))
+            return out
+
+        monkeypatch.setattr(geometry, "_resume", recorded)
+        return calls
+
+    @staticmethod
+    def batch_free(monkeypatch, poly: Polytope) -> None:
+        """Raise the threshold past every constraint: no round runs."""
+        monkeypatch.setattr(geometry, "_BATCH_MIN", poly.n_halfspaces + poly.dim + 1)
+
+    @pytest.mark.parametrize("shape,sigma,algorithm,step,T", [
+        ((100, 50, -100.0, 0.0), 1000.0, "pga", "1/L", 12),
+        ((100, 50, -100.0, 0.0), 1000.0, "boosted_pga", "default", 4),
+        ((10, 5, -1.0, 0.0), 0.5, "pga", "default", 40),
+    ], ids=["1/L-100x50", "default-100x50", "default-10x5"])
+    def test_every_answer_is_the_batch_free_one(self, monkeypatch, resumes, shape, sigma,
+                                                algorithm, step, T):
+        """Each projection input of a trial, from its stored set (warm) and
+        from the empty set (cold), gives the batch-free method's answer bit
+        for bit and ends on its set.  The first input, the projection of the
+        trial's standard normal start point, batches on every instance; at
+        step 1/L warm and cold calls batch too."""
+        from drsubmax import optimizers
+        from drsubmax.bounds import spectral_norm
+        from drsubmax.objectives import generate_nqp
+        from drsubmax.oracles import NoiseModel
+
+        obj = generate_nqp(123, *shape)
+        poly = obj.polytope
+        rule = {} if step == "default" else {
+            "step_rule": optimizers.StepRule("inv_sqrt", 1.0 / spectral_norm(obj.h_matrix))}
+        cfg = optimizers.RunConfig(algorithm, T, run_id=1, **rule)
+        inputs = []
+
+        def recording(p, y, warm):
+            inputs.append((np.array(y), warm.face))
+            return project(p, y, warm)
+
+        monkeypatch.setattr(optimizers, "project", recording)
+        optimizers.run_trial(obj, NoiseModel.clipped_gaussian(sigma), cfg)
+        assert len(inputs) == T + 1
+
+        def replay():
+            answers, rounds = [], []
+            for y, start in inputs:
+                for face in (start, np.zeros_like(start)):
+                    state = ProjectionWarmStart(poly)
+                    state.face = face
+                    resumes.clear()
+                    x = project(poly, y, state)
+                    answers.append((x.tobytes(), state.face.tobytes()))
+                    rounds.append(max(len(resumes) - 1, 0))
+            return answers, rounds
+
+        batched, rounds = replay()
+        self.batch_free(monkeypatch, poly)
+        unbatched, none = replay()
+        assert batched == unbatched
+        assert not any(none)
+        assert rounds[0] > 0
+        if step == "1/L":
+            assert any(rounds[2::2]) and any(rounds[3::2])
+
+    def test_a_set_that_overflows_the_free_coordinates_is_skipped(self, monkeypatch,
+                                                                   resumes):
+        """Six constraints are violated, but with every coordinate past its
+        upper face the three halfspaces would have no free coordinate: the
+        batch is skipped, and the dual method runs from the empty set."""
+        poly = Polytope([[1.0, 1.0, 1.0], [1.0, 2.0, 1.0], [2.0, 1.0, 1.0]],
+                        [1.0, 1.5, 1.5], [1.0, 1.0, 1.0])
+        y = np.array([5.0, 6.0, 7.0])
+        x = project(poly, y)
+        assert [start.any() for start, _ in resumes] == [False]
+        self.batch_free(monkeypatch, poly)
+        assert project(poly, y).tobytes() == x.tobytes()
+        assert kkt_residual(poly, y, x) <= 1e-10
+
+    def test_a_singular_batch_continues_from_the_current_start(self, monkeypatch, resumes):
+        """Five violated halfspaces on six free coordinates, three of them
+        parallel: the batch's set is singular, so ``_resume`` returns None,
+        and the dual method runs on from the empty set it was called from,
+        once, with no ``ProjectionError`` and no second, cold run."""
+        ones = np.ones(6)
+        poly = Polytope(np.vstack([ones, 2.0 * ones, ones, np.repeat([1.0, 0.0], 3),
+                                   np.repeat([0.0, 1.0], 3)]),
+                        [1.0, 2.0, 1.0, 0.5, 0.5], ones)
+        y = np.full(6, 0.9)
+        runs = []
+        method = geometry._dual_active_set
+
+        def counted(*args):
+            runs.append(args[-1].copy())
+            return method(*args)
+
+        monkeypatch.setattr(geometry, "_dual_active_set", counted)
+        warm = ProjectionWarmStart(poly)
+        x = project(poly, y, warm)
+        assert len(runs) == 1
+        assert [(start[:5].tolist(), singular) for start, singular in resumes] == [
+            ([0.0] * 5, False), ([1.0] * 5, True)]
+        np.testing.assert_allclose(x, np.full(6, 1.0 / 6.0), rtol=1e-12)
+        face = warm.face
+        self.batch_free(monkeypatch, poly)
+        batch_free = ProjectionWarmStart(poly)
+        assert project(poly, y, batch_free).tobytes() == x.tobytes()
+        np.testing.assert_array_equal(batch_free.face, face)
 
 
 class TestDiameterBound:
