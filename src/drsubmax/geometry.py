@@ -27,9 +27,10 @@ of the last call that ran the dual method (the tight halfspaces and the
 face each fixed coordinate sits at), or the empty set when new or cleared.
 Each call inverts that set's Gram matrix from scratch, puts ``x`` on the
 set's face for its own target, and drops the constraints whose multipliers
-are negative there until none is, a start from which the dual method is
-valid: ``x = y`` for the empty set, the cold start, and fewer dual steps for
-a previous call's set.  A singular set (its inverse fails the growth test
+are negative there until none is (in the same loop, every violated
+constraint may join at once), a start from which the dual method is valid:
+``x = y`` for the empty set, the cold start, and fewer dual steps for a
+previous call's set.  A singular set (its inverse fails the growth test
 the call's updates of it use), or an answer that fails its certificate, is
 run once more from the empty set unless the call started there, so a warm
 start never turns a cold answer into a ``ProjectionError`` and no call runs
@@ -103,14 +104,14 @@ _MAX_GROWTH = 1e8
 #: step budget of the dual active-set method per constraint (finite in exact
 #: arithmetic; the budget only stops a cycle caused by rounding)
 _STEPS_PER_CONSTRAINT = 20
-#: before its first dual step the projection adds every violated constraint at
-#: once, as a new start, when at least this many are violated.  A round costs
-#: a fresh ``_resume``: on replayed 10 x 5 default-step calls a threshold of 2
-#: or 3 cost 2-3% of the time against 1.3% at 5 and 1.4% at 8
+#: while the projection prunes its start set (``_resume``) every violated
+#: constraint joins at once, when at least this many are violated.  By
+#: per-call minimum times on replayed calls, relative to 5: 2, 3 and 8 took
+#: x0.945, x0.957 and x1.041 the time on 100 x 50 step-1/L boosted PGA
+#: calls, and x1.012, x1.006 and x1.002 on 10 x 5 default-step calls
 _BATCH_MIN = 5
-#: the most such rounds a call makes: on replayed 100 x 50 step-1/L calls of
-#: boosted PGA, 2 and 4 rounds took x1.30 and x1.07 the time of 8, and 16 no
-#: less
+#: the most such joins a call makes: 4 and 16 took x1.160 and x0.996 the time
+#: of 8 on the same step-1/L calls
 _BATCH_ROUNDS = 8
 
 
@@ -259,20 +260,20 @@ def project(p: Polytope, y, warm: ProjectionWarmStart | None = None) -> np.ndarr
 
     The method may start from any active set whose face minimizer has
     nonnegative multipliers, and the state's set gives one (``_resume``):
-    each round inverts its Gram matrix once, from scratch, puts ``x`` on its
-    face for this ``y`` and reads the multipliers there, and the
-    constraints whose multipliers are negative leave, round after round,
-    until none is.  The empty set gives ``x = y``, the cold start.
-    Consecutive projections of a trial share most of their active set, so a
-    warm call takes fewer dual steps.  Before the first dual step, when at
-    least ``_BATCH_MIN`` constraints are violated at that start and adding
-    them all leaves no more active halfspaces than free coordinates, they
-    all join and the set is resumed again, for at most ``_BATCH_ROUNDS``
-    rounds: the primal-dual active-set step (Hintermueller, Ito and Kunisch,
-    SIAM J. Optim. 13, 2002), used only to choose the start, since each
-    round's start is as valid as the first.  A far target, such as a cold
-    call's at step 1/L, then takes a few dual steps instead of about one per
-    constraint it ends on.
+    each iteration inverts its Gram matrix once, from scratch, puts ``x`` on
+    its face for this ``y`` and reads the multipliers there, and the
+    constraints whose multipliers are negative leave, iteration after
+    iteration, until none is.  The empty set gives ``x = y``, the cold
+    start.  Consecutive projections of a trial share most of their active
+    set, so a warm call takes fewer dual steps.  In the same loop, when at
+    least ``_BATCH_MIN`` constraints are violated at ``x`` and the set has
+    room for them all (with them, no more active constraints than
+    coordinates), they all join as the negative ones leave, for at most
+    ``_BATCH_ROUNDS`` joins: the primal-dual active-set step (Hintermueller,
+    Ito and Kunisch, SIAM J. Optim. 13, 2002), used only to choose the
+    start, since the loop still ends on a set with nonnegative multipliers.
+    A far target, such as a cold call's at step 1/L, then takes a few dual
+    steps instead of about one per constraint it ends on.
 
     The answer is recomputed from the final active set and certified by its
     KKT conditions: feasibility and nonnegative multipliers, both within
@@ -427,21 +428,11 @@ def _dual_active_set(p: Polytope, y: np.ndarray, scale: float, row_norms: np.nda
     """The active set at the projection, as ``face``: 1 at a tight halfspace,
     -1 at a coordinate fixed at its lower face, +1 at its upper face and 0
     elsewhere.  It starts from the set ``start`` (a previous call's
-    ``face``, or all zeros, the empty set) pruned by ``_resume``, which also
-    seeds the carried inverse; None when that set is singular by
-    ``_resume``'s growth test, which the empty set never is.
-
-    Before its first dual step it may start again from a larger set, in
-    batch rounds.  A round reads the loop's own distance pass: when at least
-    ``_BATCH_MIN`` constraints are violated, and adding them all (each box
-    face at the side ``x`` is past) leaves no more active halfspaces than
-    free coordinates, that set goes to ``_resume``, which prunes it and
-    re-seeds the inverse.  Fewer violated constraints, a set that
-    overflows, a singular set (``_resume`` then writes nothing, so the
-    current start stands), or ``_BATCH_ROUNDS`` rounds end the rounds, and
-    the dual method runs from the current start.  The rounds only choose
-    the start: the dual method still ends the call, and ``_kkt_point``
-    certifies its set.
+    ``face``, or all zeros, the empty set) as ``_resume`` leaves it: pruned
+    to nonnegative multipliers, perhaps with violated constraints joined at
+    once.  ``_resume`` also seeds the carried inverse and makes the loop's
+    first distance pass.  None when ``_resume`` gives up on the stored set
+    (a singular set, see there), which it never does from the empty set.
 
     The constraints share one index space: halfspace ``i`` is ``i`` and
     coordinate ``j``'s box face is ``m + j``.  ``face`` (``active`` then
@@ -455,47 +446,20 @@ def _dual_active_set(p: Polytope, y: np.ndarray, scale: float, row_norms: np.nda
     row_norms = np.where(row_norms == 0.0, 1.0, row_norms)
     add_tol = _ADD_RTOL * scale
     gram = _GramInverse(m, n)
-    resumed = _resume(p, y, start, gram)
+    resumed = _resume(p, y, start, gram, row_norms, add_tol)
     if resumed is None:
         return None
-    x, face, mult = resumed
+    x, face, mult, dist, blocked = resumed
     side = face[m:]
-    # -inf at the active constraints, added to the distances so that none is
-    # added twice (halfspaces are tight only up to rounding)
-    blocked = np.where(face != 0.0, -math.inf, 0.0)
-    rates, ratios, dist = np.zeros(m + n), np.empty(m + n), np.empty(m + n)
+    rates, ratios = np.zeros(m + n), np.empty(m + n)
     rising = np.empty(m + n, dtype=bool)
     z, work = np.empty(n), np.empty(n)
     dist_rows, dist_box, rate_rows, rate_box = dist[:m], dist[m:], rates[:m], rates[m:]
     steps = _STEPS_PER_CONSTRAINT * (m + 2 * n)
-    batches = _BATCH_ROUNDS
     while steps > 0:
-        np.dot(a, x, out=dist_rows)
-        dist_rows -= b
-        dist_rows /= row_norms
-        np.maximum(np.negative(x, out=work), np.subtract(x, u, out=dist_box), out=dist_box)
-        dist += blocked
         k = int(dist.argmax())
         if not dist[k] > add_tol:
             break
-        if batches:  # no dual step yet: add every violated constraint at once
-            batches -= 1
-            over = np.flatnonzero(dist > add_tol)
-            # more halfspaces than free coordinates is a singular set: so no
-            # more constraints, active and violated, than coordinates
-            if _BATCH_MIN <= over.size <= n - np.count_nonzero(face):
-                enlarged = face.copy()
-                enlarged[over] = 1.0
-                box = over[over >= m] - m
-                enlarged[m + box] = np.where(x[box] > u[box], 1.0, -1.0)
-                # None, a singular set, leaves the state as it was
-                resumed = _resume(p, y, enlarged, gram)
-                if resumed is not None:
-                    x, face, mult = resumed
-                    side = face[m:]
-                    blocked = np.where(face != 0.0, -math.inf, 0.0)
-                    continue
-            batches = 0
         # constraint k as  normal . x <= rhs,  with face[k] = sign once active;
         # a box face's normal is  sign * e_j
         if k < m:
@@ -551,60 +515,133 @@ def _dual_active_set(p: Polytope, y: np.ndarray, scale: float, row_norms: np.nda
                 gram.drop_row(i)
             else:
                 gram.release(i - m)
+        # the distance pass, as _resume makes it
+        np.dot(a, x, out=dist_rows)
+        dist_rows -= b
+        dist_rows /= row_norms
+        np.maximum(np.negative(x, out=work), np.subtract(x, u, out=dist_box), out=dist_box)
+        dist += blocked
     return face
 
 
-def _resume(p: Polytope, y: np.ndarray, start: np.ndarray, gram: _GramInverse):
+def _resume(p: Polytope, y: np.ndarray, start: np.ndarray, gram: _GramInverse,
+            row_norms: np.ndarray, add_tol: float):
     """A dual-feasible start of ``_dual_active_set`` from the active set
     ``start``: ``x``, the point closest to ``y`` on the face where its
-    halfspaces are tight and its fixed coordinates sit at their box face, with
-    ``face`` and ``mult``, the multipliers there.  The constraints whose
-    multiplier is negative leave, all at once, and the rest are solved again,
-    until none is.  Each round inverts the set's Gram matrix ``G = A_SF
-    A_SF^T`` once, from scratch, reads the multipliers from that inverse, and
-    ``gram`` is left holding the last one; the empty set gives ``x = y`` and
-    no multipliers in one round of 0 x 0 matrices.  None when a set is
-    singular by the test ``_GramInverse`` trusts its inverse by: the
-    inversion fails, or some ``ginv_kk G_kk``, the growth at which
-    ``drop_row`` would recompute the inverse, is not in ``(0,
-    _MAX_GROWTH)``.  (The Gram matrix squares the set's condition, so its
-    inverse cannot resolve the finer test a halfspace passes to join,
-    ``_DEPENDENT_RTOL``.)  ``gram`` is written only when no set is singular,
-    so a batch round of ``_dual_active_set`` that returns None leaves the
-    start it was called from as it was."""
+    halfspaces are tight and its fixed coordinates sit at their box face,
+    with ``face``, ``mult``, the multipliers there, ``blocked``, -inf at the
+    active constraints and 0 elsewhere, and ``dist``, the dual loop's
+    distance pass at ``x`` plus ``blocked``, which becomes that loop's first.
+    ``gram`` is left holding the set and its inverse.
+
+    Each iteration inverts the set's Gram matrix ``G = A_SF A_SF^T`` once,
+    from scratch (``_gram_inverse``), reads ``x`` and the multipliers from
+    that inverse, and the constraints whose multiplier is negative leave,
+    all at once.  While joins remain (``_BATCH_ROUNDS``), and the set, its
+    leavers still in it, has room for ``_BATCH_MIN`` more constraints, the
+    iteration makes the distance pass at ``x``: when at least ``_BATCH_MIN``
+    constraints are violated by more than ``add_tol``, and the set without
+    its leavers has room for them all (more halfspaces than free
+    coordinates would be singular, so no more active constraints than
+    coordinates), they all join as the leavers leave, a box face at the
+    side ``x`` is past.  That is the primal-dual active-set step of
+    Hintermueller, Ito and Kunisch (SIAM J. Optim. 13, 2002), used only to
+    choose the start.  The loop ends when nothing leaves and nothing joins;
+    the empty set with nothing violated gives ``x = y`` and no multipliers
+    in one iteration of 0 x 0 matrices.  A nearly full set takes no join,
+    since there, at the default step, joins cost more inversions than the
+    dual steps they save; it then makes a distance pass only when nothing
+    leaves, since only the last pass is used.
+
+    A singular set made by a join goes back to the set before that join
+    (its iteration's leavers gone) with no more joins, as does a set pruned
+    from it later; a set singular after that, or one pruned from ``start``
+    alone, gives None, unless ``start`` is the empty set, which the loop
+    then runs from again without joins (the empty set is never singular)."""
     a, b, u = p.a_matrix, p.b_vector, p.upper
-    m = b.size
+    m, n = a.shape
     face = start.copy()
     active, side = face[:m], face[m:]
+    dist, work = np.empty(m + n), np.empty(n)
+    dist_rows, dist_box = dist[:m], dist[m:]
+    rounds = _BATCH_ROUNDS
+    # the set a singular one goes back to: the set before the last join
+    before = None
     while True:
         rows = np.flatnonzero(active)
         free = side == 0.0
-        x = np.where(free, y, np.where(side > 0.0, u, 0.0))
         a_s = a[rows]
-        gram_matrix = (a_s * free) @ a_s.T  # A_SF A_SF^T
-        try:
-            ginv = np.linalg.inv(gram_matrix)
-        except np.linalg.LinAlgError:
-            return None
-        growth = np.diagonal(ginv) * np.diagonal(gram_matrix)
-        if not np.all((growth > 0.0) & (growth < _MAX_GROWTH)):
-            return None
+        ginv = _gram_inverse(a_s, free)
+        if ginv is None:
+            if before is None:
+                return None
+            face[:], rounds = before, 0
+            before = None if start.any() else start
+            continue
+        x = np.where(free, y, np.where(side > 0.0, u, 0.0))
         # x_F = y_F - A_SF^T lam  with  A_S x = b_S
         lam = ginv @ (a_s @ x - b[rows])
         shift = lam @ a_s
         # box-face multipliers: y - x = A_S^T lam + side * mu on fixed coordinates
         mu = side * (y - x - shift)
         leave_rows, leave_faces = lam < 0.0, mu < 0.0
-        if not (leave_rows.any() or leave_faces.any()):
+        leaving = leave_rows.any() or leave_faces.any()
+        # a nearly full set, the leavers still in it, takes no join
+        joinable = rounds and n - np.count_nonzero(face) >= _BATCH_MIN
+        if joinable or not leaving:
+            x[free] -= shift[free]
+            # the dual loop's distance pass, bit for bit.  The active
+            # constraints are blocked so that none is added twice (halfspaces
+            # are tight only up to rounding), the leavers too: none joins as
+            # it leaves
+            blocked = np.where(face != 0.0, -math.inf, 0.0)
+            np.dot(a, x, out=dist_rows)
+            dist_rows -= b
+            dist_rows /= row_norms
+            np.maximum(np.negative(x, out=work), np.subtract(x, u, out=dist_box), out=dist_box)
+            dist += blocked
+        if leaving:
+            active[rows[leave_rows]] = 0.0
+            side[leave_faces] = 0.0
+        if joinable:
+            over = np.flatnonzero(dist > add_tol)
+            # more halfspaces than free coordinates is a singular set: so no
+            # more constraints, active once the leavers leave and joining,
+            # than coordinates
+            if _BATCH_MIN <= over.size <= n - np.count_nonzero(face):
+                rounds -= 1
+                before = face.copy()
+                face[over] = 1.0
+                box = over[over >= m] - m
+                side[box] = np.where(x[box] > u[box], 1.0, -1.0)
+                continue
+        if not leaving:
             break
-        active[rows[leave_rows]] = 0.0
-        side[leave_faces] = 0.0
-    x[free] -= shift[free]
     gram.rows[:rows.size], gram.normals[:rows.size] = rows, a_s
     gram.free, gram.ginv = free.astype(float), ginv
     mult = np.zeros(face.size)
     mult[rows], mult[m:] = lam, mu
-    return x, face, mult
+    return x, face, mult, dist, blocked
+
+
+def _gram_inverse(a_s: np.ndarray, free: np.ndarray):
+    """``(A_SF A_SF^T)^-1``, the inverse Gram matrix of the rows ``a_s`` on
+    the ``free`` coordinates (a boolean mask), from scratch.  None when the
+    set is singular by the test ``_GramInverse`` trusts its inverse by: the
+    inversion fails, or some ``ginv_kk G_kk``, the growth at which
+    ``drop_row`` would recompute the inverse, is not in ``(0,
+    _MAX_GROWTH)``.  (The Gram matrix squares the set's condition, so its
+    inverse cannot resolve the finer test a halfspace passes to join,
+    ``_DEPENDENT_RTOL``.)"""
+    gram_matrix = (a_s * free) @ a_s.T
+    try:
+        ginv = np.linalg.inv(gram_matrix)
+    except np.linalg.LinAlgError:
+        return None
+    growth = np.diagonal(ginv) * np.diagonal(gram_matrix)
+    if not np.all((growth > 0.0) & (growth < _MAX_GROWTH)):
+        return None
+    return ginv
 
 
 def _kkt_point(p: Polytope, y: np.ndarray, face: np.ndarray, row_norms: np.ndarray):

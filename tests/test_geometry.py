@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -1414,51 +1415,65 @@ class TestProjectionWarmStart:
 
 
 class TestBatchRounds:
-    """Before its first dual step ``_dual_active_set`` may add every violated
-    constraint at once and resume from that set.  The rounds only choose the
-    start, so every answer and final set are the batch-free method's."""
+    """While ``_resume`` prunes its set it may also add every violated
+    constraint at once (a join), in the same loop.  The joins only choose the
+    start, so every answer and final set are the batch-free method's.  A
+    join shows in the sets the loop inverts: a set holds a constraint that
+    the set inverted before it lacks (a pruned or restored set never does)."""
 
     @pytest.fixture()
-    def resumes(self, monkeypatch):
-        """A list of the sets ``_resume`` is called with, each with whether
+    def inverted(self, monkeypatch):
+        """A list of the sets ``_resume`` inverts, each as its halfspaces'
+        normals (a multiset of row bytes), its fixed coordinates and whether
         it was singular."""
-        calls = []
-        method = geometry._resume
+        sets = []
+        method = geometry._gram_inverse
 
-        def recorded(p, y, start, gram):
-            out = method(p, y, start, gram)
-            calls.append((start.copy(), out is None))
-            return out
+        def recorded(a_s, free):
+            ginv = method(a_s, free)
+            sets.append((Counter(row.tobytes() for row in a_s),
+                         frozenset(np.flatnonzero(~free).tolist()), ginv is None))
+            return ginv
 
-        monkeypatch.setattr(geometry, "_resume", recorded)
-        return calls
+        monkeypatch.setattr(geometry, "_gram_inverse", recorded)
+        return sets
+
+    @staticmethod
+    def joins(sets) -> int:
+        """How many of the inverted ``sets`` hold a constraint the set before
+        them lacks."""
+        return sum(bool(now[0] - before[0]) or bool(now[1] - before[1])
+                   for before, now in zip(sets, sets[1:]))
 
     @staticmethod
     def batch_free(monkeypatch, poly: Polytope) -> None:
-        """Raise the threshold past every constraint: no round runs."""
+        """Raise the threshold past every constraint: nothing joins."""
         monkeypatch.setattr(geometry, "_BATCH_MIN", poly.n_halfspaces + poly.dim + 1)
 
-    @pytest.mark.parametrize("shape,sigma,algorithm,step,T", [
-        ((100, 50, -100.0, 0.0), 1000.0, "pga", "1/L", 12),
-        ((100, 50, -100.0, 0.0), 1000.0, "boosted_pga", "default", 4),
-        ((10, 5, -1.0, 0.0), 0.5, "pga", "default", 40),
-    ], ids=["1/L-100x50", "default-100x50", "default-10x5"])
-    def test_every_answer_is_the_batch_free_one(self, monkeypatch, resumes, shape, sigma,
-                                                algorithm, step, T):
+    @pytest.mark.parametrize("seed,shape,sigma,algorithm,step,T", [
+        (123, (100, 50, -100.0, 0.0), 1000.0, "pga", "1/L", 12),
+        (123, (100, 50, -100.0, 0.0), 1000.0, "boosted_pga", "default", 4),
+        (123, (50, 25, -100.0, 0.0), 1000.0, "pga", "default", 8),
+        (123, (10, 5, -1.0, 0.0), 0.5, "pga", "default", 40),
+        # the packaging smoke's boosted_pga config: step 0.2, about 1/L
+        (7, (10, 5, -1.0, 0.0), 0.1, "boosted_pga", 0.2, 20),
+    ], ids=["1/L-100x50", "default-100x50", "default-50x25", "default-10x5", "1/L-10x5-smoke"])
+    def test_every_answer_is_the_batch_free_one(self, monkeypatch, inverted, seed, shape,
+                                                sigma, algorithm, step, T):
         """Each projection input of a trial, from its stored set (warm) and
         from the empty set (cold), gives the batch-free method's answer bit
         for bit and ends on its set.  The first input, the projection of the
-        trial's standard normal start point, batches on every instance; at
-        step 1/L warm and cold calls batch too."""
+        trial's standard normal start point, joins on every instance; at
+        step 1/L warm and cold calls join too."""
         from drsubmax import optimizers
         from drsubmax.bounds import spectral_norm
         from drsubmax.objectives import generate_nqp
         from drsubmax.oracles import NoiseModel
 
-        obj = generate_nqp(123, *shape)
+        obj = generate_nqp(seed, *shape)
         poly = obj.polytope
-        rule = {} if step == "default" else {
-            "step_rule": optimizers.StepRule("inv_sqrt", 1.0 / spectral_norm(obj.h_matrix))}
+        value = {"default": None, "1/L": 1.0 / spectral_norm(obj.h_matrix)}.get(step, step)
+        rule = {} if value is None else {"step_rule": optimizers.StepRule("inv_sqrt", value)}
         cfg = optimizers.RunConfig(algorithm, T, run_id=1, **rule)
         inputs = []
 
@@ -1471,50 +1486,44 @@ class TestBatchRounds:
         assert len(inputs) == T + 1
 
         def replay():
-            answers, rounds = [], []
+            answers, joins = [], []
             for y, start in inputs:
                 for face in (start, np.zeros_like(start)):
                     state = ProjectionWarmStart(poly)
                     state.face = face
-                    resumes.clear()
+                    inverted.clear()
                     x = project(poly, y, state)
                     answers.append((x.tobytes(), state.face.tobytes()))
-                    rounds.append(max(len(resumes) - 1, 0))
-            return answers, rounds
+                    joins.append(self.joins(inverted))
+            return answers, joins
 
-        batched, rounds = replay()
+        batched, joins = replay()
         self.batch_free(monkeypatch, poly)
         unbatched, none = replay()
         assert batched == unbatched
         assert not any(none)
-        assert rounds[0] > 0
-        if step == "1/L":
-            assert any(rounds[2::2]) and any(rounds[3::2])
+        assert joins[0] > 0
+        if step != "default":
+            assert any(joins[2::2]) and any(joins[3::2])
 
     def test_a_set_that_overflows_the_free_coordinates_is_skipped(self, monkeypatch,
-                                                                   resumes):
-        """Six constraints are violated, but with every coordinate past its
-        upper face the three halfspaces would have no free coordinate: the
-        batch is skipped, and the dual method runs from the empty set."""
-        poly = Polytope([[1.0, 1.0, 1.0], [1.0, 2.0, 1.0], [2.0, 1.0, 1.0]],
-                        [1.0, 1.5, 1.5], [1.0, 1.0, 1.0])
-        y = np.array([5.0, 6.0, 7.0])
+                                                                   inverted):
+        """Nine constraints are violated, but with every coordinate past its
+        upper face the three halfspaces would have no free coordinate: they
+        do not join, and the dual method runs from the empty set, the one
+        set inverted."""
+        poly = Polytope([[1.0] * 6, [1.0, 2.0] * 3, [2.0, 1.0] * 3], [2.0, 3.0, 3.0],
+                        np.ones(6))
+        y = np.arange(5.0, 11.0)
         x = project(poly, y)
-        assert [start.any() for start, _ in resumes] == [False]
+        assert inverted == [(Counter(), frozenset(), False)]
         self.batch_free(monkeypatch, poly)
         assert project(poly, y).tobytes() == x.tobytes()
         assert kkt_residual(poly, y, x) <= 1e-10
 
-    def test_a_singular_batch_continues_from_the_current_start(self, monkeypatch, resumes):
-        """Five violated halfspaces on six free coordinates, three of them
-        parallel: the batch's set is singular, so ``_resume`` returns None,
-        and the dual method runs on from the empty set it was called from,
-        once, with no ``ProjectionError`` and no second, cold run."""
-        ones = np.ones(6)
-        poly = Polytope(np.vstack([ones, 2.0 * ones, ones, np.repeat([1.0, 0.0], 3),
-                                   np.repeat([0.0, 1.0], 3)]),
-                        [1.0, 2.0, 1.0, 0.5, 0.5], ones)
-        y = np.full(6, 0.9)
+    @staticmethod
+    def runs(monkeypatch) -> list:
+        """A list that gets the start of each run of the dual method."""
         runs = []
         method = geometry._dual_active_set
 
@@ -1523,17 +1532,95 @@ class TestBatchRounds:
             return method(*args)
 
         monkeypatch.setattr(geometry, "_dual_active_set", counted)
-        warm = ProjectionWarmStart(poly)
-        x = project(poly, y, warm)
-        assert len(runs) == 1
-        assert [(start[:5].tolist(), singular) for start, singular in resumes] == [
-            ([0.0] * 5, False), ([1.0] * 5, True)]
-        np.testing.assert_allclose(x, np.full(6, 1.0 / 6.0), rtol=1e-12)
-        face = warm.face
+        return runs
+
+    def assert_batch_free(self, monkeypatch, poly, y, x, face):
+        """``x`` and its final set ``face`` are the batch-free method's, bit
+        for bit."""
         self.batch_free(monkeypatch, poly)
         batch_free = ProjectionWarmStart(poly)
         assert project(poly, y, batch_free).tobytes() == x.tobytes()
         np.testing.assert_array_equal(batch_free.face, face)
+
+    def test_a_singular_join_goes_back_to_the_set_before_it(self, monkeypatch, inverted):
+        """Five violated halfspaces on six free coordinates, three of them
+        parallel: the joined set is singular, so the loop goes back to the
+        empty set it joined from, with no more joins, and the dual method
+        runs from there once, with no ``ProjectionError`` and no second,
+        cold run."""
+        ones = np.ones(6)
+        poly = Polytope(np.vstack([ones, 2.0 * ones, ones, np.repeat([1.0, 0.0], 3),
+                                   np.repeat([0.0, 1.0], 3)]),
+                        [1.0, 2.0, 1.0, 0.5, 0.5], ones)
+        y = np.full(6, 0.9)
+        runs = self.runs(monkeypatch)
+        warm = ProjectionWarmStart(poly)
+        x = project(poly, y, warm)
+        assert len(runs) == 1
+        assert [(sum(rows.values()), fixed, singular)
+                for rows, fixed, singular in inverted] == [
+            (0, frozenset(), False), (5, frozenset(), True), (0, frozenset(), False)]
+        np.testing.assert_allclose(x, np.full(6, 1.0 / 6.0), rtol=1e-12)
+        self.assert_batch_free(monkeypatch, poly, y, x, warm.face)
+
+    def test_a_later_singular_join_goes_back_to_the_set_before_it(self, monkeypatch,
+                                                                  inverted):
+        """The first join fixes the five coordinates past their upper face;
+        there four halfspaces ``x_(5+k) - x_k / 2 <= 0.2`` and a multiple of
+        the first are violated, and the set they join is singular.  The loop
+        goes back to the five fixed coordinates, with no more joins, and the
+        dual method runs from there once, with no cold run."""
+        a = np.zeros((5, 10))
+        for k in range(4):
+            a[k, k], a[k, 5 + k] = -0.5, 1.0
+        a[4] = 2.0 * a[0]
+        poly = Polytope(a, [0.2, 0.2, 0.2, 0.2, 0.4], np.ones(10))
+        y = np.repeat([5.0, 0.9], 5)
+        runs = self.runs(monkeypatch)
+        warm = ProjectionWarmStart(poly)
+        x = project(poly, y, warm)
+        assert len(runs) == 1
+        upper = frozenset(range(5))
+        assert [(sum(rows.values()), fixed, singular)
+                for rows, fixed, singular in inverted] == [
+            (0, frozenset(), False), (0, upper, False), (5, upper, True), (0, upper, False)]
+        assert self.joins(inverted) == 2
+        assert kkt_residual(poly, y, x) <= 1e-10
+        self.assert_batch_free(monkeypatch, poly, y, x, warm.face)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_a_pruned_set_singular_after_a_join_goes_back_further(self, monkeypatch,
+                                                                   inverted, warm):
+        """Rows ``x_0 + t x_2`` and ``x_1 + t x_2`` (t = 1e5) are orthogonal
+        while ``x_2`` sits at its upper face, and nearly parallel, past the
+        growth test, once it is freed.  A cold call joins both rows and three
+        upper faces; there ``x_2``'s face leaves and five halfspaces
+        ``x_(5+k) - 0.4 x_2 <= 0.05`` join, a singular set, and so is the set
+        before the join without the leaver.  A cold call goes back to the
+        empty set, with no more joins, and runs the dual method once; a call
+        from that first joined set returns None from it and runs cold once
+        more.  Either way the answer is the batch-free one."""
+        t, n = 1e5, 12
+        a = np.zeros((7, n))
+        a[0, [0, 2]] = a[1, [1, 2]] = 1.0, t
+        for k in range(5):
+            a[2 + k, [5 + k, 2]] = 1.0, -0.4
+        poly = Polytope(a, [t + 0.5, t + 0.5] + [0.05] * 5, np.ones(n))
+        y = np.array([0.9, 0.9, 2.0, 2.0, 2.0] + [0.5] * 7)
+        joined = np.zeros(7 + n)
+        joined[[0, 1, 9, 10, 11]] = 1.0  # both rows, and x_2 to x_4 at their upper faces
+        runs = self.runs(monkeypatch)
+        state = ProjectionWarmStart(poly)
+        if warm:
+            state.face = joined
+        x = project(poly, y, state)
+        empty, first, upper = frozenset(), frozenset({2, 3, 4}), frozenset({3, 4})
+        cold = [(0, empty, False), (2, first, False), (7, upper, True), (2, upper, True),
+                (0, empty, False)]
+        assert len(runs) == (2 if warm else 1)
+        assert [(sum(rows.values()), fixed, singular)
+                for rows, fixed, singular in inverted] == (cold[1:4] if warm else []) + cold
+        self.assert_batch_free(monkeypatch, poly, y, x, state.face)
 
 
 class TestDiameterBound:
