@@ -697,8 +697,8 @@ class LmoWarmStart:
     ``_basic_vertex``): ``lmo`` builds them once per basis, and
     ``_bounded_simplex`` drops them (sets them to None) at its first pivot or
     bound flip, as ``clear()`` does.  The dual half depends on the direction,
-    so every call computes it, from the carried ``duals``.  A new or cleared
-    state holds the slack basis at the origin, whose inverse is the
+    so every call reads it from the simplex's last pricing pass.  A new or
+    cleared state holds the slack basis at the origin, whose inverse is the
     identity: the cold start.  ``cold`` is True from then until that first
     pivot or bound flip, so a state that has moved is warm even when it
     pivots back to the slack basis.  The state also owns the LP's cost
@@ -775,22 +775,24 @@ def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
     final basis.
 
     The answer is certified before it is returned.  The dual half depends
-    on ``g``, so every call computes it, by weak duality and without a
-    solve: the reduced costs ``c - y [A I]`` of the carried duals ``y`` on
-    the original ``[A I]`` are formed once, no nonbasic variable may improve
-    the objective by more than ``TOL_LP * max(1, ||g||_inf)``, and no basic
-    variable's reduced cost, 0 for the final basis's own duals, may exceed
-    that in size.  So carried duals that drifted from ``c_B B^-1`` fail the
-    check instead of certifying it, and a NaN anywhere fails it too.  The
-    primal half depends only on the basis, the signs and the basic values,
-    so it is computed with the vertex once per basis and kept in ``warm``
-    until the simplex pivots or flips a bound: the vertex may violate no
-    constraint by more than ``TOL_LP``, and each row whose slack is nonbasic
-    must hold with equality within ``TOL_LP``.  A call that moves nothing
-    returns a copy of the stored vertex.  With primal and dual feasibility,
-    that last check (complementary slackness) makes the answer the optimal
-    basis's own vertex, so a carried inverse that drifted cannot pass off a
-    feasible but suboptimal point.  An answer that fails clears the state,
+    on ``g``, so every call reads it, by weak duality and without a solve,
+    from the simplex's last pricing pass, which finds nothing to improve
+    unless the pivot budget ran out: with the reduced costs ``c - y [A I]``
+    of the carried duals ``y`` on the original ``[A I]``, no nonbasic
+    variable may improve the objective by more than ``TOL_LP * max(1,
+    ||g||_inf)``, and no basic variable's reduced cost, 0 for the final
+    basis's own duals, may exceed that in size.  So carried duals that
+    drifted from ``c_B B^-1`` fail the check instead of certifying it, and a
+    NaN anywhere fails it too.  The primal half depends only on the basis,
+    the signs and the basic values, so it is computed with the vertex once
+    per basis and kept in ``warm`` until the simplex pivots or flips a
+    bound: the vertex may violate no constraint by more than ``TOL_LP``, and
+    each row whose slack is nonbasic must hold with equality within
+    ``TOL_LP``.  A call that moves nothing returns a copy of the stored
+    vertex.  With primal and dual feasibility, that last check
+    (complementary slackness) makes the answer the optimal basis's own
+    vertex, so a carried inverse that drifted cannot pass off a feasible but
+    suboptimal point.  An answer that fails clears the state,
     and the call is solved once more from the slack basis unless it started
     cold (see ``LmoWarmStart``), so a warm start never turns a cold answer
     into an ``LmoError`` and no call runs cold twice.  Raises ``LmoError``
@@ -814,10 +816,10 @@ def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
     scale = max(1.0, top)
     while True:
         cold = state.cold
-        _bounded_simplex(state, cost)
+        dual = _bounded_simplex(state, cost)
         if state.vertex is None:
             _basic_vertex(state)
-        residual = _lmo_residual(state, cost, scale)
+        residual = float(np.maximum(dual / scale, state.primal))
         if residual <= TOL_LP:
             return state.vertex.copy()
         state.clear()
@@ -826,12 +828,22 @@ def lmo(p: Polytope, g, warm: LmoWarmStart | None = None) -> np.ndarray:
                            residual=residual)
 
 
-def _bounded_simplex(state: LmoWarmStart, cost: np.ndarray) -> None:
+def _bounded_simplex(state: LmoWarmStart, cost: np.ndarray) -> float:
     """Maximize ``cost.z`` over ``[A I] z = b``, ``0 <= z <= (upper, inf)``,
     where ``z`` holds the ``n`` coordinates then the ``m`` slacks, from the
     basis ``state`` holds, and leave the final simplex state in ``state``.
     The duals row of ``state.ext`` is set here from ``cost``; every array the
-    pivots write belongs to ``state``."""
+    pivots write belongs to ``state``.
+
+    Returns the dual half of the certificate from the last pricing pass,
+    which every exit follows (at most ``_PIVOTS_PER_VARIABLE * (n + m)``
+    moves, and one pass more): with ``d = c - y [A I]`` of the carried duals
+    ``y``, the largest of a nonbasic variable's improvement ``sign * d`` and
+    a basic variable's ``|d|`` (0 for the basis's own duals).  By weak
+    duality any ``y`` bounds the objective, so with the primal half (see
+    ``_basic_vertex``) it certifies the final basic solution whatever
+    ``[B^-1; y]`` the simplex carried: duals that drifted from ``c_B B^-1``
+    move the basic ``d`` off 0.  NaN when any of it is NaN."""
     ext, binv, duals = state.ext, state.binv, state.duals
     basis, sign, values, cap = state.basis, state.sign, state.values, state.cap
     base, upper, m = state.base, state.upper, basis.size
@@ -841,12 +853,12 @@ def _bounded_simplex(state: LmoWarmStart, cost: np.ndarray) -> None:
     col = col_ext[:m]
     np.dot(cost[basis], binv, out=duals)  # y = c_B B^-1
     bland = False
-    for _ in range(_PIVOTS_PER_VARIABLE * reduced.size):
+    for moves_left in range(_PIVOTS_PER_VARIABLE * reduced.size, -1, -1):
         np.subtract(cost, np.dot(duals, base, out=reduced), out=reduced)  # c - y [A I]
         np.multiply(sign, reduced, out=gain)  # zero on basic variables
         # under Bland's rule the first True of the mask, the lowest improving index
         j = int((np.greater(gain, TOL_LP, out=improving) if bland else gain).argmax())
-        if not gain[j] > TOL_LP:
+        if not (gain[j] > TOL_LP and moves_left):
             break
         # the entering column B^-1 a_j; the basic values move by -step * rate
         # as v_j leaves its bound
@@ -886,6 +898,9 @@ def _bounded_simplex(state: LmoWarmStart, cost: np.ndarray) -> None:
         ext -= np.dot(col_ext[:, None], row[None, :], out=outer)
         basis[r], cap[r] = j, u_j
         bland = step <= _PIVOT_EPS
+    # the last pass's improvements, with each basic variable's |d| (0 in exact arithmetic)
+    gain[basis] = np.abs(reduced[basis])
+    return float(gain.max())
 
 
 def _basic_vertex(state: LmoWarmStart) -> None:
@@ -894,10 +909,12 @@ def _basic_vertex(state: LmoWarmStart) -> None:
     basic values: the vertex's largest constraint violation and the slack of
     a row whose slack variable is nonbasic (it must be tight).  NaN when the
     vertex is not finite."""
-    basis, n, u = state.basis, state.polytope.dim, state.polytope.upper
-    v = np.where(state.sign[:n] < 0.0, u, 0.0)
-    structural = basis < n
-    v[basis[structural]] = state.values[structural]
+    n, u = state.polytope.dim, state.polytope.upper
+    # the basic solution over all n + m variables: each at the bound its sign
+    # gives, then the basic ones at their values
+    z = np.where(state.sign < 0.0, state.upper, 0.0)
+    z[state.basis] = state.values
+    v = z[:n]
     # a basic value that rounding put past its bound
     np.minimum(np.maximum(v, 0.0, out=v), u, out=v)
     # v lies in the box, so it meets every row that lmo leaves out
@@ -908,25 +925,6 @@ def _basic_vertex(state: LmoWarmStart) -> None:
     tight = np.abs(state.sign[n:])  # 0 at a basic slack, 1 at a nonbasic one
     state.vertex = v
     state.primal = np.fmax(np.negative(slack), slack * tight).max()
-
-
-def _lmo_residual(state: LmoWarmStart, cost: np.ndarray, scale: float) -> float:
-    """The larger of the primal half of the certificate that ``state`` holds
-    for its basis (see ``_basic_vertex``) and the dual half, which depends on
-    the direction and is computed on every call, without a solve, from the
-    carried duals ``y``: with ``d = c - y [A I]`` on the original ``[A I]``,
-    the largest of a nonbasic variable's improvement ``sign * d`` and a
-    basic variable's ``|d|`` (0 for the basis's own duals), relative to
-    ``scale``, ``max(1, ||cost||_inf)``.  By weak duality any ``y`` bounds
-    the objective, so together they certify that the stored vertex is the
-    basic solution of an optimal basis, whatever ``[B^-1; y]`` the simplex
-    carried: duals that drifted from ``c_B B^-1`` move the basic ``d`` off
-    0.  NaN, which refuses the answer, when any of it is NaN."""
-    reduced, gain, basis = state.reduced, state.gain, state.basis
-    np.subtract(cost, np.dot(state.duals, state.base, out=reduced), out=reduced)
-    np.multiply(state.sign, reduced, out=gain)  # a nonbasic variable's improvement
-    gain[basis] = np.abs(reduced[basis])
-    return float(np.maximum(gain.max() / scale, state.primal))
 
 
 def diameter_bound(p: Polytope) -> float:

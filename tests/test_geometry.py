@@ -299,9 +299,10 @@ class TestLmo:
             simplex = geometry._bounded_simplex
 
             def flipped(state, cost):
-                simplex(state, cost)
+                dual = simplex(state, cost)
                 nonbasic = np.setdiff1d(np.arange(state.sign.size), state.basis)
                 state.sign[nonbasic[0]] = -state.sign[nonbasic[0]]
+                return dual
 
             monkeypatch.setattr(geometry, "_bounded_simplex", flipped)
         else:
@@ -399,7 +400,7 @@ class TestLmoWarmStart:
 
         def counted(state, cost):
             runs.append(not at_slack_basis(state))
-            simplex(state, cost)
+            return simplex(state, cost)
 
         monkeypatch.setattr(geometry, "_bounded_simplex", counted)
         return runs
@@ -476,32 +477,37 @@ class TestLmoWarmStart:
 
     @pytest.mark.parametrize("shift", [1e-7, -1e-3, math.nan])
     def test_drifted_duals_fall_back_to_the_cold_answer(self, monkeypatch, shift):
-        """Duals that drift from ``c_B B^-1`` after a warm simplex run ends at
-        its final basis move the basic reduced costs off 0 (a NaN makes them
-        NaN): the warm answer fails the certificate, and the call returns the
-        cold answer bit for bit."""
+        """A drift put into the carried ``[B^-1; y]`` before a warm call, which
+        the call's rank-one updates carry along as they carry rounding, moves
+        the duals the call sets, ``c_B B^-1``, and with them the basic reduced
+        costs off 0 (a NaN makes them NaN): the warm run's dual half refuses
+        its answer, and the call returns the cold answer bit for bit."""
         from drsubmax.objectives import generate_nqp
 
         poly = generate_nqp(123, 100, 50, -100.0, 0.0).polytope
         simplex, runs = geometry._bounded_simplex, []
 
-        def drifted(state, cost):
-            runs.append(not state.cold)
-            simplex(state, cost)
-            if runs[-1]:
-                state.duals += shift * max(1.0, float(np.abs(cost).max()))
+        def recorded(state, cost):
+            started_warm = not at_slack_basis(state)
+            dual = simplex(state, cost)
+            runs.append((started_warm, dual / max(1.0, float(np.abs(cost).max()))))
+            return dual
 
+        monkeypatch.setattr(geometry, "_bounded_simplex", recorded)
         rng = np.random.default_rng(82)
         for _ in range(3):
             warm = LmoWarmStart(poly)
             lmo(poly, rng.standard_normal(poly.dim), warm)
             g = rng.standard_normal(poly.dim)
             cold = lmo(poly, g)
-            with monkeypatch.context() as patch:
-                patch.setattr(geometry, "_bounded_simplex", drifted)
-                runs.clear()
-                np.testing.assert_array_equal(lmo(poly, g, warm), cold)
-            assert runs == [True, False]  # warm, cold retry
+            # the duals row is set from B^-1 at the call's start, so the
+            # drift goes into B^-1
+            warm.binv += shift
+            runs.clear()
+            np.testing.assert_array_equal(lmo(poly, g, warm), cold)
+            (warm_run, warm_dual), (cold_run, cold_dual) = runs  # warm, cold retry
+            assert warm_run and not cold_run
+            assert not warm_dual <= TOL_LP and cold_dual <= TOL_LP
 
     @pytest.mark.parametrize("algorithm", ["scg", "scgpp"])
     @pytest.mark.parametrize("shape,sigma", [((100, 50, -100.0), 1000.0),
@@ -510,29 +516,67 @@ class TestLmoWarmStart:
                              ids=["100x50-1e3", "100x50-5e4", "10x5-4"])
     def test_carried_duals_certify_as_solved_duals(self, monkeypatch, algorithm, shape,
                                                    sigma):
-        """On every call of a T = 1000 trial the certificate from the carried
-        duals accepts exactly when the one from duals solved afresh does
-        (``solved_lmo_residual``), and the carried basic reduced costs stay
-        below 1e-12 relative to ``max(1, ||g||_inf)``."""
+        """On every call of a T = 1000 trial the certificate whose dual half
+        the simplex returns, from the carried duals, accepts exactly when the
+        one from duals solved afresh does (``solved_lmo_residual``), and the
+        carried basic reduced costs stay below 1e-12 relative to ``max(1,
+        ||g||_inf)``."""
         from drsubmax import optimizers
         from drsubmax.objectives import generate_nqp
         from drsubmax.oracles import NoiseModel
 
-        residual, decisions, drift = geometry._lmo_residual, [], []
+        simplex, decisions, drift = geometry._bounded_simplex, [], []
 
-        def both(state, cost, scale):
-            carried, solved = residual(state, cost, scale), solved_lmo_residual(state, cost, scale)
+        def both(state, cost):
+            dual = simplex(state, cost)
+            if state.vertex is None:  # as lmo does next
+                geometry._basic_vertex(state)
+            scale = max(1.0, float(np.abs(cost).max()))
+            carried = float(np.maximum(dual / scale, state.primal))
+            solved = solved_lmo_residual(state, cost, scale)
             decisions.append((carried <= TOL_LP, solved <= TOL_LP))
             basis = state.basis
             drift.append(float(np.abs(cost[basis] - state.duals @ state.base[:, basis]).max())
                          / scale)
-            return carried
+            return dual
 
-        monkeypatch.setattr(geometry, "_lmo_residual", both)
+        monkeypatch.setattr(geometry, "_bounded_simplex", both)
         optimizers.run_trial(generate_nqp(123, *shape, 0.0), NoiseModel.clipped_gaussian(sigma),
                              optimizers.RunConfig(algorithm, 1000, run_id=1))
         assert decisions == [(True, True)] * 1000  # the same decision, and no fallback
         assert max(drift) < 1e-12
+
+    def test_the_dual_half_is_the_last_pricing_pass(self, monkeypatch):
+        """The dual half ``_bounded_simplex`` returns equals, bit for bit, the
+        one recomputed from its final state (``dual_half``): on a cold call,
+        on warm calls that pivot, and on a warm call and its cold retry that
+        run out of pivots (none allowed), where it is the improvement the
+        last pass found and the call fails (100 x 50)."""
+        from drsubmax.objectives import generate_nqp
+
+        poly = generate_nqp(123, 100, 50, -100.0, 0.0).polytope
+        simplex, runs = geometry._bounded_simplex, []
+
+        def checked(state, cost):
+            started_warm = not state.cold
+            dual = simplex(state, cost)
+            assert dual.hex() == dual_half(state, cost).hex()
+            runs.append((started_warm, dual))
+            return dual
+
+        monkeypatch.setattr(geometry, "_bounded_simplex", checked)
+        rng = np.random.default_rng(84)
+        warm = LmoWarmStart(poly)
+        for _ in range(5):
+            lmo(poly, rng.standard_normal(poly.dim), warm)
+        assert [started for started, _ in runs] == [False] + [True] * 4
+        assert all(dual <= TOL_LP for _, dual in runs)
+        runs.clear()
+        monkeypatch.setattr(geometry, "_PIVOTS_PER_VARIABLE", 0)
+        with pytest.raises(LmoError, match="certificate"):
+            lmo(poly, rng.standard_normal(poly.dim), warm)
+        assert [started for started, _ in runs] == [True, False]  # warm, cold retry
+        assert all(dual > TOL_LP for _, dual in runs)
 
     def test_no_linalg_call_a_call(self, monkeypatch):
         """An LMO call factors and solves nothing: the pivots update the
@@ -636,7 +680,7 @@ class TestLmoWarmStart:
 
         def counted(state, cost):
             runs.append(state.cold)
-            simplex(state, cost)
+            return simplex(state, cost)
 
         monkeypatch.setattr(geometry, "_bounded_simplex", counted)
         with pytest.raises(LmoError, match="certificate"):
@@ -696,6 +740,17 @@ class TestLmoWarmStart:
                 assert np.min(np.linalg.norm(verts - v, axis=1)) <= 1e-8
 
 
+def dual_half(state: LmoWarmStart, cost: np.ndarray) -> float:
+    """The dual half of the LMO certificate recomputed from ``state``'s
+    carried duals, signs and basis: ``d = c - y [A I]``, each nonbasic
+    variable's improvement ``sign * d`` and each basic one's ``|d|``, and
+    the largest of them."""
+    reduced = cost - np.dot(state.duals, state.base)
+    gain = state.sign * reduced
+    gain[state.basis] = np.abs(reduced[state.basis])
+    return float(gain.max())
+
+
 def basic_vertex(state: LmoWarmStart) -> np.ndarray:
     """The vertex of the basic solution ``state`` holds, built from its
     basis, signs and basic values and clipped into the box."""
@@ -744,9 +799,10 @@ class TestStoredVertex:
 
         def watched(state, cost):
             before = (state.basis.copy(), state.sign.copy(), state.values.copy())
-            simplex(state, cost)
+            dual = simplex(state, cost)
             after = (state.basis, state.sign, state.values)
             moved.append(not all(np.array_equal(x, y) for x, y in zip(before, after)))
+            return dual
 
         still = []
 
