@@ -49,13 +49,15 @@ ONE_MINUS_INV_E = boost_mass(1.0)
 _PERRON_MAX_ITER = 10000
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def spectral_norm(h_matrix) -> float:
     """Upper bound on ``||H||_2`` for a symmetric, entrywise-nonpositive ``H``:
     the smallest upper end of the Collatz-Wielandt ratios ``(B x)_i / x_i``,
     which bracket the Perron root of ``B = -H`` for positive ``x``, over
     ``x <- B x / max ratio`` from the row sums of ``B`` (zero rows left out),
     until the ends agree to 1e-13 relative or the upper end stops falling.
-    inf, still an upper bound, when the row sums or the first product overflow."""
+    inf, still an upper bound and without a warning, when the row sums or the
+    first product overflow (a row sum that overflows makes the ratios inf / inf)."""
     h = np.asarray(h_matrix, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("spectral_norm expects a square matrix")
@@ -154,14 +156,13 @@ def constants_for(objective: Objective, noise: NoiseModel, opt: float) -> BoundC
     the diameter from the box bound, and the start error from the exact
     gradient at the origin, whose norm is also the gradient-norm bound
     ``G_max``: a monotone DR-submodular f has ``0 <= grad f <= grad f(0)``.
-    On entries near the float limit the norm or the Perron iteration
-    overflows to inf, which ``BoundConstants`` rejects, without a warning (a
-    row sum of ``H`` that overflows makes the Perron ratios inf / inf).
+    On entries near the float limit the norm or ``spectral_norm`` overflows
+    to inf, which ``BoundConstants`` rejects, without a warning.
     """
     zero = np.zeros(objective.dim)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         grad0_norm = float(np.linalg.norm(objective.grad(zero)))
-        lipschitz = spectral_norm(objective.hessian(zero))
+    lipschitz = spectral_norm(objective.hessian(zero))
     m_bound, sigma = noise_constants(noise, objective.dim, g_max=grad0_norm)
     return BoundConstants(
         lipschitz=lipschitz,
@@ -204,30 +205,24 @@ def theorem1_bound(c: BoundConstants, T, delta: float):
     return _ascent_bound(c, T, delta, c.opt / 2.0, c.lipschitz + c.noise_bound, c.noise_bound)
 
 
-def boosted_constants(c: BoundConstants, gamma: float = 1.0,
-                      main_text_smoothness: bool = False) -> tuple[float, float]:
+def boosted_constants(c: BoundConstants, gamma: float = 1.0) -> tuple[float, float]:
     """Smoothness and noise constants of the reweighted auxiliary objective.
 
     Returns ``(L_aux, M_aux)`` from ``mass = boost_mass(gamma)``: the noise
-    constant shrinks by ``mass / gamma``, and the default smoothness is the
+    constant shrinks by ``mass / gamma``, and the smoothness is the
     proof-backed ``L (gamma - mass) / gamma^2``, near ``L / 2`` as gamma goes
-    to 0; the flag switches to the looser ``L (1 + 1/e)`` variant.
+    to 0.  The paper's main text states the looser ``L (1 + 1/e)`` instead.
     """
     mass = boost_mass(gamma)
     m_aux = (c.noise_bound + 2.0 * c.lipschitz * c.diameter) * (mass / gamma)
-    if main_text_smoothness:
-        l_aux = c.lipschitz * (1.0 + math.exp(-1.0))
-    else:
-        l_aux = c.lipschitz * (gamma - mass) / gamma**2
-    return l_aux, m_aux
+    return c.lipschitz * (gamma - mass) / gamma**2, m_aux
 
 
-def theorem2_bound(c: BoundConstants, T, delta: float, gamma: float = 1.0,
-                   main_text_smoothness: bool = False):
+def theorem2_bound(c: BoundConstants, T, delta: float, gamma: float = 1.0):
     """Lower bound on the running average value of boosted projected ascent,
     holding with probability at least ``1 - delta``; approaches
     ``boost_mass(gamma) * opt``, ``(1 - 1/e) opt`` at gamma = 1."""
-    l_aux, m_aux = boosted_constants(c, gamma, main_text_smoothness)
+    l_aux, m_aux = boosted_constants(c, gamma)
     return _ascent_bound(c, T, delta, boost_mass(gamma) * c.opt,
                          l_aux * c.diameter + m_aux, m_aux)
 
@@ -266,14 +261,13 @@ def theorem4_bound(c: BoundConstants, T, delta: float, alpha: float = 0.5):
     return ONE_MINUS_INV_E * c.opt - dev - curv
 
 
-def theorem5_bound(c: BoundConstants, T, delta: float, main_text_exponent: bool = False):
+def theorem5_bound(c: BoundConstants, T, delta: float):
     """(bound, probability) for the final iterate of the variance-reduced
-    greedy.  The default deficit is ``delta L D^2 / T`` (the proof-backed
-    form, consistent with the fixed-confidence corollary); the flag switches
-    to the ``delta L D^2 / T^2`` variant."""
+    greedy.  The deficit is ``delta L D^2 / T``, the proof-backed form,
+    consistent with the fixed-confidence corollary; the paper's main text
+    states the tighter ``delta L D^2 / T^2``."""
     ld2 = c.lipschitz * c.diameter**2
-    return _greedy_bound(c, T, delta,
-                         lambda t: delta * ld2 / (t**2 if main_text_exponent else t))
+    return _greedy_bound(c, T, delta, lambda t: delta * ld2 / t)
 
 
 @dataclass(frozen=True)
@@ -330,7 +324,7 @@ def bound_curve(entry: dict, c: BoundConstants, trial: RunConfig) -> BoundCurve:
     ``alpha``.  The theorem must bound ``trial.algorithm``.  Every
     ``ValueError`` starts with the theorem's name, and a constant whose
     power overflows a float raises one too; the meta echoes delta, the
-    constants, the float parameters and ``K``."""
+    constants, the parameters and ``K``."""
     name = entry.get("theorem")
     if not isinstance(name, str) or name not in THEOREMS:
         raise ValueError(f"{name}: unknown theorem, expected one of {', '.join(THEOREMS)}")
@@ -339,15 +333,11 @@ def bound_curve(entry: dict, c: BoundConstants, trial: RunConfig) -> BoundCurve:
         reject_unknown(entry, {"theorem", "delta", "p", *spec.params}, "bounds entry")
         if ("delta" in entry) == ("p" in entry):
             raise ValueError("each bounds entry needs exactly one of delta or p")
-        # delta and p are numbers, like the float-valued theorem parameters
+        # delta and p are numbers, like the theorem parameters
         for key, default in {"delta": 0.0, "p": 0.0, **spec.params}.items():
-            value = entry.get(key, default)
-            if isinstance(default, bool) and not isinstance(value, bool):
-                raise ValueError(f"{key} must be true or false")
-            if isinstance(default, float) and not is_finite_real(value):
+            if not is_finite_real(entry.get(key, default)):
                 raise ValueError(f"{key} must be a finite number")
-        args = {key: type(default)(entry.get(key, default))
-                for key, default in spec.params.items()}
+        args = {key: float(entry.get(key, default)) for key, default in spec.params.items()}
         if spec.algorithm != trial.algorithm:
             raise ValueError(f"bounds {spec.algorithm} batteries, not {trial.algorithm}")
         rule = trial.momentum_rule
@@ -369,7 +359,7 @@ def bound_curve(entry: dict, c: BoundConstants, trial: RunConfig) -> BoundCurve:
     bound, prob = out if spec.chebyshev else (out, None)
     meta = [("delta", delta), ("L", c.lipschitz), ("D", c.diameter),
             ("M", c.noise_bound), ("sigma", c.noise_sigma), ("opt", c.opt)]
-    meta += [(key, value) for key, value in args.items() if isinstance(value, float)]
+    meta += args.items()
     if "alpha" in args:
         meta.append(("K", k_constant(args["alpha"])))
     return BoundCurve(name, bound, prob, tuple(meta))

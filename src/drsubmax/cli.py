@@ -291,11 +291,7 @@ def cmd_generate(args) -> None:
     obj = objectives.generate_nqp(args.seed, args.n, args.m, args.low, args.high)
     objectives.save_nqp(args.out, obj)
     print(f"wrote {args.out}")
-    # as in bounds.constants_for: on entries near the float limit L overflows to
-    # inf, still an upper bound, without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        lipschitz = bounds.spectral_norm(obj.h_matrix)
-    print(f"L = {lipschitz:.17g}")
+    print(f"L = {bounds.spectral_norm(obj.h_matrix):.17g}")
     print(f"D = {diameter_bound(obj.polytope):.17g}")
 
 
@@ -410,6 +406,7 @@ def cmd_report(cfg: Experiment) -> None:
             f"fit {fit.label}: c2={fit.c2:.17g} residual={fit.residual:.17g} "
             f"n_points={fit.n_points}"
         )
+    lines.append("at_T: " + " ".join(f"{label}={values[-1]:.17g}" for _, values, label in curves))
     with open(report_path, "w") as fh:
         fh.write("\n".join(lines + violations) + "\n")
     print(f"wrote {report_path}")

@@ -237,12 +237,6 @@ class TestTheorem2:
         assert theorem2_bound(flat, 10, 0.1, gamma) == pytest.approx(
             gamma - gamma**2 / 2.0 + gamma**3 / 6.0 - gamma**4 / 24.0, rel=1e-15, abs=0.0)
 
-    def test_main_text_smoothness_flag(self):
-        l_aux, _ = boosted_constants(UNIT, 1.0, main_text_smoothness=True)
-        assert l_aux == pytest.approx(1.0 + math.exp(-1.0), abs=1e-12)
-        assert theorem2_bound(UNIT, 100, 0.1) != theorem2_bound(
-            UNIT, 100, 0.1, main_text_smoothness=True)
-
     def test_asymptote(self):
         assert theorem2_bound(UNIT, 1e18, 0.01) == pytest.approx(ONE_MINUS_INV_E, abs=1e-8)
 
@@ -324,11 +318,6 @@ class TestTheorem5:
         bound, prob = theorem5_bound(UNIT, 100, 1e-12)
         assert prob == 0.0
         assert bound == pytest.approx(ONE_MINUS_INV_E - 1.0 / (2.0 * 100**2), abs=1e-9)
-
-    def test_main_text_exponent_flag(self):
-        loose, _ = theorem5_bound(UNIT, 100, 50.0)
-        tight, _ = theorem5_bound(UNIT, 100, 50.0, main_text_exponent=True)
-        assert tight > loose
 
 
 class TestBoundShapeProperties:
@@ -441,7 +430,8 @@ class TestConstantsAssembly:
         the Perron iteration's first product; entries near -1e308 with a
         small box overflow the row sums it starts from.  Either way the
         smoothness constant is inf, rejected by ``BoundConstants`` as a
-        ``ValueError``, and no numpy warning is emitted."""
+        ``ValueError``, and no numpy warning is emitted, nor by
+        ``spectral_norm`` alone, which returns that inf."""
         if instance == "generated":
             obj = generate_nqp(3, 4, 2, -1e160, 0.0)
         else:
@@ -450,6 +440,7 @@ class TestConstantsAssembly:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^lipschitz overflows a float"):
                 constants_for(obj, noise, opt=1.0)
+            assert spectral_norm(obj.hessian(np.zeros(obj.dim))) == math.inf
 
     @pytest.mark.parametrize("key", ["lipschitz", "grad0_norm"])
     def test_infinite_computed_constant_named(self, key):
@@ -471,14 +462,14 @@ class TestBoundCurveEntry:
                  for name, spec in THEOREMS.items()}
         assert table == {
             "theorem1": ({}, False, "pga"),
-            "theorem2": ({"gamma": 1.0, "main_text_smoothness": False}, False, "boosted_pga"),
+            "theorem2": ({"gamma": 1.0}, False, "boosted_pga"),
             "theorem3": ({}, True, "scg"),
             "theorem4": ({"alpha": 0.5}, False, "scg"),
-            "theorem5": ({"main_text_exponent": False}, True, "scgpp"),
+            "theorem5": ({}, True, "scgpp"),
         }
-        # bound_curve casts an entry's value to its default's type, in this order
+        # bound_curve casts an entry's value to float, each default's type
         assert [(key, type(value)) for key, value in THEOREMS["theorem2"].params.items()] == [
-            ("gamma", float), ("main_text_smoothness", bool)]
+            ("gamma", float)]
 
     @pytest.mark.parametrize("name", sorted(THEOREMS))
     def test_p_maps_to_delta(self, name):

@@ -323,7 +323,6 @@ class TestBounds:
         {"theorem": "theorem3", "delta": float("inf")},
         {"theorem": "theorem2", "delta": 0.1, "gamma": "one"},
         {"theorem": "theorem4", "delta": 0.1, "alpha": [0.5]},
-        {"theorem": "theorem5", "delta": 1.0, "main_text_exponent": "yes"},
     ])
     def test_non_numeric_entry_values_exit_validation(self, tmp_path, one_dim_instance,
                                                       entry, capsys):
@@ -379,10 +378,13 @@ class TestReport:
         assert main_with("report", cfg, ["fit_exponent=1e-13"]) == 0
         out = tmp_path / "out"
         report = (out / "report.txt").read_text().splitlines()
-        curves = []
+        curves, at_T = [], []
         for label in ("min", "median", "q90"):
             rows = (out / f"stats_{label}.csv").read_text().splitlines()[1:]
             curves.append(np.array([[float(v) for v in row.split(",")[:2]] for row in rows]).T)
+            at_T.append(f"{label}={rows[-1].split(',')[1]}")
+        # the line after the last fit holds each statistic's value at t = T, as its file's last row
+        assert report[report.index(f"at_T: {' '.join(at_T)}") - 1].startswith("fit q90:")
         exact = exact_two_stage_fit(curves, 1e-13)
         c1 = float(next(ln for ln in report if ln.startswith("c1_shared:")).split(":")[1])
         assert 3e12 < c1 < 4e12
@@ -1004,6 +1006,14 @@ _INVALID = [
          {**PAIRED["theorem4"],
           "bounds": [{"theorem": "theorem4", "delta": 0.01, "main_text_exponent": True}]},
          "theorem4: unknown bounds entry key(s): main_text_exponent"),
+        ("theorem5-main_text_exponent",
+         {**PAIRED["theorem5"],
+          "bounds": [{"theorem": "theorem5", "delta": 1.0, "main_text_exponent": "yes"}]},
+         "theorem5: unknown bounds entry key(s): main_text_exponent"),
+        ("theorem2-main_text_smoothness",
+         {**PAIRED["theorem2"],
+          "bounds": [{"theorem": "theorem2", "delta": 0.1, "main_text_smoothness": True}]},
+         "theorem2: unknown bounds entry key(s): main_text_smoothness"),
         ("theorem4-poly48", {"bounds": [{"theorem": "theorem4", "delta": 0.01}]},
          "theorem4: bounds the alpha momentum rule, not poly48"),
         ("theorem4-alpha-differs",

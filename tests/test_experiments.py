@@ -17,8 +17,9 @@ compare_report = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_report)
 
 
-def test_the_10x5_protocol_is_committed():
-    assert len([c for c in CONFIGS if c.parent.name == "10x5"]) == 15
+@pytest.mark.parametrize("scale", ["10x5", "100x50"])
+def test_the_10x5_protocol_is_committed(scale):
+    assert len([c for c in CONFIGS if c.parent.name == scale]) == 15
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: f"{path.parent.name}/{path.stem}")
