@@ -61,20 +61,19 @@ BATTERY_HEADER = "run_id,algorithm,t,f_true,f_running_avg"
 
 @dataclass(frozen=True)
 class StepRule:
-    """Ascent step size: ``constant`` eta or diminishing ``value / sqrt(t)``."""
+    """Ascent step size ``value / sqrt(t)``, the diminishing step that the
+    bounds of theorems 1 and 2 assume; ``inv_sqrt`` is its one kind."""
 
     kind: str = "inv_sqrt"
     value: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "inv_sqrt"):
+        if self.kind != "inv_sqrt":
             raise ValueError(f"unknown step rule {self.kind!r}")
         if not (is_finite_real(self.value) and self.value > 0):
             raise ValueError("step size must be a positive finite number")
 
     def eta(self, t: int) -> float:
-        if self.kind == "constant":
-            return self.value
         return self.value / math.sqrt(t)
 
 

@@ -101,7 +101,7 @@ class TestBatteryConstruction:
     def test_from_records_constructs_no_run_config(self, monkeypatch):
         """The records' configs are compared as they are, not rebuilt and
         checked again with ``run_id`` reset."""
-        cfg = RunConfig("pga", 2, step_rule=StepRule("constant", 0.5))
+        cfg = RunConfig("pga", 2, step_rule=StepRule("inv_sqrt", 0.5))
         recs = [self.record(cfg, 1, 2.0), self.record(cfg, 0, 1.0)]
         built = []
         post_init = RunConfig.__post_init__
@@ -116,7 +116,6 @@ class TestBatteryConstruction:
     @pytest.mark.parametrize("base,change", [
         (RunConfig("pga", 2), {"T": 3}),
         (RunConfig("pga", 2), {"master_seed": 1}),
-        (RunConfig("pga", 2), {"step_rule": StepRule("constant", 2.0)}),
         (RunConfig("pga", 2), {"step_rule": StepRule("inv_sqrt", 3.0)}),
         (RunConfig("pga", 2), {"init_rule": "zero"}),
         (RunConfig("pga", 2), {"returned_convention": "last_iterate"}),
@@ -126,7 +125,7 @@ class TestBatteryConstruction:
          {"momentum_rule": MomentumRule("alpha", 0.25)}),
         (RunConfig("scgpp", 2), {"batch_size": 1}),
         (RunConfig("scg", 2), {"algorithm": "scgpp", "batch_size": 2}),
-    ], ids=["T", "master_seed", "step-kind", "step-value", "init_rule", "convention",
+    ], ids=["T", "master_seed", "step-value", "init_rule", "convention",
             "gamma", "momentum-kind", "momentum-value", "batch_size", "algorithm"])
     def test_from_records_rejects_any_other_difference(self, base, change):
         other = replace(base, **change)

@@ -877,7 +877,7 @@ _UNREAD = [
     ("scg-batch_size", {"batch_size": 3}, "scg does not read batch_size"),
     ("pga-momentum_rule", {"algorithm": "pga", "momentum_rule": _ALPHA},
      "pga does not read momentum_rule"),
-    ("scgpp-step_rule", {"algorithm": "scgpp", "step_rule": {"kind": "constant", "value": 0.05}},
+    ("scgpp-step_rule", {"algorithm": "scgpp", "step_rule": {"kind": "inv_sqrt", "value": 0.05}},
      "scgpp does not read step_rule"),
     ("poly48-value", {"momentum_rule": {"kind": "poly48", "value": 0.7}},
      "momentum rule 'poly48' takes no value"),
@@ -912,8 +912,10 @@ _INVALID = [
     ("run", "algorithm-null", {"algorithm": None}, "config key 'algorithm' is required"),
     ("run", "step_rule-unknown", {"step_rule": {"kind": "linear", "value": 1.0}},
      "unknown step rule 'linear'"),
-    ("run", "step_rule-zero", {"step_rule": {"kind": "constant", "value": 0}},
+    ("run", "step_rule-zero", {"step_rule": {"kind": "inv_sqrt", "value": 0}},
      "step size must be a positive finite number"),
+    ("run", "step_rule-constant", {"step_rule": {"kind": "constant", "value": 0.1}},
+     "unknown step rule 'constant'"),
     ("run", "momentum_rule-unknown", {"momentum_rule": {"kind": "cubic"}},
      "unknown momentum rule 'cubic'"),
     ("run", "momentum_rule-constant", {"momentum_rule": {"kind": "constant", "value": 1.0}},

@@ -1,20 +1,31 @@
-"""The committed experiment configs and the report comparison that checks
-their results."""
+"""The committed experiment configs, the scripts that rerun and summarize
+them, and the report comparison that checks their results."""
 
 import importlib.util
+import json
+import os
 import pathlib
 
 import pytest
 
+import drsubmax
 from drsubmax import cli
 
-EXPERIMENTS = pathlib.Path(__file__).resolve().parent.parent / "experiments"
+REPO = pathlib.Path(__file__).resolve().parent.parent
+EXPERIMENTS = REPO / "experiments"
 CONFIGS = sorted(EXPERIMENTS.glob("*/*.json"))
 
-_spec = importlib.util.spec_from_file_location("compare_report",
-                                               EXPERIMENTS / "compare_report.py")
-compare_report = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(compare_report)
+
+def _script(name):
+    """The module ``experiments/<name>.py``, which is not a package."""
+    spec = importlib.util.spec_from_file_location(name, EXPERIMENTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare_report, run_configs, summarize = map(_script, ["compare_report", "run_configs",
+                                                       "summarize"])
 
 
 @pytest.mark.parametrize("scale", ["10x5", "100x50"])
@@ -31,6 +42,55 @@ def test_committed_config_loads_and_its_report_matches_it(path):
     head = (path.parent / path.stem / "report.txt").read_text().splitlines()[:3]
     assert head == [f"algorithm: {cfg.trial.algorithm}", f"runs: {cfg.runs}",
                     f"T: {cfg.trial.T}"]
+
+
+def _kinds(report):
+    """A report's line kinds: the text before each line's first ``:``."""
+    return [line.split(":", 1)[0] for line in report.splitlines()]
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda path: f"{path.parent.name}/{path.stem}")
+def test_committed_report_has_every_line_its_config_writes(path, tmp_path, capsys):
+    """The committed report holds, in order, every kind of line that the
+    commands write for its config today, found by running them on a small
+    battery of the same config."""
+    overrides = ["--set", "runs=2", "--set", "T=3", "--set", "workers=1",
+                 "--set", f"output_dir={tmp_path}"]
+    for command in ("run", "bounds", "report"):
+        assert cli.main([command, "--config", str(path), *overrides]) == 0, capsys.readouterr()
+    expected = _kinds((tmp_path / "report.txt").read_text())
+    assert _kinds((path.parent / path.stem / "report.txt").read_text()) == expected
+
+
+@pytest.mark.parametrize("scale", ["10x5", "100x50"])
+def test_readme_results_table_is_the_summary_of_the_committed_reports(scale):
+    start = f"<!-- python experiments/summarize.py experiments/{scale} -->\n"
+    readme = (REPO / "README.md").read_text()
+    assert readme.count(start) == 1
+    shown = readme.split(start)[1].split("<!-- end of table -->")[0]
+    assert shown == summarize.table(str(EXPERIMENTS / scale)) + "\n"
+
+
+def test_run_configs_writes_checksums_and_prints_each_command(tmp_path, monkeypatch, capsys):
+    """A rerun leaves no file but the checksums beside the configs, and
+    reports each command's time and exit code on stderr."""
+    config = {"problem": {"kind": "nqp-generate", "seed": 7, "n": 5, "m": 1,
+                          "entry_low": -1, "entry_high": 0},
+              "algorithm": "scg", "T": 5, "runs": 2, "workers": 1,
+              "noise": {"kind": "clipped_gaussian", "sigma": 0.1}, "opt": 1.0,
+              "bounds": [{"theorem": "theorem3", "p": 0.9}],
+              "output_dir": str(tmp_path / "scg-r1")}
+    (tmp_path / "scg-r1.json").write_text(json.dumps(config))
+    package_root = os.path.dirname(os.path.dirname(drsubmax.__file__))
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    assert run_configs.main(str(tmp_path)) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["battery.sha256", "scg-r1",
+                                                          "scg-r1.json"]
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split("\t")[:2] for line in err] == [["scg-r1", command]
+                                                      for command in ("run", "bounds", "report")]
+    assert all(line.endswith("\texit 0") for line in err)
 
 
 REPORT = """algorithm: scg

@@ -30,7 +30,7 @@ ONE_MINUS_INV_E = 1.0 - math.exp(-1.0)
 READ_BY = {"pga": {"step_rule", "init_rule", "returned_convention"},
            "boosted_pga": {"step_rule", "init_rule", "returned_convention", "gamma"},
            "scg": {"momentum_rule"}, "scgpp": {"batch_size"}}
-NON_DEFAULT = {"step_rule": StepRule("constant", 0.05), "gamma": 0.5,
+NON_DEFAULT = {"step_rule": StepRule("inv_sqrt", 0.05), "gamma": 0.5,
                "momentum_rule": MomentumRule("alpha", 0.5), "batch_size": 3,
                "init_rule": {"pga": "zero", "boosted_pga": "zero", "scg": "gaussian_project",
                              "scgpp": "gaussian_project"},
@@ -84,7 +84,7 @@ class TestRunConfigValidation:
     def test_every_unread_field_is_named(self):
         with pytest.raises(ValueError,
                            match="^scg does not read step_rule, gamma, batch_size, init_rule$"):
-            RunConfig("scg", 30, step_rule=StepRule("constant", 0.05), gamma=0.3,
+            RunConfig("scg", 30, step_rule=StepRule("inv_sqrt", 0.05), gamma=0.3,
                       batch_size=7, init_rule="gaussian_project")
 
     def test_poly48_takes_no_value(self):
@@ -93,11 +93,16 @@ class TestRunConfigValidation:
 
 
 class TestPga:
-    def test_hand_iteration_constant_step(self):
-        cfg = RunConfig("pga", 3, step_rule=StepRule("constant", 0.1),
+    def test_hand_iteration_inv_sqrt_step(self):
+        """On f(x) = x - x^2/2 over [0, 1] the gradient is 1 - x, so from the
+        origin x_t = x_{t-1} + (0.1 / sqrt(t)) (1 - x_{t-1})."""
+        cfg = RunConfig("pga", 3, step_rule=StepRule("inv_sqrt", 0.1),
                         init_rule="zero", returned_convention="last_iterate")
         rec = run_trial(one_dim_nqp(), NoiseModel.none(), cfg)
-        np.testing.assert_allclose(rec.iterates.ravel(), [0.1, 0.19, 0.271], atol=1e-15)
+        x1 = 0.1
+        x2 = x1 + 0.1 / math.sqrt(2.0) * (1.0 - x1)
+        x3 = x2 + 0.1 / math.sqrt(3.0) * (1.0 - x2)
+        np.testing.assert_allclose(rec.iterates.ravel(), [x1, x2, x3], atol=1e-15)
 
     def test_diminishing_step_clamps_to_one(self):
         cfg = RunConfig("pga", 4, step_rule=StepRule("inv_sqrt", 2.0),
@@ -165,7 +170,7 @@ class TestBoostedPga:
         """From the origin the query point s * 0 does not depend on the drawn
         scale s, so the first step is eta * (1 - 1/e) * grad(0)."""
         obj = one_dim_nqp()
-        cfg = RunConfig("boosted_pga", 1, step_rule=StepRule("constant", 0.1),
+        cfg = RunConfig("boosted_pga", 1, step_rule=StepRule("inv_sqrt", 0.1),
                         init_rule="zero", returned_convention="last_iterate")
         rec = run_trial(obj, NoiseModel.none(), cfg)
         assert rec.iterates[0, 0] == pytest.approx(0.1 * ONE_MINUS_INV_E, abs=1e-12)
@@ -175,7 +180,7 @@ class TestBoostedPga:
         ``(1 - exp(-gamma)) / gamma = 1 - gamma/2 + gamma^2/6 - ...``, which
         keeps its leading digits at gamma = 1e-8."""
         gamma = 1e-8
-        cfg = RunConfig("boosted_pga", 1, step_rule=StepRule("constant", 0.1), gamma=gamma,
+        cfg = RunConfig("boosted_pga", 1, step_rule=StepRule("inv_sqrt", 0.1), gamma=gamma,
                         init_rule="zero", returned_convention="last_iterate")
         rec = run_trial(one_dim_nqp(), NoiseModel.none(), cfg)
         assert rec.iterates[0, 0] == pytest.approx(
