@@ -28,25 +28,22 @@ from drsubmax.analysis import approx_opt
 from drsubmax.objectives import build_problem
 
 
-def problem(spec: dict, seed: int) -> dict:
-    """The ``problem`` entry of instance ``seed``."""
-    return {"kind": spec["problem"]["kind"], "seed": seed, **spec["problem"]}
-
-
-def noise_free_opt(spec: dict, seed: int) -> float:
-    """Instance ``seed``'s ``opt``: its noise-free SCG value."""
-    return approx_opt(build_problem(problem(spec, seed)), iterations=spec["opt_iterations"])
+def noise_free_opt(spec: dict, seed: int, objective) -> float:
+    """Instance ``seed``'s ``opt``: the noise-free SCG value of its
+    ``objective``."""
+    return approx_opt(objective, iterations=spec["opt_iterations"])
 
 
 def configs(spec: dict, directory: str, opt=noise_free_opt) -> dict:
     """Every config of the family by name, each writing into ``directory``;
-    ``opt(spec, seed)`` gives instance ``seed``'s ``opt``."""
+    ``opt(spec, seed, objective)`` gives instance ``seed``'s ``opt``."""
     family = {}
     for seed in spec["seeds"]:
-        entry = problem(spec, seed)
+        entry = dict(spec["problem"])
+        entry = {"kind": entry.pop("kind"), "seed": seed, **entry}
         objective = build_problem(entry)
         grad0_norm = float(np.linalg.norm(objective.grad(np.zeros(objective.dim))))
-        value = opt(spec, seed)
+        value = opt(spec, seed, objective)
         for label, own in spec["algorithms"].items():
             own = dict(own)
             algorithm, bounds = own.pop("algorithm"), own.pop("bounds")

@@ -149,19 +149,12 @@ def generate_nqp(seed, n: int, m: int, entry_low: float, entry_high: float) -> N
     return NqpObjective(h, poly)
 
 
-#: the ``linear`` frequency mapping's cap, which keeps every probability below 1
-_LINEAR_P_CAP = 0.99
-
-
-def _map_frequency(mapping: str, freq: float, f_max: float) -> float:
+def _map_frequency(freq: float, f_max: float) -> float:
     """The influence probability of a (channel, customer) frequency, where
     ``f_max`` is the largest frequency in the file being loaded:
-    ``exp`` gives 1 - exp(-freq / f_max), by ``expm1`` so that no small ratio
-    cancels to 0, ``linear`` min(freq / f_max, 0.99).  Both lie in (0, 1) for
-    every ``1 <= freq <= f_max``."""
-    if mapping == "exp":
-        return -math.expm1(-freq / f_max)
-    return min(freq / f_max, _LINEAR_P_CAP)
+    1 - exp(-freq / f_max), by ``expm1`` so that no small ratio cancels to 0.
+    It lies in (0, 1) for every ``1 <= freq <= f_max``."""
+    return -math.expm1(-freq / f_max)
 
 
 class BudgetAllocationObjective(Objective):
@@ -255,21 +248,17 @@ def _check_sizes(n_channels, n_customers, k) -> None:
         raise ValueError("channels, customers and k must be positive integers")
 
 
-def load_bipartite(path, mapping: str = "exp", k: int = 1,
-                   alphas=None, upper=None) -> BudgetAllocationObjective:
+def load_bipartite(path, k: int = 1, alphas=None, upper=None) -> BudgetAllocationObjective:
     """Build a budget-allocation objective from a tab-separated edge file.
 
     Lines are ``channel_id <TAB> customer_id <TAB> frequency``; duplicate
     (channel, customer) pairs have their frequencies summed before
-    ``mapping`` (``exp`` or ``linear``, see ``_map_frequency``) turns each
-    into an influence probability.  A frequency must be a finite number of
-    at least 1, and so must each pair's sum.  Channels and customers are
-    indexed densely in first-appearance order.  The default budget limit is
-    the mean frequency pushed through the same mapping; pass ``upper``
-    (scalar or per-channel) to override.
+    ``_map_frequency`` turns each into an influence probability.  A
+    frequency must be a finite number of at least 1, and so must each pair's
+    sum.  Channels and customers are indexed densely in first-appearance
+    order.  The default budget limit is the mean frequency mapped the same
+    way; pass ``upper`` (scalar or per-channel) to override.
     """
-    if mapping not in ("exp", "linear"):
-        raise ValueError(f"unknown frequency mapping {mapping!r}")
     channel_ids: dict[str, int] = {}
     customer_ids: dict[str, int] = {}
     freqs: dict[tuple[int, int], float] = {}
@@ -300,12 +289,12 @@ def load_bipartite(path, mapping: str = "exp", k: int = 1,
     f_max = max(freqs.values())
     probs = np.zeros((len(channel_ids), len(customer_ids)))
     channels, customers = np.array(list(freqs)).T
-    probs[channels, customers] = [_map_frequency(mapping, freq, f_max) for freq in freqs.values()]
+    probs[channels, customers] = [_map_frequency(freq, f_max) for freq in freqs.values()]
     if upper is None:
         mean_freq = sum(freqs.values()) / len(freqs)
         if math.isinf(mean_freq):  # the sum overflowed; the sum of the ratios cannot
             mean_freq = f_max * (sum(freq / f_max for freq in freqs.values()) / len(freqs))
-        upper = _map_frequency(mapping, mean_freq, f_max)
+        upper = _map_frequency(mean_freq, f_max)
     return BudgetAllocationObjective(probs, k=k, alphas=alphas, per_advertiser_upper=upper)
 
 

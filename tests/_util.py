@@ -1,5 +1,6 @@
 """Shared independent oracles for the test suite: brute-force grid
-projection, exhaustive vertex enumeration, the exact optimum of a small
+projection, a face's projection refined in extended precision, exhaustive
+vertex enumeration, the exact optimum of a small
 quadratic by face enumeration, the LMO certificate with solved duals, the
 two-stage curve fit in exact arithmetic, finite differences, feasible point sampling, and malformed instance files.
 These stay deliberately separate from the library code paths they check."""
@@ -46,6 +47,34 @@ def enumerate_vertices(poly: Polytope) -> np.ndarray:
     # dedupe up to rounding
     keyed = {tuple(np.round(v, 9)): v for v in verts}
     return np.array(list(keyed.values()))
+
+
+def face_point(poly: Polytope, y, face) -> np.ndarray:
+    """The projection of ``y`` onto the face that ``face`` marks, in
+    ``project``'s index space: the halfspaces with nonzero ``face[:m]``
+    tight and the coordinates with nonzero ``face[m:]`` at their lower (-1)
+    or upper (+1) face.  The multipliers of the tight halfspaces are solved
+    in float64 from their Gram matrix on the free coordinates and refined
+    8 times from residuals formed in ``np.longdouble``, and the
+    point is returned in ``np.longdouble``."""
+    m = poly.n_halfspaces
+    rows, side = np.flatnonzero(face[:m]), np.asarray(face[m:])
+    free = side == 0.0
+    x = np.where(side > 0.0, poly.upper, 0.0).astype(np.longdouble)
+    y_free = np.asarray(y, dtype=np.longdouble)[free]
+    x[free] = y_free
+    if rows.size:
+        normals = poly.a_matrix[rows][:, free]
+        extended = normals.astype(np.longdouble)
+        rhs = (poly.b_vector[rows].astype(np.longdouble)
+               - poly.a_matrix[rows][:, ~free].astype(np.longdouble) @ x[~free])
+        gram = normals @ normals.T
+        lam = np.zeros(rows.size, dtype=np.longdouble)
+        for _ in range(8):
+            residual = extended @ (y_free - extended.T @ lam) - rhs
+            lam += np.linalg.solve(gram, residual.astype(float))
+        x[free] = y_free - extended.T @ lam
+    return x
 
 
 def solved_lmo_residual(state, cost, scale) -> float:

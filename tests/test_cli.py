@@ -249,11 +249,22 @@ class TestRun:
         edges.write_text("k1\tc1\t3\nk2\tc1\t1\nk2\tc2\t2\n")
         cfg = write_config(
             tmp_path, algorithm="scg", T=5, runs=1,
-            problem={"kind": "budget-file", "path": str(edges),
-                     "mapping": "linear", "k": 2, "upper": 1.5},
+            problem={"kind": "budget-file", "path": str(edges), "k": 2, "upper": 1.5},
         )
         assert cli.main(["run", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "battery.csv").exists()
+
+    def test_budget_file_mapping_rejected(self, tmp_path, capsys):
+        """A budget file's frequencies are read one way, so ``mapping`` is an
+        unknown key like any other."""
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("k1\tc1\t3\n")
+        cfg = write_config(tmp_path, algorithm="scg", T=5, runs=1,
+                           problem={"kind": "budget-file", "path": str(edges),
+                                    "mapping": "exp"})
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: unknown problem[budget-file] key(s): mapping\n"
+        assert not (tmp_path / "out").exists()
 
     def test_parallel_matches_sequential(self, tmp_path, one_dim_instance):
         seq_cfg = write_config(tmp_path, name="seq.json", runs=4,

@@ -24,8 +24,8 @@ def _script(name):
     return module
 
 
-compare_report, run_configs, summarize = map(_script, ["compare_report", "run_configs",
-                                                       "summarize"])
+compare_report, make_family, run_configs, summarize = map(
+    _script, ["compare_report", "make_family", "run_configs", "summarize"])
 
 
 @pytest.mark.parametrize("scale", ["10x5", "100x50"])
@@ -49,20 +49,70 @@ def _kinds(report):
     return [line.split(":", 1)[0] for line in report.splitlines()]
 
 
+@pytest.fixture(scope="module")
+def written_kinds(tmp_path_factory):
+    """The line kinds that the commands write today for a config, found by
+    running them on a small battery of it.  They run once per algorithm,
+    momentum rule and bounded theorem: the committed configs differ
+    otherwise only in the instance, the noise level and ``opt``, which
+    choose no line."""
+    found = {}
+
+    def kinds(path):
+        config = json.loads(path.read_text())
+        key = (config["algorithm"], repr(config.get("momentum_rule")),
+               tuple(entry["theorem"] for entry in config["bounds"]))
+        if key not in found:
+            out = tmp_path_factory.mktemp("battery")
+            overrides = ["--set", "runs=2", "--set", "T=3", "--set", "workers=1",
+                         "--set", f"output_dir={out}"]
+            for command in ("run", "bounds", "report"):
+                assert cli.main([command, "--config", str(path), *overrides]) == 0
+            found[key] = _kinds((out / "report.txt").read_text())
+        return found[key]
+
+    return kinds
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: f"{path.parent.name}/{path.stem}")
-def test_committed_report_has_every_line_its_config_writes(path, tmp_path, capsys):
+def test_committed_report_has_every_line_its_config_writes(path, written_kinds):
     """The committed report holds, in order, every kind of line that the
-    commands write for its config today, found by running them on a small
-    battery of the same config."""
-    overrides = ["--set", "runs=2", "--set", "T=3", "--set", "workers=1",
-                 "--set", f"output_dir={tmp_path}"]
-    for command in ("run", "bounds", "report"):
-        assert cli.main([command, "--config", str(path), *overrides]) == 0, capsys.readouterr()
-    expected = _kinds((tmp_path / "report.txt").read_text())
+    commands write for its config today."""
+    expected = written_kinds(path)
     assert _kinds((path.parent / path.stem / "report.txt").read_text()) == expected
 
 
-@pytest.mark.parametrize("scale", ["10x5", "100x50"])
+#: the family's instances whose noise-free ``opt`` tier-1 recomputes (about
+#: 0.1 s each); the others' are read from their committed configs
+RECOMPUTED = (0, 7, 15)
+
+
+def test_the_10x5_family_is_the_configs_its_spec_writes():
+    """``make_family.py`` writes the family's 270 committed configs from its
+    spec, each in the script's format.  Floats are compared to a relative
+    tolerance, since another numpy or BLAS may move their last bits: 1e-12
+    for ``sigma``, one gradient norm, and 1e-9 for ``opt``, 5000 SCG steps."""
+    spec = json.loads((EXPERIMENTS / "10x5-family.json").read_text())
+    texts = {path.stem: path.read_text() for path in (EXPERIMENTS / "10x5-family").glob("*.json")}
+    committed = {name: json.loads(text) for name, text in texts.items()}
+
+    def opt(spec, seed, objective):
+        if seed in RECOMPUTED:
+            return make_family.noise_free_opt(spec, seed, objective)
+        return committed[f"scg-s{seed}-r10"]["opt"]
+
+    written = make_family.configs(spec, "experiments/10x5-family", opt)
+    assert len(written) == 270 and written.keys() == committed.keys()
+    for name, config in written.items():
+        assert texts[name] == make_family.text(committed[name])
+        expected = committed[name]
+        assert config.pop("opt") == pytest.approx(expected.pop("opt"), rel=1e-9, abs=0.0)
+        assert config["noise"].pop("sigma") == pytest.approx(expected["noise"].pop("sigma"),
+                                                              rel=1e-12, abs=0.0)
+        assert config == expected
+
+
+@pytest.mark.parametrize("scale", ["10x5", "100x50", "10x5-family"])
 def test_readme_results_table_is_the_summary_of_the_committed_reports(scale):
     start = f"<!-- python experiments/summarize.py experiments/{scale} -->\n"
     readme = (REPO / "README.md").read_text()

@@ -22,6 +22,7 @@ from drsubmax.objectives import NqpObjective, load_nqp, save_nqp
 
 from _util import (
     enumerate_vertices,
+    face_point,
     grid_projection,
     random_small_polytope,
     sample_feasible,
@@ -974,6 +975,51 @@ class TestPaperScaleOracles:
             assert contains(big, x, 1e-6)
             d = np.linalg.norm(x - y)
             assert d <= np.min(np.linalg.norm(witnesses - y, axis=1)) + 1e-6
+
+
+class TestAbsoluteAccuracy:
+    """The KKT certificate's tolerance ``_KKT_RTOL * max(1, ||y||)`` grows
+    with the target: at the 100 x 50 default step, where ``||y||`` reaches
+    1e5, it admits about 1e-4, while the region lies in [0, 1]^100.  So the
+    answers are also held to an absolute tolerance."""
+
+    @pytest.mark.parametrize("seed, shape, low, sigma, T", [
+        (123, (100, 50), -100.0, 1000.0, 30),
+        (7, (10, 5), -1.0, 49.7, 300),
+    ], ids=["100x50", "10x5"])
+    def test_default_step_pga_answers_are_their_face_points(self, monkeypatch, seed, shape,
+                                                            low, sigma, T):
+        """Every projection of a default-step ``pga`` trial lies within
+        ``1e-9 * max(1, max u)`` of the face point of the final set it leaves
+        in its warm start, refined in extended precision (``face_point``); an
+        answer that is the clamped target, which leaves the set as it was, is
+        that target."""
+        from drsubmax import optimizers
+        from drsubmax.objectives import generate_nqp
+        from drsubmax.oracles import NoiseModel
+
+        obj = generate_nqp(seed, *shape, low, 0.0)
+        poly, calls = obj.polytope, []
+
+        def recording(p, y, warm):
+            x = project(p, y, warm)
+            calls.append((np.array(y), x, warm.face.copy()))
+            return x
+
+        monkeypatch.setattr(optimizers, "project", recording)
+        optimizers.run_trial(obj, NoiseModel.clipped_gaussian(sigma),
+                             optimizers.RunConfig("pga", T))
+        assert len(calls) == T + 1  # the start point's projection, then one a step
+        tol = 1e-9 * max(1.0, float(poly.upper.max()))
+        on_a_face = 0
+        for y, x, face in calls:
+            clamped = np.clip(y, 0.0, poly.upper)
+            if np.all(poly.a_matrix @ clamped <= poly.b_vector):
+                np.testing.assert_array_equal(x, clamped)
+                continue
+            on_a_face += 1
+            assert float(np.max(np.abs(x - face_point(poly, y, face)))) <= tol
+        assert on_a_face >= 0.9 * len(calls)
 
 
 class TestCarriedFactorization:

@@ -285,23 +285,16 @@ class TestBipartiteLoading:
         with pytest.raises(ValueError, match=":1"):
             load_bipartite(path)
 
-    @pytest.mark.parametrize("mapping", ["exp", "linear"])
     @pytest.mark.parametrize("freq", ["nan", "inf"])
-    def test_non_finite_frequency_reports_number(self, tmp_path, mapping, freq):
+    def test_non_finite_frequency_reports_number(self, tmp_path, freq):
         path = self._write(tmp_path, f"k1\tc1\t3\nk2\tc1\t{freq}\n")
         with pytest.raises(ValueError, match=r"edges\.tsv:2: frequency must be a finite"):
-            load_bipartite(path, mapping)
+            load_bipartite(path)
 
-    @pytest.mark.parametrize("mapping", ["exp", "linear"])
-    def test_overflowing_sum_reports_number(self, tmp_path, mapping):
+    def test_overflowing_sum_reports_number(self, tmp_path):
         path = self._write(tmp_path, "k2\tc1\t3\nk1\tc1\t1e308\nk1\tc1\t1e308\n")
         with pytest.raises(ValueError, match=r"edges\.tsv:3: summed frequency .* not finite"):
-            load_bipartite(path, mapping)
-
-    def test_unknown_mapping_rejected(self, tmp_path):
-        path = self._write(tmp_path, "k1\tc1\t3\n")
-        with pytest.raises(ValueError, match="unknown frequency mapping 'log'"):
-            load_bipartite(path, "log")
+            load_bipartite(path)
 
     def test_exp_mapping_keeps_small_ratios(self, tmp_path):
         """A frequency ratio of 1e-17 maps to a positive probability, not to
@@ -310,11 +303,12 @@ class TestBipartiteLoading:
         assert obj.value([1.0, 0.0]) == -math.expm1(-1e-17)
         assert obj.value([1.0, 0.0]) > 0.0
 
-    def test_linear_mapping_and_upper_override(self, tmp_path):
+    def test_probabilities_and_upper_override(self, tmp_path):
         path = self._write(tmp_path, "k1\tc1\t1\nk2\tc1\t4\n")
-        obj = load_bipartite(path, "linear", upper=3.0)
-        # one unit on a channel gives the probability of its one edge; 0.99 is capped
-        assert [obj.value(x) for x in np.eye(2)] == pytest.approx([0.25, 0.99])
+        obj = load_bipartite(path, upper=3.0)
+        # one unit on a channel gives the probability of its one edge
+        expected = [1.0 - math.exp(-f / 4.0) for f in (1.0, 4.0)]
+        assert [obj.value(x) for x in np.eye(2)] == pytest.approx(expected, abs=1e-12)
         np.testing.assert_array_equal(obj.polytope.upper, [3.0, 3.0])
 
     def test_default_budget_is_mapped_mean_frequency(self, tmp_path):
@@ -400,16 +394,16 @@ class TestInstanceDigest:
             instance_digest(generate_budget(5, 3, 4, 0.7, 0.2, 0.7, k=2))
 
     def test_budget_digests_pinned(self, tmp_path):
-        """The acceptance budget instance and a linear-mapped file with a
-        duplicate edge hash to fixed digests, so any change to the generator's
+        """The acceptance budget instance and a file with a duplicate edge
+        hash to fixed digests, so any change to the generator's
         draws or to the coefficient arithmetic shows here."""
         acceptance = generate_budget(104, 4, 5, density=0.6, p_low=0.1, p_high=0.8, k=2)
         assert instance_digest(acceptance) == \
             "ea1b3724071babe1699d79bbc13c313acdbb3f81522b6b167e623ff8eaeb4ab3"
         path = tmp_path / "edges.tsv"
         path.write_text("k1\tc1\t3\nk2\tc1\t1\nk2\tc2\t2\nk1\tc1\t2\n")
-        assert instance_digest(load_bipartite(path, "linear", k=2)) == \
-            "057f852708259674930c86f643e57e5d180215d9e97bbb7d8d548491ccbf102a"
+        assert instance_digest(load_bipartite(path, k=2)) == \
+            "7b50335c54d7d2fd59cd7ec0152660e919bd29cd6281f8e41f6d9c98e213e549"
 
     def test_every_defining_array_counts(self):
         """Changing H, A, b, u, the budget coefficients, alphas or the kind of
