@@ -42,7 +42,7 @@ import inspect
 import json
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -82,9 +82,8 @@ _RUN_CONFIG_FILE = "run_config.json"
 class Experiment:
     """One battery as its config fixes it: the built trial config and noise
     model, the problem entry and the keys only the CLI reads.  Construction
-    checks those keys, ``t_min < T``, each bounds entry's curve over t = 1..T
-    with unit constants, and that ``noise.hessian_sigma`` keeps its default
-    unless the trial queries Hessians.  It builds ``objective``, the problem
+    checks those keys, ``t_min < T`` and each bounds entry's curve over
+    t = 1..T with unit constants.  It builds ``objective``, the problem
     entry's instance, and its digest ``instance`` last, so a bad value is
     reported before any instance file is read.  The trial and noise keys
     default in ``RunConfig``, ``StepRule``, ``MomentumRule`` and
@@ -133,10 +132,6 @@ class Experiment:
             raise ValueError("opt must be a positive number, null, or an approximation spec")
         if self.t_min >= self.trial.T:
             raise ValueError("t_min must be below T, so the fits have at least two points")
-        if ("noise.hessian_sigma" not in optimizers.READS[self.trial.algorithm]
-                and self.noise != replace(self.noise, hessian_sigma=None)):
-            raise ValueError(f"{self.trial.algorithm} queries no Hessian, so it does not "
-                             "read noise.hessian_sigma")
         # each bounds entry is checked against its theorem and trial before any work
         unit = bounds.BoundConstants(1.0, 1.0, *noise_constants(self.noise, 1, g_max=1.0))
         seen = set()
@@ -209,13 +204,13 @@ def resolve_opt(cfg: Experiment) -> float:
     ``analysis.approx_opt`` estimates it (the best final value across
     seeded, repeated greedy runs under the config's noise), and it must be
     positive, as a configured one is.  Its inputs are the estimator's name,
-    the instance's digest, the noise model but ``hessian_sigma``, ``n_runs``,
-    ``iterations`` and the offset seed; under noise ``none``, which draws
-    nothing, ``n_runs`` is 1 and the seed is left out.  They leave out
-    ``output_dir``, the bounds and the fit keys.  When
-    ``output_dir/opt.json`` parses, holds these inputs and a finite positive
-    ``opt``, that value is returned (a JSON float round-trips); otherwise the
-    estimate is written there with its inputs.
+    the instance's digest, the noise model, ``n_runs``, ``iterations`` and
+    the offset seed; under noise ``none``, which draws nothing, ``n_runs``
+    is 1 and the seed is left out.  They leave out ``output_dir``, the
+    bounds and the fit keys.  When ``output_dir/opt.json`` parses, holds
+    these inputs and a finite positive ``opt``, that value is returned (a
+    JSON float round-trips); otherwise the estimate is written there with
+    its inputs.
     """
     if isinstance(cfg.opt, (int, float)):
         return float(cfg.opt)
@@ -224,9 +219,8 @@ def resolve_opt(cfg: Experiment) -> float:
         spec["n_runs"] = 1
     else:
         spec["master_seed"] = cfg.trial.master_seed + _OPT_SEED_OFFSET
-    noise = asdict(cfg.noise)
-    del noise["hessian_sigma"]  # the estimate's scg runs query no Hessian
-    inputs = {"estimator": _OPT_ESTIMATOR, "instance": cfg.instance, "noise": noise, **spec}
+    inputs = {"estimator": _OPT_ESTIMATOR, "instance": cfg.instance,
+              "noise": asdict(cfg.noise), **spec}
     try:
         record = load_json(os.path.join(cfg.output_dir, _OPT_FILE))
     except (OSError, ValueError):  # an unreadable record is estimated again

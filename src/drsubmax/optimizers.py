@@ -44,13 +44,13 @@ __all__ = [
     "records_to_csv",
 ]
 
-#: the ``RunConfig`` fields each algorithm reads beyond algorithm, T, master_seed,
-#: run_id, and ``noise.hessian_sigma`` for the one that queries noisy Hessians
+#: the ``RunConfig`` fields each algorithm reads beyond algorithm, T, master_seed
+#: and run_id
 READS = {
     "pga": ("step_rule", "init_rule", "returned_convention"),
     "boosted_pga": ("step_rule", "init_rule", "returned_convention", "gamma"),
     "scg": ("momentum_rule",),
-    "scgpp": ("batch_size", "noise.hessian_sigma"),
+    "scgpp": ("batch_size",),
 }
 ALGORITHMS = tuple(READS)
 GREEDY = ("scg", "scgpp")

@@ -43,30 +43,27 @@ class NoiseModel:
                             using the true gradient norm at the query point
       ``clipped_gaussian``  per-coordinate clip(N(0, sigma), -2 sigma, 2 sigma)
 
-    ``hessian_sigma`` is the per-entry deviation of the symmetric matrix
-    ``Z`` whose product ``Z d`` perturbs a Hessian-vector query
-    (``OracleStream.hessian``); it defaults to ``0.1 * sigma``.  A kind
-    takes only the gradient level it reads: ``gaussian_prop`` rejects a
-    positive ``sigma`` (so its Hessian default is 0), the other two a
-    positive ``scale``, and ``none`` every positive level.
+    The symmetric matrix ``Z`` whose product ``Z d`` perturbs a
+    Hessian-vector query (``OracleStream.hessian``) has per-entry deviation
+    ``0.1 * sigma``.  A kind takes only the gradient level it reads:
+    ``gaussian_prop`` rejects a positive ``sigma`` (so its Hessian queries
+    are exact), the other two a positive ``scale``, and ``none`` every
+    positive level.
     """
 
     kind: str = "none"
     sigma: float = 0.0
     scale: float = 0.0
-    hessian_sigma: float | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        for name in ("sigma", "scale", "hessian_sigma"):
-            if name == "hessian_sigma" and self.hessian_sigma is None:
-                object.__setattr__(self, name, 0.1 * self.sigma)  # sigma is checked by now
+        for name in ("sigma", "scale"):
             value = getattr(self, name)
             if not (is_finite_real(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite nonnegative number")
-        if self.kind == "none" and (self.sigma or self.scale or self.hessian_sigma):
-            raise ValueError("noise kind 'none' takes no sigma, scale or hessian_sigma")
+        if self.kind == "none" and (self.sigma or self.scale):
+            raise ValueError("noise kind 'none' takes no sigma or scale")
         unread = "sigma" if self.kind == "gaussian_prop" else "scale"
         if self.kind != "none" and getattr(self, unread):
             raise ValueError(f"noise kind {self.kind!r} takes no {unread}")
@@ -76,16 +73,16 @@ class NoiseModel:
         return cls("none")
 
     @classmethod
-    def gaussian_fixed(cls, sigma: float, hessian_sigma: float | None = None) -> "NoiseModel":
-        return cls("gaussian_fixed", sigma=sigma, hessian_sigma=hessian_sigma)
+    def gaussian_fixed(cls, sigma: float) -> "NoiseModel":
+        return cls("gaussian_fixed", sigma=sigma)
 
     @classmethod
-    def gaussian_prop(cls, scale: float, hessian_sigma: float | None = None) -> "NoiseModel":
-        return cls("gaussian_prop", scale=scale, hessian_sigma=hessian_sigma)
+    def gaussian_prop(cls, scale: float) -> "NoiseModel":
+        return cls("gaussian_prop", scale=scale)
 
     @classmethod
-    def clipped_gaussian(cls, sigma: float, hessian_sigma: float | None = None) -> "NoiseModel":
-        return cls("clipped_gaussian", sigma=sigma, hessian_sigma=hessian_sigma)
+    def clipped_gaussian(cls, sigma: float) -> "NoiseModel":
+        return cls("clipped_gaussian", sigma=sigma)
 
 
 def noise_constants(nm: NoiseModel, n: int, g_max: float | None = None) -> tuple[float, float]:
@@ -148,7 +145,7 @@ class OracleStream:
         ``(H(x_k) + Z_k) d`` at the points ``x_k = x0 + a_k (x1 - x0)``; a
         single query at ``x`` is ``hessian(x, x, [0.0], d)``.  Each ``Z_k``
         is symmetric with i.i.d. N(0, s^2) entries on and above the diagonal
-        (``s = hessian_sigma``), so ``Z_k d`` is Gaussian with covariance
+        (``s = 0.1 * sigma``), so ``Z_k d`` is Gaussian with covariance
         ``s^2 (||d||^2 I + d d' - diag(d * d))``, and the mean of b
         independent ones has the law of ``Z d`` at scale ``s / sqrt(b)``:
         ``(s / sqrt(b)) (sqrt(||d||^2 - d_j^2) xi_j + eta d_j)``.  So a query
@@ -158,7 +155,7 @@ class OracleStream:
         if a.ndim != 1 or a.size == 0:
             raise ValueError("the weights a must be a nonempty 1-D sequence")
         hd = self.objective.hvp(x0, x1, a, d)
-        s = self.noise.hessian_sigma / math.sqrt(a.size)
+        s = 0.1 * self.noise.sigma / math.sqrt(a.size)
         if s == 0.0:
             return hd
         d = np.asarray(d, dtype=float).ravel()

@@ -695,23 +695,6 @@ class TestOptFile:
         assert len(calls) == 1
         assert path.read_text() == valid
 
-    def test_record_leaves_out_hessian_sigma(self, tmp_path, monkeypatch):
-        """The estimate's scg runs query no Hessian, so an scgpp config that
-        changes only ``noise.hessian_sigma`` reuses the record."""
-        instance = tmp_path / "nqp.json"
-        save_nqp(instance, generate_nqp(3, 4, 2, -1.0, 0.0))
-        cfg = write_config(tmp_path, algorithm="scgpp", batch_size=2, T=10,
-                           problem={"kind": "nqp-file", "path": str(instance)},
-                           noise={"kind": "clipped_gaussian", "sigma": 0.1},
-                           opt={"runs": 2, "iterations": 20},
-                           bounds=[{"theorem": "theorem5", "p": 0.9}])
-        calls = self.count_estimates(monkeypatch)
-        for hessian_sigma in ("0.01", "0.3"):
-            assert main_with("bounds", cfg, [f"noise.hessian_sigma={hessian_sigma}"]) == 0
-        assert len(calls) == 1
-        record = json.loads((tmp_path / "out" / "opt.json").read_text())
-        assert sorted(record["inputs"]["noise"]) == ["kind", "scale", "sigma"]
-
     def test_record_does_not_depend_on_output_dir(self, tmp_path):
         cfg = self.config(tmp_path)
         files = []
@@ -795,14 +778,23 @@ def _set_in_run_config(name, value):
     return edit
 
 
+def _hessian_sigma_recorded(out):
+    """Rewrite run_config.json as a version that recorded the Hessian noise
+    level ``noise.hessian_sigma`` (``0.1 * sigma``) wrote it."""
+    path = out / "run_config.json"
+    recorded = json.loads(path.read_text())
+    recorded["noise"]["hessian_sigma"] = 0.1 * recorded["noise"]["sigma"]
+    path.write_text(json.dumps(recorded, sort_keys=True, indent=1) + "\n")
+
+
 # (id, the --set overrides of the report, the edit made to output_dir after
 # run, the field the error names): each is a battery of another config
 _OTHER_BATTERY = [
     ("noise.sigma", ["noise.sigma=2"], None, "noise.sigma 0.5, the config has 2"),
     ("master_seed", ["master_seed=1"], None, "trial.master_seed 0, the config has 1"),
     ("instance", ["problem.seed=4"], None, "instance"),
-    ("hessian_sigma", ["noise.hessian_sigma=0.3"], None,
-     "noise.hessian_sigma 0.05, the config has 0.3"),
+    ("stale-hessian_sigma", [], _hessian_sigma_recorded,
+     "noise.hessian_sigma 0.05, the config has nothing"),
     ("runs", [], _set_in_run_config("runs", 3), "runs 3, the config has 2"),
     ("extra-field", [], _set_in_run_config("workers", 1), "workers 1, the config has nothing"),
 ]
@@ -829,8 +821,7 @@ class TestRunConfig:
         assert files[0] == json.dumps(recorded, sort_keys=True, indent=1) + "\n"
         assert sorted(recorded) == ["instance", "noise", "runs", "trial"]
         assert "run_id" not in recorded["trial"] and recorded["trial"]["batch_size"] == 2
-        assert recorded["noise"] == {"kind": "clipped_gaussian", "sigma": 0.5,
-                                     "scale": 0.0, "hessian_sigma": 0.05}
+        assert recorded["noise"] == {"kind": "clipped_gaussian", "sigma": 0.5, "scale": 0.0}
         assert recorded["runs"] == 2
         assert recorded["instance"] == instance_digest(generate_nqp(3, 4, 1, -1.0, 0.0))
 
@@ -892,8 +883,6 @@ _UNREAD = [
      "scgpp does not read step_rule"),
     ("poly48-value", {"momentum_rule": {"kind": "poly48", "value": 0.7}},
      "momentum rule 'poly48' takes no value"),
-    ("scg-hessian_sigma", {"noise": {**_GAUSSIAN, "hessian_sigma": 5.0}},
-     "scg queries no Hessian, so it does not read noise.hessian_sigma"),
 ]
 
 # (command, id, the one change to the valid scg config of write_config; for
@@ -913,7 +902,7 @@ _INVALID = [
     ("run", "sigma-nan", {"noise": {**_GAUSSIAN, "sigma": float("nan")}},
      "sigma must be a finite nonnegative number"),
     ("run", "hessian_sigma-text", {"noise": {**_GAUSSIAN, "hessian_sigma": "a"}},
-     "hessian_sigma must be a finite nonnegative number"),
+     "error: unknown noise key(s): hessian_sigma\n"),
     ("run", "output_dir-number", {"output_dir": 5}, "output_dir must be a string"),
     ("report", "T-true", {"T": True}, "T must be an integer >= 1"),
     ("report", "fit_exponent-text", {"fit_exponent": "a"},
@@ -1046,6 +1035,12 @@ _INVALID = [
         ("clipped_gaussian-scale", {"noise": {"kind": "clipped_gaussian", "sigma": 0.1,
                                               "scale": 50.0}},
          "noise kind 'clipped_gaussian' takes no scale"),
+        ("scg-hessian_sigma", {"noise": {**_GAUSSIAN, "hessian_sigma": 0.01}},
+         "error: unknown noise key(s): hessian_sigma\n"),
+        ("scgpp-hessian_sigma",
+         {**PAIRED["theorem5"], "bounds": [{"theorem": "theorem5", "p": 0.9}],
+          "noise": {**_GAUSSIAN, "hessian_sigma": 0.01}},
+         "error: unknown noise key(s): hessian_sigma\n"),
     )
 ] + [
     (command, name, change, message)
@@ -1159,13 +1154,14 @@ class TestOneValidationBoundary:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("sigma", [0.1, 7.0])
-    def test_default_hessian_sigma_written_out_is_accepted(self, tmp_path, one_dim_instance,
-                                                           sigma):
-        """An scg config may write out the default ``hessian_sigma``,
-        ``0.1 * sigma``, which is not always ``sigma / 10``."""
+    def test_written_out_hessian_sigma_is_unknown(self, tmp_path, one_dim_instance, sigma,
+                                                  capsys):
+        """An scg config that writes out the Hessian level ``0.1 * sigma``,
+        the value the oracle uses, is refused as setting an unknown key."""
         cfg = write_config(tmp_path, noise={"kind": "clipped_gaussian", "sigma": sigma,
                                             "hessian_sigma": 0.1 * sigma})
-        assert cli.main(["run", "--config", str(cfg)]) == 0
+        err = self.assert_rejected("run", cfg, tmp_path / "out", capsys)
+        assert err == "error: unknown noise key(s): hessian_sigma\n"
 
     @pytest.mark.parametrize("change,values", [
         ({"algorithm": "pga"}, ("'scg'", "'pga'")),

@@ -257,7 +257,7 @@ class TestScgpp:
     def test_runs_on_budget_objective(self):
         """The Hessian oracle route also works for the non-quadratic family."""
         obj = generate_budget(31, 3, 4, density=0.7, p_low=0.2, p_high=0.7, k=2)
-        noise = NoiseModel.gaussian_fixed(0.1, hessian_sigma=0.02)
+        noise = NoiseModel.gaussian_fixed(0.2)
         rec = run_trial(obj, noise, RunConfig("scgpp", 20, batch_size=4))
         assert rec.returned_value > 0.0
         for x in rec.iterates:
@@ -269,8 +269,9 @@ class TestScgpp:
         matches the exact value within the CLT tolerance of its deviation
         ``(s / sqrt(b)) ||d||``."""
         obj = generate_nqp(12, 3, 0, -1.0, 0.0)
-        hs, batch = 0.2, 4
-        st = OracleStream(obj, NoiseModel.gaussian_fixed(1.0, hessian_sigma=hs), 0, 0)
+        sigma, batch = 2.0, 4
+        hs = 0.1 * sigma
+        st = OracleStream(obj, NoiseModel.gaussian_fixed(sigma), 0, 0)
         x_new = np.array([0.3, 0.2, 0.1])
         x_old = np.array([0.1, 0.1, 0.1])
         step = x_new - x_old
@@ -299,7 +300,7 @@ class TestScgpp:
                 calls.append((_name, args[-1] if _name == "grad" else len(args[2])))
                 return _original(stream, *args)
             monkeypatch.setattr(OracleStream, name, spy)
-        noise = NoiseModel.gaussian_fixed(0.1, hessian_sigma=0.02)
+        noise = NoiseModel.gaussian_fixed(0.2)
         run_trial(objective, noise, RunConfig("scgpp", 7, batch_size=5))
         assert calls == [("grad", 5)] + [("hessian", 5)] * 6
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -18,20 +19,16 @@ class TestNoiseModelConstruction:
         with pytest.raises(ValueError):
             NoiseModel("laplace")
 
-    def test_hessian_sigma_defaults_to_tenth(self):
-        assert NoiseModel.gaussian_fixed(0.5).hessian_sigma == pytest.approx(0.05)
-        assert NoiseModel.none().hessian_sigma == 0.0
-
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel.clipped_gaussian(-1.0)
 
     @pytest.mark.parametrize("levels", [{"sigma": 1000.0}, {"scale": 0.5},
-                                        {"hessian_sigma": 0.1}])
+                                        {"sigma": 5e-324}])
     def test_exact_oracle_takes_no_noise_level(self, levels):
-        """Under kind ``none`` a positive sigma would still perturb Hessian
-        queries through the ``0.1 * sigma`` default, while ``noise_constants``
-        reports ``(0, 0)``, so any positive level is rejected."""
+        """Under kind ``none`` a positive sigma would still perturb gradient
+        and Hessian queries, while ``noise_constants`` reports ``(0, 0)``, so
+        any positive level is rejected, down to the least positive float."""
         with pytest.raises(ValueError, match="'none' takes no sigma"):
             NoiseModel("none", **levels)
         zero = {key: 0.0 for key in levels}
@@ -44,8 +41,8 @@ class TestNoiseModelConstruction:
     ])
     def test_a_kind_takes_only_the_level_it_reads(self, kind, levels):
         """``gaussian_prop`` reads ``scale`` only: a positive ``sigma`` would
-        still set its Hessian noise through the ``0.1 * sigma`` default while
-        its gradient noise and ``noise_constants`` ignore it.  The other two
+        still set its Hessian noise at ``0.1 * sigma`` while its gradient
+        noise and ``noise_constants`` ignore it.  The other two
         kinds never read ``scale``."""
         unread = "sigma" if kind == "gaussian_prop" else "scale"
         with pytest.raises(ValueError, match=f"'{kind}' takes no {unread}"):
@@ -53,11 +50,18 @@ class TestNoiseModelConstruction:
         read = {key: value for key, value in levels.items() if key != unread}
         assert NoiseModel(kind, **{**levels, unread: 0.0}) == NoiseModel(kind, **read)
 
+    def test_fields_are_kind_sigma_scale(self):
+        """The Hessian level is ``0.1 * sigma``, not a field: neither the
+        constructor nor a factory takes ``hessian_sigma``."""
+        assert [f.name for f in dataclasses.fields(NoiseModel)] == ["kind", "sigma", "scale"]
+        with pytest.raises(TypeError, match="hessian_sigma"):
+            NoiseModel("gaussian_fixed", sigma=1.0, hessian_sigma=0.1)
+        with pytest.raises(TypeError, match="hessian_sigma"):
+            NoiseModel.clipped_gaussian(1.0, hessian_sigma=0.1)
+
     def test_factories_equal_the_constructor(self):
         assert NoiseModel.none() == NoiseModel()
         assert NoiseModel.gaussian_prop(2.0) == NoiseModel("gaussian_prop", scale=2.0)
-        assert NoiseModel.gaussian_prop(2.0).hessian_sigma == 0.0
-        assert NoiseModel.gaussian_prop(2.0, 0.3) == NoiseModel("gaussian_prop", 0.0, 2.0, 0.3)
         assert NoiseModel.gaussian_fixed(0.5) == NoiseModel("gaussian_fixed", sigma=0.5)
         assert NoiseModel.clipped_gaussian(0.5) == NoiseModel("clipped_gaussian", sigma=0.5)
 
@@ -200,7 +204,8 @@ class TestNoisyHessian:
     without building any ``Z_k``."""
 
     N_DRAWS = 50_000
-    HS = 0.2
+    SIGMA = 2.0
+    HS = 0.1 * SIGMA
     D = np.array([0.5, -1.0, 0.0, 2.0, 0.25, -0.75])
     BATCH = 3
 
@@ -208,7 +213,7 @@ class TestNoisyHessian:
         """``N_DRAWS`` noisy answers with ``weights`` at a 6-dimensional
         quadratic minus the exact product ``H d``."""
         obj = generate_nqp(7, 6, 0, -1.0, 0.0)
-        stream = OracleStream(obj, NoiseModel.gaussian_fixed(1.0, hessian_sigma=self.HS), 1, 0)
+        stream = OracleStream(obj, NoiseModel.gaussian_fixed(self.SIGMA), 1, 0)
         x0, x1 = np.full(6, 0.3), np.full(6, 0.5)
         exact = obj.h_matrix @ self.D
         return np.array([stream.hessian(x0, x1, weights, self.D)
@@ -224,9 +229,14 @@ class TestNoisyHessian:
         """Queries of ``BATCH`` weights."""
         return self.answers(np.linspace(0.0, 1.0, self.BATCH))
 
-    def test_zero_sigma_exact_and_draws_nothing(self):
+    @pytest.mark.parametrize("noise", [NoiseModel.none(), NoiseModel.gaussian_prop(0.5),
+                                       NoiseModel.clipped_gaussian(0.0)],
+                             ids=["none", "gaussian_prop", "zero-sigma"])
+    def test_zero_sigma_exact_and_draws_nothing(self, noise):
+        """``none``, ``gaussian_prop`` and a zero ``sigma`` leave Hessian
+        queries exact, beside noisy gradients under ``gaussian_prop``."""
         obj = generate_nqp(6, 3, 0, -1.0, 0.0)
-        stream = OracleStream(obj, NoiseModel.clipped_gaussian(0.5, hessian_sigma=0.0), 0, 0)
+        stream = OracleStream(obj, noise, 0, 0)
         before = stream.rng.bit_generator.state
         d = np.array([0.2, -0.1, 0.4])
         for weights in ([0.0], [0.1, 0.5, 0.9, 0.3]):
@@ -277,7 +287,7 @@ class TestNoisyHessian:
         """In one dimension the product is ``(h + s eta) d``; the root's
         argument ``||d||^2 - d_1^2`` is 0."""
         obj = one_dim_nqp()
-        stream = OracleStream(obj, NoiseModel.gaussian_fixed(1.0, hessian_sigma=0.1), 2, 0)
+        stream = OracleStream(obj, NoiseModel.gaussian_fixed(1.0), 2, 0)
         draws = np.array([stream.hessian([0.0], [1.0], [0.0], [1.0])[0] for _ in range(10_000)])
         inside = np.mean((draws >= -1.5) & (draws <= -0.5))
         assert inside >= 0.9999
@@ -285,7 +295,7 @@ class TestNoisyHessian:
     def test_one_hot_direction_is_finite_without_warning(self):
         """A one-hot ``d`` makes one root's argument exactly 0."""
         obj = generate_nqp(9, 4, 0, -1.0, 0.0)
-        stream = OracleStream(obj, NoiseModel.gaussian_fixed(1.0, hessian_sigma=0.3), 3, 0)
+        stream = OracleStream(obj, NoiseModel.gaussian_fixed(3.0), 3, 0)
         x = np.full(4, 0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -302,11 +312,12 @@ class TestNoisyHessian:
         ``H d + (s / sqrt(b)) (sqrt(||d||^2 - d_j^2) xi_j + eta d_j)`` with
         those draws, ``xi`` first and ``eta`` last."""
         obj = generate_nqp(4, 5, 0, -1.0, 0.0)
-        hs = 0.3
+        sigma = 3.0
+        hs = 0.1 * sigma
         d = np.array([0.3, -0.1, 0.0, 0.2, 0.05])
         x = np.full(5, 0.2)
         for weights in ([0.0], [0.3, 0.9, 0.1, 0.5]):
-            stream = OracleStream(obj, NoiseModel.gaussian_fixed(1.0, hessian_sigma=hs), 11, 2)
+            stream = OracleStream(obj, NoiseModel.gaussian_fixed(sigma), 11, 2)
             fresh = OracleStream(obj, NoiseModel.none(), 11, 2).rng
             out = stream.hessian(x, x + d, weights, d)
             xi_eta = fresh.normal(size=6)

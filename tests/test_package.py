@@ -1,6 +1,8 @@
 """The package namespace is the union of its modules' ``__all__`` lists."""
 
 import importlib
+import pathlib
+import re
 
 import pytest
 
@@ -23,3 +25,12 @@ def test_all_is_the_union_with_no_name_twice():
     assert sorted(drsubmax.__all__) == sorted(names)
     # the command line stays out of the package namespace
     assert "main" not in vars(drsubmax)
+
+
+def test_readme_library_example_runs_as_written(capsys):
+    """README's *Library example* block, run as it stands, prints its one line."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library example\n")[1].split("```python\n")[1].split("```")[0]
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert re.fullmatch(r"worst final value \d+\.\d{4} vs bound -?\d+\.\d{4}\n", out), out
