@@ -5,10 +5,9 @@ Both families expose exact value, gradient, Hessian and Hessian-vector
 product access plus an attached feasible region, so solvers and noise
 oracles can treat them uniformly; ``Objective`` holds only the code they
 share.  A budget instance is one ``(channels, customers)`` matrix of
-influence probabilities, which ``generate_budget`` draws and
-``load_bipartite`` maps from a frequency file.  Generators are seeded and
-fully deterministic.  ``build_problem`` builds the instance a config's
-``problem`` entry specifies.  A quadratic instance file
+influence probabilities, which ``generate_budget`` draws.  Generators are
+seeded and fully deterministic.  ``build_problem`` builds the instance a
+config's ``problem`` entry specifies.  A quadratic instance file
 (``save_nqp``/``load_nqp``) is the JSON of the arrays ``instance_digest``
 hashes: ``A``, ``b``, ``u`` and ``H``.
 """
@@ -31,7 +30,6 @@ __all__ = [
     "BudgetAllocationObjective",
     "generate_nqp",
     "generate_budget",
-    "load_bipartite",
     "save_nqp",
     "load_nqp",
     "load_json",
@@ -149,14 +147,6 @@ def generate_nqp(seed, n: int, m: int, entry_low: float, entry_high: float) -> N
     return NqpObjective(h, poly)
 
 
-def _map_frequency(freq: float, f_max: float) -> float:
-    """The influence probability of a (channel, customer) frequency, where
-    ``f_max`` is the largest frequency in the file being loaded:
-    1 - exp(-freq / f_max), by ``expm1`` so that no small ratio cancels to 0.
-    It lies in (0, 1) for every ``1 <= freq <= f_max``."""
-    return -math.expm1(-freq / f_max)
-
-
 class BudgetAllocationObjective(Objective):
     """Influence-coverage objective over a bipartite channel/customer graph.
 
@@ -246,56 +236,6 @@ def _positive_reals(values, size: int, name: str) -> np.ndarray:
 def _check_sizes(n_channels, n_customers, k) -> None:
     if not all(is_int(v) and v >= 1 for v in (n_channels, n_customers, k)):
         raise ValueError("channels, customers and k must be positive integers")
-
-
-def load_bipartite(path, k: int = 1, alphas=None, upper=None) -> BudgetAllocationObjective:
-    """Build a budget-allocation objective from a tab-separated edge file.
-
-    Lines are ``channel_id <TAB> customer_id <TAB> frequency``; duplicate
-    (channel, customer) pairs have their frequencies summed before
-    ``_map_frequency`` turns each into an influence probability.  A
-    frequency must be a finite number of at least 1, and so must each pair's
-    sum.  Channels and customers are indexed densely in first-appearance
-    order.  The default budget limit is the mean frequency mapped the same
-    way; pass ``upper`` (scalar or per-channel) to override.
-    """
-    channel_ids: dict[str, int] = {}
-    customer_ids: dict[str, int] = {}
-    freqs: dict[tuple[int, int], float] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            chan, cust, freq_text = parts
-            try:
-                freq = float(freq_text)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad frequency {freq_text!r}") from None
-            if not (math.isfinite(freq) and freq >= 1):
-                raise ValueError(f"{path}:{lineno}: frequency must be a finite number >= 1")
-            edge = (channel_ids.setdefault(chan, len(channel_ids)),
-                    customer_ids.setdefault(cust, len(customer_ids)))
-            freq += freqs.get(edge, 0.0)
-            if not math.isfinite(freq):
-                raise ValueError(f"{path}:{lineno}: summed frequency of {chan!r} and "
-                                 f"{cust!r} is not finite")
-            freqs[edge] = freq
-    if not freqs:
-        raise ValueError(f"{path}: no edges")
-    f_max = max(freqs.values())
-    probs = np.zeros((len(channel_ids), len(customer_ids)))
-    channels, customers = np.array(list(freqs)).T
-    probs[channels, customers] = [_map_frequency(freq, f_max) for freq in freqs.values()]
-    if upper is None:
-        mean_freq = sum(freqs.values()) / len(freqs)
-        if math.isinf(mean_freq):  # the sum overflowed; the sum of the ratios cannot
-            mean_freq = f_max * (sum(freq / f_max for freq in freqs.values()) / len(freqs))
-        upper = _map_frequency(mean_freq, f_max)
-    return BudgetAllocationObjective(probs, k=k, alphas=alphas, per_advertiser_upper=upper)
 
 
 def generate_budget(seed, channels: int, customers: int, density: float,
@@ -408,7 +348,6 @@ def instance_digest(objective: Objective) -> str:
 _PROBLEMS = {
     "nqp-generate": generate_nqp,
     "nqp-file": load_nqp,
-    "budget-file": load_bipartite,
     "budget-synthetic": generate_budget,
 }
 

@@ -232,39 +232,26 @@ class TestRun:
         hi = float(summary.split("max=")[1].split()[0])
         assert lo <= mid <= hi
 
-    def test_budget_synthetic_problem(self, tmp_path):
+    @pytest.mark.parametrize("theorem", [
+        pytest.param(theorem, id=f"{algorithm}-{theorem}") for algorithm, theorem in
+        (("scg", "theorem3"), ("scgpp", "theorem5"), ("pga", "theorem1"),
+         ("boosted_pga", "theorem2"))])
+    def test_budget_synthetic_pipeline(self, tmp_path, theorem):
+        """``run``, ``bounds`` and ``report`` on a generated budget instance,
+        for each algorithm with the theorem that bounds it; SCG++ takes its
+        Hessian-vector products from the budget objective's ``hvp``."""
         cfg = write_config(
-            tmp_path, algorithm="scg", T=10, runs=2,
-            problem={"kind": "budget-synthetic", "channels": 3, "customers": 4,
-                     "density": 0.7, "p_low": 0.2, "p_high": 0.7, "seed": 5, "k": 2},
-            noise={"kind": "gaussian_fixed", "sigma": 0.1},
-        )
-        assert cli.main(["run", "--config", str(cfg)]) == 0
+            tmp_path, T=20, runs=3, normalized=True, problem=_BUDGET,
+            noise={"kind": "clipped_gaussian", "sigma": 0.1},
+            opt={"runs": 2, "iterations": 50},
+            bounds=[{"theorem": theorem, "p": 0.9}], **PAIRED[theorem])
+        for command in ("run", "bounds", "report"):
+            assert cli.main([command, "--config", str(cfg)]) == 0, command
         lines = (tmp_path / "out" / "battery.csv").read_text().splitlines()
-        assert len(lines) == 1 + 2 * 10
+        assert len(lines) == 1 + 3 * 20
         assert float(lines[-1].split(",")[3]) > 0.0
-
-    def test_budget_file_problem(self, tmp_path):
-        edges = tmp_path / "edges.tsv"
-        edges.write_text("k1\tc1\t3\nk2\tc1\t1\nk2\tc2\t2\n")
-        cfg = write_config(
-            tmp_path, algorithm="scg", T=5, runs=1,
-            problem={"kind": "budget-file", "path": str(edges), "k": 2, "upper": 1.5},
-        )
-        assert cli.main(["run", "--config", str(cfg)]) == 0
-        assert (tmp_path / "out" / "battery.csv").exists()
-
-    def test_budget_file_mapping_rejected(self, tmp_path, capsys):
-        """A budget file's frequencies are read one way, so ``mapping`` is an
-        unknown key like any other."""
-        edges = tmp_path / "edges.tsv"
-        edges.write_text("k1\tc1\t3\n")
-        cfg = write_config(tmp_path, algorithm="scg", T=5, runs=1,
-                           problem={"kind": "budget-file", "path": str(edges),
-                                    "mapping": "exp"})
-        assert cli.main(["run", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == "error: unknown problem[budget-file] key(s): mapping\n"
-        assert not (tmp_path / "out").exists()
+        report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+        assert any(ln.startswith(f"violation {theorem}:") for ln in report)
 
     def test_parallel_matches_sequential(self, tmp_path, one_dim_instance):
         seq_cfg = write_config(tmp_path, name="seq.json", runs=4,
@@ -973,6 +960,8 @@ _INVALID = [
          "alphas must be 2 finite positive numbers"),
         ("file-path-number", {"problem": {"kind": "nqp-file", "path": 1}},
          "problem path must be a string"),
+        ("budget-file", {"problem": {"kind": "budget-file", "path": "edges.tsv"}},
+         "error: unknown problem kind 'budget-file'\n"),
         ("output_dir-empty", {"output_dir": ""}, "output_dir must not be empty"),
         ("t_min-equals-T", {"t_min": 4}, "t_min must be below T"),
         ("theorem4-alpha-near-one",

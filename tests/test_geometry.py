@@ -1737,6 +1737,19 @@ class TestDiameterBound:
     def test_three_four_five(self):
         assert diameter_bound(Polytope.box([3.0, 4.0])) == 5.0
 
+    def test_bounds_every_vertex_pair(self):
+        """The bound is at least the largest distance between two vertices,
+        the region's diameter, up to rounding, on small random polytopes; on
+        a box, whose diameter it is, it equals that distance."""
+        rng = np.random.default_rng(29)
+        for with_halfspaces in [True] * 40 + [False] * 10:
+            poly = random_small_polytope(rng, with_halfspaces)
+            verts = enumerate_vertices(poly)
+            widest = np.max(np.linalg.norm(verts[:, None] - verts[None], axis=-1))
+            assert widest <= diameter_bound(poly) * (1.0 + 1e-12)
+            if not with_halfspaces:
+                assert widest == pytest.approx(diameter_bound(poly), rel=1e-12)
+
 
 class TestSerialization:
     def test_round_trip_exact(self, tmp_path):

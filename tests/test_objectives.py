@@ -11,7 +11,6 @@ from drsubmax.objectives import (
     generate_budget,
     generate_nqp,
     instance_digest,
-    load_bipartite,
     load_nqp,
     save_nqp,
 )
@@ -186,6 +185,49 @@ class TestBudget:
         with pytest.raises(ValueError, match="no edges"):
             BudgetAllocationObjective([[0.0, 0.0]])
 
+    def test_small_probability_keeps_its_mass(self):
+        """A probability of 1e-17 gives one unit of budget a positive value,
+        not the 0 that ``1 - (1 - p)`` rounds to."""
+        obj = BudgetAllocationObjective([[1e-17]], alphas=[1.0])
+        assert obj.value([1.0]) == pytest.approx(1e-17, rel=1e-12)
+        assert obj.value([1.0]) > 0.0
+
+    def test_channels_combine_on_a_customer(self):
+        """Two channels reaching one customer cover it with probability
+        ``1 - (1 - p1)(1 - p2)``; one channel reaching two customers covers
+        each on its own."""
+        two_channels = BudgetAllocationObjective([[0.5], [0.25]], alphas=[1.0])
+        assert two_channels.value([1.0, 1.0]) == pytest.approx(1 - 0.5 * 0.75, abs=1e-15)
+        two_customers = BudgetAllocationObjective([[0.5, 0.25]], alphas=[1.0])
+        assert two_customers.value([1.0]) == pytest.approx(0.75, abs=1e-15)
+
+    def test_alphas_weight_advertisers(self):
+        obj = BudgetAllocationObjective([[0.5]], k=2, alphas=[0.25, 0.75])
+        assert obj.value([1.0, 0.0]) == pytest.approx(0.25 * 0.5, abs=1e-15)
+        assert obj.value([0.0, 2.0]) == pytest.approx(0.75 * 0.75, abs=1e-15)
+
+    @pytest.mark.parametrize("upper, per_channel", [(3.0, [3.0, 3.0]), ([2.0, 3.0], [2.0, 3.0])],
+                             ids=["scalar", "per-channel"])
+    def test_advertisers_replicate_budget(self, upper, per_channel):
+        obj = BudgetAllocationObjective([[0.5], [0.25]], k=3, per_advertiser_upper=upper)
+        assert obj.dim == 6
+        np.testing.assert_array_equal(obj.per_advertiser_upper, per_channel)
+        np.testing.assert_array_equal(obj.polytope.upper, per_channel * 3)
+
+    @pytest.mark.parametrize("seed, channels, customers, density",
+                             [(1, 5, 40, 0.01), (2, 40, 5, 0.01), (3, 12, 12, 0.2)])
+    def test_generator_reaches_every_channel_and_customer(self, seed, channels,
+                                                          customers, density):
+        obj = generate_budget(seed, channels, customers, density, 0.1, 0.8)
+        edge = obj._coeff > 0.0  # (customers, channels)
+        assert edge.shape == (customers, channels)
+        assert edge.any(axis=0).all() and edge.any(axis=1).all()
+
+    def test_generator_probabilities_in_range(self):
+        obj = generate_budget(7, 6, 9, 0.5, 0.3, 0.6)
+        probs = -np.expm1(-obj._coeff[obj._coeff > 0.0])
+        assert np.all((probs >= 0.3 - 1e-15) & (probs <= 0.6 + 1e-15))
+
 
 class TestDrProperties:
     """DR sign, monotonicity, and gradient antitonicity on both families."""
@@ -253,87 +295,6 @@ class TestDrProperties:
                 assert np.all(obj.grad(x) >= obj.grad(y) - 1e-9)
 
 
-class TestBipartiteLoading:
-    def _write(self, tmp_path, text):
-        path = tmp_path / "edges.tsv"
-        path.write_text(text)
-        return path
-
-    def test_exp_mapping_single_edge(self, tmp_path):
-        path = self._write(tmp_path, "k1\tc1\t3\n")
-        obj = load_bipartite(path)  # one unit on the edge's channel gives its probability
-        assert obj.value([1.0]) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = self._write(tmp_path, "")
-        with pytest.raises(ValueError, match="no edges"):
-            load_bipartite(path)
-
-    def test_duplicate_edges_sum_frequencies(self, tmp_path):
-        # a blank line is skipped
-        dup = load_bipartite(self._write(tmp_path, "k1\tc1\t2\n\nk1\tc1\t1\nk2\tc1\t3\n"))
-        single = load_bipartite(self._write(tmp_path, "k1\tc1\t3\nk2\tc1\t3\n"))
-        assert instance_digest(dup) == instance_digest(single)
-
-    def test_malformed_line_reports_number(self, tmp_path):
-        path = self._write(tmp_path, "k1\tc1\t3\nk2 c2 4\n")
-        with pytest.raises(ValueError, match=":2"):
-            load_bipartite(path)
-
-    def test_bad_frequency_reports_number(self, tmp_path):
-        path = self._write(tmp_path, "k1\tc1\tabc\n")
-        with pytest.raises(ValueError, match=":1"):
-            load_bipartite(path)
-
-    @pytest.mark.parametrize("freq", ["nan", "inf"])
-    def test_non_finite_frequency_reports_number(self, tmp_path, freq):
-        path = self._write(tmp_path, f"k1\tc1\t3\nk2\tc1\t{freq}\n")
-        with pytest.raises(ValueError, match=r"edges\.tsv:2: frequency must be a finite"):
-            load_bipartite(path)
-
-    def test_overflowing_sum_reports_number(self, tmp_path):
-        path = self._write(tmp_path, "k2\tc1\t3\nk1\tc1\t1e308\nk1\tc1\t1e308\n")
-        with pytest.raises(ValueError, match=r"edges\.tsv:3: summed frequency .* not finite"):
-            load_bipartite(path)
-
-    def test_exp_mapping_keeps_small_ratios(self, tmp_path):
-        """A frequency ratio of 1e-17 maps to a positive probability, not to
-        the 0 that ``1 - exp(-1e-17)`` rounds to."""
-        obj = load_bipartite(self._write(tmp_path, "k1\tc1\t1\nk2\tc1\t1e17\n"))
-        assert obj.value([1.0, 0.0]) == -math.expm1(-1e-17)
-        assert obj.value([1.0, 0.0]) > 0.0
-
-    def test_probabilities_and_upper_override(self, tmp_path):
-        path = self._write(tmp_path, "k1\tc1\t1\nk2\tc1\t4\n")
-        obj = load_bipartite(path, upper=3.0)
-        # one unit on a channel gives the probability of its one edge
-        expected = [1.0 - math.exp(-f / 4.0) for f in (1.0, 4.0)]
-        assert [obj.value(x) for x in np.eye(2)] == pytest.approx(expected, abs=1e-12)
-        np.testing.assert_array_equal(obj.polytope.upper, [3.0, 3.0])
-
-    def test_default_budget_is_mapped_mean_frequency(self, tmp_path):
-        path = self._write(tmp_path, "k1\tc1\t2\nk2\tc2\t4\n")
-        obj = load_bipartite(path)
-        expected = 1.0 - math.exp(-3.0 / 4.0)
-        np.testing.assert_allclose(obj.per_advertiser_upper, expected)
-
-    @pytest.mark.parametrize("freq", ["1e308", "1.7976931348623157e308"])
-    def test_default_budget_of_huge_frequencies(self, tmp_path, freq):
-        """The mean frequency does not overflow where the frequency sum does:
-        the file loads as the same file at frequency 1."""
-        lines = "".join(f"k{i}\tc{i}\t{{}}\n" for i in range(3))
-        huge = load_bipartite(self._write(tmp_path, lines.format(freq, freq, freq)))
-        unit = load_bipartite(self._write(tmp_path, lines.format(1, 1, 1)))
-        assert instance_digest(huge) == instance_digest(unit)
-        np.testing.assert_array_equal(huge.per_advertiser_upper, unit.per_advertiser_upper)
-
-    def test_advertisers_replicate_budget(self, tmp_path):
-        path = self._write(tmp_path, "k1\tc1\t2\nk2\tc2\t4\n")
-        obj = load_bipartite(path, k=3)
-        assert obj.dim == 6
-        assert obj.polytope.upper.size == 6
-
-
 class TestNqpSerialization:
     @pytest.mark.parametrize("obj", [generate_nqp(31, 5, 2, -1.0, 0.0),
                                      generate_nqp(32, 3, 0, -1.0, 0.0), acceptance_nqp()],
@@ -393,17 +354,13 @@ class TestInstanceDigest:
         assert instance_digest(generate_budget(5, 3, 4, 0.7, 0.2, 0.7, k=2)) == \
             instance_digest(generate_budget(5, 3, 4, 0.7, 0.2, 0.7, k=2))
 
-    def test_budget_digests_pinned(self, tmp_path):
-        """The acceptance budget instance and a file with a duplicate edge
-        hash to fixed digests, so any change to the generator's
-        draws or to the coefficient arithmetic shows here."""
+    def test_budget_digests_pinned(self):
+        """The acceptance budget instance hashes to a fixed digest, so any
+        change to the generator's draws or to the coefficient arithmetic
+        shows here."""
         acceptance = generate_budget(104, 4, 5, density=0.6, p_low=0.1, p_high=0.8, k=2)
         assert instance_digest(acceptance) == \
             "ea1b3724071babe1699d79bbc13c313acdbb3f81522b6b167e623ff8eaeb4ab3"
-        path = tmp_path / "edges.tsv"
-        path.write_text("k1\tc1\t3\nk2\tc1\t1\nk2\tc2\t2\nk1\tc1\t2\n")
-        assert instance_digest(load_bipartite(path, k=2)) == \
-            "7b50335c54d7d2fd59cd7ec0152660e919bd29cd6281f8e41f6d9c98e213e549"
 
     def test_every_defining_array_counts(self):
         """Changing H, A, b, u, the budget coefficients, alphas or the kind of

@@ -1,12 +1,15 @@
-"""The package namespace is the union of its modules' ``__all__`` lists."""
+"""The package namespace is the union of its modules' ``__all__`` lists, and
+README's library example and table of ``problem`` kinds match the package."""
 
 import importlib
+import inspect
 import pathlib
 import re
 
 import pytest
 
 import drsubmax
+from drsubmax import objectives
 
 _MODULES = ("analysis", "bounds", "geometry", "objectives", "optimizers", "oracles")
 
@@ -27,10 +30,28 @@ def test_all_is_the_union_with_no_name_twice():
     assert "main" not in vars(drsubmax)
 
 
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_readme_library_example_runs_as_written(capsys):
     """README's *Library example* block, run as it stands, prints its one line."""
-    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     block = readme.split("## Library example\n")[1].split("```python\n")[1].split("```")[0]
     exec(compile(block, "README.md", "exec"), {})
     out = capsys.readouterr().out
     assert re.fullmatch(r"worst final value \d+\.\d{4} vs bound -?\d+\.\d{4}\n", out), out
+
+
+def test_readme_problem_table_is_the_builders():
+    """README's table of ``problem`` kinds has one row a kind of
+    ``objectives._PROBLEMS``, in its order, each with the builder's
+    signature: the parameter names, with ``=repr(default)`` where there is one."""
+    table = README.read_text().split("| `kind` | builder |\n| --- | --- |\n")[1]
+    rows = table.split("\n\n")[0].splitlines()
+    expected = []
+    for kind, builder in objectives._PROBLEMS.items():
+        params = ", ".join(
+            name if param.default is param.empty else f"{name}={param.default!r}"
+            for name, param in inspect.signature(builder).parameters.items())
+        expected.append(f"| `{kind}` | `{builder.__name__}({params})` |")
+    assert rows == expected
