@@ -88,8 +88,9 @@ RECOMPUTED = (0, 7, 15)
 
 
 def test_the_10x5_family_is_the_configs_its_spec_writes():
-    """``make_family.py`` writes the family's 270 committed configs from its
-    spec, each in the script's format.  Floats are compared to a relative
+    """``make_family.py`` writes the family's committed configs from its
+    spec, one for each entry, each of its seeds and each ratio, each in the
+    script's format.  Floats are compared to a relative
     tolerance, since another numpy or BLAS may move their last bits: 1e-12
     for ``sigma``, one gradient norm, and 1e-9 for ``opt``, 5000 SCG steps."""
     spec = json.loads((EXPERIMENTS / "10x5-family.json").read_text())
@@ -102,7 +103,9 @@ def test_the_10x5_family_is_the_configs_its_spec_writes():
         return committed[f"scg-s{seed}-r10"]["opt"]
 
     written = make_family.configs(spec, "experiments/10x5-family", opt)
-    assert len(written) == 270 and written.keys() == committed.keys()
+    count = sum(len(own.get("seeds", spec["seeds"])) * len(spec["ratios"])
+                for own in spec["algorithms"].values())
+    assert len(written) == count and written.keys() == committed.keys()
     for name, config in written.items():
         assert texts[name] == make_family.text(committed[name])
         expected = committed[name]
