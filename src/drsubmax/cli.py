@@ -87,7 +87,8 @@ class Experiment:
     entry's instance, and its digest ``instance`` last, so a bad value is
     reported before any instance file is read.  The trial and noise keys
     default in ``RunConfig``, ``StepRule``, ``MomentumRule`` and
-    ``NoiseModel``, and the fit keys in ``analysis.shared_c1_refit``."""
+    ``NoiseModel``, and ``t_min`` in ``analysis.shared_c1_refit``, at
+    whose default ``p`` every report fits."""
 
     trial: RunConfig
     problem: dict
@@ -98,7 +99,6 @@ class Experiment:
     opt: float | dict | None = None
     normalized: bool = True
     t_min: int = inspect.signature(analysis.shared_c1_refit).parameters["t_min"].default
-    fit_exponent: float = inspect.signature(analysis.shared_c1_refit).parameters["p"].default
     workers: int | str = "auto"
     objective: objectives.Objective = field(init=False, repr=False, compare=False)
     instance: str = field(init=False, repr=False, compare=False)
@@ -113,8 +113,6 @@ class Experiment:
                 raise ValueError(f"{key} must be a positive integer")
         if self.workers != "auto" and not (is_int(self.workers) and self.workers >= 1):
             raise ValueError("workers must be a positive integer or 'auto'")
-        if not (is_finite_real(self.fit_exponent) and self.fit_exponent > 0):
-            raise ValueError("fit_exponent must be a positive finite number")
         if not isinstance(self.normalized, bool):
             raise ValueError("normalized must be true or false")
         if not isinstance(self.bounds, list):
@@ -367,7 +365,7 @@ def cmd_report(cfg: Experiment) -> None:
         for label, stat in _REPORT_STATS:
             t, values = analysis.trajectory_statistic(battery, stat, series)
             curves.append((t, values / scale, label))
-    fits = analysis.shared_c1_refit(curves, p=cfg.fit_exponent, t_min=cfg.t_min)
+    fits = analysis.shared_c1_refit(curves, t_min=cfg.t_min)
 
     violations = []
     for curve in bound_curves:
@@ -392,7 +390,7 @@ def cmd_report(cfg: Experiment) -> None:
         f"series: {series}",
         f"opt: {opt_text}",
         f"normalized: {str(cfg.normalized).lower()}",
-        f"fit: p={cfg.fit_exponent:.17g} t_min={cfg.t_min}",
+        f"fit: p={fits[0].p:.17g} t_min={cfg.t_min}",
         f"c1_shared: {fits[0].c1:.17g}",
     ]
     for fit in fits:
