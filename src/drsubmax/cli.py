@@ -205,7 +205,7 @@ def resolve_opt(cfg: Experiment) -> float:
     the instance's digest, the noise model, ``n_runs``, ``iterations`` and
     the offset seed; under noise ``none``, which draws nothing, ``n_runs``
     is 1 and the seed is left out.  They leave out ``output_dir``, the
-    bounds and the fit keys.  When ``output_dir/opt.json`` parses, holds
+    bounds and ``t_min``.  When ``output_dir/opt.json`` parses, holds
     these inputs and a finite positive ``opt``, that value is returned (a
     JSON float round-trips); otherwise the estimate is written there with
     its inputs.

@@ -290,7 +290,7 @@ class TestFitCurveReference:
             assert abs(fit.residual - resid_ref) <= 1e-10 * resid_ref + floor
             assert (fit.p, fit.label, fit.n_points) == (p, "ref", t.size - t_min + 1)
 
-    @pytest.mark.parametrize("p", [1e-9, 1e-12])
+    @pytest.mark.parametrize("p", [1e-9, 1e-12, 1e-13])
     def test_residual_at_a_tiny_exponent(self, p):
         """``t^-p`` is nearly ``1 - p ln t``, so ``c1`` and ``c2`` are near
         ``1 / p``: they are still exact within 1e-12 relative, and the

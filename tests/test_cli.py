@@ -12,7 +12,7 @@ from drsubmax.geometry import LmoError, Polytope
 from drsubmax.objectives import (NqpObjective, generate_nqp, instance_digest, load_nqp,
                                  save_nqp)
 
-from _util import MALFORMED_NQP_FILES, exact_two_stage_fit
+from _util import MALFORMED_NQP_FILES
 
 
 @pytest.fixture()
@@ -360,11 +360,9 @@ class TestReport:
             assert c2 == pytest.approx(2.0, abs=1e-8)
             assert (out / f"stats_{label}.csv").exists()
 
-    def test_ci_smoke_fit_at_a_tiny_exponent_is_exact(self, tmp_path):
-        """The packaging smoke's scg battery reported at ``fit_exponent``
-        1e-13, where ``c1`` and ``c2`` are near 3.4e12 and cancel: each
-        printed residual is the exact two-stage fit's within 1e-8 relative,
-        and ``c1_shared`` within 1e-15."""
+    def test_at_T_follows_the_fits_as_each_statistics_last_row(self, tmp_path):
+        """The packaging smoke's scg battery: the line after the last fit holds
+        each statistic's value at t = T, as its ``stats_*.csv``'s last row."""
         instance = tmp_path / "nqp5.json"
         assert cli.main(["generate", "nqp", "--n", "5", "--m", "1", "--low", "-1", "--high",
                          "0", "--seed", "7", "--out", str(instance)]) == 0
@@ -373,23 +371,13 @@ class TestReport:
                            noise={"kind": "clipped_gaussian", "sigma": 0.1},
                            opt={"runs": 2, "iterations": 50})
         assert main_with("run", cfg) == 0
-        assert main_with("report", cfg, ["fit_exponent=1e-13"]) == 0
+        assert main_with("report", cfg) == 0
         out = tmp_path / "out"
         report = (out / "report.txt").read_text().splitlines()
-        curves, at_T = [], []
-        for label in ("min", "median", "q90"):
-            rows = (out / f"stats_{label}.csv").read_text().splitlines()[1:]
-            curves.append(np.array([[float(v) for v in row.split(",")[:2]] for row in rows]).T)
-            at_T.append(f"{label}={rows[-1].split(',')[1]}")
-        # the line after the last fit holds each statistic's value at t = T, as its file's last row
+        last_rows = {label: (out / f"stats_{label}.csv").read_text().splitlines()[-1]
+                     for label in ("min", "median", "q90")}
+        at_T = [f"{label}={row.split(',')[1]}" for label, row in last_rows.items()]
         assert report[report.index(f"at_T: {' '.join(at_T)}") - 1].startswith("fit q90:")
-        exact = exact_two_stage_fit(curves, 1e-13)
-        c1 = float(next(ln for ln in report if ln.startswith("c1_shared:")).split(":")[1])
-        assert 3e12 < c1 < 4e12
-        assert c1 == pytest.approx(exact[0][0], rel=1e-15)
-        for label, (_, _, resid) in zip(("min", "median", "q90"), exact):
-            line = next(ln for ln in report if ln.startswith(f"fit {label}:"))
-            assert float(line.split("residual=")[1].split()[0]) == pytest.approx(resid, rel=1e-8)
 
     def test_noise_free_battery_has_zero_violation_rate(self, tmp_path, one_dim_instance):
         cfg = write_config(tmp_path, T=20, runs=3, opt=0.5,
@@ -448,14 +436,14 @@ class TestReport:
         assert not (tmp_path / "out" / "report.txt").exists()
 
     def test_fit_defaults_are_the_refits_own(self, tmp_path, one_dim_instance):
-        """A config without ``t_min`` or ``fit_exponent`` fits with the
-        defaults of ``analysis.shared_c1_refit``."""
+        """A config without ``t_min`` fits with the defaults of
+        ``analysis.shared_c1_refit``, ``p`` 0.5 and ``t_min`` 1."""
         cfg = write_config(tmp_path)
         for command in ("run", "report"):
             assert cli.main([command, "--config", str(cfg)]) == 0
         params = inspect.signature(shared_c1_refit).parameters
-        assert f"fit: p={params['p'].default} t_min={params['t_min'].default}" in \
-            (tmp_path / "out" / "report.txt").read_text().splitlines()
+        assert (params["p"].default, params["t_min"].default) == (0.5, 1)
+        assert "fit: p=0.5 t_min=1" in (tmp_path / "out" / "report.txt").read_text().splitlines()
 
     def test_missing_battery_exits_io(self, tmp_path, one_dim_instance, capsys):
         cfg = write_config(tmp_path)
@@ -892,8 +880,6 @@ _INVALID = [
      "error: unknown noise key(s): hessian_sigma\n"),
     ("run", "output_dir-number", {"output_dir": 5}, "output_dir must be a string"),
     ("report", "T-true", {"T": True}, "T must be an integer >= 1"),
-    ("report", "fit_exponent-text", {"fit_exponent": "a"},
-     "fit_exponent must be a positive finite number"),
     ("report", "normalized-text", {"normalized": "yes"}, "normalized must be true or false"),
     ("run", "algorithm-unknown", {"algorithm": "sgd"}, "unknown algorithm 'sgd'"),
     ("run", "algorithm-null", {"algorithm": None}, "config key 'algorithm' is required"),
@@ -938,6 +924,8 @@ _INVALID = [
     (command, name, change, message)
     for command in ("run", "bounds", "report")
     for name, change, message in (
+        ("fit_exponent-unknown", {"fit_exponent": 0.5},
+         "error: unknown config key(s): fit_exponent\n"),
         ("generate-n-text", {"problem": {**_GENERATED, "n": "a"}},
          "need integers seed >= 0, n >= 1 and m >= 0"),
         ("generate-n-fraction", {"problem": {**_GENERATED, "n": 2.5}},
@@ -1399,15 +1387,12 @@ class TestOverflowExit:
         (None, ["opt=5e-324"], "fit 'min': a value of its curve is not a finite float"),
         ({"kind": "nqp-generate", "seed": 3, "n": 4, "m": 2, "entry_low": -1e160,
           "entry_high": 0}, [], "fit 'min': its c1, c2 or residual is not a finite float"),
-        (None, ["fit_exponent=1e-17"],
-         "fit 'min': singular design: t^-p does not vary over t >= t_min in floats"),
-    ], ids=["tiny-opt", "huge-values", "tiny-exponent"])
+    ], ids=["tiny-opt", "huge-values"])
     def test_report_of_a_fit_floats_cannot_hold_exits_2(self, tmp_path, one_dim_instance,
                                                          problem, overrides, message, capsys):
-        """Values over an opt near zero overflow to inf, values near 1e160
-        overflow the fit's residual, and at the exponent 1e-17 every ``t^-p``
-        rounds to 1.0: one ``error:`` line naming the curve, no numpy warning,
-        and no statistics or report written."""
+        """Values over an opt near zero overflow to inf, and values near
+        1e160 overflow the fit's residual: one ``error:`` line naming the
+        curve, no numpy warning, and no statistics or report written."""
         cfg = write_config(tmp_path, T=5, opt=1.0, normalized=problem is None,
                            momentum_rule={"kind": "alpha", "value": 0.5},
                            **({"problem": problem} if problem else {}))

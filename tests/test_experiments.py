@@ -90,9 +90,9 @@ RECOMPUTED = (0, 7, 15)
 def test_the_10x5_family_is_the_configs_its_spec_writes():
     """``make_family.py`` writes the family's committed configs from its
     spec, one for each entry, each of its seeds and each ratio, each in the
-    script's format.  Floats are compared to a relative
-    tolerance, since another numpy or BLAS may move their last bits: 1e-12
-    for ``sigma``, one gradient norm, and 1e-9 for ``opt``, 5000 SCG steps."""
+    script's format.  Floats are compared to a relative tolerance, since
+    another numpy or BLAS may move their last bits: 1e-12 for ``sigma``,
+    one gradient norm, and 1e-9 for ``opt``, 5000 SCG steps."""
     spec = json.loads((EXPERIMENTS / "10x5-family.json").read_text())
     texts = {path.stem: path.read_text() for path in (EXPERIMENTS / "10x5-family").glob("*.json")}
     committed = {name: json.loads(text) for name, text in texts.items()}
