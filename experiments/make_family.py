@@ -5,19 +5,17 @@ repository root:
 
 The spec holds the ``problem`` entry without its ``seed``, the instance
 ``seeds``, the noise ``ratios`` and ``noise`` kind, the ``trial`` settings
-every config shares, the ``opt_iterations`` of the optimum's estimate, and
-the ``algorithms`` by label, each with the config keys of its own, its
-``bounds`` included; an entry's own ``seeds``, a subset of the spec's,
-name the instances it runs on, all of the spec's if it names none.  One
-config is written for each label, each of its seeds and each ratio, named
-``<label>-s<seed>-r<ratio>``, into the directory named like the spec
-without ``.json``, where ``run_configs.py`` and ``summarize.py`` read it.
+every config shares, and the ``algorithms`` by label, each with the config
+keys of its own, its ``bounds`` included; an entry's own ``seeds``, a
+subset of the spec's, name the instances it runs on, all of the spec's if
+it names none.  One config is written for each label, each of its seeds
+and each ratio, named ``<label>-s<seed>-r<ratio>``, into the directory
+named like the spec without ``.json``, where ``run_configs.py`` and
+``summarize.py`` read it.
 
 An instance's noise deviation is ``sigma = r * ||grad f(0)|| / sqrt(n)``,
 so its noise ratio ``sigma * sqrt(n) / ||grad f(0)||`` is ``r``.  Its
-``opt`` is the noise-free SCG value at ``opt_iterations``
-(``approx_opt``), a lower estimate of the optimum: every value normalized
-by it is an upper estimate of the true normalized value."""
+``opt`` is the exact optimum, ``NqpObjective.exact_opt``."""
 
 import json
 import math
@@ -26,26 +24,20 @@ import sys
 
 import numpy as np
 
-from drsubmax.analysis import approx_opt
 from drsubmax.objectives import build_problem
 
 
-def noise_free_opt(spec: dict, seed: int, objective) -> float:
-    """Instance ``seed``'s ``opt``: the noise-free SCG value of its
-    ``objective``."""
-    return approx_opt(objective, iterations=spec["opt_iterations"])
-
-
-def configs(spec: dict, directory: str, opt=noise_free_opt) -> dict:
+def configs(spec: dict, directory: str,
+            opt=lambda seed, objective: objective.exact_opt()) -> dict:
     """Every config of the family by name, each writing into ``directory``;
-    ``opt(spec, seed, objective)`` gives instance ``seed``'s ``opt``."""
+    ``opt(seed, objective)`` gives instance ``seed``'s ``opt``."""
     family = {}
     for seed in spec["seeds"]:
         entry = dict(spec["problem"])
         entry = {"kind": entry.pop("kind"), "seed": seed, **entry}
         objective = build_problem(entry)
         grad0_norm = float(np.linalg.norm(objective.grad(np.zeros(objective.dim))))
-        value = opt(spec, seed, objective)
+        value = opt(seed, objective)
         for label, own in spec["algorithms"].items():
             own = dict(own)
             algorithm, bounds = own.pop("algorithm"), own.pop("bounds")
