@@ -1,7 +1,7 @@
 """Run ``run``, ``bounds`` and ``report`` on every config of one experiment
 directory, in name order, from the repository root:
 
-    PYTHONPATH=src python experiments/run_configs.py experiments/10x5
+    PYTHONPATH=src python experiments/run_configs.py experiments/10x5-family
 
 It prints each command's wall time in seconds and its exit code to stderr,
 one line a command, and writes ``battery.sha256`` (``sha256sum -c`` reads

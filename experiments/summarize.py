@@ -1,6 +1,6 @@
 """Print one experiment directory's results table, as README shows it:
 
-    python experiments/summarize.py experiments/10x5
+    python experiments/summarize.py experiments/100x50
 
 It reads only the committed configs and their ``report.txt`` files, and
 the config names choose the table.  A protocol's configs are named
@@ -16,11 +16,7 @@ each algorithm and ratio is one row over the instances: their number; the
 min, median and max over them of the worst run at T (``at_T:``'s ``min``)
 and of the gap from it to the median run; the instances whose worst run
 is below the threshold; and the instance with the lowest worst run.  Rows
-go by ratio, then by algorithm.  An instance's values are divided by the
-highest ``at_T:`` value that any of its reports shows, where that exceeds
-1: each is at most some run's value at a feasible point, so it is, like
-``opt``, a lower estimate of OPT.  Every value in the table is thus an
-upper estimate, and an instance counted below the threshold is below it."""
+go by ratio, then by algorithm."""
 
 import json
 import math
@@ -69,8 +65,7 @@ def _result(directory: str, name: str) -> dict:
     at_t = _fields(lines["at_T"])
     return {"ratio": parts["ratio"], "seed": parts["seed"], "algorithm": algorithm,
             "config": config, "lines": lines, "threshold": _threshold(config["algorithm"]),
-            "min": float(at_t["min"]), "median": float(at_t["median"]),
-            "highest": max(map(float, at_t.values()))}
+            "min": float(at_t["min"]), "median": float(at_t["median"])}
 
 
 def _row(result: dict) -> str:
@@ -116,13 +111,8 @@ def table(directory: str) -> str:
                      key=lambda r: (float(r["ratio"]), r["algorithm"]))
     if not all(r["seed"] for r in results):
         return "\n".join([HEADER, *map(_row, results)])
-    estimate = {}
-    for result in results:
-        estimate[result["seed"]] = max(estimate.get(result["seed"], 1.0), result["highest"])
     groups = {}
     for result in results:
-        scale = estimate[result["seed"]]
-        result.update(min=result["min"] / scale, median=result["median"] / scale)
         groups.setdefault((result["ratio"], result["algorithm"]), []).append(result)
     return "\n".join([FAMILY_HEADER, *map(_family_row, groups.values())])
 

@@ -26,7 +26,7 @@ import numpy as np
 from .geometry import Polytope, _check_dim
 
 #: the largest dimension ``NqpObjective.exact_opt`` enumerates: 3^n 2^m faces,
-#: ≈ 3 s at 10 x 5 and ≈ 28 s at 12 x 6
+#: ≈ 2 s at 10 x 5 and ≈ 23 s at 12 x 6
 _EXACT_OPT_MAX_DIM = 12
 #: a face's KKT matrix with a larger condition number is reported, not solved
 #: (at most 7.6e10 on ``generate_nqp(s, 10, 5, -1, 0)``, s = 0-29)
@@ -162,21 +162,22 @@ class NqpObjective(Objective):
                 h_free, a_free = h_mat[np.ix_(free, free)], a_mat[:, free]
                 grad = -(h_mat[free] @ corners + self.h_vector[free, None])
                 slack = poly.b_vector[:, None] - a_mat @ corners
-                points = [] if k else [corners]  # no free coordinate: the box's vertices
-                for size in range(min(m, k) + 1 if k else 0):
+                points = []
+                for size in range(min(m, k) + 1):
                     for tight in map(list, itertools.combinations(range(m), size)):
-                        kkt = np.zeros((k + size, k + size))
-                        kkt[:k, :k] = h_free
-                        kkt[k:, :k] = a_free[tight]
-                        kkt[:k, k:] = -kkt[k:, :k].T
-                        cond = np.linalg.cond(kkt)
-                        if not cond <= _EXACT_OPT_MAX_COND:
-                            raise ValueError(
-                                f"exact_opt: the KKT matrix of the face with free coordinates "
-                                f"{free} and tight halfspaces {tight} has condition number "
-                                f"{cond:.3g}, above {_EXACT_OPT_MAX_COND:g}")
-                        face = corners.copy()
-                        face[free] = np.linalg.solve(kkt, np.vstack([grad, slack[tight]]))[:k]
+                        face = corners.copy()  # with no free coordinate, the box's vertices
+                        if k:
+                            kkt = np.zeros((k + size, k + size))
+                            kkt[:k, :k] = h_free
+                            kkt[k:, :k] = a_free[tight]
+                            kkt[:k, k:] = -kkt[k:, :k].T
+                            cond = np.linalg.cond(kkt)
+                            if not cond <= _EXACT_OPT_MAX_COND:
+                                raise ValueError(
+                                    f"exact_opt: the KKT matrix of the face with free coordinates "
+                                    f"{free} and tight halfspaces {tight} has condition number "
+                                    f"{cond:.3g}, above {_EXACT_OPT_MAX_COND:g}")
+                            face[free] = np.linalg.solve(kkt, np.vstack([grad, slack[tight]]))[:k]
                         points.append(face)
                 points = np.hstack(points)
                 excess = np.vstack([-points, points - upper[:, None],

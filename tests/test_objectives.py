@@ -15,8 +15,8 @@ from drsubmax.objectives import (
     save_nqp,
 )
 
-from _util import (MALFORMED_NQP_FILES, TRIANGLE_FILE, acceptance_nqp, fd_gradient,
-                   fd_hessian, sample_feasible)
+from _util import (MALFORMED_NQP_FILES, TRIANGLE_FILE, acceptance_nqp, exact_nqp_opt,
+                   fd_gradient, fd_hessian, sample_feasible)
 
 LN2 = math.log(2.0)
 
@@ -72,6 +72,44 @@ class TestNqp:
             NqpObjective(huge, Polytope.box([1.0, 1.0]))
         with pytest.raises(ValueError, match="linear term"):
             generate_nqp(3, 4, 2, -1e308, 0.0)
+
+
+class TestExactOpt:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n,m", [(5, 2), (4, 3), (4, 2), (3, 0), (2, 3)])
+    def test_equals_the_face_by_face_enumeration(self, n, m, seed):
+        """The batched enumeration finds the maximum that ``exact_nqp_opt``,
+        one KKT solve a face, finds: on a box (m = 0) and where some tight
+        sets are larger than every free set (m > n) too."""
+        obj = generate_nqp(seed, n, m, -1.0, 0.0)
+        assert obj.exact_opt() == pytest.approx(exact_nqp_opt(obj), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_feasible_point_exceeds_it(self, seed):
+        obj = generate_nqp(seed, 6, 3, -1.0, 0.0)
+        points = sample_feasible(obj.polytope, np.random.default_rng(seed), 200)
+        assert max(map(obj.value, points)) <= obj.exact_opt()
+
+    def test_one_dimension(self):
+        """f(x) = -x^2/2 + x on [0, 1] is largest at the upper bound."""
+        assert one_dim_nqp().exact_opt() == 0.5
+
+    def test_redundant_halfspace_leaves_the_corner_optimal(self):
+        obj = acceptance_nqp()
+        assert obj.exact_opt() == pytest.approx(obj.value(np.ones(5)), rel=1e-12, abs=0.0)
+
+    def test_dimension_cap(self):
+        with pytest.raises(ValueError, match="up to dimension 12, not 13"):
+            generate_nqp(0, 13, 1, -1.0, 0.0).exact_opt()
+
+    def test_singular_face_is_reported(self):
+        """With a rank-one H every face with two free coordinates and no
+        tight halfspace has a singular KKT matrix: an error that names the
+        face, not a point taken from it."""
+        obj = NqpObjective(-np.ones((3, 3)), Polytope([[0.5, 0.5, 0.5]], [1.0], np.ones(3)))
+        with pytest.raises(ValueError, match=r"free coordinates \[0, 1\] and tight "
+                                             r"halfspaces \[\] has condition number"):
+            obj.exact_opt()
 
 
 class TestGenerateNqp:
