@@ -6,12 +6,10 @@ repository root:
 The spec holds the ``problem`` entry without its ``seed``, the instance
 ``seeds``, the noise ``ratios`` and ``noise`` kind, the ``trial`` settings
 every config shares, and the ``algorithms`` by label, each with the config
-keys of its own, its ``bounds`` included; an entry's own ``seeds``, a
-subset of the spec's, name the instances it runs on, all of the spec's if
-it names none.  One config is written for each label, each of its seeds
-and each ratio, named ``<label>-s<seed>-r<ratio>``, into the directory
-named like the spec without ``.json``, where ``run_configs.py`` and
-``summarize.py`` read it.
+keys of its own, its ``bounds`` included.  One config is written for each
+label, each seed and each ratio, named ``<label>-s<seed>-r<ratio>``, into
+the directory named like the spec without ``.json``, where
+``run_configs.py`` and ``summarize.py`` read it.
 
 An instance's noise deviation is ``sigma = r * ||grad f(0)|| / sqrt(n)``,
 so its noise ratio ``sigma * sqrt(n) / ||grad f(0)||`` is ``r``.  Its
@@ -41,8 +39,6 @@ def configs(spec: dict, directory: str,
         for label, own in spec["algorithms"].items():
             own = dict(own)
             algorithm, bounds = own.pop("algorithm"), own.pop("bounds")
-            if seed not in own.pop("seeds", spec["seeds"]):
-                continue
             for ratio in spec["ratios"]:
                 name = f"{label}-s{seed}-r{ratio:g}"
                 sigma = ratio * grad0_norm / math.sqrt(objective.dim)
