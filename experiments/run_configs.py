@@ -5,10 +5,13 @@ directory, in name order, from the repository root:
 
 It prints each command's wall time in seconds and its exit code to stderr,
 one line a command, and writes ``battery.sha256`` (``sha256sum -c`` reads
-it) into that directory.  A config whose command fails is reported and
-skipped; the others still run."""
+it) into that directory, one line for the ``battery.csv`` in each config's
+``output_dir``, so a directory of configs that write elsewhere can be run
+apart from the rest.  A config whose command fails is reported and skipped;
+the others still run."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -29,8 +32,9 @@ def main(directory: str) -> int:
             if code:
                 break
         failed += code != 0
-        battery = os.path.join(directory, stem, "battery.csv")
         if not code:
+            with open(path) as fh:
+                battery = os.path.join(json.load(fh)["output_dir"], "battery.csv")
             with open(battery, "rb") as fh:
                 sums.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {battery}")
     with open(os.path.join(directory, "battery.sha256"), "w") as fh:
