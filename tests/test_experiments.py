@@ -1,6 +1,7 @@
 """The committed experiment configs, the scripts that rerun and summarize
 them, and the report comparison that checks their results."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -88,7 +89,7 @@ RECOMPUTED = 7
 
 def test_the_10x5_family_is_the_configs_its_spec_writes():
     """``make_family.py`` writes the family's committed configs from its
-    spec, one for each entry, each of its seeds and each ratio, each in the
+    spec, one for each entry, each seed and each ratio, each in the
     script's format.  Floats are compared to a relative tolerance of 1e-12,
     since another numpy or BLAS may move their last bits: ``sigma`` is one
     gradient norm and ``opt`` one KKT solve.  Seed 7's ``opt`` is also the
@@ -105,9 +106,9 @@ def test_the_10x5_family_is_the_configs_its_spec_writes():
         return committed[f"scg-s{seed}-r10"]["opt"]
 
     written = make_family.configs(spec, "experiments/10x5-family", opt)
-    count = sum(len(own.get("seeds", spec["seeds"])) * len(spec["ratios"])
-                for own in spec["algorithms"].values())
-    assert len(written) == count and written.keys() == committed.keys()
+    assert not any("seeds" in own for own in spec["algorithms"].values())
+    count = len(spec["algorithms"]) * len(spec["seeds"]) * len(spec["ratios"])
+    assert count == 450 and len(written) == count and written.keys() == committed.keys()
     for name, config in written.items():
         assert texts[name] == make_family.text(committed[name])
         expected = committed[name]
@@ -115,6 +116,20 @@ def test_the_10x5_family_is_the_configs_its_spec_writes():
         assert config["noise"].pop("sigma") == pytest.approx(expected["noise"].pop("sigma"),
                                                               rel=1e-12, abs=0.0)
         assert config == expected
+
+
+def test_a_family_entry_has_no_seeds_of_its_own(tmp_path):
+    """Every entry runs on every seed of the spec: a ``seeds`` left in an
+    entry reaches its configs as an unknown key, which loading rejects."""
+    spec = json.loads((EXPERIMENTS / "10x5-family.json").read_text())
+    spec["seeds"] = [7]
+    spec["algorithms"] = {"pga": {**spec["algorithms"]["pga"], "seeds": [0]}}
+    written = make_family.configs(spec, str(tmp_path), lambda seed, objective: 1.0)
+    assert len(written) == len(spec["ratios"])
+    path = tmp_path / "pga-s7-r10.json"
+    path.write_text(make_family.text(written["pga-s7-r10"]))
+    with pytest.raises(ValueError, match=r"unknown config key\(s\): seeds"):
+        cli.load_config(str(path), [])
 
 
 @pytest.mark.parametrize("scale", ["100x50", "10x5-family"])
@@ -127,21 +142,25 @@ def test_readme_results_table_is_the_summary_of_the_committed_reports(scale):
 
 
 def test_run_configs_writes_checksums_and_prints_each_command(tmp_path, monkeypatch, capsys):
-    """A rerun leaves no file but the checksums beside the configs, and
-    reports each command's time and exit code on stderr."""
+    """A rerun leaves no file but the checksums beside the configs, one line
+    for the battery in each config's ``output_dir``, which may lie
+    elsewhere, and reports each command's time and exit code on stderr."""
+    configs, battery = tmp_path / "configs", tmp_path / "out" / "scg-r1" / "battery.csv"
+    configs.mkdir()
     config = {"problem": {"kind": "nqp-generate", "seed": 7, "n": 5, "m": 1,
                           "entry_low": -1, "entry_high": 0},
               "algorithm": "scg", "T": 5, "runs": 2, "workers": 1,
               "noise": {"kind": "clipped_gaussian", "sigma": 0.1}, "opt": 1.0,
               "bounds": [{"theorem": "theorem3", "p": 0.9}],
-              "output_dir": str(tmp_path / "scg-r1")}
-    (tmp_path / "scg-r1.json").write_text(json.dumps(config))
+              "output_dir": str(battery.parent)}
+    (configs / "scg-r1.json").write_text(json.dumps(config))
     package_root = os.path.dirname(os.path.dirname(drsubmax.__file__))
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    assert run_configs.main(str(tmp_path)) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["battery.sha256", "scg-r1",
-                                                          "scg-r1.json"]
+    assert run_configs.main(str(configs)) == 0
+    assert sorted(p.name for p in configs.iterdir()) == ["battery.sha256", "scg-r1.json"]
+    digest = hashlib.sha256(battery.read_bytes()).hexdigest()
+    assert (configs / "battery.sha256").read_text() == f"{digest}  {battery}\n"
     err = capsys.readouterr().err.splitlines()
     assert [line.split("\t")[:2] for line in err] == [["scg-r1", command]
                                                       for command in ("run", "bounds", "report")]
