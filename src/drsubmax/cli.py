@@ -1,5 +1,5 @@
-"""Command-line surface: generate instances, run trial batteries, evaluate
-bound curves, and produce fit/violation reports.
+"""Command-line surface, ``drsubmax {run,bounds,report} --config``: run
+trial batteries, evaluate bound curves, and produce fit/violation reports.
 
 Every command is driven by a JSON config file, which ``objectives.load_json``
 reads with no key repeated; command-line ``--set`` options override
@@ -47,7 +47,6 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from . import analysis, bounds, objectives, optimizers
-from .geometry import diameter_bound
 from .objectives import is_finite_real, is_int, load_json, reject_unknown
 from .oracles import NoiseModel, noise_constants
 from .optimizers import MomentumRule, RunConfig, StepRule
@@ -279,14 +278,6 @@ def _check_run_config(cfg: Experiment) -> None:
 # commands
 # ----------------------------------------------------------------------
 
-def cmd_generate(args) -> None:
-    obj = objectives.generate_nqp(args.seed, args.n, args.m, args.low, args.high)
-    objectives.save_nqp(args.out, obj)
-    print(f"wrote {args.out}")
-    print(f"L = {bounds.spectral_norm(obj.h_matrix):.17g}")
-    print(f"D = {diameter_bound(obj.polytope):.17g}")
-
-
 def cmd_run(cfg: Experiment) -> None:
     battery_path = os.path.join(cfg.output_dir, "battery.csv")
     marker = battery_path + ".partial"
@@ -414,26 +405,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="drsubmax",
         description="stochastic DR-submodular maximization experiment harness",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="write a benchmark instance file")
-    gen.add_argument("family", choices=["nqp"])
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--m", type=int, required=True)
-    gen.add_argument("--low", type=float, required=True)
-    gen.add_argument("--high", type=float, required=True)
-    gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--out", required=True)
-
-    for name, help_text in (
-        ("run", "run a battery of trials and write the trajectory CSV"),
-        ("bounds", "evaluate the selected bound curves"),
-        ("report", "aggregate a battery into statistics, fits, and violation rates"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True)
-        cmd.add_argument("--set", action="append", default=[], dest="overrides",
-                         metavar="KEY=VALUE", help="override a config key (dotted path)")
+    parser.add_argument("command", choices=["run", "bounds", "report"],
+                        help="run a battery of trials and write the trajectory CSV; "
+                             "evaluate the selected bound curves; or aggregate a battery "
+                             "into statistics, fits and violation rates")
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--set", action="append", default=[], dest="overrides",
+                        metavar="KEY=VALUE", help="override a config key (dotted path)")
     return parser
 
 
@@ -443,11 +421,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else 0
     try:  # the commands are looked up at call time, so a wrapper set on the module applies
-        if args.command == "generate":
-            cmd_generate(args)
-        else:
-            cfg = load_config(args.config, args.overrides)
-            {"run": cmd_run, "bounds": cmd_bounds, "report": cmd_report}[args.command](cfg)
+        cfg = load_config(args.config, args.overrides)
+        {"run": cmd_run, "bounds": cmd_bounds, "report": cmd_report}[args.command](cfg)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION if isinstance(exc, ValueError) else EXIT_FAILURE

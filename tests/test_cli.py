@@ -6,11 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from drsubmax import cli
+from drsubmax import bounds, cli
 from drsubmax.analysis import TrialBattery, shared_c1_refit
 from drsubmax.geometry import LmoError, Polytope
-from drsubmax.objectives import (NqpObjective, generate_nqp, instance_digest, load_nqp,
-                                 save_nqp)
+from drsubmax.objectives import (NqpObjective, build_problem, generate_nqp, instance_digest,
+                                 load_nqp, save_nqp)
 
 from _util import MALFORMED_NQP_FILES
 
@@ -60,46 +60,6 @@ def write_run_config(cfg_path):
     """The run_config.json ``run`` writes, for a battery.csv written by hand."""
     cfg = cli.load_config(cfg_path, [])
     cli._write_record(cfg, cli._RUN_CONFIG_FILE, cli._run_config(cfg))
-
-
-class TestGenerate:
-    def test_writes_instance_and_prints_constants(self, tmp_path, capsys):
-        out = tmp_path / "inst.json"
-        code = cli.main(["generate", "nqp", "--n", "5", "--m", "1", "--low", "-1",
-                         "--high", "0", "--seed", "7", "--out", str(out)])
-        assert code == 0
-        assert out.exists()
-        captured = capsys.readouterr().out
-        d_line = next(ln for ln in captured.splitlines() if ln.startswith("D = "))
-        assert float(d_line.split("=")[1]) == pytest.approx(math.sqrt(5.0), abs=1e-12)
-        assert any(ln.startswith("L = ") for ln in captured.splitlines())
-
-    def test_positive_entries_exit_validation(self, tmp_path, capsys):
-        code = cli.main(["generate", "nqp", "--n", "3", "--m", "1", "--low", "-1",
-                         "--high", "1", "--seed", "0",
-                         "--out", str(tmp_path / "x.json")])
-        assert code == 2
-        assert "entry_high" in capsys.readouterr().err
-
-    def test_overflowing_smoothness_prints_inf_without_warning(self, tmp_path, capsys):
-        """Entries near -1e160 overflow ``L``: ``generate`` still writes the
-        instance and prints ``L = inf``, with nothing on stderr, as
-        ``bounds.constants_for`` computes the same constant."""
-        out = tmp_path / "big.json"
-        code = cli.main(["generate", "nqp", "--n", "4", "--m", "2", "--low=-1e160",
-                         "--high", "0", "--seed", "3", "--out", str(out)])
-        captured = capsys.readouterr()
-        assert code == 0 and out.exists()
-        assert captured.err == ""
-        assert "L = inf" in captured.out.splitlines()
-
-    def test_byte_identical_regeneration(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["generate", "nqp", "--n", "4", "--m", "2", "--low", "-2",
-                "--high", "0", "--seed", "3"]
-        assert cli.main(args + ["--out", str(a)]) == 0
-        assert cli.main(args + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
 
 
 class TestRun:
@@ -283,6 +243,23 @@ class TestBounds:
         assert "# K=2\n" in text
         assert "# alpha=0.5\n" in text
 
+    @pytest.mark.parametrize("theorem", sorted(PAIRED))
+    def test_header_echoes_the_instance_constants(self, tmp_path, theorem):
+        """Every ``bound_<theorem>.csv`` names the instance's smoothness
+        constant ``L`` and diameter bound ``D``: on the packaging smoke's
+        5-dimensional instance, whose box is the unit cube, ``D`` is √5."""
+        problem = {**_GENERATED, "n": 5, "seed": 7}
+        cfg = write_config(tmp_path, problem=problem, opt=1.0,
+                           noise={"kind": "clipped_gaussian", "sigma": 0.1},
+                           bounds=[{"theorem": theorem, "delta": 0.01}], **PAIRED[theorem])
+        assert main_with("bounds", cfg) == 0
+        header = dict(line[2:].split("=") for line in
+                      (tmp_path / "out" / f"bound_{theorem}.csv").read_text().splitlines()
+                      if line.startswith("# ") and "=" in line)
+        lipschitz = bounds.spectral_norm(build_problem(problem).h_matrix)
+        assert float(header["L"]) == lipschitz > 0
+        assert float(header["D"]) == pytest.approx(math.sqrt(5.0), abs=1e-12)
+
     def test_chebyshev_bounds_carry_probability_column(self, tmp_path, one_dim_instance):
         for theorem in ("theorem3", "theorem5"):
             cfg = write_config(tmp_path, T=100,
@@ -363,10 +340,7 @@ class TestReport:
     def test_at_T_follows_the_fits_as_each_statistics_last_row(self, tmp_path):
         """The packaging smoke's scg battery: the line after the last fit holds
         each statistic's value at t = T, as its ``stats_*.csv``'s last row."""
-        instance = tmp_path / "nqp5.json"
-        assert cli.main(["generate", "nqp", "--n", "5", "--m", "1", "--low", "-1", "--high",
-                         "0", "--seed", "7", "--out", str(instance)]) == 0
-        cfg = write_config(tmp_path, problem={"kind": "nqp-file", "path": str(instance)}, T=20,
+        cfg = write_config(tmp_path, problem={**_GENERATED, "n": 5, "seed": 7}, T=20,
                            momentum_rule=_ALPHA, normalized=True,
                            noise={"kind": "clipped_gaussian", "sigma": 0.1},
                            opt={"runs": 2, "iterations": 50})
@@ -915,6 +889,8 @@ _INVALID = [
     ("run", "generate-entry_low-above-entry_high",
      {"problem": {**_GENERATED, "entry_low": -0.5, "entry_high": -1.0}},
      "entry_low must be <= entry_high"),
+    ("run", "generate-entry_high-positive", {"problem": {**_GENERATED, "entry_high": 1.0}},
+     "entry_high must be <= 0 to keep the Hessian nonpositive"),
     ("run", "budget-seed-negative", {"problem": {**_BUDGET, "seed": -1}},
      "seed must be a nonnegative integer"),
     ("run", "budget-p_low-above-p_high", {"problem": {**_BUDGET, "p_low": 0.8}},
@@ -1299,7 +1275,8 @@ class TestMain:
         assert cli.main(["report", "--config", str(cfg)]) == 0
         assert calls == [4]
 
-    @pytest.mark.parametrize("argv,code", [(["bogus"], 2), (["run"], 2), (["--help"], 0)])
+    @pytest.mark.parametrize("argv,code", [(["bogus"], 2), (["run"], 2), (["--help"], 0),
+                                           (["generate", "nqp"], 2)])
     def test_parser_exit_is_a_return_code(self, argv, code, capsys):
         """An argparse exit, for a usage error or ``--help``, is returned
         rather than raised."""
@@ -1408,16 +1385,14 @@ class TestModuleEntryPoint:
         import subprocess
         import sys
 
-        out = tmp_path / "inst.json"
+        cfg = write_config(tmp_path, problem={**_GENERATED, "n": 3, "seed": 1}, runs=1)
         result = subprocess.run(
-            [sys.executable, "-m", "drsubmax", "generate", "nqp", "--n", "3",
-             "--m", "1", "--low", "-1", "--high", "0", "--seed", "1",
-             "--out", str(out)],
+            [sys.executable, "-m", "drsubmax", "run", "--config", str(cfg)],
             capture_output=True, text=True, env=_child_env(),
         )
         assert result.returncode == 0, result.stderr
-        assert out.exists()
-        assert "L = " in result.stdout
+        assert (tmp_path / "out" / "battery.csv").exists()
+        assert "wrote " in result.stdout
 
 
 _NUMPY_ONLY = """

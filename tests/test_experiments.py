@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 
 import pytest
 
@@ -130,6 +131,25 @@ def test_a_family_entry_has_no_seeds_of_its_own(tmp_path):
     path.write_text(make_family.text(written["pga-s7-r10"]))
     with pytest.raises(ValueError, match=r"unknown config key\(s\): seeds"):
         cli.load_config(str(path), [])
+
+
+@pytest.mark.parametrize("scale", ["100x50", "10x5-family"])
+def test_committed_checksums_are_one_line_per_config_in_config_name_order(scale):
+    """``battery.sha256`` holds one ``<sha256>  <output_dir>/battery.csv``
+    line for each committed config, in the order of the config file names,
+    which ``run_configs.py`` writes, and no digest twice."""
+    directory = EXPERIMENTS / scale
+    names = sorted(name for name in os.listdir(directory) if name.endswith(".json"))
+    lines = (directory / "battery.sha256").read_text().splitlines()
+    assert len(lines) == len(names)
+    digests = []
+    for name, line in zip(names, lines):
+        digest, sep, battery = line.partition("  ")
+        assert re.fullmatch("[0-9a-f]{64}", digest) and sep, line
+        output_dir = json.loads((directory / name).read_text())["output_dir"]
+        assert battery == f"{output_dir}/battery.csv"
+        digests.append(digest)
+    assert len(set(digests)) == len(digests)
 
 
 @pytest.mark.parametrize("scale", ["100x50", "10x5-family"])
