@@ -207,10 +207,10 @@ def violation(p: Polytope, x) -> float:
     """Largest constraint violation of ``x`` (0 when feasible, inf when ``x``
     has a non-finite entry)."""
     x = _check_dim(p, x, "x")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         return math.inf
-    return max(float(np.max(part, initial=0.0))
-               for part in (-x, x - p.upper, p.a_matrix @ x - p.b_vector))
+    return float(max((-x).max(initial=0.0), (x - p.upper).max(initial=0.0),
+                     (p.a_matrix @ x - p.b_vector).max(initial=0.0)))
 
 
 class ProjectionWarmStart:
@@ -296,16 +296,16 @@ def project(p: Polytope, y, warm: ProjectionWarmStart | None = None) -> np.ndarr
     if state.polytope is not p:
         raise ValueError("the projection warm start belongs to another polytope")
     y = _check_dim(p, y, "y")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("y must be finite")
     # the region lies in the box, so the clamped point is the answer when it
     # meets every halfspace: always for a pure box, and a copy of y when y is
     # already feasible
-    x = np.clip(y, 0.0, p.upper)
-    if np.all(p.a_matrix @ x <= p.b_vector):
+    x = np.minimum(np.maximum(y, 0.0), p.upper)
+    if (p.a_matrix @ x <= p.b_vector).all():
         return x
 
-    scale = max(1.0, float(np.linalg.norm(y)))
+    scale = max(1.0, math.sqrt(y.dot(y)))
     if not math.isfinite(scale):
         raise ValueError("y is too large: its norm overflows")
     row_norms = np.sqrt(np.einsum("ij,ij->i", p.a_matrix, p.a_matrix))
@@ -568,7 +568,7 @@ def _resume(p: Polytope, y: np.ndarray, start: np.ndarray, gram: _GramInverse,
     # the set a singular one goes back to: the set before the last join
     before = None
     while True:
-        rows = np.flatnonzero(active)
+        rows = active.nonzero()[0]
         free = side == 0.0
         a_s = a[rows]
         ginv = _gram_inverse(a_s, free)
@@ -589,7 +589,7 @@ def _resume(p: Polytope, y: np.ndarray, start: np.ndarray, gram: _GramInverse,
         # a nearly full set, the leavers still in it, takes no join
         joinable = rounds and n - np.count_nonzero(face) >= _BATCH_MIN
         if joinable or not leaving:
-            x[free] -= shift[free]
+            np.subtract(x, shift, out=x, where=free)
             # the dual loop's distance pass, bit for bit.  The active
             # constraints are blocked so that none is added twice (halfspaces
             # are tight only up to rounding), the leavers too: none joins as
@@ -604,7 +604,7 @@ def _resume(p: Polytope, y: np.ndarray, start: np.ndarray, gram: _GramInverse,
             active[rows[leave_rows]] = 0.0
             side[leave_faces] = 0.0
         if joinable:
-            over = np.flatnonzero(dist > add_tol)
+            over = (dist > add_tol).nonzero()[0]
             # more halfspaces than free coordinates is a singular set: so no
             # more constraints, active once the leavers leave and joining,
             # than coordinates
@@ -638,8 +638,9 @@ def _gram_inverse(a_s: np.ndarray, free: np.ndarray):
         ginv = np.linalg.inv(gram_matrix)
     except np.linalg.LinAlgError:
         return None
-    growth = np.diagonal(ginv) * np.diagonal(gram_matrix)
-    if not np.all((growth > 0.0) & (growth < _MAX_GROWTH)):
+    growth = ginv.diagonal() * gram_matrix.diagonal()
+    # min and max reject an empty array: the empty set is never singular
+    if growth.size and not (growth.min() > 0.0 and growth.max() < _MAX_GROWTH):
         return None
     return ginv
 
@@ -654,25 +655,26 @@ def _kkt_point(p: Polytope, y: np.ndarray, face: np.ndarray, row_norms: np.ndarr
     active, side = face[:m], face[m:]
     a, b, u = p.a_matrix, p.b_vector, p.upper
     free = side == 0.0
-    x = np.where(side > 0.0, u, 0.0)
-    x[free] = y[free]
-    rows = np.flatnonzero(active)
+    fixed = ~free
+    x = np.where(free, y, np.where(side > 0.0, u, 0.0))
+    rows = active.nonzero()[0]
     a_rows = a[rows]
+    # each block once: the solve below writes only x's free part
+    a_free, a_fixed, y_free, x_fixed = a_rows[:, free], a_rows[:, fixed], y[free], x[fixed]
     lam = np.zeros(0)
     if rows.size:
         # x_free = y_free - M^T lam  with  M x_free = b - A[rows, fixed] x_fixed
-        q, r_tri = np.linalg.qr(a_rows[:, free].T)
-        rhs = b[rows] - a_rows[:, ~free] @ x[~free]
+        q, r_tri = np.linalg.qr(a_free.T)
+        rhs = b[rows] - a_fixed @ x_fixed
         try:
             w = np.linalg.solve(r_tri.T, rhs)
-            lam = np.linalg.solve(r_tri, q.T @ y[free] - w)
+            lam = np.linalg.solve(r_tri, q.T @ y_free - w)
         except np.linalg.LinAlgError:
             return x, math.inf
-        x[free] = y[free] - a_rows[:, free].T @ lam
+        x[free] = y_free - a_free.T @ lam
     # box-face multipliers: y - x = A_rows^T lam + side * mu on fixed coordinates
-    mu = side[~free] * (y[~free] - x[~free] - a_rows[:, ~free].T @ lam)
-    worst = max(float(np.max(-lam * row_norms[rows], initial=0.0)),
-                float(np.max(-mu, initial=0.0)))
+    mu = side[fixed] * (y[fixed] - x_fixed - a_fixed.T @ lam)
+    worst = float(max((-lam * row_norms[rows]).max(initial=0.0), (-mu).max(initial=0.0)))
     return x, max(violation(p, x), worst)
 
 

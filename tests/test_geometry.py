@@ -87,6 +87,8 @@ class TestPolytopeConstruction:
 class TestContains:
     def test_interior_point(self):
         assert contains(UNIT_BOX2, [0.5, 0.5], 0.0)
+        # a pure box has no halfspace part: its violation is the box's alone
+        assert violation(UNIT_BOX2, [0.5, 0.5]) == 0.0
 
     def test_box_violation(self):
         assert not contains(UNIT_BOX2, [1.0 + 1e-3, 0.0], 1e-6)
@@ -112,6 +114,7 @@ class TestContains:
         assert not contains(TRIANGLE, [np.nan, 0.2])
         assert not contains(TRIANGLE, [np.inf, 0.2], 1e6)
         assert violation(TRIANGLE, [np.nan, 0.2]) == np.inf
+        assert violation(UNIT_BOX2, [0.5, -np.inf]) == np.inf
 
 
 def kkt_residual(poly, y, x):
@@ -135,6 +138,16 @@ class TestProject:
         p = Polytope.box([1.0])
         out = project(p, [0.5])
         assert out[0] == 0.5  # feasible input comes back exactly
+
+    def test_feasible_target_comes_back_clamped_in_a_new_array(self):
+        """A feasible target is returned as ``np.clip`` returns it, byte for
+        byte: a new array, with -0.0 turned into 0.0 and an entry at its upper
+        bound kept."""
+        y = np.array([-0.0, 1.0])
+        out = project(TRIANGLE, y)
+        assert out is not y and not np.shares_memory(out, y)
+        assert out.tobytes() == np.clip(y, 0.0, TRIANGLE.upper).tobytes()
+        assert out.tobytes() == np.array([0.0, 1.0]).tobytes()
 
     def test_componentwise_clamp(self):
         np.testing.assert_array_equal(project(UNIT_BOX2, [2.0, -1.0]), [1.0, 0.0])
@@ -1425,6 +1438,24 @@ class TestProjectionWarmStart:
         assert project(poly, y, warm).tobytes() == x.tobytes()
         assert starts == runs
         np.testing.assert_array_equal(warm.face, face)
+
+    @pytest.mark.parametrize("a_s,trusted", [
+        (np.zeros((0, 2)), True),
+        (np.array([[1.0, np.nan]]), False),
+        (np.array([[1.0, 1.0], [np.nan, 1.0]]), False),
+        # the nearly parallel rows above: growth about 4e6, then about 4e8
+        (np.array([[1.0, 1.0], [1.0, 1.001]]), True),
+        (np.array([[1.0, 1.0], [1.0, 1.0001]]), False),
+    ], ids=["empty", "nan", "nan-row", "growth-under", "growth-over"])
+    def test_the_growth_test_of_a_stored_set(self, a_s, trusted):
+        """``_gram_inverse`` returns the inverse Gram matrix of a set, a 0 x 0
+        one for the empty set, and None when a growth ``ginv_kk G_kk`` is NaN
+        or not under ``_MAX_GROWTH``."""
+        ginv = geometry._gram_inverse(a_s, np.ones(2, dtype=bool))
+        if trusted:
+            np.testing.assert_array_equal(ginv, np.linalg.inv(a_s @ a_s.T), strict=True)
+        else:
+            assert ginv is None
 
     def test_failed_warm_answer_runs_cold(self, monkeypatch, starts):
         """A warm answer that fails the certificate is replaced by the cold
